@@ -17,10 +17,15 @@ PYTHONPATH=src python -m pytest -q \
 echo "== stage: slow sweeps =="
 PYTHONPATH=src python -m pytest -m slow -q "$@"
 
-echo "== stage: serving (front-door suite + live CLI run) =="
+echo "== stage: serving (front-door suite + live CLI run + held-out bench seed) =="
 PYTHONPATH=src python -m pytest -q tests/serve
 PYTHONPATH=src python -m repro.cli run --scenario paper --epochs 10 \
     --partitions 60 --serve --serve-rate 128 --serve-workers 32 \
+    > /dev/null
+# Seed 7 is the benchmark's held-out seed: the run exits non-zero on any
+# output-check failure (replays disagreeing on digests, summaries or
+# span call counts) or workload-shape guard failure.
+python3 benchmarks/e2e/run.py --workload serve-read --seed 7 --trace 1 \
     > /dev/null
 
 echo "== stage: perf smoke (100x ramp + serving vs checked-in bench JSON) =="

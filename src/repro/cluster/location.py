@@ -121,12 +121,26 @@ class Location:
 
 def shared_depth(a: Location, b: Location) -> int:
     """Number of leading location levels on which ``a`` and ``b`` agree."""
-    depth = 0
-    for pa, pb in zip(a.parts(), b.parts()):
-        if pa != pb:
-            break
-        depth += 1
-    return depth
+    if a.continent != b.continent:
+        return 0
+    if a.country != b.country:
+        return 1
+    if a.datacenter != b.datacenter:
+        return 2
+    if a.room != b.room:
+        return 3
+    if a.rack != b.rack:
+        return 4
+    if a.server != b.server:
+        return 5
+    return 6
+
+
+#: Diversity by shared-prefix depth: ``depth`` leading similarity ones,
+#: complemented over six bits (depth 0 -> 63, depth 6 -> 0).
+_DIVERSITY_AT_DEPTH: Tuple[int, ...] = tuple(
+    FULL_MASK >> depth for depth in range(NUM_LEVELS + 1)
+)
 
 
 def similarity(a: Location, b: Location) -> int:
@@ -135,11 +149,7 @@ def similarity(a: Location, b: Location) -> int:
     Bit 5 (MSB) is the continent, bit 0 the server.  A bit is 1 only when
     the corresponding level *and every shallower level* match.
     """
-    depth = shared_depth(a, b)
-    if depth == 0:
-        return 0
-    # ``depth`` leading ones followed by (NUM_LEVELS - depth) zeros.
-    return ((1 << depth) - 1) << (NUM_LEVELS - depth)
+    return FULL_MASK ^ _DIVERSITY_AT_DEPTH[shared_depth(a, b)]
 
 
 def diversity(a: Location, b: Location) -> int:
@@ -148,7 +158,7 @@ def diversity(a: Location, b: Location) -> int:
     Ranges from 0 (identical server) to :data:`MAX_DIVERSITY` (different
     continents).  Symmetric, and ``diversity(a, a) == 0``.
     """
-    return FULL_MASK ^ similarity(a, b)
+    return _DIVERSITY_AT_DEPTH[shared_depth(a, b)]
 
 
 def diversity_from_depth(depth: int) -> int:
@@ -159,6 +169,4 @@ def diversity_from_depth(depth: int) -> int:
     """
     if not 0 <= depth <= NUM_LEVELS:
         raise LocationError(f"depth must be in [0, {NUM_LEVELS}], got {depth}")
-    if depth == 0:
-        return FULL_MASK
-    return FULL_MASK ^ (((1 << depth) - 1) << (NUM_LEVELS - depth))
+    return _DIVERSITY_AT_DEPTH[depth]

@@ -23,7 +23,8 @@ class HashError(TypeError):
     """Raised for keys of unsupported type."""
 
 
-def _to_bytes(key: Key) -> bytes:
+def key_bytes(key: Key) -> bytes:
+    """The canonical byte encoding of a key (what is hashed and stored)."""
     if isinstance(key, bytes):
         return key
     if isinstance(key, str):
@@ -36,7 +37,7 @@ def _to_bytes(key: Key) -> bytes:
 
 def hash_key(key: Key) -> int:
     """Position of ``key`` on the ring, a stable 64-bit integer."""
-    digest = hashlib.blake2b(_to_bytes(key), digest_size=8).digest()
+    digest = hashlib.blake2b(key_bytes(key), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -17,8 +17,7 @@ pre-seam physical behavior exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.location import Location, diversity
 from repro.cluster.topology import Cloud
@@ -26,20 +25,28 @@ from repro.net.membership import OracleMembership
 from repro.ring.hashing import Key
 from repro.ring.partition import Partition, PartitionId
 from repro.ring.virtualring import RingSet
-from repro.store.replica import ReplicaCatalog
+
+if TYPE_CHECKING:  # the store layer imports this module, not the reverse
+    from repro.store.replica import ReplicaCatalog
 
 
 class RoutingError(LookupError):
     """Raised when a key cannot be resolved to a live replica."""
 
 
-@dataclass(frozen=True)
-class Route:
-    """A resolved query route."""
+class Route(NamedTuple):
+    """A resolved query route.
+
+    ``replicas`` / ``distances`` keep the walk that resolved it (the
+    believed-live replicas in catalog order, each one's diversity to
+    the client or ``None`` without one) for the store it is handed to.
+    """
 
     pid: PartitionId
     server_id: int
     distance: int
+    replicas: Tuple[int, ...] = ()
+    distances: Optional[Tuple[int, ...]] = None
 
     def __str__(self) -> str:
         return f"{self.pid} -> s{self.server_id} (d={self.distance})"
@@ -61,11 +68,30 @@ class Router:
     def partition_of(self, app_id: int, ring_id: int, key: Key) -> Partition:
         return self._rings.ring(app_id, ring_id).lookup(key)
 
-    def live_replicas(self, pid: PartitionId) -> List[int]:
-        """Believed-live replica servers (routing acts on belief)."""
+    def partition_at(self, app_id: int, ring_id: int,
+                     position: int) -> Partition:
+        """Owner of an already-hashed ring position (no re-hash)."""
+        return self._rings.ring(app_id, ring_id).lookup_position(position)
+
+    def believed_replicas(self, pid: PartitionId,
+                          client: Optional[Location] = None
+                          ) -> Tuple[List[int], Optional[List[int]]]:
+        """The one catalog walk a request pays.
+
+        Believed-live replica servers of ``pid`` in catalog order and,
+        given a client, each one's diversity to it.  Belief, not ground
+        truth: ghosts are included, false suspects are not.
+        """
         believed = self._membership.believed
-        return [
-            sid for sid in self._catalog.servers_of(pid) if believed(sid)
+        replicas = [
+            sid for sid in self._catalog.replica_servers(pid)
+            if believed(sid)
+        ]
+        if client is None:
+            return replicas, None
+        server = self._cloud.server
+        return replicas, [
+            diversity(client, server(sid).location) for sid in replicas
         ]
 
     def route(self, app_id: int, ring_id: int, key: Key,
@@ -84,19 +110,13 @@ class Router:
         traffic routed here must not inherit it — the tie-break keeps
         replay byte-deterministic across runs and kernels.
         """
-        replicas = self.live_replicas(pid)
+        replicas, distances = self.believed_replicas(pid, client)
         if not replicas:
             raise RoutingError(f"no live replica for {pid}")
-        if client is None:
-            return Route(pid, min(replicas), 0)
-        best_sid, best_d = replicas[0], diversity(
-            client, self._cloud.server(replicas[0]).location
-        )
-        for sid in replicas[1:]:
-            d = diversity(client, self._cloud.server(sid).location)
-            if d < best_d or (d == best_d and sid < best_sid):
-                best_sid, best_d = sid, d
-        return Route(pid, best_sid, best_d)
+        if distances is None:
+            return Route(pid, min(replicas), 0, tuple(replicas))
+        best_d, best_sid = min(zip(distances, replicas))
+        return Route(pid, best_sid, best_d, tuple(replicas), tuple(distances))
 
     def spread(self, pid: PartitionId,
                weights: Optional[List[Tuple[Location, float]]] = None
@@ -108,7 +128,7 @@ class Router:
         closest replica.  Used by the simulator to charge query load to
         servers without routing every query object individually.
         """
-        replicas = self.live_replicas(pid)
+        replicas, __ = self.believed_replicas(pid)
         if not replicas:
             raise RoutingError(f"no live replica for {pid}")
         if not weights:
@@ -119,15 +139,7 @@ class Router:
         for client, weight in weights:
             if weight <= 0:
                 continue
-            # Same tie-break as route_partition: equal diversity goes
-            # to the lowest server id, never to catalog order.
-            best = min(
-                replicas,
-                key=lambda sid: (
-                    diversity(client, self._cloud.server(sid).location),
-                    sid,
-                ),
-            )
+            best = self.route_partition(pid, client=client).server_id
             totals[best] += weight
             grand += weight
         if grand == 0:

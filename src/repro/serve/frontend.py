@@ -189,8 +189,8 @@ class ServingFrontEnd:
         """
         cfg = self.config
         model = self.model
-        pid = self.router.partition_of(
-            arrival.app_id, arrival.ring_id, arrival.key
+        pid = self.router.partition_at(
+            arrival.app_id, arrival.ring_id, arrival.position
         ).pid
         try:
             route = self.router.route_partition(
@@ -206,13 +206,13 @@ class ServingFrontEnd:
             if arrival.kind == "get":
                 result = self.store.get(
                     arrival.app_id, arrival.ring_id, arrival.key,
-                    level=self.level, client=arrival.client,
+                    level=self.level, client=arrival.client, route=route,
                 )
             else:
                 result = self.store.put(
                     arrival.app_id, arrival.ring_id, arrival.key,
                     arrival.value, level=self.level,
-                    client=arrival.client,
+                    client=arrival.client, route=route,
                 )
         except QuorumError:
             return coordinator_ms + cfg.timeout_penalty_ms, False

@@ -14,28 +14,27 @@ read/write coin) from one generator, which is the determinism contract
 the replay tests pin: same spec + seed ⇒ the identical arrival stream,
 epoch by epoch.
 
-Keys follow the same Zipf(1) skew the data-plane clients and the
-query-popularity model use (rank ``i`` drawn with probability
+Keys come from the :class:`~repro.workload.keys.ZipfKeys` universe the
+data-plane clients also draw from (rank ``i`` with probability
 ∝ 1/(i+1)), under a distinct ``sv-`` key prefix so serving traffic
 never collides with data-plane audit keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.location import Location
+from repro.workload.keys import ZipfKeys
 
 
 class ServeError(ValueError):
     """Raised for invalid serving front-door parameters."""
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One admitted request: what, where from, and when it arrived."""
 
     offset_ms: float  # arrival time within the epoch's window
@@ -43,6 +42,7 @@ class Arrival:
     app_id: int
     ring_id: int
     key: bytes
+    position: int  # the key's ring position, hashed once per key
     value: Optional[bytes]  # None for gets
     client: Optional[Location]
 
@@ -79,18 +79,14 @@ class LoadGenerator:
         self._epoch_ms = epoch_ms
         self._rng = rng
         self._sites = tuple(sites)
-        self._keys = tuple(
-            f"sv-{i:06d}".encode("ascii") for i in range(keyspace)
-        )
-        weights = 1.0 / (np.arange(keyspace, dtype=np.float64) + 1.0)
-        self._weights = weights / weights.sum()
+        self._universe = ZipfKeys("sv", keyspace)
         # Open loop: the mean gap keeps the configured rate regardless
         # of how fast the backend drains.
         self._mean_gap_ms = epoch_ms / max(requests_per_epoch, 1)
 
     @property
     def keys(self) -> Tuple[bytes, ...]:
-        return self._keys
+        return self._universe.keys
 
     def _value(self, epoch: int, index: int) -> bytes:
         stamp = f"sv-e{epoch}-i{index}-".encode("ascii")
@@ -102,6 +98,7 @@ class LoadGenerator:
     def draw(self, epoch: int) -> List[Arrival]:
         """One epoch's arrivals, sorted by offset by construction."""
         rng = self._rng
+        keys, positions = self._universe.keys, self._universe.positions
         out: List[Arrival] = []
         t = 0.0
         for i in range(self._requests):
@@ -109,21 +106,21 @@ class LoadGenerator:
             app_id, ring_id = self._apps[
                 int(rng.integers(len(self._apps)))
             ]
-            key = self._keys[
-                int(rng.choice(len(self._keys), p=self._weights))
-            ]
+            rank = self._universe.draw(rng)
+            key, position = keys[rank], positions[rank]
             client = None
             if self._sites:
                 client = self._sites[int(rng.integers(len(self._sites)))]
             if float(rng.random()) < self._read_fraction:
                 out.append(Arrival(
                     offset_ms=t, kind="get", app_id=app_id,
-                    ring_id=ring_id, key=key, value=None, client=client,
+                    ring_id=ring_id, key=key, position=position,
+                    value=None, client=client,
                 ))
             else:
                 out.append(Arrival(
                     offset_ms=t, kind="put", app_id=app_id,
-                    ring_id=ring_id, key=key,
+                    ring_id=ring_id, key=key, position=position,
                     value=self._value(epoch, i), client=client,
                 ))
         return out

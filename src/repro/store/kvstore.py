@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.location import Location, diversity
 from repro.cluster.topology import Cloud
 from repro.net.membership import OracleMembership
-from repro.ring.hashing import Key, hash_key
+from repro.ring.hashing import Key, hash_key, key_bytes
 from repro.ring.partition import Partition, PartitionId
 from repro.ring.virtualring import RingSet, VirtualRing
 from repro.store.replica import ReplicaCatalog
@@ -69,13 +69,6 @@ class KVStore:
         ring = self._rings.ring(app_id, ring_id)
         return ring, ring.lookup(key)
 
-    def _key_bytes(self, key: Key) -> bytes:
-        if isinstance(key, bytes):
-            return key
-        if isinstance(key, str):
-            return key.encode("utf-8")
-        return int(key).to_bytes(16, "big", signed=True)
-
     def _pick_replica(self, pid: PartitionId,
                       client: Optional[Location]) -> Tuple[int, int]:
         """Choose the serving replica: lowest diversity to the client.
@@ -113,7 +106,7 @@ class KVStore:
         if not isinstance(value, bytes):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
         ring, partition = self._route(app_id, ring_id, key)
-        kb = self._key_bytes(key)
+        kb = key_bytes(key)
         bucket = self._objects.setdefault(partition.pid, {})
         delta = len(value) - len(bucket.get(kb, b""))
         if delta > 0:
@@ -131,7 +124,7 @@ class KVStore:
             *, client: Optional[Location] = None) -> ReadResult:
         """Read ``key``, serving from the replica closest to ``client``."""
         __, partition = self._route(app_id, ring_id, key)
-        kb = self._key_bytes(key)
+        kb = key_bytes(key)
         bucket = self._objects.get(partition.pid, {})
         if kb not in bucket:
             raise StoreError(f"key {key!r} not found in {partition.pid}")
@@ -146,7 +139,7 @@ class KVStore:
     def delete(self, app_id: int, ring_id: int, key: Key) -> bool:
         """Delete ``key``; returns False when it did not exist."""
         __, partition = self._route(app_id, ring_id, key)
-        kb = self._key_bytes(key)
+        kb = key_bytes(key)
         bucket = self._objects.get(partition.pid, {})
         if kb not in bucket:
             return False
@@ -157,7 +150,7 @@ class KVStore:
 
     def contains(self, app_id: int, ring_id: int, key: Key) -> bool:
         __, partition = self._route(app_id, ring_id, key)
-        return self._key_bytes(key) in self._objects.get(partition.pid, {})
+        return key_bytes(key) in self._objects.get(partition.pid, {})
 
     def keys_in(self, pid: PartitionId) -> List[bytes]:
         return sorted(self._objects.get(pid, {}))

@@ -52,8 +52,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.location import Location, diversity
 from repro.cluster.topology import Cloud
 from repro.net.membership import OracleMembership
-from repro.ring.hashing import Key, hash_key
+from repro.ring.hashing import Key, hash_key, key_bytes
 from repro.ring.partition import PartitionId
+from repro.ring.router import Route, Router
 from repro.ring.virtualring import RingSet
 from repro.store.hints import HintStore
 from repro.store.replica import CatalogListener, ReplicaCatalog
@@ -160,7 +161,10 @@ class DataPlaneStats:
 
     def bump_level(self, level: Level, *, ok: int = 0, timeouts: int = 0,
                    stale: int = 0) -> None:
-        row = self.levels.setdefault(level.value, [0, 0, 0])
+        # ``_value_`` is the plain attribute behind ``.value``, whose
+        # descriptor costs a Python-level call per access (here and in
+        # the per-replica ``attempts`` rows below).
+        row = self.levels.setdefault(level._value_, [0, 0, 0])
         row[0] += ok
         row[1] += timeouts
         row[2] += stale
@@ -189,6 +193,9 @@ class QuorumKVStore:
             membership if membership is not None else OracleMembership(cloud)
         )
         self._reachable = getattr(self._membership, "reachable", None)
+        self._router = Router(
+            cloud, rings, catalog, membership=self._membership
+        )
         self._hints = hints
         self.stats = DataPlaneStats()
         self._epoch = 0
@@ -209,44 +216,39 @@ class QuorumKVStore:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _key_bytes(self, key: Key) -> bytes:
-        if isinstance(key, bytes):
-            return key
-        if isinstance(key, str):
-            return key.encode("utf-8")
-        return int(key).to_bytes(16, "big", signed=True)
-
     def _route(self, app_id: int, ring_id: int, key: Key) -> PartitionId:
         return self._rings.ring(app_id, ring_id).lookup(key).pid
 
-    def _believed_replicas(self, pid: PartitionId,
-                           client: Optional[Location]) -> List[int]:
-        """Believed-live replica servers, closest to the client first.
+    def _resolve(self, app_id: int, ring_id: int, key: Key, level: Level,
+                 client: Optional[Location], route: Optional[Route]):
+        """What one operation acts on, resolved once: ``(pid, key bytes,
+        all replicas, believed-live replicas closest-first, acks needed)``.
 
-        Belief, not ground truth: ghosts are *included* (and will time
-        out on contact), false suspects are *excluded* (and counted as
-        skipped even though they would answer).
+        The key hash, ring lookup and catalog walk happen here unless
+        the caller hands over the fresh :class:`Route` it resolved for
+        this key and client.  Either way the contact order is the same
+        *stable* sort by client diversity over catalog order — not the
+        Router's lowest-id coordinator tie-break — and skipped replicas
+        that would have answered count as suspects.
         """
-        believed = self._membership.believed
-        out = [
-            sid for sid in self._catalog.servers_of(pid) if believed(sid)
-        ]
-        if client is not None:
-            out.sort(
-                key=lambda sid: diversity(
-                    client, self._cloud.server(sid).location
-                )
+        if route is None:
+            pid = self._route(app_id, ring_id, key)
+            believed, distances = self._router.believed_replicas(pid, client)
+        else:
+            pid, believed = route.pid, route.replicas
+            distances = route.distances
+        if distances is not None:
+            order = sorted(range(len(believed)), key=distances.__getitem__)
+            believed = [believed[i] for i in order]
+        all_replicas = self._catalog.replica_servers(pid)
+        if len(believed) < len(all_replicas):
+            responds = self._membership.responds
+            self.stats.suspects_skipped += sum(
+                1 for sid in all_replicas
+                if sid not in believed and responds(sid)
             )
-        return out
-
-    def _count_suspects(self, pid: PartitionId,
-                        believed: List[int]) -> None:
-        """Count skipped replicas that would actually have answered."""
-        chosen = set(believed)
-        membership = self._membership
-        for sid in self._catalog.servers_of(pid):
-            if sid not in chosen and membership.responds(sid):
-                self.stats.suspects_skipped += 1
+        need = level.required(len(all_replicas))
+        return pid, key_bytes(key), all_replicas, believed, need
 
     def _contact(self, coordinator: Optional[int],
                  sid: int) -> ReplicaOutcome:
@@ -269,7 +271,8 @@ class QuorumKVStore:
 
     def put(self, app_id: int, ring_id: int, key: Key, value: bytes, *,
             level: Level = Level.QUORUM,
-            client: Optional[Location] = None) -> QuorumWriteResult:
+            client: Optional[Location] = None,
+            route: Optional[Route] = None) -> QuorumWriteResult:
         """Write ``value``; succeeds when ``level`` many replicas ack.
 
         Replicas that miss the write (believed dead, timed out, or
@@ -277,11 +280,13 @@ class QuorumKVStore:
         anti-entropy reaches them — the divergence window the
         consistency-cost model charges for.  With a
         :class:`~repro.store.hints.HintStore` attached, a parked hint
-        counts toward the quorum (sloppy quorum).
+        counts toward the quorum (sloppy quorum).  ``route`` is the
+        caller's own fresh resolution of this key and client (see
+        :meth:`_resolve`).
         """
         if not isinstance(value, bytes):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
-        return self._write(app_id, ring_id, key, value, level, client)
+        return self._write(app_id, ring_id, key, value, level, client, route)
 
     def delete(self, app_id: int, ring_id: int, key: Key, *,
                level: Level = Level.QUORUM,
@@ -291,14 +296,12 @@ class QuorumKVStore:
 
     def _write(self, app_id: int, ring_id: int, key: Key,
                value: Optional[bytes], level: Level,
-               client: Optional[Location]) -> QuorumWriteResult:
-        pid = self._route(app_id, ring_id, key)
-        kb = self._key_bytes(key)
-        all_replicas = self._catalog.servers_of(pid)
-        believed = self._believed_replicas(pid, client)
-        need = level.required(len(all_replicas))
+               client: Optional[Location],
+               route: Optional[Route] = None) -> QuorumWriteResult:
+        pid, kb, all_replicas, believed, need = self._resolve(
+            app_id, ring_id, key, level, client, route
+        )
         stats = self.stats
-        self._count_suspects(pid, believed)
         if self._hints is None and len(believed) < need:
             # Strict quorum: refuse before consuming a version, so a
             # rejected write leaves no trace.  (With hints attached,
@@ -317,7 +320,7 @@ class QuorumKVStore:
         coordinator: Optional[int] = None
         for sid in believed:
             outcome = self._contact(coordinator, sid)
-            attempts.append((sid, outcome.value))
+            attempts.append((sid, outcome._value_))
             if outcome is ReplicaOutcome.OK:
                 if coordinator is None:
                     coordinator = sid
@@ -386,7 +389,8 @@ class QuorumKVStore:
 
     def get(self, app_id: int, ring_id: int, key: Key, *,
             level: Level = Level.QUORUM,
-            client: Optional[Location] = None) -> QuorumReadResult:
+            client: Optional[Location] = None,
+            route: Optional[Route] = None) -> QuorumReadResult:
         """Read ``key`` from ``level`` many replicas; freshest wins.
 
         With ``read_repair`` enabled (default), contacted replicas
@@ -394,15 +398,12 @@ class QuorumKVStore:
         Believed-live replicas that fail to answer (ghosts) or cannot
         be reached push the coordinator further down the preference
         list; the quorum fails only when fewer than ``level`` replicas
-        actually respond.
+        actually respond.  ``route`` as for :meth:`put`.
         """
-        pid = self._route(app_id, ring_id, key)
-        kb = self._key_bytes(key)
-        all_replicas = self._catalog.servers_of(pid)
-        believed = self._believed_replicas(pid, client)
-        need = level.required(len(all_replicas))
+        pid, kb, all_replicas, believed, need = self._resolve(
+            app_id, ring_id, key, level, client, route
+        )
         stats = self.stats
-        self._count_suspects(pid, believed)
         if len(believed) < need:
             stats.read_failures += 1
             raise QuorumError(
@@ -416,7 +417,7 @@ class QuorumKVStore:
             if len(contacted) >= need:
                 break
             outcome = self._contact(coordinator, sid)
-            attempts.append((sid, outcome.value))
+            attempts.append((sid, outcome._value_))
             if outcome is ReplicaOutcome.OK:
                 if coordinator is None:
                     coordinator = sid
@@ -442,8 +443,8 @@ class QuorumKVStore:
             ):
                 freshest = copy
         stats.reads += 1
-        stats.bump_level(level, ok=1)
         if freshest is None:
+            stats.bump_level(level, ok=1)
             return QuorumReadResult(
                 value=None, version=0,
                 contacted=tuple(contacted), stale_replicas=(),
@@ -453,7 +454,7 @@ class QuorumKVStore:
             sid for sid, v in holders.items() if v < freshest.version
         )
         stats.stale_observed += len(stale)
-        stats.bump_level(level, stale=len(stale))
+        stats.bump_level(level, ok=1, stale=len(stale))
         if self._read_repair and stale:
             for sid in stale:
                 self._copy(sid, pid)[kb] = freshest
@@ -578,13 +579,13 @@ class QuorumKVStore:
                         server_id: int) -> int:
         """The version one replica holds (-1 when it has no copy)."""
         pid = self._route(app_id, ring_id, key)
-        copy = self._copy(server_id, pid).get(self._key_bytes(key))
+        copy = self._copy(server_id, pid).get(key_bytes(key))
         return copy.version if copy is not None else -1
 
     def divergence(self, app_id: int, ring_id: int, key: Key) -> int:
         """Version gap between the freshest and stalest replica copy."""
         pid = self._route(app_id, ring_id, key)
-        kb = self._key_bytes(key)
+        kb = key_bytes(key)
         versions = [
             (self._copy(sid, pid).get(kb).version
              if self._copy(sid, pid).get(kb) else -1)
@@ -603,7 +604,7 @@ class QuorumKVStore:
         awaiting delivery — carries a version at least as new.
         """
         pid = self._route(app_id, ring_id, key)
-        kb = self._key_bytes(key)
+        kb = key_bytes(key)
         best = 0
         for sid in self._catalog.servers_of(pid):
             copy = self._copy(sid, pid).get(kb)

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.cluster.location import Location
 from repro.cluster.topology import CloudLayout
+from repro.workload.keys import ZipfKeys
 
 
 class GeographyError(ValueError):
@@ -164,9 +165,8 @@ class ClientRequest:
 class DataPlaneClients:
     """Synthetic get/put client traffic for the stale-view data plane.
 
-    Draws ``ops_per_epoch`` operations per epoch over a fixed,
-    Zipf-weighted key universe (rank ``i`` drawn with probability
-    ∝ 1/(i+1) — the same skew shape the query-popularity model uses),
+    Draws ``ops_per_epoch`` operations per epoch over a fixed
+    :class:`~repro.workload.keys.ZipfKeys` universe (``dp-`` prefix),
     splitting get/put by ``read_fraction``.  Values encode the epoch
     and draw index so every write is distinguishable; optional client
     ``sites`` attach a geography so proximity routing is exercised.
@@ -203,15 +203,11 @@ class DataPlaneClients:
         self._value_size = value_size
         self._rng = rng
         self._sites = tuple(sites)
-        self._keys = tuple(
-            f"dp-{i:06d}".encode("ascii") for i in range(keyspace)
-        )
-        weights = 1.0 / (np.arange(keyspace, dtype=np.float64) + 1.0)
-        self._weights = weights / weights.sum()
+        self._universe = ZipfKeys("dp", keyspace)
 
     @property
     def keys(self) -> Tuple[bytes, ...]:
-        return self._keys
+        return self._universe.keys
 
     def _value(self, epoch: int, index: int) -> bytes:
         stamp = f"e{epoch}-i{index}-".encode("ascii")
@@ -223,14 +219,13 @@ class DataPlaneClients:
     def draw(self, epoch: int) -> List[ClientRequest]:
         """One epoch's operations, in issue order."""
         rng = self._rng
+        universe = self._universe
         out: List[ClientRequest] = []
         for i in range(self._ops):
             app_id, ring_id = self._apps[
                 int(rng.integers(len(self._apps)))
             ]
-            key = self._keys[
-                int(rng.choice(len(self._keys), p=self._weights))
-            ]
+            key = universe.keys[universe.draw(rng)]
             client = None
             if self._sites:
                 client = self._sites[int(rng.integers(len(self._sites)))]

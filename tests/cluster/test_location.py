@@ -144,3 +144,33 @@ class TestOrdering:
 
     def test_locations_are_hashable(self):
         assert len({loc(0, 0, 0, 0, 0, 0), loc(0, 0, 0, 0, 0, 0)}) == 1
+
+
+class TestExhaustiveAgainstPartsZip:
+    """ISSUE 14 made ``shared_depth`` compare fields with early exit and
+    map depth to diversity through a table; the ``parts()``-zip form it
+    replaced stays here as the reference, over every pair of a 2^6 grid.
+    """
+
+    @staticmethod
+    def reference_depth(a, b):
+        depth = 0
+        for pa, pb in zip(a.parts(), b.parts()):
+            if pa != pb:
+                break
+            depth += 1
+        return depth
+
+    def test_all_pairs_of_the_binary_grid(self):
+        import itertools
+
+        grid = [loc(*bits) for bits in itertools.product((0, 1), repeat=6)]
+        assert len(grid) == 64
+        for a in grid:
+            for b in grid:
+                depth = self.reference_depth(a, b)
+                assert shared_depth(a, b) == depth
+                ones = ((1 << depth) - 1) << (NUM_LEVELS - depth)
+                assert similarity(a, b) == ones
+                assert diversity(a, b) == FULL_MASK ^ ones
+                assert diversity(a, b) == diversity_from_depth(depth)

@@ -19,29 +19,39 @@ from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.serve.frontend import ServingFrontEnd
 from repro.sim.config import ServingConfig
 from repro.sim.metrics import ServingFrame
+from repro.store.quorum import Level, QuorumError
+from repro.store.replica import ReplicaCatalog
 
 
-class GhostMembership:
-    """Everyone believed live; ``ghosts`` never answer (stale view)."""
+class StaleMembership:
+    """A stale view: ``ghosts`` are believed live but never answer,
+    ``suspects`` answer but are believed dead, ``cuts`` are one-way
+    ``(src, dst)`` links that drop."""
 
-    def __init__(self, cloud, ghosts=()):
+    def __init__(self, cloud, ghosts=(), suspects=(), cuts=()):
         self._cloud = cloud
         self._ghosts = frozenset(ghosts)
+        self._suspects = frozenset(suspects)
+        self._cuts = frozenset(cuts)
 
     def believed(self, server_id):
-        return server_id in self._cloud
+        return server_id in self._cloud and server_id not in self._suspects
 
     def believed_ids(self):
-        return [s.server_id for s in self._cloud]
+        return [
+            s.server_id for s in self._cloud
+            if s.server_id not in self._suspects
+        ]
 
     def responds(self, server_id):
         return server_id in self._cloud and server_id not in self._ghosts
 
     def reachable(self, src, dst):
-        return True
+        return (src, dst) not in self._cuts
 
 
-def build(*, replicas=3, config=None, ghosts=None, seed=0):
+def build(*, replicas=3, config=None, ghosts=None, suspects=(), cuts=(),
+          seed=0):
     cloud = Cloud()
     for i in range(3):
         cloud.add_server(
@@ -51,15 +61,13 @@ def build(*, replicas=3, config=None, ghosts=None, seed=0):
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, replicas), 4,
                           initial_size=0)
-    from repro.store.replica import ReplicaCatalog
-
     catalog = ReplicaCatalog(cloud)
     for p in ring:
         for sid in range(replicas):
             catalog.place(p, sid)
     membership = (
         OracleMembership(cloud) if ghosts is None
-        else GhostMembership(cloud, ghosts)
+        else StaleMembership(cloud, ghosts, suspects, cuts)
     )
     if config is None:
         config = ServingConfig(
@@ -160,3 +168,132 @@ class TestStep:
             front.step(epoch)
         assert front.total_requests == 96
         assert front.lost_writes() == []
+
+
+class TestResolveOnce:
+    """ISSUE 14: the front door resolves a request once and hands the
+    Route to the store; that must be the public path, minus the rework.
+    """
+
+    MEMBERSHIPS = {
+        "healthy": dict(ghosts=()),
+        "ghost": dict(ghosts=(2,)),
+        "false-suspect": dict(ghosts=(), suspects=(1,)),
+        "cut-link": dict(ghosts=(), cuts=((0, 1), (1, 2))),
+    }
+
+    @pytest.mark.parametrize("level", list(Level))
+    @pytest.mark.parametrize("faults", sorted(MEMBERSHIPS))
+    def test_routed_ops_equal_public_ops(self, faults, level):
+        """Same result object (or error) and same stats deltas, op by op."""
+        __, public = build(**self.MEMBERSHIPS[faults])
+        __, routed = build(**self.MEMBERSHIPS[faults])
+        clients = (
+            None, Location(0, 0, 0, 0, 0, 0), Location(1, 0, 0, 0, 0, 7),
+            Location(2, 0, 0, 0, 0, 0),
+        )
+        ops = 0
+        for round_ in range(3):
+            for i, key in enumerate(routed.loadgen.keys):
+                client = clients[(i + round_) % len(clients)]
+                value = None if (i + round_) % 3 else b"v%d-%d" % (round_, i)
+                outcomes = []
+                for front, pass_route in ((public, False), (routed, True)):
+                    kwargs = dict(level=level, client=client)
+                    if pass_route:
+                        kwargs["route"] = front.router.route_partition(
+                            front.router.partition_of(0, 0, key).pid,
+                            client=client,
+                        )
+                    store = front.store
+                    try:
+                        if value is None:
+                            outcomes.append(store.get(0, 0, key, **kwargs))
+                        else:
+                            outcomes.append(
+                                store.put(0, 0, key, value, **kwargs)
+                            )
+                    except QuorumError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (faults, level, key)
+                assert (public.store.stats.as_dict()
+                        == routed.store.stats.as_dict())
+                assert (public.store.stats.level_rows()
+                        == routed.store.stats.level_rows())
+                ops += 1
+        assert ops == 24
+        assert public.hints.depth == routed.hints.depth
+        stats = routed.store.stats
+        if faults == "ghost":
+            assert stats.replica_timeouts > 0
+        if faults == "false-suspect":
+            assert stats.suspects_skipped > 0
+        if faults == "cut-link":
+            assert stats.replica_unreachable > 0
+
+    def test_route_carries_the_walk_it_paid_for(self):
+        __, front = build(ghosts=(), suspects=(1,))
+        pid = front.router.partition_of(0, 0, b"k").pid
+        route = front.router.route_partition(
+            pid, client=Location(2, 0, 0, 0, 0, 0)
+        )
+        assert route.replicas == (0, 2) and route.distances == (63, 0)
+        assert (route.server_id, route.distance) == (2, 0)
+        assert front.router.route_partition(pid).distances is None
+
+
+class TestCoordinatorTie:
+    """The Router's coordinator and the store's first contact differ at
+    an exact tie — and the front door costs fan-out legs from the
+    Router's.  Resolve-once shares the walk, not the tie-break.
+    """
+
+    def build_tie(self, level):
+        # Replicas on 1 then 0 (catalog order), in two continents; the
+        # client sits in a third, so both are at diversity 63.
+        cloud = Cloud()
+        for i in range(2):
+            cloud.add_server(make_server(
+                i, Location(i, 0, 0, 0, 0, 0), storage_capacity=10**9
+            ))
+        rings = RingSet()
+        ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 2), 4,
+                              initial_size=0)
+        catalog = ReplicaCatalog(cloud)
+        for p in ring:
+            catalog.place(p, 1)
+            catalog.place(p, 0)
+        config = ServingConfig(
+            level=level, requests_per_epoch=32, read_fraction=0.5,
+            keyspace=8, workers=64,
+        )
+        return ServingFrontEnd(
+            config, cloud, rings, catalog, OracleMembership(cloud),
+            rng=np.random.default_rng(0), apps=[(0, 0)],
+            sites=(Location(2, 0, 0, 0, 0, 0),),
+        )
+
+    def test_router_takes_lowest_id_store_keeps_catalog_order(self):
+        front = self.build_tie("one")
+        client = Location(2, 0, 0, 0, 0, 0)
+        pid = front.router.partition_of(0, 0, b"k").pid
+        route = front.router.route_partition(pid, client=client)
+        assert route.replicas == (1, 0) and route.distances == (63, 63)
+        assert route.server_id == 0
+        for kwargs in (dict(), dict(route=route)):
+            read = front.store.get(0, 0, b"k", level=Level.ONE,
+                                   client=client, **kwargs)
+            assert read.attempts == ((1, "ok"),)
+            write = front.store.put(0, 0, b"k", b"v", level=Level.ONE,
+                                    client=client, **kwargs)
+            assert write.attempts == ((1, "ok"), (0, "ok"))
+
+    def test_fan_out_is_costed_from_the_routers_coordinator(self):
+        """A ONE-level read contacts only server 1; costed from the
+        Router's coordinator (server 0) that leg is cross-continent
+        (120 + 120 ms).  Costed from the store's own first contact it
+        would be a local 0.1 ms leg."""
+        frame = self.build_tie("one").step(0)
+        assert frame.reads > 0 and frame.read_failures == 0
+        assert frame.read_p50_ms == pytest.approx(240.0)
+        assert frame.read_p999_ms == pytest.approx(240.0)

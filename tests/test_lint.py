@@ -432,6 +432,103 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
     assert not find_unsanctioned_lexsorts(benign)
 
 
+#: Request-path packages whose per-request draws must stay O(log K):
+#: ``Generator.choice(n, p=weights)`` re-validates and re-accumulates the
+#: whole weight vector on every call (38 µs per request at a 4 096-key
+#: universe — half the serve-read wall before ISSUE 14).  Weighted draws
+#: there go through the inverse-CDF sampler, which is also the one place
+#: allowed to spell out the Zipf(1) weight vector.
+WEIGHTED_DRAW_SEALED = (
+    Path("src/repro/serve"),
+    Path("src/repro/workload"),
+    Path("src/repro/store"),
+)
+ZIPF_SAMPLER = Path("src/repro/workload/keys.py")
+
+
+def _calls_arange(node: ast.AST) -> bool:
+    return any(
+        isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr == "arange"
+        for sub in ast.walk(node)
+    )
+
+
+def find_weighted_draw_problems(path: Path, *, sampler: bool = False):
+    """``.choice(..., p=...)`` calls and stray Zipf weight vectors.
+
+    The weight vector is recognised by its shape, a constant one divided
+    by an expression built on ``arange`` (``1.0 / (np.arange(n) + 1.0)``);
+    ``sampler=True`` exempts the shared sampler from that second rule.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    try:
+        shown = path.relative_to(REPO_ROOT)
+    except ValueError:
+        shown = path
+    problems = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"
+            and any(kw.arg == "p" for kw in node.keywords)
+        ):
+            problems.append(
+                f"{shown}:{node.lineno}: .choice(p=...) re-cumsums its "
+                f"weights per call — draw through repro.workload.keys"
+            )
+        if (
+            not sampler
+            and isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 1
+            and _calls_arange(node.right)
+        ):
+            problems.append(
+                f"{shown}:{node.lineno}: second definition of the Zipf "
+                f"weight vector — use repro.workload.keys.ZipfKeys"
+            )
+    return problems
+
+
+def test_request_path_draws_go_through_the_shared_sampler():
+    problems = []
+    for root in WEIGHTED_DRAW_SEALED:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            problems.extend(find_weighted_draw_problems(
+                path, sampler=path.relative_to(REPO_ROOT) == ZIPF_SAMPLER,
+            ))
+    assert not problems, (
+        "per-request weighted draws outside the shared sampler:\n"
+        + "\n".join(problems)
+    )
+
+
+def test_weighted_draw_gate_detects_planted_choice_and_weights(tmp_path):
+    """The sampler gate must catch both idioms it bans."""
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import numpy as np\n\n\ndef draw(rng, n):\n"
+        "    weights = 1.0 / (np.arange(n, dtype=np.float64) + 1.0)\n"
+        "    return rng.choice(n, p=weights / weights.sum())\n"
+    )
+    problems = find_weighted_draw_problems(planted)
+    assert len(problems) == 2
+    assert any(".choice(p=" in p for p in problems)
+    assert any("Zipf weight vector" in p for p in problems)
+    assert len(find_weighted_draw_problems(planted, sampler=True)) == 1
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "import numpy as np\n\n\ndef draw(rng, sites, n):\n"
+        "    step = 1.0 / n\n"
+        "    return rng.choice(len(sites)), np.arange(n) * step\n"
+    )
+    assert not find_weighted_draw_problems(benign)
+
+
 #: The scenario-spec registry package and its golden-digest pin file.
 SPECS_DIR = Path("src/repro/sim/specs")
 NAMED_PINS = Path("tests/integration/golden/named_scenarios.json")
