@@ -1,13 +1,14 @@
-"""100× ramp perf smoke: fail on a >25% throughput regression.
+"""Opt-in wall-clock perf gates (nothing here runs in tier-1).
 
 Re-measures the ``fig4-slashdot-100x`` probe (the post-bootstrap ramp
 into the Slashdot spike — the window the steady-state optimisations
 target) and the ``fig4-serving-steady`` probe (the live front door's
 request throughput) and compares each against the numbers recorded in
-the checked-in ``BENCH_epoch_throughput.json``.  A drop past the
-regression budget exits non-zero, which is what lets
-``scripts/verify_slow.sh`` catch a perf regression without anyone
-remembering to eyeball the bench JSON.
+the checked-in ``BENCH_epoch_throughput.json``; then re-measures both
+epoch kernels on ``fig4-slashdot`` and its 10× variant and holds the
+vectorized kernel to ``MIN_SPEEDUP`` × the scalar reference.  A miss
+exits non-zero, which is what lets ``scripts/verify_slow.sh`` catch a
+perf regression without anyone remembering to eyeball the bench JSON.
 
 The budget is deliberately loose (25%) because the reference number
 was measured on whatever machine last opted into the 100× bench —
@@ -31,8 +32,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_epoch_throughput import (  # noqa: E402
     BENCH_PATH,
+    FIG4_10X_EPOCHS,
+    FIG4_10X_WARMUP,
     FIG4_100X_EPOCHS,
     FIG4_100X_WARMUP,
+    FIG4_EPOCHS,
     FIG4_SERVE_EPOCHS,
     FIG4_SERVE_RATE,
     _fig4_config,
@@ -41,11 +45,24 @@ from test_epoch_throughput import (  # noqa: E402
 
 from repro.sim.config import ServingConfig  # noqa: E402
 from repro.sim.engine import Simulation  # noqa: E402
-from repro.sim.profiling import measure_throughput  # noqa: E402
+from repro.sim.profiling import (  # noqa: E402
+    compare_kernels,
+    measure_throughput,
+    speedup,
+)
 
 SCENARIO = "fig4-slashdot-100x"
 SERVE_SCENARIO = "fig4-serving-steady"
 MAX_REGRESSION = 0.25
+
+#: The vectorized kernel must stay at least this much faster than the
+#: scalar reference on the Fig. 4 scenario — the PR-1 acceptance bar.
+#: Measured at PR 1: ~4.7× on fig4-slashdot and ~8× on the 10× variant,
+#: so the floor leaves ~1.5× headroom for shared-machine timer noise
+#: while a real regression (losing the batched settlement, the
+#: incremental availability, or the expansion rent floor) still fails
+#: loudly.
+MIN_SPEEDUP = 3.0
 
 
 def _scenario_entry(name: str) -> dict | None:
@@ -146,8 +163,31 @@ def check_serving() -> int:
     return 0
 
 
+def check_speedup() -> int:
+    """Hold the vectorized kernel to MIN_SPEEDUP× the scalar reference."""
+    rows = {
+        "fig4-slashdot": compare_kernels(
+            _fig4_config(200), epochs=FIG4_EPOCHS, repeats=2,
+        ),
+        "fig4-slashdot-10x": compare_kernels(
+            _fig4_scaled_config(10, FIG4_10X_WARMUP, FIG4_10X_EPOCHS),
+            epochs=FIG4_10X_EPOCHS, warmup_epochs=FIG4_10X_WARMUP,
+        ),
+    }
+    failed = 0
+    for name, results in rows.items():
+        ratio = speedup(results)
+        ok = ratio >= MIN_SPEEDUP  # both kernels ran, so never None
+        print(
+            f"perf smoke: {name} vectorized/scalar {ratio:.2f}x "
+            f"(floor {MIN_SPEEDUP}x) — {'OK' if ok else 'REGRESSION'}"
+        )
+        failed |= not ok
+    return int(failed)
+
+
 def main() -> int:
-    return check_ramp() or check_serving()
+    return check_ramp() or check_serving() or check_speedup()
 
 
 if __name__ == "__main__":

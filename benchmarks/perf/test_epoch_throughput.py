@@ -2,16 +2,18 @@
 
 Measures the production (vectorized) and reference (scalar) epoch
 kernels on the Fig. 4 Slashdot scenario and a 10×-partitions variant,
-writes ``BENCH_epoch_throughput.json`` so the perf trajectory is
-tracked across PRs, and asserts the vectorized kernel
-holds its multiple over the scalar reference — the scalar kernel
-preserves the pre-refactor implementation (per-replica settlement,
-per-use O(R²) availability, per-agent list rebuilds), so the ratio is
-the refactor's speedup, measured on whatever machine runs the bench.
+and writes ``BENCH_epoch_throughput.json`` so the perf trajectory is
+tracked across PRs.  The scalar kernel preserves the pre-refactor
+implementation (per-replica settlement, per-use O(R²) availability,
+per-agent list rebuilds), so the recorded ratio is the refactor's
+speedup, measured on whatever machine runs the bench.
 
-Both kernels emit bit-identical ``EpochFrame`` streams (enforced by
-``tests/integration/test_kernel_equivalence.py``), so this is a pure
-throughput comparison.
+Under pytest the harness asserts only what is deterministic: both
+kernels emit the same ``frames_digest`` over each measured window, so
+the ratio is a pure throughput comparison.  The wall-clock floor on
+that ratio (``MIN_SPEEDUP``) lives in the opt-in ``perf_smoke.py`` gate
+— a shared single-vCPU box moved it between 3.06× and 4.41× on one
+tree, which is not something tier-1 may fail on.
 
 Two 100× scale probes (60 000 partitions on a 20 000-server cloud,
 vectorized kernel only — the scalar reference would need hours per
@@ -70,22 +72,14 @@ from repro.sim.config import (
     DataPlaneConfig,
     ServingConfig,
     scaled_paper_layout,
-    slashdot_scenario,
 )
 from repro.sim.engine import Simulation
 from repro.sim.profiling import compare_kernels, speedup
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import slashdot_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_PATH = REPO_ROOT / "BENCH_epoch_throughput.json"
-
-#: The vectorized kernel must stay at least this much faster than the
-#: scalar reference on the Fig. 4 scenario — the PR-1 acceptance bar.
-#: Measured at PR 1: ~4.7× on fig4-slashdot and ~8× on the 10× variant,
-#: so the floor leaves ~1.5× headroom for shared-machine timer noise
-#: while a real regression (losing the batched settlement, the
-#: incremental availability, or the expansion rent floor) still fails
-#: loudly.
-MIN_SPEEDUP = 3.0
 
 #: Scenario horizons: long enough to cross the Slashdot ramp and give
 #: stable timings, short enough for CI.
@@ -157,14 +151,14 @@ def _asymmetric_net(start: int, *, fabric: str = "full") -> NetConfig:
 def _fig4_config(partitions: int):
     # Compress the spike into the measured window so the bench exercises
     # the surge regime (ramp + peak + early decay), not just idle load.
-    return slashdot_scenario(
+    return compile_spec(slashdot_spec(
         epochs=FIG4_EPOCHS,
         seed=0,
         partitions=partitions,
         spike_epoch=30,
         ramp_epochs=25,
         decay_epochs=60,
-    )
+    )).config
 
 
 def _fig4_scaled_config(scale: int, warmup: int, epochs: int):
@@ -254,6 +248,9 @@ def _entry(config, results, warmup_epochs: int = 0):
         "frame_store_bytes": {
             kernel: r.frame_store_bytes for kernel, r in results.items()
         },
+        "frames_digest": {
+            kernel: r.frames_digest for kernel, r in results.items()
+        },
         "speedup_vectorized_over_scalar": (
             round(ratio, 2) if ratio is not None else None
         ),
@@ -261,11 +258,17 @@ def _entry(config, results, warmup_epochs: int = 0):
 
 
 def test_epoch_throughput_fig4(tmp_path):
-    run_harness(tmp_path / BENCH_PATH.name)
+    payload = run_harness(tmp_path / BENCH_PATH.name)
+    for name in ("fig4-slashdot", "fig4-slashdot-10x"):
+        digests = payload["scenarios"][name]["frames_digest"]
+        assert set(digests) == {"vectorized", "scalar"}
+        assert digests["vectorized"] == digests["scalar"], (
+            f"{name}: the kernels' measured windows diverged"
+        )
 
 
-def run_harness(out_path: Path) -> None:
-    """Measure every scenario, write ``out_path``, assert the floors."""
+def run_harness(out_path: Path) -> dict:
+    """Measure every scenario, write ``out_path``, return the payload."""
     payload = {
         "harness": "benchmarks/perf/test_epoch_throughput.py",
         "machine": {
@@ -533,19 +536,7 @@ def run_harness(out_path: Path) -> None:
             f"speedup {ratio if ratio is not None else '—'}x"
         )
 
-    base_ratio = payload["scenarios"]["fig4-slashdot"][
-        "speedup_vectorized_over_scalar"
-    ]
-    assert base_ratio is not None and base_ratio >= MIN_SPEEDUP, (
-        f"vectorized kernel regressed: {base_ratio}x < {MIN_SPEEDUP}x "
-        f"over the scalar reference on fig4-slashdot"
-    )
-    scaled_ratio = payload["scenarios"]["fig4-slashdot-10x"][
-        "speedup_vectorized_over_scalar"
-    ]
-    assert scaled_ratio is not None and scaled_ratio >= MIN_SPEEDUP, (
-        f"vectorized kernel regressed at 10x scale: {scaled_ratio}x"
-    )
+    return payload
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ the 4-replica level) and prices the difference.
 from conftest import run_once
 from repro.analysis.tables import ClaimTable
 from repro.baselines.single_ring import expected_replica_bytes, undifferentiated
-from repro.sim.config import paper_scenario
 from repro.sim.engine import Simulation
 from repro.sim.reporting import format_table
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec
 
 EPOCHS = 60
 PARTITIONS = 100
@@ -23,8 +24,9 @@ def test_ablation_differentiated_vs_single_level(benchmark):
     results = {}
 
     def make_and_run():
-        base_cfg = paper_scenario(epochs=EPOCHS, partitions=PARTITIONS,
-                                  seed=11)
+        base_cfg = compile_spec(paper_spec(
+            epochs=EPOCHS, partitions=PARTITIONS, seed=11,
+        )).config
         flat_cfg = undifferentiated(base_cfg)
         for name, cfg in (("differentiated", base_cfg),
                           ("single-level", flat_cfg)):

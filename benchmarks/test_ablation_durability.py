@@ -17,9 +17,10 @@ from repro.analysis.durability import FailureModel, summarize_durability
 from repro.analysis.tables import ClaimTable
 from repro.baselines.random_placement import random_placement_decider
 from repro.baselines.static import static_decider
-from repro.sim.config import paper_scenario
-from repro.sim.engine import Simulation, economic_decider
+from repro.sim.engine import economic_decider
 from repro.sim.reporting import format_table
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec
 
 EPOCHS = 50
 PARTITIONS = 80
@@ -39,9 +40,9 @@ def test_ablation_ground_truth_durability(benchmark):
         sim = None
         model = FailureModel()
         for name, factory in POLICIES.items():
-            cfg = paper_scenario(epochs=EPOCHS, partitions=PARTITIONS,
-                                 seed=13)
-            sim = Simulation(cfg, decider_factory=factory)
+            sim = compile_spec(paper_spec(
+                epochs=EPOCHS, partitions=PARTITIONS, seed=13,
+            )).simulation(decider_factory=factory)
             sim.run()
             summary = summarize_durability(
                 sim.cloud, sim.catalog, model, trials=TRIALS,

@@ -18,9 +18,10 @@ from repro.analysis.tables import ClaimTable
 from repro.baselines.random_placement import random_placement_decider
 from repro.baselines.static import static_decider
 from repro.core.availability import availability
-from repro.sim.config import paper_scenario
-from repro.sim.engine import Simulation, economic_decider
+from repro.sim.engine import economic_decider
 from repro.sim.reporting import format_table
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec
 
 EPOCHS = 60
 PARTITIONS = 100
@@ -33,8 +34,9 @@ POLICIES = {
 
 
 def run_policy(name):
-    cfg = paper_scenario(epochs=EPOCHS, partitions=PARTITIONS, seed=7)
-    sim = Simulation(cfg, decider_factory=POLICIES[name])
+    sim = compile_spec(paper_spec(
+        epochs=EPOCHS, partitions=PARTITIONS, seed=7,
+    )).simulation(decider_factory=POLICIES[name])
     sim.run()
     return sim
 

@@ -15,16 +15,19 @@ from dataclasses import replace
 from conftest import run_once
 from repro.analysis.tables import ClaimTable
 from repro.core.decision import EconomicPolicy
-from repro.sim.config import paper_scenario, saturation_scenario
 from repro.sim.engine import Simulation
 from repro.sim.reporting import format_table
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec, saturation_spec
 
 EPOCHS = 60
 PARTITIONS = 100
 
 
 def run_with_policy(policy):
-    cfg = paper_scenario(epochs=EPOCHS, partitions=PARTITIONS, seed=3)
+    cfg = compile_spec(
+        paper_spec(epochs=EPOCHS, partitions=PARTITIONS, seed=3)
+    ).config
     cfg = replace(cfg, policy=policy)
     sim = Simulation(cfg)
     log = sim.run()
@@ -52,8 +55,7 @@ def test_ablation_hysteresis_and_margin(benchmark):
         sim = None
         for name, policy in variants.items():
             results[name] = run_with_policy(policy)
-        cfg = paper_scenario(epochs=2, partitions=10)
-        sim = Simulation(cfg)
+        sim = compile_spec(paper_spec(epochs=2, partitions=10)).simulation()
         sim.run()
         return sim
 
@@ -97,10 +99,9 @@ def test_ablation_insert_routing(benchmark):
     def make_and_run():
         sim = None
         for routing in ("keyspace", "popularity"):
-            cfg = saturation_scenario(
+            sim = compile_spec(saturation_spec(
                 epochs=80, insert_rate=4000, insert_routing=routing,
-            )
-            sim = Simulation(cfg)
+            )).simulation()
             log = sim.run()
             failures = log.series("insert_failures")
             fractions = log.storage_fraction_series()

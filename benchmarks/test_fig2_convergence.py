@@ -17,16 +17,16 @@ from conftest import print_figure, run_once
 from repro.analysis.series import convergence_epoch
 from repro.analysis.stats import describe
 from repro.analysis.tables import ClaimTable
-from repro.sim.config import paper_scenario
-from repro.sim.engine import Simulation
 from repro.sim.reporting import format_table, histogram_table
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec
 
 EPOCHS = 100
 
 
 def test_fig2_startup_convergence(benchmark):
     def make_and_run():
-        sim = Simulation(paper_scenario(epochs=EPOCHS))
+        sim = compile_spec(paper_spec(epochs=EPOCHS)).simulation()
         sim.run()
         return sim
 

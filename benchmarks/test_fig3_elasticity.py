@@ -9,14 +9,13 @@ This bench runs the base scenario for 300 epochs under exactly that
 event schedule and prints the per-ring virtual-node totals over time.
 """
 
+import dataclasses
 
 from conftest import print_figure, run_once
 from repro.analysis.series import relative_spread, step_change
 from repro.analysis.tables import ClaimTable
-from repro.cluster.events import fig3_schedule
-from repro.sim.config import paper_scenario
-from repro.sim.engine import Simulation
-from repro.sim.seeds import RngStreams
+from repro.sim.scenario import FailureSpec, JoinWave, LeaveWave, compile_spec
+from repro.sim.specs import paper_spec
 
 EPOCHS = 300
 ADD_EPOCH, REMOVE_EPOCH, COUNT = 100, 200, 20
@@ -24,17 +23,14 @@ ADD_EPOCH, REMOVE_EPOCH, COUNT = 100, 200, 20
 
 def test_fig3_server_arrival_and_failure(benchmark):
     def make_and_run():
-        cfg = paper_scenario(epochs=EPOCHS)
-        events = fig3_schedule(
-            add_epoch=ADD_EPOCH,
-            remove_epoch=REMOVE_EPOCH,
-            count=COUNT,
-            layout=cfg.layout,
-            storage_capacity=cfg.server_storage,
-            query_capacity=cfg.server_query_capacity,
-            rng=RngStreams(cfg.seed).events,
+        spec = dataclasses.replace(
+            paper_spec(epochs=EPOCHS),
+            failure=FailureSpec(events=(
+                JoinWave(epoch=ADD_EPOCH, count=COUNT),
+                LeaveWave(epoch=REMOVE_EPOCH, count=COUNT),
+            )),
         )
-        sim = Simulation(cfg, events=events)
+        sim = compile_spec(spec).simulation()
         sim.run()
         return sim
 

@@ -15,8 +15,8 @@ Jain fairness of the per-server load at sampled epochs.
 from conftest import print_figure, run_once
 from repro.analysis.stats import jain_index
 from repro.analysis.tables import ClaimTable
-from repro.sim.config import slashdot_scenario
-from repro.sim.engine import Simulation
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import slashdot_spec
 
 EPOCHS = 400
 SPIKE_EPOCH, RAMP, DECAY = 100, 25, 250
@@ -26,12 +26,10 @@ def test_fig4_slashdot_effect(benchmark):
     jains = {}
 
     def make_and_run():
-        sim = Simulation(
-            slashdot_scenario(
-                epochs=EPOCHS, spike_epoch=SPIKE_EPOCH,
-                ramp_epochs=RAMP, decay_epochs=DECAY,
-            )
-        )
+        sim = compile_spec(slashdot_spec(
+            epochs=EPOCHS, spike_epoch=SPIKE_EPOCH,
+            ramp_epochs=RAMP, decay_epochs=DECAY,
+        )).simulation()
         # Step manually so per-epoch server loads can be sampled
         # (queries_this_epoch is reset at the next epoch's start).
         for epoch in range(EPOCHS):

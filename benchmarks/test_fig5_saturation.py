@@ -17,8 +17,8 @@ import numpy as np
 from conftest import print_figure, run_once
 from repro.analysis.stats import gini
 from repro.analysis.tables import ClaimTable
-from repro.sim.config import saturation_scenario
-from repro.sim.engine import Simulation
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import saturation_spec
 
 EPOCHS = 150
 INSERT_RATE = 4000  # 2x paper rate: halves the epochs to saturation
@@ -28,9 +28,9 @@ def test_fig5_storage_saturation(benchmark):
     ginis = {}
 
     def make_and_run():
-        sim = Simulation(
-            saturation_scenario(epochs=EPOCHS, insert_rate=INSERT_RATE)
-        )
+        sim = compile_spec(
+            saturation_spec(epochs=EPOCHS, insert_rate=INSERT_RATE)
+        ).simulation()
         for epoch in range(EPOCHS):
             sim.step()
             if epoch % 10 == 0:

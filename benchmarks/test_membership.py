@@ -2,7 +2,8 @@
 
 The simulator treats failure detection, board re-election and price
 dissemination as instantaneous within an epoch.  This bench runs the
-gossip substrate at the paper's cluster size (N=200) and measures the
+control plane's gossip fabric (:class:`repro.net.fabric.GossipFabric`)
+at the paper's cluster size (N=200) and measures the
 actual latencies, in gossip rounds, of:
 
 * full dissemination of a freshly posted price table,
@@ -16,36 +17,68 @@ including a lossy-network variant.  With rounds of ~1 s and epochs of
 import numpy as np
 
 from repro.analysis.tables import ClaimTable
-from repro.gossip.dissemination import VersionedGossip
-from repro.gossip.election import BoardElection
-from repro.gossip.heartbeat import FailureDetector, GossipConfig
+from repro.cluster.topology import build_cloud
+from repro.net.fabric import GossipFabric
+from repro.net.model import NetConfig, NetworkModel
 from repro.sim.reporting import format_table
 
 N = 200
+MAX_ROUNDS = 120
+
+
+def converged_fabric(config, seed):
+    """The §III-A cloud behind a fabric that ran 25 heartbeat rounds."""
+    cloud = build_cloud()
+    assert len(cloud) == N
+    net = NetworkModel(config, cloud, np.random.default_rng(seed + 1))
+    fabric = GossipFabric(config, net, cloud, np.random.default_rng(seed))
+    fabric.register_initial(cloud.server_ids)
+    for _ in range(25):
+        fabric.membership_round()
+    return fabric, cloud
+
+
+def rounds_until(step, done):
+    for rounds in range(1, MAX_ROUNDS + 1):
+        step()
+        if done():
+            return rounds
+    return MAX_ROUNDS
 
 
 def measure(loss: float, seed: int):
     # Suspect/dead timeouts must exceed the epidemic freshness age
     # (~log_fanout N ≈ 5-6 rounds at N=200), as in any production
     # gossip failure detector; otherwise live peers flap to SUSPECT.
-    config = GossipConfig(fanout=3, loss=loss, suspect_rounds=8,
-                          dead_rounds=20)
-    rng = np.random.default_rng(seed)
+    config = NetConfig(fanout=3, loss=loss, suspect_rounds=8,
+                       dead_rounds=20)
 
-    spread = VersionedGossip(list(range(N)), config, rng=rng)
-    spread.publish(0, 1)
-    dissemination = spread.rounds_to_coverage(1)
+    fabric, cloud = converged_fabric(config, seed)
+    fabric.publish_version(1)
+    dissemination = rounds_until(
+        fabric.price_round,
+        lambda: fabric.effective_version(cloud.server_ids) >= 1,
+    )
 
-    detector = FailureDetector(list(range(N)), config, rng=rng)
-    detector.run(25)
-    detector.crash(N // 2)
-    detection = detector.detection_round(N // 2, max_rounds=120)
+    fabric, cloud = converged_fabric(config, seed)
+    victim = cloud.server_ids[N // 2]
+    cloud.server(victim).fail()
+    detection = rounds_until(
+        fabric.membership_round,
+        lambda: victim in fabric.believed_dead(),
+    )
 
-    board_detector = FailureDetector(list(range(N)), config, rng=rng)
-    board_detector.run(25)
-    board_detector.crash(0)  # the current board
-    election = BoardElection(board_detector)
-    reelection = election.rounds_to_agreement(max_rounds=120)
+    # The board is the lowest live id, which every node derives from
+    # its own view: the successor takes over once *its* view has aged
+    # the crashed board out.
+    fabric, cloud = converged_fabric(config, seed)
+    board = fabric.board_observer()
+    cloud.server(board).fail()
+    assert fabric.board_observer() != board
+    reelection = rounds_until(
+        fabric.membership_round,
+        lambda: board in fabric.believed_dead(),
+    )
 
     return {
         "dissemination": dissemination,
@@ -86,7 +119,7 @@ def test_membership_latencies(benchmark):
         "decentralised coordination is fast enough to treat as instant "
         "per epoch",
         f"worst latency {worst} gossip rounds (~{worst}s) vs ~3600s epochs",
-        worst < 120,
+        worst < MAX_ROUNDS,
     )
     claims.add(
         "membership",

@@ -19,9 +19,7 @@ consistency cost of sloppy quorum.
 
 The base scenario is the ``chaos-consistency`` entry of the
 declarative spec registry (:mod:`repro.sim.specs`); each sweep seed
-replaces only the chaos draw in the failure tier.  The script asserts
-every compiled config still equals the hand-built construction the
-example used before the registry existed.
+replaces only the chaos draw in the failure tier.
 
 Run:            python examples/chaos_consistency.py
 Dump the spec:  python examples/chaos_consistency.py --spec chaos.json
@@ -31,8 +29,6 @@ Dump the spec:  python examples/chaos_consistency.py --spec chaos.json
 import argparse
 import dataclasses
 
-from repro.sim.chaos import random_fault_schedule
-from repro.sim.config import DataPlaneConfig, paper_scenario
 from repro.sim.scenario import compile_spec
 from repro.sim import specs
 
@@ -48,15 +44,6 @@ def spec_for(seed: int):
         chaos=dataclasses.replace(BASE_SPEC.failure.chaos, seed=seed),
     )
     return dataclasses.replace(BASE_SPEC, failure=failure)
-
-
-def legacy_config(seed: int):
-    """The pre-registry hand-built config (the migration guard)."""
-    return dataclasses.replace(
-        paper_scenario(epochs=EPOCHS, partitions=40),
-        net=random_fault_schedule(seed, EPOCHS, quiet_tail=10),
-        data_plane=DataPlaneConfig(ops_per_epoch=32),
-    )
 
 
 def parse_args(argv=None):
@@ -87,8 +74,6 @@ def main(argv=None) -> None:
         return
     for seed in SEEDS:
         compiled = compile_spec(spec_for(seed))
-        assert compiled.config == legacy_config(seed), \
-            f"chaos-consistency spec (seed {seed}) drifted from legacy"
         net = compiled.config.net
         print(f"schedule #{seed}: loss={net.loss:.1%}, "
               f"{len(net.partitions)} partition window(s), "

@@ -17,7 +17,6 @@ Dump the spec:  python examples/consistency_levels.py --spec levels.json
 
 import argparse
 
-from repro import Simulation, paper_scenario
 from repro.cluster import Location
 from repro.sim.scenario import (
     ConstraintsSpec,
@@ -63,10 +62,7 @@ def main(argv=None) -> None:
         dump_spec(args.spec)
         return
     # Converge the paper cloud so ring 1 (3-replica SLA) is placed.
-    config = compile_spec(SPEC).config
-    assert config == paper_scenario(epochs=20, partitions=30), \
-        "consistency-levels spec drifted from the legacy factory"
-    sim = Simulation(config)
+    sim = compile_spec(SPEC).simulation()
     sim.run()
     store = QuorumKVStore(sim.cloud, sim.rings, sim.catalog)
 

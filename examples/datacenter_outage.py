@@ -23,9 +23,7 @@ consistency-audit verdict over the whole history.
 The faulty twin is the ``datacenter-outage`` entry of the declarative
 spec registry (:mod:`repro.sim.specs`) — outage event, lossy net and
 quorum traffic all in the spec; the oracle twin is the same compiled
-config with the net and data plane stripped.  The script asserts both
-still equal the hand-built configs the example used before the
-registry existed.
+config with the net and data plane stripped.
 
 Run:            python examples/datacenter_outage.py
 Dump the spec:  python examples/datacenter_outage.py --spec outage.json
@@ -35,33 +33,16 @@ Dump the spec:  python examples/datacenter_outage.py --spec outage.json
 import argparse
 import dataclasses
 
-from repro import Simulation, availability, paper_scenario
+from repro import Simulation, availability
 from repro.analysis.consistency import audit_history
 from repro.analysis.divergence import compare_runs
 from repro.analysis.series import first_nonzero_epoch
-from repro.net.model import NetConfig
-from repro.sim.config import DataPlaneConfig
 from repro.sim.scenario import compile_events, compile_spec
 from repro.sim import specs
 
 SPEC = specs.get("datacenter-outage").spec
 EPOCHS = SPEC.operations.epochs
 OUTAGE_EPOCH = SPEC.failure.events[0].epoch
-
-#: A control plane bad enough to notice: every fourth message lost.
-FAULTY_NET = NetConfig(
-    loss=0.25, rounds_per_epoch=2, suspect_rounds=3, dead_rounds=8
-)
-
-
-def legacy_configs():
-    """The pre-registry hand-built configs (the migration guard)."""
-    oracle = paper_scenario(epochs=EPOCHS, partitions=60)
-    faulty = dataclasses.replace(
-        oracle, net=FAULTY_NET, data_plane=DataPlaneConfig()
-    )
-    return oracle, faulty
-
 
 def build_sim(config) -> Simulation:
     return Simulation(config, events=compile_events(SPEC, config))
@@ -97,11 +78,6 @@ def main(argv=None) -> None:
     config = dataclasses.replace(
         faulty_config, net=None, data_plane=None
     )
-    legacy_oracle, legacy_faulty = legacy_configs()
-    assert config == legacy_oracle, \
-        "datacenter-outage spec drifted from the legacy oracle config"
-    assert faulty_config == legacy_faulty, \
-        "datacenter-outage spec drifted from the legacy faulty config"
     sim = build_sim(config)
 
     for epoch in range(EPOCHS):
@@ -158,7 +134,7 @@ def main(argv=None) -> None:
     lag = first_nonzero_epoch(detections[OUTAGE_EPOCH:])
     detected_at = None if lag is None else OUTAGE_EPOCH + lag
     print(f"\nsame outage under a lossy gossip net "
-          f"(loss={FAULTY_NET.loss:.0%}):")
+          f"(loss={faulty_config.net.loss:.0%}):")
     print(f"  outage at epoch {OUTAGE_EPOCH}, gossip detected it at "
           f"epoch {detected_at} "
           f"({int(detections.sum())} detections total)")

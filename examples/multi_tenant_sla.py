@@ -8,9 +8,7 @@ replication degree, that expensive servers end up underused, and what
 each tenant's protection level costs.
 
 The scenario is the ``multi-tenant-sla`` entry of the declarative spec
-registry (:mod:`repro.sim.specs`); this script compiles it and asserts
-the compiled config still equals the hand-built factory call the
-example used before the registry existed.
+registry (:mod:`repro.sim.specs`); this script compiles and runs it.
 
 Run:            python examples/multi_tenant_sla.py
 Dump the spec:  python examples/multi_tenant_sla.py --spec sla.json
@@ -21,18 +19,13 @@ import argparse
 
 import numpy as np
 
-from repro import Simulation, availability, paper_scenario
+from repro import availability
 from repro.analysis.stats import describe
 from repro.sim.reporting import format_table
 from repro.sim.scenario import compile_spec
 from repro.sim import specs
 
 SPEC = specs.get("multi-tenant-sla").spec
-
-
-def legacy_config():
-    """The pre-registry hand-built factory call (the migration guard)."""
-    return paper_scenario(epochs=50, partitions=60)
 
 
 def parse_args(argv=None):
@@ -61,10 +54,9 @@ def main(argv=None) -> None:
     if args.spec:
         dump_spec(args.spec)
         return
-    config = compile_spec(SPEC).config
-    assert config == legacy_config(), \
-        "multi-tenant-sla spec drifted from the legacy factory"
-    sim = Simulation(config)
+    compiled = compile_spec(SPEC)
+    config = compiled.config
+    sim = compiled.simulation()
     log = sim.run()
     last = log.last
 

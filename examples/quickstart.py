@@ -6,10 +6,10 @@ Builds a small geo-distributed cloud, creates one application with a
 the replicas, and then uses the data-plane KV API (put / get / delete)
 against the resulting placement.
 
-The same scenario can be written as a declarative spec
-(:mod:`repro.sim.scenario`): ``SPEC`` below compiles to exactly the
-hand-built ``SimConfig`` this example teaches, and ``--spec`` dumps it
-as JSON for ``python -m repro.cli scenario run``.
+The scenario is a declarative spec (:mod:`repro.sim.scenario`) — one
+app, one ring, an SLA of 2 dispersed replicas (threshold 20 forces at
+least cross-datacenter pairs); ``--spec`` dumps it as JSON for
+``python -m repro.cli scenario run``.
 
 Run:            python examples/quickstart.py
 Dump the spec:  python examples/quickstart.py --spec quickstart.json
@@ -21,15 +21,12 @@ from repro import (
     CloudLayout,
     KVStore,
     Router,
-    Simulation,
     availability,
 )
 from repro.cluster import Location
-from repro.sim.config import AppConfig, RingConfig, SimConfig
 from repro.sim.scenario import (
     ConstraintsSpec,
     FlowsSpec,
-    LayoutSpec,
     OperationsSpec,
     ScenarioSpec,
     ServerClassesSpec,
@@ -39,12 +36,11 @@ from repro.sim.scenario import (
     compile_spec,
 )
 
-#: The declarative twin of the hand-built config in :func:`make_config`.
 SPEC = ScenarioSpec(
     name="quickstart",
     summary="one app, one 2-replica SLA ring on a 96-server toy cloud",
     structure=StructureSpec(
-        layout=LayoutSpec(
+        layout=CloudLayout(
             countries=4, countries_per_continent=2,
             datacenters_per_country=2, rooms_per_datacenter=1,
             racks_per_room=2, servers_per_rack=3,
@@ -74,41 +70,6 @@ SPEC = ScenarioSpec(
 )
 
 
-def make_config() -> SimConfig:
-    """The scenario spelled out with the raw config dataclasses —
-    one app, one ring, SLA of 2 dispersed replicas (threshold 20
-    forces at least cross-datacenter pairs)."""
-    layout = CloudLayout(
-        countries=4, countries_per_continent=2,
-        datacenters_per_country=2, rooms_per_datacenter=1,
-        racks_per_room=2, servers_per_rack=3,
-    )
-    return SimConfig(
-        layout=layout,
-        apps=(
-            AppConfig(
-                app_id=0,
-                name="quickstart-app",
-                query_share=1.0,
-                rings=(
-                    RingConfig(
-                        ring_id=0, threshold=20.0, target_replicas=2,
-                        partitions=16,
-                        partition_capacity=64 * 1024,
-                        initial_partition_size=0,
-                    ),
-                ),
-            ),
-        ),
-        epochs=15,
-        server_storage=4 * 1024 * 1024,
-        server_query_capacity=500,
-        replication_budget=1024 * 1024,
-        migration_budget=512 * 1024,
-        base_rate=300.0,
-    )
-
-
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(
         description="Skute quickstart: economy-placed KV store"
@@ -135,15 +96,13 @@ def main(argv=None) -> None:
     if args.spec:
         dump_spec(args.spec)
         return
-    # -- 1. Describe the scenario (the spec compiles to the same thing).
-    config = make_config()
-    assert compile_spec(SPEC).config == config, \
-        "quickstart spec drifted from the hand-built config"
-    layout = config.layout
+    # -- 1. Describe the scenario: compile the spec.
+    compiled = compile_spec(SPEC)
+    layout = compiled.config.layout
 
     # -- 2. Let the economy converge: agents replicate until every
     #       partition meets the availability threshold.
-    sim = Simulation(config)
+    sim = compiled.simulation()
     log = sim.run()
     last = log.last
     print(f"cloud: {last.live_servers} servers over "

@@ -8,9 +8,7 @@ per-server load), then suicide the surplus replicas as traffic fades —
 no operator, no global coordinator.
 
 The scenario itself is the ``slashdot-surge`` entry of the declarative
-spec registry (:mod:`repro.sim.specs`); this script compiles it and
-asserts the compiled config still equals the hand-built factory call
-the example used before the registry existed.
+spec registry (:mod:`repro.sim.specs`); this script compiles and runs it.
 
 Run:            python examples/slashdot_surge.py
 Dump the spec:  python examples/slashdot_surge.py --spec surge.json
@@ -19,7 +17,6 @@ Dump the spec:  python examples/slashdot_surge.py --spec surge.json
 
 import argparse
 
-from repro import Simulation, slashdot_scenario
 from repro.analysis.stats import jain_index
 from repro.sim.scenario import compile_spec
 from repro.sim import specs
@@ -28,19 +25,6 @@ SPEC = specs.get("slashdot-surge").spec
 SURGE = SPEC.flows.surges[0]
 EPOCHS = SPEC.operations.epochs
 SPIKE_EPOCH = SURGE.spike_epoch
-
-
-def legacy_config():
-    """The pre-registry hand-built factory call (the migration guard)."""
-    return slashdot_scenario(
-        epochs=EPOCHS,
-        spike_epoch=SPIKE_EPOCH,
-        ramp_epochs=SURGE.ramp_epochs,
-        decay_epochs=SURGE.decay_epochs,
-        partitions=60,
-        base_rate=2000.0,
-        peak_rate=61 * 2000.0,
-    )
 
 
 def parse_args(argv=None):
@@ -69,10 +53,7 @@ def main(argv=None) -> None:
     if args.spec:
         dump_spec(args.spec)
         return
-    config = compile_spec(SPEC).config
-    assert config == legacy_config(), \
-        "slashdot-surge spec drifted from the legacy factory"
-    sim = Simulation(config)
+    sim = compile_spec(SPEC).simulation()
 
     print(f"{'epoch':>6} {'rate':>8} {'vnodes':>7} {'jain':>6} "
           f"{'repl':>5} {'suic':>5}")

@@ -9,8 +9,8 @@ value.  This example models a shop whose order records are critical
 standard tier), and prices the difference.
 
 The two-tier tenant is exactly what a :class:`TenantSpec` with two
-:class:`TierSpec` entries says; ``SPEC`` below compiles to the same
-hand-built config, and ``--spec`` dumps it as JSON for
+:class:`TierSpec` entries says (thresholds default to the paper's per
+replica count); ``--spec`` dumps ``SPEC`` as JSON for
 ``python -m repro.cli scenario run``.
 
 Run:            python examples/tiered_application.py
@@ -19,9 +19,7 @@ Dump the spec:  python examples/tiered_application.py --spec shop.json
 
 import argparse
 
-from repro import KVStore, Simulation, availability, paper_thresholds
-from repro.cluster import CloudLayout
-from repro.sim.config import AppConfig, RingConfig, SimConfig
+from repro import KVStore, availability
 from repro.sim.scenario import (
     ConstraintsSpec,
     FlowsSpec,
@@ -34,7 +32,6 @@ from repro.sim.scenario import (
 
 GOLD, STANDARD = 0, 1
 
-#: The declarative twin of the hand-built config in :func:`make_config`.
 SPEC = ScenarioSpec(
     name="tiered-application",
     summary="one shop tenant with 4-replica gold and 2-replica "
@@ -54,33 +51,6 @@ SPEC = ScenarioSpec(
     ),
     operations=OperationsSpec(epochs=40),
 )
-
-
-def make_config() -> SimConfig:
-    """The same two-tier shop spelled out with the raw dataclasses."""
-    th = paper_thresholds()
-    return SimConfig(
-        layout=CloudLayout(),
-        apps=(
-            AppConfig(
-                app_id=0,
-                name="shop",
-                query_share=1.0,
-                rings=(
-                    RingConfig(
-                        ring_id=GOLD, threshold=th[4], target_replicas=4,
-                        partitions=40,
-                    ),
-                    RingConfig(
-                        ring_id=STANDARD, threshold=th[2],
-                        target_replicas=2, partitions=40,
-                    ),
-                ),
-            ),
-        ),
-        epochs=40,
-        base_rate=2000.0,
-    )
 
 
 def parse_args(argv=None):
@@ -109,10 +79,7 @@ def main(argv=None) -> None:
     if args.spec:
         dump_spec(args.spec)
         return
-    config = make_config()
-    assert compile_spec(SPEC).config == config, \
-        "tiered-application spec drifted from the hand-built config"
-    sim = Simulation(config)
+    sim = compile_spec(SPEC).simulation()
     log = sim.run()
 
     gold_ring = sim.rings.ring(0, GOLD)

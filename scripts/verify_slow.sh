@@ -28,5 +28,5 @@ PYTHONPATH=src python -m repro.cli run --scenario paper --epochs 10 \
 python3 benchmarks/e2e/run.py --workload serve-read --seed 7 --trace 1 \
     > /dev/null
 
-echo "== stage: perf smoke (100x ramp + serving vs checked-in bench JSON) =="
+echo "== stage: perf smoke (100x ramp + serving vs checked-in bench JSON, vectorized/scalar floor) =="
 PYTHONPATH=src python benchmarks/perf/perf_smoke.py

@@ -8,8 +8,8 @@ availability SLA at minimum cost.
 
 Quick tour
 ----------
->>> from repro import paper_scenario, Simulation
->>> sim = Simulation(paper_scenario(epochs=30, partitions=20))
+>>> from repro import compile_spec, paper_spec
+>>> sim = compile_spec(paper_spec(epochs=30, partitions=20)).simulation()
 >>> log = sim.run()
 >>> log.last.vnodes_total >= 3 * 20  # every ring met its replica target
 True
@@ -58,10 +58,11 @@ from repro.sim import (
     MetricsLog,
     SimConfig,
     Simulation,
+    compile_spec,
     load_balance_index,
-    paper_scenario,
-    saturation_scenario,
-    slashdot_scenario,
+    paper_spec,
+    saturation_spec,
+    slashdot_spec,
 )
 from repro.store import (
     KVStore,
@@ -109,14 +110,15 @@ __all__ = [
     "WorkloadMix",
     "availability",
     "build_cloud",
+    "compile_spec",
     "diversity",
     "fig3_schedule",
     "hash_key",
     "load_balance_index",
-    "paper_scenario",
+    "paper_spec",
     "paper_thresholds",
-    "saturation_scenario",
+    "saturation_spec",
     "slashdot_profile",
-    "slashdot_scenario",
+    "slashdot_spec",
     "__version__",
 ]

@@ -36,29 +36,35 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.random_placement import random_placement_decider
 from repro.baselines.static import static_decider
-from repro.cluster.events import fig3_schedule
 from repro.core.decision import KERNELS
-from repro.net.model import LinkFlap, NetConfig, NetPartition
-from repro.sim.config import (
-    SimConfig,
-    paper_scenario,
-    saturation_scenario,
-    scaled_paper_layout,
-    slashdot_scenario,
-)
 from repro.sim.engine import Simulation, economic_decider
 from repro.sim.profiling import compare_kernels, measure_throughput, speedup
 from repro.sim.reporting import format_table, series_table, summarize
-from repro.sim.scenario import SpecError, compile_spec, load_spec
-from repro.sim.seeds import RngStreams
+from repro.sim.scenario import (
+    CompiledScenario,
+    ScenarioSpec,
+    SpecError,
+    compile_events,
+    compile_spec,
+    load_spec,
+)
 from repro.sim import specs
 
-SCENARIOS = ("paper", "slashdot", "saturation")
+#: The built-in presets: the paper's three parameter sets, at the
+#: ``profile`` subcommand's default horizon (every other subcommand
+#: passes ``--epochs``).
+PRESETS = {
+    "paper": specs.paper_spec,
+    "slashdot": specs.slashdot_spec,
+    "saturation": specs.saturation_spec,
+}
+SCENARIOS = tuple(PRESETS)
 
 POLICIES = {
     "economic": economic_decider,
@@ -231,20 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_config(args) -> SimConfig:
-    if args.scenario == "paper":
-        return paper_scenario(
-            epochs=args.epochs, seed=args.seed, partitions=args.partitions
-        )
-    if args.scenario == "slashdot":
-        return slashdot_scenario(
-            epochs=args.epochs, seed=args.seed, partitions=args.partitions
-        )
-    return saturation_scenario(epochs=args.epochs, seed=args.seed)
-
-
-def parse_partition(spec: str) -> NetPartition:
-    parts = spec.split(":")
+def parse_partition(token: str) -> Dict:
+    """``START:HEAL[:DEPTH[:asym]]`` → one ``net.partitions`` row."""
+    parts = token.split(":")
     asymmetric = False
     if parts and parts[-1] == "asym":
         asymmetric = True
@@ -252,74 +247,128 @@ def parse_partition(spec: str) -> NetPartition:
     if not 2 <= len(parts) <= 3:
         raise CliError(
             f"--net-partition wants START:HEAL[:DEPTH[:asym]], "
-            f"got {spec!r}"
+            f"got {token!r}"
         )
     try:
-        start, heal = int(parts[0]), int(parts[1])
-        depth = int(parts[2]) if len(parts) == 3 else 2
-        return NetPartition(
-            start_epoch=start, heal_epoch=heal, depth=depth,
-            asymmetric=asymmetric,
-        )
+        return {
+            "start": int(parts[0]),
+            "heal": int(parts[1]),
+            "depth": int(parts[2]) if len(parts) == 3 else 2,
+            "asymmetric": asymmetric,
+        }
     except ValueError as exc:
-        raise CliError(f"bad --net-partition {spec!r}: {exc}")
+        raise CliError(f"bad --net-partition {token!r}: {exc}")
 
 
-def parse_flap(spec: str) -> tuple:
-    """``START:END[:PERIOD]`` → alternating LinkFlap windows.
+def parse_flap(token: str) -> List[Dict]:
+    """``START:END[:PERIOD]`` → alternating ``net.flaps`` rows.
 
     With a PERIOD the server's links go down for PERIOD epochs, up for
     PERIOD, down again … inside [START, END) — the repeated-flap
     pattern that manufactures recurring false suspicion.  Without a
     PERIOD the whole interval is one continuous flap window.
     """
-    parts = spec.split(":")
+    parts = token.split(":")
     if not 2 <= len(parts) <= 3:
         raise CliError(
-            f"--net-flap wants START:END[:PERIOD], got {spec!r}"
+            f"--net-flap wants START:END[:PERIOD], got {token!r}"
         )
     try:
         start, end = int(parts[0]), int(parts[1])
         period = int(parts[2]) if len(parts) == 3 else 0
         if period < 0:
             raise ValueError(f"PERIOD must be >= 0, got {period}")
-        if period == 0:
-            return (LinkFlap(start_epoch=start, heal_epoch=end),)
-        flaps = []
-        at = start
-        while at < end:
-            flaps.append(LinkFlap(
-                start_epoch=at, heal_epoch=min(at + period, end)
-            ))
-            at += 2 * period
-        return tuple(flaps)
     except ValueError as exc:
-        raise CliError(f"bad --net-flap {spec!r}: {exc}")
+        raise CliError(f"bad --net-flap {token!r}: {exc}")
+    if period == 0:
+        return [{"start": start, "heal": end}]
+    return [
+        {"start": at, "heal": min(at + period, end)}
+        for at in range(start, end, 2 * period)
+    ]
 
 
-def make_net(args):
-    partitions = tuple(
-        parse_partition(spec) for spec in (args.net_partition or ())
+def resolve_spec(token: str, partitions: int = 200) -> ScenarioSpec:
+    """A preset, a registry name, or a path to a spec JSON file."""
+    if token == "saturation":
+        # Fig. 5's disks and insert rate encode a deliberate
+        # oversubscription ratio: the preset ignores --partitions.
+        return specs.saturation_spec(epochs=60)
+    if token in PRESETS:
+        return PRESETS[token](epochs=60, partitions=partitions)
+    if token in specs.REGISTRY:
+        return specs.REGISTRY[token].spec
+    if os.path.exists(token):
+        try:
+            return load_spec(token)
+        except SpecError as exc:
+            raise CliError(f"bad spec file {token!r}: {exc}")
+    raise CliError(
+        f"unknown scenario {token!r} (and no such file); "
+        f"see 'scenario list'"
     )
-    flaps = tuple(
-        flap
-        for spec in (args.net_flap or ())
-        for flap in parse_flap(spec)
-    )
-    wants_net = (
-        args.net or args.net_loss > 0.0 or args.net_delay > 0
-        or partitions or flaps or args.divergence
-        or args.consistency_audit
-    )
-    if not wants_net:
-        return None
-    return NetConfig(
-        loss=args.net_loss,
-        delay_max=args.net_delay,
-        partitions=partitions,
-        flaps=flaps,
-        fabric=args.net_fabric,
-    )
+
+
+def lower_run_flags(args, data: Dict) -> None:
+    """``run``'s fault / serving / audit flags, onto a spec's JSON form."""
+    flows, failure = data["flows"], data["failure"]
+    if args.fig3_events:
+        failure["events"] += [
+            {"kind": "join", "epoch": 100, "count": 20},
+            {"kind": "leave", "epoch": 200, "count": 20},
+        ]
+    partitions = [parse_partition(t) for t in args.net_partition or ()]
+    flaps = [f for t in args.net_flap or () for f in parse_flap(t)]
+    if (args.net or args.net_loss > 0.0 or args.net_delay > 0
+            or partitions or flaps or args.divergence
+            or args.consistency_audit):
+        failure["net"] = {
+            "loss": args.net_loss,
+            "delay_max": args.net_delay,
+            "fabric": args.net_fabric,
+            "partitions": partitions,
+            "flaps": flaps,
+        }
+    serving = {
+        "requests_per_epoch": args.serve_rate,
+        "read_fraction": args.serve_read_fraction,
+        "workers": args.serve_workers,
+        "level": args.serve_level,
+    }
+    serving = {k: v for k, v in serving.items() if v is not None}
+    if args.serve or serving:
+        flows["serving"] = serving
+    if args.consistency_audit:
+        data["operations"]["audit"] = True
+        if flows["traffic"] is None:
+            flows["traffic"] = {}
+
+
+def build_scenario(token: str, args) -> CompiledScenario:
+    """The one ``args → ScenarioSpec → SimConfig`` path of every subcommand.
+
+    Resolve ``token`` to a spec, lower the subcommand's flags onto the
+    spec's JSON form (the same form a spec file has), and compile — so
+    a flag combination is validated by exactly the checks a spec file
+    gets.
+    """
+    flags = vars(args)
+    scale = flags.get("scale", 1)
+    spec = resolve_spec(token, flags.get("partitions", 200) * scale)
+    data = spec.to_dict()
+    for key in ("epochs", "seed"):
+        if flags.get(key) is not None:
+            data["operations"][key] = flags[key]
+    if flags.get("kernel") in KERNELS:  # profile's "both" is not a kernel
+        data["operations"]["kernel"] = flags["kernel"]
+    if scale > 1:
+        data["structure"]["scale"] = scale
+    if args.command == "run":
+        lower_run_flags(args, data)
+    try:
+        return compile_spec(ScenarioSpec.from_dict(data))
+    except SpecError as exc:
+        raise CliError(f"scenario {spec.name!r} does not compile: {exc}")
 
 
 def print_robustness(sim, out) -> None:
@@ -434,17 +483,6 @@ def print_serving(sim, out) -> None:
         )
 
 
-def make_events(config, args):
-    if not args.fig3_events:
-        return None
-    return fig3_schedule(
-        layout=config.layout,
-        storage_capacity=config.server_storage,
-        query_capacity=config.server_query_capacity,
-        rng=RngStreams(config.seed).events,
-    )
-
-
 def print_series_report(config, sim, log, points, out,
                         audit=None) -> None:
     """The per-epoch series table plus whatever planes the run had."""
@@ -476,64 +514,32 @@ def print_series_report(config, sim, log, points, out,
         print(audit.report.render(), file=out)
 
 
-def make_serving(args):
-    """A ServingConfig from the --serve* flags, or None."""
-    overrides = {
-        "requests_per_epoch": args.serve_rate,
-        "read_fraction": args.serve_read_fraction,
-        "workers": args.serve_workers,
-        "level": args.serve_level,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if not args.serve and not overrides:
-        return None
-    from repro.sim.config import ServingConfig
-
-    return ServingConfig(**overrides)
-
-
-def cmd_run(args, out) -> int:
-    config = make_config(args)
-    net = make_net(args)
-    if net is not None:
-        config = dataclasses.replace(config, net=net)
-    serving = make_serving(args)
-    if serving is not None:
-        config = dataclasses.replace(config, serving=serving)
+def run_scenario(compiled: CompiledScenario, args, header: str,
+                 out) -> int:
+    """Run a compiled scenario (audited if the spec says so) and report."""
+    decider = POLICIES[args.policy]
     audit = None
-    if args.consistency_audit:
-        from repro.sim.chaos import run_consistency_audit
-        from repro.sim.config import DataPlaneConfig
-
-        if config.data_plane is None:
-            config = dataclasses.replace(
-                config, data_plane=DataPlaneConfig()
-            )
-        audit = run_consistency_audit(
-            config, events=make_events(config, args),
-            decider_factory=POLICIES[args.policy],
-        )
+    if compiled.spec.operations.audit:
+        audit = compiled.run_audit(decider_factory=decider)
         sim = audit.sim
         log = sim.metrics
     else:
-        sim = Simulation(
-            config, events=make_events(config, args),
-            decider_factory=POLICIES[args.policy],
-        )
+        sim = compiled.simulation(decider_factory=decider)
         log = sim.run()
-    print(f"scenario={args.scenario} policy={args.policy} "
-          f"seed={args.seed}", file=out)
-    print_series_report(config, sim, log, args.points, out, audit=audit)
-    if args.divergence:
+    print(header, file=out)
+    print_series_report(
+        compiled.config, sim, log, args.points, out, audit=audit
+    )
+    if getattr(args, "divergence", False):
         from repro.analysis.divergence import (
             compare_runs,
             oracle_twin_config,
         )
 
-        twin_cfg = oracle_twin_config(config)
+        twin_cfg = oracle_twin_config(compiled.config)
         twin = Simulation(
-            twin_cfg, events=make_events(twin_cfg, args),
-            decider_factory=POLICIES[args.policy],
+            twin_cfg, events=compile_events(compiled.spec, twin_cfg),
+            decider_factory=decider,
         )
         # Match the faulty run's horizon (an audit run keeps stepping
         # through its settle phase, so the log can exceed config.epochs).
@@ -543,14 +549,19 @@ def cmd_run(args, out) -> int:
     return 0
 
 
+def cmd_run(args, out) -> int:
+    return run_scenario(
+        build_scenario(args.scenario, args), args,
+        f"scenario={args.scenario} policy={args.policy} seed={args.seed}",
+        out,
+    )
+
+
 def cmd_compare(args, out) -> int:
     rows = []
+    compiled = build_scenario("paper", args)
     for name, factory in sorted(POLICIES.items()):
-        cfg = paper_scenario(
-            epochs=args.epochs, seed=args.seed, partitions=args.partitions
-        )
-        sim = Simulation(cfg, decider_factory=factory)
-        log = sim.run()
+        log = compiled.simulation(decider_factory=factory).run()
         last = log.last
         rows.append([
             name,
@@ -575,8 +586,7 @@ def cmd_report(args, out) -> int:
     """Per-agent economics: the ledger arrays as human-readable tables."""
     from repro.analysis.economics import summarize_economics
 
-    config = make_config(args)
-    sim = Simulation(config)
+    sim = build_scenario(args.scenario, args).simulation()
     log = sim.run()
     bundle = summarize_economics(sim.registry, log)
     econ = bundle["agents"]
@@ -640,68 +650,36 @@ def cmd_report(args, out) -> int:
 def cmd_profile(args, out) -> int:
     if args.scale < 1:
         raise CliError("--scale must be >= 1")
-    events_factory = None
-    if args.scenario in SCENARIOS:
-        if args.epochs is None:
-            args.epochs = 60
-        if args.seed is None:
-            args.seed = 0
-        if args.scale > 1:
-            if args.scenario == "saturation":
-                # The saturation scenario's parameters (shrunken disks,
-                # fixed insert rate) encode a deliberate
-                # oversubscription ratio that growing only the cloud
-                # would silently destroy.
-                raise CliError(
-                    "--scale supports the paper and slashdot scenarios"
-                )
-            args.partitions = args.partitions * args.scale
-            config = dataclasses.replace(
-                make_config(args), layout=scaled_paper_layout(args.scale)
-            )
-        else:
-            config = make_config(args)
-    else:
-        # Registry specs (and spec JSON files) profile as-is: the spec
-        # carries its own horizon, seed, layout and failure schedule,
-        # so profiling runs measure exactly what the scenario engine
-        # replays — explicit --epochs/--seed override the spec.
-        if args.scale > 1:
-            raise CliError("--scale supports the built-in presets")
-        spec = resolve_spec(args.scenario)
-        overrides = {}
-        if args.epochs is not None:
-            overrides["epochs"] = args.epochs
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        try:
-            if overrides:
-                spec = spec.with_operations(**overrides)
-            compiled = compile_spec(spec)
-        except SpecError as exc:
-            raise CliError(
-                f"spec {spec.name!r} failed to compile: {exc}"
-            )
-        config = compiled.config
-        args.epochs = config.epochs
-        args.seed = config.seed
-        args.partitions = sum(
-            ring.partitions for app in config.apps for ring in app.rings
-        )
-        if spec.failure.events:
-            # Schedules are stateful (rng draws, event log): each
-            # timed repeat needs a fresh, identically-seeded instance.
-            events_factory = compiled.events
+    preset = args.scenario in PRESETS
+    if args.scale > 1 and not preset:
+        raise CliError("--scale supports the built-in presets")
+    if args.scale > 1 and args.scenario == "saturation":
+        # Growing only the cloud would silently destroy the
+        # oversubscription ratio the saturation parameters encode.
+        raise CliError("--scale supports the paper and slashdot scenarios")
+    # Presets, registry specs and spec files all profile as compiled:
+    # the spec carries its own horizon, seed, layout and failure
+    # schedule; explicit --epochs/--seed override it.
+    compiled = build_scenario(args.scenario, args)
+    config = compiled.config
+    args.epochs = config.epochs
+    args.seed = config.seed
+    args.partitions = args.partitions * args.scale if preset else sum(
+        ring.partitions for app in config.apps for ring in app.rings
+    )
+    # Schedules are stateful (rng draws, event log): each timed repeat
+    # needs a fresh, identically-seeded instance.
+    events_factory = compiled.events if compiled.spec.failure.events else None
     if args.kernel == "both":
         results = compare_kernels(
             config, epochs=args.epochs, warmup_epochs=args.warmup,
             repeats=args.repeats, events_factory=events_factory,
         )
     else:
-        cfg = dataclasses.replace(config, kernel=args.kernel)
+        # build_scenario lowered --kernel onto the spec already.
         results = {
             args.kernel: measure_throughput(
-                cfg, epochs=args.epochs, warmup_epochs=args.warmup,
+                config, epochs=args.epochs, warmup_epochs=args.warmup,
                 repeats=args.repeats, events_factory=events_factory,
             )
         }
@@ -768,23 +746,6 @@ def cmd_profile(args, out) -> int:
     return 0
 
 
-def resolve_spec(token: str):
-    """A registry name, or (failing that) a path to a spec JSON file."""
-    if token in specs.REGISTRY:
-        return specs.REGISTRY[token].spec
-    import os
-
-    if os.path.exists(token):
-        try:
-            return load_spec(token)
-        except SpecError as exc:
-            raise CliError(f"bad spec file {token!r}: {exc}")
-    raise CliError(
-        f"unknown scenario {token!r} (and no such file); "
-        f"see 'scenario list'"
-    )
-
-
 def cmd_scenario_list(args, out) -> int:
     entries = [specs.get(name) for name in specs.names()]
     if args.json:
@@ -816,41 +777,16 @@ def cmd_scenario_show(args, out) -> int:
 
 
 def cmd_scenario_run(args, out) -> int:
-    spec = resolve_spec(args.spec)
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.kernel is not None:
-        overrides["kernel"] = args.kernel
-    try:
-        if overrides:
-            spec = spec.with_operations(**overrides)
-        compiled = compile_spec(spec)
-    except SpecError as exc:
-        raise CliError(f"spec {spec.name!r} failed to compile: {exc}")
-    decider = POLICIES[args.policy]
-    if spec.operations.audit:
-        audit = compiled.run_audit(decider_factory=decider)
-        sim = audit.sim
-        log = sim.metrics
-    else:
-        audit = None
-        sim = compiled.simulation(decider_factory=decider)
-        log = sim.run()
+    compiled = build_scenario(args.spec, args)
+    spec = compiled.spec
     ops = spec.operations
-    print(
+    header = (
         f"scenario={spec.name} policy={args.policy} seed={ops.seed} "
-        f"epochs={ops.epochs} kernel={ops.kernel}",
-        file=out,
+        f"epochs={ops.epochs} kernel={ops.kernel}"
     )
     if spec.summary:
-        print(spec.summary, file=out)
-    print_series_report(
-        compiled.config, sim, log, args.points, out, audit=audit
-    )
-    return 0
+        header += "\n" + spec.summary
+    return run_scenario(compiled, args, header, out)
 
 
 def cmd_scenario(args, out) -> int:
@@ -861,8 +797,8 @@ def cmd_scenario(args, out) -> int:
     return cmd_scenario_run(args, out)
 
 
-def cmd_info(out) -> int:
-    cfg = paper_scenario()
+def cmd_info(args, out) -> int:
+    cfg = build_scenario("paper", args).config
     rows = [
         ["servers", cfg.layout.total_servers],
         ["countries", cfg.layout.countries],
@@ -904,7 +840,7 @@ def main(argv: Optional[Sequence[str]] = None,
         return cmd_profile(args, out)
     if args.command == "scenario":
         return cmd_scenario(args, out)
-    return cmd_info(out)
+    return cmd_info(args, out)
 
 
 if __name__ == "__main__":

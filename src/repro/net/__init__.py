@@ -1,7 +1,7 @@
 """Faulty control-plane network: loss/delay/partitions + membership.
 
-Promotes the idealized :mod:`repro.gossip` primitives to a
-message-count-accurate control plane (ROADMAP item 3): every
+The message-count-accurate gossip control plane (the repo's one gossip
+implementation): every
 heartbeat, price-dissemination and membership message crosses the
 :class:`NetworkModel`, and the engine consumes *believed* membership
 and price columns through the :class:`MembershipService` seam instead

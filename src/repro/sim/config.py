@@ -1,9 +1,10 @@
 """Scenario configuration for the Skute simulator.
 
-:class:`SimConfig` captures every §III-A parameter.  The stock factory
-:func:`paper_scenario` reproduces the evaluation setup; the per-figure
-variants add the Slashdot profile (Fig. 4), the elasticity events
-(Fig. 3) and the insert stream (Fig. 5).
+:class:`SimConfig` captures every §III-A parameter.  Nothing here builds
+one: :func:`repro.sim.scenario.compile_config` is the only constructor
+in ``src/``, and the paper's parameter sets (§III-A base cloud, Fig. 4
+spike, Fig. 5 insert stream) are the spec templates in
+:mod:`repro.sim.specs.paper`.
 
 Scale note: the paper stores 500 GB across three applications while
 capping partitions at 256 MB with M=200 partitions per application —
@@ -11,26 +12,23 @@ numbers that force thousands of immediate splits.  The default scenario
 keeps M=200 and the 256 MB cap but seeds each partition at half
 capacity (96 MB, migratable within the 100 MB/epoch budget), preserving
 every decision-relevant ratio (storage pressure, splits under inserts,
-bandwidth-budget units) at tractable
-simulation cost; :func:`paper_scenario` exposes the knobs to run the
-full-size variant.
+bandwidth-budget units) at tractable simulation cost; a spec's
+constraints tier exposes the knobs to run the full-size variant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from repro.cluster.confidence import ConfidenceModel
 from repro.cluster.server import GB, MB
 from repro.cluster.topology import CloudLayout
-from repro.core.availability import paper_thresholds
 from repro.core.decision import KERNELS, EconomicPolicy
 from repro.core.economy import RentModel
 from repro.net.model import NetConfig
 from repro.workload.arrivals import ConstantRate, RateProfile
 from repro.workload.clients import ClientGeography, uniform_geography
-from repro.workload.slashdot import slashdot_profile
 
 
 class ConfigError(ValueError):
@@ -140,6 +138,39 @@ class InsertConfig:
             )
 
 
+def _check_store_knobs(cfg) -> None:
+    """Validate the quorum-store knobs both overlays declare.
+
+    :class:`DataPlaneConfig` and :class:`ServingConfig` each build a
+    ``QuorumKVStore`` + ``HintStore`` from the same fields (``level``,
+    ``read_fraction``, ``keyspace``, ``value_size``, ``hint_*``,
+    ``anti_entropy_*``), so the bounds live here once.
+    """
+    if cfg.level not in ("one", "quorum", "all"):
+        raise ConfigError(
+            f"level must be 'one', 'quorum' or 'all', got {cfg.level!r}"
+        )
+    if not 0.0 <= cfg.read_fraction <= 1.0:
+        raise ConfigError(
+            f"read_fraction must be in [0, 1], got {cfg.read_fraction}"
+        )
+    for name in ("keyspace", "value_size", "hint_ttl", "hint_base_delay"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(
+                f"{name} must be >= 1, got {getattr(cfg, name)}"
+            )
+    if cfg.hint_backoff_cap < cfg.hint_base_delay:
+        raise ConfigError(
+            f"hint_backoff_cap must be >= hint_base_delay, got "
+            f"{cfg.hint_backoff_cap} < {cfg.hint_base_delay}"
+        )
+    for name in ("anti_entropy_partitions", "anti_entropy_bytes"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(
+                f"{name} must be >= 0, got {getattr(cfg, name)}"
+            )
+
+
 @dataclass(frozen=True)
 class DataPlaneConfig:
     """The stale-view serving data plane riding on the epoch loop.
@@ -171,52 +202,11 @@ class DataPlaneConfig:
     read_repair: bool = True
 
     def __post_init__(self) -> None:
-        if self.level not in ("one", "quorum", "all"):
-            raise ConfigError(
-                f"level must be 'one', 'quorum' or 'all', got "
-                f"{self.level!r}"
-            )
         if self.ops_per_epoch < 0:
             raise ConfigError(
                 f"ops_per_epoch must be >= 0, got {self.ops_per_epoch}"
             )
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ConfigError(
-                f"read_fraction must be in [0, 1], got "
-                f"{self.read_fraction}"
-            )
-        if self.keyspace < 1:
-            raise ConfigError(
-                f"keyspace must be >= 1, got {self.keyspace}"
-            )
-        if self.value_size < 1:
-            raise ConfigError(
-                f"value_size must be >= 1, got {self.value_size}"
-            )
-        if self.hint_ttl < 1:
-            raise ConfigError(
-                f"hint_ttl must be >= 1, got {self.hint_ttl}"
-            )
-        if self.hint_base_delay < 1:
-            raise ConfigError(
-                f"hint_base_delay must be >= 1, got "
-                f"{self.hint_base_delay}"
-            )
-        if self.hint_backoff_cap < self.hint_base_delay:
-            raise ConfigError(
-                f"hint_backoff_cap must be >= hint_base_delay, got "
-                f"{self.hint_backoff_cap} < {self.hint_base_delay}"
-            )
-        if self.anti_entropy_partitions < 0:
-            raise ConfigError(
-                f"anti_entropy_partitions must be >= 0, got "
-                f"{self.anti_entropy_partitions}"
-            )
-        if self.anti_entropy_bytes < 0:
-            raise ConfigError(
-                f"anti_entropy_bytes must be >= 0, got "
-                f"{self.anti_entropy_bytes}"
-            )
+        _check_store_knobs(self)
 
 
 @dataclass(frozen=True)
@@ -274,29 +264,12 @@ class ServingConfig:
     read_repair: bool = True
 
     def __post_init__(self) -> None:
-        if self.level not in ("one", "quorum", "all"):
-            raise ConfigError(
-                f"level must be 'one', 'quorum' or 'all', got "
-                f"{self.level!r}"
-            )
         if self.requests_per_epoch < 0:
             raise ConfigError(
                 f"requests_per_epoch must be >= 0, got "
                 f"{self.requests_per_epoch}"
             )
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ConfigError(
-                f"read_fraction must be in [0, 1], got "
-                f"{self.read_fraction}"
-            )
-        if self.keyspace < 1:
-            raise ConfigError(
-                f"keyspace must be >= 1, got {self.keyspace}"
-            )
-        if self.value_size < 1:
-            raise ConfigError(
-                f"value_size must be >= 1, got {self.value_size}"
-            )
+        _check_store_knobs(self)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.epoch_ms <= 0:
@@ -312,30 +285,6 @@ class ServingConfig:
             raise ConfigError(
                 f"SLA targets must be > 0, got read {self.sla_read_ms} "
                 f"/ write {self.sla_write_ms}"
-            )
-        if self.hint_ttl < 1:
-            raise ConfigError(
-                f"hint_ttl must be >= 1, got {self.hint_ttl}"
-            )
-        if self.hint_base_delay < 1:
-            raise ConfigError(
-                f"hint_base_delay must be >= 1, got "
-                f"{self.hint_base_delay}"
-            )
-        if self.hint_backoff_cap < self.hint_base_delay:
-            raise ConfigError(
-                f"hint_backoff_cap must be >= hint_base_delay, got "
-                f"{self.hint_backoff_cap} < {self.hint_base_delay}"
-            )
-        if self.anti_entropy_partitions < 0:
-            raise ConfigError(
-                f"anti_entropy_partitions must be >= 0, got "
-                f"{self.anti_entropy_partitions}"
-            )
-        if self.anti_entropy_bytes < 0:
-            raise ConfigError(
-                f"anti_entropy_bytes must be >= 0, got "
-                f"{self.anti_entropy_bytes}"
             )
 
 
@@ -431,121 +380,3 @@ class SimConfig:
             if app.app_id == app_id:
                 return app
         raise ConfigError(f"unknown app id {app_id}")
-
-
-def paper_apps_config(*, partitions: int = 200,
-                      partition_capacity: int = 256 * MB,
-                      initial_partition_size: int = 96 * MB,
-                      thresholds: Optional[Dict[int, float]] = None
-                      ) -> Tuple[AppConfig, ...]:
-    """The evaluation's three applications on virtual rings 0, 1, 2.
-
-    Application i demands the availability level met by 2+i replicas
-    and attracts 4/7, 2/7, 1/7 of the query load respectively.
-    """
-    th = thresholds if thresholds is not None else paper_thresholds()
-    shares = (4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0)
-    apps: List[AppConfig] = []
-    for i, share in enumerate(shares):
-        replicas = 2 + i
-        apps.append(
-            AppConfig(
-                app_id=i,
-                name=f"app-{i + 1}",
-                query_share=share,
-                rings=(
-                    RingConfig(
-                        ring_id=i,
-                        threshold=th[replicas],
-                        target_replicas=replicas,
-                        partitions=partitions,
-                        partition_capacity=partition_capacity,
-                        initial_partition_size=initial_partition_size,
-                    ),
-                ),
-            )
-        )
-    return tuple(apps)
-
-
-def paper_scenario(*, epochs: int = 100, seed: int = 0,
-                   partitions: int = 200,
-                   initial_partition_size: int = 96 * MB,
-                   server_storage: int = 5 * GB,
-                   base_rate: float = 3000.0) -> SimConfig:
-    """The §III-A base scenario: 200 servers, 3 apps, Poisson(3000)."""
-    return SimConfig(
-        layout=CloudLayout(),
-        apps=paper_apps_config(
-            partitions=partitions,
-            initial_partition_size=initial_partition_size,
-        ),
-        epochs=epochs,
-        seed=seed,
-        server_storage=server_storage,
-        base_rate=base_rate,
-    )
-
-
-def slashdot_scenario(*, epochs: int = 400, seed: int = 0,
-                      spike_epoch: int = 100,
-                      ramp_epochs: int = 25,
-                      decay_epochs: int = 250,
-                      base_rate: float = 3000.0,
-                      peak_rate: float = 183000.0,
-                      **kwargs) -> SimConfig:
-    """The Fig. 4 scenario: base setup plus the Slashdot spike."""
-    base = paper_scenario(epochs=epochs, seed=seed, base_rate=base_rate,
-                          **kwargs)
-    return replace(
-        base,
-        profile=slashdot_profile(
-            base_rate=base_rate,
-            peak_rate=peak_rate,
-            spike_epoch=spike_epoch,
-            ramp_epochs=ramp_epochs,
-            decay_epochs=decay_epochs,
-        ),
-    )
-
-
-def saturation_scenario(*, epochs: int = 300, seed: int = 0,
-                        insert_rate: int = 2000,
-                        object_size: int = 500 * 1024,
-                        insert_start: int = 0,
-                        insert_routing: str = "keyspace",
-                        server_storage: int = 2 * GB,
-                        initial_partition_size: int = 32 * MB,
-                        **kwargs) -> SimConfig:
-    """The Fig. 5 scenario: saturate the cloud with the insert stream.
-
-    Defaults shrink the server disks so saturation is reached within a
-    few hundred epochs at the paper's 2000 × 500 KB insert rate, and
-    pick the normalizing factors this storage-bound regime calls for:
-    a large eq. 1 α (storage pressure must dominate query revenue for
-    full servers to shed vnodes), a tight migration margin and a short
-    hysteresis (fills advance a few percent per epoch, so the economy
-    must react quickly to stay balanced).
-    """
-    base = paper_scenario(
-        epochs=epochs,
-        seed=seed,
-        server_storage=server_storage,
-        initial_partition_size=initial_partition_size,
-        **kwargs,
-    )
-    return replace(
-        base,
-        rent_model=RentModel(alpha=8.0),
-        policy=EconomicPolicy(
-            hysteresis=2,
-            migration_margin=0.02,
-            storage_headroom=0.05,
-        ),
-        inserts=InsertConfig(
-            rate=insert_rate,
-            object_size=object_size,
-            start_epoch=insert_start,
-            routing=insert_routing,
-        ),
-    )

@@ -19,6 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.decision import KERNELS
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
+from repro.sim.framedump import frames_digest
 
 
 class ProfilingError(ValueError):
@@ -48,6 +49,10 @@ class ThroughputResult:
     mutation_seconds: float = 0.0
     steady_epochs: int = 0
     steady_seconds: float = 0.0
+    #: SHA-256 of the timed window's frame stream: kernels measured on
+    #: one scenario must agree on it, so a harness can assert that
+    #: exactly instead of asserting a wall-clock ratio.
+    frames_digest: str = ""
 
     @property
     def epochs_per_sec(self) -> float:
@@ -147,6 +152,7 @@ def measure_throughput(config: SimConfig, *,
             mutation_seconds=mut_seconds,
             steady_epochs=steady_count,
             steady_seconds=steady_seconds,
+            frames_digest=frames_digest(frames),
         )
         if best is None or result.seconds < best.seconds:
             best = result

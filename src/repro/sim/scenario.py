@@ -18,16 +18,18 @@ ROADMAP item 3 (the SNIPPETS.md snippet 3 decomposition): a scenario is
 * **operations** — horizon, master seed, epoch kernel, equivalence
   tolerance and the consistency-audit toggle.
 
-:func:`compile_spec` lowers a spec *deterministically* onto today's
+:func:`compile_spec` lowers a spec *deterministically* onto the
 runtime objects (:class:`repro.sim.config.SimConfig`,
 :class:`repro.cluster.events.EventSchedule`,
-:class:`repro.net.model.NetConfig`,
-:class:`repro.sim.config.DataPlaneConfig`): compiling the same spec
-twice yields equal configs and byte-identical frame streams.  The
-seven legacy golden scenarios are expressed as specs in
-:mod:`repro.sim.specs` and compile to *exactly* the configs their
-hand-built factories produced (pinned by tests/sim/test_scenario_spec
-and the golden suite itself).
+:class:`repro.net.model.NetConfig`): compiling the same spec twice
+yields equal configs and byte-identical frame streams.
+:func:`compile_config` is the only place in ``src/`` that constructs a
+``SimConfig`` — the paper's own parameter sets are the spec templates in
+:mod:`repro.sim.specs.paper`, and the CLI lowers its flags onto a spec
+before compiling.  Where a tier's section *is* a runtime dataclass
+(``structure.layout``, ``flows.inserts/traffic/serving``) the spec holds
+that class directly; a spec class exists only where the JSON format
+hides or renames runtime fields.
 
 Specs round-trip losslessly through plain dicts/JSON
 (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`), which
@@ -40,9 +42,11 @@ of ad-hoc knobs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +70,6 @@ from repro.sim.config import (
     RingConfig,
     ServingConfig,
     SimConfig,
-    paper_apps_config,
     scaled_paper_layout,
 )
 from repro.sim.seeds import RngStreams
@@ -84,26 +87,98 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _build(cls, data: Mapping, parsers: Optional[Dict[str, Callable]] = None):
-    """Construct ``cls`` from a mapping, rejecting unknown keys."""
+#: Per spec class, each field's raw -> value parser, derived from the
+#: dataclass field types the first time a class is seen.  The
+#: ``_field_parsers(ScenarioSpec)`` call below the class resolves the
+#: whole tree at import, so loading a spec never inspects a type.
+_PARSERS: Dict[type, Dict[str, Callable]] = {}
+
+
+def _field_parsers(cls) -> Dict[str, Callable]:
+    table = _PARSERS.get(cls)
+    if table is None:
+        table = _PARSERS[cls] = {}  # registered first: GeoSpec nests itself
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            table[f.name] = _parser(hints[f.name])
+    return table
+
+
+def _verbatim(raw: Any) -> Any:
+    return raw
+
+
+def _parser(tp) -> Callable:
+    """The parser the JSON form of one annotated field type needs."""
+    if dataclasses.is_dataclass(tp):
+        _field_parsers(tp)
+        return functools.partial(_build, tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:
+        members = tuple(a for a in args if a is not type(None))
+        if len(members) < len(args):  # Optional[T]
+            inner = _parser(Union[members])
+            return lambda raw: None if raw is None else inner(raw)
+        kinds = {_EVENT_KINDS[member]: _parser(member) for member in members}
+        return functools.partial(_parse_tagged, kinds)
+    if origin is tuple:
+        if args[-1] is Ellipsis:  # Tuple[T, ...]
+            item = _parser(args[0])
+            return lambda raw: tuple(item(v) for v in _listed(raw))
+        items = [_parser(a) for a in args]  # a fixed-shape row
+        return lambda raw: tuple(
+            item(v) for item, v in zip(items, _listed(raw, len(items)))
+        )
+    if origin is dict:  # int-keyed, written as sorted [key, value] pairs
+        key_type = args[0]
+        return lambda raw: {
+            key_type(k): v
+            for k, v in (raw.items() if isinstance(raw, Mapping) else raw)
+        }
+    return _verbatim
+
+
+def _listed(raw: Any, length: Optional[int] = None) -> Any:
+    # Shape errors are TypeErrors: the enclosing _build names the class.
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(raw).__name__}")
+    if length is not None and len(raw) != length:
+        raise TypeError(f"expected {length} items, got {len(raw)}")
+    return raw
+
+
+def _parse_tagged(kinds: Dict[str, Callable], raw: Any):
+    """One member of a ``kind``-tagged union (the failure events)."""
+    if not isinstance(raw, Mapping) or "kind" not in raw:
+        raise TypeError("failure event needs a 'kind' tag")
+    kind = raw["kind"]
+    if kind not in kinds:
+        raise ValueError(
+            f"unknown failure-event kind {kind!r} "
+            f"(expected one of {sorted(kinds)})"
+        )
+    return kinds[kind]({k: v for k, v in raw.items() if k != "kind"})
+
+
+def _build(cls, data: Any):
+    """Construct spec class ``cls`` from its JSON form, strictly.
+
+    Unknown keys, a non-mapping section and any value the class (or a
+    class nested in it) rejects raise :class:`SpecError` naming ``cls``.
+    """
     if not isinstance(data, Mapping):
         raise SpecError(
             f"{cls.__name__} section must be a mapping, got "
             f"{type(data).__name__}"
         )
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    parsers = _field_parsers(cls)
+    unknown = sorted(set(data) - set(parsers))
     if unknown:
         raise SpecError(f"{cls.__name__}: unknown keys {unknown}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        raw = data[f.name]
-        parse = (parsers or {}).get(f.name)
-        kwargs[f.name] = parse(raw) if parse is not None else raw
     try:
-        return cls(**kwargs)
+        return cls(**{
+            name: parsers[name](raw) for name, raw in data.items()
+        })
     except SpecError:
         raise
     except (TypeError, ValueError) as exc:
@@ -116,7 +191,7 @@ def _plain(value: Any) -> Any:
         out = {}
         for f in dataclasses.fields(value):
             out[f.name] = _plain(getattr(value, f.name))
-        if isinstance(value, _EVENT_TYPES):
+        if type(value) in _EVENT_KINDS:
             out["kind"] = _EVENT_KINDS[type(value)]
         return out
     if isinstance(value, dict):
@@ -126,40 +201,9 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _pairs_to_dict(raw: Any, key_type=int) -> Dict:
-    """Inverse of the pair-list dict encoding (accepts mappings too)."""
-    if isinstance(raw, Mapping):
-        return {key_type(k): v for k, v in raw.items()}
-    return {key_type(k): v for k, v in raw}
-
-
 # ---------------------------------------------------------------------------
 # Tier 1 — structure
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LayoutSpec:
-    """An explicit cloud shape (mirrors :class:`CloudLayout`)."""
-
-    countries: int = 10
-    countries_per_continent: int = 2
-    datacenters_per_country: int = 2
-    rooms_per_datacenter: int = 1
-    racks_per_room: int = 2
-    servers_per_rack: int = 5
-
-    def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 1:
-                raise SpecError(f"layout.{f.name} must be >= 1")
-
-    def compile(self) -> CloudLayout:
-        return CloudLayout(**dataclasses.asdict(self))
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LayoutSpec":
-        return _build(cls, data)
 
 
 @dataclass(frozen=True)
@@ -187,10 +231,6 @@ class ServerClassesSpec:
                 f"query_capacity must be > 0, got {self.query_capacity}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ServerClassesSpec":
-        return _build(cls, data)
-
 
 @dataclass(frozen=True)
 class ConfidenceSpec:
@@ -214,17 +254,13 @@ class ConfidenceSpec:
             base=self.base, country_factors=dict(self.country_factors)
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ConfidenceSpec":
-        return _build(cls, data, {"country_factors": _pairs_to_dict})
-
 
 @dataclass(frozen=True)
 class StructureSpec:
     """Tier 1: cloud shape and server classes."""
 
     scale: int = 1
-    layout: Optional[LayoutSpec] = None
+    layout: Optional[CloudLayout] = None
     classes: ServerClassesSpec = field(default_factory=ServerClassesSpec)
     confidence: Optional[ConfidenceSpec] = None
 
@@ -236,18 +272,8 @@ class StructureSpec:
 
     def compile_layout(self) -> CloudLayout:
         if self.layout is not None:
-            return self.layout.compile()
+            return self.layout
         return scaled_paper_layout(self.scale)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StructureSpec":
-        return _build(cls, data, {
-            "layout": lambda raw: None if raw is None
-            else LayoutSpec.from_dict(raw),
-            "classes": ServerClassesSpec.from_dict,
-            "confidence": lambda raw: None if raw is None
-            else ConfidenceSpec.from_dict(raw),
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +308,6 @@ class FlashCrowd:
             self.spike_epoch + self.ramp_epochs + self.decay_epochs,
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FlashCrowd":
-        return _build(cls, data)
-
 
 @dataclass(frozen=True)
 class Diurnal:
@@ -302,89 +324,6 @@ class Diurnal:
             raise SpecError(
                 f"amplitude must be in [0, 1], got {self.amplitude}"
             )
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Diurnal":
-        return _build(cls, data)
-
-
-@dataclass(frozen=True)
-class InsertStream:
-    """The Fig. 5 insert stream (mirrors :class:`InsertConfig`)."""
-
-    rate: int = 2000
-    object_size: int = 500 * 1024
-    start_epoch: int = 0
-    routing: str = "keyspace"
-
-    def compile(self) -> InsertConfig:
-        return InsertConfig(**dataclasses.asdict(self))
-
-    def __post_init__(self) -> None:
-        self.compile()  # delegate validation to InsertConfig
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "InsertStream":
-        return _build(cls, data)
-
-
-@dataclass(frozen=True)
-class ClientTraffic:
-    """Zipf-keyed data-plane traffic (mirrors :class:`DataPlaneConfig`)."""
-
-    level: str = "quorum"
-    ops_per_epoch: int = 48
-    read_fraction: float = 0.6
-    keyspace: int = 96
-    value_size: int = 64
-    hint_ttl: int = 32
-    hint_base_delay: int = 1
-    hint_backoff_cap: int = 8
-    anti_entropy_partitions: int = 8
-    anti_entropy_bytes: int = 1 << 20
-    read_repair: bool = True
-
-    def compile(self) -> DataPlaneConfig:
-        return DataPlaneConfig(**dataclasses.asdict(self))
-
-    def __post_init__(self) -> None:
-        self.compile()  # delegate validation to DataPlaneConfig
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClientTraffic":
-        return _build(cls, data)
-
-
-@dataclass(frozen=True)
-class ServingTraffic:
-    """Live-serving front-door load (mirrors :class:`ServingConfig`)."""
-
-    level: str = "quorum"
-    requests_per_epoch: int = 512
-    read_fraction: float = 0.9
-    keyspace: int = 256
-    value_size: int = 64
-    workers: int = 128
-    epoch_ms: float = 1000.0
-    timeout_penalty_ms: float = 250.0
-    sla_read_ms: float = 250.0
-    sla_write_ms: float = 400.0
-    hint_ttl: int = 32
-    hint_base_delay: int = 1
-    hint_backoff_cap: int = 8
-    anti_entropy_partitions: int = 8
-    anti_entropy_bytes: int = 1 << 20
-    read_repair: bool = True
-
-    def compile(self) -> ServingConfig:
-        return ServingConfig(**dataclasses.asdict(self))
-
-    def __post_init__(self) -> None:
-        self.compile()  # delegate validation to ServingConfig
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ServingTraffic":
-        return _build(cls, data)
 
 
 @dataclass(frozen=True)
@@ -432,9 +371,9 @@ class FlowsSpec:
     base_rate: float = 3000.0
     surges: Tuple[FlashCrowd, ...] = ()
     diurnal: Optional[Diurnal] = None
-    inserts: Optional[InsertStream] = None
-    traffic: Optional[ClientTraffic] = None
-    serving: Optional[ServingTraffic] = None
+    inserts: Optional[InsertConfig] = None
+    traffic: Optional[DataPlaneConfig] = None
+    serving: Optional[ServingConfig] = None
     popularity_shape: float = 1.0
     popularity_scale: float = 50.0
 
@@ -472,22 +411,6 @@ class FlowsSpec:
             surges=tuple(sorted(self.surges, key=lambda s: s.spike_epoch)),
             diurnal=self.diurnal,
         )
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FlowsSpec":
-        return _build(cls, data, {
-            "surges": lambda raw: tuple(
-                FlashCrowd.from_dict(s) for s in raw
-            ),
-            "diurnal": lambda raw: None if raw is None
-            else Diurnal.from_dict(raw),
-            "inserts": lambda raw: None if raw is None
-            else InsertStream.from_dict(raw),
-            "traffic": lambda raw: None if raw is None
-            else ClientTraffic.from_dict(raw),
-            "serving": lambda raw: None if raw is None
-            else ServingTraffic.from_dict(raw),
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +455,6 @@ class GeoSpec:
             for geo, weight in self.components
         ])
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GeoSpec":
-        return _build(cls, data, {
-            "components": lambda raw: tuple(
-                (GeoSpec.from_dict(g), w) for g, w in raw
-            ),
-        })
-
 
 @dataclass(frozen=True)
 class TierSpec:
@@ -576,10 +491,6 @@ class TierSpec:
             initial_partition_size=self.initial_size,
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TierSpec":
-        return _build(cls, data)
-
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -609,13 +520,6 @@ class TenantSpec:
             geography=self.geography.compile(layout),
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TenantSpec":
-        return _build(cls, data, {
-            "tiers": lambda raw: tuple(TierSpec.from_dict(t) for t in raw),
-            "geography": GeoSpec.from_dict,
-        })
-
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -635,10 +539,6 @@ class PolicySpec:
     def __post_init__(self) -> None:
         self.compile()  # delegate validation to EconomicPolicy
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PolicySpec":
-        return _build(cls, data)
-
 
 @dataclass(frozen=True)
 class EconomySpec:
@@ -656,10 +556,6 @@ class EconomySpec:
 
     def __post_init__(self) -> None:
         self.compile()  # delegate validation to RentModel
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EconomySpec":
-        return _build(cls, data)
 
 
 @dataclass(frozen=True)
@@ -690,26 +586,16 @@ class ConstraintsSpec:
             )
 
     def compile_apps(self, layout: CloudLayout) -> Tuple[AppConfig, ...]:
-        if self.tenants is None:
-            return paper_apps_config(
+        tenants = self.tenants
+        if tenants is None:
+            tenants = paper_tenants(
                 partitions=self.partitions,
                 partition_capacity=self.partition_capacity,
-                initial_partition_size=self.initial_size,
+                initial_size=self.initial_size,
             )
         return tuple(
-            tenant.compile(i, layout)
-            for i, tenant in enumerate(self.tenants)
+            tenant.compile(i, layout) for i, tenant in enumerate(tenants)
         )
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ConstraintsSpec":
-        return _build(cls, data, {
-            "tenants": lambda raw: None if raw is None else tuple(
-                TenantSpec.from_dict(t) for t in raw
-            ),
-            "policy": PolicySpec.from_dict,
-            "economy": EconomySpec.from_dict,
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +618,6 @@ class JoinWave:
         if self.epoch < 0 or self.count < 1:
             raise SpecError("join wave needs epoch >= 0 and count >= 1")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "JoinWave":
-        return _build(cls, data)
-
 
 @dataclass(frozen=True)
 class LeaveWave:
@@ -748,10 +630,6 @@ class LeaveWave:
     def __post_init__(self) -> None:
         if self.epoch < 0 or self.count < 1:
             raise SpecError("leave wave needs epoch >= 0 and count >= 1")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LeaveWave":
-        return _build(cls, data)
 
 
 @dataclass(frozen=True)
@@ -767,32 +645,8 @@ class OutageEvent:
         if not 1 <= self.depth <= 5:
             raise SpecError(f"depth must be in [1, 5], got {self.depth}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OutageEvent":
-        return _build(cls, data)
 
-
-_EVENT_TYPES = (JoinWave, LeaveWave, OutageEvent)
 _EVENT_KINDS = {JoinWave: "join", LeaveWave: "leave", OutageEvent: "outage"}
-_EVENT_PARSERS = {
-    "join": JoinWave.from_dict,
-    "leave": LeaveWave.from_dict,
-    "outage": OutageEvent.from_dict,
-}
-
-
-def _parse_event(raw: Mapping):
-    if not isinstance(raw, Mapping) or "kind" not in raw:
-        raise SpecError("failure event needs a 'kind' tag")
-    kind = raw["kind"]
-    if kind not in _EVENT_PARSERS:
-        raise SpecError(
-            f"unknown failure-event kind {kind!r} "
-            f"(expected one of {sorted(_EVENT_PARSERS)})"
-        )
-    body = {k: v for k, v in raw.items() if k != "kind"}
-    return _EVENT_PARSERS[kind](body)
-
 
 @dataclass(frozen=True)
 class PartitionWindow:
@@ -815,10 +669,6 @@ class PartitionWindow:
         except ValueError as exc:
             raise SpecError(f"partition window: {exc}") from exc
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PartitionWindow":
-        return _build(cls, data)
-
 
 @dataclass(frozen=True)
 class FlapWindow:
@@ -835,10 +685,6 @@ class FlapWindow:
             self.compile()
         except ValueError as exc:
             raise SpecError(f"flap window: {exc}") from exc
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FlapWindow":
-        return _build(cls, data)
 
 
 @dataclass(frozen=True)
@@ -874,17 +720,6 @@ class NetSpec:
         except ValueError as exc:
             raise SpecError(f"net: {exc}") from exc
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "NetSpec":
-        return _build(cls, data, {
-            "partitions": lambda raw: tuple(
-                PartitionWindow.from_dict(p) for p in raw
-            ),
-            "flaps": lambda raw: tuple(
-                FlapWindow.from_dict(f) for f in raw
-            ),
-        })
-
 
 @dataclass(frozen=True)
 class ChaosSpec:
@@ -908,22 +743,18 @@ class ChaosSpec:
         if self.quiet_tail < 0:
             raise SpecError(f"quiet_tail must be >= 0, got {self.quiet_tail}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ChaosSpec":
-        return _build(cls, data)
-
 
 @dataclass(frozen=True)
 class FailureSpec:
     """Tier 4: membership events and the control-plane fault schedule."""
 
-    events: Tuple[object, ...] = ()
+    events: Tuple[Union[JoinWave, LeaveWave, OutageEvent], ...] = ()
     net: Optional[NetSpec] = None
     chaos: Optional[ChaosSpec] = None
 
     def __post_init__(self) -> None:
         for event in self.events:
-            if not isinstance(event, _EVENT_TYPES):
+            if type(event) not in _EVENT_KINDS:
                 raise SpecError(
                     f"unknown failure event {type(event).__name__}"
                 )
@@ -943,16 +774,6 @@ class FailureSpec:
             quiet_tail=self.chaos.quiet_tail,
             base=base,
         )
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FailureSpec":
-        return _build(cls, data, {
-            "events": lambda raw: tuple(_parse_event(e) for e in raw),
-            "net": lambda raw: None if raw is None
-            else NetSpec.from_dict(raw),
-            "chaos": lambda raw: None if raw is None
-            else ChaosSpec.from_dict(raw),
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -984,10 +805,6 @@ class OperationsSpec:
             raise SpecError(
                 f"settle_epochs must be >= 0, got {self.settle_epochs}"
             )
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OperationsSpec":
-        return _build(cls, data)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,13 +844,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        return _build(cls, data, {
-            "structure": StructureSpec.from_dict,
-            "flows": FlowsSpec.from_dict,
-            "constraints": ConstraintsSpec.from_dict,
-            "failure": FailureSpec.from_dict,
-            "operations": OperationsSpec.from_dict,
-        })
+        return _build(cls, data)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -1051,6 +862,9 @@ class ScenarioSpec:
             self,
             operations=dataclasses.replace(self.operations, **changes),
         )
+
+
+_field_parsers(ScenarioSpec)  # resolve every field type once, at import
 
 
 # ---------------------------------------------------------------------------
@@ -1083,9 +897,7 @@ def compile_config(spec: ScenarioSpec) -> SimConfig:
             policy=constraints.policy.compile(),
             base_rate=flows.base_rate,
             profile=flows.compile_profile(),
-            inserts=(
-                None if flows.inserts is None else flows.inserts.compile()
-            ),
+            inserts=flows.inserts,
             popularity_shape=flows.popularity_shape,
             popularity_scale=flows.popularity_scale,
             kernel=ops.kernel,
@@ -1094,12 +906,8 @@ def compile_config(spec: ScenarioSpec) -> SimConfig:
                 else structure.confidence.compile()
             ),
             net=spec.failure.compile_net(ops.epochs),
-            data_plane=(
-                None if flows.traffic is None else flows.traffic.compile()
-            ),
-            serving=(
-                None if flows.serving is None else flows.serving.compile()
-            ),
+            data_plane=flows.traffic,
+            serving=flows.serving,
         )
     except SpecError:
         raise
@@ -1241,12 +1049,13 @@ PAPER_SHARES: Tuple[float, ...] = (4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0)
 def paper_tenants(*, partitions: int = 200,
                   partition_capacity: int = 256 * MB,
                   initial_size: int = 96 * MB) -> Tuple[TenantSpec, ...]:
-    """The three §III-A tenants as explicit specs.
+    """The evaluation's three applications on virtual rings 0, 1, 2.
 
-    Compiles to exactly :func:`repro.sim.config.paper_apps_config`
-    (ring ids match app ids, thresholds come from
-    :func:`paper_thresholds`) — the starting point for scenarios that
-    override per-tenant fields such as geography.
+    Application i demands the availability level met by 2+i replicas
+    (thresholds from :func:`paper_thresholds`) and attracts 4/7, 2/7,
+    1/7 of the query load.  What ``tenants=None`` lowers through, and
+    the starting point for scenarios that override per-tenant fields
+    such as geography.
     """
     return tuple(
         TenantSpec(
@@ -1286,7 +1095,7 @@ def sample_spec(seed: int) -> ScenarioSpec:
     ``net=None`` so both epoch kernels must agree on the frame stream.
     """
     rng = np.random.default_rng(99_000 + seed)
-    layout = LayoutSpec(
+    layout = CloudLayout(
         countries=int(rng.integers(3, 6)),
         countries_per_continent=int(rng.integers(1, 3)),
         datacenters_per_country=int(rng.integers(1, 3)),
@@ -1294,7 +1103,7 @@ def sample_spec(seed: int) -> ScenarioSpec:
         racks_per_room=int(rng.integers(1, 3)),
         servers_per_rack=int(rng.integers(2, 5)),
     )
-    total = layout.compile().total_servers
+    total = layout.total_servers
     epochs = int(rng.integers(8, 14))
     structure = StructureSpec(
         layout=layout,
@@ -1321,7 +1130,7 @@ def sample_spec(seed: int) -> ScenarioSpec:
     if rng.random() < 0.25:
         flows = dataclasses.replace(
             flows,
-            inserts=InsertStream(
+            inserts=InsertConfig(
                 rate=int(rng.integers(50, 400)),
                 object_size=256 * 1024,
             ),
@@ -1348,7 +1157,7 @@ def sample_spec(seed: int) -> ScenarioSpec:
     if rng.random() < 0.2:
         flows = dataclasses.replace(
             flows,
-            traffic=ClientTraffic(
+            traffic=DataPlaneConfig(
                 ops_per_epoch=int(rng.integers(8, 17)),
                 keyspace=int(rng.integers(16, 49)),
             ),
@@ -1401,7 +1210,7 @@ def sample_chaos_spec(seed: int) -> ScenarioSpec:
     return ScenarioSpec(
         name=f"chaos-{seed}",
         summary=f"seeded chaos-audit draw #{seed}: random faults + quorum traffic",
-        flows=FlowsSpec(traffic=ClientTraffic(ops_per_epoch=24)),
+        flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=24)),
         constraints=ConstraintsSpec(partitions=30),
         failure=FailureSpec(chaos=ChaosSpec(seed=seed, quiet_tail=8)),
         operations=OperationsSpec(epochs=24, seed=seed, audit=True),

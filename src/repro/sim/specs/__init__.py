@@ -25,6 +25,7 @@ from typing import Dict, List
 from repro.sim.scenario import ScenarioEntry, SpecError
 
 from repro.sim.specs import examples, faults, growth, paper, surges
+from repro.sim.specs.paper import paper_spec, saturation_spec, slashdot_spec
 
 MODULES = (paper, examples, surges, growth, faults)
 

@@ -1,50 +1,42 @@
-"""The four rewritten examples as specs.
+"""The scenarios the ``examples/`` scripts run, as specs.
 
-Each spec compiles to the exact :class:`SimConfig` its example script
-historically hand-built (the scripts now assert that equality as a
-migration guard).  ``datacenter-outage`` and ``chaos-consistency``
-compile to the *faulty* twin; the examples derive their oracle twin by
-stripping ``net``/``data_plane`` off the compiled config.
+``datacenter-outage`` and ``chaos-consistency`` compile to the *faulty*
+twin; the examples derive their oracle twin by stripping
+``net``/``data_plane`` off the compiled config.
 """
 
 from __future__ import annotations
 
+from repro.sim.config import DataPlaneConfig, ServingConfig
 from repro.sim.scenario import (
     ChaosSpec,
-    ClientTraffic,
     ConstraintsSpec,
     FailureSpec,
-    FlashCrowd,
     FlowsSpec,
     NetSpec,
     OperationsSpec,
     OutageEvent,
     ScenarioEntry,
     ScenarioSpec,
-    ServingTraffic,
 )
+from repro.sim.specs.paper import paper_spec, slashdot_spec
 
 SPECS = (
-    ScenarioEntry(ScenarioSpec(
-        name="slashdot-surge",
-        summary="examples/slashdot_surge: 61x spike over a 60-partition cloud",
-        flows=FlowsSpec(base_rate=2000.0, surges=(
-            FlashCrowd(spike_epoch=40, ramp_epochs=25, decay_epochs=120,
-                       peak_factor=61.0),
-        )),
-        constraints=ConstraintsSpec(partitions=60),
-        operations=OperationsSpec(epochs=220),
+    ScenarioEntry(slashdot_spec(
+        "slashdot-surge",
+        "examples/slashdot_surge: 61x spike over a 60-partition cloud",
+        epochs=220, partitions=60, base_rate=2000.0,
+        spike_epoch=40, ramp_epochs=25, decay_epochs=120,
     ), pin_epochs=8),
-    ScenarioEntry(ScenarioSpec(
-        name="multi-tenant-sla",
-        summary="examples/multi_tenant_sla: 3 tenants, 3 SLA rings, 50 epochs",
-        constraints=ConstraintsSpec(partitions=60),
-        operations=OperationsSpec(epochs=50),
+    ScenarioEntry(paper_spec(
+        "multi-tenant-sla",
+        "examples/multi_tenant_sla: 3 tenants, 3 SLA rings, 50 epochs",
+        epochs=50, partitions=60,
     ), pin_epochs=8),
     ScenarioEntry(ScenarioSpec(
         name="datacenter-outage",
         summary="examples/datacenter_outage: DC dies under a lossy gossip net",
-        flows=FlowsSpec(traffic=ClientTraffic()),
+        flows=FlowsSpec(traffic=DataPlaneConfig()),
         constraints=ConstraintsSpec(partitions=60),
         failure=FailureSpec(
             events=(OutageEvent(epoch=30, depth=3),),
@@ -56,7 +48,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="serving-steady",
         summary="live front door: 256 req/epoch quorum serving, steady cloud",
-        flows=FlowsSpec(serving=ServingTraffic(
+        flows=FlowsSpec(serving=ServingConfig(
             requests_per_epoch=256, keyspace=128, workers=64,
         )),
         constraints=ConstraintsSpec(partitions=60),
@@ -65,7 +57,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="chaos-consistency",
         summary="examples/chaos_consistency: seeded fault draw + quorum audit",
-        flows=FlowsSpec(traffic=ClientTraffic(ops_per_epoch=32)),
+        flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=32)),
         constraints=ConstraintsSpec(partitions=40),
         failure=FailureSpec(chaos=ChaosSpec(seed=3, quiet_tail=10)),
         operations=OperationsSpec(epochs=40, audit=True),

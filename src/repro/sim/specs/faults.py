@@ -7,9 +7,9 @@ stale-view data plane riding on top.
 
 from __future__ import annotations
 
+from repro.sim.config import DataPlaneConfig
 from repro.sim.scenario import (
     ChaosSpec,
-    ClientTraffic,
     ConstraintsSpec,
     FailureSpec,
     FlapWindow,
@@ -36,7 +36,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="asym-partition-quorum",
         summary="asymmetric country cut while quorum traffic keeps flowing",
-        flows=FlowsSpec(traffic=ClientTraffic(ops_per_epoch=32)),
+        flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=32)),
         constraints=ConstraintsSpec(partitions=24),
         failure=FailureSpec(net=NetSpec(
             loss=0.05, rounds_per_epoch=2, suspect_rounds=3, dead_rounds=8,
@@ -48,7 +48,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="flap-storm",
         summary="three overlapping link-flap windows under light loss",
-        flows=FlowsSpec(traffic=ClientTraffic(ops_per_epoch=24)),
+        flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=24)),
         constraints=ConstraintsSpec(partitions=24),
         failure=FailureSpec(net=NetSpec(
             loss=0.03, rounds_per_epoch=2, suspect_rounds=3, dead_rounds=8,
@@ -73,7 +73,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="chaos-audit-7",
         summary="chaos draw #7: random faults, quorum traffic, audit armed",
-        flows=FlowsSpec(traffic=ClientTraffic(ops_per_epoch=24)),
+        flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=24)),
         constraints=ConstraintsSpec(partitions=30),
         failure=FailureSpec(chaos=ChaosSpec(seed=7, quiet_tail=8)),
         operations=OperationsSpec(epochs=24, seed=7, audit=True),
@@ -81,7 +81,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="zipf-dataplane-steady",
         summary="steady zipf quorum traffic on an honest (oracle) view",
-        flows=FlowsSpec(traffic=ClientTraffic(ops_per_epoch=64,
+        flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=64,
                                               keyspace=128)),
         constraints=ConstraintsSpec(partitions=24),
         operations=OperationsSpec(epochs=24, seed=45),

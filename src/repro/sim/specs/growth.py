@@ -8,15 +8,14 @@ economy under insert-driven growth.
 from __future__ import annotations
 
 from repro.cluster.server import GB, MB
+from repro.sim.config import InsertConfig
 from repro.sim.scenario import (
     ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
     EconomySpec,
     FlowsSpec,
-    InsertStream,
     OperationsSpec,
-    PolicySpec,
     ScenarioEntry,
     ScenarioSpec,
     ServerClassesSpec,
@@ -24,28 +23,20 @@ from repro.sim.scenario import (
     TenantSpec,
     TierSpec,
 )
+from repro.sim.specs.paper import saturation_spec
 
 SPECS = (
-    ScenarioEntry(ScenarioSpec(
-        name="insert-popularity-growth",
-        summary="popularity-routed inserts: growth follows the query skew",
-        structure=StructureSpec(classes=ServerClassesSpec(storage=2 * GB)),
-        flows=FlowsSpec(inserts=InsertStream(routing="popularity")),
-        constraints=ConstraintsSpec(
-            partitions=24,
-            initial_size=32 * MB,
-            policy=PolicySpec(hysteresis=2, migration_margin=0.02,
-                              storage_headroom=0.05),
-            economy=EconomySpec(alpha=8.0),
-        ),
-        operations=OperationsSpec(epochs=30, seed=31),
+    ScenarioEntry(saturation_spec(
+        "insert-popularity-growth",
+        "popularity-routed inserts: growth follows the query skew",
+        epochs=30, seed=31, partitions=24, insert_routing="popularity",
     ), pin_epochs=8),
     ScenarioEntry(ScenarioSpec(
         name="insert-diurnal-mix",
         summary="insert stream under a diurnal query cycle (growth + waves)",
         structure=StructureSpec(classes=ServerClassesSpec(storage=3 * GB)),
         flows=FlowsSpec(
-            inserts=InsertStream(rate=1000),
+            inserts=InsertConfig(rate=1000),
             diurnal=Diurnal(period=8, amplitude=0.5),
         ),
         constraints=ConstraintsSpec(

@@ -233,6 +233,10 @@ class ReplicaCatalog:
             self._cloud.server(server_id).free_storage(partition.size)
             for listener in self._listeners:
                 listener.storage_changed(server_id, -partition.size)
+        self._unlink(pid, server_id)
+
+    def _unlink(self, pid: PartitionId, server_id: int) -> None:
+        """Forget one replica in both indexes (no storage accounting)."""
         self._servers_of[pid].remove(server_id)
         remaining: Sequence[int] = self._servers_of.get(pid, ())
         if not self._servers_of[pid]:
@@ -337,11 +341,17 @@ class ReplicaCatalog:
         self._in_split = True
         try:
             for sid in servers:
-                self.drop(parent, sid)
                 server = self._cloud.server(sid)
-                server.allocate_storage(low.size + high.size)
-                for listener in self._listeners:
-                    listener.storage_changed(sid, low.size + high.size)
+                if server.alive:
+                    self.drop(parent, sid)
+                    server.allocate_storage(low.size + high.size)
+                    for listener in self._listeners:
+                        listener.storage_changed(sid, low.size + high.size)
+                else:
+                    # A ghost (killed, not yet detected): its bytes died
+                    # with it (see drop_server), so only the index
+                    # entries move — no storage to free or allocate.
+                    self._unlink(parent.pid, sid)
                 self._servers_of.setdefault(low.pid, []).append(sid)
                 self._servers_of.setdefault(high.pid, []).append(sid)
                 self._partitions_on.setdefault(sid, set()).update(
@@ -372,7 +382,9 @@ class ReplicaCatalog:
                     raise ReplicaError(
                         f"index mismatch: server {sid} not in {pid} view"
                     )
-            if sid in self._cloud:
+            # A ghost's byte counter froze when it died (grow/shrink and
+            # splits skip it); only live machines account for storage.
+            if sid in self._cloud and self._cloud.server(sid).alive:
                 expected = sum(partitions[pid].size for pid in pids)
                 actual = self._cloud.server(sid).storage_used
                 if expected != actual:

@@ -14,8 +14,8 @@ from repro.analysis.economics import (
 )
 from repro.core.agent import AgentRegistry
 from repro.ring.partition import PartitionId
-from repro.sim.config import paper_scenario
-from repro.sim.engine import Simulation
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec
 
 
 def pid(app, ring, seq):
@@ -91,7 +91,9 @@ class TestAgentEconomics:
 class TestSimulationIntegration:
     @pytest.fixture(scope="class")
     def sim_and_log(self):
-        sim = Simulation(paper_scenario(epochs=12, seed=3, partitions=16))
+        sim = compile_spec(
+            paper_spec(epochs=12, seed=3, partitions=16)
+        ).simulation()
         return sim, sim.run()
 
     def test_spread_series_reads_stored_histograms(self, sim_and_log):

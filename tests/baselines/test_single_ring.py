@@ -8,14 +8,15 @@ from repro.baselines.single_ring import (
     strictest_level,
     undifferentiated,
 )
-from repro.sim.config import paper_scenario
 from repro.sim.engine import Simulation
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec
 from tests.sim.test_engine import small_config
 
 
 class TestTransform:
     def test_strictest_level(self):
-        cfg = paper_scenario()
+        cfg = compile_spec(paper_spec()).config
         threshold, replicas = strictest_level(cfg)
         assert replicas == 4
         assert threshold == max(
@@ -23,7 +24,7 @@ class TestTransform:
         )
 
     def test_undifferentiated_pins_all_rings(self):
-        cfg = undifferentiated(paper_scenario())
+        cfg = undifferentiated(compile_spec(paper_spec()).config)
         levels = {
             (r.threshold, r.target_replicas)
             for a in cfg.apps
@@ -33,14 +34,14 @@ class TestTransform:
         assert levels.pop()[1] == 4
 
     def test_other_params_untouched(self):
-        base = paper_scenario(epochs=42, seed=9)
+        base = compile_spec(paper_spec(epochs=42, seed=9)).config
         cfg = undifferentiated(base)
         assert cfg.epochs == 42
         assert cfg.seed == 9
         assert cfg.base_rate == base.base_rate
 
     def test_expected_replica_bytes_grows(self):
-        base = paper_scenario()
+        base = compile_spec(paper_spec()).config
         pinned = undifferentiated(base)
         assert expected_replica_bytes(pinned) > expected_replica_bytes(base)
 

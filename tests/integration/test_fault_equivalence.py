@@ -26,13 +26,20 @@ Seeds 0–3 run in tier-1; the wider sweep carries ``slow``::
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.net.model import LinkFlap, NetConfig, NetPartition
 from repro.sim.engine import Simulation
 from repro.sim.framedump import frame_diff, frames_to_jsonable
-from repro.sim.scenario import compile_events, compile_spec, sample_spec
+from repro.sim.scenario import (
+    LeaveWave,
+    compile_events,
+    compile_spec,
+    load_spec,
+    sample_spec,
+)
 from test_randomized_equivalence import draw_decider
 
 KERNELS = ("vectorized", "scalar")
@@ -139,3 +146,43 @@ class TestFaultyDeterminism:
     @pytest.mark.parametrize("seed", SLOW_SEEDS[:8])
     def test_faulty_runs_reproduce_sweep(self, seed):
         assert_faulty_run_deterministic(seed)
+
+
+def split_on_ghost_spec(seed: int, kernel: str, epochs: int):
+    """PR 13's "found, not fixed" reproducer: the faults-churn workload
+    with inserts (hence splits) from epoch 0 and four more leave waves,
+    so partitions split while replicas sit on undetected ghosts."""
+    spec = load_spec(
+        Path(__file__).parents[2]
+        / "benchmarks/e2e/workloads/faults-churn.json"
+    )
+    inserts = dataclasses.replace(spec.flows.inserts, start_epoch=0)
+    waves = tuple(LeaveWave(epoch=e, count=5) for e in (28, 31, 34, 37))
+    return dataclasses.replace(
+        spec,
+        flows=dataclasses.replace(spec.flows, inserts=inserts),
+        failure=dataclasses.replace(
+            spec.failure, events=spec.failure.events + waves
+        ),
+    ).with_operations(seed=seed, kernel=kernel, epochs=epochs)
+
+
+class TestSplitOnGhost:
+    # crash_epoch: where the parent commit raised CapacityError "server
+    # N is down" out of Simulation.step (the same under both kernels).
+    @pytest.mark.parametrize("seed,crash_epoch,kernel", [
+        (2, 6, "vectorized"), (2, 6, "scalar"),
+        (5, 12, "scalar"), (0, 33, "vectorized"),
+    ])
+    def test_run_survives_and_catalog_stays_consistent(
+            self, seed, crash_epoch, kernel):
+        sim = compile_spec(
+            split_on_ghost_spec(seed, kernel, crash_epoch + 3)
+        ).simulation()
+        for _ in range(crash_epoch + 3):
+            sim.step()
+            sim.catalog.check_consistency(
+                {p.pid: p for ring in sim.rings for p in ring}
+            )
+        # every split adds one partition to the seeded 3 x 200
+        assert sum(len(ring) for ring in sim.rings) > 600

@@ -24,11 +24,11 @@ import pytest
 from repro.core.board import PriceBoard
 from repro.core.decision import DecisionEngine
 from repro.core.placement import PlacementScorer
-from repro.sim.config import slashdot_scenario
 from repro.sim.engine import SimContext, Simulation
 from repro.sim.framedump import frames_to_jsonable
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import slashdot_spec
 
-import dataclasses
 
 EPOCHS = 48
 
@@ -37,17 +37,14 @@ def fig4_config(kernel: str):
     # Compress the spike into the horizon: bootstrap (epochs 0–8),
     # ramp + peak (9–24), decay (25–48) — every §II-C action class
     # fires, at the paper's full partition count.
-    return dataclasses.replace(
-        slashdot_scenario(
-            epochs=EPOCHS,
-            seed=7,
-            partitions=200,
-            spike_epoch=18,
-            ramp_epochs=10,
-            decay_epochs=20,
-        ),
-        kernel=kernel,
-    )
+    return compile_spec(slashdot_spec(
+        epochs=EPOCHS,
+        seed=7,
+        partitions=200,
+        spike_epoch=18,
+        ramp_epochs=10,
+        decay_epochs=20,
+    ).with_operations(kernel=kernel)).config
 
 
 class _TinyShortlistEngine(DecisionEngine):

@@ -23,7 +23,7 @@ from repro.sim.config import (
 )
 from repro.sim.engine import Simulation
 from repro.sim.metrics import MetricsError, ServingFrame, ServingLog
-from repro.sim.scenario import ServingTraffic, compile_spec
+from repro.sim.scenario import FlowsSpec, ScenarioSpec, compile_spec
 from repro.sim.specs import get as get_spec
 
 
@@ -120,12 +120,11 @@ class TestDeterministicReplay:
         assert runs[0] == runs[1]
 
     def test_serving_traffic_roundtrips_through_dict(self):
-        traffic = ServingTraffic(requests_per_epoch=64, workers=8)
-        rebuilt = ServingTraffic.from_dict(
-            dataclasses.asdict(traffic)
-        )
-        assert rebuilt == traffic
-        assert rebuilt.compile() == traffic.compile()
+        traffic = ServingConfig(requests_per_epoch=64, workers=8)
+        spec = ScenarioSpec(name="x", flows=FlowsSpec(serving=traffic))
+        rebuilt = ScenarioSpec.from_dict(spec.to_dict())
+        assert rebuilt == spec
+        assert compile_spec(rebuilt).config.serving == traffic
 
 
 class TestFaultWindow:

@@ -1,6 +1,10 @@
 """Tests for the command-line front end."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,21 +37,20 @@ class TestParseFlap:
     def test_continuous_window(self):
         from repro.cli import parse_flap
 
-        (flap,) = parse_flap("2:6")
-        assert (flap.start_epoch, flap.heal_epoch) == (2, 6)
+        assert parse_flap("2:6") == [{"start": 2, "heal": 6}]
 
     def test_periodic_windows_alternate(self):
         from repro.cli import parse_flap
 
         flaps = parse_flap("2:10:2")
-        spans = [(f.start_epoch, f.heal_epoch) for f in flaps]
+        spans = [(f["start"], f["heal"]) for f in flaps]
         assert spans == [(2, 4), (6, 8)]
 
     def test_final_window_clamped_to_end(self):
         from repro.cli import parse_flap
 
         flaps = parse_flap("0:5:2")
-        assert [(f.start_epoch, f.heal_epoch) for f in flaps] == [
+        assert [(f["start"], f["heal"]) for f in flaps] == [
             (0, 2), (4, 5),
         ]
 
@@ -167,6 +170,25 @@ class TestRun:
         assert "ins_fail" in text
 
 
+    def test_every_flag_group_matches_the_pre_spec_cli(self):
+        # Golden text captured on the commit before the CLI lowered its
+        # flags onto a ScenarioSpec (hand-built NetConfig/ServingConfig,
+        # fig3_schedule): presets, --net*, --serve*, --fig3-events.
+        code, text = run_cli(
+            "run", "--scenario", "slashdot", "--epochs", "204",
+            "--partitions", "10", "--seed", "3", "--points", "12",
+            "--net", "--net-loss", "0.1", "--net-delay", "1",
+            "--net-partition", "30:40:2:asym", "--net-flap", "50:62:3",
+            "--serve", "--serve-rate", "48", "--serve-workers", "16",
+            "--fig3-events",
+        )
+        golden = Path(__file__).parents[1] / (
+            "integration/golden/cli_run_parity.txt"
+        )
+        assert code == 0
+        assert text == golden.read_text()
+
+
 class TestReport:
     def test_prints_agent_economics(self):
         code, text = run_cli(
@@ -280,6 +302,26 @@ class TestScenario:
         path.write_text('{"name": "x", "structure": {"warp": 9}}')
         with pytest.raises(SystemExit):
             run_cli("scenario", "show", str(path))
+
+    @pytest.mark.parametrize("body", [
+        '{"name": "x", "flows": {"serving": {"hint_ttl": 0}}}',
+        '{"name": "x", "failure": {"events": [{"kind": "meteor"}]}}',
+        '{"name": "x", "flows": []}',
+        '{"name": "x", "structure": {"scale": 2, "layout": {}}}',
+        "not json",
+    ])
+    def test_bad_spec_file_is_one_line_not_a_traceback(self, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        src = Path(__file__).parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "scenario", "run", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
     def test_bad_override_exits(self):
         with pytest.raises(SystemExit):

@@ -13,7 +13,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.sim.config import slashdot_scenario
 from repro.sim.engine import Simulation
 from repro.sim.framedump import dump_frames, dump_log
 from repro.sim.metrics import (
@@ -22,15 +21,17 @@ from repro.sim.metrics import (
     MetricsLog,
     ServerVnodeHistogram,
 )
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import slashdot_spec
 
 
 def fig4_scale_config(epochs=10, partitions=24):
     """A shrunken Fig. 4 Slashdot shape (same scenario family as the
     ``fig4-slashdot`` bench), spike inside the horizon."""
-    return slashdot_scenario(
+    return compile_spec(slashdot_spec(
         epochs=epochs, seed=9, partitions=partitions,
         spike_epoch=3, ramp_epochs=2, decay_epochs=4,
-    )
+    )).config
 
 
 class TestFramedumpByteIdentity:

@@ -5,22 +5,29 @@ Three layers of guarantees:
 * **validation** — malformed specs fail loudly at construction or
   ``from_dict`` time (unknown keys anywhere in the tree, overlapping
   surge phases, negative budgets, impossible tiers);
-* **compilation** — ``compile_spec`` is deterministic, and the seven
-  legacy golden scenarios plus the four rewritten examples compile to
-  configs *equal* to their historical hand-built factories (the
-  constructions are inlined here as ground truth — config equality
-  implies byte-identical frame streams without re-running them);
+* **compilation** — ``compile_spec`` is deterministic, and every tier
+  that hides or renames runtime fields (confidence, geography, events,
+  net, chaos) lowers onto exactly the runtime objects a hand-built run
+  would use (inlined here as ground truth — config equality implies
+  byte-identical frame streams without re-running them);
 * **serialization** — every registry spec and sampled spec round-trips
-  losslessly through ``to_dict``/``from_dict`` and JSON.
+  losslessly through ``to_dict``/``from_dict`` and JSON, and the JSON
+  text itself is fenced: ``to_json()`` of every registry spec and
+  benchmark workload hashes to what the commit before the spec layer
+  stopped mirroring the config layer produced.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.confidence import ConfidenceModel
+from repro.cluster.topology import CloudLayout
 from repro.cluster.events import (
     AddServers,
     EventSchedule,
@@ -31,12 +38,7 @@ from repro.cluster.events import (
 from repro.net.model import NetConfig
 from repro.sim import specs
 from repro.sim.chaos import random_fault_schedule
-from repro.sim.config import (
-    DataPlaneConfig,
-    paper_scenario,
-    saturation_scenario,
-    slashdot_scenario,
-)
+from repro.sim.config import DataPlaneConfig
 from repro.sim.scenario import (
     ChaosSpec,
     ConfidenceSpec,
@@ -53,31 +55,70 @@ from repro.sim.scenario import (
     TenantSpec,
     TierSpec,
     compile_spec,
-    paper_tenants,
+    load_spec,
     sample_chaos_spec,
     sample_spec,
 )
 from repro.sim.seeds import RngStreams
+from repro.sim.specs import paper_spec
 from repro.workload.clients import hotspot, mixture
+
+REPO = Path(__file__).parents[2]
+WORKLOADS = sorted((REPO / "benchmarks/e2e/workloads").glob("*.json"))
+JSON_FENCE = json.loads(
+    (REPO / "tests/integration/golden/spec_json_sha256.json").read_text()
+)
+
+
+def paper_config(**kwargs):
+    return compile_spec(paper_spec(**kwargs)).config
 
 
 class TestValidation:
-    def test_unknown_top_level_key(self):
-        with pytest.raises(SpecError, match="unknown keys"):
-            ScenarioSpec.from_dict({"name": "x", "bogus": 1})
-
-    def test_bad_tier_keys(self):
-        data = {
-            "name": "x",
-            "constraints": {
-                "tenants": [{
-                    "name": "t", "share": 1.0,
-                    "tiers": [{"replicas": 2, "quorum_size": 3}],
-                }],
-            },
-        }
-        with pytest.raises(SpecError, match="unknown keys.*quorum_size"):
-            ScenarioSpec.from_dict(data)
+    @pytest.mark.parametrize("data,names", [
+        # unknown keys, at every nesting level
+        ({"bogus": 1}, "ScenarioSpec"),
+        ({"structure": {"warp": 9}}, "StructureSpec"),
+        ({"structure": {"layout": {"moons": 2}}}, "CloudLayout"),
+        ({"flows": {"serving": {"threads": 4}}}, "ServingConfig"),
+        ({"constraints": {"tenants": [{
+            "name": "t", "share": 1.0,
+            "tiers": [{"replicas": 2, "quorum_size": 3}],
+        }]}}, "TierSpec"),
+        ({"constraints": {"tenants": [{
+            "name": "t", "share": 1.0, "tiers": [{"replicas": 2}],
+            "geography": {"kind": "mixture",
+                          "components": [[{"planet": 1}, 0.5]]},
+        }]}}, "GeoSpec"),
+        ({"failure": {"net": {"partitions": [
+            {"start": 1, "heal": 2, "width": 3},
+        ]}}}, "PartitionWindow"),
+        ({"failure": {"events": [
+            {"kind": "join", "epoch": 1, "count": 1, "colour": "red"},
+        ]}}, "JoinWave"),
+        # wrong section shapes
+        ({"flows": []}, "FlowsSpec"),
+        ({"flows": {"surges": {"spike_epoch": 1}}}, "FlowsSpec"),
+        ({"flows": {"surges": [[1, 2]]}}, "FlashCrowd"),
+        ({"structure": {"confidence": {"country_factors": 3}}},
+         "ConfidenceSpec"),
+        # the kind-tagged event union
+        ({"failure": {"events": [{"epoch": 1}]}}, "FailureSpec"),
+        ({"failure": {"events": [{"kind": "meteor", "epoch": 1}]}},
+         "FailureSpec"),
+        # out-of-range values in runtime classes the tiers hold directly
+        ({"structure": {"layout": {"countries": 0}}}, "CloudLayout"),
+        ({"flows": {"inserts": {"rate": -1}}}, "InsertConfig"),
+        ({"flows": {"traffic": {"hint_ttl": 0}}}, "DataPlaneConfig"),
+        ({"flows": {"serving": {"hint_ttl": 0}}}, "ServingConfig"),
+        ({"flows": {"serving": {"level": "most"}}}, "ServingConfig"),
+    ])
+    def test_from_dict_rejects_naming_the_class(self, data, names):
+        with pytest.raises(SpecError) as caught:
+            ScenarioSpec.from_dict({"name": "x", **data})
+        message = str(caught.value)
+        assert message.startswith((f"{names}:", f"{names} section")), message
+        assert "\n" not in message
 
     def test_overlapping_surge_phases(self):
         with pytest.raises(SpecError, match="overlapping surge"):
@@ -120,17 +161,8 @@ class TestValidation:
             ScenarioSpec(name="x", operations=OperationsSpec(audit=True))
 
     def test_layout_and_scale_conflict(self):
-        from repro.sim.scenario import LayoutSpec
-
         with pytest.raises(SpecError, match="layout or a scale"):
-            StructureSpec(scale=10, layout=LayoutSpec())
-
-    def test_unknown_event_kind(self):
-        with pytest.raises(SpecError, match="failure-event kind"):
-            ScenarioSpec.from_dict({
-                "name": "x",
-                "failure": {"events": [{"kind": "meteor", "epoch": 1}]},
-            })
+            StructureSpec(scale=10, layout=CloudLayout())
 
     def test_hotspot_country_out_of_range(self):
         spec = ScenarioSpec(
@@ -171,11 +203,23 @@ class TestCompile:
         spec = specs.get(name).spec
         assert compile_spec(spec).config == compile_spec(spec).config
 
-    @pytest.mark.parametrize("name", sorted(specs.REGISTRY))
-    def test_round_trip_identity(self, name):
-        spec = specs.get(name).spec
+    @pytest.mark.parametrize("key", sorted(JSON_FENCE))
+    def test_round_trip_identity_and_json_fence(self, key):
+        if key.startswith("e2e/"):
+            spec = load_spec(REPO / "benchmarks/e2e/workloads" / key[4:])
+        else:
+            spec = specs.get(key).spec
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        text = spec.to_json()
+        assert ScenarioSpec.from_json(text) == spec
+        # sha256 of to_json() as generated on the commit before this
+        # layer stopped mirroring the config classes (PR 14's tree).
+        assert hashlib.sha256(text.encode()).hexdigest() == JSON_FENCE[key]
+
+    def test_json_fence_covers_registry_and_workloads(self):
+        assert set(JSON_FENCE) == set(specs.REGISTRY) | {
+            f"e2e/{path.name}" for path in WORKLOADS
+        }
 
     def test_single_surge_lowers_to_slashdot_profile(self):
         from repro.workload.slashdot import slashdot_profile
@@ -224,37 +268,21 @@ class TestCompile:
         assert spec.operations.epochs == 30
 
 
-class TestLegacyEquality:
-    """The seven goldens + four examples, against their historical builds.
+class TestTierLowering:
+    """Spec tiers that hide runtime fields, against hand-built objects.
 
-    These constructions are verbatim copies of what
-    ``golden_scenarios.py`` and the example scripts hand-built before
-    the registry existed.  Config equality here implies the committed
-    golden frame streams stay byte-identical under the spec path.
+    The right-hand sides start from the compiled §III-A template and
+    attach what the golden-scenario and example scripts hand-built
+    before the registry existed.  Config equality here implies the
+    committed golden frame streams stay byte-identical.
     """
 
     def compiled(self, name):
         return compile_spec(specs.get(name).spec)
 
-    def test_paper_uniform(self):
-        assert self.compiled("paper-uniform").config == paper_scenario(
-            epochs=30, seed=1, partitions=40
-        )
-
-    def test_slashdot_spike(self):
-        assert self.compiled("slashdot-spike").config == slashdot_scenario(
-            epochs=40, seed=2, partitions=24,
-            spike_epoch=8, ramp_epochs=5, decay_epochs=18,
-        )
-
-    def test_saturation_splits(self):
-        assert self.compiled("saturation-splits").config == (
-            saturation_scenario(epochs=30, seed=3, partitions=24)
-        )
-
     def test_fig3_elasticity(self):
         compiled = self.compiled("fig3-elasticity")
-        config = paper_scenario(epochs=40, seed=4, partitions=24)
+        config = paper_config(epochs=40, seed=4, partitions=24)
         assert compiled.config == config
         legacy = fig3_schedule(
             add_epoch=8, remove_epoch=20, count=12,
@@ -266,7 +294,7 @@ class TestLegacyEquality:
         assert list(compiled.events().events) == list(legacy.events)
 
     def test_discrete_geo(self):
-        base = paper_scenario(epochs=30, seed=5, partitions=24)
+        base = paper_config(epochs=30, seed=5, partitions=24)
         layout = base.layout
         apps = list(base.apps)
         apps[0] = dataclasses.replace(
@@ -283,7 +311,7 @@ class TestLegacyEquality:
 
     def test_confidence_tiers(self):
         legacy = dataclasses.replace(
-            paper_scenario(epochs=30, seed=7, partitions=24),
+            paper_config(epochs=30, seed=7, partitions=24),
             confidence=ConfidenceModel(
                 base=0.97, country_factors={0: 0.9, 3: 0.85, 7: 0.95},
             ),
@@ -294,7 +322,7 @@ class TestLegacyEquality:
 
     def test_churn_confidence(self):
         config = dataclasses.replace(
-            paper_scenario(epochs=30, seed=11, partitions=24),
+            paper_config(epochs=30, seed=11, partitions=24),
             confidence=ConfidenceModel(
                 base=0.96, country_factors={1: 0.88, 4: 0.92, 8: 0.97},
             ),
@@ -315,20 +343,9 @@ class TestLegacyEquality:
         )
         assert list(compiled.events().events) == list(legacy.events)
 
-    def test_example_slashdot_surge(self):
-        assert self.compiled("slashdot-surge").config == slashdot_scenario(
-            epochs=220, spike_epoch=40, ramp_epochs=25, decay_epochs=120,
-            partitions=60, base_rate=2000.0, peak_rate=61 * 2000.0,
-        )
-
-    def test_example_multi_tenant_sla(self):
-        assert self.compiled("multi-tenant-sla").config == paper_scenario(
-            epochs=50, partitions=60
-        )
-
     def test_example_datacenter_outage(self):
         legacy = dataclasses.replace(
-            paper_scenario(epochs=60, partitions=60),
+            paper_config(epochs=60, partitions=60),
             net=NetConfig(loss=0.25, rounds_per_epoch=2,
                           suspect_rounds=3, dead_rounds=8),
             data_plane=DataPlaneConfig(),
@@ -341,20 +358,11 @@ class TestLegacyEquality:
 
     def test_example_chaos_consistency(self):
         legacy = dataclasses.replace(
-            paper_scenario(epochs=40, partitions=40),
+            paper_config(epochs=40, partitions=40),
             net=random_fault_schedule(3, 40, quiet_tail=10),
             data_plane=DataPlaneConfig(ops_per_epoch=32),
         )
         assert self.compiled("chaos-consistency").config == legacy
-
-    def test_paper_tenants_equal_paper_apps(self):
-        from repro.sim.config import paper_apps_config
-
-        compiled = tuple(
-            t.compile(i, paper_scenario(epochs=1).layout)
-            for i, t in enumerate(paper_tenants(partitions=24))
-        )
-        assert compiled == paper_apps_config(partitions=24)
 
 
 class TestSampler:
@@ -373,7 +381,7 @@ class TestSampler:
 
     def test_chaos_sampler_matches_legacy_audit_config(self):
         legacy = dataclasses.replace(
-            paper_scenario(epochs=24, partitions=30, seed=0),
+            paper_config(epochs=24, partitions=30, seed=0),
             net=random_fault_schedule(0, 24, quiet_tail=8),
             data_plane=DataPlaneConfig(ops_per_epoch=24),
         )

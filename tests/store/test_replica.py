@@ -148,6 +148,28 @@ class TestSplit:
         assert cloud.server(0).storage_used == 100
         assert cloud.server(1).storage_used == 100
 
+    def test_split_with_a_replica_on_a_ghost(self):
+        # A killed-but-undetected host still holds catalog replicas.
+        # Its bytes died with it: the split re-homes its index entries
+        # and touches no storage on it (allocate_storage used to raise
+        # CapacityError "server 1 is down" out of Simulation.step).
+        cloud = cloud_of()
+        catalog = ReplicaCatalog(cloud)
+        parent = part(0, size=100)
+        catalog.place(parent, 0)
+        catalog.place(parent, 1)
+        cloud.server(1).fail()
+        parent.grow(40)
+        catalog.grow_replicas(parent.pid, 40)  # the ghost misses the write
+        low, high = parent.split(10, 11, low_share=0.4)
+        catalog.split_partition(parent, low, high)
+        assert catalog.servers_of(low.pid) == [0, 1]
+        assert catalog.servers_of(high.pid) == [0, 1]
+        assert cloud.server(0).storage_used == 140
+        assert cloud.server(1).storage_used == 100
+        catalog.check_consistency({low.pid: low, high.pid: high})
+        assert catalog.drop_server(1) == [low.pid, high.pid]
+
     def test_split_without_replicas_rejected(self):
         catalog = ReplicaCatalog(cloud_of())
         parent = part(0, size=100)

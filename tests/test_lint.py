@@ -529,6 +529,157 @@ def test_weighted_draw_gate_detects_planted_choice_and_weights(tmp_path):
     assert not find_weighted_draw_problems(benign)
 
 
+#: The one-constructor rule (ISSUE 15): a run is described by a
+#: ScenarioSpec and lowered by ``compile_config`` — nothing else under
+#: ``src/`` builds a SimConfig, and the CLI lowers its flags onto the
+#: spec's JSON form instead of hand-building overlay configs.
+SIMCONFIG_HOME = Path("src/repro/sim/scenario.py")
+SIMCONFIG_SANCTIONED = "compile_config"
+CLI_MODULE = Path("src/repro/cli.py")
+CLI_BANNED_CONFIGS = ("NetConfig", "ServingConfig", "DataPlaneConfig")
+
+
+def find_constructions(path: Path, classes, sanctioned=None):
+    """``Class(...)`` calls of ``classes``, outside function ``sanctioned``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    try:
+        shown = path.relative_to(REPO_ROOT)
+    except ValueError:
+        shown = path
+    problems = []
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = (
+                callee.id if isinstance(callee, ast.Name)
+                else callee.attr if isinstance(callee, ast.Attribute)
+                else None
+            )
+            if name in classes and (sanctioned is None or func != sanctioned):
+                problems.append(
+                    f"{shown}:{node.lineno}: constructs {name} — describe "
+                    f"the run as a ScenarioSpec and compile it"
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return problems
+
+
+def test_simconfig_is_constructed_only_by_compile_config():
+    problems = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        home = path.relative_to(REPO_ROOT) == SIMCONFIG_HOME
+        problems.extend(find_constructions(
+            path, ("SimConfig",),
+            sanctioned=SIMCONFIG_SANCTIONED if home else None,
+        ))
+    assert not problems, (
+        "SimConfig built outside sim/scenario.py::compile_config:\n"
+        + "\n".join(problems)
+    )
+
+
+def test_cli_builds_no_overlay_configs():
+    problems = find_constructions(REPO_ROOT / CLI_MODULE, CLI_BANNED_CONFIGS)
+    assert not problems, (
+        "cli.py hand-builds runtime configs:\n" + "\n".join(problems)
+    )
+
+
+def test_construction_gate_detects_planted_builders(tmp_path):
+    """The construction checker must catch both shapes it bans."""
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "from repro.sim import config\n"
+        "from repro.sim.config import NetConfig, SimConfig\n\n\n"
+        "def compile_config(spec):\n"
+        "    return SimConfig(apps=spec.apps)\n\n\n"
+        "def make_config(args):\n"
+        "    net = NetConfig(loss=args.loss)\n"
+        "    return config.SimConfig(apps=(), net=net)\n"
+    )
+    problems = find_constructions(
+        planted, ("SimConfig",), sanctioned="compile_config"
+    )
+    assert len(problems) == 1 and ":11:" in problems[0]
+    assert len(find_constructions(planted, ("SimConfig",))) == 2
+    assert len(find_constructions(planted, CLI_BANNED_CONFIGS)) == 1
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "import dataclasses\n\n\n"
+        "def swap_kernel(config, kernel):\n"
+        "    return dataclasses.replace(config, kernel=kernel)\n"
+    )
+    assert not find_constructions(benign, ("SimConfig",))
+
+
+def _imported_modules(tree: ast.AST):
+    """Dotted module paths a module imports (``from a import b`` → a.b)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def find_orphan_packages(package_root: Path):
+    """Subpackages of ``package_root`` no module outside them imports.
+
+    The first gossip package sat in the tree for nine PRs after ``repro/net/``
+    superseded it, imported only by its own tests: a package nothing
+    else in the program imports is dead weight with a test suite.
+    """
+    top = package_root.name
+    imports = {}
+    for path in sorted(package_root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports[path] = set(_imported_modules(tree))
+    orphans = []
+    for init in sorted(package_root.rglob("__init__.py")):
+        package = init.parent
+        if package == package_root:
+            continue
+        dotted = ".".join((top,) + package.relative_to(package_root).parts)
+        used = any(
+            name == dotted or name.startswith(dotted + ".")
+            for path, names in imports.items()
+            if package not in path.parents
+            for name in names
+        )
+        if not used:
+            orphans.append(dotted)
+    return orphans
+
+
+def test_every_subpackage_is_imported_from_outside_itself():
+    orphans = find_orphan_packages(REPO_ROOT / "src" / "repro")
+    assert not orphans, (
+        "packages no module outside them imports (delete or wire in): "
+        + ", ".join(orphans)
+    )
+
+
+def test_orphan_gate_detects_planted_package(tmp_path):
+    """The orphan checker must catch a package only it imports."""
+    root = tmp_path / "pkg"
+    for sub in ("used", "orphan"):
+        (root / sub).mkdir(parents=True)
+        (root / sub / "__init__.py").write_text("")
+    (root / "__init__.py").write_text("from pkg.used import thing\n")
+    (root / "used" / "thing.py").write_text("")
+    (root / "orphan" / "a.py").write_text("from pkg.orphan import b\n")
+    (root / "orphan" / "b.py").write_text("import pkg.used.thing\n")
+    assert find_orphan_packages(root) == ["pkg.orphan"]
+
+
 #: The scenario-spec registry package and its golden-digest pin file.
 SPECS_DIR = Path("src/repro/sim/specs")
 NAMED_PINS = Path("tests/integration/golden/named_scenarios.json")

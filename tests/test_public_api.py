@@ -11,9 +11,10 @@ class TestTopLevelApi:
         for name in (
             "Simulation",
             "SimConfig",
-            "paper_scenario",
-            "slashdot_scenario",
-            "saturation_scenario",
+            "compile_spec",
+            "paper_spec",
+            "slashdot_spec",
+            "saturation_spec",
             "KVStore",
             "QuorumKVStore",
             "Level",
@@ -42,7 +43,6 @@ class TestTopLevelApi:
         import repro.cli
         import repro.cluster
         import repro.core
-        import repro.gossip
         import repro.ring
         import repro.sim
         import repro.store
