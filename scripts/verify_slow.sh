@@ -17,7 +17,7 @@ PYTHONPATH=src python -m pytest -q \
 echo "== stage: slow sweeps =="
 PYTHONPATH=src python -m pytest -m slow -q "$@"
 
-echo "== stage: serving (front-door suite + live CLI run + held-out bench seed) =="
+echo "== stage: serving (front-door suite + live CLI run + held-out bench seeds) =="
 PYTHONPATH=src python -m pytest -q tests/serve
 PYTHONPATH=src python -m repro.cli run --scenario paper --epochs 10 \
     --partitions 60 --serve --serve-rate 128 --serve-workers 32 \
@@ -26,6 +26,11 @@ PYTHONPATH=src python -m repro.cli run --scenario paper --epochs 10 \
 # output-check failure (replays disagreeing on digests, summaries or
 # span call counts) or workload-shape guard failure.
 python3 benchmarks/e2e/run.py --workload serve-read --seed 7 --trace 1 \
+    > /dev/null
+# Same held-out seed on the economy's hot workload: the §II-C pass with
+# its rent-floor proofs must replay to one digest and one set of span
+# counts (ISSUE 16).
+python3 benchmarks/e2e/run.py --workload econ-spike --seed 7 --trace 1 \
     > /dev/null
 
 echo "== stage: perf smoke (100x ramp + serving vs checked-in bench JSON, vectorized/scalar floor) =="

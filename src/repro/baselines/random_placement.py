@@ -28,8 +28,12 @@ class RandomScorer(PlacementScorer):
     *choice*, not to feasibility.
     """
 
-    #: Every ``best`` call consumes a draw: the decision engine must
-    #: not skip calls, or the stream would depend on the skip logic.
+    #: ``best`` consumes exactly one rng draw per call that has at
+    #: least one feasible candidate (a call with none returns ``None``
+    #: *before* drawing).  Which calls those are depends on the replica
+    #: set, exclusions and rent cap of each — so the decision engine
+    #: must not skip, memoize or pre-empt any call (rent-floor proofs
+    #: included), or the stream would depend on the skip logic.
     best_is_pure = False
 
     def __init__(self, cloud, board, rng: np.random.Generator,
@@ -48,9 +52,9 @@ class RandomScorer(PlacementScorer):
              memo_key: Optional[object] = None) -> Optional[Candidate]:
         # ``cache_key`` identifies the replica set for eq. 3 gain
         # caching and ``memo_key`` the shared-argmax memo; the random
-        # ablation never scores (and must consume one rng draw per
-        # call — ``best_is_pure`` is False, so callers always pass
-        # ``memo_key=None``), so both are unused.
+        # ablation never scores (and draws once per call with a
+        # feasible candidate — ``best_is_pure`` is False, so callers
+        # always pass ``memo_key=None``), so both are unused.
         ids = self.server_ids
         blocked = set(replica_servers) | set(exclude)
         headroom = (

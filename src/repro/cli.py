@@ -690,6 +690,8 @@ def cmd_profile(args, out) -> int:
             f"{r.seconds:.3f}",
             f"{r.epochs_per_sec:.2f}",
             f"{r.total_queries / max(r.seconds, 1e-9):,.0f}",
+            f"{r.floor_asks} / {r.floor_proofs} "
+            f"/ {r.floor_asks - r.floor_proofs}",
         ]
         for kernel, r in sorted(results.items())
     ]
@@ -700,7 +702,9 @@ def cmd_profile(args, out) -> int:
     )
     print(
         format_table(
-            ["kernel", "epochs", "seconds", "epochs/s", "queries/s"], rows
+            ["kernel", "epochs", "seconds", "epochs/s", "queries/s",
+             "hunts asked / floor-proved / scanned"],
+            rows,
         ),
         file=out,
     )

@@ -118,6 +118,7 @@ class Cloud:
         self._next_id = 0
         self._version = 0
         self._slot_lookup: Optional[Tuple[int, np.ndarray]] = None
+        self._location_ids: Optional[Tuple[int, List[int]]] = None
         self.add_servers(servers)
 
     @property
@@ -162,6 +163,15 @@ class Cloud:
             raise TopologyError(f"unknown server id {server_id}") from None
 
     @property
+    def slot_map(self) -> Dict[int, int]:
+        """The live ``server_id -> slot`` dict (treat as read-only).
+
+        Per-pair hot loops (eq. 2 deltas) read it with ``.get`` instead
+        of paying a membership test plus :meth:`slot` per server.
+        """
+        return self._slot_of
+
+    @property
     def table(self) -> ServerTable:
         """The cloud-owned server column store (row ≡ slot).
 
@@ -195,6 +205,27 @@ class Cloud:
         view = self._diversity.view()
         view.flags.writeable = False
         return view
+
+    def location_ids(self) -> List[int]:
+        """Each slot's :class:`Location` interned to a small int.
+
+        Equal locations ⇔ equal ids, so a sorted id tuple names the
+        same placement class as the sorted location tuple — without the
+        dataclass ``__lt__``/``__hash__`` walks.  Cached per
+        :attr:`version` (the vector beside :meth:`diversity_matrix`);
+        treat as read-only.
+        """
+        cached = self._location_ids
+        if cached is None or cached[0] != self._version:
+            intern: Dict[Location, int] = {}
+            servers = self._servers
+            ids = [
+                intern.setdefault(servers[sid].location, len(intern))
+                for sid in self._server_at_slot
+            ]
+            cached = (self._version, ids)
+            self._location_ids = cached
+        return cached[1]
 
     # -- mutation -----------------------------------------------------------
 

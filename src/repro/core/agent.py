@@ -19,6 +19,7 @@ use; it is a thin view onto its ledger row.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,38 @@ from repro.util.columns import ColumnSet, ColumnSpec
 
 class AgentError(ValueError):
     """Raised for registry misuse (duplicate or missing agents)."""
+
+
+@lru_cache(maxsize=None)
+def _ledger_specs(window: int) -> Tuple[ColumnSpec, ...]:
+    """The ledger's column layout for one hysteresis window.
+
+    Validated once per ``window`` and shared by every ledger of that
+    window — the registry's, each compaction target and the one-row
+    ledger every retired agent detaches onto.
+
+    Dtype policy (ISSUE 9): bounded counters and slot/server ids are
+    int32 — ring positions and streak runs are bounded by the
+    window/horizon, ids by the cloud's size — which halves the ledger's
+    integer footprint at scale.  The float64 keep-list: ``_bal`` and
+    ``_wealth`` are eq. 5 accumulators whose values feed frame streams
+    bit-for-bit, and ``_seq`` stays int64 — it is a never-reset global
+    spawn/rehome counter whose ordering the incidence alignment depends
+    on (a wrap would silently reorder blocks).
+    """
+    return (
+        ColumnSpec("_bal", np.float64, width=window),
+        ColumnSpec("_pos", np.int32),
+        ColumnSpec("_count", np.int32),
+        ColumnSpec("_neg_run", np.int32),
+        ColumnSpec("_pos_run", np.int32),
+        ColumnSpec("_wealth", np.float64),
+        ColumnSpec("_epochs", np.int32),
+        ColumnSpec("_moves", np.int32),
+        ColumnSpec("_sid", np.int32, fill=-1),
+        ColumnSpec("_pid_slot", np.int32, fill=-1),
+        ColumnSpec("_seq", np.int64),
+    )
 
 
 class AgentLedger:
@@ -53,7 +86,6 @@ class AgentLedger:
         if window < 1:
             raise AgentError(f"window must be >= 1, got {window}")
         self._window = window
-        self._cap = 0
         # Row columns live on the shared growable-column core; the
         # ledger keeps only the semantics (free list, streak flags,
         # ring-buffer positions) on top.  ``_pid_slot`` is each row's
@@ -62,38 +94,19 @@ class AgentLedger:
         # sequence — the two keys under which the epoch kernel
         # reconstructs each partition's agent order with one lexsort
         # instead of one Python iteration per partition (see
-        # DecisionEngine._flat_state).
-        # Dtype policy (ISSUE 9): bounded counters and slot/server ids
-        # are int32 — ring positions and streak runs are bounded by the
-        # window/horizon, ids by the cloud's size — which halves the
-        # ledger's integer footprint at scale.  The float64 keep-list:
-        # ``_bal`` and ``_wealth`` are eq. 5 accumulators whose values
-        # feed frame streams bit-for-bit, and ``_seq`` stays int64 — it
-        # is a never-reset global spawn/rehome counter whose ordering
-        # the incidence alignment depends on (a wrap would silently
-        # reorder blocks).
-        self._cols = ColumnSet(self, (
-            ColumnSpec("_bal", np.float64, width=window),
-            ColumnSpec("_pos", np.int32),
-            ColumnSpec("_count", np.int32),
-            ColumnSpec("_neg_run", np.int32),
-            ColumnSpec("_pos_run", np.int32),
-            ColumnSpec("_wealth", np.float64),
-            ColumnSpec("_epochs", np.int32),
-            ColumnSpec("_moves", np.int32),
-            ColumnSpec("_sid", np.int32, fill=-1),
-            ColumnSpec("_pid_slot", np.int32, fill=-1),
-            ColumnSpec("_seq", np.int64),
-        ))
+        # DecisionEngine._flat_state).  ``capacity`` rows are allocated
+        # directly (honored exactly — one-row detached ledgers and
+        # compaction targets stay tight).
+        self._cols = ColumnSet(self, _ledger_specs(window), capacity)
+        self._cap = capacity
         #: Materialized streak flags (plain lists: O(1) scalar reads in
         #: the decision loop without numpy scalar-indexing overhead).
-        self._neg_flags: List[bool] = []
-        self._pos_flags: List[bool] = []
-        self._free: List[int] = []
+        self._neg_flags: List[bool] = [False] * capacity
+        self._pos_flags: List[bool] = [False] * capacity
+        # Hand out low row indices first.
+        self._free: List[int] = list(range(capacity - 1, -1, -1))
         self._live = 0
         self._seq_counter = 0
-        if capacity:
-            self._grow(capacity)
 
     # -- capacity ----------------------------------------------------------
 
@@ -113,9 +126,7 @@ class AgentLedger:
         """Grow to exactly ``need`` rows (or doubling, if larger).
 
         Callers wanting amortized growth pass a padded ``need`` (see
-        :meth:`acquire`); explicit capacities — one-row detached
-        ledgers, compaction targets — are honored exactly so the
-        retirement path does not allocate 16-row blocks per agent.
+        :meth:`acquire`).
         """
         old_cap = self._cap
         new_cap = self._cols.grow(need)
@@ -329,32 +340,18 @@ class AgentLedger:
 
     # -- maintenance -------------------------------------------------------
 
-    def copy_row_state(self, row: int) -> Dict[str, object]:
-        """Snapshot one row (detaching agents, compaction)."""
-        return {
-            "balances": self.window_values(row),
-            "count": int(self._count[row]),
-            "neg_run": int(self._neg_run[row]),
-            "pos_run": int(self._pos_run[row]),
-            "wealth": float(self._wealth[row]),
-            "epochs": int(self._epochs[row]),
-            "moves": int(self._moves[row]),
-            "sid": int(self._sid[row]),
-        }
+    def adopt_row(self, src: "AgentLedger", src_row: int) -> int:
+        """Claim a row holding a verbatim copy of one row of ``src``.
 
-    def restore_row_state(self, row: int, state: Dict[str, object]) -> None:
-        balances = state["balances"]
-        self._count[row] = state["count"]
-        self._bal[row, : len(balances)] = balances
-        self._pos[row] = len(balances) % self._window
-        self._neg_run[row] = state["neg_run"]
-        self._pos_run[row] = state["pos_run"]
-        self._wealth[row] = state["wealth"]
-        self._epochs[row] = state["epochs"]
-        self._moves[row] = state.get("moves", 0)
-        self._sid[row] = state["sid"]
-        self._neg_flags[row] = state["neg_run"] >= self._window
-        self._pos_flags[row] = state["pos_run"] >= self._window
+        Every column — ring buffer and position included — is copied as
+        is, so the adopted row reads back the same window, wealth,
+        streaks, moves and server id (detaching agents).
+        """
+        row = self.acquire(src.server_id(src_row))
+        self._cols.copy_row(src._cols, src_row, row)
+        self._neg_flags[row] = src._neg_flags[src_row]
+        self._pos_flags[row] = src._pos_flags[src_row]
+        return row
 
 
 class VNodeAgent:
@@ -400,12 +397,9 @@ class VNodeAgent:
 
     def _detach(self) -> None:
         """Move state onto a private ledger (row is being released)."""
-        state = self._ledger.copy_row_state(self._row)
         private = AgentLedger(self._ledger.window, capacity=1)
-        row = private.acquire(int(state["sid"]))
-        private.restore_row_state(row, state)
+        self._row = private.adopt_row(self._ledger, self._row)
         self._ledger = private
-        self._row = row
 
     # -- paper-facing API --------------------------------------------------
 

@@ -93,33 +93,40 @@ def availability_without(cloud: Cloud, server_ids: Sequence[int],
 def pair_gain(cloud: Cloud, server_ids: Sequence[int],
               candidate: int,
               is_alive: Optional[LivenessPredicate] = None) -> float:
-    """Availability added by replicating onto ``candidate`` (eq. 2 delta)."""
+    """Availability added by replicating onto ``candidate`` (eq. 2 delta).
+
+    Liveness and confidence are read off the cloud's server columns
+    (row ≡ slot) rather than through per-server row views; the sum is
+    accumulated in ``server_ids`` order as
+    ``cand_conf · conf_k · row[slot_k]``, left to right — the operand
+    order every chain-local availability ledger in the decision pass
+    relies on to stay bit-identical to the catalog listener.
+    """
     if candidate in server_ids:
         raise AvailabilityError(f"candidate {candidate} already hosts a replica")
-    cand = cloud.server(candidate)
+    cand_slot = cloud.slot(candidate)
+    table = cloud.table
+    alive = table.alive
     if is_alive is None:
-        if not cand.alive:
+        if not alive[cand_slot]:
             return 0.0
     elif not is_alive(candidate):
         return 0.0
+    conf = table.confidence
+    cand_conf = float(conf[cand_slot])
     row = cloud.diversity_row(candidate)
+    slot_of = cloud.slot_map.get
     gain = 0.0
     if is_alive is None:
         for sid in server_ids:
-            if sid in cloud and cloud.server(sid).alive:
-                gain += (
-                    cand.confidence
-                    * cloud.server(sid).confidence
-                    * row[cloud.slot(sid)]
-                )
+            slot = slot_of(sid)
+            if slot is not None and alive[slot]:
+                gain += cand_conf * float(conf[slot]) * row[slot]
     else:
         for sid in server_ids:
-            if sid in cloud and is_alive(sid):
-                gain += (
-                    cand.confidence
-                    * cloud.server(sid).confidence
-                    * row[cloud.slot(sid)]
-                )
+            slot = slot_of(sid)
+            if slot is not None and is_alive(sid):
+                gain += cand_conf * float(conf[slot]) * row[slot]
     return gain
 
 
@@ -364,37 +371,33 @@ class AvailabilityIndex:
         cloud = self._cloud
         pred = self._liveness
         total = 0.0
-        if server_id in cloud:
-            me = cloud.server(server_id)
-            me_counts = me.alive if pred is None else pred(server_id)
-            if me_counts:
+        slot_of = cloud.slot_map.get
+        me_slot = slot_of(server_id)
+        if me_slot is not None:
+            # Column reads (row ≡ slot) instead of per-server row views;
+            # same terms, same left-to-right operand order.
+            table = cloud.table
+            alive = table.alive
+            conf = table.confidence
+            if alive[me_slot] if pred is None else pred(server_id):
+                me_conf = float(conf[me_slot])
                 row = cloud.diversity_row(server_id)
-                slot = cloud.slot
-                server = cloud.server
                 if pred is None:
                     for sid in servers:
-                        if (
-                            sid != server_id
-                            and sid in cloud
-                            and server(sid).alive
-                        ):
-                            total += (
-                                me.confidence
-                                * server(sid).confidence
-                                * row[slot(sid)]
-                            )
+                        if sid != server_id:
+                            slot = slot_of(sid)
+                            if slot is not None and alive[slot]:
+                                total += (
+                                    me_conf * float(conf[slot]) * row[slot]
+                                )
                 else:
                     for sid in servers:
-                        if (
-                            sid != server_id
-                            and sid in cloud
-                            and pred(sid)
-                        ):
-                            total += (
-                                me.confidence
-                                * server(sid).confidence
-                                * row[slot(sid)]
-                            )
+                        if sid != server_id:
+                            slot = slot_of(sid)
+                            if slot is not None and pred(sid):
+                                total += (
+                                    me_conf * float(conf[slot]) * row[slot]
+                                )
         cache[server_id] = total
         return total
 

@@ -331,6 +331,13 @@ class DecisionEngine:
         # count, scorer enable clock) — the only events that can move
         # them.  Reset at every decision pass.
         self._exhausted_repair: Dict[int, Tuple] = {}
+        #: Run totals of the per-epoch scorers' floor counters: skip
+        #: queries the §II-C pass put to :meth:`PlacementScorer.
+        #: rent_floor` (migration hunts + expansions) and how many the
+        #: floor proved fruitless; the difference went on to an eq. 3
+        #: scan.
+        self.floor_asks = 0
+        self.floor_proofs = 0
         #: Per-slot query totals of the last batched settlement and the
         #: cloud version they were computed under — the eq. 1 query-load
         #: handoff consumed by :class:`repro.core.economy.CloudCostIndex`.
@@ -949,6 +956,8 @@ class DecisionEngine:
                 batch,
             )
         batch.commit()
+        self.floor_asks += scorer.floor_asks
+        self.floor_proofs += scorer.floor_proofs
         return stats
 
     def _work_list(self) -> Tuple[
@@ -1124,8 +1133,9 @@ class DecisionEngine:
         visit time — under the same ``(pid, tuple(servers))`` key the
         chain's first :meth:`PlacementScorer.best` call passes, and
         asks the scorer to build all their shortlists in one grouped
-        pass.  Skipped when the scorer has no certified shortlist fast
-        path (small clouds, ablation scorers), and for *storm-sized*
+        pass.  Skipped when the scorer's shortlist fast path is off
+        (small clouds) or its ``best`` is impure (the random ablation
+        never scores), and for *storm-sized*
         waves: a wave executing more transfers than a window holds
         sweeps its anticipated-rent bumps straight past the epoch-start
         bounds, so nearly every window would come back inconclusive —
@@ -1133,14 +1143,8 @@ class DecisionEngine:
         (:meth:`_repair_blocked_everywhere`) instead.  Either way the
         chains score exactly as before.
         """
-        preload = getattr(scorer, "preload_shortlists", None)
-        k = getattr(scorer, "shortlist_k", 0)
-        if (
-            preload is None
-            or not scorer.best_is_pure
-            or not k
-            or len(repairing) > k
-        ):
+        k = scorer.shortlist_k
+        if not scorer.best_is_pure or not k or len(repairing) > k:
             return
         offsets = flat.offsets
         get_g = g_of_app.get if g_of_app is not None else None
@@ -1151,7 +1155,7 @@ class DecisionEngine:
             key = (pid, tuple(flat.rep_sids[lo:hi].tolist()))
             g = get_g(pid.app_id) if get_g is not None else None
             entries.append((key, flat.rep_slots[lo:hi], g))
-        preload(entries)
+        scorer.preload_shortlists(entries)
 
     def _make_scorer(self, board: PriceBoard) -> PlacementScorer:
         """Build the epoch's placement scorer; ablations override this."""
@@ -1318,13 +1322,10 @@ class DecisionEngine:
         destination id no frame ever sees (the record carries the −1
         "no destination" sentinel instead).
         """
-        if not getattr(scorer, "best_is_pure", False):
-            return False
-        feasible_mask = getattr(scorer, "feasible_mask", None)
-        if feasible_mask is None:
+        if not scorer.best_is_pure:
             return False
         size = partition.size
-        mask, count = feasible_mask(size, "replication", 0.0)
+        mask, count = scorer.feasible_mask(size, "replication", 0.0)
         if count <= len(servers):
             return False
         state = (batch.reserve_count, scorer.enable_clock)
@@ -1503,23 +1504,26 @@ class DecisionEngine:
         batch's commit will apply.  The scalar reference ignores both.
         """
         pid = partition.pid
+        # One read: ``agent.server_id`` is a two-hop ledger property and
+        # stays the *source* id until ``rehome`` at the very end.
+        src = agent.server_id
         if self._index is None:
             # Reference kernel: per-agent rebuild, as pre-refactor.
             servers = self._live_replicas(pid)
-            if agent.server_id not in servers:
+            if src not in servers:
                 return avail
-            remaining = self._avail_without(pid, servers, agent.server_id)
+            remaining = self._avail_without(pid, servers, src)
         else:
-            if agent.server_id not in servers:
+            if src not in servers:
                 return avail
             remaining = avail - self._index.contribution(
-                pid, agent.server_id, servers
+                pid, src, servers
             )
         if remaining >= threshold:
-            self._transfers.suicide(partition, agent.server_id)
-            self._registry.retire(pid, agent.server_id)
-            scorer.release_storage(agent.server_id, partition.size)
-            servers.remove(agent.server_id)
+            self._transfers.suicide(partition, src)
+            self._registry.retire(pid, src)
+            scorer.release_storage(src, partition.size)
+            servers.remove(src)
             stats.suicides += 1
             return remaining
         # Require a *meaningfully* cheaper host.  At equilibrium, posted
@@ -1527,7 +1531,7 @@ class DecisionEngine:
         # every vnode above the epoch's minimum price migrates forever,
         # which is exactly the thrashing the paper's utility floor is
         # meant to prevent.
-        current_rent = board.price(agent.server_id)
+        current_rent = board.price(src)
         rent_cap = current_rent * (1.0 - self._policy.migration_margin)
         min_price = (
             board.min_price() if self._index is not None
@@ -1546,16 +1550,28 @@ class DecisionEngine:
         if (
             self._policy.move_large_via_replication
             and partition.size
-            > self._cloud.server(agent.server_id).migration_budget.capacity
+            > self._cloud.server(src).migration_budget.capacity
         ):
             budget_kind = "replication"
-        others = [sid for sid in servers if sid != agent.server_id]
+        if (
+            self._index is not None
+            and scorer.best_is_pure
+            and scorer.no_cheaper_host(
+                rent_cap, partition.size, budget_kind,
+                self._policy.storage_headroom,
+            )
+        ):
+            # Every still-feasible destination already charges at least
+            # the cap (earlier moves of this pass filled or repriced the
+            # cheap ones), so the eq. 3 scan would come back empty.
+            return avail
+        others = [sid for sid in servers if sid != src]
         candidate = scorer.best(
             others,
             need_bytes=partition.size,
             g=g_vec,
             max_rent=rent_cap,
-            exclude=(agent.server_id,),
+            exclude=(src,),
             budget=budget_kind,
             headroom_fraction=self._policy.storage_headroom,
             cache_key=(
@@ -1572,7 +1588,7 @@ class DecisionEngine:
                 # immediate call, and the grouped commit applies it
                 # before the next state read outside the pass.
                 blocked = batch.add_migration(
-                    partition, agent.server_id, candidate.server_id
+                    partition, src, candidate.server_id
                 )
                 if blocked is not None:
                     stats.deferred += 1
@@ -1589,11 +1605,11 @@ class DecisionEngine:
                 )
                 avail = avail - pair_gain(
                     self._cloud, others + [candidate.server_id],
-                    agent.server_id, is_alive=pred,
+                    src, is_alive=pred,
                 )
             else:
                 result = self._transfers.migrate(
-                    partition, agent.server_id, candidate.server_id
+                    partition, src, candidate.server_id
                 )
                 if not result.ok:
                     stats.deferred += 1
@@ -1601,7 +1617,7 @@ class DecisionEngine:
         else:
             if self._index is not None:
                 blocked = batch.add_replication(
-                    partition, agent.server_id, candidate.server_id
+                    partition, src, candidate.server_id
                 )
                 if blocked is not None:
                     stats.deferred += 1
@@ -1610,10 +1626,10 @@ class DecisionEngine:
                 # immediately); the queued destination copy lands at
                 # commit.  Mirror that chronology on the local sum.
                 self._index.invalidate_contribution(pid)
-                self._transfers.suicide(partition, agent.server_id)
+                self._transfers.suicide(partition, src)
                 pred = self._membership.predicate
                 avail = avail - pair_gain(
-                    self._cloud, others, agent.server_id, is_alive=pred
+                    self._cloud, others, src, is_alive=pred
                 )
                 avail = avail + pair_gain(
                     self._cloud, others, candidate.server_id,
@@ -1621,21 +1637,21 @@ class DecisionEngine:
                 )
             else:
                 result = self._transfers.replicate(
-                    partition, agent.server_id, candidate.server_id
+                    partition, src, candidate.server_id
                 )
                 if not result.ok:
                     stats.deferred += 1
                     return avail
-                self._transfers.suicide(partition, agent.server_id)
+                self._transfers.suicide(partition, src)
         scorer.consume_budget(
             candidate.server_id, partition.size, budget_kind
         )
-        scorer.release_storage(agent.server_id, partition.size)
+        scorer.release_storage(src, partition.size)
         # Mirror the catalog's list order before ``rehome`` re-points
         # the agent at its destination: dst was appended, src removed.
-        servers.remove(agent.server_id)
+        servers.remove(src)
         servers.append(candidate.server_id)
-        self._registry.rehome(pid, agent.server_id, candidate.server_id)
+        self._registry.rehome(pid, src, candidate.server_id)
         stats.migrations += 1
         return avail
 
@@ -1665,13 +1681,15 @@ class DecisionEngine:
         if (
             self._index is not None
             and scorer.best_is_pure
-            and predicted_utility
-            < scorer.expansion_rent_floor(partition.size) + sync_cost
+            and scorer.no_fundable_host(
+                predicted_utility, sync_cost, partition.size,
+                "replication", self._policy.storage_headroom,
+            )
         ):
-            # No candidate anywhere in the cloud could be funded this
-            # epoch (anticipated rents only rise from the floor), so the
-            # eq. 3 scoring pass is skipped — provably the same outcome
-            # as scoring and then failing the funding test below.
+            # No still-feasible candidate could be funded right now, so
+            # the eq. 3 scoring pass is skipped — provably the same
+            # outcome as scoring and then failing the funding test below
+            # (or finding no candidate at all).
             return avail
         candidate = scorer.best(
             servers, need_bytes=partition.size, g=g_vec,

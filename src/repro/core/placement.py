@@ -22,7 +22,7 @@ call is a handful of O(N) numpy operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,9 +120,9 @@ class PlacementScorer:
     ``best_is_pure`` declares that :meth:`best` has no side effects
     (no RNG draws, no state mutation), which is what entitles the
     decision engine to *skip* provably-fruitless calls (the
-    :meth:`expansion_rent_floor` fast path).  Subclasses whose ``best``
-    consumes randomness — the random-placement ablation — must set it
-    to False or their draw stream would depend on the skip.
+    :meth:`rent_floor` proofs).  Subclasses whose ``best`` consumes
+    randomness — the random-placement ablation — must set it to False
+    or their draw stream would depend on the skip.
 
     Instantiate once per epoch (the simulator does); individual calls
     then reuse the slot-ordered rent/confidence/storage vectors.
@@ -186,7 +186,8 @@ class PlacementScorer:
         # Placement-class canonicalisation: eq. 3's gain depends only
         # on the *locations* of the replica set (diversity is a pure
         # location function), so every per-set cache below is keyed by
-        # the sorted location tuple — the set's placement class — via
+        # the sorted tuple of the cloud's interned location ids (equal
+        # locations ⇔ equal ids) — the set's placement class — via
         # :meth:`_class_key`.  Partitions sharing a replica set (or,
         # degenerately, sets whose servers share locations) then share
         # one gain row sum and one top-k shortlist instead of building
@@ -197,14 +198,13 @@ class PlacementScorer:
         # a fresh per-set scan.
         self._class_keys: Dict[object, object] = {}
         self._class_div: Dict[object, np.ndarray] = {}
-        self._locs: Dict[int, Location] = {}
+        self._loc_ids: List[int] = cloud.location_ids()
         self.class_gain_reuses = 0
         self.class_div_extends = 0
         # Epoch-start rents: anticipated rents only *rise* within an
-        # epoch (consume_budget adds eq. 1 bumps), so minima over this
-        # snapshot are valid lower bounds for the whole epoch.
+        # epoch (consume_budget adds eq. 1 bumps), so scores over this
+        # snapshot upper-bound every later score (the shortlist proof).
         self._rents0 = self._rents.copy()
-        self._floor_cache: Dict[int, float] = {}
         # Default k: a 64-slot window on big clouds, off entirely when
         # the cloud is small enough that the full scan is already a
         # handful of tiny array ops and the window bookkeeping would be
@@ -262,6 +262,17 @@ class PlacementScorer:
         self._enable_clock = -1
         self._best_memo: Dict[object,
                               Tuple[int, int, Optional[Candidate]]] = {}
+        # Clocked feasibility floors (:meth:`rent_floor`): per
+        # (feasibility key, bump bytes) a ``(tick, lower bound)`` pair,
+        # plus the per-size eq. 1 bump vectors they add.  ``floor_asks``
+        # / ``floor_proofs`` count the engine's skip queries and how
+        # many of them the floor decided without an eq. 3 scan.
+        self._floors: Dict[
+            Tuple[int, Optional[str], float, int], Tuple[int, float]
+        ] = {}
+        self._bumps: Dict[int, np.ndarray] = {}
+        self.floor_asks = 0
+        self.floor_proofs = 0
 
     @property
     def server_ids(self) -> List[int]:
@@ -272,33 +283,35 @@ class PlacementScorer:
         """The replica set's placement-class key, memoised per cache_key.
 
         Diversity is a pure function of server *locations*, so every
-        set with the same sorted location tuple scores identically —
-        the class key ``("cls", locations)`` lets all of them share one
-        cache entry.  A set containing a server the scorer's cloud no
-        longer knows (raced removal) cannot be classed by location and
-        falls back to the private ``("raw", cache_key)`` key, which
-        degrades to exactly the old per-key caching.  The memo is
-        sound because every ``cache_key`` the engine mints embeds the
-        replica tuple itself.
+        set with the same location multiset scores identically — the
+        class key ``("cls", sorted location ids)`` lets all of them
+        share one cache entry.  A set containing a server the scorer's
+        cloud no longer knows (raced removal) cannot be classed by
+        location and falls back to the private ``("raw", cache_key)``
+        key, which degrades to exactly the old per-key caching.  The
+        memo is sound because every ``cache_key`` the engine mints
+        embeds the replica tuple itself.
         """
         key = self._class_keys.get(cache_key)
         if key is None:
-            if all(sid in self._cloud for sid in replica_servers):
-                key = ("cls", tuple(sorted(
-                    self._location(sid) for sid in replica_servers
-                )))
+            cloud = self._cloud
+            if all(sid in cloud for sid in replica_servers):
+                key = ("cls", self._location_class(replica_servers))
             else:
                 key = ("raw", cache_key)
             self._class_keys[cache_key] = key
         return key
 
-    def _location(self, sid: int) -> Location:
-        """Memoised server-location lookup (stable per epoch scorer)."""
-        loc = self._locs.get(sid)
-        if loc is None:
-            loc = self._cloud.server(sid).location
-            self._locs[sid] = loc
-        return loc
+    def _location_class(self, servers: Sequence[int]) -> Tuple[int, ...]:
+        """Sorted interned location ids of ``servers`` (a multiset key).
+
+        The ids come from :meth:`Cloud.location_ids` — equal locations
+        ⇔ equal ids — so two sets share a tuple exactly when their
+        sorted :class:`Location` tuples would be equal.
+        """
+        slot_of = self._slot_of
+        loc_ids = self._loc_ids
+        return tuple(sorted([loc_ids[slot_of[sid]] for sid in servers]))
 
     def _class_div_sum(self, replica_servers: Sequence[int],
                        locs: object) -> np.ndarray:
@@ -320,11 +333,9 @@ class PlacementScorer:
         cloud = self._cloud
         div_sum = None
         if len(replica_servers) > 1:
-            prev_locs = tuple(sorted(
-                self._location(sid)
-                for sid in replica_servers[:-1]
-            ))
-            prev = self._class_div.get(prev_locs)
+            prev = self._class_div.get(
+                self._location_class(replica_servers[:-1])
+            )
             if prev is not None:
                 div_sum = prev + cloud.diversity_row(
                     replica_servers[-1]
@@ -804,30 +815,92 @@ class PlacementScorer:
         self._headroom[kind] = arr
         return arr
 
-    def expansion_rent_floor(self, nbytes: int) -> float:
-        """Epoch lower bound of ``candidate.rent + anticipated bump``.
+    def rent_floor(self, need_bytes: int, budget: Optional[str],
+                   headroom_fraction: float, bump_bytes: int = 0,
+                   fresh: bool = False) -> float:
+        """Lower bound of ``rent + Δc(bump_bytes)`` over feasible slots.
 
-        For *any* server ``s`` at *any* point in this epoch,
-        ``rent_s + Δc_s(nbytes) >= min_s(rent0_s + Δc_s(nbytes))``
-        because anticipated rents start at ``rent0`` and only increase.
-        An economic replication whose predicted utility cannot clear
-        this floor plus its consistency cost would be rejected for every
-        candidate, so the caller may skip scoring entirely — same
-        decision, none of the eq. 3 work.  Cached per partition size
-        (one vector min per distinct size per epoch).
+        The bound is over the slots of the cached feasibility mask of
+        ``(need_bytes, budget, headroom_fraction)`` — exactly what
+        :meth:`best` scans — and ``+inf`` when that mask is empty.  It
+        is stored with the touch clock it was computed at and rides the
+        scorer's monotonicity contract (docs/ARCHITECTURE.md): rents
+        only rise and masks only shrink, so the minimum can only grow,
+        *except* through :meth:`release_storage`, which stamps the
+        enable clock.  A stored value therefore stays a valid (possibly
+        slack) bound while no release happened since; ``fresh=True``
+        insists on the exact current minimum.  Nothing is maintained
+        per transfer: a query is a dict hit, a recompute one masked
+        ``min``.
+
+        Float soundness: the vector ``rents + bumps`` is, per slot, the
+        very addition ``candidate.rent + anticipated_rent_bump(...)``
+        performs (the bump vector uses that method's operation order),
+        and fp addition is monotone, so ``floor + c <= (rent_s +
+        bump_s) + c`` for every slot ``s`` the scan could return — the
+        bound never exceeds a true value by an ulp.
         """
-        cached = self._floor_cache.get(nbytes)
-        if cached is None:
-            # Same operation order as anticipated_rent_bump, so every
-            # vector component is bit-identical to the scalar bump —
-            # the bound must never exceed the true value by an ulp.
-            bumps = (
-                self._usage_price * self._storage_alpha * nbytes
-                / self._capacity
-            )
-            cached = float(np.min(self._rents0 + bumps))
-            self._floor_cache[nbytes] = cached
-        return cached
+        key = (need_bytes, budget, headroom_fraction, bump_bytes)
+        hit = self._floors.get(key)
+        clock = self._touch_clock
+        if hit is not None and (
+            hit[0] == clock
+            or (not fresh and self._enable_clock <= hit[0])
+        ):
+            return hit[1]
+        mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
+        rents = self._rents
+        if bump_bytes:
+            bumps = self._bumps.get(bump_bytes)
+            if bumps is None:
+                bumps = (
+                    self._usage_price * self._storage_alpha * bump_bytes
+                    / self._capacity
+                )
+                self._bumps[bump_bytes] = bumps
+            rents = rents + bumps
+        value = float(np.min(rents, where=mask, initial=np.inf))
+        self._floors[key] = (clock, value)
+        return value
+
+    def no_cheaper_host(self, rent_cap: float, need_bytes: int,
+                        budget: Optional[str],
+                        headroom_fraction: float) -> bool:
+        """Proof that ``best(max_rent=rent_cap, …)`` would return None.
+
+        ``rent_cap <= floor`` leaves ``mask ∧ (rents < rent_cap)``
+        empty whatever the replica set, exclusions or proximity vector
+        are.  The (possibly stale) stored bound is tried first; only
+        when it fails is the exact minimum consulted.
+        """
+        self.floor_asks += 1
+        for fresh in (False, True):
+            if rent_cap <= self.rent_floor(
+                need_bytes, budget, headroom_fraction, fresh=fresh
+            ):
+                self.floor_proofs += 1
+                return True
+        return False
+
+    def no_fundable_host(self, utility: float, extra_cost: float,
+                         need_bytes: int, budget: Optional[str],
+                         headroom_fraction: float) -> bool:
+        """Proof that no feasible host's predicted rent can be funded.
+
+        ``utility < floor(rent + Δc(need_bytes)) + extra_cost`` means
+        either no slot is feasible (:meth:`best` returns None) or every
+        candidate the eq. 3 argmax could return fails the §II-C funding
+        test ``utility < rent + Δc + extra_cost`` — same outcome,
+        none of the scoring.  Stale bound first, exact on failure.
+        """
+        self.floor_asks += 1
+        for fresh in (False, True):
+            if utility < self.rent_floor(
+                need_bytes, budget, headroom_fraction, need_bytes, fresh
+            ) + extra_cost:
+                self.floor_proofs += 1
+                return True
+        return False
 
     def anticipated_rent_bump(self, server_id: int, nbytes: int) -> float:
         """Eq. 1 rent increase ``nbytes`` would cause at a destination.

@@ -53,6 +53,12 @@ class ThroughputResult:
     #: one scenario must agree on it, so a harness can assert that
     #: exactly instead of asserting a wall-clock ratio.
     frames_digest: str = ""
+    #: §II-C skip queries put to the scorer's rent floor in the timed
+    #: window (migration hunts + expansions) and how many it proved
+    #: fruitless; the rest went on to an eq. 3 scan.  Zero under the
+    #: scalar kernel, which never asks.
+    floor_asks: int = 0
+    floor_proofs: int = 0
 
     @property
     def epochs_per_sec(self) -> float:
@@ -116,6 +122,8 @@ def measure_throughput(config: SimConfig, *,
             sim = Simulation(config)
         if warmup_epochs:
             sim.run(warmup_epochs)
+        decider = sim.decider
+        asks0, proofs0 = decider.floor_asks, decider.floor_proofs
         mut_epochs = steady_count = 0
         mut_seconds = steady_seconds = 0.0
         if split:
@@ -153,6 +161,8 @@ def measure_throughput(config: SimConfig, *,
             steady_epochs=steady_count,
             steady_seconds=steady_seconds,
             frames_digest=frames_digest(frames),
+            floor_asks=decider.floor_asks - asks0,
+            floor_proofs=decider.floor_proofs - proofs0,
         )
         if best is None or result.seconds < best.seconds:
             best = result

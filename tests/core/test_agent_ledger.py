@@ -218,6 +218,42 @@ class TestRowRecycling:
         replacement = reg.spawn(PID, 0)
         assert replacement.wealth == 0.0
 
+    def test_detached_state_survives_row_reuse(self):
+        """The retired agent's row is recycled and handed to the next
+        spawn; the detached view must keep every field it had — with
+        the ring buffer wrapped (5 records into a window of 3) and the
+        replacement writing different values into the reused row."""
+        reg = AgentRegistry(3)
+        agent = reg.spawn(PID, 4)
+        for utility in (1.0, 2.5, 0.25, 4.0, 0.5):
+            agent.record(utility, 1.0)
+        reg.rehome(PID, 4, 9)  # moves = 1, window reset
+        for utility in (0.5, 0.25, 0.125, 0.0625):
+            agent.record(utility, 1.0)
+        row = agent.row
+        want = (
+            agent.server_id, agent.wealth, agent.balances, agent.moves,
+            agent.epochs_alive, agent.last_balance,
+            agent.negative_streak, agent.positive_streak,
+        )
+        assert want[0] == 9 and want[3] == 1 and want[6] is True
+        assert want[2] == (-0.75, -0.875, -0.9375)  # wrapped, oldest first
+        reg.retire(PID, 9)
+        replacement = reg.spawn(PID, 7)
+        assert replacement.row == row  # the recycled row, reused
+        for __ in range(4):
+            replacement.record(9.0, 1.0)
+        assert (
+            agent.server_id, agent.wealth, agent.balances, agent.moves,
+            agent.epochs_alive, agent.last_balance,
+            agent.negative_streak, agent.positive_streak,
+        ) == want
+        assert replacement.balances == (8.0, 8.0, 8.0)
+        # Still a working ledger row of its own.
+        agent.record(5.0, 1.0)
+        assert agent.last_balance == 4.0
+        assert agent.negative_streak is False
+
 
 class TestCompaction:
     def test_compact_remaps_rows_and_preserves_state(self):

@@ -115,6 +115,117 @@ class TestWithoutAndGain:
             pair_gain(cloud, [0, 1], 1)
 
 
+def reference_pair_gain(cloud, server_ids, candidate, is_alive=None):
+    """``pair_gain`` as it read the cloud before ISSUE 16: through the
+    ``Server`` row views, one ``cloud.server`` / ``cloud.slot`` walk per
+    pair.  Kept as the bit-identity reference for the column rewrite."""
+    cand = cloud.server(candidate)
+    if is_alive is None:
+        if not cand.alive:
+            return 0.0
+    elif not is_alive(candidate):
+        return 0.0
+    row = cloud.diversity_row(candidate)
+    gain = 0.0
+    for sid in server_ids:
+        if sid in cloud and (
+            cloud.server(sid).alive if is_alive is None else is_alive(sid)
+        ):
+            gain += (
+                cand.confidence
+                * cloud.server(sid).confidence
+                * row[cloud.slot(sid)]
+            )
+    return gain
+
+
+def reference_contribution(cloud, server_id, servers, pred=None):
+    """``AvailabilityIndex.contribution``'s pre-ISSUE-16 expression."""
+    total = 0.0
+    if server_id in cloud:
+        me = cloud.server(server_id)
+        if me.alive if pred is None else pred(server_id):
+            row = cloud.diversity_row(server_id)
+            for sid in servers:
+                if sid != server_id and sid in cloud and (
+                    cloud.server(sid).alive if pred is None else pred(sid)
+                ):
+                    total += (
+                        me.confidence
+                        * cloud.server(sid).confidence
+                        * row[cloud.slot(sid)]
+                    )
+    return total
+
+
+class TestColumnReadsAreBitIdentical:
+    """Fractional confidences make every pair term a rounded float, so
+    ``==`` here pins operand order, not just the math."""
+
+    CONF = (0.97, 0.61, 0.83, 1.0, 0.35, 0.72, 0.9, 0.55, 0.41, 0.68)
+
+    def build(self):
+        cloud = Cloud()
+        for i, conf in enumerate(self.CONF):
+            cloud.add_server(make_server(
+                i, Location(i % 4, i % 3, i % 2, 0, i % 2, i),
+                confidence=conf,
+            ))
+        cloud.server(3).fail()  # dead but still registered
+        cloud.remove_server(6)  # gone: slots above it shifted left
+        return cloud
+
+    def sets(self):
+        import itertools
+
+        ids = [0, 1, 2, 3, 4, 5, 7, 8, 9, 6, 42]  # 6 and 42 unknown
+        for r in (1, 2, 3, 5):
+            for combo in itertools.islice(
+                itertools.permutations(ids, r), 0, 400, 7
+            ):
+                yield list(combo)
+
+    @pytest.mark.parametrize("believed", [False, True])
+    def test_pair_gain(self, believed):
+        cloud = self.build()
+        pred = (lambda sid: sid % 4 != 1) if believed else None
+        checked = 0
+        for servers in self.sets():
+            for cand in (0, 2, 3, 5, 9):
+                if cand in servers:
+                    continue
+                got = pair_gain(cloud, servers, cand, is_alive=pred)
+                want = reference_pair_gain(cloud, servers, cand, pred)
+                assert got == want, (servers, cand)
+                checked += got != 0.0
+        assert checked > 100
+
+    def test_pair_gain_unknown_candidate_raises_like_before(self):
+        from repro.cluster.topology import TopologyError
+
+        cloud = self.build()
+        for fn in (pair_gain, reference_pair_gain):
+            with pytest.raises(TopologyError):
+                fn(cloud, [0, 1], 6)
+
+    @pytest.mark.parametrize("believed", [False, True])
+    def test_contribution(self, believed):
+        from repro.core.availability import AvailabilityIndex
+
+        cloud = self.build()
+        pred = (lambda sid: sid % 4 != 1) if believed else None
+        index = AvailabilityIndex(cloud)
+        index.set_liveness(pred)
+        checked = 0
+        for n, servers in enumerate(self.sets()):
+            for me in servers:
+                got = index.contribution(("p", n), me, servers)
+                want = reference_contribution(cloud, me, servers, pred)
+                assert got == want, (servers, me)
+                checked += got != 0.0
+        assert checked > 100
+
+
 class TestThresholds:
     def test_max_availability(self):
         assert max_availability(2) == 63

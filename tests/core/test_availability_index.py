@@ -179,28 +179,3 @@ class TestFlatView:
             assert list(view.server_ids[lo:hi]) == catalog.servers_of(pid)
         catalog.place(parts[0], 5)
         assert catalog.flat_view() is not view
-
-
-class TestExpansionRentFloor:
-    def test_floor_bounds_every_candidate_all_epoch(self):
-        from repro.core.board import PriceBoard
-        from repro.core.economy import RentModel
-        from repro.core.placement import PlacementScorer
-
-        cloud = build_cloud(10)
-        board = PriceBoard()
-        board.post(0, RentModel().price_cloud(cloud))
-        scorer = PlacementScorer(cloud, board)
-        size = 3_000
-        floor = scorer.expansion_rent_floor(size)
-        # Mutate anticipated state the way an epoch of transfers does.
-        rng = np.random.default_rng(3)
-        for __ in range(40):
-            sid = int(rng.integers(10))
-            scorer.consume_budget(sid, int(rng.integers(1, 5_000)),
-                                  "replication")
-        for sid in (s.server_id for s in cloud):
-            predicted = scorer.rent_of(sid) + scorer.anticipated_rent_bump(
-                sid, size
-            )
-            assert predicted >= floor

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.location import Location
 from repro.cluster.server import make_server
@@ -342,3 +344,212 @@ class TestShortlist:
             got = fast.best([0], need_bytes=1, cache_key="t")
             want = full.best([0], need_bytes=1, cache_key="t")
             assert got == want
+
+
+# -- clocked rent floors (ISSUE 16) ------------------------------------------
+
+
+def floor_cloud():
+    """Twelve servers, mixed capacities, rents and bandwidth budgets."""
+    cloud = Cloud()
+    prices = {}
+    for i in range(12):
+        cloud.add_server(make_server(
+            i, Location(i % 4, i % 2, 0, 0, i % 3, i),
+            monthly_rent=100.0 + 25.0 * (i % 2),
+            storage_capacity=(4_000, 6_500, 9_000)[i % 3],
+            replication_budget=(900, 2_400)[i % 2],
+            migration_budget=(600, 1_500)[(i // 2) % 2],
+        ))
+        prices[i] = 0.05 + 0.013 * ((i * 7) % 12)
+    board = PriceBoard()
+    board.post(0, prices)
+    return cloud, board
+
+
+#: (need_bytes, budget, headroom_fraction) feasibility keys the floor
+#: tests exercise — the §II-C pass's two shapes plus a no-headroom one.
+FLOOR_KEYS = (
+    (500, "migration", 0.1),
+    (500, "replication", 0.1),
+    (1_200, "replication", 0.0),
+)
+
+
+def reference_min(scorer, key, bump_bytes):
+    """min over the key's cached mask of rent (+ scalar eq. 1 bump)."""
+    need, budget, headroom = key
+    mask, count = scorer.feasible_mask(need, budget, headroom)
+    values = [
+        scorer.rent_of(sid) + (
+            scorer.anticipated_rent_bump(sid, bump_bytes)
+            if bump_bytes else 0.0
+        )
+        for sid, ok in zip(scorer.server_ids, mask.tolist()) if ok
+    ]
+    assert len(values) == count
+    return min(values) if values else float("inf")
+
+
+floor_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("consume"), st.integers(0, 11),
+                  st.integers(1, 1_500),
+                  st.sampled_from(("replication", "migration"))),
+        st.tuples(st.just("release"), st.integers(0, 11),
+                  st.integers(1, 1_500), st.none()),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestRentFloor:
+    @given(floor_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_floor_is_sound_after_every_transfer(self, steps):
+        cloud, board = floor_cloud()
+        scorer = PlacementScorer(cloud, board)
+        for key in FLOOR_KEYS:  # mint every mask + a first stored bound
+            scorer.rent_floor(*key)
+            scorer.rent_floor(*key, key[0])
+        for op, sid, nbytes, kind in steps:
+            if op == "consume":
+                scorer.consume_budget(sid, nbytes, kind)
+            else:
+                scorer.release_storage(sid, nbytes)
+            for key in FLOOR_KEYS:
+                need, budget, headroom = key
+                for bump in (0, need):
+                    want = reference_min(scorer, key, bump)
+                    # (a) stored bound valid, fresh bound exact.
+                    assert scorer.rent_floor(*key, bump) <= want
+                    assert scorer.rent_floor(*key, bump, fresh=True) == want
+                # (b) a cap at the floor leaves nothing to find; one ulp
+                # above the exact floor there is a candidate again.
+                floor = scorer.rent_floor(*key)
+                assert scorer.no_cheaper_host(floor, *key)
+                assert scorer.best(
+                    [], need_bytes=need, max_rent=floor, budget=budget,
+                    headroom_fraction=headroom,
+                ) is None
+                exact = scorer.rent_floor(*key, fresh=True)
+                if exact < float("inf"):
+                    above = float(np.nextafter(exact, np.inf))
+                    assert not scorer.no_cheaper_host(above, *key)
+                    found = scorer.best(
+                        [], need_bytes=need, max_rent=above, budget=budget,
+                        headroom_fraction=headroom,
+                    )
+                    assert found is not None and found.rent == exact
+
+    def test_bumped_floor_bounds_every_predicted_rent(self):
+        """The §II-C funding test reads ``candidate.rent + bump``; the
+        bumped floor must sit at or below it for *every* server, through
+        a pass worth of transfers (the old static-floor contract)."""
+        cloud, board = floor_cloud()
+        scorer = PlacementScorer(cloud, board)
+        size = 700
+        key = (size, "replication", 0.1)
+        rng = np.random.default_rng(3)
+        for __ in range(40):
+            scorer.consume_budget(
+                int(rng.integers(12)), int(rng.integers(1, 900)),
+                "replication",
+            )
+            floor = scorer.rent_floor(*key, size)
+            mask, __count = scorer.feasible_mask(*key)
+            for sid, ok in zip(scorer.server_ids, mask.tolist()):
+                if ok:
+                    predicted = scorer.rent_of(sid) + (
+                        scorer.anticipated_rent_bump(sid, size)
+                    )
+                    assert predicted >= floor
+                    assert predicted + 0.37 >= floor + 0.37
+
+    def test_stale_bound_dies_with_a_storage_release(self):
+        """Fill the cheapest server until it drops out of the mask, let
+        the floor rise, then free its storage: the stored (now too
+        high) bound must not survive the re-enabling event."""
+        cloud, board = floor_cloud()
+        # α = 0: no eq. 1 bump, so the filled server stays the cheapest.
+        scorer = PlacementScorer(cloud, board, storage_alpha=0.0)
+        key = (500, "replication", 0.0)
+        cheapest = min(scorer.server_ids, key=scorer.rent_of)
+        low = scorer.rent_floor(*key)
+        assert low == scorer.rent_of(cheapest)
+        room = int(scorer._storage[scorer._slot(cheapest)])
+        scorer.consume_budget(cheapest, room - 100, "migration")
+        high = scorer.rent_floor(*key, fresh=True)
+        assert high > low
+        cap = (low + high) / 2
+        assert scorer.no_cheaper_host(cap, *key)
+        scorer.release_storage(cheapest, room - 100)
+        assert scorer.rent_floor(*key) == scorer.rent_of(cheapest)
+        assert not scorer.no_cheaper_host(cap, *key)
+        assert scorer.best(
+            [], need_bytes=500, max_rent=cap, budget="replication",
+        ).server_id == cheapest
+
+    def test_empty_mask_floors_at_infinity(self):
+        cloud, board = floor_cloud()
+        scorer = PlacementScorer(cloud, board)
+        key = (10_000, "replication", 0.0)  # larger than any capacity
+        assert scorer.rent_floor(*key) == float("inf")
+        assert scorer.no_cheaper_host(1e9, *key)
+        assert scorer.no_fundable_host(1e9, 0.0, *key)
+
+    def test_proof_counters(self):
+        cloud, board = floor_cloud()
+        scorer = PlacementScorer(cloud, board)
+        key = (500, "replication", 0.1)
+        assert scorer.no_cheaper_host(0.0, *key)
+        assert not scorer.no_cheaper_host(1e9, *key)
+        assert not scorer.no_fundable_host(1e9, 0.0, *key)
+        assert (scorer.floor_asks, scorer.floor_proofs) == (3, 1)
+
+
+class TestInternedClassKeys:
+    def test_same_partition_into_classes_as_sorted_locations(self):
+        """500 random replica sets: two sets share an interned-id class
+        key exactly when their sorted ``Location`` tuples are equal."""
+        cloud = Cloud()
+        rng = np.random.default_rng(5)
+        for i in range(60):
+            # Few distinct locations, so many servers share one.
+            cloud.add_server(make_server(
+                i, Location(int(rng.integers(3)), int(rng.integers(2)),
+                            0, 0, int(rng.integers(2)), 0),
+                storage_capacity=1000,
+            ))
+        board = PriceBoard()
+        board.post(0, {i: 1.0 for i in range(60)})
+        scorer = PlacementScorer(cloud, board)
+        by_ids, by_locs = {}, {}
+        for n in range(500):
+            servers = rng.choice(
+                60, size=int(rng.integers(1, 6)), replace=False
+            ).tolist()
+            ckey = scorer._class_key(servers, ("p", n, tuple(servers)))
+            assert ckey[0] == "cls"
+            lkey = tuple(sorted(
+                cloud.server(sid).location for sid in servers
+            ))
+            by_ids.setdefault(ckey, set()).add(n)
+            by_locs.setdefault(lkey, set()).add(n)
+        assert sorted(map(sorted, by_ids.values())) == sorted(
+            map(sorted, by_locs.values())
+        )
+        assert len(by_ids) < 500  # the sample did share classes
+
+    def test_location_ids_follow_the_cloud_version(self):
+        cloud, __ = build(FOUR)
+        ids = cloud.location_ids()
+        assert ids is cloud.location_ids()  # cached per version
+        assert len(set(ids)) == 4
+        cloud.add_server(make_server(
+            9, Location(*FOUR[2]), storage_capacity=1000
+        ))
+        grown = cloud.location_ids()
+        assert grown[-1] == grown[2] and len(set(grown)) == 4
+        cloud.remove_server(0)
+        assert len(cloud.location_ids()) == 4

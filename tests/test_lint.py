@@ -432,6 +432,62 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
     assert not find_unsanctioned_lexsorts(benign)
 
 
+#: Scorer capabilities are declared attributes of ``PlacementScorer``
+#: (``best_is_pure``, ``shortlist_k``, ``preload_shortlists``,
+#: ``feasible_mask``, the rent-floor proofs) — every scorer in the tree
+#: subclasses it, so the decide path reads them directly.  A
+#: ``getattr(scorer, ...)`` probe there is a capability hiding outside
+#: the base class (ISSUE 16; first step of the declared protocol).
+SCORER_PROBE_SEALED = Path("src/repro/core/decision.py")
+
+
+def find_scorer_probes(path: Path):
+    """``getattr(scorer, ...)`` calls in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    try:
+        shown = path.relative_to(REPO_ROOT)
+    except ValueError:
+        shown = path
+    return [
+        f"{shown}:{node.lineno}: getattr(scorer, ...) probe — declare "
+        f"the capability on PlacementScorer and read it directly"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "scorer"
+    ]
+
+
+def test_decision_reads_scorer_capabilities_directly():
+    problems = find_scorer_probes(REPO_ROOT / SCORER_PROBE_SEALED)
+    assert not problems, (
+        "scorer capability probes in the decide path:\n"
+        + "\n".join(problems)
+    )
+
+
+def test_scorer_probe_gate_detects_planted_getattr(tmp_path):
+    """The probe checker must catch the idiom it bans."""
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "def preload(scorer, entries):\n"
+        "    fn = getattr(scorer, 'preload_shortlists', None)\n"
+        "    if fn is not None and getattr(scorer, 'best_is_pure', False):\n"
+        "        fn(entries)\n"
+    )
+    assert len(find_scorer_probes(planted)) == 2
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "def preload(scorer, decider, entries):\n"
+        "    if scorer.best_is_pure and getattr(decider, 'k', 0):\n"
+        "        scorer.preload_shortlists(entries)\n"
+    )
+    assert not find_scorer_probes(benign)
+
+
 #: Request-path packages whose per-request draws must stay O(log K):
 #: ``Generator.choice(n, p=weights)`` re-validates and re-accumulates the
 #: whole weight vector on every call (38 µs per request at a 4 096-key
