@@ -32,6 +32,11 @@ python3 benchmarks/e2e/run.py --workload serve-read --seed 7 --trace 1 \
 # counts (ISSUE 16).
 python3 benchmarks/e2e/run.py --workload econ-spike --seed 7 --trace 1 \
     > /dev/null
+# And on the only workload whose replays compare `robustness_summary`
+# and whose `telemetry_bytes` carries the benchmark's own per-number
+# count of the control- and data-plane frame streams (ISSUE 18).
+python3 benchmarks/e2e/run.py --workload faults-churn --seed 7 --trace 1 \
+    > /dev/null
 
 echo "== stage: perf smoke (100x ramp + serving vs checked-in bench JSON, vectorized/scalar floor) =="
 PYTHONPATH=src python benchmarks/perf/perf_smoke.py

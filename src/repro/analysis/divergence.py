@@ -15,13 +15,14 @@ against both configs and hand the metric logs here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.metrics import FLOAT_FIELDS, INT_FIELDS, MetricsLog
+from repro.sim.metrics import DataPlaneFrame, MetricsLog
 
 
 class DivergenceError(ValueError):
@@ -137,8 +138,6 @@ def oracle_twin_config(config):
     instant-membership oracle stream that :func:`compare_runs`
     measures against.
     """
-    import dataclasses
-
     if getattr(config, "net", None) is None:
         raise DivergenceError("config has no net: it IS the oracle")
     return dataclasses.replace(config, net=None)
@@ -150,18 +149,16 @@ def data_plane_deltas(oracle, faulty) -> Dict[str, int]:
     Both arguments are :class:`repro.sim.metrics.RobustnessLog`
     instances collected from data-plane-enabled runs (the oracle twin
     keeps its data plane — it simply never times out or parks hints).
-    The delta per :data:`repro.sim.metrics.DATA_PLANE_FIELDS` total
-    reads as "extra serving degradation the faults caused": replica
-    timeouts, diverted writes, repair traffic.
+    The delta per summed :class:`repro.sim.metrics.DataPlaneFrame`
+    field reads as "extra serving degradation the faults caused":
+    replica timeouts, diverted writes, repair traffic.
     """
-    from repro.sim.metrics import DATA_PLANE_FIELDS
-
     a = oracle.data_plane_summary()
     b = faulty.data_plane_summary()
     return {
-        name: int(b[name]) - int(a[name])
-        for name in DATA_PLANE_FIELDS
-        if name not in ("epoch", "hint_queue_depth")
+        f.name: b[f.name] - a[f.name]
+        for f in dataclasses.fields(DataPlaneFrame)
+        if isinstance(a.get(f.name), int)
     }
 
 
@@ -220,9 +217,8 @@ def compare_runs(
         )
     if not math.isfinite(rtol) or rtol < 0.0:
         raise DivergenceError(f"rtol must be finite and >= 0, got {rtol}")
-    scalar_fields = tuple(
-        name for name in INT_FIELDS + FLOAT_FIELDS if name != "epoch"
-    )
+    casts = oracle.scalar_fields
+    scalar_fields = tuple(name for name in casts if name != "epoch")
     if fields is not None:
         unknown = sorted(set(fields) - set(scalar_fields))
         if unknown:
@@ -233,7 +229,7 @@ def compare_runs(
     for name in scalar_fields:
         a = oracle.series(name)
         b = faulty.series(name)
-        tol = rtol if name in FLOAT_FIELDS else 0.0
+        tol = rtol if casts[name] is float else 0.0
         diff = b - a
         out[name] = FieldDivergence(
             field=name,

@@ -500,13 +500,13 @@ def print_series_report(config, sim, log, points, out,
     print(series_table(log, columns, points=points), file=out)
     print("-" * 60, file=out)
     print(summarize(log), file=out)
-    if sim.robustness is not None and sim.membership_service is not None:
+    if sim.membership_service is not None:
         print("-" * 60, file=out)
         print_robustness(sim, out)
     if sim.data_plane is not None:
         print("-" * 60, file=out)
         print_data_plane(sim, out)
-    if getattr(sim, "serving", None) is not None:
+    if sim.serving is not None:
         print("-" * 60, file=out)
         print_serving(sim, out)
     if audit is not None:

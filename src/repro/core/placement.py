@@ -230,21 +230,15 @@ class PlacementScorer:
         self._mask_counts: Dict[
             Tuple[int, Optional[str], float], int
         ] = {}
-        # Top-k candidate shortlists per replica set (``cache_key``):
-        # eq. 3's argmax usually lands in the few dozen best-scored
-        # slots, so repeated ``best`` calls for the same set (expanding
-        # agents of a hot partition, repair waves re-scoring after
-        # earlier transfers) scan ~k slots instead of the whole cloud —
-        # with a full-scan fallback whenever the k-window cannot
-        # *prove* it contains the argmax.  0 disables the fast path.
+        # Top-k candidate shortlists per placement class: eq. 3's
+        # argmax usually lands in the few dozen best-scored slots, so a
+        # ``best`` call whose class has a window scans ~k slots instead
+        # of the whole cloud — with a full-scan fallback whenever the
+        # k-window cannot *prove* it contains the argmax.  Windows exist
+        # only where the grouped wave-0 :meth:`preload_shortlists` built
+        # them; 0 disables the fast path.
         self._shortlist_k = shortlist_k
         self._shortlists: Dict[object, _Shortlist] = {}
-        # Keys seen exactly once: a shortlist is only built on a key's
-        # *second* call — repair chains mint a fresh key per iteration
-        # (the replica set grew), and paying an O(S) argpartition for a
-        # key that is never reused would slow the very storms the
-        # shortlist exists for.
-        self._shortlist_seen: set = set()
         # Shared-argmax memo (the grouped repair kernel's core): two
         # ``best`` calls with the same feasibility key, replica set and
         # proximity vector are the *same query* unless the scorer's
@@ -452,20 +446,13 @@ class PlacementScorer:
                 ):
                     return candidate
         mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
-        if cache_key is not None and self._shortlist_k > 0:
-            skey = self._class_key(replica_servers, cache_key)
-            if (
-                skey in self._shortlists
-                or skey in self._shortlist_seen
-            ):
-                found = self._best_from_shortlist(
-                    replica_servers, mask, g, max_rent, exclude,
-                    cache_key, skey,
-                )
-                if found is not _INCONCLUSIVE:
-                    return self._memoize(memo_key, found)
-            else:
-                self._shortlist_seen.add(skey)
+        if cache_key is not None and self._shortlists:
+            found = self._best_from_shortlist(
+                replica_servers, mask, g, max_rent, exclude,
+                self._class_key(replica_servers, cache_key),
+            )
+            if found is not _INCONCLUSIVE:
+                return self._memoize(memo_key, found)
         if max_rent is not None:
             # The rent cap varies per caller (migration hunts under the
             # agent's own rent), so it stays out of the cached mask.
@@ -544,15 +531,15 @@ class PlacementScorer:
         each chain paying a full O(S) eq. 3 scoring pass, the sets are
         grouped by replication degree (and proximity vector) and scored
         as chunked ``(partitions × servers)`` array expressions; each
-        row is then reduced to the same top-k window + outside bound
-        :meth:`_shortlist_for` builds one at a time, so the chains'
-        argmaxes resolve over k slots with the usual strict-bound
-        certificate (full-scan fallback on any tie with the bound).
+        row is then reduced to a top-k window + outside bound
+        (:meth:`_store_shortlists`), so the chains' argmaxes resolve
+        over k slots with the usual strict-bound certificate (full-scan
+        fallback on any tie with the bound).
 
-        Every float operation matches :meth:`_shortlist_for`
-        elementwise (diversity sums are exact small integers in
-        float64, so grouping cannot change a single bit), which is what
-        keeps the wavefront byte-identical to per-chain scoring.
+        Every float operation matches the full scan's elementwise
+        (diversity sums are exact small integers in float64, so
+        grouping cannot change a single bit), which is what keeps the
+        wavefront byte-identical to per-chain scoring.
         Returns the number of shortlists built; 0 when the shortlist
         fast path is disabled.
         """
@@ -607,9 +594,14 @@ class PlacementScorer:
                           g: Optional[np.ndarray]) -> None:
         """Reduce grouped score rows to per-key :class:`_Shortlist`s.
 
-        Same ordering contract as :meth:`_shortlist_for`: each window
-        holds its k best epoch-start scores in (score descending, slot
-        ascending) order, with ``bound`` the best score outside it.
+        Each window holds its k best epoch-start scores in (score
+        descending, slot ascending) order — the slot tie-break mirrors
+        np.argmax's first-index rule on the slot-ordered full scan —
+        with ``bound`` the best score outside it.  The window's
+        contents are pure functions of the class gain, ``g`` and the
+        epoch-start rents, so every set of the class can share it;
+        :meth:`_best_from_shortlist` certifies each answer against the
+        full scan regardless of which set built the window.
         """
         rows, n = score0.shape
         k = self._shortlist_k
@@ -620,8 +612,10 @@ class PlacementScorer:
             rest_scores = np.take_along_axis(score0, part[:, k:], axis=1)
             bounds = rest_scores.max(axis=1)
             # Each row's lowest slot scoring exactly its bound (argmax
-            # of the equality mask = first True), kept in-window so
-            # boundary ties certify (see _shortlist_for).
+            # of the equality mask = first True; ties are the norm on
+            # uniform clouds): keeping it in the window lets a boundary
+            # tie resolve by the first-index rule instead of forcing
+            # the full scan.
             bound_slots = np.argmax(score0 == bounds[:, None], axis=1)
             top = np.concatenate([top, bound_slots[:, None]], axis=1)
         else:
@@ -631,8 +625,7 @@ class PlacementScorer:
         top_scores = np.take_along_axis(score0, top, axis=1)
         width = top.shape[1]
         # One flat lexsort orders every row's window at once: keys are
-        # (row, -score0, slot), so within a row the order is exactly
-        # _shortlist_for's lexsort((top, -score0[top])).
+        # (row, -score0, slot) — lexsort's last key is primary.
         row_idx = np.repeat(np.arange(rows), width)
         order = np.lexsort((top.ravel(), -top_scores.ravel(), row_idx))
         ordered = top.ravel()[order].reshape(rows, width)
@@ -651,66 +644,11 @@ class PlacementScorer:
                 g_id=g_id,
             )
 
-    def _shortlist_for(self, replica_servers: Sequence[int],
-                       g: Optional[np.ndarray],
-                       cache_key: object,
-                       skey: object) -> _Shortlist:
-        """The placement class's top-k window, built on first use.
-
-        One O(S) scoring pass (sharing the cached eq. 3 gain) plus an
-        ``argpartition`` — amortised over every later ``best`` call for
-        the same *class* (``skey``), which then reads k slots instead
-        of S.  Class sharing is bit-safe because the window's contents
-        are pure functions of the class gain, ``g`` and the epoch-start
-        rents; the proof logic in :meth:`_best_from_shortlist` then
-        certifies each answer against the full scan regardless of
-        which set built the window.
-        """
-        g_id = id(g) if g is not None else 0
-        sl = self._shortlists.get(skey)
-        if sl is not None and sl.g_id == g_id:
-            return sl
-        gain = self._diversity_gain(replica_servers, cache_key)
-        gain_g = gain * g if g is not None else gain
-        score0 = gain_g - self._rent_weight * self._rents0
-        n = len(score0)
-        k = self._shortlist_k
-        if n > k:
-            part = np.argpartition(-score0, k)
-            top = part[:k]
-            bound = float(score0[part[k:]].max())
-            # The lowest slot scoring exactly ``bound`` (ties are the
-            # norm on uniform clouds): keeping it in the window lets a
-            # boundary tie resolve by the first-index rule instead of
-            # forcing the full scan.
-            bound_slot = int(np.argmax(score0 == bound))
-            top = np.append(top, bound_slot)
-        else:
-            top = np.arange(n)
-            bound = -np.inf
-            bound_slot = n
-        # (score0 descending, slot ascending) — lexsort's last key is
-        # primary; the slot tie-break mirrors np.argmax's first-index
-        # rule on the slot-ordered full scan.
-        order = top[np.lexsort((top, -score0[top]))]
-        sl = _Shortlist(
-            slots=order,
-            gain=gain[order],
-            gain_g=gain_g[order],
-            score0=score0[order],
-            bound=bound,
-            bound_slot=bound_slot,
-            g_id=g_id,
-        )
-        self._shortlists[skey] = sl
-        return sl
-
     def _best_from_shortlist(self, replica_servers: Sequence[int],
                              mask: np.ndarray,
                              g: Optional[np.ndarray],
                              max_rent: Optional[float],
                              exclude: Sequence[int],
-                             cache_key: object,
                              skey: object):
         """Eq. 3 argmax over the top-k window, or the inconclusive
         sentinel when the window cannot *prove* it holds the argmax.
@@ -727,9 +665,12 @@ class PlacementScorer:
         already resolve to the lowest slot id.  Any other boundary tie
         falls back to the full scan.  ``None`` is never concluded here:
         an empty feasible window says nothing about the other S − k
-        slots.
+        slots.  A class without a preloaded window (or with one built
+        for another proximity vector) is inconclusive as well.
         """
-        sl = self._shortlist_for(replica_servers, g, cache_key, skey)
+        sl = self._shortlists.get(skey)
+        if sl is None or sl.g_id != (id(g) if g is not None else 0):
+            return _INCONCLUSIVE
         slots = sl.slots
         rents_k = self._rents[slots]
         scores_k = sl.gain_g - self._rent_weight * rents_k

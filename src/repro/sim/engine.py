@@ -163,7 +163,6 @@ class Simulation:
         # loop is byte-for-byte the pre-existing one.
         self.membership_service: Optional[MembershipService] = None
         self.retry_queue: Optional[RetryQueue] = None
-        self.robustness: Optional[RobustnessLog] = None
         self._retry_skip: set = set()
         if config.net is not None:
             self.membership_service = MembershipService(
@@ -174,7 +173,6 @@ class Simulation:
                 self.membership_service.net.reachable
             )
             self.retry_queue = RetryQueue()
-            self.robustness = RobustnessLog()
         self.board = PriceBoard()
         self.popularity = PopularityMap.pareto(
             [p.pid for p in self.rings.all_partitions()],
@@ -220,7 +218,12 @@ class Simulation:
             membership=self.membership_service,
         )
         self.decider = decider_factory(self.context)
+        # One log per frame stream; a side log exists only when an
+        # overlay that feeds it does.
         self.metrics = MetricsLog()
+        overlays = config.net is not None or config.data_plane is not None
+        self.robustness = RobustnessLog() if overlays else None
+        self.serving_log = ServingLog() if config.serving is not None else None
         # Usage-normalised pricing (§II-A: up derived from "the mean
         # usage of the server in the previous month") tracks a trailing
         # usage mean only when the rent model asks for it.
@@ -249,8 +252,6 @@ class Simulation:
         # unchanged whether or not it is enabled.
         self.data_plane: Optional[DataPlane] = None
         if config.data_plane is not None:
-            if self.robustness is None:
-                self.robustness = RobustnessLog()
             membership = (
                 self.membership_service
                 if self.membership_service is not None
@@ -269,7 +270,6 @@ class Simulation:
         # RNG stream — the EpochFrame stream is byte-identical whether
         # serving is on or off.
         self.serving: Optional[ServingFrontEnd] = None
-        self.serving_log: Optional[ServingLog] = None
         if config.serving is not None:
             membership = (
                 self.membership_service
@@ -288,7 +288,6 @@ class Simulation:
                 # uniform geography the paper's workloads assume.
                 sites=uniform_over_countries(config.layout).sites,
             )
-            self.serving_log = ServingLog()
 
     # -- construction helpers ------------------------------------------------
 
@@ -480,16 +479,15 @@ class Simulation:
         if cost_index is not None and epoch > 0:
             # Hand the previous settlement's per-slot query totals to
             # the cost index (eq. 1's query-load term).  A decider that
-            # does not expose them (custom settle) disables the
+            # leaves them ``None`` (custom settle) disables the
             # vectorized pricing path for the rest of the run.
-            totals = getattr(self.decider, "query_totals", None)
+            totals = self.decider.query_totals
             if totals is None:
                 cost_index.detach()
                 self.cost_index = cost_index = None
             else:
                 cost_index.set_query_totals(
-                    totals,
-                    getattr(self.decider, "query_totals_version", -1),
+                    totals, self.decider.query_totals_version
                 )
         update_board(
             self.board, epoch, self.cloud, self.config.rent_model,
@@ -528,13 +526,12 @@ class Simulation:
             self.serving_log.append(self.serving.step(epoch))
         frame = self._collect(epoch, load, stats, insert_outcome)
         self.metrics.append(frame)
-        if self.robustness is not None:
-            if self.membership_service is not None:
-                self.robustness.append(self._collect_control_plane(epoch))
-            if self.data_plane is not None:
-                self.robustness.append_data_plane(
-                    self.data_plane.collect_frame(epoch)
-                )
+        if self.membership_service is not None:
+            self.robustness.append(self._collect_control_plane(epoch))
+        if self.data_plane is not None:
+            self.robustness.append_data_plane(
+                self.data_plane.collect_frame(epoch)
+            )
         # Keep the agent ledger dense after retirement-heavy epochs so
         # batched settlement touches contiguous rows.
         self.registry.maybe_compact()

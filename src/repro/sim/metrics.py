@@ -8,17 +8,21 @@ economic diagnostics (prices, actions, availability satisfaction) the
 ablation benches use.  :class:`MetricsLog` turns the frame stream into
 named series.
 
-Storage is *columnar*: :class:`MetricsLog` keeps a :class:`FrameStore`
-— every scalar field as one growable array, the per-server vnode
-histogram as one compact count vector per epoch sharing a per-version
-server-id tuple — instead of a list of frames full of dicts.  At
-20 000 servers a stored ``{sid: count}`` dict dominated frame memory;
-the column store holds the same information in one compact int32
-vector per epoch (``HIST_COUNT_DTYPE``).  :class:`EpochFrame` remains the frame API: reads materialize a
-lightweight row view whose ``vnodes_per_server`` is a lazy
-:class:`ServerVnodeHistogram` mapping over the stored arrays, so
+Storage is *columnar* and there is one of it: :class:`FrameStore`
+derives a column block per field from a frame dataclass's type hints —
+every scalar field as one growable array, every keyed field as one
+value/presence column pair per key, the per-server vnode histogram as
+one compact count vector per epoch sharing a per-version server-id
+tuple — instead of a list of frames full of dicts.  At 20 000 servers a
+stored ``{sid: count}`` dict dominated frame memory; the column store
+holds the same information in one compact int32 vector per epoch
+(``HIST_COUNT_DTYPE``).  The four frame dataclasses remain the frame
+API: reads materialize a lightweight row view (``vnodes_per_server`` a
+lazy :class:`ServerVnodeHistogram` mapping over the stored arrays), so
 ``framedump``, the goldens, reporting and the examples see
-byte-identical streams.
+byte-identical streams.  :class:`MetricsLog`, :class:`RobustnessLog`
+and :class:`ServingLog` are that store plus what is specific to their
+stream: the figure helpers and the run summaries.
 
 The frame stream is the epoch kernels' equivalence contract: a seeded
 run must emit bit-identical frames under the vectorized and scalar
@@ -32,10 +36,12 @@ visits, which is what keeps the aggregates exact.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -155,44 +161,41 @@ class EpochFrame:
         return self.queries_per_ring.get(ring, 0.0) / self.live_servers
 
 
-#: EpochFrame scalar fields by storage class, in field order.
-INT_FIELDS: Tuple[str, ...] = (
-    "epoch", "total_queries", "live_servers", "vnodes_total",
-    "unsatisfied_partitions", "lost_partitions", "storage_used",
-    "storage_capacity", "insert_attempts", "insert_failures", "repairs",
-    "economic_replications", "migrations", "suicides", "deferred",
-    "unavailable_queries", "vnodes_on_expensive", "vnodes_on_cheap",
-    "replication_bytes", "migration_bytes",
-)
-FLOAT_FIELDS: Tuple[str, ...] = ("min_price", "mean_price", "max_price")
-RING_FIELDS: Tuple[str, ...] = (
-    "vnodes_per_ring", "queries_per_ring", "mean_availability_per_ring",
-)
-#: Storage dtype of each ring-keyed field's value column.
-RING_FIELD_DTYPES: Dict[str, object] = {
-    "vnodes_per_ring": np.int64,
-    "queries_per_ring": np.float64,
-    "mean_availability_per_ring": np.float64,
-}
+#: Column dtype of each scalar value type a frame field can declare.
+_DTYPES = {int: np.int64, float: np.float64}
 #: Storage dtype of the per-epoch vnode histogram vectors — the frame
 #: store's dominant allocation at scale (one S-wide vector per epoch;
 #: 20 000 servers × int64 was 160 KB/epoch).  Per-server vnode counts
 #: are bounded far below 2^31, and reads go through ``int(...)`` casts,
-#: so int32 storage round-trips exactly; :meth:`FrameStore.append`
+#: so int32 storage round-trips exactly; :meth:`_HistogramField.append`
 #: still keeps a wider vector verbatim if its values would not fit.
 HIST_COUNT_DTYPE = np.int32
 
 
-class _RingField:
-    """One ring-keyed frame field as per-ring value/presence columns.
+class _ScalarField(GrowableColumn):
+    """One ``int`` / ``float`` frame field as an int64 / float64 column."""
+
+    __slots__ = ("cast",)
+
+    def __init__(self, cast: type) -> None:
+        super().__init__(_DTYPES[cast])
+        self.cast = cast
+
+    def get(self, index: int):
+        return self.cast(self[index])
+
+
+class _KeyedField:
+    """One ``{key: int | float}`` frame field as per-key value/presence
+    columns.
 
     The engine emits a tiny ``{(app_id, ring_id): value}`` dict per
     epoch for each of the three per-ring observables; storing those
     dicts per epoch is what the column store exists to avoid.  Here
-    each ring key owns one growable value column plus one presence
+    each key owns one growable value column plus one presence
     column (rings can appear mid-run — elasticity — and hand-built
     frame streams may drop a ring for an epoch), so a whole run is
-    R columns regardless of epoch count, and per-ring series are plain
+    R columns regardless of epoch count, and per-key series are plain
     array gathers.
 
     Round trips are exact for the value types the engine emits (Python
@@ -203,50 +206,39 @@ class _RingField:
     mapping exactly.
     """
 
-    __slots__ = ("_dtype", "_is_int", "_keys", "_cols", "_present",
-                 "_raw", "_n")
+    __slots__ = ("_cast", "_cols", "_raw", "_n")
 
-    def __init__(self, dtype) -> None:
-        self._dtype = dtype
-        self._is_int = np.issubdtype(np.dtype(dtype), np.integer)
-        self._keys: List = []
-        self._cols: Dict[object, GrowableColumn] = {}
-        self._present: Dict[object, GrowableColumn] = {}
+    def __init__(self, cast: type) -> None:
+        self._cast = cast
+        #: key -> (value column, presence column), first-appearance order.
+        self._cols: Dict[object, Tuple[GrowableColumn, GrowableColumn]] = {}
         self._raw: Dict[int, Dict] = {}
         self._n = 0
 
     def _representable(self, value: object) -> bool:
-        if self._is_int:
+        if self._cast is int:
             return isinstance(value, (int, np.integer)) and not isinstance(
                 value, bool
             )
         return isinstance(value, (float, np.floating))
 
     def append(self, mapping: Mapping) -> None:
-        epoch = self._n
         items = dict(mapping)
         if not all(self._representable(v) for v in items.values()):
             # Exactness beats compactness: park the odd epoch verbatim.
-            self._raw[epoch] = items
+            self._raw[self._n] = items
             items = {}
         for key in items:
             if key not in self._cols:
-                self._keys.append(key)
-                column = GrowableColumn(self._dtype)
+                values = GrowableColumn(_DTYPES[self._cast])
                 present = GrowableColumn(bool)
-                # Backfill the epochs before this ring first appeared.
-                for __ in range(epoch):
-                    column.append(0)
-                    present.append(False)
-                self._cols[key] = column
-                self._present[key] = present
-        for key in self._keys:
-            if key in items:
-                self._cols[key].append(items[key])
-                self._present[key].append(True)
-            else:
-                self._cols[key].append(0)
-                self._present[key].append(False)
+                # Backfill the epochs before this key first appeared.
+                values.extend([0] * self._n)
+                present.extend([False] * self._n)
+                self._cols[key] = (values, present)
+        for key, (values, present) in self._cols.items():
+            values.append(items.get(key, 0))
+            present.append(key in items)
         self._n += 1
 
     def get(self, index: int) -> Dict:
@@ -254,85 +246,69 @@ class _RingField:
         raw = self._raw.get(index)
         if raw is not None:
             return dict(raw)
-        cast = int if self._is_int else float
         return {
-            key: cast(self._cols[key][index])
-            for key in self._keys
-            if self._present[key][index]
+            key: self._cast(values[index])
+            for key, (values, present) in self._cols.items()
+            if present[index]
         }
 
     def keys(self) -> List:
-        """Every ring key ever stored (first-appearance order)."""
-        seen = dict.fromkeys(self._keys)
+        """Every key ever stored (first-appearance order)."""
+        seen = dict.fromkeys(self._cols)
         for mapping in self._raw.values():
             seen.update(dict.fromkeys(mapping))
         return list(seen)
 
-    def series(self, ring) -> np.ndarray:
-        """One ring's values over all epochs (0 where absent), float64."""
+    def series(self, key) -> np.ndarray:
+        """One key's values over all epochs (0 where absent), float64."""
         if self._raw:
             # Overflow epochs are test-stream territory; take the
             # exact per-epoch path rather than splicing arrays.
             return np.array(
-                [self.get(i).get(ring, 0) for i in range(self._n)],
+                [self.get(i).get(key, 0) for i in range(self._n)],
                 dtype=np.float64,
             )
-        column = self._cols.get(ring)
-        if column is None:
+        if key not in self._cols:
             return np.zeros(self._n, dtype=np.float64)
-        values = column.view().astype(np.float64)
-        return np.where(self._present[ring].view(), values, 0.0)
+        values, present = self._cols[key]
+        return np.where(present.view(), values.view().astype(np.float64), 0.0)
 
     @property
     def nbytes(self) -> int:
-        total = sum(c.nbytes for c in self._cols.values())
-        total += sum(c.nbytes for c in self._present.values())
-        total += sum(sys.getsizeof(d) for d in self._raw.values())
-        return total
+        return sum(
+            values.nbytes + present.nbytes
+            for values, present in self._cols.values()
+        ) + sum(sys.getsizeof(d) for d in self._raw.values())
 
 
-class FrameStore:
-    """Columnar backing store for an :class:`EpochFrame` stream.
+class _VerbatimField(list):
+    """One ``{key: (int, ...)}`` frame field (message counts per code,
+    operation counts per consistency level): each epoch's small dict
+    kept as appended — only the keys present that epoch, rows as
+    tuples.  Nothing reads these fields' bytes, so columns buy nothing."""
 
-    Scalar fields live in growable int64/float64 columns; the per-ring
-    fields live in a ring-keyed column block (one value/presence column
-    pair per ring per field — see :class:`_RingField`); the per-server
-    vnode histogram is stored as one count vector per epoch plus a
-    server-id tuple shared across epochs of one cloud-membership
-    version.  :meth:`frame` materializes a row view on demand — round
-    trips are exact (int64/float64 hold every value the engine emits,
-    and off-type test streams overflow to verbatim storage), so a
-    stored stream serializes byte-identically to the frames it was
-    appended from.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_ints", "_floats", "_rings", "_hist_ids", "_hist_counts")
+    def get(self, index: int) -> Dict:
+        return self[index]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(sys.getsizeof(mapping) for mapping in self)
+
+
+class _HistogramField:
+    """The per-server vnode histogram field: one count vector per epoch
+    plus a server-id tuple shared across the epochs of one
+    cloud-membership version."""
+
+    __slots__ = ("_ids", "_counts")
 
     def __init__(self) -> None:
-        self._ints: Dict[str, GrowableColumn] = {
-            name: GrowableColumn(np.int64) for name in INT_FIELDS
-        }
-        self._floats: Dict[str, GrowableColumn] = {
-            name: GrowableColumn(np.float64) for name in FLOAT_FIELDS
-        }
-        self._rings: Dict[str, _RingField] = {
-            name: _RingField(RING_FIELD_DTYPES[name])
-            for name in RING_FIELDS
-        }
-        self._hist_ids: List[Tuple[int, ...]] = []
-        self._hist_counts: List[np.ndarray] = []
+        self._ids: List[Tuple[int, ...]] = []
+        self._counts: List[np.ndarray] = []
 
-    def __len__(self) -> int:
-        return len(self._ints["epoch"])
-
-    def append(self, frame: EpochFrame) -> None:
-        for name, column in self._ints.items():
-            column.append(int(getattr(frame, name)))
-        for name, column in self._floats.items():
-            column.append(float(getattr(frame, name)))
-        for name, stored in self._rings.items():
-            stored.append(getattr(frame, name))
-        hist = frame.vnodes_per_server
+    def append(self, hist: Mapping) -> None:
         if isinstance(hist, ServerVnodeHistogram):
             ids, counts = hist.server_ids, hist.counts
         else:
@@ -349,181 +325,191 @@ class FrameStore:
         # Share the id tuple with the previous epoch when membership
         # did not change — the common case, and what keeps the store's
         # footprint one count vector per epoch.
-        if self._hist_ids and self._hist_ids[-1] == ids:
-            ids = self._hist_ids[-1]
-        self._hist_ids.append(ids)
-        self._hist_counts.append(counts)
+        if self._ids and self._ids[-1] == ids:
+            ids = self._ids[-1]
+        self._ids.append(ids)
+        self._counts.append(counts)
 
-    def frame(self, index: int) -> EpochFrame:
+    def get(self, index: int) -> ServerVnodeHistogram:
+        return ServerVnodeHistogram(self._ids[index], self._counts[index])
+
+    @property
+    def nbytes(self) -> int:
+        """Every epoch's vector plus each distinct id tuple once."""
+        total = sum(counts.nbytes for counts in self._counts)
+        distinct = {id(ids): ids for ids in self._ids}
+        return total + sum(sys.getsizeof(ids) for ids in distinct.values())
+
+
+def _storage_for(hint):
+    """The column block a frame field's declared type maps to."""
+    if hint in _DTYPES:
+        return _ScalarField(hint)
+    if hint is Mapping:
+        return _HistogramField()
+    if get_origin(hint) is dict:
+        value = get_args(hint)[1]
+        if value in _DTYPES:
+            return _KeyedField(value)
+        if get_origin(value) is tuple:
+            return _VerbatimField()
+    raise MetricsError(f"no column storage for frame field type {hint!r}")
+
+
+class FrameStore:
+    """Columnar backing store for a stream of one frame dataclass.
+
+    The storage is derived from the frame class's resolved type hints,
+    one block per field: ``int`` / ``float`` → one growable int64 /
+    float64 column; ``Dict[key, int | float]`` → a value + presence
+    column per key (:class:`_KeyedField`); ``Dict[key, Tuple[int, …]]``
+    → the epoch's dict verbatim; ``Mapping`` (the vnode histogram) → one
+    count vector per epoch plus a server-id tuple shared across the
+    epochs of one cloud-membership version.
+
+    :meth:`frame` materializes a row view on demand — round trips are
+    exact (int64/float64 hold every value the engine emits, and
+    off-type test streams overflow to verbatim storage), so a stored
+    stream serializes byte-identically to the frames it was appended
+    from.
+    """
+
+    def __init__(self, frame_cls: type) -> None:
+        hints = get_type_hints(frame_cls)
+        self._cls = frame_cls
+        self._fields = {
+            f.name: _storage_for(hints[f.name])
+            for f in dataclasses.fields(frame_cls)
+        }
+
+    def __len__(self) -> int:
+        return len(self._fields["epoch"])
+
+    def append(self, frame) -> None:
+        """Store one frame; epochs must strictly increase."""
+        epochs = self._fields["epoch"]
+        if len(epochs) and frame.epoch <= epochs[-1]:
+            raise MetricsError(
+                f"non-monotonic {self._cls.__name__} epoch {frame.epoch} "
+                f"after {epochs[-1]}"
+            )
+        for name, stored in self._fields.items():
+            stored.append(getattr(frame, name))
+
+    def frame(self, index: int):
         """Materialize one epoch as a row view (lazy histogram)."""
         n = len(self)
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError(f"frame index {index} out of range ({n})")
-        fields: Dict[str, object] = {
-            name: int(column[index]) for name, column in self._ints.items()
-        }
-        for name, column in self._floats.items():
-            fields[name] = float(column[index])
-        for name, stored in self._rings.items():
-            fields[name] = stored.get(index)
-        fields["vnodes_per_server"] = ServerVnodeHistogram(
-            self._hist_ids[index], self._hist_counts[index]
-        )
-        return EpochFrame(**fields)
+        return self._cls(**{
+            name: stored.get(index) for name, stored in self._fields.items()
+        })
 
-    def has_column(self, name: str) -> bool:
-        return name in self._ints or name in self._floats
+    def __iter__(self) -> Iterator:
+        return (self.frame(i) for i in range(len(self)))
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return [self.frame(i) for i in range(*idx.indices(len(self)))]
+        return self.frame(idx)
 
     @property
-    def last_epoch(self) -> int:
+    def last(self):
         if not len(self):
-            raise MetricsError("no frames collected")
-        return int(self._ints["epoch"][len(self) - 1])
+            raise MetricsError(f"no {self._cls.__name__} collected")
+        return self.frame(-1)
 
-    def column(self, name: str) -> np.ndarray:
-        """One scalar field over all epochs, as float64 (fresh array)."""
-        column = self._ints.get(name)
-        if column is None:
-            column = self._floats.get(name)
-        if column is None:
-            raise MetricsError(f"unknown column {name!r}")
-        return column.view().astype(np.float64)
+    @property
+    def scalar_fields(self) -> Dict[str, type]:
+        """``{name: int | float}`` of the scalar columns, in field order."""
+        return {
+            name: stored.cast for name, stored in self._fields.items()
+            if isinstance(stored, _ScalarField)
+        }
 
-    def int_column_total(self, name: str) -> int:
+    def series(self, name: str) -> np.ndarray:
+        """A scalar attribute of every frame, as float64 (fresh array).
+
+        Scalar fields are column gathers; derived ``@property``
+        attributes fall back to materialization.  An empty stream
+        yields an empty array; an unknown name raises.
+        """
+        stored = self._fields.get(name)
+        if isinstance(stored, _ScalarField):
+            return stored.view().astype(np.float64)
+        if not isinstance(getattr(self._cls, name, None), property):
+            raise MetricsError(
+                f"unknown {self._cls.__name__} series {name!r}"
+            )
+        return np.array(
+            [getattr(frame, name) for frame in self], dtype=np.float64
+        )
+
+    def total(self, name: str) -> int:
         """Exact Python-int sum of one int column (no float64 cast).
 
         Byte counters can cross 2^53 over a long 100×-scale run, where
         a float64 sum silently loses integer exactness.
         """
-        column = self._ints.get(name)
-        if column is None:
-            raise MetricsError(f"unknown int column {name!r}")
-        return int(sum(int(v) for v in column.view().tolist()))
+        return sum(self._field(name, _ScalarField).view().tolist())
 
-    def _ring_field(self, name: str) -> _RingField:
-        field = self._rings.get(name)
-        if field is None:
-            raise MetricsError(f"unknown ring field {name!r}")
-        return field
+    def _field(self, name: str, kind: type):
+        stored = self._fields.get(name)
+        if not isinstance(stored, kind):
+            raise MetricsError(
+                f"{self._cls.__name__} has no {kind.__name__} {name!r}"
+            )
+        return stored
 
-    def ring_dicts(self, name: str) -> List[Dict]:
-        """Per-epoch mappings of one ring field (materialized views)."""
-        field = self._ring_field(name)
-        return [field.get(i) for i in range(len(self))]
-
-    def ring_series(self, name: str, ring) -> np.ndarray:
-        """One ring's values over all epochs (0 absent) as float64."""
-        return self._ring_field(name).series(ring)
+    def ring_series(self, name: str, key) -> np.ndarray:
+        """One key's values over all epochs (0 absent) as float64."""
+        return self._field(name, _KeyedField).series(key)
 
     def ring_keys(self, name: str = "vnodes_per_ring") -> List:
-        """Every ring key one field ever stored, first-appearance order."""
-        return self._ring_field(name).keys()
+        """Every key one field ever stored, first-appearance order."""
+        return self._field(name, _KeyedField).keys()
 
-    def histogram(self, index: int) -> ServerVnodeHistogram:
-        if index < 0:
-            index += len(self)
-        return ServerVnodeHistogram(
-            self._hist_ids[index], self._hist_counts[index]
-        )
+    def row_totals(self, name: str) -> Dict[object, List[int]]:
+        """Per-key run totals of one tuple-valued keyed field, one per
+        tuple position (keys in first-appearance order)."""
+        totals: Dict[object, List[int]] = {}
+        for mapping in self._field(name, _VerbatimField):
+            for key, row in mapping.items():
+                agg = totals.setdefault(key, [0] * len(row))
+                for k, value in enumerate(row):
+                    agg[k] += value
+        return totals
 
     @property
     def nbytes(self) -> int:
         """Approximate resident bytes of the stored stream.
 
-        Counts every column array, each epoch's histogram vector, the
-        shared id tuples (once per distinct tuple) and the small
-        per-ring dicts — the store only grows, so the value at the end
-        of a run is its peak.
+        Counts every column array at its capacity, each epoch's
+        histogram vector and the shared id tuples (once per distinct
+        tuple) — the store only grows, so the value at the end of a
+        run is its peak.
         """
-        total = sum(c.nbytes for c in self._ints.values())
-        total += sum(c.nbytes for c in self._floats.values())
-        total += sum(counts.nbytes for counts in self._hist_counts)
-        seen = set()
-        for ids in self._hist_ids:
-            if id(ids) not in seen:
-                seen.add(id(ids))
-                total += sys.getsizeof(ids)
-        for stored in self._rings.values():
-            total += stored.nbytes
-        return total
+        return sum(stored.nbytes for stored in self._fields.values())
 
 
-class MetricsLog:
-    """Ordered frames plus series extraction helpers (column-backed)."""
+class MetricsLog(FrameStore):
+    """The :class:`EpochFrame` stream plus the Figs. 2–5 series helpers."""
 
     def __init__(self) -> None:
-        self._store = FrameStore()
-
-    @property
-    def store(self) -> FrameStore:
-        """The columnar backing store (read-only by contract)."""
-        return self._store
-
-    @property
-    def nbytes(self) -> int:
-        """Peak resident bytes of the stored frame stream."""
-        return self._store.nbytes
-
-    def append(self, frame: EpochFrame) -> None:
-        store = self._store
-        if len(store) and frame.epoch <= store.last_epoch:
-            raise MetricsError(
-                f"non-monotonic epoch {frame.epoch} after "
-                f"{store.last_epoch}"
-            )
-        store.append(frame)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __iter__(self) -> Iterator[EpochFrame]:
-        store = self._store
-        return (store.frame(i) for i in range(len(store)))
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [
-                self._store.frame(i)
-                for i in range(*idx.indices(len(self._store)))
-            ]
-        return self._store.frame(idx)
-
-    @property
-    def last(self) -> EpochFrame:
-        if not len(self._store):
-            raise MetricsError("no frames collected")
-        return self._store.frame(len(self._store) - 1)
+        super().__init__(EpochFrame)
 
     def epochs(self) -> List[int]:
-        return [int(e) for e in self._store.column("epoch")]
-
-    def series(self, name: str) -> np.ndarray:
-        """A scalar attribute of every frame as an array."""
-        store = self._store
-        if not len(store):
-            raise MetricsError("no frames collected")
-        if store.has_column(name):
-            return store.column(name)
-        # Derived attributes (properties) fall back to materialization.
-        if not hasattr(EpochFrame, name):
-            raise MetricsError(f"unknown series {name!r}")
-        return np.array(
-            [getattr(frame, name) for frame in self], dtype=np.float64
-        )
-
-    def ring_series(self, attr: str, ring: Tuple[int, int]) -> np.ndarray:
-        """A per-ring attribute projected onto one ring (column gather)."""
-        return self._store.ring_series(attr, ring)
+        return [int(e) for e in self.series("epoch")]
 
     def rings(self) -> List[Tuple[int, int]]:
-        return sorted(self._store.ring_keys("vnodes_per_ring"))
+        return sorted(self.ring_keys("vnodes_per_ring"))
 
     def query_load_series(self, ring: Tuple[int, int]) -> np.ndarray:
         """Fig. 4 series: average per-server query load of one ring."""
-        live = self._store.column("live_servers")
-        queries = self._store.ring_series("queries_per_ring", ring)
+        live = self.series("live_servers")
+        queries = self.ring_series("queries_per_ring", ring)
         out = np.zeros(len(queries), dtype=np.float64)
         np.divide(queries, live, out=out, where=live > 0)
         return out
@@ -534,19 +520,14 @@ class MetricsLog:
         Returns the stored histogram *view* (a read-only mapping over
         the count vector) — no O(S) dict copy per access.
         """
-        return self._store.histogram(epoch_index)
+        return self._fields["vnodes_per_server"].get(epoch_index)
 
     def vnode_counts(self, epoch_index: int = -1) -> np.ndarray:
         """One epoch's per-server vnode counts, slot order (read-only)."""
-        return self._store.histogram(epoch_index).counts
+        return self.vnode_histogram(epoch_index).counts
 
     def storage_fraction_series(self) -> np.ndarray:
-        used = self._store.column("storage_used")
-        cap = self._store.column("storage_capacity")
-        out = np.zeros(len(used), dtype=np.float64)
-        nonzero = cap > 0
-        np.divide(used, cap, out=out, where=nonzero)
-        return out
+        return self.series("storage_fraction")
 
     def cumulative_insert_failures(self) -> np.ndarray:
         return np.cumsum(self.series("insert_failures"))
@@ -554,10 +535,7 @@ class MetricsLog:
     def total_rent_paid(self) -> float:
         """Sum over epochs of mean price × vnodes — total cost proxy."""
         return float(
-            (
-                self._store.column("mean_price")
-                * self._store.column("vnodes_total")
-            ).sum()
+            (self.series("mean_price") * self.series("vnodes_total")).sum()
         )
 
     def total_bytes_moved(self) -> int:
@@ -566,24 +544,17 @@ class MetricsLog:
         Summed over exact integers — byte totals outgrow float64's
         53-bit mantissa on long 100×-scale runs.
         """
-        return (
-            self._store.int_column_total("replication_bytes")
-            + self._store.int_column_total("migration_bytes")
-        )
+        return self.total("replication_bytes") + self.total("migration_bytes")
 
     def action_totals(self) -> Dict[str, int]:
         return {
-            "repairs": int(self.series("repairs").sum()),
-            "economic_replications": int(
-                self.series("economic_replications").sum()
-            ),
-            "migrations": int(self.series("migrations").sum()),
-            "suicides": int(self.series("suicides").sum()),
-            "deferred": int(self.series("deferred").sum()),
+            name: self.total(name)
+            for name in ("repairs", "economic_replications", "migrations",
+                         "suicides", "deferred")
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlPlaneFrame:
     """One epoch's control-plane observables (faulty-network runs).
 
@@ -627,18 +598,7 @@ class ControlPlaneFrame:
         return self.ghosts + self.false_suspects
 
 
-#: ControlPlaneFrame scalar fields exposed through
-#: :meth:`RobustnessLog.series` (ints stored as float64 like
-#: :meth:`MetricsLog.series` does).
-CONTROL_FIELDS: Tuple[str, ...] = (
-    "epoch", "actual_live", "believed_live", "ghosts", "false_suspects",
-    "detections", "staleness_mean", "staleness_max", "price_version_lag",
-    "retries_pushed", "retries_retried", "retries_succeeded",
-    "retries_dropped", "wasted_transfers", "conflicting_repair_risk",
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataPlaneFrame:
     """One epoch's data-plane observables (stale-view serving runs).
 
@@ -686,87 +646,48 @@ class DataPlaneFrame:
         return self.failures / attempted
 
 
-#: DataPlaneFrame scalar fields exposed through
-#: :meth:`RobustnessLog.data_plane_series`.
-DATA_PLANE_FIELDS: Tuple[str, ...] = (
-    "epoch", "reads", "writes", "read_failures", "write_failures",
-    "replica_timeouts", "replica_unreachable", "suspects_skipped",
-    "stale_observed", "read_repairs", "handoff_writes",
-    "hints_parked", "hints_drained", "hints_expired",
-    "hint_queue_depth", "anti_entropy_partitions", "anti_entropy_keys",
-    "anti_entropy_bytes",
-)
-
-
 class RobustnessLog:
-    """Per-epoch control-plane frames plus the robustness aggregates.
+    """The control- and data-plane frame streams plus the robustness
+    aggregates.
 
-    List-backed (a run holds a few hundred to a few thousand small
-    frames; the columnar treatment the EpochFrame stream needed is not
-    warranted here) with the summary statistics ISSUE 6 asks for:
+    Two :class:`FrameStore` streams (iteration, indexing and
+    :meth:`series` read the control plane; the ``data_plane*`` members
+    read the other) with the summary statistics ISSUE 6 asks for:
     false-suspicion rate, membership-staleness distribution, wasted
     transfer and retry totals, and per-code message totals.
     """
 
+    # No ``nbytes`` here, deliberately: ``benchmarks/e2e`` falls back to
+    # 8 bytes per number over ``list(log) + log.data_plane`` when the
+    # attribute is missing, and a capacity-based figure would read
+    # higher than that and fail its ``telemetry_bytes`` bound.
+
     def __init__(self) -> None:
-        self._frames: List[ControlPlaneFrame] = []
-        self._data_frames: List[DataPlaneFrame] = []
+        self._control = FrameStore(ControlPlaneFrame)
+        self._data = FrameStore(DataPlaneFrame)
 
     def append(self, frame: ControlPlaneFrame) -> None:
-        if self._frames and frame.epoch <= self._frames[-1].epoch:
-            raise MetricsError(
-                f"non-monotonic epoch {frame.epoch} after "
-                f"{self._frames[-1].epoch}"
-            )
-        self._frames.append(frame)
+        self._control.append(frame)
 
     def append_data_plane(self, frame: DataPlaneFrame) -> None:
         """Append one epoch's data-plane frame (monotonic epochs)."""
-        if (
-            self._data_frames
-            and frame.epoch <= self._data_frames[-1].epoch
-        ):
-            raise MetricsError(
-                f"non-monotonic data-plane epoch {frame.epoch} after "
-                f"{self._data_frames[-1].epoch}"
-            )
-        self._data_frames.append(frame)
+        self._data.append(frame)
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._control)
 
     def __iter__(self) -> Iterator[ControlPlaneFrame]:
-        return iter(self._frames)
-
-    def __getitem__(self, idx):
-        return self._frames[idx]
-
-    @property
-    def last(self) -> ControlPlaneFrame:
-        if not self._frames:
-            raise MetricsError("no control-plane frames collected")
-        return self._frames[-1]
+        return iter(self._control)
 
     def series(self, name: str) -> np.ndarray:
-        if name not in CONTROL_FIELDS and not hasattr(
-            ControlPlaneFrame, name
-        ):
-            raise MetricsError(f"unknown control-plane series {name!r}")
-        return np.array(
-            [getattr(f, name) for f in self._frames], dtype=np.float64
-        )
+        return self._control.series(name)
 
     def message_totals(self) -> Dict[str, Dict[str, int]]:
         """Per-code cumulative counts over the whole run."""
-        totals: Dict[str, List[int]] = {}
-        for frame in self._frames:
-            for code, row in frame.messages.items():
-                agg = totals.setdefault(code, [0, 0, 0, 0])
-                for k in range(4):
-                    agg[k] += row[k]
         names = ("sent", "delivered", "dropped_loss", "dropped_partition")
         return {
-            code: dict(zip(names, agg)) for code, agg in totals.items()
+            code: dict(zip(names, row))
+            for code, row in self._control.row_totals("messages").items()
         }
 
     def false_suspicion_rate(self) -> float:
@@ -775,15 +696,14 @@ class RobustnessLog:
         The FailureDetector accuracy headline: what fraction of the
         time a physically-live server spent being believed dead.
         """
-        suspect_epochs = sum(f.false_suspects for f in self._frames)
-        live_epochs = sum(f.actual_live for f in self._frames)
+        live_epochs = self._control.total("actual_live")
         if live_epochs == 0:
             return 0.0
-        return suspect_epochs / live_epochs
+        return self._control.total("false_suspects") / live_epochs
 
     def staleness_distribution(self) -> Dict[str, float]:
         """Mean / p95 / max of the board's membership-view staleness."""
-        if not self._frames:
+        if not len(self):
             return {"mean": 0.0, "p95": 0.0, "max": 0.0}
         means = self.series("staleness_mean")
         maxes = self.series("staleness_max")
@@ -796,79 +716,53 @@ class RobustnessLog:
     @property
     def data_plane(self) -> List[DataPlaneFrame]:
         """The data-plane frame stream (empty when not collected)."""
-        return self._data_frames
+        return list(self._data)
 
     def data_plane_series(self, name: str) -> np.ndarray:
-        if name not in DATA_PLANE_FIELDS and not hasattr(
-            DataPlaneFrame, name
-        ):
-            raise MetricsError(f"unknown data-plane series {name!r}")
-        return np.array(
-            [getattr(f, name) for f in self._data_frames],
-            dtype=np.float64,
-        )
+        return self._data.series(name)
 
     def data_plane_summary(self) -> Dict[str, object]:
         """Whole-run data-plane totals plus the per-level breakdown."""
-        frames = self._data_frames
-        levels: Dict[str, List[int]] = {}
-        for frame in frames:
-            for level, row in frame.levels.items():
-                agg = levels.setdefault(level, [0, 0, 0])
-                for k in range(3):
-                    agg[k] += row[k]
-        totals = {
-            name: int(sum(getattr(f, name) for f in frames))
-            for name in DATA_PLANE_FIELDS
+        data = self._data
+        totals: Dict[str, object] = {
+            name: data.total(name)
+            for name in data.scalar_fields
             if name not in ("epoch", "hint_queue_depth")
         }
-        totals["peak_hint_queue_depth"] = int(
-            max((f.hint_queue_depth for f in frames), default=0)
-        )
-        totals["final_hint_queue_depth"] = int(
-            frames[-1].hint_queue_depth if frames else 0
-        )
+        # Peaks are over non-negative counts, so an empty stream reads 0.
+        depth = data.series("hint_queue_depth")
+        totals["peak_hint_queue_depth"] = int(depth.max(initial=0))
+        totals["final_hint_queue_depth"] = int(depth[-1]) if len(depth) else 0
         totals["levels"] = {
-            level: {"ok": agg[0], "timeouts": agg[1], "stale": agg[2]}
-            for level, agg in levels.items()
+            level: dict(zip(("ok", "timeouts", "stale"), row))
+            for level, row in data.row_totals("levels").items()
         }
         return totals
 
     def summary(self) -> Dict[str, object]:
         """The robustness report block (text render in analysis/)."""
-        frames = self._frames
-        out = self._control_summary()
-        if self._data_frames:
-            out["data_plane"] = self.data_plane_summary()
-        return out
-
-    def _control_summary(self) -> Dict[str, object]:
-        frames = self._frames
-        return {
-            "epochs": len(frames),
+        control = self._control
+        out: Dict[str, object] = {
+            "epochs": len(control),
             "false_suspicion_rate": self.false_suspicion_rate(),
             "staleness": self.staleness_distribution(),
-            "detections": int(sum(f.detections for f in frames)),
-            "wasted_transfers": int(
-                sum(f.wasted_transfers for f in frames)
-            ),
+            "detections": control.total("detections"),
+            "wasted_transfers": control.total("wasted_transfers"),
             "retries": {
-                "pushed": int(sum(f.retries_pushed for f in frames)),
-                "retried": int(sum(f.retries_retried for f in frames)),
-                "succeeded": int(
-                    sum(f.retries_succeeded for f in frames)
-                ),
-                "dropped": int(sum(f.retries_dropped for f in frames)),
+                kind: control.total(f"retries_{kind}")
+                for kind in ("pushed", "retried", "succeeded", "dropped")
             },
             "max_price_version_lag": int(
-                max((f.price_version_lag for f in frames), default=0)
+                control.series("price_version_lag").max(initial=0)
             ),
             "peak_conflicting_repair_risk": int(
-                max((f.conflicting_repair_risk for f in frames),
-                    default=0)
+                control.series("conflicting_repair_risk").max(initial=0)
             ),
             "messages": self.message_totals(),
         }
+        if len(self._data):
+            out["data_plane"] = self.data_plane_summary()
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -910,19 +804,8 @@ class ServingFrame:
         return self.sla_read_violations + self.sla_write_violations
 
 
-#: ServingFrame scalar fields by storage class, in field order.
-SERVING_INT_FIELDS: Tuple[str, ...] = (
-    "epoch", "requests", "reads", "writes", "read_failures",
-    "write_failures", "sla_read_violations", "sla_write_violations",
-)
-SERVING_FLOAT_FIELDS: Tuple[str, ...] = (
-    "requests_per_sec", "read_p50_ms", "read_p99_ms", "read_p999_ms",
-    "write_p50_ms", "write_p99_ms", "write_p999_ms", "mean_queue_ms",
-)
-
-
-class ServingLog:
-    """Columnar store for a :class:`ServingFrame` stream.
+class ServingLog(FrameStore):
+    """The :class:`ServingFrame` stream plus its run summary.
 
     The serving front door emits one small all-scalar frame per epoch,
     so the whole stream packs into one int64/float64 column per field —
@@ -930,87 +813,19 @@ class ServingLog:
     round trips through :meth:`frame`.
     """
 
-    __slots__ = ("_ints", "_floats")
-
     def __init__(self) -> None:
-        self._ints: Dict[str, GrowableColumn] = {
-            name: GrowableColumn(np.int64) for name in SERVING_INT_FIELDS
-        }
-        self._floats: Dict[str, GrowableColumn] = {
-            name: GrowableColumn(np.float64)
-            for name in SERVING_FLOAT_FIELDS
-        }
-
-    def __len__(self) -> int:
-        return len(self._ints["epoch"])
-
-    def append(self, frame: ServingFrame) -> None:
-        epochs = self._ints["epoch"]
-        if len(epochs) and frame.epoch <= int(epochs[len(epochs) - 1]):
-            raise MetricsError(
-                f"non-monotonic serving epoch {frame.epoch} after "
-                f"{int(epochs[len(epochs) - 1])}"
-            )
-        for name, column in self._ints.items():
-            column.append(int(getattr(frame, name)))
-        for name, column in self._floats.items():
-            column.append(float(getattr(frame, name)))
-
-    def frame(self, index: int) -> ServingFrame:
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(
-                f"serving frame index {index} out of range ({n})"
-            )
-        fields: Dict[str, object] = {
-            name: int(column[index]) for name, column in self._ints.items()
-        }
-        for name, column in self._floats.items():
-            fields[name] = float(column[index])
-        return ServingFrame(**fields)
-
-    def __iter__(self) -> Iterator[ServingFrame]:
-        return (self.frame(i) for i in range(len(self)))
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [
-                self.frame(i) for i in range(*idx.indices(len(self)))
-            ]
-        return self.frame(idx)
-
-    @property
-    def last(self) -> ServingFrame:
-        if not len(self):
-            raise MetricsError("no serving frames collected")
-        return self.frame(len(self) - 1)
-
-    def series(self, name: str) -> np.ndarray:
-        """One scalar field over all epochs, as float64 (fresh array)."""
-        column = self._ints.get(name)
-        if column is None:
-            column = self._floats.get(name)
-        if column is None:
-            if not hasattr(ServingFrame, name):
-                raise MetricsError(f"unknown serving series {name!r}")
-            return np.array(
-                [getattr(f, name) for f in self], dtype=np.float64
-            )
-        return column.view().astype(np.float64)
+        super().__init__(ServingFrame)
 
     def summary(self) -> Dict[str, object]:
         """Whole-run serving totals plus steady-state tail medians."""
         if not len(self):
             return {"epochs": 0}
         totals = {
-            name: int(self._ints[name].view().sum())
-            for name in SERVING_INT_FIELDS
-            if name != "epoch"
+            name: self.total(name)
+            for name, cast in self.scalar_fields.items()
+            if cast is int and name != "epoch"
         }
-        out: Dict[str, object] = {"epochs": len(self)}
-        out.update(totals)
+        out: Dict[str, object] = {"epochs": len(self), **totals}
         out["mean_requests_per_sec"] = float(
             self.series("requests_per_sec").mean()
         )
@@ -1019,12 +834,10 @@ class ServingLog:
         for name in ("read_p50_ms", "read_p99_ms", "read_p999_ms",
                      "write_p50_ms", "write_p99_ms", "write_p999_ms"):
             out[name] = float(np.median(self.series(name)))
-        out["peak_read_p999_ms"] = float(
-            self.series("read_p999_ms").max()
-        )
-        out["peak_write_p999_ms"] = float(
-            self.series("write_p999_ms").max()
-        )
+        for op in ("read", "write"):
+            out[f"peak_{op}_p999_ms"] = float(
+                self.series(f"{op}_p999_ms").max()
+            )
         requests = totals["requests"]
         violations = (
             totals["sla_read_violations"] + totals["sla_write_violations"]
@@ -1033,12 +846,6 @@ class ServingLog:
             1.0 - violations / requests if requests else 1.0
         )
         return out
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(c.nbytes for c in self._ints.values())
-        total += sum(c.nbytes for c in self._floats.values())
-        return total
 
 
 def load_balance_index(loads: Sequence[float]) -> float:

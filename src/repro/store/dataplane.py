@@ -176,7 +176,7 @@ class DataPlane:
             epoch=epoch,
             hint_queue_depth=self.hints.depth,
             levels=level_deltas,
-            **{k: v for k, v in deltas.items()},
+            **deltas,
         )
 
     # -- audit ground truth ----------------------------------------------------

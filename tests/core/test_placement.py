@@ -228,16 +228,25 @@ class TestShortlist:
         )
         return cloud, board
 
+    @staticmethod
+    def _preload(scorer, replicas, key):
+        """Build ``key``'s window the only way one is built: grouped
+        wave-0 preload (test clouds add servers 0..n-1, so slot ≡ id)."""
+        assert scorer.preload_shortlists(
+            [(key, np.array(replicas), None)]
+        ) == 1
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 4, 64])
     def test_fast_path_matches_full_scan(self, seed, k):
-        """Repeated same-key calls (the shortlist trigger) across rent
-        bumps and budget churn return exactly the full scan's pick."""
+        """Repeated calls against a preloaded window across rent bumps
+        and budget churn return exactly the full scan's pick."""
         rng = np.random.default_rng(seed)
         cloud, board = self._random_cloud(rng)
         fast = PlacementScorer(cloud, board, shortlist_k=k)
         full = PlacementScorer(cloud, board, shortlist_k=0)
         replicas = [0, 5]
+        self._preload(fast, replicas, "hot")
         for step in range(12):
             got = fast.best(
                 replicas, need_bytes=10, budget="replication",
@@ -261,6 +270,7 @@ class TestShortlist:
         fast = PlacementScorer(cloud, board, shortlist_k=1)
         full = PlacementScorer(cloud, board, shortlist_k=0)
         key = "p0"
+        self._preload(fast, [0], key)
         first = fast.best([0], need_bytes=1, cache_key=key)
         again = fast.best(
             [0], need_bytes=1, cache_key=key,
@@ -273,28 +283,29 @@ class TestShortlist:
         assert again == want
         assert again.server_id != first.server_id
 
-    def test_shortlist_built_on_second_use_only(self):
-        cloud, board = build(FOUR)
-        scorer = PlacementScorer(cloud, board, shortlist_k=2)
-        skey = scorer._class_key([0], "once")
-        scorer.best([0], need_bytes=1, cache_key="once")
-        assert skey not in scorer._shortlists
-        scorer.best([0], need_bytes=1, cache_key="once")
-        assert skey in scorer._shortlists
-
-    def test_shortlists_shared_across_same_class_keys(self):
+    def test_shortlists_shared_across_same_class_keys(self, monkeypatch):
         """Two partitions on the same replica set share one placement
-        class: the second key's first ``best`` call already rides the
-        window the first key's calls built."""
+        class: the second key's ``best`` call rides the window the
+        first key's preload built — and no ``best`` call builds one."""
         cloud, board = build(FOUR)
         fast = PlacementScorer(cloud, board, shortlist_k=2)
         full = PlacementScorer(cloud, board, shortlist_k=0)
-        fast.best([0], need_bytes=1, cache_key=("p1", (0,)))
-        fast.best([0], need_bytes=1, cache_key=("p1", (0,)))
+        for __ in range(2):
+            fast.best([1], need_bytes=1, cache_key=("p0", (1,)))
+        assert not fast._shortlists
+        self._preload(fast, [0], ("p1", (0,)))
         assert len(fast._shortlists) == 1
+        answered = []
+        window = fast._best_from_shortlist
+
+        def spy(*args):
+            answered.append(window(*args))
+            return answered[-1]
+
+        monkeypatch.setattr(fast, "_best_from_shortlist", spy)
         got = fast.best([0], need_bytes=1, cache_key=("p2", (0,)))
         want = full.best([0], need_bytes=1)
-        assert got == want
+        assert got == want and answered == [got]
         assert len(fast._shortlists) == 1
 
     def test_gain_cache_shared_across_same_class_keys(self):
@@ -340,6 +351,7 @@ class TestShortlist:
         cloud, board = build(locs, rents={0: 0.2, 1: 0.2, 2: 0.2})
         fast = PlacementScorer(cloud, board, shortlist_k=2)
         full = PlacementScorer(cloud, board, shortlist_k=0)
+        self._preload(fast, [0], "t")
         for __ in range(3):
             got = fast.best([0], need_bytes=1, cache_key="t")
             want = full.best([0], need_bytes=1, cache_key="t")

@@ -275,6 +275,25 @@ class TestGroupedVsSequentialChains:
             assert grp == seq
 
 
+def single_window(scorer, servers, key, k):
+    """One class's top-k window built one set at a time — the reference
+    the grouped build must reproduce: a full eq. 3 scoring pass over
+    the epoch-start rents, the k best slots plus the lowest slot tying
+    the best outside score, in (score descending, slot ascending)
+    order."""
+    score0 = scorer.scores(servers, cache_key=key)
+    n = len(score0)
+    if n > k:
+        part = np.argpartition(-score0, k)
+        bound = float(score0[part[k:]].max())
+        bound_slot = int(np.argmax(score0 == bound))
+        top = np.append(part[:k], bound_slot)
+    else:
+        top, bound, bound_slot = np.arange(n), -np.inf, n
+    order = top[np.lexsort((top, -score0[top]))]
+    return order, score0[order], bound, bound_slot
+
+
 class TestGroupedShortlistPreload:
     def test_preload_matches_individual_builds(self):
         (cloud, rings, ring, catalog, registry, transfers, engine,
@@ -292,13 +311,13 @@ class TestGroupedShortlistPreload:
             servers = [int(s) for s in slots]
             skey = scorer._class_key(servers, key)
             grouped = scorer._shortlists[skey]
-            single = reference._shortlist_for(
-                servers, None, key, reference._class_key(servers, key)
+            slots, score0, bound, bound_slot = single_window(
+                reference, servers, key, 3
             )
-            assert grouped.slots.tolist() == single.slots.tolist()
-            assert grouped.score0.tolist() == single.score0.tolist()
-            assert grouped.bound == single.bound
-            assert grouped.bound_slot == single.bound_slot
+            assert grouped.slots.tolist() == slots.tolist()
+            assert grouped.score0.tolist() == score0.tolist()
+            assert grouped.bound == bound
+            assert grouped.bound_slot == bound_slot
 
     def test_preloaded_best_equals_full_scan(self):
         (cloud, rings, ring, catalog, registry, transfers, engine,

@@ -17,7 +17,6 @@ from repro.sim.config import (
 )
 from repro.sim.engine import Simulation
 from repro.sim.metrics import (
-    DATA_PLANE_FIELDS,
     DataPlaneFrame,
     MetricsError,
     RobustnessLog,
@@ -53,9 +52,9 @@ def small_config(*, epochs=8, seed=0, net=None, data_plane=None):
 
 
 def frame(epoch, **kwargs):
-    base = {name: 0 for name in DATA_PLANE_FIELDS if name != "epoch"}
-    base.update(kwargs)
-    return DataPlaneFrame(epoch=epoch, levels={}, **base)
+    base = {f.name: 0 for f in dataclasses.fields(DataPlaneFrame)}
+    base.update(kwargs, epoch=epoch, levels={})
+    return DataPlaneFrame(**base)
 
 
 class TestRobustnessLogDataPlane:

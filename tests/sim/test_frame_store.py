@@ -206,7 +206,7 @@ class TestStoreAccessors:
         log = MetricsLog()
         counts = np.arange(50, dtype=np.int64)
         log.append(_hist_frame(counts))
-        stored = log.store._hist_counts[0]
+        stored = log._fields["vnodes_per_server"]._counts[0]
         assert stored.dtype == np.int32
         hist = log[0].vnodes_per_server
         assert list(hist.values()) == counts.tolist()
@@ -217,7 +217,7 @@ class TestStoreAccessors:
         log = MetricsLog()
         counts = np.array([2**40, 1], dtype=np.int64)
         log.append(_hist_frame(counts, ids=(7, 9)))
-        stored = log.store._hist_counts[0]
+        stored = log._fields["vnodes_per_server"]._counts[0]
         assert stored.dtype == np.int64
         assert log[0].vnodes_per_server[7] == 2**40
 
@@ -244,6 +244,6 @@ class TestStoreAccessors:
         )
         log.append(frame)
         for name in ("vnodes_per_ring", "queries_per_ring"):
-            assert not log.store._rings[name]._raw
+            assert not log._fields[name]._raw
         assert log[0].vnodes_per_ring == {(0, 0): 3}
         assert log.ring_series("vnodes_per_ring", (0, 0)).tolist() == [3.0]

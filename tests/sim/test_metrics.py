@@ -7,6 +7,8 @@ from repro.sim.metrics import (
     EpochFrame,
     MetricsError,
     MetricsLog,
+    RobustnessLog,
+    ServingLog,
     load_balance_index,
 )
 
@@ -82,7 +84,8 @@ class TestMetricsLog:
         with pytest.raises(MetricsError):
             MetricsLog().last
         with pytest.raises(MetricsError):
-            MetricsLog().series("vnodes_total")
+            MetricsLog().series("bogus")
+        assert MetricsLog().series("vnodes_total").tolist() == []
 
     def test_ring_series(self):
         log = MetricsLog()
@@ -123,6 +126,25 @@ class TestMetricsLog:
         log = MetricsLog()
         log.append(frame(0))
         assert log.total_rent_paid() == pytest.approx(0.2 * 10)
+
+
+@pytest.mark.parametrize("series, scalar, derived", [
+    (lambda: MetricsLog().series, "vnodes_total", "bytes_moved"),
+    (lambda: RobustnessLog().series, "detections", "messages_sent"),
+    (lambda: RobustnessLog().data_plane_series, "reads", "failure_rate"),
+    (lambda: ServingLog().series, "requests", "sla_violations"),
+], ids=["epoch", "control", "data-plane", "serving"])
+def test_empty_and_unknown_series_contract(series, scalar, derived):
+    """One contract for all four streams: a known name on an empty
+    stream is an empty float64 array, an unknown name (or a non-scalar
+    field) raises."""
+    series = series()
+    for name in (scalar, derived, "epoch"):
+        out = series(name)
+        assert out.dtype == np.float64 and out.shape == (0,)
+    for name in ("bogus", "messages", "levels", "vnodes_per_ring"):
+        with pytest.raises(MetricsError):
+            series(name)
 
 
 class TestLoadBalanceIndex:

@@ -270,11 +270,11 @@ def test_row_view_classes_declare_slots():
     """
     from repro.cluster.server import BandwidthBudget, Server, ServerTable
     from repro.core.agent import VNodeAgent
-    from repro.sim.metrics import EpochFrame, ServerVnodeHistogram
+    from repro.sim.metrics import ServerVnodeHistogram
 
     row_views = (
         Server, BandwidthBudget, ServerTable, VNodeAgent,
-        EpochFrame, ServerVnodeHistogram,
+        *_frame_classes(), ServerVnodeHistogram,
     )
     problems = []
     for cls in row_views:
@@ -291,6 +291,78 @@ def test_row_view_classes_declare_slots():
                 f"(via {', '.join(dict_owners)})"
             )
     assert not problems, "row-view slot violations:\n" + "\n".join(problems)
+
+
+def _frame_classes():
+    from repro.sim.metrics import (
+        ControlPlaneFrame,
+        DataPlaneFrame,
+        EpochFrame,
+        ServingFrame,
+    )
+
+    return (EpochFrame, ControlPlaneFrame, DataPlaneFrame, ServingFrame)
+
+
+def find_frame_field_lists(path: Path):
+    """Module-level tuples / lists / sets / dict keys of strings that
+    name fields of a frame dataclass."""
+    import dataclasses
+
+    field_names = {
+        f.name for cls in _frame_classes() for f in dataclasses.fields(cls)
+    }
+    tree = ast.parse(path.read_text(), filename=str(path))
+    problems = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Dict):
+                elements = node.keys
+            elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                elements = node.elts
+            else:
+                continue
+            named = sorted(field_names.intersection(
+                e.value for e in elements
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            ))
+            if named:
+                problems.append(
+                    f"{path.name}:{node.lineno}: hand-kept list of frame "
+                    f"fields ({', '.join(named[:3])}, ...) — the frame "
+                    f"dataclass already declares them; ask the store"
+                )
+    return problems
+
+
+def test_metrics_module_keeps_no_frame_field_lists():
+    """The frame dataclasses are the one declaration of which fields
+    exist and what they hold (ISSUE 18 deleted eight tuples that
+    restated them); ``FrameStore`` derives its columns from the type
+    hints, so a module-level field list can only drift."""
+    problems = find_frame_field_lists(
+        REPO_ROOT / "src/repro/sim/metrics.py"
+    )
+    assert not problems, "\n".join(problems)
+
+
+def test_field_list_gate_detects_planted_tuple_and_dict(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import numpy as np\n"
+        "INT_FIELDS = ('epoch', 'reads', 'writes')\n"
+        "DTYPES: dict = {'vnodes_per_ring': np.int64}\n"
+    )
+    assert len(find_frame_field_lists(planted)) == 2
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "__all__ = ['MetricsLog', 'FrameStore']\n"
+        "def totals(log):\n"
+        "    return [log.total(n) for n in ('repairs', 'migrations')]\n"
+    )
+    assert not find_frame_field_lists(benign)
 
 
 #: Decide-path modules that must consume liveness exclusively through
@@ -440,24 +512,32 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
 #: the base class (ISSUE 16; first step of the declared protocol).
 SCORER_PROBE_SEALED = Path("src/repro/core/decision.py")
 
+#: The same rule one layer up (ISSUE 18): sealed module → the owner it
+#: may not probe.  The settle hand-off (``query_totals`` /
+#: ``query_totals_version``) is declared on ``DecisionEngine``, which
+#: every decider subclasses, and the overlays on ``Simulation``.
+SURFACE_PROBE_SEALED = {
+    Path("src/repro/sim/engine.py"): "self.decider",
+    Path("src/repro/cli.py"): "sim",
+}
 
-def find_scorer_probes(path: Path):
-    """``getattr(scorer, ...)`` calls in a module."""
+
+def find_scorer_probes(path: Path, owner: str = "scorer"):
+    """``getattr(<owner>, ...)`` calls in a module."""
     tree = ast.parse(path.read_text(), filename=str(path))
     try:
         shown = path.relative_to(REPO_ROOT)
     except ValueError:
         shown = path
     return [
-        f"{shown}:{node.lineno}: getattr(scorer, ...) probe — declare "
-        f"the capability on PlacementScorer and read it directly"
+        f"{shown}:{node.lineno}: getattr({owner}, ...) probe — declare "
+        f"the capability on the base class and read it directly"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "getattr"
         and node.args
-        and isinstance(node.args[0], ast.Name)
-        and node.args[0].id == "scorer"
+        and ast.unparse(node.args[0]) == owner
     ]
 
 
@@ -465,6 +545,18 @@ def test_decision_reads_scorer_capabilities_directly():
     problems = find_scorer_probes(REPO_ROOT / SCORER_PROBE_SEALED)
     assert not problems, (
         "scorer capability probes in the decide path:\n"
+        + "\n".join(problems)
+    )
+
+
+def test_engine_and_cli_read_the_declared_surface_directly():
+    problems = [
+        problem
+        for path, owner in SURFACE_PROBE_SEALED.items()
+        for problem in find_scorer_probes(REPO_ROOT / path, owner)
+    ]
+    assert not problems, (
+        "probes of a declared decider / simulation surface:\n"
         + "\n".join(problems)
     )
 
@@ -477,15 +569,23 @@ def test_scorer_probe_gate_detects_planted_getattr(tmp_path):
         "    fn = getattr(scorer, 'preload_shortlists', None)\n"
         "    if fn is not None and getattr(scorer, 'best_is_pure', False):\n"
         "        fn(entries)\n"
+        "def step(self, sim):\n"
+        "    totals = getattr(self.decider, 'query_totals', None)\n"
+        "    return totals, getattr(sim, 'serving', None)\n"
     )
     assert len(find_scorer_probes(planted)) == 2
+    assert len(find_scorer_probes(planted, "self.decider")) == 1
+    assert len(find_scorer_probes(planted, "sim")) == 1
     benign = tmp_path / "benign.py"
     benign.write_text(
         "def preload(scorer, decider, entries):\n"
         "    if scorer.best_is_pure and getattr(decider, 'k', 0):\n"
         "        scorer.preload_shortlists(entries)\n"
+        "def step(self, sim, args):\n"
+        "    return self.decider.query_totals, getattr(args, 'serve', 0)\n"
     )
-    assert not find_scorer_probes(benign)
+    for owner in ("scorer", *SURFACE_PROBE_SEALED.values()):
+        assert not find_scorer_probes(benign, owner)
 
 
 #: Request-path packages whose per-request draws must stay O(log K):
