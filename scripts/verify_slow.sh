@@ -2,8 +2,11 @@
 # Opt-in slow verification tier: the minutes-long sweeps tier-1
 # deselects (-m "not slow" in setup.cfg).  Covers the randomized
 # spec-sampled kernel-equivalence seeds, the faulty-net equivalence
-# matrix, the sampled paper-invariant sweep, and the multi-seed
-# consistency-audit chaos sweep.
+# matrix, the sampled paper-invariant sweep, the multi-seed
+# consistency-audit chaos sweep, and the gossip round kernel's
+# differential harness against the per-message oracle at its large
+# hypothesis budget (tests/net/test_fabric_differential.py, 4 000
+# freshly drawn scripts; tier-1 runs 150 derandomized ones).
 #
 # Usage:  scripts/verify_slow.sh [extra pytest args...]
 set -euo pipefail

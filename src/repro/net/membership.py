@@ -398,7 +398,7 @@ class MembershipService:
         return sorted(self._suspected)
 
     def actual_live_count(self) -> int:
-        return sum(1 for s in self._cloud if s.alive)
+        return int(np.count_nonzero(self._cloud.alive_vector()))
 
     def believed_live_count(self) -> int:
         return len(self.believed_ids())

@@ -255,6 +255,15 @@ class _ActiveCut:
             self._side[sid] = cached
         return cached
 
+    def side_column(self, cloud: Cloud, server_ids: List[int]) -> np.ndarray:
+        """``in_a`` for each of ``server_ids`` (ids the cloud no longer
+        holds read as side B: nothing is delivered to them anyway)."""
+        in_a = self.in_a
+        return np.array(
+            [sid in cloud and in_a(cloud, sid) for sid in server_ids],
+            dtype=bool,
+        )
+
     def blocks(self, cloud: Cloud, src: int, dst: int) -> bool:
         a_src = self.in_a(cloud, src)
         a_dst = self.in_a(cloud, dst)
@@ -266,6 +275,11 @@ class _ActiveCut:
         return True
 
 
+#: :meth:`NetworkModel.link_state`: the flapped mask, then one
+#: ``(in_a, asymmetric)`` pair per active cut.
+LinkState = Tuple[np.ndarray, List[Tuple[np.ndarray, bool]]]
+
+
 @dataclass
 class _PendingFlap:
     event: LinkFlap
@@ -275,10 +289,21 @@ class _PendingFlap:
 class NetworkModel:
     """Runtime fault state: active cuts, flapped links, loss rolls.
 
-    ``begin_epoch`` materializes scheduled cuts (drawing pivots from
-    the ``net`` seed stream so runs reproduce from one master seed)
-    and heals expired ones.  Reachability and loss are then O(active
-    faults) per message.
+    ``begin_epoch`` materializes scheduled cuts and flaps (drawing
+    pivots and victims from the ``net`` seed stream so runs reproduce
+    from one master seed) and heals expired ones.  Fault state is then
+    fixed until the next ``begin_epoch``: :meth:`reachable` answers for
+    one pair, :meth:`link_state` for a whole gossip round at once
+    (``None`` when healthy), and neither draws.
+
+    The only draw between epoch boundaries is :meth:`lost`: exactly one
+    ``random()`` from the ``net`` stream per message that survived the
+    liveness and reachability checks, in the order the fabric attempts
+    them, and none at all when ``loss == 0``.  Together with the
+    ``begin_epoch`` draws that *is* the ``net`` stream — clause (2) of
+    the fabric's draw-order contract (:mod:`repro.net.fabric`); batching,
+    skipping or re-ordering those rolls changes every later pivot,
+    victim and drop of the run.
     """
 
     def __init__(self, config: NetConfig, cloud: Cloud,
@@ -361,6 +386,30 @@ class NetworkModel:
             if cut.blocks(self._cloud, src, dst):
                 return False
         return True
+
+    def link_state(self, server_ids: List[int]) -> Optional[LinkState]:
+        """:meth:`reachable` for a whole round, as columns.
+
+        ``None`` while no cut and no flap is active — every pair can
+        talk and the caller does no reachability work at all.
+        Otherwise ``(flapped, cuts)`` over ``server_ids``:
+        ``flapped[k]`` says the k-th server's links are down both ways,
+        and ``cuts`` holds one ``(in_a, asymmetric)`` pair per active
+        cut with ``in_a[k]`` the k-th server's side.  A message
+        src→dst drops iff either end is flapped, or some cut has the
+        two on different sides and is symmetric or has dst on side A.
+        """
+        if not self.has_active_cut:
+            return None
+        victims = self._flapped
+        flapped = np.array(
+            [sid in victims for sid in server_ids], dtype=bool
+        )
+        cloud = self._cloud
+        return flapped, [
+            (cut.side_column(cloud, server_ids), cut.asymmetric)
+            for cut in self._cuts
+        ]
 
     def lost(self) -> bool:
         """Roll the per-message loss dice (never called when loss=0)."""

@@ -169,6 +169,53 @@ class TestFlaps:
         assert net.reachable(victim, other)
 
 
+class TestLinkState:
+    """``link_state`` is ``reachable`` for a whole round, as columns."""
+
+    def test_none_while_healthy(self):
+        cut = NetPartition(start_epoch=1, heal_epoch=2, depth=2)
+        net, cloud = make_net(NetConfig(partitions=(cut,)))
+        net.begin_epoch(0)
+        assert net.link_state(cloud.server_ids) is None
+        net.begin_epoch(1)
+        assert net.link_state(cloud.server_ids) is not None
+        net.begin_epoch(2)
+        assert net.link_state(cloud.server_ids) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_agree_with_reachable_pair_by_pair(self, seed):
+        config = NetConfig(
+            partitions=(
+                NetPartition(0, 5, depth=2, asymmetric=bool(seed % 2)),
+                NetPartition(0, 5, depth=5, asymmetric=seed % 3 == 0),
+            ),
+            flaps=(LinkFlap(0, 5),),
+        )
+        net, cloud = make_net(config, seed=seed)
+        net.begin_epoch(0)
+        ids = cloud.server_ids[::-1]  # any order, not just slot order
+        flapped, cuts = net.link_state(ids)
+        assert len(cuts) == 2 and flapped.sum() == 1
+        for i, src in enumerate(ids):
+            for j, dst in enumerate(ids):
+                if i == j:
+                    continue
+                dropped = flapped[i] or flapped[j] or any(
+                    in_a[i] != in_a[j] and (not asymmetric or in_a[j])
+                    for in_a, asymmetric in cuts
+                )
+                assert dropped == (not net.reachable(src, dst)), (src, dst)
+
+    def test_ids_gone_from_the_cloud_read_as_side_b(self):
+        cut = NetPartition(start_epoch=0, heal_epoch=5, depth=2)
+        net, cloud = make_net(NetConfig(partitions=(cut,)))
+        net.begin_epoch(0)
+        gone = cloud.server_ids[0]
+        cloud.remove_server(gone)
+        _, ((in_a, _),) = net.link_state([gone] + cloud.server_ids)
+        assert not in_a[0] and in_a[1:].any()
+
+
 class TestConflictingRepairRisk:
     def test_counts_partitions_straddling_a_cut(self):
         from repro.ring.partition import PartitionId

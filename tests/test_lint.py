@@ -504,6 +504,132 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
     assert not find_unsanctioned_lexsorts(benign)
 
 
+#: The full gossip fabric runs heartbeat and price rounds through ONE
+#: round kernel (ISSUE 20): message counters are local to the round and
+#: recorded once after the push loop, and there is one push loop — a
+#: second loop rolling its own loss dice is the per-code copy of the
+#: kernel coming back.  Link state comes from the public
+#: ``NetworkModel.link_state``, never from the model's private fields.
+FABRIC_MODULE = Path("src/repro/net/fabric.py")
+FABRIC_KERNEL_CLASS = "GossipFabric"
+
+
+def _callee_name(call: ast.Call):
+    callee = call.func
+    if isinstance(callee, ast.Name):
+        return callee.id
+    if isinstance(callee, ast.Attribute):
+        return callee.attr
+    return None
+
+
+def find_fabric_kernel_problems(path: Path, cls_name=FABRIC_KERNEL_CLASS):
+    """Per-message stats, extra loss-roll loops, private net reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    try:
+        shown = path.relative_to(REPO_ROOT)
+    except ValueError:
+        shown = path
+    problems = []
+    rolls_in_loops = []
+
+    def visit(node: ast.AST, in_loop: bool) -> None:
+        if isinstance(node, ast.Call) and in_loop:
+            name = _callee_name(node)
+            if name == "record":
+                problems.append(
+                    f"{shown}:{node.lineno}: MessageStats.record inside a "
+                    f"loop body — count locally, record once per round"
+                )
+            elif name == "lost":
+                rolls_in_loops.append(node.lineno)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "_net"
+        ):
+            problems.append(
+                f"{shown}:{node.lineno}: reads NetworkModel.{node.attr} — "
+                f"use the public link_state()/reachable()/lost()"
+            )
+        for field, value in ast.iter_fields(node):
+            # Only the body of a loop repeats; its iterable runs once.
+            inner = in_loop or (
+                isinstance(node, (ast.For, ast.While))
+                and field in ("body", "orelse")
+            )
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, inner)
+
+    classes = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls_name
+    ]
+    if not classes:
+        return [f"{shown}: no class {cls_name}"]
+    for cls in classes:
+        visit(cls, False)
+    if len(rolls_in_loops) != 1:
+        problems.append(
+            f"{shown}: {len(rolls_in_loops)} loss rolls inside loops "
+            f"(lines {rolls_in_loops}) — {cls_name} has exactly one push "
+            f"loop, shared by the heartbeat and price rounds"
+        )
+    return problems
+
+
+def test_gossip_fabric_has_one_push_loop_and_per_round_stats():
+    problems = find_fabric_kernel_problems(REPO_ROOT / FABRIC_MODULE)
+    assert not problems, (
+        "GossipFabric round-kernel shape violated:\n" + "\n".join(problems)
+    )
+
+
+def test_fabric_gate_detects_planted_per_message_loops(tmp_path):
+    """The fabric checker must catch the per-message shape it bans."""
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "class GossipFabric:\n"
+        "    def membership_round(self):\n"
+        "        for i, j in self._pushes():\n"
+        "            self._net.stats.record('HEARTBEAT', sent=1)\n"
+        "            if self._net.lost():\n"
+        "                continue\n"
+        "    def price_round(self):\n"
+        "        flapped = self._net._flapped\n"
+        "        lost = self._net.lost\n"
+        "        while self._more():\n"
+        "            if lost():\n"
+        "                stats.record('PRICE', dropped_loss=1)\n"
+    )
+    problems = find_fabric_kernel_problems(planted)
+    assert len(problems) == 4
+    assert sum("record inside a loop" in p for p in problems) == 2
+    assert sum("_flapped" in p for p in problems) == 1
+    assert sum("2 loss rolls" in p for p in problems) == 1
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "class GossipFabric:\n"
+        "    def _bootstrap(self):\n"
+        "        if self._net.lost():\n"
+        "            self._net.stats.record('NEW_NODE', dropped_loss=2)\n"
+        "    def _round(self, code):\n"
+        "        lost = self._net.lost\n"
+        "        dropped = 0\n"
+        "        for i in self._net.link_state(self._ids) or ():\n"
+        "            for j in self._targets(i):\n"
+        "                dropped += lost()\n"
+        "        self._net.stats.record(code, dropped_loss=dropped)\n"
+        "class CountingFabric:\n"
+        "    def _round_counts(self, code):\n"
+        "        for cut in self._cuts():\n"
+        "            self._net.stats.record(code, sent=1)\n"
+    )
+    assert not find_fabric_kernel_problems(benign)
+
+
 #: Scorer capabilities are declared attributes of ``PlacementScorer``
 #: (``best_is_pure``, ``shortlist_k``, ``preload_shortlists``,
 #: ``feasible_mask``, the rent-floor proofs) — every scorer in the tree
