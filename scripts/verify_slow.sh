@@ -6,7 +6,9 @@
 # consistency-audit chaos sweep, and the gossip round kernel's
 # differential harness against the per-message oracle at its large
 # hypothesis budget (tests/net/test_fabric_differential.py, 4 000
-# freshly drawn scripts; tier-1 runs 150 derandomized ones).
+# freshly drawn scripts; tier-1 runs 150 derandomized ones), and the
+# ceiling-certified eq. 3 argmax against the full scan at the same
+# large budget (tests/core/test_ceiling_argmax.py).
 #
 # Usage:  scripts/verify_slow.sh [extra pytest args...]
 set -euo pipefail
@@ -34,6 +36,10 @@ python3 benchmarks/e2e/run.py --workload serve-read --seed 7 --trace 1 \
 # its rent-floor proofs must replay to one digest and one set of span
 # counts (ISSUE 16).
 python3 benchmarks/e2e/run.py --workload econ-spike --seed 7 --trace 1 \
+    > /dev/null
+# And at scale 10, where the ceiling-certified argmax and the
+# source-first refusals answer most of the pass's questions (ISSUE 22).
+python3 benchmarks/e2e/run.py --workload econ-scale10 --seed 7 --trace 1 \
     > /dev/null
 # And on the only workload whose replays compare `robustness_summary`
 # and whose `telemetry_bytes` carries the benchmark's own per-number

@@ -692,6 +692,8 @@ def cmd_profile(args, out) -> int:
             f"{r.total_queries / max(r.seconds, 1e-9):,.0f}",
             f"{r.floor_asks} / {r.floor_proofs} "
             f"/ {r.floor_asks - r.floor_proofs}",
+            f"{r.ceil_asks} / {r.ceil_proofs} / {r.ceil_builds}",
+            f"{r.source_first_asks} / {r.source_first_proofs}",
         ]
         for kernel, r in sorted(results.items())
     ]
@@ -703,7 +705,9 @@ def cmd_profile(args, out) -> int:
     print(
         format_table(
             ["kernel", "epochs", "seconds", "epochs/s", "queries/s",
-             "hunts asked / floor-proved / scanned"],
+             "hunts asked / floor-proved / scanned",
+             "argmaxes asked / ceiling-proved / built",
+             "moves asked / source-refused"],
             rows,
         ),
         file=out,

@@ -119,6 +119,7 @@ class Cloud:
         self._version = 0
         self._slot_lookup: Optional[Tuple[int, np.ndarray]] = None
         self._location_ids: Optional[Tuple[int, List[int]]] = None
+        self._continent_ids: Optional[Tuple[int, np.ndarray]] = None
         self.add_servers(servers)
 
     @property
@@ -225,6 +226,20 @@ class Cloud:
             ]
             cached = (self._version, ids)
             self._location_ids = cached
+        return cached[1]
+
+    def continent_ids(self) -> np.ndarray:
+        """Each slot's continent as a dense small int (read-only).
+
+        Different continents ⇒ diversity 63, one continent ⇒ at most
+        31.  Cached per :attr:`version`, beside :meth:`location_ids`.
+        """
+        cached = self._continent_ids
+        if cached is None or cached[0] != self._version:
+            raw = [self._servers[sid].location.continent
+                   for sid in self._server_at_slot]
+            dense = np.unique(raw, return_inverse=True)[1].reshape(-1)
+            cached = self._continent_ids = (self._version, dense)
         return cached[1]
 
     # -- mutation -----------------------------------------------------------

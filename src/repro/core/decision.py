@@ -338,6 +338,10 @@ class DecisionEngine:
         #: scan.
         self.floor_asks = 0
         self.floor_proofs = 0
+        #: Run totals of the scorers' ceiling counters, and migration
+        #: hunts put to / refused by :meth:`_refused_at_source`.
+        self.ceil_asks = self.ceil_proofs = self.ceil_builds = 0
+        self.source_first_asks = self.source_first_proofs = 0
         #: Per-slot query totals of the last batched settlement and the
         #: cloud version they were computed under — the eq. 1 query-load
         #: handoff consumed by :class:`repro.core.economy.CloudCostIndex`.
@@ -958,6 +962,9 @@ class DecisionEngine:
         batch.commit()
         self.floor_asks += scorer.floor_asks
         self.floor_proofs += scorer.floor_proofs
+        self.ceil_asks += scorer.ceil_asks
+        self.ceil_proofs += scorer.ceil_proofs
+        self.ceil_builds += scorer.ceil_builds
         return stats
 
     def _work_list(self) -> Tuple[
@@ -1346,6 +1353,38 @@ class DecisionEngine:
         replica_slots = {slot(sid) for sid in servers}
         return all(s in replica_slots for s in ok)
 
+    def _refused_at_source(self, scorer: PlacementScorer, batch,
+                           partition: Partition, src: int,
+                           servers: List[int], rent_cap: float,
+                           budget_kind: str) -> bool:
+        """Source-first refusal: a move ``src`` cannot ship needs no hunt.
+
+        The batch checks the source's budget before the destination's,
+        so a short mirrored budget at ``src`` ends the intent in
+        ``NO_SOURCE_BANDWIDTH`` whatever the eq. 3 argmax is — provided
+        the hunt finds *some* candidate (None has different stats) and
+        the scorer is pure (the caller's check).  Never under ``net``:
+        there the liveness and reachability outcomes come first and
+        feed the retry queue and the wasted-transfer tally.
+        """
+        if (
+            self._membership.predicate is not None
+            or self._transfers.reachability is not None
+        ):
+            return False
+        self.source_first_asks += 1
+        kind = TransferKind(budget_kind)
+        if batch.budget_available(src, kind) >= partition.size or (
+            not scorer.cheaper_host_exists(
+                rent_cap, partition.size, budget_kind,
+                self._policy.storage_headroom, servers,
+            )
+        ):
+            return False
+        self.source_first_proofs += 1
+        batch.refuse_at_source(partition, src, kind)
+        return True
+
     def _pick_source(self, servers: Sequence[int], nbytes: int,
                      batch=None) -> Optional[int]:
         """A live replica whose replication budget can ship ``nbytes``.
@@ -1355,16 +1394,12 @@ class DecisionEngine:
         chain's queued reservations) — the same value the server object
         would show had the queued transfers already executed.
         """
+        read = batch.budget_available if batch is not None else (
+            lambda sid: self._cloud.server(sid).replication_budget.available
+        )
         best, headroom = None, -1
-        if batch is not None:
-            for sid in servers:
-                avail = batch.budget_available(sid)
-                if avail >= nbytes and avail > headroom:
-                    best, headroom = sid, avail
-            return best
         for sid in servers:
-            server = self._cloud.server(sid)
-            avail = server.replication_budget.available
+            avail = read(sid)
             if avail >= nbytes and avail > headroom:
                 best, headroom = sid, avail
         return best
@@ -1553,18 +1588,20 @@ class DecisionEngine:
             > self._cloud.server(src).migration_budget.capacity
         ):
             budget_kind = "replication"
-        if (
-            self._index is not None
-            and scorer.best_is_pure
-            and scorer.no_cheaper_host(
+        if self._index is not None and scorer.best_is_pure:
+            if scorer.no_cheaper_host(
                 rent_cap, partition.size, budget_kind,
                 self._policy.storage_headroom,
-            )
-        ):
-            # Every still-feasible destination already charges at least
-            # the cap (earlier moves of this pass filled or repriced the
-            # cheap ones), so the eq. 3 scan would come back empty.
-            return avail
+            ):
+                # Every still-feasible destination already charges at
+                # least the cap (earlier moves of this pass filled or
+                # repriced the cheap ones): the scan would come back empty.
+                return avail
+            if self._refused_at_source(
+                scorer, batch, partition, src, servers, rent_cap, budget_kind
+            ):
+                stats.deferred += 1
+                return avail
         others = [sid for sid in servers if sid != src]
         candidate = scorer.best(
             others,

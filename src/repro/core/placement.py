@@ -267,6 +267,14 @@ class PlacementScorer:
         self._bumps: Dict[int, np.ndarray] = {}
         self.floor_asks = 0
         self.floor_proofs = 0
+        # Ceiling certificates (:meth:`_ceiling`): ``(tick, slot, winner)``
+        # per (feasibility key, |B|, B's continents, g), slot -1 refused;
+        # counted as memo-missed queries / answers / O(S) entry builds.
+        self._cont = cloud.continent_ids()
+        self._cont_bit = [1 << c for c in self._cont.tolist()]
+        self._n_cont = int(self._cont.max(initial=-1)) + 1
+        self._ceil: Dict[tuple, Tuple[int, int, Optional[Candidate]]] = {}
+        self.ceil_asks = self.ceil_proofs = self.ceil_builds = 0
 
     @property
     def server_ids(self) -> List[int]:
@@ -381,15 +389,20 @@ class PlacementScorer:
                g: Optional[np.ndarray] = None,
                cache_key: Optional[object] = None) -> np.ndarray:
         """Raw eq. 3 score of every server (no feasibility masking)."""
-        n = len(self._ids)
+        return self._gain_and_scores(replica_servers, g, cache_key)[1]
+
+    def _gain_and_scores(self, replica_servers: Sequence[int],
+                         g: Optional[np.ndarray],
+                         cache_key: Optional[object]
+                         ) -> Tuple[np.ndarray, np.ndarray]:
         gain = self._diversity_gain(replica_servers, cache_key)
-        if g is not None:
-            if len(g) != n:
-                raise PlacementError(
-                    f"g has {len(g)} entries for {n} servers"
-                )
-            gain = gain * g
-        return gain - self._rent_weight * self._rents
+        if g is None:
+            return gain, gain - self._rent_weight * self._rents
+        if len(g) != len(self._ids):
+            raise PlacementError(
+                f"g has {len(g)} entries for {len(self._ids)} servers"
+            )
+        return gain, gain * g - self._rent_weight * self._rents
 
     def best(self, replica_servers: Sequence[int], *,
              need_bytes: int = 0,
@@ -445,14 +458,37 @@ class PlacementScorer:
                     slot < 0 or self._touch[slot] <= tick
                 ):
                     return candidate
-        mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
-        if cache_key is not None and self._shortlists:
+        found = self._ceiling(
+            replica_servers, need_bytes, g, max_rent, exclude, budget,
+            headroom_fraction,
+        )
+        if found is _INCONCLUSIVE and cache_key is not None and (
+            self._shortlists
+        ):
             found = self._best_from_shortlist(
-                replica_servers, mask, g, max_rent, exclude,
+                replica_servers,
+                self._feasible_mask(need_bytes, budget, headroom_fraction),
+                g, max_rent, exclude,
                 self._class_key(replica_servers, cache_key),
             )
-            if found is not _INCONCLUSIVE:
-                return self._memoize(memo_key, found)
+        if found is _INCONCLUSIVE:
+            found = self.scan(
+                replica_servers, need_bytes, g, max_rent, exclude, budget,
+                headroom_fraction, cache_key,
+            )
+        if memo_key is not None:
+            slot = -1 if found is None else self._slot_of[found.server_id]
+            self._best_memo[memo_key] = (slot, self._touch_clock, found)
+        return found
+
+    def scan(self, replica_servers: Sequence[int], need_bytes: int = 0,
+             g: Optional[np.ndarray] = None,
+             max_rent: Optional[float] = None, exclude: Sequence[int] = (),
+             budget: Optional[str] = None, headroom_fraction: float = 0.0,
+             cache_key: Optional[object] = None) -> Optional[Candidate]:
+        """The full O(S) eq. 3 scan: what every shortcut of :meth:`best`
+        must equal field for field (and what the tests hold them to)."""
+        mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
         if max_rent is not None:
             # The rent cap varies per caller (migration hunts under the
             # agent's own rent), so it stays out of the cached mask.
@@ -460,51 +496,91 @@ class PlacementScorer:
         if not mask.any():
             # Budget/storage-exhausted epochs hit this constantly; skip
             # the eq. 3 gain/score work when no server qualifies.
-            return self._memoize(memo_key, None)
-        gain = self._diversity_gain(replica_servers, cache_key)
-        if g is not None:
-            if len(g) != len(self._ids):
-                raise PlacementError(
-                    f"g has {len(g)} entries for {len(self._ids)} servers"
-                )
-            scores = gain * g - self._rent_weight * self._rents
-        else:
-            scores = gain - self._rent_weight * self._rents
+            return None
+        gain, scores = self._gain_and_scores(replica_servers, g, cache_key)
         scores = np.where(mask, scores, -np.inf)
         # Knock out current holders / exclusions by slot lookup — the
         # blocked set is a handful of servers, the cloud is hundreds
         # (and the cached mask must stay unmutated).
         slot_of = self._slot_of
-        for sid in replica_servers:
-            slot = slot_of.get(sid)
-            if slot is not None:
-                scores[slot] = -np.inf
-        for sid in exclude:
+        for sid in (*replica_servers, *exclude):
             slot = slot_of.get(sid)
             if slot is not None:
                 scores[slot] = -np.inf
         idx = int(np.argmax(scores))
         if not np.isfinite(scores[idx]):
-            return self._memoize(memo_key, None)
-        return self._memoize(memo_key, Candidate(
+            return None
+        return Candidate(
             server_id=self._ids[idx],
             score=float(scores[idx]),
             diversity_gain=float(gain[idx]),
             rent=float(self._rents[idx]),
-        ))
+        )
 
-    def _memoize(self, memo_key: Optional[object],
-                 candidate: Optional[Candidate]) -> Optional[Candidate]:
-        """Record a ``best`` answer under the shared-argmax memo."""
-        if memo_key is not None:
-            slot = (
-                self._slot_of[candidate.server_id]
-                if candidate is not None else -1
-            )
-            self._best_memo[memo_key] = (
-                slot, self._touch_clock, candidate
-            )
-        return candidate
+    def _ceiling(self, replica_servers: Sequence[int], need_bytes: int,
+                 g: Optional[np.ndarray], max_rent: Optional[float],
+                 exclude: Sequence[int], budget: Optional[str],
+                 headroom_fraction: float):
+        """The eq. 3 argmax read off the maximum-diversity ceiling.
+
+        A slot on a continent no member of the n-server set B sits on
+        scores ``V(j) = ((63n)·conf_j)[·g_j] − w·rent_j`` whatever B is;
+        every other slot's diversity sum is at most 63n − 32.  So the
+        first-index argmax ``c`` of ``V`` over the feasible off-continent
+        slots is the scan's answer while ``V(c)`` strictly beats every
+        feasible on-continent slot at that cap, until a release or a
+        touch of ``c``, and under any ``exclude`` / ``max_rent`` that
+        keeps ``c`` (docs/ARCHITECTURE.md, "ceiling certificate").
+        """
+        self.ceil_asks += 1
+        slot_of, cont_bit = self._slot_of, self._cont_bit
+        bits = 0
+        for sid in replica_servers:
+            slot = slot_of.get(sid)
+            if slot is None:
+                return _INCONCLUSIVE
+            bits |= cont_bit[slot]
+        n, n_cont = len(replica_servers), self._n_cont
+        if bits + 1 == 1 << n_cont or (
+            g is not None and len(g) != len(self._ids)
+        ):
+            return _INCONCLUSIVE
+        key = (need_bytes, budget, headroom_fraction, n, bits,
+               id(g) if g is not None else 0)
+        tick, slot, found = self._ceil.get(key, (-2, -1, None))
+        if self._enable_clock > tick or (
+            slot >= 0 and self._touch[slot] > tick
+        ):
+            # One O(S) build, in the scan's own operation order.
+            self.ceil_builds += 1
+            mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
+            off = np.array(
+                [not bits >> c & 1 for c in range(n_cont)]
+            )[self._cont]
+            gain = (63.0 * n) * self._conf
+            capped = (63.0 * n - 32.0) * self._conf
+            cost = self._rent_weight * self._rents
+            if g is None:
+                scores, capped = gain - cost, capped - cost
+            else:
+                scores, capped = gain * g - cost, capped * g - cost
+            scores = np.where(mask & off, scores, -np.inf)
+            slot, found = -1, None
+            best = int(np.argmax(scores))
+            if scores[best] > np.max(
+                capped, where=mask & ~off, initial=-np.inf
+            ):
+                slot, found = best, Candidate(
+                    self._ids[best], float(scores[best]),
+                    float(gain[best]), float(self._rents[best]),
+                )
+            self._ceil[key] = (self._touch_clock, slot, found)
+        if found is None or found.server_id in exclude or (
+            max_rent is not None and not found.rent < max_rent
+        ):
+            return _INCONCLUSIVE
+        self.ceil_proofs += 1
+        return found
 
     @property
     def shortlist_k(self) -> int:
@@ -822,6 +898,17 @@ class PlacementScorer:
                 self.floor_proofs += 1
                 return True
         return False
+
+    def cheaper_host_exists(self, rent_cap: float, need_bytes: int,
+                            budget: Optional[str],
+                            headroom_fraction: float,
+                            holders: Sequence[int]) -> bool:
+        """Whether ``best(max_rent=rent_cap, …)`` would find a candidate:
+        some feasible slot that is no holder (replicas plus exclusions)
+        is priced under the cap.  One masked ``min``, no scoring."""
+        ok = self._feasible_mask(need_bytes, budget, headroom_fraction).copy()
+        ok[[self._slot(sid) for sid in holders]] = False
+        return bool(np.min(self._rents, where=ok, initial=np.inf) < rent_cap)
 
     def no_fundable_host(self, utility: float, extra_cost: float,
                          need_bytes: int, budget: Optional[str],

@@ -12,6 +12,7 @@ throughput number.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -24,6 +25,14 @@ from repro.sim.framedump import frames_digest
 
 class ProfilingError(ValueError):
     """Raised for invalid measurement requests."""
+
+
+#: Decider run totals a :class:`ThroughputResult` carries as deltas.
+PASS_COUNTERS = (
+    "floor_asks", "floor_proofs", "ceil_asks", "ceil_proofs",
+    "ceil_builds", "source_first_asks", "source_first_proofs",
+)
+_read_counters = operator.attrgetter(*PASS_COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,13 @@ class ThroughputResult:
     #: scalar kernel, which never asks.
     floor_asks: int = 0
     floor_proofs: int = 0
+    #: Memo-missed eq. 3 argmaxes / ceiling answers / O(S) certificate
+    #: builds; migration hunts put to the source-first refusal / refused.
+    ceil_asks: int = 0
+    ceil_proofs: int = 0
+    ceil_builds: int = 0
+    source_first_asks: int = 0
+    source_first_proofs: int = 0
 
     @property
     def epochs_per_sec(self) -> float:
@@ -123,7 +139,7 @@ def measure_throughput(config: SimConfig, *,
         if warmup_epochs:
             sim.run(warmup_epochs)
         decider = sim.decider
-        asks0, proofs0 = decider.floor_asks, decider.floor_proofs
+        counters0 = _read_counters(decider)
         mut_epochs = steady_count = 0
         mut_seconds = steady_seconds = 0.0
         if split:
@@ -161,8 +177,12 @@ def measure_throughput(config: SimConfig, *,
             steady_epochs=steady_count,
             steady_seconds=steady_seconds,
             frames_digest=frames_digest(frames),
-            floor_asks=decider.floor_asks - asks0,
-            floor_proofs=decider.floor_proofs - proofs0,
+            **{
+                name: now - base
+                for name, now, base in zip(
+                    PASS_COUNTERS, _read_counters(decider), counters0
+                )
+            },
         )
         if best is None or result.seconds < best.seconds:
             best = result

@@ -53,6 +53,12 @@ NETWORK_OUTCOMES = frozenset(
 )
 
 
+#: ``dst`` of a failure record minted before a destination was chosen
+#: (:meth:`TransferBatch.refuse_at_source`): never on a network outcome,
+#: and every reader of ``dst`` filters on :data:`NETWORK_OUTCOMES` first.
+NO_DESTINATION = -1
+
+
 def capped_backoff(attempts: int, base_delay: int, cap: int) -> int:
     """Epochs to wait after the ``attempts``-th consecutive failure.
 
@@ -466,17 +472,16 @@ class TransferBatch:
     def __init__(self, engine: TransferEngine) -> None:
         self._engine = engine
         self._cloud = engine._cloud
+        self._slot_of = engine._cloud.slot_map
         self._catalog = engine._catalog
         self._items: List[TransferRequest] = []
-        self._pending_budget: Dict[Tuple[TransferKind, int], int] = {}
         self._pending_storage: Dict[int, int] = {}
-        # Slot-ordered mirrors of ``budget_available`` (built lazily,
-        # maintained on every reservation): the repair wavefront's
-        # grouped feasibility checks read the whole cloud's remaining
-        # batched budget as one vector instead of S dict probes.
-        # ``reserve_count`` versions those mirrors — budgets only move
-        # when something reserves, so cached conclusions about them are
-        # valid while the count holds.
+        # The one budget read: per kind, a slot-ordered vector of real
+        # budget minus queued reservations, copied off the cloud's
+        # table on first use and decremented per reservation (real
+        # budgets move only at commit, which drops the vectors).
+        # ``reserve_count`` versions them: cached conclusions about
+        # budgets are valid while the count holds.
         self._avail_vectors: Dict[TransferKind, np.ndarray] = {}
         self._reserve_count = 0
         # Replica-identity mirror: placements queued (and not since
@@ -511,8 +516,8 @@ class TransferBatch:
                          kind: TransferKind = TransferKind.REPLICATION
                          ) -> int:
         """Remaining budget as of this batch: real minus pending."""
-        real = _budget(self._cloud.server(server_id), kind).available
-        return real - self._pending_budget.get((kind, server_id), 0)
+        vec = self.budget_available_vector(kind)
+        return int(vec[self._slot_of[server_id]])
 
     def storage_available(self, server_id: int) -> int:
         real = self._cloud.server(server_id).storage_available
@@ -521,8 +526,8 @@ class TransferBatch:
     def budget_available_vector(self, kind: TransferKind) -> np.ndarray:
         """Per-slot remaining budget as of this batch (read-only).
 
-        Values equal :meth:`budget_available` per live server, kept
-        current through every reservation.  Within one decision pass
+        What :meth:`budget_available` reads, kept current through
+        every reservation.  Within one decision pass
         the entries only ever *decrease* — blocked intents reserve
         nothing and nothing un-reserves — which is what lets the repair
         wavefront's exhaustion proof stay valid once established.
@@ -532,10 +537,6 @@ class TransferBatch:
             vec = self._cloud.budget_available_vector(kind.value).astype(
                 np.int64, copy=True
             )
-            slot = self._cloud.slot
-            for (pending_kind, sid), nbytes in self._pending_budget.items():
-                if pending_kind is kind and sid in self._cloud:
-                    vec[slot(sid)] -= nbytes
             self._avail_vectors[kind] = vec
         return vec
 
@@ -567,11 +568,10 @@ class TransferBatch:
     def _reserve(self, partition: Partition, src_id: Optional[int],
                  dst_id: int, kind: TransferKind) -> None:
         size = partition.size
+        vec = self.budget_available_vector(kind)
+        slot_of = self._slot_of
         if src_id is not None:
-            key = (kind, src_id)
-            self._pending_budget[key] = (
-                self._pending_budget.get(key, 0) + size
-            )
+            vec[slot_of[src_id]] -= size
             if kind is TransferKind.MIGRATION:
                 # A queued migration vacates its source bytes, exactly
                 # as the sequential catalog.move would have by the time
@@ -581,17 +581,10 @@ class TransferBatch:
                 self._pending_storage[src_id] = (
                     self._pending_storage.get(src_id, 0) - size
                 )
-        key = (kind, dst_id)
-        self._pending_budget[key] = self._pending_budget.get(key, 0) + size
+        vec[slot_of[dst_id]] -= size
         self._pending_storage[dst_id] = (
             self._pending_storage.get(dst_id, 0) + size
         )
-        vec = self._avail_vectors.get(kind)
-        if vec is not None:
-            slot = self._cloud.slot
-            if src_id is not None:
-                vec[slot(src_id)] -= size
-            vec[slot(dst_id)] -= size
         self._reserve_count += 1
 
     def _add(self, kind: TransferKind, partition: Partition,
@@ -643,6 +636,19 @@ class TransferBatch:
         self._engine.stats.no_destination += 1
         return TransferOutcome.NO_DEST_BANDWIDTH
 
+    def refuse_at_source(self, partition: Partition, src_id: int,
+                         kind: TransferKind) -> None:
+        """Account an intent ``src_id``'s drained budget blocks at every
+        destination: exactly a blocked :meth:`add_migration` /
+        :meth:`add_replication`, with :data:`NO_DESTINATION` for the
+        destination nobody had to pick."""
+        stats = self._engine.stats
+        stats.deferred += 1
+        stats.record_failure(
+            kind, TransferOutcome.NO_SOURCE_BANDWIDTH, partition.pid,
+            src_id, NO_DESTINATION, partition.size,
+        )
+
     def add_replication(self, partition: Partition, src_id: Optional[int],
                         dst_id: int) -> Optional[TransferOutcome]:
         """Queue a replication; returns the blocking outcome, or None.
@@ -679,7 +685,6 @@ class TransferBatch:
         if not self._items:
             return []
         items, self._items = self._items, []
-        self._pending_budget.clear()
         self._pending_storage.clear()
         self._pending_replicas.clear()
         self._vacated.clear()

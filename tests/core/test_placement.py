@@ -207,6 +207,18 @@ class TestIncrementalCaches:
             scorer.rent_of(99)
 
 
+#: ``FOUR`` with its continents demoted to countries: every replica set occupies every
+#: continent, so the ceiling certificate (tests/core/
+#: test_ceiling_argmax.py) cannot answer and ``best`` reaches the
+#: shortlist window these tests are about.
+ONE_CONTINENT = [
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 1),
+    (0, 1, 0, 0, 0, 0),
+    (0, 2, 0, 0, 0, 0),
+]
+
+
 class TestShortlist:
     """The top-k fast path must be indistinguishable from the full scan."""
 
@@ -245,7 +257,9 @@ class TestShortlist:
         cloud, board = self._random_cloud(rng)
         fast = PlacementScorer(cloud, board, shortlist_k=k)
         full = PlacementScorer(cloud, board, shortlist_k=0)
-        replicas = [0, 5]
+        # One replica per continent: the window, not the ceiling, answers.
+        continents = cloud.continent_ids().tolist()
+        replicas = [continents.index(c) for c in sorted(set(continents))]
         self._preload(fast, replicas, "hot")
         for step in range(12):
             got = fast.best(
@@ -266,7 +280,9 @@ class TestShortlist:
         """With k=1 the single shortlisted slot is knocked out by
         exclusion — the window proves nothing and the full scan must
         still find the runner-up."""
-        cloud, board = build(FOUR, rents={0: 0.1, 1: 0.1, 2: 0.1, 3: 0.1})
+        cloud, board = build(
+            ONE_CONTINENT, rents={0: 0.1, 1: 0.1, 2: 0.1, 3: 0.1}
+        )
         fast = PlacementScorer(cloud, board, shortlist_k=1)
         full = PlacementScorer(cloud, board, shortlist_k=0)
         key = "p0"
@@ -287,7 +303,7 @@ class TestShortlist:
         """Two partitions on the same replica set share one placement
         class: the second key's ``best`` call rides the window the
         first key's preload built — and no ``best`` call builds one."""
-        cloud, board = build(FOUR)
+        cloud, board = build(ONE_CONTINENT)
         fast = PlacementScorer(cloud, board, shortlist_k=2)
         full = PlacementScorer(cloud, board, shortlist_k=0)
         for __ in range(2):
@@ -345,8 +361,8 @@ class TestShortlist:
         the first slot exactly as np.argmax would."""
         locs = [
             (0, 0, 0, 0, 0, 0),
-            (1, 0, 0, 0, 0, 0),
-            (1, 1, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0),
+            (0, 2, 0, 0, 0, 0),
         ]
         cloud, board = build(locs, rents={0: 0.2, 1: 0.2, 2: 0.2})
         fast = PlacementScorer(cloud, board, shortlist_k=2)

@@ -145,11 +145,8 @@ class TestBudgetExhaustionMidChain:
         scorer = engine._make_scorer(board)
         batch = transfers.open_batch()
         # Drain every server's batched replication budget below the
-        # partition size through the batch's own pending mirrors.
-        for sid in range(6):
-            reserve = cloud.server(sid).replication_budget.available - 50
-            batch._pending_budget[(TransferKind.REPLICATION, sid)] = reserve
-        batch._avail_vectors.clear()
+        # partition size in the batch's own budget vector.
+        batch.budget_available_vector(TransferKind.REPLICATION)[:] = 50
         assert all(
             batch.budget_available(sid) < p.size for sid in range(6)
         )
@@ -189,11 +186,7 @@ class TestBudgetExhaustionMidChain:
         registry.spawn(p.pid, 0)
         scorer = engine._make_scorer(board)
         batch = transfers.open_batch()
-        for sid in range(5):
-            batch._pending_budget[(TransferKind.REPLICATION, sid)] = (
-                cloud.server(sid).replication_budget.available - 50
-            )
-        batch._avail_vectors.clear()
+        batch.budget_available_vector(TransferKind.REPLICATION)[:5] = 50
         assert engine._repair_blocked_everywhere(scorer, batch, p, [0])
         # Storage frees on server 5 (as a suicide would): the engine
         # clears its proofs, the scorer re-enables the slot, and the

@@ -504,6 +504,74 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
     assert not find_unsanctioned_lexsorts(benign)
 
 
+#: Inside ``TransferBatch`` the slot-ordered budget vector is the one
+#: budget read (ISSUE 22 leg C): a ``Server.replication_budget`` /
+#: ``migration_budget`` walk there — directly or through the module's
+#: ``_budget`` helper — is a second source for numbers the vector and
+#: the source-first refusal already answer from, and the two can only
+#: drift.  Sealed (module, class) → the reads banned inside it.
+BUDGET_READ_SEALED = {
+    (Path("src/repro/store/transfer.py"), "TransferBatch"): frozenset(
+        {"replication_budget", "migration_budget", "_budget"}
+    ),
+}
+
+
+def find_budget_walks(path: Path, cls_name: str, banned):
+    """Banned attribute reads / helper calls inside class ``cls_name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    try:
+        shown = path.relative_to(REPO_ROOT)
+    except ValueError:
+        shown = path
+    return [
+        f"{shown}:{node.lineno}: per-server budget read in {cls_name} — "
+        f"read the batch's budget vector"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+        for node in ast.walk(cls)
+        if (isinstance(node, ast.Attribute) and node.attr in banned)
+        or (isinstance(node, ast.Name) and node.id in banned)
+    ]
+
+
+def test_transfer_batch_reads_budgets_off_its_vector_only():
+    problems = [
+        problem
+        for (path, cls_name), banned in BUDGET_READ_SEALED.items()
+        for problem in find_budget_walks(REPO_ROOT / path, cls_name, banned)
+    ]
+    assert not problems, (
+        "per-server budget walks inside a sealed batch:\n"
+        + "\n".join(problems)
+    )
+
+
+def test_budget_walk_gate_detects_planted_server_read(tmp_path):
+    """The budget-read checker must catch the idiom it bans."""
+    banned = next(iter(BUDGET_READ_SEALED.values()))
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "class TransferBatch:\n"
+        "    def budget_available(self, sid, kind):\n"
+        "        real = _budget(self._cloud.server(sid), kind).available\n"
+        "        return real - self._pending.get((kind, sid), 0)\n"
+        "    def _pick(self, sid):\n"
+        "        return self._cloud.server(sid).replication_budget.available\n"
+    )
+    assert len(find_budget_walks(planted, "TransferBatch", banned)) == 2
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "class TransferEngine:\n"
+        "    def _check(self, dst, kind):\n"
+        "        return _budget(dst, kind).can_reserve(1)\n"
+        "class TransferBatch:\n"
+        "    def budget_available(self, sid, kind):\n"
+        "        return int(self._avail_vectors[kind][self._slot_of[sid]])\n"
+    )
+    assert not find_budget_walks(benign, "TransferBatch", banned)
+
+
 #: The full gossip fabric runs heartbeat and price rounds through ONE
 #: round kernel (ISSUE 20): message counters are local to the round and
 #: recorded once after the push loop, and there is one push loop — a
