@@ -6,9 +6,12 @@
 # consistency-audit chaos sweep, and the gossip round kernel's
 # differential harness against the per-message oracle at its large
 # hypothesis budget (tests/net/test_fabric_differential.py, 4 000
-# freshly drawn scripts; tier-1 runs 150 derandomized ones), and the
+# freshly drawn scripts; tier-1 runs 150 derandomized ones), the
 # ceiling-certified eq. 3 argmax against the full scan at the same
-# large budget (tests/core/test_ceiling_argmax.py).
+# large budget (tests/core/test_ceiling_argmax.py), and the compile-once
+# front door against the frozen per-request path
+# (tests/serve/test_request_plan_differential.py: 2 500 freshly drawn
+# scripts, tier-1 runs 60 derandomized ones).
 #
 # Usage:  scripts/verify_slow.sh [extra pytest args...]
 set -euo pipefail
@@ -24,6 +27,13 @@ PYTHONPATH=src python -m pytest -m slow -q "$@"
 
 echo "== stage: serving (front-door suite + live CLI run + held-out bench seeds) =="
 PYTHONPATH=src python -m pytest -q tests/serve
+# The benchmark's serving workloads through the whole engine, shipped
+# front door against the frozen parent path (same frame streams, store
+# counters, lost-write audit): serve-read at its own 95 % reads and at
+# the write-heavy 20 % benchmarks/e2e/README.md says to show by hand,
+# and faults-churn (ISSUE 24).
+PYTHONPATH=src python -m pytest -q -m "slow or not slow" \
+    tests/serve/test_request_plan_differential.py -k bench_workload
 PYTHONPATH=src python -m repro.cli run --scenario paper --epochs 10 \
     --partitions 60 --serve --serve-rate 128 --serve-workers 32 \
     > /dev/null

@@ -683,6 +683,13 @@ def cmd_profile(args, out) -> int:
                 repeats=args.repeats, events_factory=events_factory,
             )
         }
+    headers = ["kernel", "epochs", "seconds", "epochs/s", "queries/s",
+               "hunts asked / floor-proved / scanned",
+               "argmaxes asked / ceiling-proved / built",
+               "moves asked / source-refused",
+               "routes asked / compiled / read plans compiled"]
+    # The front door's column only on a run that has a front door.
+    width = len(headers) - (config.serving is None)
     rows = [
         [
             kernel,
@@ -694,7 +701,9 @@ def cmd_profile(args, out) -> int:
             f"/ {r.floor_asks - r.floor_proofs}",
             f"{r.ceil_asks} / {r.ceil_proofs} / {r.ceil_builds}",
             f"{r.source_first_asks} / {r.source_first_proofs}",
-        ]
+            f"{r.route_compiles + r.route_reuses} / {r.route_compiles} "
+            f"/ {r.read_plan_compiles}",
+        ][:width]
         for kernel, r in sorted(results.items())
     ]
     print(
@@ -703,13 +712,7 @@ def cmd_profile(args, out) -> int:
         file=out,
     )
     print(
-        format_table(
-            ["kernel", "epochs", "seconds", "epochs/s", "queries/s",
-             "hunts asked / floor-proved / scanned",
-             "argmaxes asked / ceiling-proved / built",
-             "moves asked / source-refused"],
-            rows,
-        ),
+        format_table(headers[:width], rows),
         file=out,
     )
     ratio = speedup(results)

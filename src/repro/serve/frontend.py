@@ -120,7 +120,10 @@ class ServingFrontEnd:
         read_failures = write_failures = 0
         if self.loadgen is not None and self.serving_enabled:
             arrivals = self.loadgen.draw(epoch)
-            stats = self._serve(arrivals, read_lat, write_lat)
+            # Nothing in _serve moves membership, catalog or links:
+            # a route compiled for one arrival stays true for the rest.
+            with self.router.serving_window():
+                stats = self._serve(arrivals, read_lat, write_lat)
             queue_wait, read_failures, write_failures = stats
         self.store.drain_hints(epoch)
         cfg = self.config
@@ -200,8 +203,6 @@ class ServingFrontEnd:
             # No believed-live replica at all: the client burns a full
             # timeout against a dead partition.
             return cfg.timeout_penalty_ms, False
-        coordinator_ms = model.rtt(route.distance)
-        coord_loc = self._cloud.server(route.server_id).location
         try:
             if arrival.kind == "get":
                 result = self.store.get(
@@ -215,13 +216,19 @@ class ServingFrontEnd:
                     client=arrival.client, route=route,
                 )
         except QuorumError:
-            return coordinator_ms + cfg.timeout_penalty_ms, False
+            return model.rtt(route.distance) + cfg.timeout_penalty_ms, False
+        attempts = result.attempts
+        if attempts is route.costed:
+            # A read replayed from the route's compiled plan: same
+            # coordinator, same legs, same service time.
+            return route.read_ms, True
         if arrival.kind == "put":
             acked_key = (arrival.app_id, arrival.ring_id, arrival.key)
             if result.version > self._acked.get(acked_key, 0):
                 self._acked[acked_key] = result.version
+        coord_loc = self._cloud.server(route.server_id).location
         fan_out = 0.0
-        for sid, outcome in result.attempts:
+        for sid, outcome in attempts:
             if outcome == "ok":
                 leg = model.rtt(diversity(
                     coord_loc, self._cloud.server(sid).location
@@ -232,7 +239,10 @@ class ServingFrontEnd:
                 continue
             if leg > fan_out:
                 fan_out = leg
-        return coordinator_ms + fan_out, True
+        service_ms = model.rtt(route.distance) + fan_out
+        if arrival.kind == "get":
+            route.costed, route.read_ms = attempts, service_ms
+        return service_ms, True
 
     # -- frame collection ------------------------------------------------------
 
@@ -245,11 +255,7 @@ class ServingFrontEnd:
             if not latencies:
                 return (0.0, 0.0, 0.0)
             arr = np.asarray(latencies, dtype=np.float64)
-            return (
-                float(np.percentile(arr, 50)),
-                float(np.percentile(arr, 99)),
-                float(np.percentile(arr, 99.9)),
-            )
+            return tuple(np.percentile(arr, [50, 99, 99.9]).tolist())
 
         read_p50, read_p99, read_p999 = tails(read_lat)
         write_p50, write_p99, write_p999 = tails(write_lat)

@@ -98,29 +98,29 @@ class LoadGenerator:
     def draw(self, epoch: int) -> List[Arrival]:
         """One epoch's arrivals, sorted by offset by construction."""
         rng = self._rng
-        keys, positions = self._universe.keys, self._universe.positions
+        exponential, integers, random = (
+            rng.exponential, rng.integers, rng.random
+        )
+        universe = self._universe
+        keys, positions, rank_of = (
+            universe.keys, universe.positions, universe.draw
+        )
+        apps, sites = self._apps, self._sites
+        n_apps, n_sites = len(apps), len(sites)
+        mean_gap, read_fraction = self._mean_gap_ms, self._read_fraction
         out: List[Arrival] = []
+        append = out.append
         t = 0.0
         for i in range(self._requests):
-            t += float(rng.exponential(self._mean_gap_ms))
-            app_id, ring_id = self._apps[
-                int(rng.integers(len(self._apps)))
-            ]
-            rank = self._universe.draw(rng)
-            key, position = keys[rank], positions[rank]
-            client = None
-            if self._sites:
-                client = self._sites[int(rng.integers(len(self._sites)))]
-            if float(rng.random()) < self._read_fraction:
-                out.append(Arrival(
-                    offset_ms=t, kind="get", app_id=app_id,
-                    ring_id=ring_id, key=key, position=position,
-                    value=None, client=client,
-                ))
+            t += exponential(mean_gap)
+            app_id, ring_id = apps[integers(n_apps)]
+            rank = rank_of(rng)
+            client = sites[integers(n_sites)] if n_sites else None
+            if random() < read_fraction:
+                append(Arrival(t, "get", app_id, ring_id, keys[rank],
+                               positions[rank], None, client))
             else:
-                out.append(Arrival(
-                    offset_ms=t, kind="put", app_id=app_id,
-                    ring_id=ring_id, key=key, position=position,
-                    value=self._value(epoch, i), client=client,
-                ))
+                append(Arrival(t, "put", app_id, ring_id, keys[rank],
+                               positions[rank], self._value(epoch, i),
+                               client))
         return out

@@ -33,6 +33,16 @@ PASS_COUNTERS = (
     "ceil_builds", "source_first_asks", "source_first_proofs",
 )
 _read_counters = operator.attrgetter(*PASS_COUNTERS)
+#: Front-door run totals carried the same way (zero without serving).
+SERVING_COUNTERS = ("route_compiles", "route_reuses", "read_plan_compiles")
+
+
+def _read_serving_counters(sim: Simulation) -> Tuple[int, int, int]:
+    front = sim.serving
+    if front is None:
+        return (0, 0, 0)
+    return (front.router.route_compiles, front.router.route_reuses,
+            front.store.read_plan_compiles)
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,11 @@ class ThroughputResult:
     ceil_builds: int = 0
     source_first_asks: int = 0
     source_first_proofs: int = 0
+    #: Front-door routes compiled / handed out again inside serving
+    #: windows, and quorum read plans compiled, in the timed window.
+    route_compiles: int = 0
+    route_reuses: int = 0
+    read_plan_compiles: int = 0
 
     @property
     def epochs_per_sec(self) -> float:
@@ -139,7 +154,7 @@ def measure_throughput(config: SimConfig, *,
         if warmup_epochs:
             sim.run(warmup_epochs)
         decider = sim.decider
-        counters0 = _read_counters(decider)
+        counters0 = _read_counters(decider) + _read_serving_counters(sim)
         mut_epochs = steady_count = 0
         mut_seconds = steady_seconds = 0.0
         if split:
@@ -180,7 +195,9 @@ def measure_throughput(config: SimConfig, *,
             **{
                 name: now - base
                 for name, now, base in zip(
-                    PASS_COUNTERS, _read_counters(decider), counters0
+                    PASS_COUNTERS + SERVING_COUNTERS,
+                    _read_counters(decider) + _read_serving_counters(sim),
+                    counters0,
                 )
             },
         )

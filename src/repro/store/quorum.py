@@ -54,7 +54,7 @@ from repro.cluster.topology import Cloud
 from repro.net.membership import OracleMembership
 from repro.ring.hashing import Key, hash_key, key_bytes
 from repro.ring.partition import PartitionId
-from repro.ring.router import Route, Router
+from repro.ring.router import ContactOrder, Route, Router
 from repro.ring.virtualring import RingSet
 from repro.store.hints import HintStore
 from repro.store.replica import CatalogListener, ReplicaCatalog
@@ -67,10 +67,6 @@ DIGEST_OVERHEAD_BYTES = 16
 
 class QuorumError(RuntimeError):
     """Raised when a quorum cannot be assembled."""
-
-
-class StaleRead(Exception):
-    """Never raised; documents that ONE-level reads may be stale."""
 
 
 class Level(enum.Enum):
@@ -203,6 +199,8 @@ class QuorumKVStore:
         # (server, partition) -> key -> Versioned
         self._copies: Dict[Tuple[int, PartitionId], Dict[bytes, Versioned]] = {}
         self._next_version: Dict[Tuple[PartitionId, bytes], int] = {}
+        #: Read plans compiled (every other read replayed one).
+        self.read_plan_compiles = 0
         if track_catalog:
             catalog.add_listener(_CopyMirror(self))
 
@@ -219,36 +217,40 @@ class QuorumKVStore:
     def _route(self, app_id: int, ring_id: int, key: Key) -> PartitionId:
         return self._rings.ring(app_id, ring_id).lookup(key).pid
 
-    def _resolve(self, app_id: int, ring_id: int, key: Key, level: Level,
-                 client: Optional[Location], route: Optional[Route]):
-        """What one operation acts on, resolved once: ``(pid, key bytes,
-        all replicas, believed-live replicas closest-first, acks needed)``.
+    def _resolve(self, app_id: int, ring_id: int, key: Key,
+                 client: Optional[Location],
+                 route: Optional[Route]) -> Tuple[PartitionId, ContactOrder]:
+        """What one operation acts on, beyond its key: the partition and
+        its :class:`ContactOrder`, resolved against the catalog.
 
-        The key hash, ring lookup and catalog walk happen here unless
-        the caller hands over the fresh :class:`Route` it resolved for
-        this key and client.  Either way the contact order is the same
-        *stable* sort by client diversity over catalog order — not the
-        Router's lowest-id coordinator tie-break — and skipped replicas
-        that would have answered count as suspects.
+        The ring lookup and catalog walk happen here unless the caller
+        hands over the :class:`Route` it resolved; the catalog's replica
+        list and the suspects skipped (believed-dead replicas that would
+        have answered) are compiled once per order, counted per call.
         """
         if route is None:
             pid = self._route(app_id, ring_id, key)
-            believed, distances = self._router.believed_replicas(pid, client)
-        else:
-            pid, believed = route.pid, route.replicas
-            distances = route.distances
-        if distances is not None:
-            order = sorted(range(len(believed)), key=distances.__getitem__)
-            believed = [believed[i] for i in order]
-        all_replicas = self._catalog.replica_servers(pid)
-        if len(believed) < len(all_replicas):
-            responds = self._membership.responds
-            self.stats.suspects_skipped += sum(
-                1 for sid in all_replicas
-                if sid not in believed and responds(sid)
+            order = ContactOrder(
+                *self._router.believed_replicas(pid, client)
             )
-        need = level.required(len(all_replicas))
-        return pid, key_bytes(key), all_replicas, believed, need
+        else:
+            pid, order = route.pid, route.order
+            if order is None:
+                order = route.order = ContactOrder(
+                    route.replicas, route.distances
+                )
+        if order.all_replicas is None:
+            all_replicas = tuple(self._catalog.replica_servers(pid))
+            believed = order.believed
+            if len(believed) < len(all_replicas):
+                responds = self._membership.responds
+                order.suspects = sum(
+                    1 for sid in all_replicas
+                    if sid not in believed and responds(sid)
+                )
+            order.all_replicas = all_replicas
+        self.stats.suspects_skipped += order.suspects
+        return pid, order
 
     def _contact(self, coordinator: Optional[int],
                  sid: int) -> ReplicaOutcome:
@@ -281,8 +283,9 @@ class QuorumKVStore:
         consistency-cost model charges for.  With a
         :class:`~repro.store.hints.HintStore` attached, a parked hint
         counts toward the quorum (sloppy quorum).  ``route`` is the
-        caller's own fresh resolution of this key and client (see
-        :meth:`_resolve`).
+        caller's own resolution of this key's partition and client —
+        fresh, or remembered by the Router under its window contract
+        (a route kept past a membership change carries stale plans).
         """
         if not isinstance(value, bytes):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
@@ -298,9 +301,10 @@ class QuorumKVStore:
                value: Optional[bytes], level: Level,
                client: Optional[Location],
                route: Optional[Route] = None) -> QuorumWriteResult:
-        pid, kb, all_replicas, believed, need = self._resolve(
-            app_id, ring_id, key, level, client, route
-        )
+        pid, order = self._resolve(app_id, ring_id, key, client, route)
+        kb = key_bytes(key)
+        believed, all_replicas = order.believed, order.all_replicas
+        need = level.required(len(all_replicas))
         stats = self.stats
         if self._hints is None and len(believed) < need:
             # Strict quorum: refuse before consuming a version, so a
@@ -399,19 +403,85 @@ class QuorumKVStore:
         be reached push the coordinator further down the preference
         list; the quorum fails only when fewer than ``level`` replicas
         actually respond.  ``route`` as for :meth:`put`.
+
+        Who is contacted and who answers does not depend on the key:
+        that half is compiled once per :class:`ContactOrder`
+        (:meth:`_compile_read`) and replayed — same stat increments,
+        same error — by every read a remembered route brings back.
+        Without a route the plan is compiled and thrown away.
         """
-        pid, kb, all_replicas, believed, need = self._resolve(
-            app_id, ring_id, key, level, client, route
-        )
-        stats = self.stats
-        if len(believed) < need:
-            stats.read_failures += 1
-            raise QuorumError(
-                f"read quorum {need}/{len(all_replicas)} unreachable "
-                f"for {pid}: only {len(believed)} believed-live replicas"
+        pid, order = self._resolve(app_id, ring_id, key, client, route)
+        plan = order.plan
+        if plan is None or plan[0] is not level:
+            plan = order.plan = self._compile_read(
+                pid, order.believed, len(order.all_replicas), level
             )
+        __, error, contacted, attempts, timeouts, unreachable = plan
+        stats = self.stats
+        if timeouts:
+            stats.replica_timeouts += timeouts
+            stats.bump_level(level, timeouts=timeouts)
+        stats.replica_unreachable += unreachable
+        if error is not None:
+            stats.read_failures += 1
+            raise QuorumError(error)
+        kb = key_bytes(key)
+        copies = self._copies
+        freshest: Optional[Versioned] = None
+        held: List[Optional[Versioned]] = []
+        for sid in contacted:
+            bucket = copies.get((sid, pid))
+            copy = bucket.get(kb) if bucket else None
+            held.append(copy)
+            if copy is not None and (
+                freshest is None or copy.version > freshest.version
+            ):
+                freshest = copy
+        stats.reads += 1
+        if freshest is None:
+            stats.bump_level(level, ok=1)
+            return QuorumReadResult(
+                value=None, version=0,
+                contacted=contacted, stale_replicas=(),
+                attempts=attempts,
+            )
+        stale = tuple([
+            sid for sid, copy in zip(contacted, held)
+            if copy is None or copy.version < freshest.version
+        ])
+        stats.stale_observed += len(stale)
+        stats.bump_level(level, ok=1, stale=len(stale))
+        if self._read_repair and stale:
+            for sid in stale:
+                self._copy(sid, pid)[kb] = freshest
+            stats.read_repairs += len(stale)
+        value = None if freshest.is_tombstone else freshest.value
+        return QuorumReadResult(
+            value=value,
+            version=freshest.version,
+            contacted=contacted,
+            stale_replicas=stale,
+            attempts=attempts,
+        )
+
+    def _compile_read(self, pid: PartitionId, believed: Tuple[int, ...],
+                      n: int, level: Level):
+        """The key-independent half of a read along one contact order:
+        ``(level, error text or None, contacted, attempts, timeouts,
+        unreachable)``.  A pure function of membership, catalog and link
+        state, so :meth:`get` replays it for every key until the
+        :class:`ContactOrder` it hangs off is dropped.
+        """
+        self.read_plan_compiles += 1
+        need = level.required(n)
+        if len(believed) < need:
+            return (level, (
+                f"read quorum {need}/{n} unreachable "
+                f"for {pid}: only {len(believed)} believed-live replicas"
+            ), (), (), 0, 0)
         contacted: List[int] = []
         attempts: List[Tuple[int, str]] = []
+        timeouts = unreachable = 0
         coordinator: Optional[int] = None
         for sid in believed:
             if len(contacted) >= need:
@@ -423,50 +493,17 @@ class QuorumKVStore:
                     coordinator = sid
                 contacted.append(sid)
             elif outcome is ReplicaOutcome.TIMEOUT:
-                stats.replica_timeouts += 1
-                stats.bump_level(level, timeouts=1)
+                timeouts += 1
             else:
-                stats.replica_unreachable += 1
+                unreachable += 1
+        error = None
         if len(contacted) < need:
-            stats.read_failures += 1
-            raise QuorumError(
-                f"read quorum {need}/{len(all_replicas)} assembled only "
+            error = (
+                f"read quorum {need}/{n} assembled only "
                 f"{len(contacted)} responses for {pid}"
             )
-        freshest: Optional[Versioned] = None
-        holders: Dict[int, int] = {}
-        for sid in contacted:
-            copy = self._copy(sid, pid).get(kb)
-            holders[sid] = copy.version if copy else -1
-            if copy is not None and (
-                freshest is None or copy.version > freshest.version
-            ):
-                freshest = copy
-        stats.reads += 1
-        if freshest is None:
-            stats.bump_level(level, ok=1)
-            return QuorumReadResult(
-                value=None, version=0,
-                contacted=tuple(contacted), stale_replicas=(),
-                attempts=tuple(attempts),
-            )
-        stale = tuple(
-            sid for sid, v in holders.items() if v < freshest.version
-        )
-        stats.stale_observed += len(stale)
-        stats.bump_level(level, ok=1, stale=len(stale))
-        if self._read_repair and stale:
-            for sid in stale:
-                self._copy(sid, pid)[kb] = freshest
-            stats.read_repairs += len(stale)
-        value = None if freshest.is_tombstone else freshest.value
-        return QuorumReadResult(
-            value=value,
-            version=freshest.version,
-            contacted=tuple(contacted),
-            stale_replicas=stale,
-            attempts=tuple(attempts),
-        )
+        return (level, error, tuple(contacted), tuple(attempts),
+                timeouts, unreachable)
 
     # -- repair ladder ---------------------------------------------------------
 

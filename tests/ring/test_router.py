@@ -159,3 +159,124 @@ class TestSpread:
         client = Location(0, 0, 0, 0, 0, 0)
         shares = dict(router.spread(pid, [(client, 0.0)]))
         assert shares == {0: 0.5, 1: 0.5}
+
+
+class TestServingWindow:
+    """ISSUE 24: inside a serving window ``route_partition`` remembers
+    one Route per (partition, client); the three-part invalidation
+    contract is on ``Router.serving_window``."""
+
+    CLIENT = Location(1, 0, 0, 0, 0, 5)
+
+    def windowed(self):
+        cloud, rings, catalog, ring = setup()
+        router = Router(cloud, rings, catalog)
+        pid = ring.partitions()[0].pid
+        with router.serving_window():
+            first = router.route_partition(pid, client=self.CLIENT)
+            assert router.route_partition(pid, client=self.CLIENT) is first
+        assert (router.route_compiles, router.route_reuses) == (1, 1)
+        return cloud, rings, catalog, ring, router, pid, first
+
+    def reopened(self, router, pid):
+        with router.serving_window():
+            return router.route_partition(pid, client=self.CLIENT)
+
+    def test_unchanged_oracle_state_keeps_routes_across_windows(self):
+        *__, router, pid, first = self.windowed()
+        assert self.reopened(router, pid) is first
+        assert router.routes_alive == 1
+
+    def test_replica_added_drops_the_partitions_routes(self):
+        cloud, __, catalog, ring, router, pid, first = self.windowed()
+        other = ring.partitions()[1].pid
+        kept = self.reopened(router, other)
+        catalog.place(ring.partition(pid), 2)
+        route = self.reopened(router, pid)
+        assert route is not first and route.replicas == (0, 1, 2)
+        assert self.reopened(router, other) is kept
+
+    def test_replica_removed_drops_the_partitions_routes(self):
+        __, __, catalog, ring, router, pid, first = self.windowed()
+        assert first.server_id == 1
+        catalog.drop(ring.partition(pid), 1)
+        route = self.reopened(router, pid)
+        assert (route.server_id, route.replicas) == (0, (0,))
+
+    def test_server_dropped_drops_every_lost_partitions_routes(self):
+        cloud, __, catalog, ring, router, pid, first = self.windowed()
+        cloud.remove_server(1)
+        catalog.drop_server(1)
+        assert router.routes_alive == 0
+        assert self.reopened(router, pid).replicas == (0,)
+
+    def test_partition_split_drops_the_parents_routes(self):
+        __, __, catalog, ring, router, pid, first = self.windowed()
+        parent = ring.partition(pid)
+        low, high = ring.split_partition(pid)
+        catalog.split_partition(parent, low, high)
+        assert router.routes_alive == 0
+        assert self.reopened(router, low.pid).replicas == (0, 1)
+
+    def test_direct_call_outside_a_window_sees_a_kill_at_once(self):
+        cloud, *__, router, pid, first = self.windowed()
+        cloud.server(1).fail()
+        route = router.route_partition(pid, client=self.CLIENT)
+        assert route is not first and route.server_id == 0
+
+    def test_fail_and_restore_move_the_oracle_stamp(self):
+        cloud, *__, router, pid, first = self.windowed()
+        cloud.server(1).fail()
+        failed = self.reopened(router, pid)
+        assert failed.server_id == 0
+        cloud.server(1).restore()
+        restored = self.reopened(router, pid)
+        assert restored is not first and restored.server_id == 1
+
+    def test_remembered_routing_error_clears_when_a_replica_returns(self):
+        cloud, *__, router, pid, __ = self.windowed()
+        cloud.server(0).fail()
+        cloud.server(1).fail()
+        with router.serving_window():
+            for __ in range(2):
+                with pytest.raises(RoutingError,
+                                   match=f"no live replica for {pid}"):
+                    router.route_partition(pid, client=self.CLIENT)
+        assert (router.route_compiles, router.route_reuses) == (2, 2)
+        cloud.server(0).restore()
+        assert self.reopened(router, pid).server_id == 0
+
+    def test_other_views_keep_routes_for_one_window_only(self):
+        """A duck-typed view has no stamp to compare: whatever it
+        believed last epoch, the next window asks again."""
+
+        class Flipping:
+            down = frozenset()
+
+            def believed(self, sid):
+                return sid not in self.down
+
+        cloud, rings, catalog, ring = setup()
+        view = Flipping()
+        router = Router(cloud, rings, catalog, membership=view)
+        pid = ring.partitions()[0].pid
+        assert self.reopened(router, pid).server_id == 1
+        view.down = frozenset({1})
+        assert self.reopened(router, pid).server_id == 0
+        assert router.route_compiles == 2 and router.route_reuses == 0
+
+    def test_routes_of_one_order_share_it(self):
+        """Two clients that contact the same replicas in the same order
+        share one ContactOrder (and so one compiled read plan)."""
+        *__, router, pid, first = self.windowed()
+        with router.serving_window():
+            twin = router.route_partition(
+                pid, client=Location(1, 0, 0, 0, 1, 0)
+            )
+            far = router.route_partition(
+                pid, client=Location(0, 0, 0, 0, 0, 5)
+            )
+        assert twin is not first and twin.order is first.order
+        assert twin.replicas is first.replicas
+        assert far.order is not first.order
+        assert far.order.believed == (0, 1)

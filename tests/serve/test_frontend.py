@@ -297,3 +297,75 @@ class TestCoordinatorTie:
         assert frame.reads > 0 and frame.read_failures == 0
         assert frame.read_p50_ms == pytest.approx(240.0)
         assert frame.read_p999_ms == pytest.approx(240.0)
+
+
+class TestServingWindow:
+    """ISSUE 24: ``step`` opens a serving window around ``_serve``; what
+    the Router remembered in one epoch must not leak into an epoch whose
+    membership moved (contract on ``Router.serving_window``)."""
+
+    def test_fail_and_restore_under_the_oracle_between_steps(self):
+        cloud, front = build()  # level ALL, replicas on 0, 1, 2
+        assert front.step(0).read_failures == 0
+        compiled = front.router.route_compiles
+        assert front.step(1).read_failures == 0
+        assert front.router.route_compiles == compiled  # all reused
+        cloud.server(2).fail()
+        frame = front.step(2)
+        assert frame.read_failures == frame.reads > 0
+        cloud.server(2).restore()
+        frame = front.step(3)
+        assert frame.read_failures == frame.write_failures == 0
+
+    def test_belief_flip_under_the_membership_service(self):
+        from repro.net.membership import MembershipService
+        from repro.net.model import NetConfig
+        from repro.sim.seeds import RngStreams
+
+        cloud, seeded = build()
+        service = MembershipService(NetConfig(loss=0.01), cloud,
+                                    RngStreams(0))
+        front = ServingFrontEnd(
+            seeded.config, cloud, seeded.store._rings, seeded.store._catalog,
+            service, rng=np.random.default_rng(0), apps=[(0, 0)],
+            sites=(Location(0, 0, 0, 0, 0, 0),),
+        )
+        assert front.step(0).read_failures == 0
+        assert front.store.stats.suspects_skipped == 0
+        service._suspected.add(1)  # a false suspect: alive, believed dead
+        frame = front.step(1)
+        assert frame.read_failures == frame.reads > 0
+        assert front.store.stats.suspects_skipped >= frame.requests
+        service._suspected.discard(1)
+        assert front.step(2).read_failures == 0
+        # One window each: nothing compiled in epoch 0 was handed out
+        # again in epoch 2.
+        assert front.router.routes_alive <= 4
+
+    def test_memo_is_bounded_by_partitions_times_sites(self):
+        sites = tuple(Location(i, 0, 0, 0, 0, 3) for i in range(3))
+        cloud, seeded = build()
+        front = ServingFrontEnd(
+            seeded.config, cloud, seeded.store._rings, seeded.store._catalog,
+            OracleMembership(cloud), rng=np.random.default_rng(1),
+            apps=[(0, 0)], sites=sites,
+        )
+        for epoch in range(40):
+            front.step(epoch)
+            if epoch % 9 == 4:
+                cloud.server(epoch % 3).fail()
+            elif epoch % 9 == 7:
+                cloud.server((epoch - 3) % 3).restore()
+        router = front.router
+        assert 0 < router.routes_alive <= 4 * len(sites)
+        assert router.route_compiles + router.route_reuses == 40 * 32
+        assert router.route_reuses > router.route_compiles
+
+    def test_batched_percentiles_equal_the_three_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 10, 101, 1000):
+            arr = rng.exponential(100.0, size=n)
+            batched = np.percentile(arr, [50, 99, 99.9]).tolist()
+            assert batched == [
+                float(np.percentile(arr, q)) for q in (50, 99, 99.9)
+            ]

@@ -359,6 +359,28 @@ class TestProfile:
         assert code == 0
         assert " 4 " in text.replace("4\n", "4 ")
 
+    def test_serving_run_prints_route_counters(self):
+        """A front-door run carries the compile-once counters in the
+        table's last column; an economy-only run has no such column."""
+        column = "routes asked / compiled / read plans compiled"
+        code, text = run_cli(
+            "profile", "--scenario", "serving-steady", "--epochs", "4",
+            "--kernel", "vectorized", "--repeats", "1",
+        )
+        assert code == 0 and column in text
+        asked, compiled, plans = (
+            int(cell) for cell in
+            text.splitlines()[3].rsplit("  ", 1)[1].split(" / ")
+        )
+        assert asked == 4 * 256  # serving-steady: 256 requests / epoch
+        assert 0 < plans <= compiled < asked
+        __, text = run_cli(
+            "profile", "--scenario", "paper", "--epochs", "2",
+            "--partitions", "10", "--kernel", "vectorized",
+            "--repeats", "1",
+        )
+        assert column not in text
+
     def test_cprofile_top_limits_table(self):
         code, text = run_cli(
             "profile", "--scenario", "paper", "--epochs", "2",

@@ -1100,6 +1100,101 @@ def test_every_registry_entry_has_golden_digest():
     assert not empty, "pins with empty digests: " + ", ".join(empty)
 
 
+#: The front door's compile-once state (ISSUE 24).  The Router's route
+#: memo is sound only under the invalidation contract on
+#: ``Router.serving_window``, so nothing outside the module may read or
+#: write it; and ``benchmarks/e2e`` traces ``route_partition`` / ``get``
+#: / ``put`` / ``record`` / ``draw`` by replacing them as *instance
+#: attributes*, so the modules that call them must look each up at call
+#: time — a bound method captured in ``__init__`` would bypass the span.
+ROUTE_MEMO_OWNER = Path("src/repro/ring/router.py")
+ROUTE_MEMO_ATTRS = frozenset({"_route_memo", "_window_open"})
+SPAN_SITE_SEALED = (
+    Path("src/repro/serve/frontend.py"),
+    Path("src/repro/store/quorum.py"),
+)
+SPAN_SITES = frozenset({"route_partition", "get", "put", "record", "draw"})
+
+
+def find_route_memo_accesses(path: Path):
+    """Reads or writes of the Router's memo state in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path}:{node.lineno}: .{node.attr} belongs to "
+        f"{ROUTE_MEMO_OWNER.name} — go through serving_window / "
+        f"route_partition / routes_alive"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ROUTE_MEMO_ATTRS
+    ]
+
+
+def find_span_site_bindings(path: Path):
+    """Traced methods referenced but not called inside ``__init__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    problems = []
+    for init in ast.walk(tree):
+        if not (isinstance(init, ast.FunctionDef)
+                and init.name == "__init__"):
+            continue
+        called = {
+            id(node.func) for node in ast.walk(init)
+            if isinstance(node, ast.Call)
+        }
+        problems.extend(
+            f"{path}:{node.lineno}: .{node.attr} bound in __init__ — "
+            f"traced span sites are looked up at call time"
+            for node in ast.walk(init)
+            if isinstance(node, ast.Attribute)
+            and node.attr in SPAN_SITES and id(node) not in called
+        )
+    return problems
+
+
+def test_route_memo_and_span_sites_stay_sealed():
+    problems = [
+        problem
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if path != REPO_ROOT / ROUTE_MEMO_OWNER
+        for problem in find_route_memo_accesses(path)
+    ] + [
+        problem
+        for rel in SPAN_SITE_SEALED
+        for problem in find_span_site_bindings(REPO_ROOT / rel)
+    ]
+    assert not problems, (
+        "front-door compile-once seals broken:\n" + "\n".join(problems)
+    )
+
+
+def test_route_memo_gate_detects_planted_twins(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "class Front:\n"
+        "    def __init__(self, router, store, sla):\n"
+        "        self._route = router.route_partition\n"
+        "        self._get, self._put = store.get, store.put\n"
+        "        self.first = store.get(0, 0, b'k')\n"
+        "    def step(self):\n"
+        "        self.router._route_memo.clear()\n"
+        "        self.router._window_open = True\n"
+    )
+    assert len(find_route_memo_accesses(planted)) == 2
+    assert len(find_span_site_bindings(planted)) == 3
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "class Front:\n"
+        "    def __init__(self, router, config):\n"
+        "        self.router = router\n"
+        "        self.rate = config.get('rate', 1)\n"
+        "    def step(self, pid):\n"
+        "        get = self.store.get\n"
+        "        with self.router.serving_window():\n"
+        "            return self.router.route_partition(pid), get\n"
+    )
+    assert not find_route_memo_accesses(benign)
+    assert not find_span_site_bindings(benign)
+
+
 def test_lint_checker_detects_planted_unused_import(tmp_path):
     """The fallback checker itself must actually catch the F401 case."""
     planted = tmp_path / "planted.py"
