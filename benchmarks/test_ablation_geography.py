@@ -18,7 +18,7 @@ from repro.analysis.latency import (
 )
 from repro.analysis.tables import ClaimTable
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import EconomicPolicy
+from repro.core.policy import EconomicPolicy
 from repro.sim.config import AppConfig, RingConfig, SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.reporting import format_table

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from conftest import run_once
 from repro.analysis.tables import ClaimTable
-from repro.core.decision import EconomicPolicy
+from repro.core.policy import EconomicPolicy
 from repro.sim.engine import Simulation
 from repro.sim.reporting import format_table
 from repro.sim.scenario import compile_spec

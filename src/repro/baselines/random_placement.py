@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.board import PriceBoard
 from repro.core.decision import DecisionEngine
 from repro.core.placement import Candidate, PlacementScorer
-from repro.sim.engine import SimContext
 
 
 class RandomScorer(PlacementScorer):
@@ -37,8 +36,8 @@ class RandomScorer(PlacementScorer):
     best_is_pure = False
 
     def __init__(self, cloud, board, rng: np.random.Generator,
-                 rent_weight: float = 1.0) -> None:
-        super().__init__(cloud, board, rent_weight=rent_weight)
+                 **terms) -> None:
+        super().__init__(cloud, board, **terms)
         self._rng = rng
 
     def best(self, replica_servers: Sequence[int], *,
@@ -48,13 +47,9 @@ class RandomScorer(PlacementScorer):
              exclude: Sequence[int] = (),
              budget: Optional[str] = None,
              headroom_fraction: float = 0.0,
-             cache_key: Optional[object] = None,
-             memo_key: Optional[object] = None) -> Optional[Candidate]:
+             cache_key: Optional[object] = None) -> Optional[Candidate]:
         # ``cache_key`` identifies the replica set for eq. 3 gain
-        # caching and ``memo_key`` the shared-argmax memo; the random
-        # ablation never scores (and draws once per call with a
-        # feasible candidate — ``best_is_pure`` is False, so callers
-        # always pass ``memo_key=None``), so both are unused.
+        # caching; the random ablation never scores, so it is unused.
         ids = self.server_ids
         blocked = set(replica_servers) | set(exclude)
         headroom = (
@@ -99,15 +94,9 @@ class RandomPlacementDecider(DecisionEngine):
 
     def _make_scorer(self, board: PriceBoard) -> RandomScorer:
         return RandomScorer(
-            self._cloud, board, self._rng,
-            rent_weight=self._policy.rent_weight,
+            self._cloud, board, self._rng, **self._scorer_terms()
         )
 
 
-def random_placement_decider(ctx: SimContext) -> RandomPlacementDecider:
-    """Factory for :class:`~repro.sim.engine.Simulation`."""
-    return RandomPlacementDecider(
-        ctx.cloud, ctx.rings, ctx.catalog, ctx.registry, ctx.transfers,
-        ctx.policy, rent_model=ctx.rent_model,
-        kernel=ctx.kernel, avail_index=ctx.avail_index,
-    )
+#: Factory for :class:`~repro.sim.engine.Simulation`.
+random_placement_decider = RandomPlacementDecider.from_context

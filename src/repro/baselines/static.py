@@ -15,10 +15,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.board import PriceBoard
-from repro.core.decision import DecisionEngine, DecisionStats
+from repro.core.decision import DecisionEngine
+from repro.core.policy import DecisionStats
 from repro.ring.hashing import hash_key
 from repro.ring.partition import Partition
-from repro.sim.engine import SimContext
 from repro.workload.mix import EpochLoad
 
 
@@ -89,10 +89,5 @@ class StaticDecider(DecisionEngine):
             stats.unsatisfied_partitions += 1
 
 
-def static_decider(ctx: SimContext) -> StaticDecider:
-    """Factory for :class:`~repro.sim.engine.Simulation`."""
-    return StaticDecider(
-        ctx.cloud, ctx.rings, ctx.catalog, ctx.registry, ctx.transfers,
-        ctx.policy, rent_model=ctx.rent_model,
-        kernel=ctx.kernel, avail_index=ctx.avail_index,
-    )
+#: Factory for :class:`~repro.sim.engine.Simulation`.
+static_decider = StaticDecider.from_context

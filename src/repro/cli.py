@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.random_placement import random_placement_decider
 from repro.baselines.static import static_decider
-from repro.core.decision import KERNELS
+from repro.core.policy import KERNELS
 from repro.sim.engine import Simulation, economic_decider
 from repro.sim.profiling import compare_kernels, measure_throughput, speedup
 from repro.sim.reporting import format_table, series_table, summarize

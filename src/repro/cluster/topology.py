@@ -507,7 +507,7 @@ class Cloud:
         Assumes the engine's id discipline — ids are assigned
         sequentially and never reused, so ``max(id)`` stays O(servers
         ever added); a sparse gigantic id space would make this map
-        large (the epoch kernel's own id→slot gather in `_flat_state`
+        large (the epoch kernel's own id→slot gather in `flat_state`
         shares the same assumption).
         """
         cached = self._slot_lookup

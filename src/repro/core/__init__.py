@@ -13,12 +13,7 @@ from repro.core.availability import (
     strict_threshold,
 )
 from repro.core.board import BoardError, PriceBoard, update_board
-from repro.core.decision import (
-    DecisionEngine,
-    DecisionStats,
-    EconomicPolicy,
-    PolicyError,
-)
+from repro.core.decision import DecisionEngine
 from repro.core.economy import (
     DEFAULT_EPOCHS_PER_MONTH,
     CloudCostIndex,
@@ -32,6 +27,7 @@ from repro.core.placement import (
     PlacementScorer,
     proximity_weights,
 )
+from repro.core.policy import DecisionStats, EconomicPolicy, PolicyError
 
 __all__ = [
     "AgentError",

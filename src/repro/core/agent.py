@@ -94,7 +94,7 @@ class AgentLedger:
         # sequence — the two keys under which the epoch kernel
         # reconstructs each partition's agent order with one lexsort
         # instead of one Python iteration per partition (see
-        # DecisionEngine._flat_state).  ``capacity`` rows are allocated
+        # Incidence.flat_state).  ``capacity`` rows are allocated
         # directly (honored exactly — one-row detached ledgers and
         # compaction targets stay tight).
         self._cols = ColumnSet(self, _ledger_specs(window), capacity)

@@ -224,12 +224,6 @@ class PlacementScorer:
         self._mask_cache: Dict[
             Tuple[int, Optional[str], float], np.ndarray
         ] = {}
-        # Maintained popcount per cached mask (updated with the same
-        # single-slot refreshes), so "how many feasible candidates are
-        # left" is an O(1) read for the repair wavefront's proofs.
-        self._mask_counts: Dict[
-            Tuple[int, Optional[str], float], int
-        ] = {}
         # Top-k candidate shortlists per placement class: eq. 3's
         # argmax usually lands in the few dozen best-scored slots, so a
         # ``best`` call whose class has a window scans ~k slots instead
@@ -239,23 +233,16 @@ class PlacementScorer:
         # them; 0 disables the fast path.
         self._shortlist_k = shortlist_k
         self._shortlists: Dict[object, _Shortlist] = {}
-        # Shared-argmax memo (the grouped repair kernel's core): two
-        # ``best`` calls with the same feasibility key, replica set and
-        # proximity vector are the *same query* unless the scorer's
-        # mutable state moved in a way that can change the answer.
-        # Anticipated rents only rise and masks only shrink — except
-        # through :meth:`release_storage` — so a memoized answer stays
-        # exact while (a) no storage was released since it was stored
-        # and (b) the winning slot itself was not touched: every other
-        # slot's score can only have dropped, and the first-index
-        # tie-break already preferred the winner (see :meth:`best`).
-        # ``_touch`` records each slot's last mutation tick;
-        # ``_enable_clock`` the last mask-enabling event.
+        # The monotonicity contract's clocks (docs/ARCHITECTURE.md):
+        # anticipated rents only rise and masks only shrink — except
+        # through :meth:`release_storage` — so a conclusion drawn at
+        # tick t stays exact while no storage was released since (and,
+        # for an argmax, its winning slot was not touched).  ``_touch``
+        # records each slot's last mutation tick; ``_enable_clock`` the
+        # last mask-enabling event.
         self._touch = np.full(len(self._ids), -1, dtype=np.int64)
         self._touch_clock = 0
         self._enable_clock = -1
-        self._best_memo: Dict[object,
-                              Tuple[int, int, Optional[Candidate]]] = {}
         # Clocked feasibility floors (:meth:`rent_floor`): per
         # (feasibility key, bump bytes) a ``(tick, lower bound)`` pair,
         # plus the per-size eq. 1 bump vectors they add.  ``floor_asks``
@@ -269,7 +256,7 @@ class PlacementScorer:
         self.floor_proofs = 0
         # Ceiling certificates (:meth:`_ceiling`): ``(tick, slot, winner)``
         # per (feasibility key, |B|, B's continents, g), slot -1 refused;
-        # counted as memo-missed queries / answers / O(S) entry builds.
+        # counted as queries / answers / O(S) entry builds.
         self._cont = cloud.continent_ids()
         self._cont_bit = [1 << c for c in self._cont.tolist()]
         self._n_cont = int(self._cont.max(initial=-1)) + 1
@@ -411,22 +398,8 @@ class PlacementScorer:
              exclude: Sequence[int] = (),
              budget: Optional[str] = None,
              headroom_fraction: float = 0.0,
-             cache_key: Optional[object] = None,
-             memo_key: Optional[object] = None) -> Optional[Candidate]:
+             cache_key: Optional[object] = None) -> Optional[Candidate]:
         """Feasible argmax of eq. 3, or None when no server qualifies.
-
-        ``memo_key`` opts the call into the shared-argmax memo: the
-        caller asserts the key captures *every* query input except the
-        scorer's mutable state (replica set, need, budget class,
-        headroom, proximity vector — the §II-C repair chains key on
-        ``(servers, size, g)``, which two partitions sharing a replica
-        set legitimately share).  A memoized candidate is returned only
-        while provably still the argmax: no storage release since it
-        was stored (masks could only have shrunk, so a ``None`` stays
-        ``None``), and the winning slot untouched (its score is
-        unchanged while every other score can only have dropped; the
-        first-index tie-break already preferred it, and lower slots
-        were strictly below it when memoized).  Anything else rescans.
 
         Excluded are: current replica holders (a server holds at most
         one copy of a partition), dead servers, servers without
@@ -450,14 +423,6 @@ class PlacementScorer:
                 f"headroom_fraction must be in [0, 1), got "
                 f"{headroom_fraction}"
             )
-        if memo_key is not None:
-            hit = self._best_memo.get(memo_key)
-            if hit is not None:
-                slot, tick, candidate = hit
-                if self._enable_clock <= tick and (
-                    slot < 0 or self._touch[slot] <= tick
-                ):
-                    return candidate
         found = self._ceiling(
             replica_servers, need_bytes, g, max_rent, exclude, budget,
             headroom_fraction,
@@ -467,7 +432,7 @@ class PlacementScorer:
         ):
             found = self._best_from_shortlist(
                 replica_servers,
-                self._feasible_mask(need_bytes, budget, headroom_fraction),
+                self.feasible_mask(need_bytes, budget, headroom_fraction),
                 g, max_rent, exclude,
                 self._class_key(replica_servers, cache_key),
             )
@@ -476,9 +441,6 @@ class PlacementScorer:
                 replica_servers, need_bytes, g, max_rent, exclude, budget,
                 headroom_fraction, cache_key,
             )
-        if memo_key is not None:
-            slot = -1 if found is None else self._slot_of[found.server_id]
-            self._best_memo[memo_key] = (slot, self._touch_clock, found)
         return found
 
     def scan(self, replica_servers: Sequence[int], need_bytes: int = 0,
@@ -488,7 +450,7 @@ class PlacementScorer:
              cache_key: Optional[object] = None) -> Optional[Candidate]:
         """The full O(S) eq. 3 scan: what every shortcut of :meth:`best`
         must equal field for field (and what the tests hold them to)."""
-        mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
+        mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
         if max_rent is not None:
             # The rent cap varies per caller (migration hunts under the
             # agent's own rent), so it stays out of the cached mask.
@@ -553,7 +515,7 @@ class PlacementScorer:
         ):
             # One O(S) build, in the scan's own operation order.
             self.ceil_builds += 1
-            mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
+            mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
             off = np.array(
                 [not bits >> c & 1 for c in range(n_cont)]
             )[self._cont]
@@ -586,16 +548,6 @@ class PlacementScorer:
     def shortlist_k(self) -> int:
         """Size of the top-k candidate windows (0 = fast path off)."""
         return self._shortlist_k
-
-    @property
-    def touch_clock(self) -> int:
-        """Tick of the last mutable-state change (monotone)."""
-        return self._touch_clock
-
-    @property
-    def enable_clock(self) -> int:
-        """Tick of the last mask-*enabling* change (storage release)."""
-        return self._enable_clock
 
     def preload_shortlists(self, entries: Sequence) -> int:
         """Grouped wave-0 shortlist build for many replica sets at once.
@@ -775,9 +727,10 @@ class PlacementScorer:
             rent=float(rents_k[pos]),
         )
 
-    def _feasible_mask(self, need_bytes: int, budget: Optional[str],
-                       headroom_fraction: float) -> np.ndarray:
-        """Alive ∧ storage ∧ budget feasibility, cached per key.
+    def feasible_mask(self, need_bytes: int, budget: Optional[str] = None,
+                      headroom_fraction: float = 0.0) -> np.ndarray:
+        """Alive ∧ storage ∧ budget feasibility, cached per key — exactly
+        what :meth:`best` applies before scoring.
 
         Treat the returned array as read-only: it is shared across
         calls, with single-slot refreshes applied in place as storage
@@ -796,22 +749,7 @@ class PlacementScorer:
         if budget is not None:
             mask &= self._budget_headroom(budget) >= need_bytes
         self._mask_cache[key] = mask
-        self._mask_counts[key] = int(mask.sum())
         return mask
-
-    def feasible_mask(self, need_bytes: int, budget: Optional[str] = None,
-                      headroom_fraction: float = 0.0
-                      ) -> Tuple[np.ndarray, int]:
-        """The cached feasibility mask and its live popcount.
-
-        The mask is exactly what :meth:`best` applies before scoring
-        (treat as read-only); the count is maintained through the same
-        single-slot refreshes, so callers can reason about candidate
-        existence without an O(S) scan.
-        """
-        mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
-        return mask, self._mask_counts[need_bytes, budget,
-                                       headroom_fraction]
 
     def _budget_headroom(self, kind: str) -> np.ndarray:
         """Remaining per-epoch bandwidth of every server, slot order.
@@ -865,7 +803,7 @@ class PlacementScorer:
             or (not fresh and self._enable_clock <= hit[0])
         ):
             return hit[1]
-        mask = self._feasible_mask(need_bytes, budget, headroom_fraction)
+        mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
         rents = self._rents
         if bump_bytes:
             bumps = self._bumps.get(bump_bytes)
@@ -906,7 +844,7 @@ class PlacementScorer:
         """Whether ``best(max_rent=rent_cap, …)`` would find a candidate:
         some feasible slot that is no holder (replicas plus exclusions)
         is priced under the cap.  One masked ``min``, no scoring."""
-        ok = self._feasible_mask(need_bytes, budget, headroom_fraction).copy()
+        ok = self.feasible_mask(need_bytes, budget, headroom_fraction).copy()
         ok[[self._slot(sid) for sid in holders]] = False
         return bool(np.min(self._rents, where=ok, initial=np.inf) < rent_cap)
 
@@ -970,7 +908,7 @@ class PlacementScorer:
         self._refresh_masks(idx)
         # Freed storage can *re-enable* masked candidates — the one
         # event that breaks the only-gets-worse monotonicity every
-        # memoized answer (and exhaustion proof) relies on.
+        # ceiling certificate and rent floor relies on.
         self._touch_clock += 1
         self._touch[idx] = self._touch_clock
         self._enable_clock = self._touch_clock
@@ -981,12 +919,11 @@ class PlacementScorer:
         A transfer only moves one destination's (or source's) storage
         and budget state, so the cached masks stay valid everywhere
         else; each entry is recomputed with exactly the expressions
-        :meth:`_feasible_mask` evaluated — O(cached masks) per transfer
+        :meth:`feasible_mask` evaluated — O(cached masks) per transfer
         instead of an O(S) rebuild per later ``best`` call.
         """
         storage = int(self._storage[idx])
         alive = bool(self._alive[idx])
-        counts = self._mask_counts
         for (need, budget, headroom_fraction), mask in (
             self._mask_cache.items()
         ):
@@ -1002,9 +939,6 @@ class PlacementScorer:
             if ok and budget is not None:
                 # The mask's construction built this headroom vector.
                 ok = bool(self._headroom[budget][idx] >= need)
-            was = bool(mask[idx])
-            if ok != was:
-                counts[need, budget, headroom_fraction] += 1 if ok else -1
             mask[idx] = ok
 
     def _slot(self, server_id: int) -> int:

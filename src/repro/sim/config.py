@@ -24,8 +24,8 @@ from typing import Optional, Tuple
 from repro.cluster.confidence import ConfidenceModel
 from repro.cluster.server import GB, MB
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import KERNELS, EconomicPolicy
 from repro.core.economy import RentModel
+from repro.core.policy import KERNELS, EconomicPolicy
 from repro.net.model import NetConfig
 from repro.workload.arrivals import ConstantRate, RateProfile
 from repro.workload.clients import ClientGeography, uniform_geography

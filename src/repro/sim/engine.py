@@ -22,7 +22,10 @@ policies (static, random) run under the identical substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Optional, Protocol, Sequence, Tuple,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -32,9 +35,10 @@ from repro.cluster.topology import Cloud, build_cloud
 from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex, availability
 from repro.core.board import PriceBoard, update_board
-from repro.core.decision import DecisionEngine, DecisionStats, EconomicPolicy
+from repro.core.decision import DecisionEngine
 from repro.core.economy import CloudCostIndex, UsageTracker
 from repro.core.placement import proximity_weights
+from repro.core.policy import DecisionStats, EconomicPolicy
 from repro.net.membership import MembershipService, OracleMembership
 from repro.ring.partition import PartitionId, PartitionIndex
 from repro.ring.virtualring import AvailabilityLevel, RingError, RingSet
@@ -83,17 +87,32 @@ class SimContext:
     membership: object = None
 
 
-DeciderFactory = Callable[[SimContext], object]
+@runtime_checkable
+class Decider(Protocol):
+    """What :class:`Simulation` asks of a policy each epoch: settle
+    eq. 5, run one decision pass, and hand the cost index settlement's
+    per-slot query totals (``None`` turns vectorized eq. 1 pricing off)
+    with the cloud version they were computed under."""
+
+    query_totals: Optional[np.ndarray]
+    query_totals_version: int
+
+    def settle(self, load: EpochLoad, board: PriceBoard,
+               g_of_app: Optional[Dict[int, np.ndarray]] = None) -> None:
+        ...
+
+    def decide(self, board: PriceBoard, load: EpochLoad,
+               rng: np.random.Generator,
+               g_of_app: Optional[Dict[int, np.ndarray]] = None
+               ) -> DecisionStats:
+        ...
 
 
-def economic_decider(ctx: SimContext) -> DecisionEngine:
-    """The paper's policy — the default decider."""
-    return DecisionEngine(
-        ctx.cloud, ctx.rings, ctx.catalog, ctx.registry, ctx.transfers,
-        ctx.policy, rent_model=ctx.rent_model,
-        kernel=ctx.kernel, avail_index=ctx.avail_index,
-        membership=ctx.membership,
-    )
+DeciderFactory = Callable[[SimContext], Decider]
+
+
+#: The paper's policy — the default decider factory.
+economic_decider = DecisionEngine.from_context
 
 
 class Simulation:
@@ -217,7 +236,7 @@ class Simulation:
             avail_index=self.avail_index,
             membership=self.membership_service,
         )
-        self.decider = decider_factory(self.context)
+        self.decider: Decider = decider_factory(self.context)
         # One log per frame stream; a side log exists only when an
         # overlay that feeds it does.
         self.metrics = MetricsLog()

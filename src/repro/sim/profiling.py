@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.decision import KERNELS
+from repro.core.policy import KERNELS
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.framedump import frames_digest
@@ -78,8 +78,9 @@ class ThroughputResult:
     #: scalar kernel, which never asks.
     floor_asks: int = 0
     floor_proofs: int = 0
-    #: Memo-missed eq. 3 argmaxes / ceiling answers / O(S) certificate
-    #: builds; migration hunts put to the source-first refusal / refused.
+    #: Eq. 3 argmaxes asked (every ``best`` call) / ceiling answers /
+    #: O(S) certificate builds; migration hunts put to the source-first
+    #: refusal / refused.
     ceil_asks: int = 0
     ceil_proofs: int = 0
     ceil_builds: int = 0

@@ -60,8 +60,8 @@ from repro.cluster.events import (
 from repro.cluster.server import GB, MB
 from repro.cluster.topology import CloudLayout
 from repro.core.availability import paper_thresholds
-from repro.core.decision import KERNELS, EconomicPolicy
 from repro.core.economy import RentModel
+from repro.core.policy import KERNELS, EconomicPolicy
 from repro.net.model import LinkFlap, NetConfig, NetPartition
 from repro.sim.config import (
     AppConfig,

@@ -93,9 +93,6 @@ class TransferResult:
         return self.outcome is TransferOutcome.COMPLETED
 
 
-_RESULT_FIELDS = ("kind", "outcome", "pid", "src", "dst", "nbytes")
-
-
 class _FailurePool:
     """Recycled :class:`TransferResult` flyweights for the failure log.
 
@@ -136,11 +133,9 @@ class _FailurePool:
 class TransferStats:
     """Aggregate transfer accounting for one epoch (reset by the engine).
 
-    ``no_destination`` counts the repair wavefront's blocked-everywhere
-    deferrals (count-only: no per-attempt record is minted for the
-    ``dst = -1`` exhaustion sentinel — a storm can hit the proof
-    thousands of times per epoch, and nothing ever consumed the
-    records).  Entries of ``failures`` are pool-recycled at
+    ``no_destination`` is always 0 — no path counts on it; it is
+    retained only because the frozen benchmark (``benchmarks/e2e``)
+    reads it by name.  Entries of ``failures`` are pool-recycled at
     :meth:`reset`: hold no references across epochs.
     """
 
@@ -480,10 +475,7 @@ class TransferBatch:
         # budget minus queued reservations, copied off the cloud's
         # table on first use and decremented per reservation (real
         # budgets move only at commit, which drops the vectors).
-        # ``reserve_count`` versions them: cached conclusions about
-        # budgets are valid while the count holds.
         self._avail_vectors: Dict[TransferKind, np.ndarray] = {}
-        self._reserve_count = 0
         # Replica-identity mirror: placements queued (and not since
         # vacated) / sources vacated by queued migrations.  Together
         # with the catalog they answer "would this (pid, server) hold a
@@ -491,11 +483,6 @@ class TransferBatch:
         # duplicate/source check evaluates.
         self._pending_replicas: Set[Tuple[object, int]] = set()
         self._vacated: Set[Tuple[object, int]] = set()
-
-    @property
-    def reserve_count(self) -> int:
-        """Number of reservations applied (mirror version stamp)."""
-        return self._reserve_count
 
     def _has_replica_now(self, pid, server_id: int) -> bool:
         """Replica presence as of the queued state (catalog ± pending)."""
@@ -527,10 +514,9 @@ class TransferBatch:
         """Per-slot remaining budget as of this batch (read-only).
 
         What :meth:`budget_available` reads, kept current through
-        every reservation.  Within one decision pass
-        the entries only ever *decrease* — blocked intents reserve
-        nothing and nothing un-reserves — which is what lets the repair
-        wavefront's exhaustion proof stay valid once established.
+        every reservation.  Within one decision pass the entries only
+        ever *decrease* — blocked intents reserve nothing and nothing
+        un-reserves.
         """
         vec = self._avail_vectors.get(kind)
         if vec is None:
@@ -585,7 +571,6 @@ class TransferBatch:
         self._pending_storage[dst_id] = (
             self._pending_storage.get(dst_id, 0) + size
         )
-        self._reserve_count += 1
 
     def _add(self, kind: TransferKind, partition: Partition,
              src_id: Optional[int], dst_id: int
@@ -614,27 +599,6 @@ class TransferBatch:
             TransferRequest(kind, partition, src_id, dst_id)
         )
         return None
-
-    def defer_without_destination(self, partition: Partition,
-                                  src_id: Optional[int],
-                                  kind: TransferKind = (
-                                      TransferKind.REPLICATION
-                                  )) -> TransferOutcome:
-        """Account a transfer that is provably blocked at *every*
-        destination (the repair wavefront's grouped exhaustion proof).
-
-        Bookkeeping mirrors a blocked :meth:`add_replication`'s engine
-        deferred count — but no eq. 3 argmax was ever computed and
-        there is no destination to name, so the exhaustion sentinel is
-        recorded count-only (``TransferStats.no_destination``) instead
-        of minting a ``dst = -1`` failure record per attempt.  Nothing
-        downstream consumed those records: ``NO_DEST_BANDWIDTH`` is not
-        a network outcome, so the retry queue and the wasted-transfer
-        tally never matched them.
-        """
-        self._engine.stats.deferred += 1
-        self._engine.stats.no_destination += 1
-        return TransferOutcome.NO_DEST_BANDWIDTH
 
     def refuse_at_source(self, partition: Partition, src_id: int,
                          kind: TransferKind) -> None:

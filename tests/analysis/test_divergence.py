@@ -15,8 +15,8 @@ from repro.analysis.divergence import (
 )
 from repro.cluster.events import EventSchedule, RemoveServers
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import EconomicPolicy
 from repro.core.economy import RentModel
+from repro.core.policy import EconomicPolicy
 from repro.net.model import NetConfig, NetPartition
 from repro.sim.config import AppConfig, RingConfig, SimConfig
 from repro.sim.engine import Simulation

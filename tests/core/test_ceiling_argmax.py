@@ -95,7 +95,6 @@ def scripts(draw):
         st.integers(0, 2),
         st.sampled_from(("free", "winner", "above", "drawn")),
         st.sampled_from(("free", "winner", "drawn")),
-        st.booleans(),
     )
     consume = st.tuples(
         st.just("consume"), sid, st.integers(1, 1_500),
@@ -123,7 +122,7 @@ def run_script(cloud_args, script):
                 scorer.release_storage(sid, nbytes)
             continue
         (__, replicas, need, budget, headroom, g_idx, cap_mode,
-         excl_mode, memo) = step
+         excl_mode) = step
         # Replica ids past the cloud's size, and the removed ones, are
         # servers the scorer does not know.
         replicas = [sid for sid in replicas if sid < len(continents)]
@@ -143,11 +142,7 @@ def run_script(cloud_args, script):
             query["exclude"] = (live[need % len(live)],)
         want = scorer.scan(replicas, **query)
         proofs = scorer.ceil_proofs
-        memo_key = (
-            tuple(replicas), need, budget, headroom, g_idx % len(gs),
-            query.get("max_rent"), query.get("exclude"),
-        ) if memo else None
-        got = scorer.best(replicas, memo_key=memo_key, **query)
+        got = scorer.best(replicas, **query)
         assert got == want, (step, got, want)
         if scorer.ceil_proofs > proofs:
             # A ceiling answer came from a certified entry, never from a

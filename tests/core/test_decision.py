@@ -9,8 +9,9 @@ from repro.cluster.topology import Cloud
 from repro.core.agent import AgentRegistry
 from repro.core.availability import availability
 from repro.core.board import PriceBoard
-from repro.core.decision import DecisionEngine, EconomicPolicy, PolicyError
+from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
+from repro.core.policy import EconomicPolicy, PolicyError
 from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.store.replica import ReplicaCatalog
 from repro.store.transfer import TransferEngine

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.location import Location, diversity
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import EconomicPolicy
+from repro.core.policy import EconomicPolicy
 from repro.sim.config import AppConfig, RingConfig, SimConfig
 from repro.sim.engine import Simulation
 from repro.workload.clients import hotspot, uniform_geography

@@ -1,11 +1,9 @@
 """Repair-chain semantics under the grouped (§II-C) repair kernel.
 
 Pins the contracts the grouped repair kernel must preserve against the
-sequential reference: the ``repair_iterations`` bound, budget
-exhaustion mid-chain (source- and destination-side, including the
-batched "blocked everywhere" proof and its invalidation when storage
-frees up), and grouped-round vs sequential-chain equivalence on
-adversarial small clouds — eq. 3 score ties and capacity-constrained
+sequential reference: the ``repair_iterations`` bound, source budget
+exhaustion mid-chain, and grouped-round vs sequential-chain equivalence
+on adversarial small clouds — eq. 3 score ties and capacity-constrained
 rounds — with the certified shortlist window forced on.
 """
 
@@ -16,12 +14,13 @@ from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core.agent import AgentRegistry
 from repro.core.board import PriceBoard
-from repro.core.decision import DecisionEngine, EconomicPolicy
+from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
 from repro.core.placement import PlacementScorer
+from repro.core.policy import EconomicPolicy
 from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.store.replica import ReplicaCatalog
-from repro.store.transfer import TransferEngine, TransferKind
+from repro.store.transfer import TransferEngine
 from repro.workload.mix import EpochLoad
 
 #: Two rack siblings in continent 0, one server in each of four other
@@ -82,11 +81,7 @@ def forced_k_engine(k):
     class ForcedK(DecisionEngine):
         def _make_scorer(self, board):
             return PlacementScorer(
-                self._cloud, board,
-                rent_weight=self._policy.rent_weight,
-                storage_alpha=self._rent_model.alpha,
-                epochs_per_month=self._rent_model.epochs_per_month,
-                shortlist_k=k,
+                self._cloud, board, shortlist_k=k, **self._scorer_terms()
             )
 
     return ForcedK
@@ -135,91 +130,6 @@ class TestBudgetExhaustionMidChain:
         assert stats.repairs == 1
         assert stats.deferred == 1
         assert stats.unsatisfied_partitions == 1
-
-    def test_blocked_everywhere_proof_and_stickiness(self):
-        (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=1000.0)
-        p = ring.partitions()[0]
-        catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
-        scorer = engine._make_scorer(board)
-        batch = transfers.open_batch()
-        # Drain every server's batched replication budget below the
-        # partition size in the batch's own budget vector.
-        batch.budget_available_vector(TransferKind.REPLICATION)[:] = 50
-        assert all(
-            batch.budget_available(sid) < p.size for sid in range(6)
-        )
-        assert engine._repair_blocked_everywhere(scorer, batch, p, [0])
-        # Sticky: the size is remembered for the rest of the pass.
-        assert p.size in engine._exhausted_repair
-        assert engine._repair_blocked_everywhere(scorer, batch, p, [0])
-
-    def test_blocked_everywhere_requires_surviving_candidate(self):
-        # With every non-replica slot storage-infeasible the argmax
-        # would return None (different stats than a blocked transfer),
-        # so the proof must decline.
-        storage = {i: 120 for i in range(1, 6)}
-        (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=1000.0, storage=storage,
-                        initial_size=200)
-        p = ring.partitions()[0]
-        catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
-        scorer = engine._make_scorer(board)
-        batch = transfers.open_batch()
-        # Feasible count is 1 (only the replica holder fits 200 bytes),
-        # which cannot exceed the replica count — proof declines.
-        assert not engine._repair_blocked_everywhere(scorer, batch, p, [0])
-
-    def test_freed_storage_invalidates_proof(self):
-        # Server 5 is storage-full but budget-rich; every other
-        # destination's batched budget is drained.  The proof holds
-        # until server 5's storage frees up (the suicide/migration
-        # path), after which a repair destination exists again.
-        storage = {5: 100}
-        (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=1000.0, storage=storage)
-        cloud.server(5).allocate_storage(100)  # now full
-        p = ring.partitions()[0]
-        catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
-        scorer = engine._make_scorer(board)
-        batch = transfers.open_batch()
-        batch.budget_available_vector(TransferKind.REPLICATION)[:5] = 50
-        assert engine._repair_blocked_everywhere(scorer, batch, p, [0])
-        # Storage frees on server 5 (as a suicide would): the engine
-        # clears its proofs, the scorer re-enables the slot, and the
-        # proof must now fail — server 5 can absorb the copy.
-        cloud.server(5).free_storage(100)
-        scorer.release_storage(5, 100)
-        assert not engine._repair_blocked_everywhere(scorer, batch, p, [0])
-
-    def test_blocked_everywhere_records_sentinel_failure(self):
-        # End-to-end bootstrap-storm geometry: a budget-rich hub hosts
-        # four partitions while five skinny servers (budget fits 1.5
-        # copies) each host — and must source — one of their own.
-        # Their sourcing drains budgets the scorer's destination mask
-        # cannot see, so late hub chains face a cloud where every
-        # surviving destination is their own source: they defer
-        # through the grouped proof, recorded count-only on the
-        # no-destination sentinel counter instead of per-attempt
-        # failure records.
-        budgets = {0: 10_000, 1: 150, 2: 150, 3: 150, 4: 150, 5: 150}
-        (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=1000.0, partitions=9, budgets=budgets)
-        owners = [0, 0, 0, 0, 1, 2, 3, 4, 5]
-        for p, owner in zip(ring.partitions(), owners):
-            catalog.place(p, owner)
-            registry.spawn(p.pid, owner)
-        stats = engine.decide(board, empty_load(ring), np.random.default_rng(1))
-        assert stats.repairs > 0
-        assert stats.deferred > 0
-        assert transfers.stats.no_destination > 0, (
-            "expected blocked-everywhere sentinel deferrals"
-        )
-        # Count-only recording: no per-attempt dst=-1 records remain.
-        assert not any(r.dst == -1 for r in transfers.stats.failures)
 
 
 class TestGroupedVsSequentialChains:

@@ -8,7 +8,7 @@ join/leave waves — every epoch mutates the cloud, catalog or registry
 — and pins three agreements:
 
 * the splice path actually runs (``align_splices > 0``), with the
-  engine's inline cross-check armed (``align_check``), so any
+  incidence's inline cross-check armed (``align_check``), so any
   divergence from the full rebuild raises inside the run;
 * the spliced stream is byte-identical to an engine whose splice is
   disabled outright (every epoch takes the sanctioned lexsort
@@ -26,7 +26,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.decision import DecisionEngine
+from repro.core.incidence import Incidence
 from repro.sim.engine import Simulation, economic_decider
 from repro.sim.framedump import frame_diff, frames_to_jsonable
 from repro.sim.scenario import (
@@ -69,11 +69,11 @@ def checked_decider(ctx):
     splice is verified against the full rebuild in-line (KernelError on
     the first diverging row)."""
     engine = economic_decider(ctx)
-    engine.align_check = True
+    engine.incidence.align_check = True
     return engine
 
 
-class ForcedRebuildEngine(DecisionEngine):
+class ForcedRebuildIncidence(Incidence):
     """Splice disabled: every mutation epoch pays the full lexsort
     rebuild — the fallback the splice must be byte-equivalent to."""
 
@@ -82,11 +82,9 @@ class ForcedRebuildEngine(DecisionEngine):
 
 
 def forced_rebuild_decider(ctx):
-    return ForcedRebuildEngine(
-        ctx.cloud, ctx.rings, ctx.catalog, ctx.registry,
-        ctx.transfers, ctx.policy, rent_model=ctx.rent_model,
-        kernel=ctx.kernel, avail_index=ctx.avail_index,
-    )
+    engine = economic_decider(ctx)
+    engine.incidence.__class__ = ForcedRebuildIncidence
+    return engine
 
 
 def run_stream(spec, kernel, decider_factory):

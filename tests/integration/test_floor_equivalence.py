@@ -41,11 +41,7 @@ class NoFloorEngine(DecisionEngine):
 
 
 def no_floor_decider(ctx):
-    return NoFloorEngine(
-        ctx.cloud, ctx.rings, ctx.catalog, ctx.registry, ctx.transfers,
-        ctx.policy, rent_model=ctx.rent_model, kernel=ctx.kernel,
-        avail_index=ctx.avail_index, membership=ctx.membership,
-    )
+    return NoFloorEngine.from_context(ctx)
 
 
 def run(name: str, seed: int, **sim_kwargs):

@@ -31,6 +31,7 @@ Seeds 0–3 run in tier-1; the remaining sweep (seeds 4–23) carries the
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -60,18 +61,15 @@ def forced_shortlist_decider(k: int) -> Callable:
     class ForcedShortlistEngine(DecisionEngine):
         def _make_scorer(self, board) -> PlacementScorer:
             return PlacementScorer(
-                self._cloud, board,
-                rent_weight=self._policy.rent_weight,
-                storage_alpha=self._rent_model.alpha,
-                epochs_per_month=self._rent_model.epochs_per_month,
-                shortlist_k=k,
+                self._cloud, board, shortlist_k=k, **self._scorer_terms()
             )
 
     def factory(ctx):
-        return ForcedShortlistEngine(
-            ctx.cloud, ctx.rings, ctx.catalog, ctx.registry,
-            ctx.transfers, ctx.policy, rent_model=ctx.rent_model,
-            kernel=ctx.kernel, avail_index=ctx.avail_index,
+        # Physical liveness on purpose: the faulty-net control-plane
+        # pins (golden/faulty_net_control.json) were taken with this
+        # decider blind to the believed view.
+        return ForcedShortlistEngine.from_context(
+            dataclasses.replace(ctx, membership=None)
         )
 
     return factory

@@ -56,21 +56,13 @@ class HuntFirstEngine(RecordingEngine):
         return False
 
 
-def factory(engine_cls):
-    def make(ctx):
-        return engine_cls(
-            ctx.cloud, ctx.rings, ctx.catalog, ctx.registry, ctx.transfers,
-            ctx.policy, rent_model=ctx.rent_model, kernel=ctx.kernel,
-            avail_index=ctx.avail_index, membership=ctx.membership,
-        )
-    return make
-
-
 def run(spec, seed: int, engine_cls):
     spec = dataclasses.replace(
         spec, operations=dataclasses.replace(spec.operations, seed=seed)
     )
-    sim = compile_spec(spec).simulation(decider_factory=factory(engine_cls))
+    sim = compile_spec(spec).simulation(
+        decider_factory=engine_cls.from_context
+    )
     sim.run()
     return sim
 

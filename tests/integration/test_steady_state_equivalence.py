@@ -52,20 +52,12 @@ class _TinyShortlistEngine(DecisionEngine):
 
     def _make_scorer(self, board: PriceBoard) -> PlacementScorer:
         return PlacementScorer(
-            self._cloud, board,
-            rent_weight=self._policy.rent_weight,
-            storage_alpha=self._rent_model.alpha,
-            epochs_per_month=self._rent_model.epochs_per_month,
-            shortlist_k=2,
+            self._cloud, board, shortlist_k=2, **self._scorer_terms()
         )
 
 
 def tiny_shortlist_decider(ctx: SimContext) -> _TinyShortlistEngine:
-    return _TinyShortlistEngine(
-        ctx.cloud, ctx.rings, ctx.catalog, ctx.registry, ctx.transfers,
-        ctx.policy, rent_model=ctx.rent_model,
-        kernel=ctx.kernel, avail_index=ctx.avail_index,
-    )
+    return _TinyShortlistEngine.from_context(ctx)
 
 
 @pytest.fixture(scope="module")

@@ -12,8 +12,8 @@ import dataclasses
 import pytest
 
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import EconomicPolicy
 from repro.core.economy import RentModel
+from repro.core.policy import EconomicPolicy
 from repro.net.model import NetConfig, NetPartition
 from repro.sim.config import (
     AppConfig,

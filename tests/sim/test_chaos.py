@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import EconomicPolicy
 from repro.core.economy import RentModel
+from repro.core.policy import EconomicPolicy
 from repro.net.model import NetConfig
 from repro.sim.chaos import (
     ChaosError,

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.baselines.random_placement import random_placement_decider
+from repro.baselines.static import static_decider
 from repro.cluster.events import AddServers, EventSchedule, RemoveServers
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import EconomicPolicy
 from repro.core.economy import RentModel
+from repro.core.policy import EconomicPolicy
 from repro.sim.config import (
     AppConfig,
     InsertConfig,
     RingConfig,
     SimConfig,
 )
-from repro.sim.engine import Simulation, SimulationError
+from repro.sim.engine import (
+    Decider,
+    Simulation,
+    SimulationError,
+    economic_decider,
+)
 
 
 def small_layout():
@@ -248,3 +255,11 @@ class TestSplits:
         assert log.last.unsatisfied_partitions == 0
         for p in sim.rings.ring(0, 0):
             assert sim.catalog.replica_count(p.pid) >= 2
+
+
+@pytest.mark.parametrize("factory", [
+    economic_decider, static_decider, random_placement_decider,
+], ids=["economic", "static", "random"])
+def test_shipped_deciders_satisfy_the_decider_protocol(factory):
+    sim = Simulation(small_config(epochs=1), decider_factory=factory)
+    assert isinstance(sim.decider, Decider)

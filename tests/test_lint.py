@@ -365,6 +365,17 @@ def test_field_list_gate_detects_planted_tuple_and_dict(tmp_path):
     assert not find_frame_field_lists(benign)
 
 
+#: The four modules ``core/decision.py`` was split into: the §II-C pass,
+#: its knobs, the catalog↔ledger incidence and eq. 5 settlement.  Every
+#: decide-path gate below seals all four.
+DECISION_MODULES = (
+    Path("src/repro/core/decision.py"),
+    Path("src/repro/core/policy.py"),
+    Path("src/repro/core/incidence.py"),
+    Path("src/repro/core/settlement.py"),
+)
+
+
 #: Decide-path modules that must consume liveness exclusively through
 #: the MembershipView seam (``self._membership``), never by reading the
 #: cloud's physical alive column directly.  The faulty-network control
@@ -379,7 +390,7 @@ def test_field_list_gate_detects_planted_tuple_and_dict(tmp_path):
 #: latency costing must see the same believed view the router serves
 #: from, or the reported tails stop reflecting stale-belief reality.
 MEMBERSHIP_SEALED = (
-    Path("src/repro/core/decision.py"),
+    *DECISION_MODULES,
     Path("src/repro/ring/router.py"),
     Path("src/repro/serve/frontend.py"),
     Path("src/repro/serve/loadgen.py"),
@@ -437,12 +448,12 @@ def test_alive_gate_detects_planted_direct_read(tmp_path):
     assert not find_direct_alive_reads(benign)
 
 
-#: The decide path whose incidence alignment is maintained incrementally
+#: The module whose incidence alignment is maintained incrementally
 #: (ISSUE 9 wall (a)), and the one function still sanctioned to pay the
-#: full lexsort rebuild.  Any other ``np.lexsort`` in the module is a
-#: per-epoch wall sneaking back in: the splice path exists precisely so
-#: mutation epochs stop re-sorting the whole incidence table.
-LEXSORT_SEALED = Path("src/repro/core/decision.py")
+#: full lexsort rebuild.  Any other ``np.lexsort`` in the decide path is
+#: a per-epoch wall sneaking back in: the splice path exists precisely
+#: so mutation epochs stop re-sorting the whole incidence table.
+LEXSORT_HOME = Path("src/repro/core/incidence.py")
 LEXSORT_SANCTIONED = "_rebuild_alignment"
 
 
@@ -479,7 +490,14 @@ def find_unsanctioned_lexsorts(path: Path, sanctioned=LEXSORT_SANCTIONED):
 
 
 def test_decision_lexsorts_only_in_sanctioned_rebuild():
-    problems = find_unsanctioned_lexsorts(REPO_ROOT / LEXSORT_SEALED)
+    problems = [
+        problem
+        for rel in DECISION_MODULES
+        for problem in find_unsanctioned_lexsorts(
+            REPO_ROOT / rel,
+            LEXSORT_SANCTIONED if rel == LEXSORT_HOME else "",
+        )
+    ]
     assert not problems, (
         "full incidence re-sorts outside the sanctioned rebuild:\n"
         + "\n".join(problems)
@@ -502,6 +520,46 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
         "    return np.lexsort((cache.slots, cache.pids))\n"
     )
     assert not find_unsanctioned_lexsorts(benign)
+    # Outside the incidence module even the rebuild's name is no licence.
+    assert len(find_unsanctioned_lexsorts(benign, "")) == 1
+
+
+#: Line ceilings (ROADMAP item 4): no module carved out of
+#: ``core/decision.py`` grows back past 900 lines, and
+#: ``core/placement.py`` stays at its size until the grouped wave-0
+#: shortlists it still carries are deleted.
+MODULE_MAX_LINES = {
+    **dict.fromkeys(DECISION_MODULES, 900),
+    Path("src/repro/core/placement.py"): 951,
+}
+
+
+def find_oversized(path: Path, limit: int):
+    """One problem when ``path`` has more than ``limit`` lines."""
+    lines = len(path.read_text().splitlines())
+    if lines <= limit:
+        return []
+    return [f"{path.name}: {lines} lines, ceiling {limit}"]
+
+
+def test_decide_path_modules_stay_under_their_ceilings():
+    problems = [
+        problem
+        for rel, limit in MODULE_MAX_LINES.items()
+        for problem in find_oversized(REPO_ROOT / rel, limit)
+    ]
+    assert not problems, "modules past their line ceiling:\n" + "\n".join(
+        problems
+    )
+
+
+def test_size_gate_detects_planted_growth(tmp_path):
+    """The size checker must catch one line too many, and only that."""
+    planted = tmp_path / "planted.py"
+    planted.write_text("x = 1\n" * 901)
+    assert len(find_oversized(planted, 900)) == 1
+    planted.write_text("x = 1\n" * 900)
+    assert not find_oversized(planted, 900)
 
 
 #: Inside ``TransferBatch`` the slot-ordered budget vector is the one
@@ -700,16 +758,17 @@ def test_fabric_gate_detects_planted_per_message_loops(tmp_path):
 
 #: Scorer capabilities are declared attributes of ``PlacementScorer``
 #: (``best_is_pure``, ``shortlist_k``, ``preload_shortlists``,
-#: ``feasible_mask``, the rent-floor proofs) — every scorer in the tree
+#: ``cheaper_host_exists``, the rent-floor proofs) — every scorer in the tree
 #: subclasses it, so the decide path reads them directly.  A
 #: ``getattr(scorer, ...)`` probe there is a capability hiding outside
 #: the base class (ISSUE 16; first step of the declared protocol).
-SCORER_PROBE_SEALED = Path("src/repro/core/decision.py")
+SCORER_PROBE_SEALED = DECISION_MODULES
 
 #: The same rule one layer up (ISSUE 18): sealed module → the owner it
 #: may not probe.  The settle hand-off (``query_totals`` /
-#: ``query_totals_version``) is declared on ``DecisionEngine``, which
-#: every decider subclasses, and the overlays on ``Simulation``.
+#: ``query_totals_version``) is declared on the ``Decider`` protocol,
+#: which every shipped decider satisfies, and the overlays on
+#: ``Simulation``.
 SURFACE_PROBE_SEALED = {
     Path("src/repro/sim/engine.py"): "self.decider",
     Path("src/repro/cli.py"): "sim",
@@ -736,7 +795,11 @@ def find_scorer_probes(path: Path, owner: str = "scorer"):
 
 
 def test_decision_reads_scorer_capabilities_directly():
-    problems = find_scorer_probes(REPO_ROOT / SCORER_PROBE_SEALED)
+    problems = [
+        problem
+        for rel in SCORER_PROBE_SEALED
+        for problem in find_scorer_probes(REPO_ROOT / rel)
+    ]
     assert not problems, (
         "scorer capability probes in the decide path:\n"
         + "\n".join(problems)
