@@ -6,16 +6,19 @@ membership view that lags reality.  This example measures what that
 lag costs the data plane.  It draws randomized-but-reproducible
 network fault schedules (loss, partitions, link flaps — storage is
 never destroyed), pushes quorum client traffic through the believed
-view while the faults run, lets the system quiesce so hinted handoff
-drains, and replays the recorded history through the
-linearizability-lite consistency audit.
+view while the faults run — the data plane is a second instance of
+the serving front door, folding every request into the
+linearizability-lite consistency audit as it completes — and lets the
+system quiesce so hinted handoff drains before reading the verdict.
 
 The invariant being demonstrated: under network-only faults the audit
 is GREEN — **zero committed QUORUM writes lost** — because every ack
 either lives on a replica or is parked as a TTL-bounded hint that
 counts as a surviving copy.  Strong stale reads *can* appear while
 hints are in flight; the audit reports them as the measured
-consistency cost of sloppy quorum.
+consistency cost of sloppy quorum.  (Crashes are a different fault
+model: there an acked write is lost only when every ack-time holder
+crashes before a copy reaches a survivor — docs/ARCHITECTURE.md.)
 
 The base scenario is the ``chaos-consistency`` entry of the
 declarative spec registry (:mod:`repro.sim.specs`); each sweep seed

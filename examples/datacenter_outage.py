@@ -34,7 +34,6 @@ import argparse
 import dataclasses
 
 from repro import Simulation, availability
-from repro.analysis.consistency import audit_history
 from repro.analysis.divergence import compare_runs
 from repro.analysis.series import first_nonzero_epoch
 from repro.sim.scenario import compile_events, compile_spec
@@ -146,11 +145,8 @@ def main(argv=None) -> None:
 
     # What the detection lag looked like to clients: the quorum data
     # plane routed every op through the *believed* view the whole time.
-    plane = faulty.data_plane
     dp = rlog.data_plane_summary()
-    audit = audit_history(
-        plane.history, final_versions=plane.surviving_versions()
-    )
+    audit = faulty.data_plane.consistency_report()
     print(f"  data plane while flying blind: "
           f"{dp['reads']} reads / {dp['writes']} writes, "
           f"{dp['replica_timeouts']} replica timeouts (ghosts), "

@@ -2,10 +2,11 @@
 # Opt-in slow verification tier: the minutes-long sweeps tier-1
 # deselects (-m "not slow" in setup.cfg).  Covers the randomized
 # spec-sampled kernel-equivalence seeds, the faulty-net equivalence
-# matrix, the sampled paper-invariant sweep, the multi-seed
-# consistency-audit chaos sweep, and the gossip round kernel's
-# differential harness against the per-message oracle at its large
-# hypothesis budget (tests/net/test_fabric_differential.py, 4 000
+# matrix, the sampled paper-invariant sweep, the chaos stage (the
+# 18-seed consistency-audit sweep on the merged serving overlay plus the
+# lost-write bound check at faults-churn seeds 0 and 7), the gossip
+# round kernel's differential harness against the per-message oracle at
+# its large hypothesis budget (tests/net/test_fabric_differential.py, 4 000
 # freshly drawn scripts; tier-1 runs 150 derandomized ones), the
 # ceiling-certified eq. 3 argmax against the full scan at the same
 # large budget (tests/core/test_ceiling_argmax.py), and the compile-once
@@ -23,7 +24,12 @@ PYTHONPATH=src python -m pytest -q \
     tests/integration/test_named_scenarios.py
 
 echo "== stage: slow sweeps =="
-PYTHONPATH=src python -m pytest -m slow -q "$@"
+PYTHONPATH=src python -m pytest -m slow -q \
+    --ignore=tests/integration/test_chaos_audit.py "$@"
+
+echo "== stage: chaos (18-seed audit sweep + faults-churn lost-write bound) =="
+PYTHONPATH=src python -m pytest -q -m "slow or not slow" \
+    tests/integration/test_chaos_audit.py
 
 echo "== stage: serving (front-door suite + live CLI run + held-out bench seeds) =="
 PYTHONPATH=src python -m pytest -q tests/serve

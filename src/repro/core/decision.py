@@ -505,69 +505,39 @@ class DecisionEngine:
         )
         if candidate is None:
             return avail
-        if budget_kind == "migration":
-            if self._index is not None:
-                # Vectorized kernel: queue the move into the pass's
-                # shared intent batch — the mirrors make its checks
-                # (and deferred/failure stats) identical to an
-                # immediate call, and the grouped commit applies it
-                # before the next state read outside the pass.
-                blocked = batch.add_migration(
-                    partition, src, candidate.server_id
-                )
-                if blocked is not None:
-                    stats.deferred += 1
-                    return avail
-                # Local eq. 2 ledger: add dst against the pre-move set,
-                # then remove src against the post-move set — the exact
-                # deltas (and operand order) the catalog listener
-                # applies when the queued move commits.
-                self._index.invalidate_contribution(pid)
-                pred = self._membership.predicate
-                avail = avail + pair_gain(
-                    self._cloud, servers, candidate.server_id,
-                    is_alive=pred,
-                )
-                avail = avail - pair_gain(
-                    self._cloud, others + [candidate.server_id],
-                    src, is_alive=pred,
-                )
-            else:
-                result = self._transfers.migrate(
-                    partition, src, candidate.server_id
-                )
-                if not result.ok:
-                    stats.deferred += 1
-                    return avail
+        kind = TransferKind(budget_kind)
+        if self._index is not None:
+            # Vectorized kernel: queue the move into the pass's shared
+            # intent batch as one vacating intent — the mirrors make its
+            # checks (and deferred/failure stats) identical to an
+            # immediate call, and the grouped commit applies it (place,
+            # then drop) before the next state read outside the pass.
+            blocked = batch.add_migration(
+                partition, src, candidate.server_id, kind
+            )
+            if blocked is not None:
+                stats.deferred += 1
+                return avail
+            # Local eq. 2 ledger: add dst against the pre-move set,
+            # then remove src against the post-move set — the exact
+            # deltas (and operand order) the catalog listener applies
+            # when the queued move commits.
+            self._index.invalidate_contribution(pid)
+            pred = self._membership.predicate
+            avail = avail + pair_gain(
+                self._cloud, servers, candidate.server_id, is_alive=pred,
+            )
+            avail = avail - pair_gain(
+                self._cloud, others + [candidate.server_id],
+                src, is_alive=pred,
+            )
         else:
-            if self._index is not None:
-                blocked = batch.add_replication(
-                    partition, src, candidate.server_id
-                )
-                if blocked is not None:
-                    stats.deferred += 1
-                    return avail
-                # The source copy dies now (its catalog event fires
-                # immediately); the queued destination copy lands at
-                # commit.  Mirror that chronology on the local sum.
-                self._index.invalidate_contribution(pid)
-                self._transfers.suicide(partition, src)
-                pred = self._membership.predicate
-                avail = avail - pair_gain(
-                    self._cloud, others, src, is_alive=pred
-                )
-                avail = avail + pair_gain(
-                    self._cloud, others, candidate.server_id,
-                    is_alive=pred,
-                )
-            else:
-                result = self._transfers.replicate(
-                    partition, src, candidate.server_id
-                )
-                if not result.ok:
-                    stats.deferred += 1
-                    return avail
-                self._transfers.suicide(partition, src)
+            result = self._transfers.migrate(
+                partition, src, candidate.server_id, kind
+            )
+            if not result.ok:
+                stats.deferred += 1
+                return avail
         scorer.consume_budget(
             candidate.server_id, partition.size, budget_kind
         )

@@ -1,13 +1,15 @@
-"""The live-serving front door: request scheduler over the quorum store.
+"""The serving overlay: request scheduler over the quorum store.
 
-:class:`ServingFrontEnd` is what the engine instantiates when a
-:class:`repro.sim.config.ServingConfig` is attached: the open-loop
-:class:`~repro.serve.loadgen.LoadGenerator` produces each epoch's
+:class:`ServingFrontEnd` is the one request path: the engine builds it
+as ``sim.serving`` (front door) and as ``sim.data_plane``.  Each epoch
+the open-loop :class:`~repro.serve.loadgen.LoadGenerator` produces the
 arrival stream, a deterministic event-loop scheduler admits requests
 onto ``workers`` virtual executors, each request is routed through
 :class:`repro.ring.router.Router` (believed membership, lowest-id tie
-break) to its coordinator replica and executed against a
-:class:`repro.store.quorum.QuorumKVStore`, and its latency is costed
+break) to its coordinator replica, executed against a
+:class:`repro.store.quorum.QuorumKVStore` resolving through that
+Router, folded into a
+:class:`~repro.analysis.consistency.ConsistencyFrontier`, and costed
 with :class:`repro.analysis.latency.LatencyModel` RTTs along the
 quorum path:
 
@@ -27,19 +29,19 @@ run replays bit-identically (same spec + seed ⇒ the identical
 ``ServingFrame`` stream) — the property the golden suite demands and
 preemptive threads cannot give.
 
-Like the data-plane overlay, the front door is side-effect-free toward
-the economy: own copies, own hints, own RNG stream, no writes to
-partition sizes or server state — enabling it leaves the golden
-EpochFrame streams byte-identical.
+An overlay is side-effect-free toward the economy: own copies, own
+hints, own RNG stream, no writes to partition sizes or server state —
+enabling it leaves the golden EpochFrame streams byte-identical.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.consistency import ConsistencyFrontier, ConsistencyReport
 from repro.analysis.latency import LatencyModel
 from repro.cluster.location import Location, diversity
 from repro.ring.router import Router, RoutingError
@@ -50,19 +52,20 @@ from repro.store.hints import HintStore
 from repro.store.quorum import Level, QuorumError, QuorumKVStore
 from repro.store.replica import ReplicaCatalog
 
-# NOTE: repro.sim.metrics is imported lazily inside _collect so this
-# module can be imported from either package side without a cycle.
+# NOTE: repro.sim.metrics is imported lazily inside the frame builders
+# so this module can be imported from either package side.
 
 
 class ServingFrontEnd:
-    """Owns the request-serving stack for one simulation run."""
+    """Owns one request-serving overlay for one simulation run."""
 
     def __init__(self, config, cloud, rings: RingSet,
                  catalog: ReplicaCatalog, membership, *,
                  rng: np.random.Generator,
                  apps: Sequence[Tuple[int, int]],
                  sites: Sequence[Location] = (),
-                 latency_model: Optional[LatencyModel] = None) -> None:
+                 latency_model: Optional[LatencyModel] = None,
+                 prefix: str = "sv") -> None:
         self.config = config
         self.level = Level(config.level)
         self.model = (
@@ -81,6 +84,7 @@ class ServingFrontEnd:
             membership=membership,
             hints=self.hints,
             track_catalog=True,
+            router=self.router,
         )
         self.sla = SlaLedger(SlaPolicy(
             read_ms=config.sla_read_ms, write_ms=config.sla_write_ms,
@@ -96,35 +100,46 @@ class ServingFrontEnd:
                 epoch_ms=config.epoch_ms,
                 rng=rng,
                 sites=sites,
+                prefix=prefix,
             )
         #: Cleared (e.g. during an audit settle phase) to stop
         #: admitting requests while hints keep draining.
         self.serving_enabled = True
-        self.total_requests = 0
-        self.total_failures = 0
-        # Durability ground truth: the freshest version each key was
-        # *acknowledged* at.  Bounded by the keyspace, so keeping every
-        # entry is cheap, and :meth:`lost_writes` can audit that no
-        # acked write ever stops surviving (copies + parked hints).
-        self._acked: Dict[Tuple[int, int, bytes], int] = {}
+        #: Every request folded as it completes (bounded by the keyspace).
+        self.frontier = ConsistencyFrontier()
+        #: The last step's (epoch, read latencies, write latencies,
+        #: queue wait, read failures, write failures), which
+        #: :meth:`collect_serving_frame` summarises on demand.
+        self._served = (0, [], [], 0.0, 0, 0)
+        #: Counters at the last :meth:`collect_frame` (its deltas' base).
+        self._prev_counts = ({}, {})
+
+    @property
+    def total_requests(self) -> int:
+        return self.frontier.tally.operations
+
+    @property
+    def total_failures(self) -> int:
+        return self.frontier.tally.failed_ops
 
     # -- epoch loop ------------------------------------------------------------
 
-    def step(self, epoch: int):
-        """Serve one epoch's arrivals; returns its ServingFrame."""
+    def step(self, epoch: int) -> None:
+        """Serve one epoch's arrivals, then drain hints and sweep; the
+        epoch's frame is built only by the collector that logs it."""
         self.store.begin_epoch(epoch)
         self.sla.begin_epoch()
+        tally = self.frontier.tally
+        failed_before = (tally.read_failures, tally.write_failures)
         read_lat: List[float] = []
         write_lat: List[float] = []
         queue_wait = 0.0
-        read_failures = write_failures = 0
         if self.loadgen is not None and self.serving_enabled:
             arrivals = self.loadgen.draw(epoch)
             # Nothing in _serve moves membership, catalog or links:
             # a route compiled for one arrival stays true for the rest.
             with self.router.serving_window():
-                stats = self._serve(arrivals, read_lat, write_lat)
-            queue_wait, read_failures, write_failures = stats
+                queue_wait = self._serve(epoch, arrivals, read_lat, write_lat)
         self.store.drain_hints(epoch)
         cfg = self.config
         if cfg.anti_entropy_partitions > 0:
@@ -133,15 +148,16 @@ class ServingFrontEnd:
                 max_partitions=cfg.anti_entropy_partitions,
                 max_bytes=cfg.anti_entropy_bytes,
             )
-        return self._collect(
+        self._served = (
             epoch, read_lat, write_lat, queue_wait,
-            read_failures, write_failures,
+            tally.read_failures - failed_before[0],
+            tally.write_failures - failed_before[1],
         )
 
-    def _serve(self, arrivals: List[Arrival],
-               read_lat: List[float],
-               write_lat: List[float]) -> Tuple[float, int, int]:
-        """Admit one epoch's arrivals through the event-loop scheduler.
+    def _serve(self, epoch: int, arrivals: List[Arrival],
+               read_lat: List[float], write_lat: List[float]) -> float:
+        """Admit one epoch's arrivals through the event-loop scheduler;
+        returns the summed queueing wait.
 
         ``workers`` virtual executors are modelled as a min-heap of
         free times: each arrival (already in time order) starts at
@@ -153,34 +169,27 @@ class ServingFrontEnd:
         """
         free = [0.0] * self.config.workers
         heapq.heapify(free)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        execute, record = self._execute, self.sla.record
+        frontier = self.frontier
+        fold = frontier.fold
+        level = self.level._value_
         total_wait = 0.0
-        read_failures = write_failures = 0
-        for arrival in arrivals:
-            worker_free = heapq.heappop(free)
-            start = max(arrival.offset_ms, worker_free)
-            service_ms, ok = self._execute(arrival)
-            heapq.heappush(free, start + service_ms)
-            latency = (start - arrival.offset_ms) + service_ms
-            total_wait += start - arrival.offset_ms
-            self.total_requests += 1
-            if not ok:
-                self.total_failures += 1
-                if arrival.kind == "get":
-                    read_failures += 1
-                else:
-                    write_failures += 1
-            if arrival.kind == "get":
-                read_lat.append(latency)
-            else:
-                write_lat.append(latency)
-            self.sla.record(
-                arrival.app_id, arrival.ring_id, arrival.kind,
-                latency, ok,
-            )
-        return total_wait, read_failures, write_failures
+        for seq, arrival in enumerate(arrivals, frontier.tally.operations):
+            offset_ms, kind, app_id, ring_id, key, __, __, __ = arrival
+            start = max(offset_ms, heappop(free))
+            service_ms, version = execute(arrival)
+            heappush(free, start + service_ms)
+            latency = (start - offset_ms) + service_ms
+            total_wait += start - offset_ms
+            (read_lat if kind == "get" else write_lat).append(latency)
+            fold(seq, epoch, kind, level, (app_id, ring_id, key), version)
+            record(app_id, ring_id, kind, latency, version >= 0)
+        return total_wait
 
-    def _execute(self, arrival: Arrival) -> Tuple[float, bool]:
-        """Run one request; returns (service time in ms, success).
+    def _execute(self, arrival: Arrival) -> Tuple[float, int]:
+        """Run one request; returns (service time in ms, the version it
+        read or stamped, -1 when it failed).
 
         The service time is the RTT cost along the quorum path: the
         client→coordinator hop resolved by the Router, plus the
@@ -202,7 +211,7 @@ class ServingFrontEnd:
         except RoutingError:
             # No believed-live replica at all: the client burns a full
             # timeout against a dead partition.
-            return cfg.timeout_penalty_ms, False
+            return cfg.timeout_penalty_ms, -1
         try:
             if arrival.kind == "get":
                 result = self.store.get(
@@ -216,16 +225,12 @@ class ServingFrontEnd:
                     client=arrival.client, route=route,
                 )
         except QuorumError:
-            return model.rtt(route.distance) + cfg.timeout_penalty_ms, False
+            return model.rtt(route.distance) + cfg.timeout_penalty_ms, -1
         attempts = result.attempts
         if attempts is route.costed:
             # A read replayed from the route's compiled plan: same
             # coordinator, same legs, same service time.
-            return route.read_ms, True
-        if arrival.kind == "put":
-            acked_key = (arrival.app_id, arrival.ring_id, arrival.key)
-            if result.version > self._acked.get(acked_key, 0):
-                self._acked[acked_key] = result.version
+            return route.read_ms, result.version
         coord_loc = self._cloud.server(route.server_id).location
         fan_out = 0.0
         for sid, outcome in attempts:
@@ -242,14 +247,17 @@ class ServingFrontEnd:
         service_ms = model.rtt(route.distance) + fan_out
         if arrival.kind == "get":
             route.costed, route.read_ms = attempts, service_ms
-        return service_ms, True
+        return service_ms, result.version
 
     # -- frame collection ------------------------------------------------------
 
-    def _collect(self, epoch: int, read_lat: List[float],
-                 write_lat: List[float], queue_wait: float,
-                 read_failures: int, write_failures: int):
+    def collect_serving_frame(self):
+        """The last step's :class:`~repro.sim.metrics.ServingFrame`:
+        request counts, latency tails and SLA violations."""
         from repro.sim.metrics import ServingFrame
+
+        (epoch, read_lat, write_lat, queue_wait,
+         read_failures, write_failures) = self._served
 
         def tails(latencies: List[float]) -> Tuple[float, float, float]:
             if not latencies:
@@ -280,25 +288,46 @@ class ServingFrontEnd:
             mean_queue_ms=(queue_wait / requests if requests else 0.0),
         )
 
-    # -- audit ground truth ----------------------------------------------------
+    def collect_frame(self, epoch: int):
+        """The epoch's :class:`~repro.sim.metrics.DataPlaneFrame`: deltas
+        of the store's counters, with the operation counts taken from
+        the requests themselves — a request the Router could not place
+        fails without ever reaching the store."""
+        from repro.sim.metrics import DataPlaneFrame
 
-    def surviving_version(self, app_id: int, ring_id: int,
-                          key: bytes) -> int:
-        """Freshest surviving version (copies + parked hints) of a key."""
-        return self.store.surviving_version(app_id, ring_id, key)
+        tally, stats = self.frontier.tally, self.store.stats
+        now = dict(
+            stats.as_dict(),
+            reads=tally.reads - tally.read_failures,
+            writes=tally.writes - tally.write_failures,
+            read_failures=tally.read_failures,
+            write_failures=tally.write_failures,
+        )
+        rows = stats.level_rows()
+        (prev, prev_rows), self._prev_counts = self._prev_counts, (now, rows)
+        levels = {}
+        for lv, row in rows.items():
+            prev_row = prev_rows.get(lv, (0, 0, 0))
+            delta = tuple(a - b for a, b in zip(row, prev_row))
+            if any(delta):
+                levels[lv] = delta
+        return DataPlaneFrame(
+            epoch=epoch, hint_queue_depth=self.hints.depth, levels=levels,
+            **{name: now[name] - prev.get(name, 0) for name in now},
+        )
+
+    # -- audit ground truth ----------------------------------------------------
 
     def lost_writes(self) -> List[Tuple[int, int, bytes, int, int]]:
         """Acked writes no surviving copy or hint still carries.
 
         Returns ``(app_id, ring_id, key, acked_version, surviving)``
         rows; empty means the sloppy-quorum durability contract held
-        for every request the front door acknowledged.
+        for every request this overlay acknowledged.
         """
-        lost = []
-        for (app_id, ring_id, key), version in sorted(
-            self._acked.items()
-        ):
-            surviving = self.store.surviving_version(app_id, ring_id, key)
-            if surviving < version:
-                lost.append((app_id, ring_id, key, version, surviving))
-        return lost
+        return self.frontier.lost(self.store.surviving_version)
+
+    def consistency_report(self) -> ConsistencyReport:
+        """The linearizability-lite verdict over every request so far,
+        committed writes checked against what survives now."""
+        return self.frontier.report(self.store.surviving_version)

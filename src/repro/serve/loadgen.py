@@ -14,10 +14,10 @@ read/write coin) from one generator, which is the determinism contract
 the replay tests pin: same spec + seed ⇒ the identical arrival stream,
 epoch by epoch.
 
-Keys come from the :class:`~repro.workload.keys.ZipfKeys` universe the
-data-plane clients also draw from (rank ``i`` with probability
-∝ 1/(i+1)), under a distinct ``sv-`` key prefix so serving traffic
-never collides with data-plane audit keys.
+Keys come from a :class:`~repro.workload.keys.ZipfKeys` universe (rank
+``i`` with probability ∝ 1/(i+1)) under the overlay's key/value
+prefix — ``sv-`` for the front door, ``dp-`` for the data plane — so
+the two overlays' traffic never collides.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class LoadGenerator:
                  requests_per_epoch: int, read_fraction: float,
                  keyspace: int, value_size: int, epoch_ms: float,
                  rng: np.random.Generator,
-                 sites: Sequence[Location] = ()) -> None:
+                 sites: Sequence[Location] = (),
+                 prefix: str = "sv") -> None:
         if not apps:
             raise ServeError("need at least one (app_id, ring_id)")
         if requests_per_epoch < 0:
@@ -79,7 +80,8 @@ class LoadGenerator:
         self._epoch_ms = epoch_ms
         self._rng = rng
         self._sites = tuple(sites)
-        self._universe = ZipfKeys("sv", keyspace)
+        self._prefix = prefix
+        self._universe = ZipfKeys(prefix, keyspace)
         # Open loop: the mean gap keeps the configured rate regardless
         # of how fast the backend drains.
         self._mean_gap_ms = epoch_ms / max(requests_per_epoch, 1)
@@ -89,7 +91,7 @@ class LoadGenerator:
         return self._universe.keys
 
     def _value(self, epoch: int, index: int) -> bytes:
-        stamp = f"sv-e{epoch}-i{index}-".encode("ascii")
+        stamp = f"{self._prefix}-e{epoch}-i{index}-".encode("ascii")
         pad = self._value_size - len(stamp)
         if pad <= 0:
             return stamp[: self._value_size]

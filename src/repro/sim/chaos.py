@@ -4,9 +4,9 @@ The chaos side of ISSUE 7: draw a random-but-reproducible network
 fault schedule (loss level, partition windows, link-flap windows) over
 the PR 6 :class:`repro.net.model.NetConfig` machinery, run a
 data-plane-enabled simulation under it, let the system quiesce (client
-traffic paused, hints draining, anti-entropy running), and replay the
-recorded client history through the linearizability-lite checker in
-:mod:`repro.analysis.consistency`.
+traffic paused, hints draining, anti-entropy running), and read the
+linearizability-lite verdict the data-plane overlay folded request by
+request (:mod:`repro.analysis.consistency`).
 
 The schedules are *network-only* by design: partitions and flaps cut
 links and manufacture false suspicion, loss thins heartbeats — but no
@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.consistency import ConsistencyReport, audit_history
+from repro.analysis.consistency import ConsistencyReport
 from repro.net.model import LinkFlap, NetConfig, NetPartition
 from repro.sim.config import DataPlaneConfig, SimConfig
 from repro.sim.engine import Simulation
@@ -113,7 +113,7 @@ def run_consistency_audit(
     settle_epochs: int = 16,
     decider_factory=None,
 ) -> AuditRun:
-    """Run ``config`` to its horizon, quiesce, and audit the history.
+    """Run ``config`` to its horizon, quiesce, and audit the requests.
 
     ``config`` must carry a ``data_plane`` (one is attached with
     defaults if missing).  After the configured horizon the harness
@@ -135,10 +135,10 @@ def run_consistency_audit(
     sim.run()
     plane = sim.data_plane
     assert plane is not None
-    plane.clients_enabled = False
+    plane.serving_enabled = False
     for _ in range(settle_epochs):
         sim.step()
-    report = audit_history(
-        plane.history, final_versions=plane.surviving_versions()
+    return AuditRun(
+        sim=sim, report=plane.consistency_report(),
+        settle_epochs=settle_epochs,
     )
-    return AuditRun(sim=sim, report=report, settle_epochs=settle_epochs)

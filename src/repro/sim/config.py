@@ -18,7 +18,7 @@ constraints tier exposes the knobs to run the full-size variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 from repro.cluster.confidence import ConfidenceModel
@@ -139,12 +139,12 @@ class InsertConfig:
 
 
 def _check_store_knobs(cfg) -> None:
-    """Validate the quorum-store knobs both overlays declare.
+    """Validate the quorum-store knobs both overlay configs declare.
 
-    :class:`DataPlaneConfig` and :class:`ServingConfig` each build a
-    ``QuorumKVStore`` + ``HintStore`` from the same fields (``level``,
-    ``read_fraction``, ``keyspace``, ``value_size``, ``hint_*``,
-    ``anti_entropy_*``), so the bounds live here once.
+    :class:`DataPlaneConfig` and :class:`ServingConfig` share these
+    fields (``level``, ``read_fraction``, ``keyspace``, ``value_size``,
+    ``hint_*``, ``anti_entropy_*``, ``read_repair``), so the bounds
+    live here once.
     """
     if cfg.level not in ("one", "quorum", "all"):
         raise ConfigError(
@@ -175,12 +175,12 @@ def _check_store_knobs(cfg) -> None:
 class DataPlaneConfig:
     """The stale-view serving data plane riding on the epoch loop.
 
-    When attached to a :class:`SimConfig`, every epoch runs
-    ``ops_per_epoch`` synthetic client get/put operations through a
-    :class:`repro.store.quorum.QuorumKVStore` routed by the run's
-    *believed* membership view, drains hinted handoffs, and performs a
-    budget-capped anti-entropy pass — emitting one
-    :class:`repro.sim.metrics.DataPlaneFrame` per epoch into the
+    When attached to a :class:`SimConfig`, the engine runs it as a
+    second :class:`repro.serve.frontend.ServingFrontEnd` (see
+    :meth:`serving_config`): ``ops_per_epoch`` quorum get/puts per epoch
+    under the run's *believed* membership view, hint drain and a
+    budget-capped anti-entropy pass, with one
+    :class:`repro.sim.metrics.DataPlaneFrame` per epoch in the
     :class:`repro.sim.metrics.RobustnessLog`.
 
     The data plane is an observer overlay: it owns its own versioned
@@ -208,6 +208,15 @@ class DataPlaneConfig:
             )
         _check_store_knobs(self)
 
+    def serving_config(self) -> "ServingConfig":
+        """The overlay config this data plane runs as: ``ops_per_epoch``
+        becomes ``requests_per_epoch``, the store knobs carry over and
+        the latency fields keep their defaults."""
+        knobs = {f.name: getattr(self, f.name) for f in fields(self)}
+        return ServingConfig(
+            requests_per_epoch=knobs.pop("ops_per_epoch"), **knobs
+        )
+
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -226,10 +235,10 @@ class ServingConfig:
     requests/sec, p50/p99/p999 read & write latency and SLA-violation
     counts.
 
-    Like the data plane, the front door is an observer overlay: it
-    owns its own versioned copies, hints and RNG stream and touches no
-    economic state, so enabling it leaves the golden EpochFrame
-    streams byte-identical.
+    Like the data plane (the same overlay class), the front door is an
+    observer: it owns its own versioned copies, hints and RNG stream
+    and touches no economic state, so enabling it leaves the golden
+    EpochFrame streams byte-identical.
     """
 
     level: str = "quorum"
@@ -331,9 +340,10 @@ class SimConfig:
     # exactly while still counting every control-plane message.
     net: Optional[NetConfig] = None
     # Stale-view serving data plane (ISSUE 7).  None skips it; a
-    # DataPlaneConfig runs quorum client traffic + hinted handoff +
-    # read repair + anti-entropy over the believed membership view,
-    # with per-epoch DataPlaneFrame metrics in the RobustnessLog.
+    # DataPlaneConfig runs a second serving overlay (quorum requests +
+    # hinted handoff + read repair + anti-entropy over the believed
+    # membership view), with per-epoch DataPlaneFrame metrics in the
+    # RobustnessLog.
     data_plane: Optional[DataPlaneConfig] = None
     # Live-serving front door (ISSUE 10).  None skips it; a
     # ServingConfig admits an open-loop request stream through the

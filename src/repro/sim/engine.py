@@ -53,7 +53,6 @@ from repro.sim.metrics import (
 )
 from repro.sim.seeds import RngStreams
 from repro.serve.frontend import ServingFrontEnd
-from repro.store.dataplane import DataPlane
 from repro.store.replica import ReplicaCatalog
 from repro.store.transfer import (
     NETWORK_OUTCOMES,
@@ -265,43 +264,21 @@ class Simulation:
         self._hist_ids: Optional[Tuple[int, Tuple[int, ...]]] = None
         self._epoch = 0
         self._seed_placement()
-        # Stale-view serving data plane (ISSUE 7).  Built after seed
-        # placement so its catalog mirror only tracks changes from
-        # here on; an observer overlay, so the EpochFrame stream is
-        # unchanged whether or not it is enabled.
-        self.data_plane: Optional[DataPlane] = None
+        # The serving overlays, built after seed placement so their
+        # catalog mirrors only track changes from here on.  One class,
+        # two instances on their own RNG streams: the data plane and the
+        # live front door.  Observers, so the EpochFrame stream is
+        # unchanged whether or not either runs.
+        self.data_plane: Optional[ServingFrontEnd] = None
         if config.data_plane is not None:
-            membership = (
-                self.membership_service
-                if self.membership_service is not None
-                else OracleMembership(self.cloud)
+            self.data_plane = self._overlay(
+                config.data_plane.serving_config(), self.streams.dataplane,
+                prefix="dp",
             )
-            self.data_plane = DataPlane(
-                config.data_plane, self.cloud, self.rings, self.catalog,
-                membership, rng=self.streams.dataplane,
-                apps=[
-                    (app.app_id, ring.ring_id)
-                    for app in config.apps for ring in app.rings
-                ],
-            )
-        # Live-serving front door (ISSUE 10).  Same observer-overlay
-        # contract as the data plane: own store copies, own hints, own
-        # RNG stream — the EpochFrame stream is byte-identical whether
-        # serving is on or off.
         self.serving: Optional[ServingFrontEnd] = None
         if config.serving is not None:
-            membership = (
-                self.membership_service
-                if self.membership_service is not None
-                else OracleMembership(self.cloud)
-            )
-            self.serving = ServingFrontEnd(
-                config.serving, self.cloud, self.rings, self.catalog,
-                membership, rng=self.streams.serving,
-                apps=[
-                    (app.app_id, ring.ring_id)
-                    for app in config.apps for ring in app.rings
-                ],
+            self.serving = self._overlay(
+                config.serving, self.streams.serving, prefix="sv",
                 # The front door needs client locations to cost the
                 # client→coordinator hop; country sites match the
                 # uniform geography the paper's workloads assume.
@@ -309,6 +286,23 @@ class Simulation:
             )
 
     # -- construction helpers ------------------------------------------------
+
+    def _overlay(self, config, rng: np.random.Generator, *, prefix: str,
+                 sites=()) -> ServingFrontEnd:
+        membership = (
+            self.membership_service
+            if self.membership_service is not None
+            else OracleMembership(self.cloud)
+        )
+        return ServingFrontEnd(
+            config, self.cloud, self.rings, self.catalog, membership,
+            rng=rng,
+            apps=[
+                (app.app_id, ring.ring_id)
+                for app in self.config.apps for ring in app.rings
+            ],
+            sites=sites, prefix=prefix,
+        )
 
     def _apply_budgets(self, server_ids: Sequence[int]) -> None:
         for sid in server_ids:
@@ -542,7 +536,8 @@ class Simulation:
         if self.data_plane is not None:
             self.data_plane.step(epoch)
         if self.serving is not None:
-            self.serving_log.append(self.serving.step(epoch))
+            self.serving.step(epoch)
+            self.serving_log.append(self.serving.collect_serving_frame())
         frame = self._collect(epoch, load, stats, insert_outcome)
         self.metrics.append(frame)
         if self.membership_service is not None:

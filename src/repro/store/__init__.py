@@ -5,7 +5,6 @@ from repro.store.consistency import (
     ConsistencyError,
     ConsistencyModel,
 )
-from repro.store.dataplane import ClientOp, DataPlane
 from repro.store.hints import Hint, HintError, HintStore
 from repro.store.kvstore import (
     KVStore,
@@ -41,11 +40,9 @@ from repro.store.transfer import (
 
 __all__ = [
     "CatalogListener",
-    "ClientOp",
     "ConsistencyError",
     "ConsistencyModel",
     "DEFAULT_CONSISTENCY",
-    "DataPlane",
     "DataPlaneStats",
     "Hint",
     "HintError",

@@ -180,7 +180,8 @@ class QuorumKVStore:
                  read_repair: bool = True,
                  membership=None,
                  hints: Optional[HintStore] = None,
-                 track_catalog: bool = False) -> None:
+                 track_catalog: bool = False,
+                 router: Optional[Router] = None) -> None:
         self._cloud = cloud
         self._rings = rings
         self._catalog = catalog
@@ -189,7 +190,9 @@ class QuorumKVStore:
             membership if membership is not None else OracleMembership(cloud)
         )
         self._reachable = getattr(self._membership, "reachable", None)
-        self._router = Router(
+        # Route-less calls resolve through the overlay's own Router (one
+        # per overlay); a standalone store builds its own.
+        self._router = router if router is not None else Router(
             cloud, rings, catalog, membership=self._membership
         )
         self._hints = hints
@@ -215,7 +218,7 @@ class QuorumKVStore:
     # -- plumbing ------------------------------------------------------------
 
     def _route(self, app_id: int, ring_id: int, key: Key) -> PartitionId:
-        return self._rings.ring(app_id, ring_id).lookup(key).pid
+        return self._router.partition_of(app_id, ring_id, key).pid
 
     def _resolve(self, app_id: int, ring_id: int, key: Key,
                  client: Optional[Location],
@@ -675,8 +678,11 @@ class QuorumKVStore:
         if not moved or not servers:
             return
         # Decommission drain: a planned removal hands its newer
-        # versions to a surviving replica before vanishing.
-        dst = self._copy(servers[0], pid)
+        # versions to a surviving replica before vanishing — the first
+        # one that answers, since a ghost's copies die with it.
+        responds = self._membership.responds
+        heir = next((sid for sid in servers if responds(sid)), servers[0])
+        dst = self._copy(heir, pid)
         for kb, copy in moved.items():
             held = dst.get(kb)
             if held is None or held.version < copy.version:

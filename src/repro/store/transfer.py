@@ -261,18 +261,21 @@ class TransferEngine:
                 kind, blocked, partition.pid, src_id, dst_id, partition.size
             )
         self._catalog.place(partition, dst_id)
-        self.stats.replications += 1
-        self.stats.bytes_moved += partition.size
-        self.stats.replication_bytes += partition.size
+        self._count_completed(kind, partition.size)
         return TransferResult(
             kind, TransferOutcome.COMPLETED, partition.pid,
             src_id, dst_id, partition.size,
         )
 
-    def migrate(self, partition: Partition, src_id: int,
-                dst_id: int) -> TransferResult:
-        """Move a replica from ``src_id`` to ``dst_id``."""
-        kind = TransferKind.MIGRATION
+    def migrate(self, partition: Partition, src_id: int, dst_id: int,
+                kind: TransferKind = TransferKind.MIGRATION
+                ) -> TransferResult:
+        """Move a replica from ``src_id`` to ``dst_id``: place, then drop.
+
+        ``kind`` is the budget the move rides (and the stats row it is
+        counted in): a partition larger than its migration budget moves
+        on the replication budget (``move_large_via_replication``).
+        """
         if not self._catalog.has_replica(partition.pid, src_id):
             raise ReplicaError(
                 f"{partition.pid} has no replica on {src_id} to migrate"
@@ -289,13 +292,21 @@ class TransferEngine:
                 kind, blocked, partition.pid, src_id, dst_id, partition.size
             )
         self._catalog.move(partition, src_id, dst_id)
-        self.stats.migrations += 1
-        self.stats.bytes_moved += partition.size
-        self.stats.migration_bytes += partition.size
+        self._count_completed(kind, partition.size)
         return TransferResult(
             kind, TransferOutcome.COMPLETED, partition.pid,
             src_id, dst_id, partition.size,
         )
+
+    def _count_completed(self, kind: TransferKind, size: int) -> None:
+        stats = self.stats
+        if kind is TransferKind.REPLICATION:
+            stats.replications += 1
+            stats.replication_bytes += size
+        else:
+            stats.migrations += 1
+            stats.migration_bytes += size
+        stats.bytes_moved += size
 
     def suicide(self, partition: Partition, server_id: int) -> None:
         """Delete one replica (no bandwidth needed)."""
@@ -331,9 +342,9 @@ class TransferEngine:
             return []
         if not preverified and not self._batch_feasible(requests):
             return [
-                self.replicate(r.partition, r.src, r.dst)
-                if r.kind is TransferKind.REPLICATION
-                else self.migrate(r.partition, r.src, r.dst)
+                self.migrate(r.partition, r.src, r.dst, r.kind)
+                if r.vacate
+                else self.replicate(r.partition, r.src, r.dst)
                 for r in requests
             ]
         # Fast path: grouped budget reservation, then in-order apply.
@@ -348,18 +359,13 @@ class TransferEngine:
         for (kind, sid), nbytes in grouped.items():
             _budget(self._cloud.server(sid), kind).reserve(nbytes)
         results: List[TransferResult] = []
-        stats = self.stats
         for r in requests:
             size = r.partition.size
-            if r.kind is TransferKind.REPLICATION:
-                self._catalog.place(r.partition, r.dst)
-                stats.replications += 1
-                stats.replication_bytes += size
-            else:
+            if r.vacate:
                 self._catalog.move(r.partition, r.src, r.dst)
-                stats.migrations += 1
-                stats.migration_bytes += size
-            stats.bytes_moved += size
+            else:
+                self._catalog.place(r.partition, r.dst)
+            self._count_completed(r.kind, size)
             results.append(
                 TransferResult(
                     r.kind, TransferOutcome.COMPLETED, r.partition.pid,
@@ -389,7 +395,7 @@ class TransferEngine:
             if key in seen or self._catalog.has_replica(*key):
                 return False
             seen.add(key)
-            if r.kind is TransferKind.MIGRATION:
+            if r.vacate:
                 src_key = (r.partition.pid, r.src)
                 if (
                     src_key in vacated
@@ -442,14 +448,21 @@ class TransferEngine:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRequest:
-    """One queued transfer intent (see :meth:`TransferEngine.open_batch`)."""
+    """One queued transfer intent (see :meth:`TransferEngine.open_batch`).
+
+    ``vacate`` marks a move — the intent drops its source once the
+    destination is placed — on ``kind``'s budget: every migration, and
+    a move riding the replication budget.  Slotted: a bootstrap storm
+    queues tens of thousands per epoch.
+    """
 
     kind: TransferKind
     partition: Partition
     src: Optional[int]
     dst: int
+    vacate: bool = False
 
 
 class TransferBatch:
@@ -552,16 +565,16 @@ class TransferBatch:
         return None
 
     def _reserve(self, partition: Partition, src_id: Optional[int],
-                 dst_id: int, kind: TransferKind) -> None:
+                 dst_id: int, kind: TransferKind, vacate: bool) -> None:
         size = partition.size
         vec = self.budget_available_vector(kind)
         slot_of = self._slot_of
         if src_id is not None:
             vec[slot_of[src_id]] -= size
-            if kind is TransferKind.MIGRATION:
-                # A queued migration vacates its source bytes, exactly
-                # as the sequential catalog.move would have by the time
-                # a later intent is checked — credit them so mixed
+            if vacate:
+                # A queued move vacates its source bytes, exactly as
+                # the sequential catalog.move would have by the time a
+                # later intent is checked — credit them so mixed
                 # batches see the same storage a one-at-a-time caller
                 # would.
                 self._pending_storage[src_id] = (
@@ -573,7 +586,7 @@ class TransferBatch:
         )
 
     def _add(self, kind: TransferKind, partition: Partition,
-             src_id: Optional[int], dst_id: int
+             src_id: Optional[int], dst_id: int, vacate: bool = False
              ) -> Optional[TransferOutcome]:
         pid = partition.pid
         if self._has_replica_now(pid, dst_id):
@@ -589,14 +602,14 @@ class TransferBatch:
                 kind, blocked, pid, src_id, dst_id, partition.size
             )
             return blocked
-        self._reserve(partition, src_id, dst_id, kind)
+        self._reserve(partition, src_id, dst_id, kind, vacate)
         self._pending_replicas.add((pid, dst_id))
         self._vacated.discard((pid, dst_id))
-        if kind is TransferKind.MIGRATION:
+        if vacate:
             self._vacated.add((pid, src_id))
             self._pending_replicas.discard((pid, src_id))
         self._items.append(
-            TransferRequest(kind, partition, src_id, dst_id)
+            TransferRequest(kind, partition, src_id, dst_id, vacate)
         )
         return None
 
@@ -626,8 +639,15 @@ class TransferBatch:
         )
 
     def add_migration(self, partition: Partition, src_id: int,
-                      dst_id: int) -> Optional[TransferOutcome]:
-        """Queue a migration; returns the blocking outcome, or None.
+                      dst_id: int,
+                      kind: TransferKind = TransferKind.MIGRATION
+                      ) -> Optional[TransferOutcome]:
+        """Queue a move on ``kind``'s budget; returns the blocking
+        outcome, or None.
+
+        One vacating intent: the source stays in the catalog until the
+        commit places the destination and then drops it, so a partition
+        whose every replica moves in one pass is never left without one.
 
         Raises :class:`ReplicaError` when the source would hold no
         replica by the time the queue runs — the same error an
@@ -638,9 +658,7 @@ class TransferBatch:
             raise ReplicaError(
                 f"{partition.pid} has no replica on {src_id} to migrate"
             )
-        return self._add(
-            TransferKind.MIGRATION, partition, src_id, dst_id
-        )
+        return self._add(kind, partition, src_id, dst_id, vacate=True)
 
     # -- execution ----------------------------------------------------------
 

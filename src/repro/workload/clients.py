@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.cluster.location import Location
 from repro.cluster.topology import CloudLayout
-from repro.workload.keys import ZipfKeys
 
 
 class GeographyError(ValueError):
@@ -148,98 +147,6 @@ def hotspot(layout: CloudLayout, country_index: int, *,
     total = sum(shares)
     shares = tuple(s / total for s in shares)
     return ClientGeography(sites=sites, shares=shares)
-
-
-@dataclass(frozen=True)
-class ClientRequest:
-    """One synthetic data-plane operation drawn by :class:`DataPlaneClients`."""
-
-    kind: str  # "get" | "put"
-    app_id: int
-    ring_id: int
-    key: bytes
-    value: Optional[bytes]  # None for gets
-    client: Optional[Location]
-
-
-class DataPlaneClients:
-    """Synthetic get/put client traffic for the stale-view data plane.
-
-    Draws ``ops_per_epoch`` operations per epoch over a fixed
-    :class:`~repro.workload.keys.ZipfKeys` universe (``dp-`` prefix),
-    splitting get/put by ``read_fraction``.  Values encode the epoch
-    and draw index so every write is distinguishable; optional client
-    ``sites`` attach a geography so proximity routing is exercised.
-
-    The draw order is deterministic per RNG stream, which is what lets
-    the consistency audit replay the exact history against committed
-    ground truth.
-    """
-
-    def __init__(self, *, apps: Sequence[Tuple[int, int]],
-                 ops_per_epoch: int, read_fraction: float,
-                 keyspace: int, value_size: int,
-                 rng: np.random.Generator,
-                 sites: Sequence[Location] = ()) -> None:
-        if not apps:
-            raise GeographyError("need at least one (app_id, ring_id)")
-        if ops_per_epoch < 0:
-            raise GeographyError(
-                f"ops_per_epoch must be >= 0, got {ops_per_epoch}"
-            )
-        if keyspace < 1:
-            raise GeographyError(f"keyspace must be >= 1, got {keyspace}")
-        if not 0.0 <= read_fraction <= 1.0:
-            raise GeographyError(
-                f"read_fraction must be in [0, 1], got {read_fraction}"
-            )
-        if value_size < 1:
-            raise GeographyError(
-                f"value_size must be >= 1, got {value_size}"
-            )
-        self._apps = tuple(apps)
-        self._ops = ops_per_epoch
-        self._read_fraction = read_fraction
-        self._value_size = value_size
-        self._rng = rng
-        self._sites = tuple(sites)
-        self._universe = ZipfKeys("dp", keyspace)
-
-    @property
-    def keys(self) -> Tuple[bytes, ...]:
-        return self._universe.keys
-
-    def _value(self, epoch: int, index: int) -> bytes:
-        stamp = f"e{epoch}-i{index}-".encode("ascii")
-        pad = self._value_size - len(stamp)
-        if pad <= 0:
-            return stamp[: self._value_size]
-        return stamp + b"x" * pad
-
-    def draw(self, epoch: int) -> List[ClientRequest]:
-        """One epoch's operations, in issue order."""
-        rng = self._rng
-        universe = self._universe
-        out: List[ClientRequest] = []
-        for i in range(self._ops):
-            app_id, ring_id = self._apps[
-                int(rng.integers(len(self._apps)))
-            ]
-            key = universe.keys[universe.draw(rng)]
-            client = None
-            if self._sites:
-                client = self._sites[int(rng.integers(len(self._sites)))]
-            if float(rng.random()) < self._read_fraction:
-                out.append(ClientRequest(
-                    kind="get", app_id=app_id, ring_id=ring_id,
-                    key=key, value=None, client=client,
-                ))
-            else:
-                out.append(ClientRequest(
-                    kind="put", app_id=app_id, ring_id=ring_id,
-                    key=key, value=self._value(epoch, i), client=client,
-                ))
-        return out
 
 
 def mixture(components: Sequence[Tuple[ClientGeography, float]]

@@ -1,10 +1,10 @@
-"""The Zipf key universe both client generators draw from.
+"""The Zipf key universe the serving overlays' load generator draws from.
 
-The data-plane clients and the serving front door's load generator
-issue gets and puts over a fixed universe of keys whose rank ``i`` is
-drawn with probability ∝ 1/(i+1) — the skew shape the query-popularity
-model uses.  :class:`ZipfKeys` is the single definition of that weight
-vector and of how a key is drawn from it.
+Both overlay instances (front door and data plane) issue gets and puts
+over a fixed universe of keys whose rank ``i`` is drawn with
+probability ∝ 1/(i+1) — the skew shape the query-popularity model uses.
+:class:`ZipfKeys` is the single definition of that weight vector and of
+how a key is drawn from it.
 
 A draw is one inverse-CDF lookup: the cumulative vector is built once
 and each draw bisects it with a single uniform double.  That is what

@@ -1,10 +1,27 @@
 """Tests for the linearizability-lite consistency audit."""
 
+from typing import NamedTuple
+
 from repro.analysis.consistency import (
     AnomalyKind,
+    ConsistencyFrontier,
     audit_history,
 )
-from repro.store.dataplane import ClientOp
+
+
+class ClientOp(NamedTuple):
+    """One recorded operation, as :func:`audit_history` reads it."""
+
+    seq: int
+    epoch: int
+    kind: str
+    level: str
+    app_id: int
+    ring_id: int
+    key: bytes
+    ok: bool
+    version: int
+    ghost_served: bool = False
 
 
 def op(seq, kind, *, version, ok=True, level="quorum", key=b"k",
@@ -149,3 +166,46 @@ class TestRender:
             history, final_versions={},
         ).render()
         assert "... and 2 more" in text
+
+
+class TestOnlineFold:
+    """The overlays fold each request as it completes; the recorded-
+    history replay is the same fold, so both give one verdict."""
+
+    HISTORY = [
+        op(0, "put", version=2),
+        op(1, "get", version=1),
+        op(2, "put", version=4, level="one"),
+        op(3, "get", version=1, level="one"),
+        op(4, "get", version=-1, ok=False),
+        op(5, "put", version=-1, ok=False, key=b"j"),
+        op(6, "put", version=1, key=b"j"),
+    ]
+
+    def test_online_fold_equals_the_replay(self):
+        """Folding each op as it completes (failures carry version -1)
+        gives the verdict the recorded-history replay gives."""
+        folded = ConsistencyFrontier()
+        history = self.HISTORY + [
+            op(7, "get", version=2), op(8, "get", version=0, key=b"x"),
+        ]
+        for o in history:
+            folded.fold(o.seq, o.epoch, o.kind, o.level,
+                        (o.app_id, o.ring_id, o.key), o.version)
+        report = folded.report()
+        assert report == audit_history(history)
+        assert (report.operations, report.reads, report.failed_ops) == (9, 5, 2)
+
+    def test_lost_counts_every_acked_level(self):
+        """``lost`` (the overlays' ``lost_writes``) audits the freshest
+        ack at any level; the report's lost writes only strong commits."""
+        frontier = ConsistencyFrontier()
+        for o in self.HISTORY:
+            frontier.fold(o.seq, o.epoch, o.kind, o.level,
+                          (o.app_id, o.ring_id, o.key), o.version)
+        final = {(0, 0, b"k"): 2, (0, 0, b"j"): 1}
+        assert frontier.lost(lambda *ident: final.get(ident, 0)) == [
+            (0, 0, b"k", 4, 2),
+        ]
+        assert frontier.report(lambda *ident: final.get(ident, 0)) \
+            .lost_writes == 0

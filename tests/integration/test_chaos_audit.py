@@ -25,13 +25,22 @@ sweep's verdicts are unchanged by the migration.
 Seeds 0-1 run in tier-1; the wider sweep carries ``slow``::
 
     PYTHONPATH=src python -m pytest -m slow tests/integration/test_chaos_audit.py -q
+
+The ``slow`` tier also checks the crash side of the contract on the
+benchmark's ``faults-churn`` workload (leave waves kill servers, so
+acked writes *can* die there): every write the front door still loses
+must sit inside the sloppy-quorum bound — each of its ack-time holders
+(the replicas that acked it, the targets of its parked hints) has
+crashed out of the cloud.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.sim.scenario import compile_spec, sample_chaos_spec
+from repro.sim.scenario import compile_spec, load_spec, sample_chaos_spec
 
 FAST_SEEDS = tuple(range(2))
 SLOW_SEEDS = tuple(range(2, 18))
@@ -61,3 +70,38 @@ def test_audit_green_fast_seeds(seed):
 @pytest.mark.parametrize("seed", SLOW_SEEDS)
 def test_audit_green_slow_sweep(seed):
     check(run_audit(seed))
+
+
+FAULTS_CHURN = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks/e2e/workloads/faults-churn.json"
+)
+#: Seed -> acked front-door writes ``faults-churn`` loses at its horizon,
+#: every one on a single-replica partition whose replica crashed.
+BOUND_LOSSES = {0: 11, 7: 9}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", sorted(BOUND_LOSSES))
+def test_faults_churn_losses_sit_inside_the_bound(seed):
+    spec = load_spec(FAULTS_CHURN).with_operations(seed=seed)
+    sim = compile_spec(spec).simulation()
+    front = sim.serving
+    holders = {}
+    put = front.store.put
+
+    def recording_put(app_id, ring_id, key, value, **kwargs):
+        result = put(app_id, ring_id, key, value, **kwargs)
+        holders[(app_id, ring_id, key, result.version)] = (
+            result.acked + result.hinted
+        )
+        return result
+
+    front.store.put = recording_put
+    sim.run(spec.operations.epochs)
+    lost = front.lost_writes()
+    for app_id, ring_id, key, version, __ in lost:
+        ack_time = holders[(app_id, ring_id, key, version)]
+        assert ack_time, key
+        assert not any(sid in sim.cloud for sid in ack_time), key
+    assert len(lost) == BOUND_LOSSES[seed]

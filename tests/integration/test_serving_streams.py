@@ -10,8 +10,16 @@ five registry scenarios at their full horizon under both epoch kernels:
 * ``SlaLedger.tenant_view()``,
 * the front door's store counters (``stats.as_dict()`` and
   ``level_rows()``), its request/failure totals and lost-write count,
-* where a data plane runs, the ``DataPlane.history`` tuple stream and
-  that store's counters.
+* where a data plane runs, its operation count (``history_ops``) and,
+  in ``golden/dataplane_streams.json``, its ``DataPlaneFrame`` stream,
+  store counters, consistency report, failures and lost writes.
+
+The data plane is a second instance of the serving overlay, drawing one
+more number per request than the pre-merge data plane whose request
+history and store digests ``serving_streams.json`` still holds
+(:data:`RETIRED`, no longer compared); ``dataplane_streams.json`` was
+pinned when the overlays merged, and must agree across the two kernels.
+Every other ``serving_streams.json`` entry is compared unchanged.
 
 ``serving-steady`` carries its own front door; the others get
 :data:`FAULT_SERVING` attached — the overlay is an observer, so
@@ -41,7 +49,9 @@ from repro.sim.config import ServingConfig
 from repro.sim.engine import Simulation
 from repro.sim.scenario import compile_spec
 
-PIN_PATH = Path(__file__).resolve().parent / "golden" / "serving_streams.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PIN_PATH = GOLDEN / "serving_streams.json"
+PLANE_PIN_PATH = GOLDEN / "dataplane_streams.json"
 
 KERNELS = ("vectorized", "scalar")
 
@@ -65,6 +75,12 @@ FAULT_PATHS = {
 FAULT_SERVING = ServingConfig(
     requests_per_epoch=96, read_fraction=0.7, keyspace=64,
 )
+
+
+#: Pin entries of the data-plane overlay as it was before it became a
+#: second front-door instance: its request history (no longer kept)
+#: and store digest (superseded by ``dataplane_streams.json``).
+RETIRED = ("history", "plane_store")
 
 
 def _digest(obj) -> str:
@@ -103,23 +119,48 @@ def run_streams(name: str, kernel: str) -> dict:
     }
     plane = sim.data_plane
     if plane is not None:
-        out["history"] = _digest(
-            [dataclasses.astuple(op) for op in plane.history]
-        )
-        out["history_ops"] = len(plane.history)
-        out["plane_store"] = _digest(_store_rows(plane.store))
+        out["history_ops"] = plane.total_requests
+        out["plane"] = {
+            "frames": _digest([
+                dataclasses.astuple(frame)
+                for frame in sim.robustness.data_plane
+            ]),
+            "store": _digest(_store_rows(plane.store)),
+            "report": _digest(plane.consistency_report()),
+            "failures": plane.total_failures,
+            "lost_writes": len(plane.lost_writes()),
+        }
     return out
 
 
-PINS = json.loads(PIN_PATH.read_text()) if PIN_PATH.exists() else {}
+def _load(path: Path) -> dict:
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+PINS = _load(PIN_PATH)
+PLANE_PINS = _load(PLANE_PIN_PATH)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", sorted(FAULT_PATHS))
 def test_serving_streams_match_pins(name, kernel):
-    pin = PINS.get(f"{name}/{kernel}")
-    assert pin is not None, f"no pin for {name}/{kernel}"
-    assert run_streams(name, kernel) == pin
+    key = f"{name}/{kernel}"
+    pin = PINS.get(key)
+    assert pin is not None, f"no pin for {key}"
+    out = run_streams(name, kernel)
+    assert out.pop("plane", None) == PLANE_PINS.get(key)
+    assert out == {k: v for k, v in pin.items() if k not in RETIRED}
+
+
+def test_data_plane_pins_agree_across_kernels():
+    """Every scenario that ran a data plane has its pins, and the two
+    epoch kernels drove that overlay to the same state."""
+    planes = sorted(key for key, pin in PINS.items() if "history_ops" in pin)
+    assert planes and planes == sorted(PLANE_PINS)
+    for name in {key.split("/")[0] for key in planes}:
+        assert (
+            PLANE_PINS[f"{name}/vectorized"] == PLANE_PINS[f"{name}/scalar"]
+        ), name
 
 
 @pytest.mark.parametrize("name", sorted(FAULT_PATHS))
@@ -132,13 +173,18 @@ def test_pins_cover_their_fault_paths(name):
 
 
 def main() -> None:
-    pins = {}
+    pins, plane_pins = {}, {}
     for name in sorted(FAULT_PATHS):
         for kernel in KERNELS:
-            pins[f"{name}/{kernel}"] = run_streams(name, kernel)
-            print(name, kernel, pins[f"{name}/{kernel}"]["front_counters"])
-    PIN_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {PIN_PATH}")
+            key = f"{name}/{kernel}"
+            pins[key] = run_streams(name, kernel)
+            plane = pins[key].pop("plane", None)
+            if plane is not None:
+                plane_pins[key] = plane
+            print(name, kernel, pins[key]["front_counters"])
+    for path, data in ((PIN_PATH, pins), (PLANE_PIN_PATH, plane_pins)):
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,12 @@ property of every frame type.
 
 ``golden/telemetry_streams.json`` was generated on the parent of the
 commit that collapsed the three logs into one generic frame store (the
-last tree with four hand-written stores) and must not be regenerated
-for a refactor; regenerate
+last tree with four hand-written stores).  Its data-plane entries
+(``data_plane``, ``data_plane_summary`` and the summary's ``data_plane``
+block) were re-pinned once, when the data plane became a second
+instance of the serving overlay and drew one more number per request;
+every other entry is the original pin.  It must not be regenerated for
+a refactor; regenerate
 (``PYTHONPATH=src python tests/integration/test_telemetry_streams.py``)
 only for a deliberate behavioral change, and say so in the commit.
 """

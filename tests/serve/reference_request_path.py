@@ -8,7 +8,9 @@ read plan, no remembered service time — and arrivals come from the
 wrapper-by-wrapper ``draw``.  The bodies are the parent
 commit's, verbatim where the shipped signatures allow; writes go through
 the shipped ``_write`` over a freshly resolved contact order (its
-per-write contact loop and hint parking did not change).
+per-write contact loop and hint parking did not change).  ``_execute``
+returns the shipped signature, (service ms, version or -1), so the
+shipped scheduler folds both front doors' outcomes the same way.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ class ReferenceFrontEnd(ServingFrontEnd):
                 pid, client=arrival.client
             )
         except RoutingError:
-            return cfg.timeout_penalty_ms, False
+            return cfg.timeout_penalty_ms, -1
         coordinator_ms = model.rtt(route.distance)
         coord_loc = self._cloud.server(route.server_id).location
         try:
@@ -221,11 +223,7 @@ class ReferenceFrontEnd(ServingFrontEnd):
                     client=arrival.client, route=route,
                 )
         except QuorumError:
-            return coordinator_ms + cfg.timeout_penalty_ms, False
-        if arrival.kind == "put":
-            acked_key = (arrival.app_id, arrival.ring_id, arrival.key)
-            if result.version > self._acked.get(acked_key, 0):
-                self._acked[acked_key] = result.version
+            return coordinator_ms + cfg.timeout_penalty_ms, -1
         fan_out = 0.0
         for sid, outcome in result.attempts:
             if outcome == "ok":
@@ -238,4 +236,4 @@ class ReferenceFrontEnd(ServingFrontEnd):
                 continue
             if leg > fan_out:
                 fan_out = leg
-        return coordinator_ms + fan_out, True
+        return coordinator_ms + fan_out, result.version

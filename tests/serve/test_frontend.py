@@ -83,11 +83,17 @@ def build(*, replicas=3, config=None, ghosts=None, suspects=(), cuts=(),
     return cloud, front
 
 
+def served(front, epoch):
+    """Step ``front`` through ``epoch``; return that epoch's frame."""
+    front.step(epoch)
+    return front.collect_serving_frame()
+
+
 class TestCosting:
     def test_healthy_all_level_costs_two_hops(self):
         """Coordinator hop (0.1) + slowest cross-continent leg (120)."""
         __, front = build()
-        frame = front.step(0)
+        frame = served(front,0)
         assert frame.requests == 32
         assert frame.read_failures == 0 and frame.write_failures == 0
         for name in ("read_p50_ms", "read_p99_ms", "read_p999_ms",
@@ -105,7 +111,7 @@ class TestCosting:
             keyspace=8, workers=64, timeout_penalty_ms=250.0,
         )
         __, front = build(config=config, ghosts=(2,))
-        frame = front.step(0)
+        frame = served(front,0)
         assert frame.read_failures == 0 and frame.write_failures == 0
         assert frame.read_p50_ms == pytest.approx(120.1)
         assert frame.write_p50_ms == pytest.approx(250.1)
@@ -114,7 +120,7 @@ class TestCosting:
         """Two ghosts out of three kill the ALL quorum: every op fails,
         pays coordinator hop + penalty, and violates its SLA."""
         __, front = build(ghosts=(1, 2))
-        frame = front.step(0)
+        frame = served(front,0)
         assert frame.read_failures == frame.reads
         assert frame.write_failures == frame.writes
         assert frame.sla_read_violations == frame.reads
@@ -128,7 +134,7 @@ class TestCosting:
             keyspace=8, workers=1,
         )
         __, front = build(config=config)
-        frame = front.step(0)
+        frame = served(front,0)
         assert frame.mean_queue_ms > 0.0
         assert frame.read_p999_ms > 120.1
 
@@ -138,11 +144,11 @@ class TestStep:
         __, a = build(seed=5)
         __, b = build(seed=5)
         for epoch in range(4):
-            assert a.step(epoch) == b.step(epoch)
+            assert served(a, epoch) == served(b, epoch)
 
     def test_frame_type_and_epoch(self):
         __, front = build()
-        frame = front.step(3)
+        frame = served(front,3)
         assert isinstance(frame, ServingFrame)
         assert frame.epoch == 3
         assert frame.reads + frame.writes == frame.requests
@@ -151,7 +157,7 @@ class TestStep:
     def test_serving_disabled_emits_empty_frames(self):
         __, front = build()
         front.serving_enabled = False
-        frame = front.step(0)
+        frame = served(front,0)
         assert frame.requests == 0
         assert frame.read_p999_ms == 0.0
         assert front.total_requests == 0
@@ -160,7 +166,7 @@ class TestStep:
         config = ServingConfig(requests_per_epoch=0)
         __, front = build(config=config)
         assert front.loadgen is None
-        assert front.step(0).requests == 0
+        assert served(front,0).requests == 0
 
     def test_acked_writes_survive(self):
         __, front = build()
@@ -293,7 +299,7 @@ class TestCoordinatorTie:
         Router's coordinator (server 0) that leg is cross-continent
         (120 + 120 ms).  Costed from the store's own first contact it
         would be a local 0.1 ms leg."""
-        frame = self.build_tie("one").step(0)
+        frame = served(self.build_tie("one"), 0)
         assert frame.reads > 0 and frame.read_failures == 0
         assert frame.read_p50_ms == pytest.approx(240.0)
         assert frame.read_p999_ms == pytest.approx(240.0)
@@ -306,15 +312,15 @@ class TestServingWindow:
 
     def test_fail_and_restore_under_the_oracle_between_steps(self):
         cloud, front = build()  # level ALL, replicas on 0, 1, 2
-        assert front.step(0).read_failures == 0
+        assert served(front,0).read_failures == 0
         compiled = front.router.route_compiles
-        assert front.step(1).read_failures == 0
+        assert served(front,1).read_failures == 0
         assert front.router.route_compiles == compiled  # all reused
         cloud.server(2).fail()
-        frame = front.step(2)
+        frame = served(front,2)
         assert frame.read_failures == frame.reads > 0
         cloud.server(2).restore()
-        frame = front.step(3)
+        frame = served(front,3)
         assert frame.read_failures == frame.write_failures == 0
 
     def test_belief_flip_under_the_membership_service(self):
@@ -330,14 +336,14 @@ class TestServingWindow:
             service, rng=np.random.default_rng(0), apps=[(0, 0)],
             sites=(Location(0, 0, 0, 0, 0, 0),),
         )
-        assert front.step(0).read_failures == 0
+        assert served(front,0).read_failures == 0
         assert front.store.stats.suspects_skipped == 0
         service._suspected.add(1)  # a false suspect: alive, believed dead
-        frame = front.step(1)
+        frame = served(front,1)
         assert frame.read_failures == frame.reads > 0
         assert front.store.stats.suspects_skipped >= frame.requests
         service._suspected.discard(1)
-        assert front.step(2).read_failures == 0
+        assert served(front,2).read_failures == 0
         # One window each: nothing compiled in epoch 0 was handed out
         # again in epoch 2.
         assert front.router.routes_alive <= 4

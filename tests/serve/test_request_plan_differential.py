@@ -10,8 +10,8 @@ server drops, transient ``fail()`` / ``restore()``, replica transfers,
 splits, net cuts and flaps under gossip (ghosts, false suspects) and a
 duck-typed stale view whose verdicts flip between epochs — and after
 every epoch the harness demands the same ``ServingFrame``, data-plane
-stats, store copies and version counters, parked hints, acked-write
-ledger, SLA view and ``serving`` generator state.
+stats, store copies and version counters, parked hints, consistency
+frontier, SLA view and ``serving`` generator state.
 
 Tier-1 runs a derandomized budget; the ``slow`` twin explores a larger,
 freshly drawn one (``scripts/verify_slow.sh``).
@@ -134,7 +134,8 @@ class World:
                 self.cloud.remove_server(sid)
                 self.catalog.drop_server(sid)
                 service.on_removed(sid)
-        self.frame = self.front.step(epoch)
+        self.front.step(epoch)
+        self.frame = self.front.collect_serving_frame()
         self.epoch += 1
 
     def join(self, k: int) -> None:
@@ -234,7 +235,7 @@ class World:
             "copies": {k: v for k, v in store._copies.items() if v},
             "next_version": store._next_version,
             "hints": front.hints._hints,
-            "acked": front._acked,
+            "frontier": vars(front.frontier),
             "sla": front.sla.tenant_view(),
             "totals": (front.total_requests, front.total_failures),
             "rng": front.loadgen._rng.bit_generator.state,

@@ -131,8 +131,8 @@ class TestRunConsistencyAudit:
         audit = run_consistency_audit(
             small_config(epochs=4), settle_epochs=3
         )
-        last_client_epoch = max(
-            op.epoch for op in audit.sim.data_plane.history
-        )
-        assert last_client_epoch < 4
-        assert not audit.sim.data_plane.clients_enabled
+        ops = audit.sim.robustness.data_plane_series("operations")
+        failures = audit.sim.robustness.data_plane_series("failures")
+        assert list(ops[4:] + failures[4:]) == [0, 0, 0]
+        assert audit.report.operations == 48 * 4
+        assert not audit.sim.data_plane.serving_enabled

@@ -124,19 +124,31 @@ class TestEngineIntegration:
         for a, b in zip(bare.metrics, overlaid.metrics):
             assert a == b
 
-    def test_history_supports_clean_audit(self):
-        from repro.analysis.consistency import audit_history
-
+    def test_folded_requests_support_clean_audit(self):
         sim = Simulation(small_config(data_plane=DataPlaneConfig()))
         sim.run()
-        plane = sim.data_plane
-        report = audit_history(
-            plane.history, final_versions=plane.surviving_versions()
-        )
+        report = sim.data_plane.consistency_report()
         assert report.green
-        assert report.operations == len(plane.history) > 0
+        assert report.operations == 48 * 8
         assert report.stale_reads == 0
         assert report.lost_writes == 0
+        assert sim.data_plane.lost_writes() == []
+
+    def test_data_plane_is_a_serving_overlay(self):
+        """One overlay class: the data plane is a second front door
+        on ``dp-`` keys with no client sites, whose config comes from
+        one conversion."""
+        from repro.serve.frontend import ServingFrontEnd
+
+        config = DataPlaneConfig(ops_per_epoch=12, keyspace=40)
+        sim = Simulation(small_config(data_plane=config))
+        plane = sim.data_plane
+        assert type(plane) is ServingFrontEnd
+        assert plane.config == config.serving_config()
+        assert plane.config.requests_per_epoch == 12
+        assert plane.loadgen.keys[0].startswith(b"dp-")
+        assert plane.loadgen._sites == ()
+        assert sim.serving is None and sim.serving_log is None
 
     def test_faulty_run_diverges_from_oracle_twin(self):
         net = NetConfig(
@@ -162,12 +174,16 @@ class TestEngineIntegration:
         )
         assert degradation > 0
 
-    def test_same_seed_same_history(self):
+    def test_same_seed_same_requests(self):
         runs = []
         for _ in range(2):
             sim = Simulation(small_config(data_plane=DataPlaneConfig()))
             sim.run()
-            runs.append(sim.data_plane.history)
+            runs.append((
+                sim.robustness.data_plane,
+                sim.data_plane.consistency_report(),
+                sim.data_plane.store._copies,
+            ))
         assert runs[0] == runs[1]
 
     def test_ops_per_epoch_zero_disables_clients(self):
@@ -175,5 +191,24 @@ class TestEngineIntegration:
             data_plane=DataPlaneConfig(ops_per_epoch=0),
         ))
         sim.run()
-        assert sim.data_plane.history == []
+        assert sim.data_plane.loadgen is None
+        assert sim.data_plane.total_requests == 0
         assert sim.robustness.data_plane_summary()["reads"] == 0
+
+    def test_unroutable_request_counts_as_a_failed_operation(self):
+        """A request the Router cannot place never reaches the store,
+        yet its DataPlaneFrame counts it failed — every op is counted
+        once, as ok or failed."""
+        sim = Simulation(small_config(
+            data_plane=DataPlaneConfig(read_fraction=0.5),
+        ))
+        sim.run(1)
+        for partition in sim.rings.all_partitions():
+            for sid in list(sim.catalog.servers_of(partition.pid)):
+                sim.catalog.drop(partition, sid)
+        sim.data_plane.step(1)
+        frame = sim.data_plane.collect_frame(1)
+        assert frame.operations == 0
+        assert frame.failures == 48
+        assert frame.read_failures > 0 and frame.write_failures > 0
+        assert sim.data_plane.store.stats.read_failures == 0

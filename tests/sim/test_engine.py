@@ -263,3 +263,82 @@ class TestSplits:
 def test_shipped_deciders_satisfy_the_decider_protocol(factory):
     sim = Simulation(small_config(epochs=1), decider_factory=factory)
     assert isinstance(sim.decider, Decider)
+
+
+class TestRetryResurrection:
+    """Recorded defect, not fixed: when no believed replica with budget
+    is left, ``_drain_retries`` replicates with ``src=None`` — the
+    seeding form that charges only the destination — so a retry can
+    bring back a partition whose every copy is gone (and place copies
+    past a drained source budget).  Refusing it moves ``faults-churn``'s
+    availability and SLA shares, so the fix needs its own change that
+    argues the metric (ROADMAP)."""
+
+    @pytest.mark.xfail(strict=True, reason="retries resurrect partitions "
+                       "with no surviving copy (ROADMAP item 1)")
+    def test_retry_does_not_resurrect_a_partition_with_no_copy(self):
+        import dataclasses
+
+        from repro.net.model import NetConfig
+        from repro.store.transfer import (
+            TransferKind, TransferOutcome, TransferResult,
+        )
+
+        sim = Simulation(dataclasses.replace(
+            small_config(epochs=2), net=NetConfig(),
+        ))
+        sim.step()
+        partition = sim.rings.all_partitions()[0]
+        pid = partition.pid
+        for sid in list(sim.catalog.servers_of(pid)):
+            sim.catalog.drop(partition, sid)
+            sim.registry.retire(pid, sid)
+        dst = sim.cloud.server_ids[0]
+        sim.retry_queue.push(TransferResult(
+            TransferKind.REPLICATION, TransferOutcome.DEST_DOWN, pid,
+            None, dst, partition.size,
+        ), 0)
+        sim._drain_retries(1)
+        assert sim.catalog.replica_count(pid) == 0
+
+
+class TestMoveRetry:
+    """Recorded defect, not fixed: a move riding the replication budget
+    that a network outcome blocks is recorded as a plain REPLICATION
+    failure, so ``_push_retries`` queues it and ``_drain_retries`` later
+    copies the partition while the source keeps its replica — the retry
+    adds a replica instead of finishing the move (a move on the
+    migration budget is never retried).  Skipping failed moves changes
+    ``faults-churn``'s frames, so the fix needs its own change
+    (ROADMAP)."""
+
+    @pytest.mark.xfail(strict=True, reason="a retried move adds a replica "
+                       "(ROADMAP item 1)")
+    def test_a_retried_move_never_adds_a_replica(self):
+        import dataclasses
+
+        from repro.net.model import NetConfig
+        from repro.store.transfer import TransferKind, TransferOutcome
+
+        sim = Simulation(dataclasses.replace(
+            small_config(epochs=3), net=NetConfig(),
+        ))
+        sim.step()
+        partition = sim.rings.all_partitions()[0]
+        pid = partition.pid
+        src = sim.catalog.servers_of(pid)[0]
+        dst = next(
+            sid for sid in sim.cloud.server_ids
+            if not sim.catalog.has_replica(pid, sid)
+        )
+        sim.transfers.begin_epoch()
+        sim.cloud.server(dst).fail()
+        result = sim.transfers.migrate(
+            partition, src, dst, TransferKind.REPLICATION
+        )
+        assert result.outcome is TransferOutcome.DEST_DOWN
+        sim._push_retries(1)
+        sim.cloud.server(dst).restore()
+        before = sim.catalog.replica_count(pid)
+        sim._drain_retries(2)
+        assert sim.catalog.replica_count(pid) == before

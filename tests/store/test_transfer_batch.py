@@ -201,6 +201,64 @@ class TestCommit:
         assert cloud.server(0).migration_budget.available == 100 - 100
         assert engine.stats.migrations == 1
 
+    def test_move_on_the_replication_budget_is_one_vacating_intent(self):
+        """A move over the replication budget queues as one intent:
+        the source stays in the catalog until commit, which places the
+        destination before dropping the source — the partition never
+        sits at zero replicas — and the stats count a replication."""
+        cloud, catalog, engine = harness(storage=150, migration=50)
+        p, q = make_partition(1), make_partition(2)
+        catalog.place(p, 0)   # server 0 at 100/150
+        catalog.place(q, 2)
+        events = []
+
+        class Recorder:
+            def replica_added(self, pid, sid, servers):
+                events.append(("add", sid, tuple(servers)))
+
+            def replica_removed(self, pid, sid, servers):
+                events.append(("drop", sid, tuple(servers)))
+
+            def storage_changed(self, sid, delta):
+                pass
+
+        catalog.add_listener(Recorder())
+        batch = engine.open_batch()
+        kind = TransferKind.REPLICATION
+        assert batch.add_migration(p, 0, 1, kind) is None
+        assert catalog.servers_of(p.pid) == [0]  # nothing applied yet
+        assert batch.storage_available(0) == 150  # P's bytes vacated
+        assert batch.budget_available(0, kind) == 200
+        with pytest.raises(ReplicaError):
+            batch.add_migration(p, 0, 2, kind)  # source already vacated
+        assert batch.add_replication(q, 2, 0) is None
+        results = batch.commit()
+        assert all(r.ok for r in results)
+        assert results[0].kind is kind
+        assert catalog.servers_of(p.pid) == [1]
+        assert events[:2] == [("add", 1, (0, 1)), ("drop", 0, (1,))]
+        assert (engine.stats.replications, engine.stats.migrations) == (2, 0)
+        assert cloud.server(0).migration_budget.used == 0
+
+    def test_vacating_request_takes_the_sequential_path_too(self):
+        """Off the fast path a vacating request is a ``migrate`` on its
+        kind's budget, not a plain copy."""
+        cloud, catalog, engine = harness(replication=150)
+        p1, p2 = make_partition(1), make_partition(2)
+        catalog.place(p1, 0)
+        catalog.place(p2, 0)
+        kind = TransferKind.REPLICATION
+        results = engine.execute_batch([
+            TransferRequest(kind, p1, 0, 1, vacate=True),
+            TransferRequest(kind, p2, 0, 2, vacate=True),
+        ])
+        assert [r.outcome for r in results] == [
+            TransferOutcome.COMPLETED, TransferOutcome.NO_SOURCE_BANDWIDTH,
+        ]
+        assert catalog.servers_of(p1.pid) == [1]
+        assert catalog.servers_of(p2.pid) == [0]
+        assert engine.stats.replications == 1
+
     def test_empty_commit_is_noop(self):
         __, __, engine = harness()
         assert engine.open_batch().commit() == []
@@ -235,8 +293,8 @@ class TestExecuteBatch:
         p = make_partition(1)
         catalog.place(p, 0)
         requests = [
-            TransferRequest(TransferKind.MIGRATION, p, 0, 1),
-            TransferRequest(TransferKind.MIGRATION, p, 0, 2),
+            TransferRequest(TransferKind.MIGRATION, p, 0, 1, vacate=True),
+            TransferRequest(TransferKind.MIGRATION, p, 0, 2, vacate=True),
         ]
         with pytest.raises(ReplicaError):
             engine.execute_batch(requests)

@@ -1258,6 +1258,59 @@ def test_route_memo_gate_detects_planted_twins(tmp_path):
     assert not find_span_site_bindings(benign)
 
 
+#: One request path: the serving overlay is the only place under
+#: ``src/`` that builds the stale-view substrate.  A second module
+#: constructing its own store or hint store is the duplicate overlay
+#: the data plane used to be.
+OVERLAY_HOME = Path("src/repro/serve/frontend.py")
+OVERLAY_PARTS = frozenset({"QuorumKVStore", "HintStore"})
+
+
+def find_overlay_constructions(path: Path):
+    """Calls constructing a ``QuorumKVStore`` / ``HintStore``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path}:{node.lineno}: {name}(...) outside {OVERLAY_HOME.name} — "
+        f"serve requests through ServingFrontEnd"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", getattr(node.func, "attr", ""))]
+        if name in OVERLAY_PARTS
+    ]
+
+
+def test_one_overlay_builds_the_quorum_substrate():
+    problems = [
+        problem
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if path != REPO_ROOT / OVERLAY_HOME
+        for problem in find_overlay_constructions(path)
+    ]
+    assert not problems, (
+        "second request path under src/:\n" + "\n".join(problems)
+    )
+    assert find_overlay_constructions(REPO_ROOT / OVERLAY_HOME)
+
+
+def test_overlay_gate_detects_planted_twin(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "from repro.store import hints, quorum\n"
+        "from repro.store.quorum import QuorumKVStore\n\n\n"
+        "class DataPlane:\n"
+        "    def __init__(self, cloud, rings, catalog):\n"
+        "        self.hints = hints.HintStore(ttl=4)\n"
+        "        self.store = QuorumKVStore(cloud, rings, catalog)\n"
+    )
+    assert len(find_overlay_constructions(planted)) == 2
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "def serve(front):\n"
+        "    return front.store.get(0, 0, b'k'), front.hints.depth\n"
+    )
+    assert not find_overlay_constructions(benign)
+
+
 def test_lint_checker_detects_planted_unused_import(tmp_path):
     """The fallback checker itself must actually catch the F401 case."""
     planted = tmp_path / "planted.py"
