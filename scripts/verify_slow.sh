@@ -12,7 +12,9 @@
 # large budget (tests/core/test_ceiling_argmax.py), and the compile-once
 # front door against the frozen per-request path
 # (tests/serve/test_request_plan_differential.py: 2 500 freshly drawn
-# scripts, tier-1 runs 60 derandomized ones).
+# scripts, tier-1 runs 60 derandomized ones), and the 20 000-server
+# fig4 bootstrap's memory fence (tests/cluster/test_topology.py: peak
+# RSS under 400 MiB with the frame digest unchanged).
 #
 # Usage:  scripts/verify_slow.sh [extra pytest args...]
 set -euo pipefail

@@ -75,7 +75,7 @@ class RandomScorer(PlacementScorer):
         div_sum = 0.0
         for sid in replica_servers:
             if sid in self._cloud:
-                div_sum += float(self._cloud.diversity_row(sid)[idx])
+                div_sum += self._cloud.diversity(sid, ids[idx])
         return Candidate(
             server_id=ids[idx],
             score=float("nan"),

@@ -53,7 +53,7 @@ class ServerTable:
     order (row ≡ slot).  Rows are appended on registration and shifted
     left in place on removal, so bound row views stay valid across
     membership changes once their row index is refreshed — the same
-    compaction discipline the cloud's diversity matrix follows.
+    compaction discipline the cloud's slot order follows.
 
     Columns are plain numpy arrays over a doubling capacity (managed by
     the shared :class:`~repro.util.columns.ColumnSet`); consumers must

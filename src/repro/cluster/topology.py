@@ -1,9 +1,15 @@
-"""The data cloud: a collection of servers with cached pairwise diversity.
+"""The data cloud: a collection of servers and their per-level prefix codes.
 
 Builds the paper's evaluation layout (§III-A): 200 servers over 10
 countries — 2 datacenters per country, 1 room per datacenter, 2 racks per
-room, 5 servers per rack — and keeps an integer diversity matrix so the
-per-epoch placement scoring (eq. 3) can be vectorised with numpy.
+room, 5 servers per rack.  Diversity (§II-B) is stored as six canonical
+prefix codes per server, one per location level: two servers share the
+first ``k+1`` levels iff their level-k codes match, so
+
+    diversity(a, b) = Σ_k 2^(5−k) · [code_k(a) ≠ code_k(b)]
+
+and eq. 2/eq. 3's per-set diversity sums are six bincount-and-gather
+passes in exact small integers — O(S) state, no S×S matrix.
 
 The cloud is elastic: servers can be added (resource upgrade) or removed
 (failure) at runtime, as the Fig. 3 experiment requires.  Server ids are
@@ -18,13 +24,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.confidence import ConfidenceModel, uniform_confidence
-from repro.cluster.location import (
-    Location,
-    NUM_LEVELS,
-    diversity,
-    diversity_from_depth,
-)
+from repro.cluster.location import Location, NUM_LEVELS, diversity
 from repro.cluster.server import GB, Server, ServerTable, make_server
+
+#: Each level's row index (a column, for broadcasting against the codes)
+#: and the diversity bit a mismatch at that level sets, most significant
+#: first.
+_LEVEL_ROWS = np.arange(NUM_LEVELS)[:, None]
+_LEVEL_BITS = np.array(
+    [1 << (NUM_LEVELS - 1 - k) for k in range(NUM_LEVELS)], dtype=np.float64
+)
 
 
 class TopologyError(ValueError):
@@ -95,12 +104,13 @@ PAPER_LAYOUT = CloudLayout()
 
 
 class Cloud:
-    """Mutable set of servers plus a cached pairwise diversity matrix.
+    """Mutable set of servers plus their per-level prefix codes.
 
-    The matrix is indexed by *dense slots*, a compaction of the live
-    server ids: ``slot_of[server_id]`` gives the row/column.  Rebuilt
-    incrementally on arrivals and lazily compacted on removals, it keeps
-    eq. 3 candidate scoring a single numpy expression per virtual node.
+    Everything per server is indexed by *dense slots*, a compaction of
+    the live server ids (``slot_of[server_id]``): the slot-ordered
+    :class:`Location` list and the ``(levels, S)`` code array rebuilt
+    from it on every membership change, which is what keeps eq. 3
+    candidate scoring a handful of numpy expressions per replica set.
 
     Server state itself is columnar: registration adopts each server's
     row into the cloud-owned :class:`~repro.cluster.server.ServerTable`
@@ -113,20 +123,19 @@ class Cloud:
         self._servers: Dict[int, Server] = {}
         self._slot_of: Dict[int, int] = {}
         self._server_at_slot: List[int] = []
+        self._locations: List[Location] = []
         self._table = ServerTable()
-        self._diversity: np.ndarray = np.zeros((0, 0), dtype=np.int16)
+        self._codes = np.zeros((NUM_LEVELS, 0), dtype=np.int64)
         self._next_id = 0
         self._version = 0
         self._slot_lookup: Optional[Tuple[int, np.ndarray]] = None
-        self._location_ids: Optional[Tuple[int, List[int]]] = None
-        self._continent_ids: Optional[Tuple[int, np.ndarray]] = None
         self.add_servers(servers)
 
     @property
     def version(self) -> int:
         """Monotone membership counter (bumped on add/remove).
 
-        Slot order, the diversity matrix and per-slot caches are stable
+        Slot order, the prefix codes and per-slot caches are stable
         between two equal version reads; derived slot-ordered structures
         (cost vectors, the epoch kernel's incidence caches) key off it.
         """
@@ -173,6 +182,11 @@ class Cloud:
         return self._slot_of
 
     @property
+    def locations(self) -> List[Location]:
+        """The live slot-ordered :class:`Location` list (read-only)."""
+        return self._locations
+
+    @property
     def table(self) -> ServerTable:
         """The cloud-owned server column store (row ≡ slot).
 
@@ -194,92 +208,91 @@ class Cloud:
     # -- diversity ----------------------------------------------------------
 
     def diversity(self, a: int, b: int) -> int:
-        """Pairwise diversity of two live servers, from the cache."""
-        return int(self._diversity[self.slot(a), self.slot(b)])
+        """§II-B diversity of two live servers (by id)."""
+        return diversity(self.server(a).location, self.server(b).location)
 
-    def diversity_row(self, server_id: int) -> np.ndarray:
-        """Diversity of one server against all live servers, slot order."""
-        return self._diversity[self.slot(server_id)]
+    def diversity_between(self, a, b) -> np.ndarray:
+        """Diversity of slot indices ``a`` against ``b``, broadcast.
 
-    def diversity_matrix(self) -> np.ndarray:
-        """The full (read-only view) pairwise diversity matrix."""
-        view = self._diversity.view()
-        view.flags.writeable = False
-        return view
-
-    def location_ids(self) -> List[int]:
-        """Each slot's :class:`Location` interned to a small int.
-
-        Equal locations ⇔ equal ids, so a sorted id tuple names the
-        same placement class as the sorted location tuple — without the
-        dataclass ``__lt__``/``__hash__`` walks.  Cached per
-        :attr:`version` (the vector beside :meth:`diversity_matrix`);
-        treat as read-only.
+        The per-level mismatch bits of ``a`` and ``b``'s prefix codes,
+        most significant first — ``63 >> shared_depth`` as a ``uint8``
+        array of the broadcast shape.
         """
-        cached = self._location_ids
-        if cached is None or cached[0] != self._version:
-            intern: Dict[Location, int] = {}
-            servers = self._servers
-            ids = [
-                intern.setdefault(servers[sid].location, len(intern))
-                for sid in self._server_at_slot
-            ]
-            cached = (self._version, ids)
-            self._location_ids = cached
-        return cached[1]
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        div = np.zeros(shape, dtype=np.uint8)
+        for level in self._codes:
+            div <<= 1
+            div |= level[a] != level[b]
+        return div
+
+    def diversity_sum(self, slots: Sequence[int]) -> np.ndarray:
+        """``Σ_{b∈slots} diversity(b, j)`` for every slot ``j``.
+
+        Per level, ``|B| − bincount(code_k[B])[code_k]`` counts the
+        members whose level-k prefix differs from ``j``'s; the six
+        counts weighted ``2^(5−k)`` are the sum, in O(levels · S)
+        whatever ``|B|`` is.  Every term is a small integer, so the
+        float64 result is exact and order-independent.
+        """
+        n = len(self._locations)
+        codes = self._codes
+        members = np.bincount(
+            (codes[:, slots] + _LEVEL_ROWS * n).ravel(),
+            minlength=NUM_LEVELS * n,
+        ).reshape(NUM_LEVELS, n)
+        return _LEVEL_BITS @ (len(slots) - members[_LEVEL_ROWS, codes])
+
+    def location_ids(self) -> np.ndarray:
+        """Each slot's level-5 prefix code: equal locations ⇔ equal ids.
+
+        A sorted id tuple therefore names the same placement class as
+        the sorted location tuple (read-only; valid for one
+        :attr:`version`).
+        """
+        return self._codes[NUM_LEVELS - 1]
 
     def continent_ids(self) -> np.ndarray:
-        """Each slot's continent as a dense small int (read-only).
+        """Each slot's continent as a dense small int — the level-0 code.
 
         Different continents ⇒ diversity 63, one continent ⇒ at most
-        31.  Cached per :attr:`version`, beside :meth:`location_ids`.
+        31 (read-only; valid for one :attr:`version`).
         """
-        cached = self._continent_ids
-        if cached is None or cached[0] != self._version:
-            raw = [self._servers[sid].location.continent
-                   for sid in self._server_at_slot]
-            dense = np.unique(raw, return_inverse=True)[1].reshape(-1)
-            cached = self._continent_ids = (self._version, dense)
-        return cached[1]
+        return self._codes[0]
+
+    def _recode(self) -> None:
+        """Rebuild the prefix codes after a membership change.
+
+        Level k folds the level-(k−1) code with the dense rank of the
+        level-k location part (``parent · n + rank`` < n², exact — no
+        hashing), so codes are dense and two slots share the first k+1
+        levels iff their level-k codes match.
+        """
+        n = len(self._locations)
+        parts = np.array(
+            [loc.parts() for loc in self._locations], dtype=np.int64
+        ).reshape(n, NUM_LEVELS)
+        codes = np.zeros((NUM_LEVELS, n), dtype=np.int64)
+        parent = np.zeros(n, dtype=np.int64)
+        for level in range(NUM_LEVELS):
+            rank = np.unique(parts[:, level], return_inverse=True)[1]
+            parent = np.unique(parent * n + rank, return_inverse=True)[1]
+            codes[level] = parent
+        codes.flags.writeable = False
+        self._codes = codes
+        self._version += 1
 
     # -- mutation -----------------------------------------------------------
 
     def add_server(self, server: Server) -> Server:
-        """Register a server and extend the diversity matrix by one slot."""
-        if server.server_id in self._servers:
-            raise TopologyError(f"duplicate server id {server.server_id}")
-        n = len(self._server_at_slot)
-        grown = np.zeros((n + 1, n + 1), dtype=np.int16)
-        grown[:n, :n] = self._diversity
-        for slot, other_id in enumerate(self._server_at_slot):
-            other = self._servers[other_id]
-            d = diversity(server.location, other.location)
-            grown[n, slot] = d
-            grown[slot, n] = d
-        self._diversity = grown
-        self._adopt(server, n)
-        self._version += 1
+        """Register one server (see :meth:`add_servers`)."""
+        self.add_servers([server])
         return server
 
-    def _adopt(self, server: Server, slot: int) -> None:
-        """Copy a server's row into the cloud table at ``slot``."""
-        row = self._table.adopt_row(server._table, server._row)
-        assert row == slot
-        server._attach(self._table, row)
-        self._servers[server.server_id] = server
-        self._slot_of[server.server_id] = slot
-        self._server_at_slot.append(server.server_id)
-        self._next_id = max(self._next_id, server.server_id + 1)
-
     def add_servers(self, servers: Iterable[Server]) -> None:
-        """Register many servers with one vectorized matrix extension.
+        """Register a wave of servers and recode the cloud once.
 
-        Appending one server at a time re-allocates (and copies) the
-        whole diversity matrix per addition — O(n³) cumulative work that
-        makes 10 000+-server clouds unbuildable.  This path appends all
-        new slots at once and fills their rows with a chunked numpy
-        prefix-similarity computation; values and slot order are
-        identical to repeated :meth:`add_server` calls.
+        Each server's row is copied into the cloud table at the next
+        slot; the handles keep viewing their rows from then on.
         """
         new = list(servers)
         if not new:
@@ -291,68 +304,24 @@ class Cloud:
                     f"duplicate server id {server.server_id}"
                 )
             seen.add(server.server_id)
-        n_old = len(self._server_at_slot)
-        n = n_old + len(new)
-        grown = np.zeros((n, n), dtype=np.int16)
-        grown[:n_old, :n_old] = self._diversity
-        parts = np.array(
-            [
-                self._servers[sid].location.parts()
-                for sid in self._server_at_slot
-            ]
-            + [server.location.parts() for server in new],
-            dtype=np.int64,
-        ).reshape(n, NUM_LEVELS)
-        # Canonical per-depth prefix codes: two servers share the first
-        # d+1 location levels iff codes[d] matches (codes fold the
-        # parent code with the level value through np.unique, so
-        # equality is exact — no hashing).
-        codes = np.zeros((NUM_LEVELS, n), dtype=np.int64)
-        parent = np.zeros(n, dtype=np.int64)
-        for d in range(NUM_LEVELS):
-            pair = np.stack([parent, parts[:, d]], axis=1)
-            __, parent = np.unique(pair, axis=0, return_inverse=True)
-            codes[d] = parent
-        # Diversity tabulated by shared-prefix depth — the same
-        # function the incremental path applies pair by pair.
-        lut = np.array(
-            [diversity_from_depth(d) for d in range(NUM_LEVELS + 1)],
-            dtype=np.int16,
-        )
-        # Chunk the new rows so per-level comparison temporaries stay
-        # modest even for 10⁴-server clouds.
-        chunk = max(1, (128 << 20) // max(n * 8, 1))
-        for start in range(n_old, n, chunk):
-            stop = min(start + chunk, n)
-            depth = np.zeros((stop - start, n), dtype=np.int8)
-            for d in range(NUM_LEVELS):
-                depth += codes[d, start:stop, None] == codes[d, None, :]
-            grown[start:stop, :] = lut[depth]
-        # Mirror the new rows into the new columns in one pass (writing
-        # per-chunk column stripes is a strided-scatter hot spot).
-        grown[:n_old, n_old:] = grown[n_old:, :n_old].T
-        self._diversity = grown
-        for offset, server in enumerate(new):
-            self._adopt(server, n_old + offset)
-        self._version += 1
+        for server in new:
+            row = self._table.adopt_row(server._table, server._row)
+            server._attach(self._table, row)
+            self._servers[server.server_id] = server
+            self._slot_of[server.server_id] = row
+            self._server_at_slot.append(server.server_id)
+            self._locations.append(server.location)
+            self._next_id = max(self._next_id, server.server_id + 1)
+        self._recode()
 
     def spawn_server(self, location: Location, **kwargs) -> Server:
         """Create and register a server with the next free id."""
-        server = make_server(self._next_id, location, **kwargs)
-        return self.add_server(server)
+        return self.spawn_servers([location], **kwargs)[0]
 
     def spawn_servers(
         self, locations: Sequence[Location], **kwargs
     ) -> List[Server]:
-        """Create and register a wave of servers with consecutive ids.
-
-        Identical ids, slot order and diversity values to calling
-        :meth:`spawn_server` per location, but the matrix extension is
-        the one bulk computation of :meth:`add_servers` instead of a
-        full reallocate-and-copy per arrival — a 100-server join wave
-        on a 20 000-server cloud is one matrix build, not ~80 GB of
-        repeated copies.
-        """
+        """Create and register a wave of servers with consecutive ids."""
         servers = [
             make_server(self._next_id + offset, location, **kwargs)
             for offset, location in enumerate(locations)
@@ -361,64 +330,39 @@ class Cloud:
         return servers
 
     def remove_server(self, server_id: int) -> Server:
-        """Remove a server (crash or decommission) and compact the matrix.
+        """Remove one server (see :meth:`remove_servers`)."""
+        return self.remove_servers([server_id])[0]
 
-        The returned handle detaches onto a private single-row table,
-        so callers holding it still read the server's final state; the
+    def remove_servers(self, server_ids: Sequence[int]) -> List[Server]:
+        """Remove a wave of servers (crash or decommission).
+
+        The whole wave is validated first: an unknown or repeated id
+        raises :class:`TopologyError` with the cloud untouched.  Each
+        returned handle detaches onto a private single-row table, so
+        callers holding it still read the server's final state; the
         cloud table's later rows shift left (row ≡ slot is preserved)
         and the surviving row views follow.
         """
-        server = self.server(server_id)
-        gone = self._slot_of.pop(server_id)
-        del self._servers[server_id]
-        self._server_at_slot.pop(gone)
-        keep = [s for s in range(self._diversity.shape[0]) if s != gone]
-        self._diversity = self._diversity[np.ix_(keep, keep)]
-        server._detach()
-        self._table.remove(gone)
-        for slot, sid in enumerate(self._server_at_slot):
-            self._slot_of[sid] = slot
-            if slot >= gone:
-                self._servers[sid]._set_row(slot)
-        server.fail()
-        self._version += 1
-        return server
-
-    def remove_servers(self, server_ids: Sequence[int]) -> List[Server]:
-        """Remove a wave of servers with one matrix compaction.
-
-        Equivalent to calling :meth:`remove_server` per id — survivors
-        keep their relative slot order either way — but the diversity
-        matrix pays a single keep-gather instead of one full-matrix
-        copy per removal.
-        """
-        victims = [self.server(sid) for sid in server_ids]
-        if len(victims) <= 1:
-            return [self.remove_server(sid) for sid in server_ids]
-        gone_slots = sorted(self._slot_of[v.server_id] for v in victims)
-        keep = np.delete(
-            np.arange(self._diversity.shape[0]), gone_slots
-        )
-        self._diversity = self._diversity[np.ix_(keep, keep)]
-        # Table rows shift left per removal (row ≡ slot must hold for
-        # the survivors' views).  Walking the doomed slots from the
-        # right keeps each pending slot index valid; the per-victim
-        # table shift is a small columnar move — the matrix copy above
-        # was the wall.
-        for server in sorted(
-            victims, key=lambda v: self._slot_of[v.server_id],
-            reverse=True,
-        ):
-            gone = self._slot_of.pop(server.server_id)
-            del self._servers[server.server_id]
-            self._server_at_slot.pop(gone)
+        ids = list(server_ids)
+        victims = [self.server(sid) for sid in ids]
+        if len(set(ids)) != len(ids):
+            raise TopologyError(f"repeated server id in {ids}")
+        if not ids:
+            return victims
+        # Walking the doomed slots from the right keeps each pending
+        # slot index valid while the table shifts left.
+        for slot in sorted((self._slot_of[sid] for sid in ids),
+                           reverse=True):
+            server = self._servers.pop(self._server_at_slot.pop(slot))
+            del self._slot_of[server.server_id]
+            del self._locations[slot]
             server._detach()
-            self._table.remove(gone)
+            self._table.remove(slot)
             server.fail()
         for slot, sid in enumerate(self._server_at_slot):
             self._slot_of[sid] = slot
             self._servers[sid]._set_row(slot)
-        self._version += 1
+        self._recode()
         return victims
 
     def begin_epoch(self) -> None:

@@ -22,6 +22,7 @@ import numpy as np
 from repro.cluster.location import (
     CROSS_COUNTRY_DIVERSITY,
     MAX_DIVERSITY,
+    diversity,
 )
 from repro.cluster.topology import Cloud
 from repro.ring.partition import (
@@ -49,7 +50,7 @@ def availability(cloud: Cloud, server_ids: Sequence[int],
     machine is lost, so only live replicas count toward the estimate.
     ``is_alive`` substitutes a *believed* liveness column for the
     physical one (the stale-membership seam); servers unknown to the
-    cloud are always excluded (their diversity rows are gone).
+    cloud are always excluded (their locations are gone).
     """
     if is_alive is None:
         live = [
@@ -69,11 +70,13 @@ def availability(cloud: Cloud, server_ids: Sequence[int],
         return 0.0
     total = 0.0
     for i, a in enumerate(live):
-        conf_a = cloud.server(a).confidence
-        row = cloud.diversity_row(a)
+        server_a = cloud.server(a)
+        conf_a = server_a.confidence
         for b in live[i + 1:]:
-            conf_b = cloud.server(b).confidence
-            total += conf_a * conf_b * row[cloud.slot(b)]
+            server_b = cloud.server(b)
+            total += conf_a * server_b.confidence * diversity(
+                server_a.location, server_b.location
+            )
     return total
 
 
@@ -98,7 +101,7 @@ def pair_gain(cloud: Cloud, server_ids: Sequence[int],
     Liveness and confidence are read off the cloud's server columns
     (row ≡ slot) rather than through per-server row views; the sum is
     accumulated in ``server_ids`` order as
-    ``cand_conf · conf_k · row[slot_k]``, left to right — the operand
+    ``cand_conf · conf_k · div(cand, k)``, left to right — the operand
     order every chain-local availability ledger in the decision pass
     relies on to stay bit-identical to the catalog listener.
     """
@@ -114,19 +117,18 @@ def pair_gain(cloud: Cloud, server_ids: Sequence[int],
         return 0.0
     conf = table.confidence
     cand_conf = float(conf[cand_slot])
-    row = cloud.diversity_row(candidate)
+    locs = cloud.locations
+    cand_loc = locs[cand_slot]
     slot_of = cloud.slot_map.get
     gain = 0.0
-    if is_alive is None:
-        for sid in server_ids:
-            slot = slot_of(sid)
-            if slot is not None and alive[slot]:
-                gain += cand_conf * float(conf[slot]) * row[slot]
-    else:
-        for sid in server_ids:
-            slot = slot_of(sid)
-            if slot is not None and is_alive(sid):
-                gain += cand_conf * float(conf[slot]) * row[slot]
+    for sid in server_ids:
+        slot = slot_of(sid)
+        if slot is not None and (
+            alive[slot] if is_alive is None else is_alive(sid)
+        ):
+            gain += cand_conf * float(conf[slot]) * diversity(
+                cand_loc, locs[slot]
+            )
     return gain
 
 
@@ -198,8 +200,8 @@ class AvailabilityIndex:
     * partition split: children inherit the parent's replica set, so
       they inherit ``S`` verbatim;
     * server death: the lost partitions are recomputed from their
-      surviving replicas (the dead server's diversity row is gone from
-      the cloud, so its pair terms cannot be subtracted — and deaths are
+      surviving replicas (the dead server's location is gone from the
+      cloud, so its pair terms cannot be subtracted — and deaths are
       rare enough that an O(R²) rebuild per lost partition is free).
 
     Exactness: under the evaluation's confidence model (conf ≡ 1.0, the
@@ -381,23 +383,18 @@ class AvailabilityIndex:
             conf = table.confidence
             if alive[me_slot] if pred is None else pred(server_id):
                 me_conf = float(conf[me_slot])
-                row = cloud.diversity_row(server_id)
-                if pred is None:
-                    for sid in servers:
-                        if sid != server_id:
-                            slot = slot_of(sid)
-                            if slot is not None and alive[slot]:
-                                total += (
-                                    me_conf * float(conf[slot]) * row[slot]
-                                )
-                else:
-                    for sid in servers:
-                        if sid != server_id:
-                            slot = slot_of(sid)
-                            if slot is not None and pred(sid):
-                                total += (
-                                    me_conf * float(conf[slot]) * row[slot]
-                                )
+                locs = cloud.locations
+                me_loc = locs[me_slot]
+                for sid in servers:
+                    if sid == server_id:
+                        continue
+                    slot = slot_of(sid)
+                    if slot is not None and (
+                        alive[slot] if pred is None else pred(sid)
+                    ):
+                        total += me_conf * float(conf[slot]) * diversity(
+                            me_loc, locs[slot]
+                        )
         cache[server_id] = total
         return total
 
@@ -443,7 +440,7 @@ class AvailabilityIndex:
         self._avail[slot] = self._avail[slot] - loss
 
     def server_dropped(self, server_id: int, lost: Sequence) -> None:
-        # The dead server's diversity row left the cloud with it, so its
+        # The dead server's location left the cloud with it, so its
         # pair terms cannot be subtracted; recompute each affected
         # partition's pair sum over the survivors (exact, and deaths are
         # rare enough that the O(R²) rebuild per lost partition is free).
@@ -492,8 +489,7 @@ def diversity_histogram(cloud: Cloud, server_ids: Sequence[int]
     live = [sid for sid in server_ids if sid in cloud]
     hist: Dict[int, int] = {}
     for i, a in enumerate(live):
-        row = cloud.diversity_row(a)
         for b in live[i + 1:]:
-            d = int(row[cloud.slot(b)])
+            d = cloud.diversity(a, b)
             hist[d] = hist.get(d, 0) + 1
     return hist

@@ -629,7 +629,6 @@ class Incidence:
         if not len(flat.rep_slots):
             return contrib
         conf = self._confidence_vector()
-        matrix = self._cloud.diversity_matrix()
         counts = flat.counts
         for degree in np.unique(counts).tolist():
             if degree < 2:
@@ -640,7 +639,9 @@ class Incidence:
             slots = flat.rep_slots[idx]
             conf_r = conf[slots]
             pair = (
-                matrix[slots[:, :, None], slots[:, None, :]]
+                self._cloud.diversity_between(
+                    slots[:, :, None], slots[:, None, :]
+                )
                 * conf_r[:, None, :]
             )
             contrib[idx] = conf_r * pair.sum(axis=2)

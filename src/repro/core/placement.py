@@ -198,7 +198,7 @@ class PlacementScorer:
         # a fresh per-set scan.
         self._class_keys: Dict[object, object] = {}
         self._class_div: Dict[object, np.ndarray] = {}
-        self._loc_ids: List[int] = cloud.location_ids()
+        self._loc_ids: List[int] = cloud.location_ids().tolist()
         self.class_gain_reuses = 0
         self.class_div_extends = 0
         # Epoch-start rents: anticipated rents only *rise* within an
@@ -294,7 +294,7 @@ class PlacementScorer:
     def _location_class(self, servers: Sequence[int]) -> Tuple[int, ...]:
         """Sorted interned location ids of ``servers`` (a multiset key).
 
-        The ids come from :meth:`Cloud.location_ids` — equal locations
+        The ids are the cloud's level-5 prefix codes — equal locations
         ⇔ equal ids — so two sets share a tuple exactly when their
         sorted :class:`Location` tuples would be equal.
         """
@@ -311,29 +311,24 @@ class PlacementScorer:
         reuses a post-confidence cache could never make bit-safe:
         classes are shared across whatever order each caller lists the
         set in, and a §II-C repair chain that appended its accepted
-        candidate extends the previous iteration's class with one
-        ``diversity_row`` addition instead of re-summing the whole set.
+        candidate extends the previous iteration's class with that
+        one server's sum instead of re-summing the whole set.
         (The confidence multiply stays outside: ``(a + b) · c`` and
         ``a·c + b·c`` differ in the last ulp for fractional ``c``.)
         """
         cached = self._class_div.get(locs)
         if cached is not None:
             return cached
-        cloud = self._cloud
-        div_sum = None
-        if len(replica_servers) > 1:
-            prev = self._class_div.get(
-                self._location_class(replica_servers[:-1])
-            )
-            if prev is not None:
-                div_sum = prev + cloud.diversity_row(
-                    replica_servers[-1]
-                )
-                self.class_div_extends += 1
-        if div_sum is None:
-            div_sum = np.zeros(len(self._ids), dtype=np.float64)
-            for sid in replica_servers:
-                div_sum += cloud.diversity_row(sid)
+        slot_of = self._cloud.slot_map
+        members = [slot_of[sid] for sid in replica_servers]
+        prev = self._class_div.get(
+            self._location_class(replica_servers[:-1])
+        ) if len(members) > 1 else None
+        if prev is not None:
+            div_sum = prev + self._cloud.diversity_sum(members[-1:])
+            self.class_div_extends += 1
+        else:
+            div_sum = self._cloud.diversity_sum(members)
         self._class_div[locs] = div_sum
         return div_sum
 
@@ -341,7 +336,7 @@ class PlacementScorer:
                         cache_key: Optional[object] = None) -> np.ndarray:
         """Σ_k conf · diversity(s_k, ·) over the replica set, per slot.
 
-        The expensive half of eq. 3 — O(R) full-cloud row additions —
+        The expensive half of eq. 3 — an O(S) per-level count pass —
         depends only on the replica set, not on the scorer's mutable
         rent state, so callers scoring the same set repeatedly within
         one epoch (every expanding agent of a hot partition, each
@@ -362,11 +357,10 @@ class PlacementScorer:
                 gain = div_sum * self._conf
                 self._gain_cache[ckey] = gain
                 return gain
-        n = len(self._ids)
-        div_sum = np.zeros(n, dtype=np.float64)
-        for sid in replica_servers:
-            if sid in self._cloud:
-                div_sum += self._cloud.diversity_row(sid)
+        slot_of = self._cloud.slot_map
+        div_sum = self._cloud.diversity_sum(
+            [slot_of[sid] for sid in replica_servers if sid in slot_of]
+        )
         gain = div_sum * self._conf
         if cache_key is not None:
             self._gain_cache[ckey] = gain
@@ -594,7 +588,7 @@ class PlacementScorer:
                 (skey, slots, g)
             )
         built = 0
-        matrix = self._cloud.diversity_matrix()
+        every_slot = np.arange(n)
         for (degree, __), items in groups.items():
             if not degree:
                 continue
@@ -607,9 +601,11 @@ class PlacementScorer:
                 slot_mat = np.stack(
                     [slots for __k, slots, __g in chunk]
                 )
-                # Row gathers summed in float64: exact integers, so
-                # the accumulation order cannot matter.
-                div_sum = matrix[slot_mat].sum(axis=1, dtype=np.float64)
+                # Per-member diversity rows summed in float64: exact
+                # integers, so the accumulation order cannot matter.
+                div_sum = self._cloud.diversity_between(
+                    slot_mat[:, :, None], every_slot
+                ).sum(axis=1, dtype=np.float64)
                 gain = div_sum * self._conf[None, :]
                 gain_g = gain * g[None, :] if g is not None else gain
                 score0 = gain_g - self._rent_weight * self._rents0[None, :]

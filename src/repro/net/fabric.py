@@ -173,9 +173,8 @@ class GossipFabric:
         row = self._row.pop(sid, None)
         if row is None:
             return
-        keep = [i for i in range(len(self._ids)) if i != row]
-        self._age = self._age[np.ix_(keep, keep)].copy()
-        self._ver = self._ver[keep].copy()
+        self._age = np.delete(np.delete(self._age, row, 0), row, 1)
+        self._ver = np.delete(self._ver, row)
         self._ids.pop(row)
         self._row = {s: i for i, s in enumerate(self._ids)}
         self._rows_changed()

@@ -125,7 +125,6 @@ def reference_pair_gain(cloud, server_ids, candidate, is_alive=None):
             return 0.0
     elif not is_alive(candidate):
         return 0.0
-    row = cloud.diversity_row(candidate)
     gain = 0.0
     for sid in server_ids:
         if sid in cloud and (
@@ -134,7 +133,7 @@ def reference_pair_gain(cloud, server_ids, candidate, is_alive=None):
             gain += (
                 cand.confidence
                 * cloud.server(sid).confidence
-                * row[cloud.slot(sid)]
+                * cloud.diversity(candidate, sid)
             )
     return gain
 
@@ -145,7 +144,6 @@ def reference_contribution(cloud, server_id, servers, pred=None):
     if server_id in cloud:
         me = cloud.server(server_id)
         if me.alive if pred is None else pred(server_id):
-            row = cloud.diversity_row(server_id)
             for sid in servers:
                 if sid != server_id and sid in cloud and (
                     cloud.server(sid).alive if pred is None else pred(sid)
@@ -153,7 +151,7 @@ def reference_contribution(cloud, server_id, servers, pred=None):
                     total += (
                         me.confidence
                         * cloud.server(sid).confidence
-                        * row[cloud.slot(sid)]
+                        * cloud.diversity(server_id, sid)
                     )
     return total
 

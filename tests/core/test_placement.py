@@ -570,13 +570,21 @@ class TestInternedClassKeys:
 
     def test_location_ids_follow_the_cloud_version(self):
         cloud, __ = build(FOUR)
-        ids = cloud.location_ids()
-        assert ids is cloud.location_ids()  # cached per version
-        assert len(set(ids)) == 4
+
+        def same_id_iff_same_location():
+            ids = cloud.location_ids().tolist()
+            locs = cloud.locations
+            assert len(ids) == len(cloud)
+            for a in range(len(ids)):
+                for b in range(len(ids)):
+                    assert (ids[a] == ids[b]) == (locs[a] == locs[b])
+            return ids
+
+        assert len(set(same_id_iff_same_location())) == 4
         cloud.add_server(make_server(
             9, Location(*FOUR[2]), storage_capacity=1000
         ))
-        grown = cloud.location_ids()
+        grown = same_id_iff_same_location()
         assert grown[-1] == grown[2] and len(set(grown)) == 4
         cloud.remove_server(0)
-        assert len(cloud.location_ids()) == 4
+        assert len(set(same_id_iff_same_location())) == 3

@@ -527,10 +527,12 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
 #: Line ceilings (ROADMAP item 4): no module carved out of
 #: ``core/decision.py`` grows back past 900 lines, and
 #: ``core/placement.py`` stays at its size until the grouped wave-0
-#: shortlists it still carries are deleted.
+#: shortlists it still carries are deleted; ``cluster/topology.py``
+#: stays at its size without the S×S diversity matrix.
 MODULE_MAX_LINES = {
     **dict.fromkeys(DECISION_MODULES, 900),
-    Path("src/repro/core/placement.py"): 951,
+    Path("src/repro/core/placement.py"): 947,
+    Path("src/repro/cluster/topology.py"): 545,
 }
 
 
@@ -1309,6 +1311,56 @@ def test_overlay_gate_detects_planted_twin(tmp_path):
         "    return front.store.get(0, 0, b'k'), front.hints.depth\n"
     )
     assert not find_overlay_constructions(benign)
+
+
+#: Diversity is six per-level prefix-code columns (ROADMAP item 4): a
+#: dense pairwise cache — or the ``np.ix_`` block gather that compacts
+#: one — anywhere under ``src/`` is the O(S²) state that retired.
+DENSE_PAIR_NAMES = frozenset(
+    {"ix_", "diversity_matrix", "diversity_row", "_diversity"}
+)
+
+
+def find_dense_pair_state(path: Path):
+    """Names, attributes and defs from :data:`DENSE_PAIR_NAMES`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path}:{node.lineno}: {name} — sum diversity off "
+        f"Cloud.diversity_sum / diversity_between, not an S×S cache"
+        for node in ast.walk(tree)
+        for name in [getattr(node, "attr", getattr(
+            node, "id", getattr(node, "name", None)
+        ))]
+        if name in DENSE_PAIR_NAMES
+    ]
+
+
+def test_no_dense_pairwise_diversity_state_in_src():
+    problems = [
+        problem
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for problem in find_dense_pair_state(path)
+    ]
+    assert not problems, "S×S diversity state:\n" + "\n".join(problems)
+
+
+def test_dense_pair_gate_detects_planted_twin(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import numpy as np\n\n\n"
+        "class Cloud:\n"
+        "    def diversity_matrix(self):\n"
+        "        return self._diversity\n"
+        "    def drop(self, keep):\n"
+        "        self._age = self._age[np.ix_(keep, keep)]\n"
+    )
+    assert len(find_dense_pair_state(planted)) == 3
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "def gain(cloud, slots, pair_diversity=63):\n"
+        "    return cloud.diversity_sum(slots) * pair_diversity\n"
+    )
+    assert not find_dense_pair_state(benign)
 
 
 def test_lint_checker_detects_planted_unused_import(tmp_path):
