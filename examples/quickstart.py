@@ -19,7 +19,8 @@ import argparse
 
 from repro import (
     CloudLayout,
-    KVStore,
+    Level,
+    QuorumKVStore,
     Router,
     availability,
 )
@@ -112,18 +113,20 @@ def main(argv=None) -> None:
           f"{last.unsatisfied_partitions} below SLA")
 
     # -- 3. Use the data plane against the converged placement.
-    store = KVStore(sim.cloud, sim.rings, sim.catalog)
+    store = QuorumKVStore(sim.cloud, sim.rings, sim.catalog)
     store.put(0, 0, "user:42", b'{"name": "Ada"}')
     store.put(0, 0, "user:43", b'{"name": "Grace"}')
 
+    # A read at ONE is served by the replica nearest the client.
     client = Location(1, 0, 0, 0, 0, 0)  # a client in continent 1
-    result = store.get(0, 0, "user:42", client=client)
-    print(f"get(user:42) -> {result.value!r} served by server "
-          f"{result.server_id} at geographic distance {result.distance}")
-
-    # -- 4. Inspect the SLA the economy maintains.
+    result = store.get(0, 0, "user:42", level=Level.ONE, client=client)
     router = Router(sim.cloud, sim.rings, sim.catalog)
     partition = router.partition_of(0, 0, "user:42")
+    route = router.route_partition(partition.pid, client=client)
+    print(f"get(user:42) -> {result.value!r} served by server "
+          f"{route.server_id} at geographic distance {route.distance}")
+
+    # -- 4. Inspect the SLA the economy maintains.
     replicas = sim.catalog.servers_of(partition.pid)
     avail = availability(sim.cloud, replicas)
     print(f"partition {partition.pid}: replicas on servers {replicas}, "
@@ -133,8 +136,8 @@ def main(argv=None) -> None:
         print(f"  server {sid}: {sim.cloud.server(sid).location}")
 
     store.delete(0, 0, "user:43")
-    print("deleted user:43; contains ->",
-          store.contains(0, 0, "user:43"))
+    print("deleted user:43; found ->",
+          store.get(0, 0, "user:43").found)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ Dump the spec:  python examples/tiered_application.py --spec shop.json
 
 import argparse
 
-from repro import KVStore, availability
+from repro import QuorumKVStore, availability
 from repro.sim.scenario import (
     ConstraintsSpec,
     FlowsSpec,
@@ -97,7 +97,7 @@ def main(argv=None) -> None:
     print(f"  gold costs {ratio:.1f}x the storage of standard\n")
 
     # The data plane picks the tier per item.
-    store = KVStore(sim.cloud, sim.rings, sim.catalog)
+    store = QuorumKVStore(sim.cloud, sim.rings, sim.catalog)
     store.put(0, GOLD, "order:1001", b'{"total": 99.90}')
     store.put(0, STANDARD, "session:abc", b'{"cart": []}')
 

@@ -1,0 +1,335 @@
+#!/usr/bin/env python
+"""Reach census: which ``src/`` functions does nothing but the tests use?
+
+Runs every way the repository is used, under a ``sys.settrace`` call
+collector:
+
+* the scenario registry, each entry at its golden-pin horizon;
+* the end-to-end benchmark's four workloads, one untraced replay of
+  each window (``benchmarks/e2e/run.py``);
+* every ``repro.cli`` subcommand, on small inputs;
+* all seven examples.
+
+A function none of these enters is then searched for by name: in
+``benchmarks/``, ``examples/`` and ``scripts/`` as text, and in ``src/``
+as a name or attribute that some code reads (an import or an
+``__all__`` entry is not a use).  What is left — never executed, called
+nowhere outside ``tests/`` — is printed, each with the reason it is
+kept or as ``UNEXPLAINED``.  A reason is an entry of ``KEPT`` below, a
+public export (the name is in a package's ``__all__``), or a Python
+data-model method (``__len__``, ``__str__``, …: called implicitly, so
+the name search cannot see its callers).  Unexplained code is a
+deletion candidate: it duplicates a path the engine runs, or nothing
+needs it at all.  Protocol and abstract stubs are not counted.
+
+Usage:  python scripts/reach_census.py
+
+Takes about a minute on a laptop-class core.  Exits 0 whatever it
+finds: the census reports, it does not gate.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import re
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+SEARCHED = ("benchmarks", "examples", "scripts")
+
+#: Code the census leaves unreached on purpose: ``(category, module,
+#: qualified-name prefix)``.  An empty prefix keeps the whole module.
+KEPT: Tuple[Tuple[str, str, str], ...] = (
+    ("invariant check", "repro/store/replica.py",
+     "ReplicaCatalog.check_consistency"),
+    ("invariant check", "repro/core/agent.py", "AgentRegistry.check_mirror"),
+    ("invariant check", "repro/core/incidence.py",
+     "Incidence._verify_alignment"),
+    ("invariant check", "repro/core/economy.py", "CloudCostIndex.verify"),
+    ("invariant check", "repro/ring/virtualring.py",
+     "VirtualRing.check_invariants"),
+    ("framedump comparator", "repro/sim/framedump.py", ""),
+    ("counting fabric", "repro/net/fabric.py", "CountingFabric"),
+)
+
+
+class Function(NamedTuple):
+    module: str      # path under src/, e.g. "repro/ring/router.py"
+    qualname: str
+    name: str
+    line: int        # first line of the code object (decorators included)
+
+
+# ---------------------------------------------------------------------------
+# What src/ defines
+# ---------------------------------------------------------------------------
+
+
+def _is_stub(node: ast.AST) -> bool:
+    """A body of only a docstring, ``...``, ``pass`` or a bare raise."""
+    decorators = {
+        getattr(d, "id", getattr(d, "attr", None))
+        for d in node.decorator_list
+    }
+    if decorators & {"abstractmethod", "overload"}:
+        return True
+    for stmt in node.body:
+        if isinstance(stmt, ast.Pass):
+            continue
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value,
+                                                     ast.Constant):
+            continue  # docstring or ``...``
+        if isinstance(stmt, ast.Raise) and "NotImplementedError" in (
+            ast.unparse(stmt)
+        ):
+            continue
+        return False
+    return True
+
+
+def _walk(module: str, body: List[ast.stmt], prefix: str,
+          in_protocol: bool) -> Iterator[Tuple[Function, ast.AST]]:
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            protocol = any(
+                getattr(b, "id", getattr(b, "attr", None)) == "Protocol"
+                for b in node.bases
+            )
+            yield from _walk(module, node.body,
+                             f"{prefix}{node.name}.", protocol)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if in_protocol or _is_stub(node):
+                continue
+            line = min([node.lineno] +
+                       [d.lineno for d in node.decorator_list])
+            yield Function(module, prefix + node.name, node.name,
+                           line), node
+
+
+def src_functions() -> List[Tuple[Function, List[Function]]]:
+    """Every top-level-or-method function, with the functions nested in it."""
+    out = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, node in _walk(module, tree.body, "", False):
+            nested = [
+                Function(module, f"{fn.qualname}.<locals>.{inner.name}",
+                         inner.name,
+                         min([inner.lineno] +
+                             [d.lineno for d in inner.decorator_list]))
+                for inner in ast.walk(node)
+                if inner is not node
+                and isinstance(inner, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+            ]
+            out.append((fn, nested))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# What the workloads execute
+# ---------------------------------------------------------------------------
+
+
+class Collector:
+    """Records ``(file, first line)`` of every code object entered."""
+
+    def __init__(self) -> None:
+        self.entered: Set[Tuple[str, int]] = set()
+        self._prefix = str(SRC / "repro")
+
+    def _trace(self, frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(self._prefix):
+            self.entered.add((code.co_filename, code.co_firstlineno))
+        return None  # no per-line tracing: call events are enough
+
+    @contextlib.contextmanager
+    def active(self) -> Iterator[None]:
+        sys.settrace(self._trace)
+        try:
+            yield
+        finally:
+            sys.settrace(None)
+
+    def reached(self, fn: Function) -> bool:
+        return (str(SRC / fn.module), fn.line) in self.entered
+
+
+def _quietly(label: str, call) -> None:
+    """Run one entry point with its output swallowed; report its exit."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    failed = isinstance(code, int) and code != 0
+    print(f"  ran {label}{f': exited {code}' if failed else ''}",
+          file=sys.__stderr__)
+
+
+def run_registry() -> None:
+    from repro.sim import specs
+
+    for name in sorted(specs.REGISTRY):
+        _quietly(f"registry {name}",
+                 lambda name=name: specs.get(name).pinned()
+                 .simulation().run())
+
+
+def run_benchmark(out: Path) -> None:
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    import run as bench_run
+    from bench_workloads import WORKLOADS
+
+    for name in WORKLOADS:
+        _quietly(f"benchmark {name}", lambda name=name: bench_run.main([
+            "--workload", name, "--pin-seed", "0", "--replays", "1",
+            "--out", str(out),
+        ]))
+
+
+#: Each subcommand once, on inputs small enough to take seconds.
+CLI_RUNS = (
+    ("run", "--epochs", "4", "--partitions", "20", "--points", "2"),
+    ("run", "--epochs", "4", "--partitions", "20", "--points", "2",
+     "--fig3-events", "--net-loss", "0.05", "--net-partition", "1:3",
+     "--net-flap", "1:3:1", "--divergence"),
+    ("run", "--epochs", "4", "--partitions", "20", "--points", "2",
+     "--serve-rate", "32"),
+    ("run", "--epochs", "4", "--partitions", "20", "--points", "2",
+     "--consistency-audit"),
+    ("compare", "--epochs", "4", "--partitions", "20"),
+    ("report", "--epochs", "4", "--partitions", "20"),
+    ("profile", "--epochs", "2", "--partitions", "20", "--repeats", "1",
+     "--cprofile", "--top", "3"),
+    ("scenario", "list"),
+    ("scenario", "show", "paper-uniform"),
+    ("scenario", "run", "paper-uniform", "--epochs", "4", "--points", "2"),
+    ("info",),
+)
+
+
+def run_cli(out: Path) -> None:
+    from repro import cli
+
+    for argv in CLI_RUNS:
+        if argv[0] == "profile":
+            argv = argv + ("--json", str(out / "profile.json"))
+        _quietly("cli " + " ".join(argv),
+                 lambda argv=argv: cli.main(list(argv)))
+
+
+def run_examples() -> None:
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        saved = sys.argv
+        sys.argv = [str(path)]
+        try:
+            _quietly(f"example {path.stem}",
+                     lambda path=path: runpy.run_path(str(path),
+                                                      run_name="__main__"))
+        finally:
+            sys.argv = saved
+
+
+# ---------------------------------------------------------------------------
+# Report
+# ---------------------------------------------------------------------------
+
+
+def named_outside_tests() -> str:
+    """The text every searched file holds, this script excluded."""
+    me = Path(__file__).resolve()
+    return "\n".join(
+        path.read_text()
+        for top in SEARCHED
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.resolve() != me
+    )
+
+
+def src_uses() -> Tuple[Set[str], Set[str]]:
+    """Names ``src/`` reads (as names or attributes), and its exports."""
+    used: Set[str] = set()
+    exported: Set[str] = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (
+                isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)
+            ):
+                exported.update(ast.literal_eval(node.value))
+    return used, exported
+
+
+def kept_reason(fn: Function, exported: Set[str]) -> str:
+    for category, module, prefix in KEPT:
+        if fn.module == module and fn.qualname.startswith(prefix):
+            return category
+    if fn.name in exported:
+        return "public export"
+    if fn.name.startswith("__") and fn.name.endswith("__"):
+        return "data-model method"
+    return ""
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    collector = Collector()
+    with tempfile.TemporaryDirectory() as tmp, collector.active():
+        run_registry()
+        run_benchmark(Path(tmp))
+        run_cli(Path(tmp))
+        run_examples()
+
+    text = named_outside_tests()
+    used, exported = src_uses()
+    functions = src_functions()
+    unreached: List[Function] = []
+    reached = 0
+    for fn, nested in functions:
+        if collector.reached(fn):
+            reached += 1
+            # A closure of a reached function counts on its own.
+            unreached += [n for n in nested if not collector.reached(n)]
+        else:
+            unreached.append(fn)
+    unnamed = [
+        fn for fn in unreached
+        if fn.name not in used
+        and not re.search(rf"\b{re.escape(fn.name)}\b", text)
+    ]
+    by_reason: Dict[str, List[Function]] = {}
+    for fn in unnamed:
+        reason = kept_reason(fn, exported) or "UNEXPLAINED"
+        by_reason.setdefault(reason, []).append(fn)
+
+    print(f"reach census: {len(functions)} src functions, {reached} "
+          f"reached; {len(unreached)} unreached, of which {len(unnamed)} "
+          f"are called nowhere outside tests/")
+    for reason in sorted(by_reason, key=lambda r: (r == "UNEXPLAINED", r)):
+        print(f"\n[{reason}]")
+        for fn in by_reason[reason]:
+            print(f"  src/{fn.module}:{fn.line}  {fn.qualname}")
+    unexplained = len(by_reason.get("UNEXPLAINED", ()))
+    print(f"\nsummary: {len(unnamed) - unexplained} kept, "
+          f"{unexplained} unexplained")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,9 +12,12 @@
 # large budget (tests/core/test_ceiling_argmax.py), and the compile-once
 # front door against the frozen per-request path
 # (tests/serve/test_request_plan_differential.py: 2 500 freshly drawn
-# scripts, tier-1 runs 60 derandomized ones), and the 20 000-server
+# scripts, tier-1 runs 60 derandomized ones), the 20 000-server
 # fig4 bootstrap's memory fence (tests/cluster/test_topology.py: peak
-# RSS under 400 MiB with the frame digest unchanged).
+# RSS under 400 MiB with the frame digest unchanged), all seven examples
+# (tier-1 runs the four fast ones) and the reach census of src/
+# functions only the tests reach (scripts/reach_census.py; it reports,
+# it never fails the script).
 #
 # Usage:  scripts/verify_slow.sh [extra pytest args...]
 set -euo pipefail
@@ -64,6 +67,14 @@ python3 benchmarks/e2e/run.py --workload econ-scale10 --seed 7 --trace 1 \
 # count of the control- and data-plane frame streams (ISSUE 18).
 python3 benchmarks/e2e/run.py --workload faults-churn --seed 7 --trace 1 \
     > /dev/null
+
+echo "== stage: examples (all seven) =="
+for example in examples/*.py; do
+    PYTHONPATH=src python "$example" > /dev/null
+done
+
+echo "== stage: reach census (src/ functions only tests reach; reports, never fails) =="
+python scripts/reach_census.py 2> /dev/null || true
 
 echo "== stage: perf smoke (100x ramp + serving vs checked-in bench JSON, vectorized/scalar floor) =="
 PYTHONPATH=src python benchmarks/perf/perf_smoke.py

@@ -18,7 +18,7 @@ Packages
 --------
 ``repro.cluster``   locations, diversity, servers, topology, events
 ``repro.ring``      consistent hashing, partitions, virtual rings
-``repro.store``     replica catalog, transfers, consistency, KV engine
+``repro.store``     replica catalog, transfers, consistency, quorum store
 ``repro.core``      the virtual economy (eqs. 1-5, decision process)
 ``repro.workload``  Pareto popularity, Poisson arrivals, spikes, inserts
 ``repro.sim``       the epoch simulator, metrics and reporting
@@ -65,7 +65,6 @@ from repro.sim import (
     slashdot_spec,
 )
 from repro.store import (
-    KVStore,
     Level,
     QuorumKVStore,
     ReplicaCatalog,
@@ -88,7 +87,6 @@ __all__ = [
     "CloudLayout",
     "DecisionEngine",
     "EconomicPolicy",
-    "KVStore",
     "Level",
     "QuorumKVStore",
     "KeyRange",

@@ -65,20 +65,6 @@ class FailureModel:
         return getattr(self, level)
 
 
-def _failure_domains(cloud: Cloud) -> List[Tuple[str, Tuple[int, ...], List[int]]]:
-    """Every populated failure domain: (level, prefix, member servers)."""
-    domains: Dict[Tuple[str, Tuple[int, ...]], List[int]] = {}
-    for server in cloud:
-        parts = server.location.parts()
-        for depth, level in enumerate(LEVELS, start=1):
-            key = (level, parts[:depth])
-            domains.setdefault(key, []).append(server.server_id)
-    return [
-        (level, prefix, members)
-        for (level, prefix), members in sorted(domains.items())
-    ]
-
-
 def survival_probability(cloud: Cloud, replicas: Sequence[int],
                          model: FailureModel, *, trials: int = 20000,
                          rng: Optional[np.random.Generator] = None) -> float:

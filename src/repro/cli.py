@@ -650,8 +650,7 @@ def cmd_report(args, out) -> int:
 def cmd_profile(args, out) -> int:
     if args.scale < 1:
         raise CliError("--scale must be >= 1")
-    preset = args.scenario in PRESETS
-    if args.scale > 1 and not preset:
+    if args.scale > 1 and args.scenario not in PRESETS:
         raise CliError("--scale supports the built-in presets")
     if args.scale > 1 and args.scenario == "saturation":
         # Growing only the cloud would silently destroy the
@@ -664,7 +663,9 @@ def cmd_profile(args, out) -> int:
     config = compiled.config
     args.epochs = config.epochs
     args.seed = config.seed
-    args.partitions = args.partitions * args.scale if preset else sum(
+    # What ran, in one unit: the total over every ring (the saturation
+    # preset ignores --partitions, and a preset's flag counts per ring).
+    args.partitions = sum(
         ring.partitions for app in config.apps for ring in app.rings
     )
     # Schedules are stateful (rng draws, event log): each timed repeat

@@ -657,14 +657,10 @@ class AgentRegistry:
     def of_partition(self, pid: PartitionId) -> List[VNodeAgent]:
         return list(self._by_pid.get(pid, ()))
 
-    def agents_of(self, pid: PartitionId) -> Sequence[VNodeAgent]:
-        """Zero-copy view of one partition's agents (do not mutate)."""
-        return self._by_pid.get(pid, ())
-
     def rows_of(self, pid: PartitionId) -> Optional[List[int]]:
         """One partition's ledger rows, in agent-list order (read-only).
 
-        The maintained mirror of ``[a.row for a in agents_of(pid)]`` —
+        The maintained mirror of ``[a.row for a in of_partition(pid)]`` —
         the epoch kernel's incidence rebuild consumes it without paying
         one attribute access per agent.  None when the partition has no
         agents.

@@ -2,8 +2,8 @@
 
 A virtual node with token t owns keys hashing into (previous token, t]
 (paper §I, following Dynamo).  :class:`KeyRange` models that arc with
-wraparound, supports membership tests, splitting and adjacency checks,
-and is the unit the partition layer builds on.
+wraparound, supports membership tests and splitting, and is the unit
+the partition layer builds on.
 """
 
 from __future__ import annotations
@@ -69,21 +69,6 @@ class KeyRange:
             raise KeyRangeError(f"range too small to split: {self}")
         mid = midpoint(self.start, self.end)
         return KeyRange(self.start, mid), KeyRange(mid, self.end)
-
-    def is_adjacent_before(self, other: "KeyRange") -> bool:
-        """True when this arc ends exactly where ``other`` begins."""
-        return self.end == other.start
-
-    def merge(self, other: "KeyRange") -> "KeyRange":
-        """Merge with the adjacent following arc (inverse of split)."""
-        if not self.is_adjacent_before(other):
-            raise KeyRangeError(f"{self} is not adjacent before {other}")
-        if self.span + other.span > RING_SIZE:
-            raise KeyRangeError("merged arc would exceed the ring")
-        merged_span = self.span + other.span
-        if merged_span == RING_SIZE:
-            return KeyRange(self.start, self.start)
-        return KeyRange(self.start, other.end)
 
     def __str__(self) -> str:
         return f"({self.start:#x}, {self.end:#x}]"

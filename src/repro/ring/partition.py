@@ -21,6 +21,9 @@ from repro.ring.keyspace import KeyRange
 #: Paper §III-A: maximum partition capacity before a split.
 DEFAULT_PARTITION_CAPACITY: int = 256 * MB
 
+#: Share of a split parent's bytes and popularity the low child takes.
+SPLIT_SHARE: float = 0.5
+
 
 class PartitionError(ValueError):
     """Raised for invalid partition operations."""
@@ -99,30 +102,17 @@ class Partition:
             raise PartitionError(f"cannot grow by negative bytes: {nbytes}")
         self.size += nbytes
 
-    def shrink(self, nbytes: int) -> None:
-        """Remove deleted bytes from the partition."""
-        if not 0 <= nbytes <= self.size:
-            raise PartitionError(
-                f"cannot shrink by {nbytes}, size is {self.size}"
-            )
-        self.size -= nbytes
-
-    def split(self, low_seq: int, high_seq: int, *,
-              low_share: float = 0.5) -> Tuple["Partition", "Partition"]:
+    def split(self, low_seq: int, high_seq: int
+              ) -> Tuple["Partition", "Partition"]:
         """Split into two children halving the key range.
 
-        ``low_share`` is the fraction of bytes (and popularity) that
-        lands in the low half — 0.5 for uniformly hashed keys, but the
-        caller may pass the measured share.  Bytes and popularity are
-        conserved exactly: the high child receives the remainders.
+        The low half receives :data:`SPLIT_SHARE` of the bytes and
+        popularity (keys hash uniformly).  Both are conserved exactly:
+        the high child receives the remainders.
         """
-        if not 0.0 <= low_share <= 1.0:
-            raise PartitionError(
-                f"low_share must be in [0, 1], got {low_share}"
-            )
         low_range, high_range = self.key_range.split()
-        low_size = int(self.size * low_share)
-        low_pop = self.popularity * low_share
+        low_size = int(self.size * SPLIT_SHARE)
+        low_pop = self.popularity * SPLIT_SHARE
         low = Partition(
             pid=replace(self.pid, seq=low_seq),
             key_range=low_range,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union,
+    TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union,
 )
 
 from repro.cluster.location import Location, diversity
@@ -277,32 +277,3 @@ class Router:
                 if other.order.believed == order.believed:
                     route.order = other.order
                     return
-
-    def spread(self, pid: PartitionId,
-               weights: Optional[List[Tuple[Location, float]]] = None
-               ) -> List[Tuple[int, float]]:
-        """Share of a partition's queries each live replica attracts.
-
-        With no client geography every replica gets an equal share; with
-        weighted client locations each location's share goes to its
-        closest replica.  Used by the simulator to charge query load to
-        servers without routing every query object individually.
-        """
-        replicas, __ = self.believed_replicas(pid)
-        if not replicas:
-            raise RoutingError(f"no live replica for {pid}")
-        if not weights:
-            share = 1.0 / len(replicas)
-            return [(sid, share) for sid in replicas]
-        totals = {sid: 0.0 for sid in replicas}
-        grand = 0.0
-        for client, weight in weights:
-            if weight <= 0:
-                continue
-            best = self.route_partition(pid, client=client).server_id
-            totals[best] += weight
-            grand += weight
-        if grand == 0:
-            share = 1.0 / len(replicas)
-            return [(sid, share) for sid in replicas]
-        return [(sid, w / grand) for sid, w in totals.items()]

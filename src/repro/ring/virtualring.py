@@ -135,10 +135,6 @@ class VirtualRing:
     def total_size(self) -> int:
         return sum(p.size for p in self._ordered)
 
-    @property
-    def total_popularity(self) -> float:
-        return sum(p.popularity for p in self._ordered)
-
     # -- lookup ---------------------------------------------------------------
 
     def lookup_position(self, position: int) -> Partition:
@@ -166,33 +162,22 @@ class VirtualRing:
 
     # -- splits ----------------------------------------------------------------
 
-    def split_partition(self, pid: PartitionId, *,
-                        low_share: float = 0.5
+    def split_partition(self, pid: PartitionId
                         ) -> Tuple[Partition, Partition]:
         """Replace an overfull partition by its two children.
 
-        Returns (low, high).  The caller (replica catalog / simulator)
+        Returns (low, high).  The caller (the simulator's split phase)
         is responsible for re-homing replicas of the parent.
         """
         parent = self.partition(pid)
         low_seq = self._allocator.next_seq(self.app_id, self.ring_id)
         high_seq = self._allocator.next_seq(self.app_id, self.ring_id)
-        low, high = parent.split(low_seq, high_seq, low_share=low_share)
+        low, high = parent.split(low_seq, high_seq)
         del self._partitions[pid]
         self._partitions[low.pid] = low
         self._partitions[high.pid] = high
         self._reindex()
         return low, high
-
-    def split_overfull(self) -> List[Tuple[Partition, Partition]]:
-        """Split every partition above capacity; cascades until stable."""
-        out: List[Tuple[Partition, Partition]] = []
-        while True:
-            victims = [p.pid for p in self._ordered if p.overfull]
-            if not victims:
-                return out
-            for pid in victims:
-                out.append(self.split_partition(pid))
 
     def check_invariants(self) -> None:
         """Raise unless the partitions tile the ring exactly."""

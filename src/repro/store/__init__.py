@@ -1,4 +1,4 @@
-"""Storage substrate: replica catalog, transfers, consistency, KV engine."""
+"""Storage substrate: replica catalog, transfers, consistency, quorum store."""
 
 from repro.store.consistency import (
     DEFAULT_CONSISTENCY,
@@ -6,12 +6,6 @@ from repro.store.consistency import (
     ConsistencyModel,
 )
 from repro.store.hints import Hint, HintError, HintStore
-from repro.store.kvstore import (
-    KVStore,
-    NoReplicaError,
-    ReadResult,
-    StoreError,
-)
 from repro.store.quorum import (
     DataPlaneStats,
     Level,
@@ -47,7 +41,6 @@ __all__ = [
     "Hint",
     "HintError",
     "HintStore",
-    "KVStore",
     "Level",
     "ReplicaOutcome",
     "QuorumError",
@@ -55,12 +48,9 @@ __all__ = [
     "QuorumReadResult",
     "QuorumWriteResult",
     "Versioned",
-    "NoReplicaError",
-    "ReadResult",
     "ReplicaCatalog",
     "ReplicaError",
     "ReplicaKey",
-    "StoreError",
     "TransferBatch",
     "TransferEngine",
     "TransferKind",

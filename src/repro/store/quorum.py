@@ -7,8 +7,8 @@ versioned copy, writes succeed once ``W`` replicas acknowledge, reads
 consult ``R`` replicas and return the freshest version (optionally
 repairing stale copies), and ``R + W > N`` yields read-your-writes.
 
-Unlike :class:`~repro.store.kvstore.KVStore` (which models replicas as
-byte-identical and is the economy's data plane), the quorum store keeps
+It is the repo's one key-value store: both instances of the serving
+overlay (the front door and the data plane) run on it, and it keeps
 *physically separate* per-server copies so staleness, divergence after
 failures, and repair are all observable.
 

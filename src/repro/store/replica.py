@@ -277,33 +277,6 @@ class ReplicaCatalog:
             for listener in self._listeners:
                 listener.storage_changed(sid, nbytes)
 
-    def shrink_replicas(self, pid: PartitionId, nbytes: int) -> None:
-        """Account ``nbytes`` of removed data on every replica's server.
-
-        Mirror of :meth:`grow_replicas` for the delete/overwrite path;
-        routing shrinks through the catalog keeps listeners (the eq. 1
-        cost vectors, most notably) in sync with server storage.
-        """
-        if nbytes < 0:
-            raise ReplicaError(f"cannot shrink by negative bytes: {nbytes}")
-        for sid in self._servers_of.get(pid, ()):
-            # Mirror of the grow guard: a down host processes no
-            # deletes either (its bytes die with it on removal).
-            if not self._cloud.server(sid).alive:
-                continue
-            self._cloud.server(sid).free_storage(nbytes)
-            for listener in self._listeners:
-                listener.storage_changed(sid, -nbytes)
-
-    def can_grow_replicas(self, pid: PartitionId, nbytes: int) -> bool:
-        """True when every hosting server can absorb ``nbytes`` more."""
-        servers = self._servers_of.get(pid, ())
-        if not servers:
-            return False
-        return all(
-            self._cloud.server(sid).can_store(nbytes) for sid in servers
-        )
-
     def drop_server(self, server_id: int) -> List[PartitionId]:
         """Forget every replica on a failed server (bytes die with it).
 
@@ -382,7 +355,7 @@ class ReplicaCatalog:
                     raise ReplicaError(
                         f"index mismatch: server {sid} not in {pid} view"
                     )
-            # A ghost's byte counter froze when it died (grow/shrink and
+            # A ghost's byte counter froze when it died (growth and
             # splits skip it); only live machines account for storage.
             if sid in self._cloud and self._cloud.server(sid).alive:
                 expected = sum(partitions[pid].size for pid in pids)

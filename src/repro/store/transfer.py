@@ -318,36 +318,18 @@ class TransferEngine:
         """Start collecting transfer intents for grouped execution."""
         return TransferBatch(self)
 
-    def execute_batch(self, requests: Sequence["TransferRequest"],
-                      preverified: bool = False) -> List[TransferResult]:
-        """Apply many transfers with grouped array feasibility checks.
+    def execute_batch(self, requests: Sequence["TransferRequest"]
+                      ) -> List[TransferResult]:
+        """Apply a :class:`TransferBatch`'s validated intents in order.
 
-        Endpoint feasibility (bandwidth budgets, destination storage,
-        liveness, duplicate replicas) is evaluated for the *whole* batch
-        as per-server aggregate sums.  When every group fits — the
-        common case, and guaranteed for intents validated through a
-        :class:`TransferBatch`'s mirrors — budgets are reserved once per
-        touched server and the catalog mutations apply in submission
-        order with no per-item re-checks.  If any aggregate fails, the
-        batch falls back to the sequential per-item path, which
-        reproduces the exact one-at-a-time outcome semantics.
-
-        The epoch kernel reaches this through :meth:`TransferBatch.commit`
-        with ``preverified=True`` (the repair chains validated every
-        intent already); the aggregate-check entry serves callers
-        submitting arbitrary request lists of their own.
+        Every request was checked against the batch's real-minus-pending
+        mirrors when it was queued, so nothing is re-checked here:
+        budgets are reserved once per touched (kind, server) group and
+        the catalog mutations apply in submission order.  Reached only
+        through :meth:`TransferBatch.commit`, which looks it up on the
+        engine at call time.
         """
-        requests = list(requests)
-        if not requests:
-            return []
-        if not preverified and not self._batch_feasible(requests):
-            return [
-                self.migrate(r.partition, r.src, r.dst, r.kind)
-                if r.vacate
-                else self.replicate(r.partition, r.src, r.dst)
-                for r in requests
-            ]
-        # Fast path: grouped budget reservation, then in-order apply.
+        # Grouped budget reservation, then in-order apply.
         grouped: Dict[Tuple[TransferKind, int], int] = {}
         for r in requests:
             size = r.partition.size
@@ -373,79 +355,6 @@ class TransferEngine:
                 )
             )
         return results
-
-    def _batch_feasible(self, requests: Sequence["TransferRequest"]) -> bool:
-        """Aggregate (vectorized) feasibility of a whole batch.
-
-        Deliberately conservative: any replica-identity interaction
-        *within* the batch (duplicate destinations, a migration source
-        consumed by an earlier migration, a destination vacated
-        mid-batch) fails the aggregate check and routes the batch to
-        the sequential fallback, so the fast path can never partially
-        apply — every per-item operation it performs is guaranteed to
-        succeed.
-        """
-        sizes = np.array([r.partition.size for r in requests],
-                         dtype=np.int64)
-        dsts = [r.dst for r in requests]
-        seen: Set[Tuple[object, int]] = set()
-        vacated: Set[Tuple[object, int]] = set()
-        for r in requests:
-            key = (r.partition.pid, r.dst)
-            if key in seen or self._catalog.has_replica(*key):
-                return False
-            seen.add(key)
-            if r.vacate:
-                src_key = (r.partition.pid, r.src)
-                if (
-                    src_key in vacated
-                    or not self._catalog.has_replica(*src_key)
-                ):
-                    return False
-                vacated.add(src_key)
-        touched = sorted(
-            {sid for r in requests for sid in (r.src, r.dst)
-             if sid is not None}
-        )
-        if not all(
-            sid in self._cloud and self._cloud.server(sid).alive
-            for sid in touched
-        ):
-            return False
-        if self._reachable is not None and not all(
-            r.src is None or self._reachable(r.src, r.dst)
-            for r in requests
-        ):
-            return False
-        slot = {sid: i for i, sid in enumerate(touched)}
-        storage_need = np.zeros(len(touched), dtype=np.int64)
-        np.add.at(storage_need, [slot[d] for d in dsts], sizes)
-        budget_need = {
-            kind: np.zeros(len(touched), dtype=np.int64)
-            for kind in TransferKind
-        }
-        for r, size in zip(requests, sizes.tolist()):
-            need = budget_need[r.kind]
-            need[slot[r.dst]] += size
-            if r.src is not None:
-                need[slot[r.src]] += size
-        storage_avail = np.array(
-            [self._cloud.server(sid).storage_available for sid in touched],
-            dtype=np.int64,
-        )
-        if np.any(storage_need > storage_avail):
-            return False
-        for kind, need in budget_need.items():
-            avail = np.array(
-                [
-                    _budget(self._cloud.server(sid), kind).available
-                    for sid in touched
-                ],
-                dtype=np.int64,
-            )
-            if np.any(need > avail):
-                return False
-        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -671,7 +580,7 @@ class TransferBatch:
         self._pending_replicas.clear()
         self._vacated.clear()
         self._avail_vectors.clear()
-        return self._engine.execute_batch(items, preverified=True)
+        return self._engine.execute_batch(items)
 
 
 @dataclass

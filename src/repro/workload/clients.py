@@ -16,7 +16,7 @@ travels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,33 +74,6 @@ class ClientGeography:
 
     def weighted_sites(self) -> List[Tuple[Location, float]]:
         return list(zip(self.sites, self.shares))
-
-    def query_split(self, total_queries: int,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> Dict[Location, int]:
-        """Split an epoch's queries over client locations.
-
-        With an rng the split is multinomial; without, deterministic
-        proportional rounding (largest remainders) is used.
-        """
-        if total_queries < 0:
-            raise GeographyError(
-                f"total_queries must be >= 0, got {total_queries}"
-            )
-        if self.is_uniform:
-            raise GeographyError("uniform geography has no discrete sites")
-        if rng is not None:
-            counts = rng.multinomial(total_queries, np.array(self.shares))
-            return dict(zip(self.sites, counts.tolist()))
-        shares = np.array(self.shares)
-        raw = shares * total_queries
-        counts = np.floor(raw).astype(int)
-        remainder = total_queries - int(counts.sum())
-        if remainder > 0:
-            order = np.argsort(-(raw - counts))
-            for i in order[:remainder]:
-                counts[i] += 1
-        return dict(zip(self.sites, counts.tolist()))
 
 
 #: The paper's evaluation assumption (§III-A).

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.ring.partition import PartitionId
+from repro.ring.partition import SPLIT_SHARE, PartitionId
 
 
 class PopularityError(ValueError):
@@ -56,7 +56,7 @@ class PopularityMap:
     """Mutable popularity weights per partition.
 
     Maintains the invariant needed across partition splits: children
-    inherit the parent's weight split by the given share, so the total
+    inherit the parent's weight, halved, so the total
     attraction of a key range is conserved no matter how it is
     partitioned.
     """
@@ -100,14 +100,10 @@ class PopularityMap:
         return self._weights.pop(pid, 0.0)
 
     def split(self, parent: PartitionId, low: PartitionId,
-              high: PartitionId, *, low_share: float = 0.5) -> None:
-        """Move a parent's weight onto its two children."""
-        if not 0.0 <= low_share <= 1.0:
-            raise PopularityError(
-                f"low_share must be in [0, 1], got {low_share}"
-            )
+              high: PartitionId) -> None:
+        """Move a parent's weight onto its two children (halved)."""
         weight = self._weights.pop(parent, 0.0)
-        self._weights[low] = weight * low_share
+        self._weights[low] = weight * SPLIT_SHARE
         self._weights[high] = weight - self._weights[low]
         self._version += 1
 

@@ -183,18 +183,6 @@ class TestCloudCostIndex:
         _assert_prices_match(index, model, cloud)
         index.verify()
 
-    def test_shrink_replicas_keeps_storage_vector_in_sync(self):
-        # The delete/overwrite data-plane path must fire storage events
-        # like the grow path, or vectorized prices silently drift.
-        cloud, catalog, model, index = _cost_harness()
-        p = _partition(1)
-        catalog.place(p, 0)
-        catalog.place(p, 2)
-        catalog.grow_replicas(p.pid, 500)
-        catalog.shrink_replicas(p.pid, 300)
-        _assert_prices_match(index, model, cloud)
-        index.verify()
-
     def test_split_keeps_storage_vector_in_sync(self):
         cloud, catalog, model, index = _cost_harness()
         parent = _partition(1, size=500)

@@ -17,7 +17,7 @@ Strong stale reads are allowed (the sloppy-quorum window the audit
 measures), but only while hints were in flight.
 
 Since ISSUE 8 each seed's scenario is drawn from the declarative spec
-space (:func:`repro.sim.scenario.sample_chaos_spec`) — the same seeds
+space (:func:`tests.spec_samplers.sample_chaos_spec`) — the same seeds
 compile to the exact configs this sweep historically hand-built
 (``tests/sim/test_scenario_spec.py`` pins that equality), so the
 sweep's verdicts are unchanged by the migration.
@@ -40,7 +40,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.scenario import compile_spec, load_spec, sample_chaos_spec
+from repro.sim.scenario import compile_spec, load_spec
+from tests.spec_samplers import sample_chaos_spec
 
 FAST_SEEDS = tuple(range(2))
 SLOW_SEEDS = tuple(range(2, 18))

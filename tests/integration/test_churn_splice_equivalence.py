@@ -34,8 +34,8 @@ from repro.sim.scenario import (
     JoinWave,
     LeaveWave,
     compile_spec,
-    sample_spec,
 )
+from tests.spec_samplers import sample_spec
 
 SEEDS = tuple(range(3))
 SLOW_SEEDS = tuple(range(3, 10))

@@ -6,7 +6,7 @@ Adds the network dimension to the randomized equivalence harness:
   zero-fault :class:`NetConfig` threaded through the whole control
   plane, must emit a frame stream identical to its oracle
   (``net=None``) twin.  The spec sampler
-  (:func:`repro.sim.scenario.sample_spec`) supplies the adversarial
+  (:func:`tests.spec_samplers.sample_spec`) supplies the adversarial
   clouds; the net layer must be invisible at zero faults.
 * **faulty determinism** — a run with active faults is not contracted
   to match its oracle twin (that divergence is the measurement), but
@@ -50,8 +50,8 @@ from repro.sim.scenario import (
     compile_events,
     compile_spec,
     load_spec,
-    sample_spec,
 )
+from tests.spec_samplers import sample_spec
 from test_randomized_equivalence import draw_decider
 
 KERNELS = ("vectorized", "scalar")

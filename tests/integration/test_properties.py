@@ -157,16 +157,15 @@ class TestAvailabilityProperties:
 
 
 class TestPopularityProperties:
-    @given(st.lists(st.floats(0.001, 1000.0), min_size=1, max_size=30),
-           st.floats(0.0, 1.0))
+    @given(st.lists(st.floats(0.001, 1000.0), min_size=1, max_size=30))
     @settings(max_examples=50)
-    def test_split_conserves_total(self, weights, share):
+    def test_split_conserves_total(self, weights):
         pids = [PartitionId(0, 0, i) for i in range(len(weights))]
         pm = PopularityMap(dict(zip(pids, weights)))
         total = pm.total
         low = PartitionId(0, 0, 100)
         high = PartitionId(0, 0, 101)
-        pm.split(pids[0], low, high, low_share=share)
+        pm.split(pids[0], low, high)
         assert abs(pm.total - total) < 1e-9 * max(total, 1.0)
 
     @given(st.lists(st.floats(0.001, 1000.0), min_size=1, max_size=30))

@@ -2,7 +2,7 @@
 
 The hand-picked golden scenarios pin seven behavioral regimes; this
 harness removes the "hand-picked" qualifier.  Each seed draws a small
-random *scenario spec* from :func:`repro.sim.scenario.sample_spec` —
+random *scenario spec* from :func:`tests.spec_samplers.sample_spec` —
 cloud shape, partition counts, policy knobs (including tight
 ``repair_iterations`` bounds), base rate, optional fractional
 per-country confidences, optional join/leave churn waves, optional
@@ -41,7 +41,8 @@ from repro.core.decision import DecisionEngine
 from repro.core.placement import PlacementScorer
 from repro.sim.engine import Simulation, economic_decider
 from repro.sim.framedump import frame_diff, frames_to_jsonable
-from repro.sim.scenario import compile_spec, sample_spec
+from repro.sim.scenario import compile_spec
+from tests.spec_samplers import sample_spec
 
 KERNELS = ("vectorized", "scalar")
 

@@ -75,21 +75,6 @@ class TestSplitMerge:
                 low.contains_position(p) + high.contains_position(p)
             ) == (1 if inside else 0)
 
-    def test_merge_roundtrip(self):
-        r = KeyRange(7, 10_000)
-        low, high = r.split()
-        assert low.merge(high) == r
-
-    def test_merge_full_ring_roundtrip(self):
-        r = full_ring()
-        low, high = r.split()
-        merged = low.merge(high)
-        assert merged.span == RING_SIZE
-
-    def test_merge_non_adjacent(self):
-        with pytest.raises(KeyRangeError):
-            KeyRange(0, 10).merge(KeyRange(20, 30))
-
 
 class TestTiling:
     def test_ranges_from_tokens(self):

@@ -26,21 +26,14 @@ class TestPartitionBasics:
     def test_default_capacity_is_256mb(self):
         assert DEFAULT_PARTITION_CAPACITY == 256 * (1 << 20)
 
-    def test_grow_shrink(self):
+    def test_grow(self):
         p = part()
         p.grow(60)
         assert p.size == 60
-        p.shrink(10)
-        assert p.size == 50
 
     def test_grow_negative(self):
         with pytest.raises(PartitionError):
             part().grow(-1)
-
-    def test_shrink_too_much(self):
-        p = part(size=5)
-        with pytest.raises(PartitionError):
-            p.shrink(6)
 
     def test_overfull(self):
         p = part(size=100, capacity=100)
@@ -82,15 +75,12 @@ class TestSplit:
         assert high.parent == p.pid
 
     def test_split_share(self):
-        p = part(size=100, pop=1.0)
-        low, high = p.split(1, 2, low_share=0.25)
-        assert low.size == 25
-        assert high.size == 75
-        assert low.popularity == pytest.approx(0.25)
-
-    def test_split_share_bounds(self):
-        with pytest.raises(PartitionError):
-            part(size=10).split(1, 2, low_share=1.5)
+        # The low child takes the floor of half; the high child the rest.
+        p = part(size=101, pop=1.0)
+        low, high = p.split(1, 2)
+        assert low.size == 50
+        assert high.size == 51
+        assert low.popularity == high.popularity == 0.5
 
     def test_split_ids_use_given_seqs(self):
         p = part(size=10)

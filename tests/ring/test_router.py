@@ -115,51 +115,6 @@ class TestTieBreak:
         route = router.route_partition(ring.partitions()[0].pid)
         assert route.server_id == 0
 
-    def test_spread_tie_goes_to_lowest_id(self):
-        cloud, rings, catalog, ring = self.tie_setup(reversed_placement=True)
-        router = Router(cloud, rings, catalog)
-        pid = ring.partitions()[0].pid
-        shares = dict(router.spread(
-            pid, [(Location(2, 0, 0, 0, 0, 0), 1.0)]
-        ))
-        assert shares[0] == pytest.approx(1.0)
-        assert shares[1] == pytest.approx(0.0)
-
-
-class TestSpread:
-    def test_uniform_spread(self):
-        cloud, rings, catalog, ring = setup()
-        router = Router(cloud, rings, catalog)
-        pid = ring.partitions()[0].pid
-        shares = dict(router.spread(pid))
-        assert shares == {0: 0.5, 1: 0.5}
-
-    def test_weighted_spread_goes_to_closest(self):
-        cloud, rings, catalog, ring = setup()
-        router = Router(cloud, rings, catalog)
-        pid = ring.partitions()[0].pid
-        client0 = Location(0, 0, 0, 0, 0, 9)   # continent 0 -> server 0
-        client1 = Location(1, 0, 0, 0, 0, 9)   # continent 1 -> server 1
-        shares = dict(router.spread(pid, [(client0, 3.0), (client1, 1.0)]))
-        assert shares[0] == pytest.approx(0.75)
-        assert shares[1] == pytest.approx(0.25)
-
-    def test_spread_shares_sum_to_one(self):
-        cloud, rings, catalog, ring = setup()
-        router = Router(cloud, rings, catalog)
-        pid = ring.partitions()[0].pid
-        client = Location(0, 1, 0, 0, 0, 0)
-        shares = router.spread(pid, [(client, 10.0)])
-        assert sum(s for __, s in shares) == pytest.approx(1.0)
-
-    def test_zero_weights_fall_back_to_uniform(self):
-        cloud, rings, catalog, ring = setup()
-        router = Router(cloud, rings, catalog)
-        pid = ring.partitions()[0].pid
-        client = Location(0, 0, 0, 0, 0, 0)
-        shares = dict(router.spread(pid, [(client, 0.0)]))
-        assert shares == {0: 0.5, 1: 0.5}
-
 
 class TestServingWindow:
     """ISSUE 24: inside a serving window ``route_partition`` remembers

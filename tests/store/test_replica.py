@@ -100,19 +100,6 @@ class TestGrow:
         assert cloud.server(0).storage_used == 150
         assert cloud.server(1).storage_used == 150
 
-    def test_can_grow_replicas(self):
-        cloud = cloud_of(storage=200)
-        catalog = ReplicaCatalog(cloud)
-        p = part(size=100)
-        catalog.place(p, 0)
-        catalog.place(p, 1)
-        assert catalog.can_grow_replicas(p.pid, 100)
-        assert not catalog.can_grow_replicas(p.pid, 101)
-
-    def test_can_grow_without_replicas_is_false(self):
-        catalog = ReplicaCatalog(cloud_of())
-        assert not catalog.can_grow_replicas(PartitionId(0, 0, 0), 1)
-
 
 class TestDropServer:
     def test_drop_server_loses_its_replicas(self):
@@ -139,7 +126,7 @@ class TestSplit:
         parent = part(0, size=100)
         catalog.place(parent, 0)
         catalog.place(parent, 1)
-        low, high = parent.split(10, 11, low_share=0.4)
+        low, high = parent.split(10, 11)
         catalog.split_partition(parent, low, high)
         assert catalog.servers_of(low.pid) == [0, 1]
         assert catalog.servers_of(high.pid) == [0, 1]
@@ -161,7 +148,7 @@ class TestSplit:
         cloud.server(1).fail()
         parent.grow(40)
         catalog.grow_replicas(parent.pid, 40)  # the ghost misses the write
-        low, high = parent.split(10, 11, low_share=0.4)
+        low, high = parent.split(10, 11)
         catalog.split_partition(parent, low, high)
         assert catalog.servers_of(low.pid) == [0, 1]
         assert catalog.servers_of(high.pid) == [0, 1]

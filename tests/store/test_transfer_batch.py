@@ -2,8 +2,8 @@
 
 The §II-C action path queues repair chains as :class:`TransferBatch`
 intents (checked against real-minus-pending mirrors) and applies them
-through :meth:`TransferEngine.execute_batch`'s grouped array
-feasibility.  These tests pin the contract: mirrored checks return the
+through :meth:`TransferEngine.execute_batch`'s grouped budget
+reservation.  These tests pin the contract: mirrored checks return the
 same outcomes (in the same precedence order) as immediate calls, and a
 committed batch leaves catalog, storage and budgets exactly as the
 sequential path would.
@@ -21,7 +21,6 @@ from repro.store.transfer import (
     TransferEngine,
     TransferKind,
     TransferOutcome,
-    TransferRequest,
 )
 
 
@@ -240,41 +239,21 @@ class TestCommit:
         assert (engine.stats.replications, engine.stats.migrations) == (2, 0)
         assert cloud.server(0).migration_budget.used == 0
 
-    def test_vacating_request_takes_the_sequential_path_too(self):
-        """Off the fast path a vacating request is a ``migrate`` on its
-        kind's budget, not a plain copy."""
-        cloud, catalog, engine = harness(replication=150)
-        p1, p2 = make_partition(1), make_partition(2)
-        catalog.place(p1, 0)
-        catalog.place(p2, 0)
-        kind = TransferKind.REPLICATION
-        results = engine.execute_batch([
-            TransferRequest(kind, p1, 0, 1, vacate=True),
-            TransferRequest(kind, p2, 0, 2, vacate=True),
-        ])
-        assert [r.outcome for r in results] == [
-            TransferOutcome.COMPLETED, TransferOutcome.NO_SOURCE_BANDWIDTH,
-        ]
-        assert catalog.servers_of(p1.pid) == [1]
-        assert catalog.servers_of(p2.pid) == [0]
-        assert engine.stats.replications == 1
-
     def test_empty_commit_is_noop(self):
         __, __, engine = harness()
         assert engine.open_batch().commit() == []
 
 
 class TestExecuteBatch:
-    def test_feasible_batch_fast_path(self):
+    def test_commit_reserves_grouped_budgets(self):
         cloud, catalog, engine = harness()
         p1, p2 = make_partition(1), make_partition(2)
         catalog.place(p1, 0)
         catalog.place(p2, 0)
-        requests = [
-            TransferRequest(TransferKind.REPLICATION, p1, 0, 1),
-            TransferRequest(TransferKind.REPLICATION, p2, 0, 2),
-        ]
-        results = engine.execute_batch(requests)
+        batch = engine.open_batch()
+        assert batch.add_replication(p1, 0, 1) is None
+        assert batch.add_replication(p2, 0, 2) is None
+        results = batch.commit()
         assert [r.outcome for r in results] == [
             TransferOutcome.COMPLETED, TransferOutcome.COMPLETED
         ]
@@ -282,44 +261,3 @@ class TestExecuteBatch:
         assert catalog.has_replica(p2.pid, 2)
         # Source budget charged once per transfer (grouped reserve).
         assert cloud.server(0).replication_budget.available == 100
-
-    def test_conflicting_migrations_never_partially_reserve(self):
-        # Two migrations of the same replica from the same source: the
-        # aggregate check must refuse the fast path (the second source
-        # read is consumed by the first move), so the batch falls back
-        # to sequential semantics — first applies cleanly, second
-        # raises with nothing reserved for it.
-        cloud, catalog, engine = harness()
-        p = make_partition(1)
-        catalog.place(p, 0)
-        requests = [
-            TransferRequest(TransferKind.MIGRATION, p, 0, 1, vacate=True),
-            TransferRequest(TransferKind.MIGRATION, p, 0, 2, vacate=True),
-        ]
-        with pytest.raises(ReplicaError):
-            engine.execute_batch(requests)
-        assert catalog.servers_of(p.pid) == [1]
-        # Exactly one migration's bandwidth charged per endpoint; the
-        # doomed second request reserved nothing.
-        assert cloud.server(0).migration_budget.used == 100
-        assert cloud.server(1).migration_budget.used == 100
-        assert cloud.server(2).migration_budget.used == 0
-
-    def test_infeasible_batch_falls_back_to_sequential_outcomes(self):
-        cloud, catalog, engine = harness(replication=150)
-        p1, p2 = make_partition(1), make_partition(2)
-        catalog.place(p1, 0)
-        catalog.place(p2, 0)
-        requests = [
-            TransferRequest(TransferKind.REPLICATION, p1, 0, 1),
-            TransferRequest(TransferKind.REPLICATION, p2, 0, 2),
-        ]
-        results = engine.execute_batch(requests)
-        # Aggregate source demand (200) exceeds the budget (150): the
-        # fallback applies them one at a time — first lands, second
-        # defers — exactly the immediate-call outcome.
-        assert results[0].outcome is TransferOutcome.COMPLETED
-        assert results[1].outcome is TransferOutcome.NO_SOURCE_BANDWIDTH
-        assert catalog.has_replica(p1.pid, 1)
-        assert not catalog.has_replica(p2.pid, 2)
-        assert engine.stats.deferred == 1

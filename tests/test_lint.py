@@ -395,7 +395,6 @@ MEMBERSHIP_SEALED = (
     Path("src/repro/serve/frontend.py"),
     Path("src/repro/serve/loadgen.py"),
     Path("src/repro/serve/sla.py"),
-    Path("src/repro/store/kvstore.py"),
     Path("src/repro/store/quorum.py"),
 )
 

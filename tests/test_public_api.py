@@ -15,7 +15,6 @@ class TestTopLevelApi:
             "paper_spec",
             "slashdot_spec",
             "saturation_spec",
-            "KVStore",
             "QuorumKVStore",
             "Level",
             "Router",

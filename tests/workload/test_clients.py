@@ -1,6 +1,5 @@
 """Unit tests for client geographies."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.topology import CloudLayout
@@ -22,10 +21,6 @@ class TestUniform:
     def test_uniform_flag(self):
         assert UNIFORM.is_uniform
         assert uniform_geography().is_uniform
-
-    def test_uniform_has_no_discrete_split(self):
-        with pytest.raises(GeographyError):
-            UNIFORM.query_split(100)
 
 
 class TestCountrySite:
@@ -93,27 +88,3 @@ class TestDistributions:
     def test_mixture_empty(self):
         with pytest.raises(GeographyError):
             mixture([])
-
-
-class TestQuerySplit:
-    def test_deterministic_split_conserves_total(self):
-        geo = hotspot(LAYOUT, 2, concentration=0.7)
-        counts = geo.query_split(1003)
-        assert sum(counts.values()) == 1003
-
-    def test_deterministic_split_follows_shares(self):
-        geo = hotspot(LAYOUT, 2, concentration=0.7)
-        counts = geo.query_split(10_000)
-        assert counts[country_site(LAYOUT, 2)] == pytest.approx(
-            7000, abs=10
-        )
-
-    def test_multinomial_split_conserves_total(self):
-        geo = uniform_over_countries(LAYOUT)
-        counts = geo.query_split(500, rng=np.random.default_rng(0))
-        assert sum(counts.values()) == 500
-
-    def test_negative_total_rejected(self):
-        geo = uniform_over_countries(LAYOUT)
-        with pytest.raises(GeographyError):
-            geo.query_split(-1)

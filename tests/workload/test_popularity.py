@@ -90,10 +90,10 @@ class TestPopularityMap:
         pm = PopularityMap(dict(zip(ids, [1.0, 2.0, 4.0])))
         total = pm.total
         low, high = PartitionId(0, 0, 10), PartitionId(0, 0, 11)
-        pm.split(ids[2], low, high, low_share=0.25)
+        pm.split(ids[2], low, high)
         assert pm.total == pytest.approx(total)
-        assert pm.get(low) == pytest.approx(1.0)
-        assert pm.get(high) == pytest.approx(3.0)
+        assert pm.get(low) == 2.0
+        assert pm.get(high) == 2.0
 
     def test_shares_normalised_over_subset(self):
         ids = pids(4)
