@@ -66,6 +66,17 @@ class TestSplitMerge:
         with pytest.raises(KeyRangeError):
             KeyRange(5, 6).split()
 
+    def test_split_children_span_exactly_the_parent(self):
+        r = KeyRange(7, 10_000)
+        low, high = r.split()
+        assert (low.start, high.end) == (r.start, r.end)
+        assert low.end == high.start
+
+    def test_split_full_ring_children_close_the_circle(self):
+        low, high = full_ring().split()
+        assert high.end == low.start
+        assert covers_ring([low, high])
+
     def test_every_position_lands_in_exactly_one_half(self):
         r = KeyRange(10, 30)
         low, high = r.split()

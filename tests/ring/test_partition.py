@@ -1,5 +1,6 @@
 """Unit tests for partitions, splits and id allocation."""
 
+import numpy as np
 import pytest
 
 from repro.ring.keyspace import KeyRange
@@ -9,6 +10,9 @@ from repro.ring.partition import (
     PartitionError,
     PartitionId,
     PartitionIdAllocator,
+    PartitionIndex,
+    gather_float,
+    gather_int,
 )
 
 
@@ -88,6 +92,30 @@ class TestSplit:
         assert low.pid == PartitionId(0, 0, 7)
         assert high.pid == PartitionId(0, 0, 8)
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 101, 2**40 + 1, 2**53 - 1])
+    def test_half_split_is_floor_of_half(self, size):
+        # The float share must not round: the low child gets exactly
+        # size // 2 for every size a float mantissa holds.
+        low, high = part(size=size).split(1, 2)
+        assert low.size == size // 2
+        assert low.size + high.size == size
+
+    def test_split_children_keep_capacity(self):
+        low, high = part(size=150, capacity=100).split(1, 2)
+        assert low.capacity == high.capacity == 100
+        assert not low.overfull and not high.overfull
+
+    def test_split_of_a_child_tiles_the_child(self):
+        p = part(size=400, pop=4.0)
+        low, high = p.split(1, 2)
+        a, b = low.split(3, 4)
+        assert a.parent == low.pid
+        assert (a.key_range.start, b.key_range.end) == (
+            low.key_range.start, low.key_range.end
+        )
+        assert a.size + b.size + high.size == 400
+        assert a.popularity + b.popularity + high.popularity == 4.0
+
 
 class TestAllocator:
     def test_sequences_are_per_ring(self):
@@ -107,3 +135,71 @@ class TestAllocator:
         b = PartitionId(0, 1, 0)
         assert a < b
         assert len({a, b, PartitionId(0, 0, 1)}) == 2
+
+
+class TestPartitionIndex:
+    def test_slots_are_dense_in_first_sight_order(self):
+        index = PartitionIndex()
+        a, b = PartitionId(0, 0, 5), PartitionId(1, 0, 0)
+        assert index.slot_of(a) == 0
+        assert index.slot_of(b) == 1
+        assert index.slot_of(a) == 0
+        assert len(index) == 2
+
+    def test_get_does_not_assign(self):
+        index = PartitionIndex()
+        pid = PartitionId(0, 0, 0)
+        assert index.get(pid) is None
+        assert pid not in index
+        index.slot_of(pid)
+        assert pid in index
+        assert index.get(pid) == 0
+
+    def test_slots_of_assigns_fresh_slots_in_order(self):
+        index = PartitionIndex()
+        seen = PartitionId(0, 0, 9)
+        index.slot_of(seen)
+        pids = [PartitionId(0, 0, 1), seen, PartitionId(0, 0, 2)]
+        slots = index.slots_of(pids)
+        assert slots.dtype == np.intp
+        assert slots.tolist() == [1, 0, 2]
+
+    def test_items_follow_assignment_order(self):
+        index = PartitionIndex()
+        pids = [PartitionId(0, 0, s) for s in (3, 1, 2)]
+        index.slots_of(pids)
+        assert list(index.items()) == [(p, i) for i, p in enumerate(pids)]
+
+    def test_slots_of_empty(self):
+        assert PartitionIndex().slots_of([]).tolist() == []
+
+
+class TestGather:
+    def test_in_range_slots_read_values(self):
+        values = np.array([10, 20, 30], dtype=np.int64)
+        out = gather_int(values, np.array([2, 0, 1]))
+        assert out.tolist() == [30, 10, 20]
+        assert out.dtype == np.int64
+
+    def test_slots_past_the_end_read_fill(self):
+        # A split child indexed after the vector was built.
+        values = np.array([10, 20], dtype=np.int64)
+        out = gather_int(values, np.array([1, 2, 7]), fill=-1)
+        assert out.tolist() == [20, -1, -1]
+
+    def test_negative_slots_read_fill(self):
+        values = np.array([1.5, 2.5])
+        out = gather_float(values, np.array([-1, 0]))
+        assert out.tolist() == [0.0, 1.5]
+
+    def test_empty_vector_reads_fill_only(self):
+        out = gather_float(np.zeros(0), np.array([0, 3]), fill=0.25)
+        assert out.tolist() == [0.25, 0.25]
+        assert out.dtype == np.float64
+        ints = gather_int(np.zeros(0, dtype=np.int32), np.array([0]))
+        assert ints.dtype == np.int32
+
+    def test_gather_leaves_source_untouched(self):
+        values = np.array([4, 5], dtype=np.int64)
+        gather_int(values, np.array([5, 0]), fill=9)
+        assert values.tolist() == [4, 5]

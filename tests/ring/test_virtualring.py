@@ -105,6 +105,31 @@ class TestSplits:
         assert ring.total_size == before
         assert all(not p.overfull for p in ring)
 
+    def test_split_cascade_keeps_tiling_and_bytes(self):
+        # Splitting a child again (an insert burst overfilling both
+        # halves) keeps the ring tiled and every byte accounted.
+        ring = build_ring(0, 0, LEVEL, 2, initial_size=90,
+                          partition_capacity=100)
+        victim = ring.partitions()[0]
+        victim.grow(400)
+        before = ring.total_size
+        pending = [victim.pid]
+        while pending:
+            pid = pending.pop()
+            if ring.partition(pid).overfull:
+                pending.extend(p.pid for p in ring.split_partition(pid))
+        ring.check_invariants()
+        assert ring.total_size == before
+        assert all(not p.overfull for p in ring)
+        assert len(ring) == 1 + 8
+
+    def test_split_conserves_popularity(self):
+        ring = build_ring(0, 0, LEVEL, 2)
+        victim = ring.partitions()[0]
+        victim.popularity = 0.75
+        low, high = ring.split_partition(victim.pid)
+        assert low.popularity + high.popularity == 0.75
+
     def test_lookup_after_split_respects_children(self):
         ring = build_ring(0, 0, LEVEL, 4, initial_size=90,
                           partition_capacity=100)

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.location import Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
+from repro.ring.router import Router
 from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.store.quorum import (
     Level,
@@ -16,6 +17,11 @@ from repro.store.replica import ReplicaCatalog
 
 
 def setup(replicas=3, read_repair=True):
+    cloud, __, __, store = setup_with_catalog(replicas, read_repair)
+    return cloud, store
+
+
+def setup_with_catalog(replicas=3, read_repair=True, **store_kw):
     cloud = Cloud()
     for i in range(4):
         cloud.add_server(
@@ -29,8 +35,9 @@ def setup(replicas=3, read_repair=True):
     for p in ring:
         for sid in range(replicas):
             catalog.place(p, sid)
-    store = QuorumKVStore(cloud, rings, catalog, read_repair=read_repair)
-    return cloud, store
+    store = QuorumKVStore(cloud, rings, catalog, read_repair=read_repair,
+                          **store_kw)
+    return cloud, rings, catalog, store
 
 
 class TestLevels:
@@ -69,6 +76,43 @@ class TestHappyPath:
         __, store = setup()
         with pytest.raises(TypeError):
             store.put(0, 0, "k", "str")
+
+
+    def test_int_and_bytes_keys(self):
+        __, store = setup()
+        store.put(0, 0, 42, b"int-key")
+        store.put(0, 0, b"raw", b"bytes-key")
+        assert store.get(0, 0, 42).value == b"int-key"
+        assert store.get(0, 0, b"raw").value == b"bytes-key"
+
+    def test_str_key_is_its_utf8_bytes(self):
+        __, store = setup()
+        store.put(0, 0, "k\u00e9", b"v")
+        assert store.get(0, 0, "k\u00e9".encode("utf-8")).value == b"v"
+
+
+class TestRouting:
+    def test_one_read_contacts_the_closest_replica(self):
+        __, store = setup()
+        store.put(0, 0, "k", b"v", level=Level.ALL)
+        client = Location(1, 0, 9, 9, 9, 9)  # continent 1 -> server 1
+        read = store.get(0, 0, "k", level=Level.ONE, client=client)
+        assert read.contacted == (1,)
+        assert read.value == b"v"
+
+    def test_handed_route_reads_like_a_routeless_call(self):
+        cloud, rings, catalog, __ = setup_with_catalog()
+        router = Router(cloud, rings, catalog)
+        store = QuorumKVStore(cloud, rings, catalog, router=router)
+        store.put(0, 0, "k", b"v")
+        client = Location(2, 0, 0, 0, 0, 1)
+        pid = rings.ring(0, 0).lookup("k").pid
+        route = router.route_partition(pid, client=client)
+        assert route.server_id == 2
+        routed = store.get(0, 0, "k", level=Level.ONE, route=route)
+        plain = store.get(0, 0, "k", level=Level.ONE, client=client)
+        assert routed == plain
+        assert routed.contacted == (route.server_id,)
 
 
 class TestStalenessAndRepair:
@@ -147,6 +191,65 @@ class TestQuorumFailures:
             store.put(0, 0, "k", b"v", level=Level.ALL)
 
 
+    def test_read_with_every_replica_dead(self):
+        cloud, store = setup()
+        store.put(0, 0, "k", b"v")
+        for sid in (0, 1, 2):
+            cloud.server(sid).fail()
+        with pytest.raises(QuorumError):
+            store.get(0, 0, "k", level=Level.ONE)
+        assert store.stats.read_failures == 1
+        assert store.stats.reads == 0
+
+    def test_partition_without_replicas_cannot_be_read(self):
+        __, rings, catalog, store = setup_with_catalog()
+        store.put(0, 0, "k", b"v")
+        partition = rings.ring(0, 0).lookup("k")
+        for sid in catalog.servers_of(partition.pid):
+            catalog.drop(partition, sid)
+        with pytest.raises(QuorumError):
+            store.get(0, 0, "k", level=Level.ONE)
+
+
+class TestCatalogSplit:
+    """With ``track_catalog`` the copies follow a partition split."""
+
+    def split_all(self, rings, catalog):
+        ring = rings.ring(0, 0)
+        for parent in ring.partitions():
+            low, high = ring.split_partition(parent.pid)
+            catalog.split_partition(parent, low, high)
+        ring.check_invariants()
+
+    def test_every_key_readable_after_split(self):
+        __, rings, catalog, store = setup_with_catalog(track_catalog=True)
+        keys = [f"key-{i}" for i in range(40)]
+        for k in keys:
+            store.put(0, 0, k, k.encode())
+        self.split_all(rings, catalog)
+        assert len(rings.ring(0, 0)) == 8
+        for k in keys:
+            read = store.get(0, 0, k, level=Level.ALL)
+            assert read.value == k.encode()
+            assert read.stale_replicas == ()
+
+    def test_copies_land_in_the_owning_child(self):
+        __, rings, catalog, store = setup_with_catalog(track_catalog=True)
+        store.put(0, 0, "k", b"v")
+        self.split_all(rings, catalog)
+        for sid in (0, 1, 2):
+            assert store.replica_version(0, 0, "k", sid) == 1
+        assert store.divergence(0, 0, "k") == 0
+
+    def test_versions_continue_across_a_split(self):
+        __, rings, catalog, store = setup_with_catalog(track_catalog=True)
+        first = store.put(0, 0, "k", b"a").version
+        self.split_all(rings, catalog)
+        second = store.put(0, 0, "k", b"b").version
+        assert second == first + 1
+        assert store.get(0, 0, "k").value == b"b"
+
+
 class TestDelete:
     def test_tombstone_hides_value(self):
         __, store = setup()
@@ -155,6 +258,14 @@ class TestDelete:
         read = store.get(0, 0, "k")
         assert not read.found
         assert read.version > 0  # the tombstone is versioned
+
+    def test_delete_reaches_every_replica(self):
+        __, store = setup()
+        store.put(0, 0, "k", b"v")
+        tombstone = store.delete(0, 0, "k", level=Level.ALL)
+        for sid in (0, 1, 2):
+            assert store.replica_version(0, 0, "k", sid) == tombstone.version
+        assert not store.get(0, 0, "k", level=Level.ONE).found
 
     def test_write_after_delete_resurrects(self):
         __, store = setup()

@@ -7,7 +7,7 @@ from repro.cluster.server import CapacityError, make_server
 from repro.cluster.topology import Cloud
 from repro.ring.keyspace import KeyRange
 from repro.ring.partition import Partition, PartitionId
-from repro.store.replica import ReplicaCatalog, ReplicaError
+from repro.store.replica import CatalogListener, ReplicaCatalog, ReplicaError
 
 
 def cloud_of(n=4, storage=1000):
@@ -99,6 +99,104 @@ class TestGrow:
         catalog.grow_replicas(p.pid, 50)
         assert cloud.server(0).storage_used == 150
         assert cloud.server(1).storage_used == 150
+
+
+    def test_grow_replicas_negative_rejected(self):
+        catalog = ReplicaCatalog(cloud_of())
+        p = part()
+        catalog.place(p, 0)
+        with pytest.raises(ReplicaError):
+            catalog.grow_replicas(p.pid, -1)
+
+    def test_grow_replicas_past_server_capacity_raises(self):
+        cloud = cloud_of(storage=200)
+        catalog = ReplicaCatalog(cloud)
+        p = part(size=100)
+        catalog.place(p, 0)
+        catalog.grow_replicas(p.pid, 100)  # exactly full
+        assert cloud.server(0).storage_used == 200
+        with pytest.raises(CapacityError):
+            catalog.grow_replicas(p.pid, 1)
+        assert cloud.server(0).storage_used == 200
+
+    def test_grow_replicas_without_replicas_touches_nothing(self):
+        cloud = cloud_of()
+        catalog = ReplicaCatalog(cloud)
+        catalog.grow_replicas(PartitionId(0, 0, 0), 50)
+        assert all(cloud.server(i).storage_used == 0 for i in range(4))
+
+
+class _Recorder(CatalogListener):
+    def __init__(self):
+        self.events = []
+
+    def replica_added(self, pid, server_id, servers):
+        self.events.append(("added", pid, server_id))
+
+    def replica_removed(self, pid, server_id, servers):
+        self.events.append(("removed", pid, server_id))
+
+    def storage_changed(self, server_id, delta):
+        self.events.append(("storage", server_id, delta))
+
+
+class TestListeners:
+    def test_add_listener_is_idempotent(self):
+        catalog = ReplicaCatalog(cloud_of())
+        rec = _Recorder()
+        catalog.add_listener(rec)
+        catalog.add_listener(rec)
+        p = part(size=10)
+        catalog.place(p, 0)
+        assert rec.events == [("storage", 0, 10), ("added", p.pid, 0)]
+
+    def test_remove_listener_stops_events(self):
+        catalog = ReplicaCatalog(cloud_of())
+        rec = _Recorder()
+        catalog.add_listener(rec)
+        p = part(size=10)
+        catalog.place(p, 0)
+        catalog.remove_listener(rec)
+        catalog.drop(p, 0)
+        assert ("removed", p.pid, 0) not in rec.events
+
+    def test_move_reports_place_then_drop(self):
+        catalog = ReplicaCatalog(cloud_of())
+        p = part(size=10)
+        catalog.place(p, 0)
+        rec = _Recorder()
+        catalog.add_listener(rec)
+        catalog.move(p, 0, 1)
+        assert [e for e in rec.events if e[0] != "storage"] == [
+            ("added", p.pid, 1), ("removed", p.pid, 0),
+        ]
+
+
+class TestFlatView:
+    def test_view_mirrors_servers_of(self):
+        catalog = ReplicaCatalog(cloud_of())
+        a, b = part(0), part(1)
+        catalog.place(a, 2)
+        catalog.place(a, 0)
+        catalog.place(b, 1)
+        view = catalog.flat_view()
+        for i, pid in enumerate(view.pids):
+            lo, hi = view.offsets[i], view.offsets[i + 1]
+            assert view.server_ids[lo:hi].tolist() == catalog.servers_of(pid)
+        assert view.offsets[-1] == catalog.total_replicas
+
+    def test_view_is_cached_until_a_mutation(self):
+        catalog = ReplicaCatalog(cloud_of())
+        p = part(0)
+        catalog.place(p, 0)
+        view = catalog.flat_view()
+        assert catalog.flat_view() is view
+        version = catalog.version
+        catalog.place(p, 1)
+        assert catalog.version > version
+        fresh = catalog.flat_view()
+        assert fresh is not view
+        assert fresh.server_ids.tolist() == [0, 1]
 
 
 class TestDropServer:
