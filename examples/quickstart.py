@@ -109,7 +109,7 @@ def main(argv=None) -> None:
     print(f"cloud: {last.live_servers} servers over "
           f"{layout.countries} countries")
     print(f"after {len(log)} epochs: {last.vnodes_total} replicas for "
-          f"{len(sim.rings.all_partitions())} partitions, "
+          f"{len(sim.rings.layout().partitions)} partitions, "
           f"{last.unsatisfied_partitions} below SLA")
 
     # -- 3. Use the data plane against the converged placement.

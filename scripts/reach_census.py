@@ -55,6 +55,8 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("invariant check", "repro/core/economy.py", "CloudCostIndex.verify"),
     ("invariant check", "repro/ring/virtualring.py",
      "VirtualRing.check_invariants"),
+    ("reference implementation", "repro/core/economy.py",
+     "UsageTracker.observe"),
     ("framedump comparator", "repro/sim/framedump.py", ""),
     ("counting fabric", "repro/net/fabric.py", "CountingFabric"),
 )

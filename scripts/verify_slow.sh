@@ -15,9 +15,10 @@
 # scripts, tier-1 runs 60 derandomized ones), the 20 000-server
 # fig4 bootstrap's memory fence (tests/cluster/test_topology.py: peak
 # RSS under 400 MiB with the frame digest unchanged), all seven examples
-# (tier-1 runs the four fast ones) and the reach census of src/
-# functions only the tests reach (scripts/reach_census.py; it reports,
-# it never fails the script).
+# (tier-1 runs the four fast ones), the reach census of src/
+# functions only the tests reach (scripts/reach_census.py) and the cache
+# census of every surviving memo's asks, builds and ms per build
+# (scripts/cache_census.py); both report, neither fails the script.
 #
 # Usage:  scripts/verify_slow.sh [extra pytest args...]
 set -euo pipefail
@@ -75,6 +76,9 @@ done
 
 echo "== stage: reach census (src/ functions only tests reach; reports, never fails) =="
 python scripts/reach_census.py 2> /dev/null || true
+
+echo "== stage: cache census (asks / builds / ms per build of every memo; reports, never fails) =="
+python scripts/cache_census.py || true
 
 echo "== stage: perf smoke (100x ramp + serving vs checked-in bench JSON, vectorized/scalar floor) =="
 PYTHONPATH=src python benchmarks/perf/perf_smoke.py

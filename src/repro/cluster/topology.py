@@ -128,7 +128,6 @@ class Cloud:
         self._codes = np.zeros((NUM_LEVELS, 0), dtype=np.int64)
         self._next_id = 0
         self._version = 0
-        self._slot_lookup: Optional[Tuple[int, np.ndarray]] = None
         self.add_servers(servers)
 
     @property
@@ -371,12 +370,6 @@ class Cloud:
 
     # -- vector views (for placement scoring) --------------------------------
 
-    def rent_vector(self, prices: Dict[int, float]) -> np.ndarray:
-        """Per-slot vector of virtual rent prices from a price mapping."""
-        return np.array(
-            [prices[sid] for sid in self._server_at_slot], dtype=np.float64
-        )
-
     def confidence_vector(self) -> np.ndarray:
         n = len(self._table)
         return self._table.confidence[:n].copy()
@@ -447,23 +440,17 @@ class Cloud:
         """Dense ``server_id -> slot`` map (−1 = unknown id).
 
         Sized ``max(id) + 2`` so callers can clip unknown ids to the
-        sentinel tail.  Cached per :attr:`version`; treat as read-only.
-        Assumes the engine's id discipline — ids are assigned
-        sequentially and never reused, so ``max(id)`` stays O(servers
-        ever added); a sparse gigantic id space would make this map
-        large (the epoch kernel's own id→slot gather in `flat_state`
-        shares the same assumption).
+        sentinel tail; a fresh array per call.  Assumes the engine's id
+        discipline — ids are assigned sequentially and never reused, so
+        ``max(id)`` stays O(servers ever added); a sparse gigantic id
+        space would make this map large.
         """
-        cached = self._slot_lookup
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
         n = len(self._server_at_slot)
         max_id = max(self._server_at_slot) if n else 0
         lookup = np.full(max_id + 2, -1, dtype=np.int64)
         if n:
             ids = np.asarray(self._server_at_slot, dtype=np.int64)
             lookup[ids] = np.arange(n)
-        self._slot_lookup = (self._version, lookup)
         return lookup
 
 

@@ -10,7 +10,7 @@ migrating forever (§II-C).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class PriceBoard:
         except KeyError:
             raise BoardError(f"no price posted for server {server_id}") from None
 
-    def has_price(self, server_id: int) -> bool:
-        return server_id in self._prices
-
     def prices(self) -> Dict[int, float]:
         self._require_posted()
         return dict(self._prices)
@@ -129,20 +126,6 @@ class PriceBoard:
 
     def mean_price(self) -> float:
         return self._price_stats()[1]
-
-    def cheapest(self, count: int = 1) -> List[Tuple[int, float]]:
-        """The ``count`` cheapest (server, price) pairs, ascending."""
-        self._require_posted()
-        ranked = sorted(self._prices.items(), key=lambda kv: (kv[1], kv[0]))
-        return ranked[:count]
-
-    def drop_servers(self, server_ids: Iterable[int]) -> None:
-        """Remove failed servers' prices mid-epoch."""
-        for sid in server_ids:
-            self._prices.pop(sid, None)
-        self._stats = None
-        self._ids = None
-        self._vector = None
 
     def price_vector(self, server_ids: List[int]) -> np.ndarray:
         """Prices for ``server_ids`` in order, for vectorised scoring.

@@ -92,6 +92,8 @@ class DecisionEngine:
                 avail_index if avail_index is not None
                 else AvailabilityIndex(cloud, catalog)
             )
+            # The work list's slots must address the eq. 2 store's index.
+            rings.use_partition_index(self._index.partition_index)
         #: The live replica/agent incidence settlement and triage read,
         #: with its alignment counters and splice cross-check flag.
         self.incidence = Incidence(
@@ -169,7 +171,8 @@ class DecisionEngine:
             self._live_ids = frozenset(
                 itertools.compress(ids, alive.tolist())
             )
-        work, thresholds = self.incidence.work_list()
+        layout = self._rings.layout()
+        work = layout.work
         order = rng.permutation(len(work))
         if self._index is None:
             for idx in order:
@@ -196,9 +199,7 @@ class DecisionEngine:
             board, self._policy.migration_margin
         )
         if visit.size:
-            seg_of_work = gather_int(
-                flat.seg_by_slot, self.incidence.work_slots(), fill=-1
-            )
+            seg_of_work = gather_int(flat.seg_by_slot, layout.slots, fill=-1)
             visit_work = np.where(
                 seg_of_work >= 0, visit[np.maximum(seg_of_work, 0)], True
             )
@@ -466,15 +467,11 @@ class DecisionEngine:
             return avail
         # A partition larger than the migration budget can never move on
         # that budget (the paper's own parameters allow this: 256 MB
-        # partitions vs 100 MB/epoch migration).  With the policy flag
-        # set, such moves ride the roomier replication budget instead:
-        # replicate to the target, then suicide the source copy.
+        # partitions vs 100 MB/epoch migration), so such moves ride the
+        # roomier replication budget instead: replicate to the target,
+        # then suicide the source copy.
         budget_kind = "migration"
-        if (
-            self._policy.move_large_via_replication
-            and partition.size
-            > self._cloud.server(src).migration_budget.capacity
-        ):
+        if partition.size > self._cloud.server(src).migration_budget.capacity:
             budget_kind = "replication"
         if self._index is not None and scorer.best_is_pure:
             if scorer.no_cheaper_host(

@@ -202,10 +202,6 @@ class UsageTracker:
         values = self._mean[observed]
         return dict(zip(observed.tolist(), values.tolist()))
 
-    def forget(self, server_id: int) -> None:
-        if 0 <= server_id < self._cols.capacity:
-            self._mean[server_id] = np.nan
-
 
 class CloudCostIndex(CatalogListener):
     """Maintained slot-ordered cost vectors for one-pass eq. 1 pricing.
@@ -279,11 +275,6 @@ class CloudCostIndex(CatalogListener):
         self._storage = cloud.storage_used_vector()
         self._queries = cloud.queries_vector()
         self._cloud_version = cloud.version
-
-    def refresh(self) -> None:
-        """Force a full rebuild from the live server objects."""
-        self._cloud_version = -1
-        self._sync()
 
     # -- CatalogListener -----------------------------------------------------
 

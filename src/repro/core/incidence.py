@@ -15,7 +15,7 @@ states the splice-vs-rebuild contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex
 from repro.core.board import PriceBoard
 from repro.core.policy import KernelError
-from repro.ring.partition import Partition, PartitionId, gather_float
+from repro.ring.partition import PartitionId, gather_float
 from repro.ring.virtualring import RingSet
 from repro.store.replica import CatalogListener, ReplicaCatalog
 
@@ -147,7 +147,7 @@ class Incidence:
     """The live replica/agent incidence and the triage arrays over it.
 
     One per decider.  ``index`` is the incremental eq. 2 store (None
-    under the scalar kernel, which then only uses :meth:`work_list`).
+    under the scalar kernel, which reads none of this).
     ``align_splices`` / ``align_rebuilds`` / ``align_reuses`` count how
     each alignment request was served; ``align_check = True`` verifies
     every splice against a full rebuild in-line (tests; far too slow
@@ -176,16 +176,8 @@ class Incidence:
         self.align_reuses = 0
         self.align_check = False
         # The flat replica/agent incidence structure (valid while
-        # catalog, registry and cloud versions hold), the rings' work
-        # list with its dense companions, and the confidence vector.
+        # catalog, registry and cloud versions hold).
         self._flat_cache: Optional[_FlatState] = None
-        self._work_cache: Optional[
-            Tuple[object, List[Tuple[Partition, float]],
-                  Dict[PartitionId, float]]
-        ] = None
-        self._work_slots_cache: Optional[np.ndarray] = None
-        self._thr_by_slot_cache: Optional[np.ndarray] = None
-        self._conf_cache: Optional[Tuple[int, np.ndarray]] = None
 
     # -- the flat incidence ---------------------------------------------------
 
@@ -208,8 +200,7 @@ class Incidence:
             return cached
         cloud = self._cloud
         view = self._catalog.flat_view()
-        ids = cloud.server_ids
-        n_slots = len(ids)
+        n_slots = len(cloud)
         n_all = len(view.server_ids)
         if not n_slots or not n_all:
             flat = _FlatState(
@@ -226,12 +217,10 @@ class Incidence:
             )
             self._flat_cache = flat
             return flat
-        max_id = max(ids)
-        id_to_slot = np.full(max_id + 2, -1, dtype=np.int64)
-        id_to_slot[np.asarray(ids, dtype=np.int64)] = np.arange(n_slots)
+        id_to_slot = cloud.slot_lookup()
         alive = self._membership.believed_vector()
         sids_all = np.asarray(view.server_ids, dtype=np.int64)
-        slots_all = id_to_slot[np.minimum(sids_all, max_id + 1)]
+        slots_all = id_to_slot[np.minimum(sids_all, len(id_to_slot) - 1)]
         known = slots_all >= 0
         live_rep = known & alive[np.where(known, slots_all, 0)]
         offsets_all = np.asarray(view.offsets, dtype=np.intp)
@@ -543,76 +532,7 @@ class Incidence:
                 f"rebuild at key {key}"
             )
 
-    # -- the rings' work list and the triage arrays ---------------------------
-
-    def work_list(self) -> Tuple[
-        List[Tuple[Partition, float]], Dict[PartitionId, float]
-    ]:
-        """(partition, threshold) work items, cached per ring state.
-
-        Ring versions only track partition-set changes, so the cache
-        key also carries each ring's (immutable, replaceable) level —
-        an elasticity event swapping a ring's SLA tier mid-run
-        invalidates the cached thresholds instead of being ignored.
-        """
-        key = (
-            self._rings.versions(),
-            tuple(ring.level for ring in self._rings),
-        )
-        cached = self._work_cache
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
-        work: List[Tuple[Partition, float]] = []
-        thresholds: Dict[PartitionId, float] = {}
-        for ring in self._rings:
-            threshold = ring.level.threshold
-            for partition in ring:
-                work.append((partition, threshold))
-                thresholds[partition.pid] = threshold
-        self._work_cache = (key, work, thresholds)
-        # Dense companions (vectorized kernel only): each work item's
-        # partition-index slot, and the thresholds scattered over the
-        # slot space (np.inf where no ring claims the slot — the same
-        # default the dict lookup applied).  Slots never change once
-        # assigned, so both stay valid for the cache's lifetime.
-        self._work_slots_cache = None
-        self._thr_by_slot_cache = None
-        return work, thresholds
-
-    def work_slots(self) -> np.ndarray:
-        """Partition-index slots of the cached work list, in order."""
-        cached = self._work_slots_cache
-        if cached is None:
-            work = self._work_cache[1]
-            cached = self._index.partition_index.slots_of(
-                [partition.pid for partition, __ in work]
-            )
-            self._work_slots_cache = cached
-        return cached
-
-    def _thresholds_by_slot(self) -> np.ndarray:
-        """Ring thresholds scattered over the partition-index slots."""
-        cached = self._thr_by_slot_cache
-        if cached is None:
-            thresholds = self._work_cache[2]
-            slots = self.work_slots()
-            pindex = self._index.partition_index
-            cached = np.full(len(pindex), np.inf, dtype=np.float64)
-            cached[slots] = np.fromiter(
-                (thr for __, thr in self._work_cache[1]),
-                dtype=np.float64, count=len(thresholds),
-            )
-            self._thr_by_slot_cache = cached
-        return cached
-
-    def _confidence_vector(self) -> np.ndarray:
-        cached = self._conf_cache
-        version = self._cloud.version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        conf = self._cloud.confidence_vector()
-        self._conf_cache = (version, conf)
-        return conf
+    # -- the triage arrays ------------------------------------------------------
 
     def _batched_contributions(self, flat: _FlatState) -> np.ndarray:
         """Every live replica's eq. 2 pair-term total, in one pass.
@@ -628,7 +548,7 @@ class Incidence:
         contrib = np.zeros(len(flat.rep_slots), dtype=np.float64)
         if not len(flat.rep_slots):
             return contrib
-        conf = self._confidence_vector()
+        conf = self._cloud.confidence_vector()
         counts = flat.counts
         for degree in np.unique(counts).tolist():
             if degree < 2:
@@ -673,7 +593,8 @@ class Incidence:
         index = self._index
         avail = index.availability_at(flat.pid_slots)
         thr = gather_float(
-            self._thresholds_by_slot(), flat.pid_slots, fill=np.inf
+            self._rings.layout().threshold_by_slot, flat.pid_slots,
+            fill=np.inf,
         )
         window = self._registry.window
         neg_run, pos_run = self._registry.ledger.streak_run_vectors()

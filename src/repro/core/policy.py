@@ -33,21 +33,22 @@ class EconomicPolicy:
 
     ``hysteresis`` is the paper's ``f``: how many consecutive epochs of
     one-signed balance trigger an action.  ``revenue_per_query``
-    normalises query utility to monetary units (eq. 5's u).
-    ``utility_floor_to_min_rent`` implements the anti-thrashing rule;
-    ``repair_iterations`` bounds how many replicas an SLA repair may add
-    in a single epoch; ``max_replicas`` is an optional hard cap on the
-    economically chosen replication degree (SLA repairs ignore it).
+    normalises query utility to monetary units (eq. 5's u); every
+    agent's utility is floored at the epoch's lowest rent (the §II-C
+    anti-thrashing rule, not a knob).  ``repair_iterations`` bounds how
+    many replicas an SLA repair may add in a single epoch;
+    ``max_replicas`` is an optional hard cap on the economically chosen
+    replication degree (SLA repairs ignore it).  A move of a partition
+    larger than its source's migration budget always rides the
+    replication budget.
     """
 
     hysteresis: int = 3
     revenue_per_query: float = 0.01
-    utility_floor_to_min_rent: bool = True
     repair_iterations: int = 8
     rent_weight: float = 1.0
     migration_margin: float = 0.05
     storage_headroom: float = 0.1
-    move_large_via_replication: bool = True
     max_replicas: Optional[int] = None
     consistency: ConsistencyModel = DEFAULT_CONSISTENCY
 

@@ -37,10 +37,7 @@ def settle_scalar(cloud: Cloud, catalog: ReplicaCatalog,
                   g_of_app: Optional[Dict[int, np.ndarray]] = None
                   ) -> None:
     """Reference eq. 5 settlement: one Python pass per replica."""
-    floor = (
-        board.scan_min_price()
-        if policy.utility_floor_to_min_rent else 0.0
-    )
+    floor = board.scan_min_price()
     for pid in catalog.partitions():
         servers = live_replicas(pid)
         if not servers:
@@ -93,7 +90,7 @@ def settle_batched(cloud: Cloud, registry: AgentRegistry,
     Python pass.  Returns the per-slot query totals — the eq. 1
     query-load handoff (all zero when no replica is live).
     """
-    floor = board.min_price() if policy.utility_floor_to_min_rent else 0.0
+    floor = board.min_price()
     flat = incidence.flat_state()
     n_parts = len(flat.pids)
     n_rep = len(flat.rep_slots)

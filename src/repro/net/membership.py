@@ -168,7 +168,6 @@ class MembershipService:
         # False suspects: physically alive, believed dead.
         self._suspected: set = set()
         self._version = 0
-        self._vec_cache: Optional[tuple] = None
         # One stable bound-method reference so predicate identity
         # checks (`is not None` fast paths, liveness install) behave.
         self._pred = self.believed
@@ -191,20 +190,15 @@ class MembershipService:
 
     def believed_vector(self) -> np.ndarray:
         cloud = self._cloud
-        if self._zero or (not self._ghost_epoch and not self._suspected):
-            return cloud.alive_vector()
-        key = (cloud.version, self._version)
-        cached = self._vec_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
         vec = cloud.alive_vector()
+        if self._zero:
+            return vec
         for sid in self._ghost_epoch:
             if sid in cloud:
                 vec[cloud.slot(sid)] = True
         for sid in self._suspected:
             if sid in cloud:
                 vec[cloud.slot(sid)] = False
-        self._vec_cache = (key, vec)
         return vec
 
     def believed_ids(self) -> List[int]:
@@ -245,10 +239,6 @@ class MembershipService:
 
     # -- belief maintenance -------------------------------------------------
 
-    def _bump(self) -> None:
-        self._version += 1
-        self._vec_cache = None
-
     def _sync_liveness(self) -> None:
         index = self._avail_index
         if index is None:
@@ -279,7 +269,7 @@ class MembershipService:
             # believed-dead status out of the ghost bookkeeping.
             self._suspected.discard(sid)
         if server_ids:
-            self._bump()
+            self._version += 1
             self._sync_liveness()
 
     # -- per-epoch phases ---------------------------------------------------
@@ -321,14 +311,14 @@ class MembershipService:
             if sid in self._cloud and self._cloud.server(sid).alive:
                 self._suspected.add(sid)
                 changed = True
-                self._bump()
+                self._version += 1
                 self._sync_liveness()
                 self._flip_refresh(sid)
         for sid in list(self._suspected):
             if sid not in dead_view:
                 self._suspected.discard(sid)
                 changed = True
-                self._bump()
+                self._version += 1
                 self._sync_liveness()
                 self._flip_refresh(sid)
         if changed:
@@ -344,7 +334,7 @@ class MembershipService:
         if server_id in self._ghost_order:
             self._ghost_order.remove(server_id)
         self._suspected.discard(server_id)
-        self._bump()
+        self._version += 1
         self._sync_liveness()
 
     def publish_prices(self, epoch: int, board) -> None:

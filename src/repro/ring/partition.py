@@ -181,9 +181,9 @@ class PartitionIndex:
     def slots_of(self, pids: Iterable[PartitionId]) -> np.ndarray:
         """Slots for ``pids`` in order (assigning fresh ones as needed).
 
-        Callers cache the returned array against the identity of their
-        ``pids`` container — slots never change once assigned, so the
-        array stays valid until the pid list itself is rebuilt.
+        Slots never change once assigned, so the array stays valid as
+        long as the pid list it was built from (the ring layout keeps
+        one per ring state).
         """
         slot_of = self.slot_of
         pids = list(pids)

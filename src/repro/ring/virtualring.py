@@ -10,14 +10,21 @@ with another's.
 :class:`VirtualRing` maintains the token → partition mapping with
 O(log M) key lookup (bisect over sorted arc ends) and handles partition
 splits in place.  :class:`RingSet` is the registry of all rings in the
-cloud, keyed by (app_id, ring_id).
+cloud, keyed by (app_id, ring_id); it owns the one
+:class:`RingLayout` — partitions in ring order, per-ring and per-app
+lists, dense slots, the §II-C work list — that every per-epoch reader
+walks instead of the rings.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import cached_property
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ring.hashing import RING_SIZE, Key, hash_key
 from repro.ring.keyspace import covers_ring, ranges_from_tokens
@@ -27,6 +34,7 @@ from repro.ring.partition import (
     PartitionError,
     PartitionId,
     PartitionIdAllocator,
+    PartitionIndex,
 )
 
 
@@ -93,9 +101,9 @@ class VirtualRing:
     def version(self) -> int:
         """Monotone counter bumped whenever the partition set changes.
 
-        Per-epoch consumers (the simulator's partition/app indexes, the
-        ring set's flattened partition list) cache against this instead
-        of re-walking the ring: only splits move it.
+        Only splits move it.  :meth:`RingSet.layout` keys its one
+        snapshot of every ring's derived tables on these counters (and
+        the rings' levels), so no per-epoch reader re-walks a ring.
         """
         return self._version
 
@@ -221,25 +229,134 @@ def build_ring(app_id: int, ring_id: int, level: AvailabilityLevel,
     return VirtualRing(app_id, ring_id, level, partitions, allocator=alloc)
 
 
+class RingLayout:
+    """Every partition of every ring, in ring order, and the tables
+    derived from that walk — one immutable snapshot per ring state.
+
+    ``key`` is the ``(ring versions, ring levels)`` pair it was built
+    under (:meth:`RingSet.layout` rebuilds when it changes).  Only
+    :attr:`partitions` is built up front — simulator construction reads
+    nothing else — and every other table is derived on first read and
+    kept.  Slot tables address :attr:`index`, the
+    :class:`PartitionIndex` the ring set was handed, and are ``None``
+    without one (the scalar kernel).  The work list runs in ring order
+    too, so :attr:`slots` are also the work items' slots.
+    """
+
+    def __init__(self, key: tuple, rings: Sequence[VirtualRing],
+                 index: Optional[PartitionIndex]) -> None:
+        self.key = key
+        self.index = index
+        self.partitions: Tuple[Partition, ...] = tuple(
+            [p for ring in rings for p in ring]
+        )
+        #: ``(ring key, threshold, start, end)`` into the flat tables.
+        self._spans: List[Tuple[Tuple[int, int], float, int, int]] = [
+            ((ring.app_id, ring.ring_id), ring.level.threshold,
+             end - len(ring), end)
+            for ring, end in zip(rings, accumulate(map(len, rings)))
+        ]
+
+    @cached_property
+    def pids(self) -> List[PartitionId]:
+        """Every partition's id, in ring order."""
+        return [p.pid for p in self.partitions]
+
+    @cached_property
+    def slots(self) -> Optional[np.ndarray]:
+        """Every partition's dense slot, in ring order."""
+        if self.index is None:
+            return None
+        return self.index.slots_of(self.pids)
+
+    @cached_property
+    def rings(self) -> List[
+        Tuple[Tuple[int, int], List[PartitionId], Optional[np.ndarray]]
+    ]:
+        """``(key, pids, slots)`` per ring, in ring order."""
+        pids, slots = self.pids, self.slots
+        return [
+            (key, pids[lo:hi], None if slots is None else slots[lo:hi])
+            for key, __, lo, hi in self._spans
+        ]
+
+    @cached_property
+    def apps(self) -> Dict[int, List[PartitionId]]:
+        """Each app's partitions across its rings, in ring order."""
+        pids = self.pids
+        out: Dict[int, List[PartitionId]] = {}
+        for (app_id, __), __, lo, hi in self._spans:
+            out.setdefault(app_id, []).extend(pids[lo:hi])
+        return out
+
+    @cached_property
+    def app_slots(self) -> Optional[Dict[int, np.ndarray]]:
+        """Each app's slots, aligned with :attr:`apps`."""
+        if self.slots is None:
+            return None
+        return {
+            app: np.concatenate(
+                [s for (a, __), __, s in self.rings if a == app]
+            )
+            for app in self.apps
+        }
+
+    @cached_property
+    def work(self) -> List[Tuple[Partition, float]]:
+        """The §II-C pass's ``(partition, ring threshold)`` items."""
+        partitions = self.partitions
+        return [
+            (p, threshold)
+            for __, threshold, lo, hi in self._spans
+            for p in partitions[lo:hi]
+        ]
+
+    @cached_property
+    def threshold_by_slot(self) -> Optional[np.ndarray]:
+        """Ring thresholds scattered over the slot space (``inf`` where
+        no ring claims the slot)."""
+        if self.slots is None:
+            return None
+        out = np.full(len(self.index), np.inf, dtype=np.float64)
+        out[self.slots] = [threshold for __, threshold in self.work]
+        return out
+
+
 class RingSet:
     """All virtual rings of the cloud, keyed by (app_id, ring_id)."""
 
     def __init__(self) -> None:
         self._rings: Dict[Tuple[int, int], VirtualRing] = {}
         self._allocator = PartitionIdAllocator()
-        self._flat_cache: Optional[List[Partition]] = None
-        self._flat_versions: Optional[Tuple[int, ...]] = None
+        self._index: Optional[PartitionIndex] = None
+        self._layout: Optional[RingLayout] = None
 
     def __len__(self) -> int:
         return len(self._rings)
 
-    def versions(self) -> Tuple[int, ...]:
-        """Per-ring version stamps, in ring insertion order.
+    def use_partition_index(self, index: PartitionIndex) -> None:
+        """Address the layouts' slot tables in ``index`` — the epoch
+        kernel's one partition slot space, handed over once."""
+        if self._index is not index:
+            if self._index is not None:
+                raise RingError("the ring set already has a partition index")
+            self._index, self._layout = index, None
 
-        Changes exactly when a ring is added or any ring splits — the
-        dirty flag for every flattened partition index downstream.
+    def layout(self) -> RingLayout:
+        """The current ring state's :class:`RingLayout`.
+
+        The same object until a ring is added, any ring splits or a
+        ring's level is swapped; then one fresh build.
         """
-        return tuple(ring.version for ring in self._rings.values())
+        rings = tuple(self._rings.values())
+        key = (
+            tuple(ring.version for ring in rings),
+            tuple(ring.level for ring in rings),
+        )
+        layout = self._layout
+        if layout is None or layout.key != key:
+            layout = self._layout = RingLayout(key, rings, self._index)
+        return layout
 
     def __iter__(self) -> Iterator[VirtualRing]:
         return iter(self._rings.values())
@@ -274,23 +391,6 @@ class RingSet:
 
     def partition(self, pid: PartitionId) -> Partition:
         return self.ring_of(pid).partition(pid)
-
-    def all_partitions(self) -> List[Partition]:
-        """Every partition of every ring, cached behind the ring versions.
-
-        The simulator consults this each epoch (insert routing, seeding,
-        popularity); rebuilding the flattened list only when a split or
-        a new ring actually changed the partition set keeps the steady
-        state allocation-free.  Callers receive a fresh copy so the
-        cache cannot be mutated from outside.
-        """
-        versions = self.versions()
-        if self._flat_cache is None or self._flat_versions != versions:
-            self._flat_cache = [
-                p for ring in self._rings.values() for p in ring
-            ]
-            self._flat_versions = versions
-        return list(self._flat_cache)
 
     @property
     def total_size(self) -> int:

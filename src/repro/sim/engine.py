@@ -163,6 +163,7 @@ class Simulation:
         self.cost_index: Optional[CloudCostIndex] = None
         if config.kernel == "vectorized":
             self.partition_index = PartitionIndex()
+            self.rings.use_partition_index(self.partition_index)
             self.avail_index = AvailabilityIndex(
                 self.cloud, self.catalog, partitions=self.partition_index
             )
@@ -193,7 +194,7 @@ class Simulation:
             self.retry_queue = RetryQueue()
         self.board = PriceBoard()
         self.popularity = PopularityMap.pareto(
-            [p.pid for p in self.rings.all_partitions()],
+            self.rings.layout().pids,
             shape=config.popularity_shape,
             scale=config.popularity_scale,
             rng=self.streams.popularity,
@@ -210,7 +211,6 @@ class Simulation:
             ],
             config.rate_profile,
             self.streams.workload,
-            partition_index=self.partition_index,
         )
         self.insert_workload: Optional[InsertWorkload] = None
         if config.inserts is not None:
@@ -252,16 +252,6 @@ class Simulation:
             )
         self._g_of_app: Dict[int, Optional[np.ndarray]] = {}
         self._g_dirty = True
-        self._pids_of_apps: Dict[int, List[PartitionId]] = {}
-        self._pids_versions: Optional[Tuple[int, ...]] = None
-        self._pids_of_rings: List[
-            Tuple[Tuple[int, int], List[PartitionId], Optional[np.ndarray]]
-        ] = []
-        self._ring_pids_versions: Optional[Tuple[int, ...]] = None
-        # Frame-histogram id tuple, shared across every epoch of one
-        # cloud-membership version (the frame store keeps one reference,
-        # not one tuple per epoch).
-        self._hist_ids: Optional[Tuple[int, Tuple[int, ...]]] = None
         self._epoch = 0
         self._seed_placement()
         # The serving overlays, built after seed placement so their
@@ -324,7 +314,7 @@ class Simulation:
         """
         rng = self.streams.topology
         ids = self.cloud.server_ids
-        for partition in self.rings.all_partitions():
+        for partition in self.rings.layout().partitions:
             order = rng.permutation(len(ids))
             placed = False
             for idx in order:
@@ -353,43 +343,6 @@ class Simulation:
                 )
         self._g_dirty = False
 
-    def _partitions_of_apps(self) -> Dict[int, List[PartitionId]]:
-        """Each app's partitions across its rings, cached per ring version.
-
-        Rebuilt only when a split (or a new ring) actually changed the
-        partition set — the per-epoch steady state reuses the cached
-        index instead of re-walking every ring.
-        """
-        versions = self.rings.versions()
-        if self._pids_versions != versions:
-            out: Dict[int, List[PartitionId]] = {}
-            for ring in self.rings:
-                out.setdefault(ring.app_id, []).extend(
-                    p.pid for p in ring
-                )
-            self._pids_of_apps = out
-            self._pids_versions = versions
-        return self._pids_of_apps
-
-    def _partitions_of_rings(self) -> List[
-        Tuple[Tuple[int, int], List[PartitionId], Optional[np.ndarray]]
-    ]:
-        """Each ring's partition ids (and their dense partition-index
-        slots under the vectorized kernel), cached per ring version."""
-        versions = self.rings.versions()
-        if self._ring_pids_versions != versions:
-            pindex = self.partition_index
-            entries = []
-            for ring in self.rings:
-                pids = [p.pid for p in ring]
-                slots = (
-                    pindex.slots_of(pids) if pindex is not None else None
-                )
-                entries.append(((ring.app_id, ring.ring_id), pids, slots))
-            self._pids_of_rings = entries
-            self._ring_pids_versions = versions
-        return self._pids_of_rings
-
     def _apply_inserts(self, epoch: int) -> InsertOutcome:
         outcome = InsertOutcome(epoch=epoch)
         workload = self.insert_workload
@@ -397,7 +350,7 @@ class Simulation:
         if workload is None or cfg is None or epoch < cfg.start_epoch:
             return outcome
         batch = workload.batch(
-            epoch, self.rings.all_partitions(), self.popularity
+            epoch, self.rings.layout().partitions, self.popularity
         )
         outcome.attempted = batch.total_inserts
         for pid, count in batch.counts.items():
@@ -522,9 +475,7 @@ class Simulation:
             self._drain_retries(epoch)
         if self._g_dirty:
             self._refresh_proximity()
-        load = self.mix.draw(
-            epoch, self._partitions_of_apps(), self.popularity
-        )
+        load = self.mix.draw(epoch, self.rings.layout(), self.popularity)
         self.decider.settle(load, board, self._g_of_app)
         stats: DecisionStats = self.decider.decide(
             board, load, self.streams.decisions, self._g_of_app
@@ -678,11 +629,10 @@ class Simulation:
         the dict did).
         """
         cloud = self.cloud
-        cached = self._hist_ids
-        if cached is None or cached[0] != cloud.version:
-            cached = (cloud.version, tuple(cloud.server_ids))
-            self._hist_ids = cached
-        ids = cached[1]
+        # A fresh tuple per epoch: the frame store keeps the previous
+        # epoch's equal tuple instead, so membership-stable runs still
+        # store one.
+        ids = tuple(cloud.server_ids)
         view = self.catalog.flat_view()
         lookup = cloud.slot_lookup()
         sids = view.server_ids
@@ -712,7 +662,6 @@ class Simulation:
         # of a fresh O(R²) recomputation per partition per epoch (the
         # scalar reference kernel keeps the recomputation).
         index = self.avail_index
-        queries_for = load.queries_for
         if index is not None:
             # Vectorized kernel: gather the per-ring series through
             # numpy from the maintained per-partition vectors (replica
@@ -721,17 +670,10 @@ class Simulation:
             # queries are exact integers and the availability values
             # come from the same cache in the same ring order, so every
             # aggregate is bit-identical to the scalar loop below.
-            dense = load.index is self.partition_index
-            for key, pids, slots in self._partitions_of_rings():
+            for key, pids, slots in self.rings.layout().rings:
                 n = len(pids)
                 counts = index.replica_counts_at(slots)
-                if dense:
-                    queries = load.counts_at(slots)
-                else:
-                    queries = np.fromiter(
-                        (queries_for(pid) for pid in pids),
-                        dtype=np.int64, count=n,
-                    )
+                queries = load.counts_at(slots)
                 placed = counts > 0
                 avails = index.availability_at(slots)[placed]
                 vnodes_per_ring[key] = int(counts.sum())
@@ -744,6 +686,7 @@ class Simulation:
         else:
             service = self.membership_service
             pred = service.predicate if service is not None else None
+            queries_for = load.queries_for
             for ring in self.rings:
                 key = (ring.app_id, ring.ring_id)
                 count = 0

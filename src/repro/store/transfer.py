@@ -273,8 +273,8 @@ class TransferEngine:
         """Move a replica from ``src_id`` to ``dst_id``: place, then drop.
 
         ``kind`` is the budget the move rides (and the stats row it is
-        counted in): a partition larger than its migration budget moves
-        on the replication budget (``move_large_via_replication``).
+        counted in): the §II-C pass moves a partition larger than its
+        source's migration budget on the replication budget.
         """
         if not self._catalog.has_replica(partition.pid, src_id):
             raise ReplicaError(

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ring.partition import PartitionId, PartitionIndex, gather_int
+from repro.ring.virtualring import RingLayout
 from repro.workload.arrivals import PoissonArrivals, RateProfile
 from repro.workload.clients import ClientGeography, uniform_geography
 from repro.workload.popularity import PopularityMap
@@ -114,11 +115,9 @@ class EpochLoad:
             return int(counts[slot])
         return self._per_partition.get(pid, 0)
 
-    def counts_at(self, slots: np.ndarray) -> Optional[np.ndarray]:
-        """Counts gathered at index ``slots`` (0 where unknown), or None
-        when this load was drawn without a dense vector."""
-        if self._counts is None:
-            return None
+    def counts_at(self, slots: np.ndarray) -> np.ndarray:
+        """Counts gathered at index ``slots`` (0 where unknown); only a
+        load drawn with a dense vector has them."""
         return gather_int(self._counts, slots)
 
 
@@ -127,8 +126,7 @@ class WorkloadMix:
 
     def __init__(self, apps: Sequence[ApplicationSpec],
                  profile: RateProfile,
-                 rng: np.random.Generator,
-                 partition_index: Optional[PartitionIndex] = None) -> None:
+                 rng: np.random.Generator) -> None:
         if not apps:
             raise WorkloadError("need at least one application")
         ids = [a.app_id for a in apps]
@@ -143,17 +141,10 @@ class WorkloadMix:
         )
         self._arrivals = PoissonArrivals(profile, rng)
         self._rng = rng
-        # With a shared partition index, draws scatter straight into a
-        # dense count vector (the vectorized kernel's EpochLoad); the
-        # draw sequence itself is identical either way.
-        self._pindex = partition_index
         # Per-app popularity share vectors, cached while neither the
-        # app's partition list (same object ⇒ same contents: the engine
-        # rebuilds it only on splits) nor the popularity map changed.
-        self._share_cache: Dict[int, Tuple[object, int, np.ndarray]] = {}
-        # Per-app dense-slot arrays, cached against the partition-list
-        # object identity (slots never change once assigned).
-        self._slot_cache: Dict[int, Tuple[object, np.ndarray]] = {}
+        # ring layout (same object ⇒ same partitions: rebuilt only on
+        # splits) nor the popularity map changed.
+        self._share_cache: Dict[int, Tuple[RingLayout, int, np.ndarray]] = {}
 
     def app(self, app_id: int) -> ApplicationSpec:
         for spec in self.apps:
@@ -164,19 +155,19 @@ class WorkloadMix:
     def rate(self, epoch: int) -> float:
         return self._arrivals.rate(epoch)
 
-    def draw(self, epoch: int,
-             partitions_of: Dict[int, Sequence[PartitionId]],
+    def draw(self, epoch: int, layout: RingLayout,
              popularity: PopularityMap) -> EpochLoad:
-        """Sample one epoch of load.
+        """Sample one epoch of load over ``layout``'s per-app partitions
+        (every ring of each app), so earlier splits are reflected.
 
-        ``partitions_of`` maps each app id to its current partitions
-        (across all of that app's rings); splits that happened in prior
-        epochs are therefore reflected automatically.
+        A layout with a partition index gets its draws scattered into a
+        dense count vector in that slot space (the vectorized kernel's
+        load); the draw sequence is the same either way.
         """
         total = self._arrivals.draw(epoch)
         app_counts = self._rng.multinomial(total, self._shares)
         per_app: Dict[int, int] = {}
-        pindex = self._pindex
+        pindex = layout.index
         per_partition: Optional[Dict[PartitionId, int]] = (
             None if pindex is not None else {}
         )
@@ -185,7 +176,7 @@ class WorkloadMix:
             per_app[spec.app_id] = int(count)
             if count == 0:
                 continue
-            pids = partitions_of.get(spec.app_id, ())
+            pids = layout.apps.get(spec.app_id, ())
             if not pids:
                 raise WorkloadError(
                     f"app {spec.app_id} has queries but no partitions"
@@ -194,20 +185,18 @@ class WorkloadMix:
             cached = self._share_cache.get(spec.app_id)
             if (
                 cached is not None
-                and cached[0] is pids
+                and cached[0] is layout
                 and cached[1] == pop_version
             ):
                 shares = cached[2]
             else:
                 shares = popularity.shares(pids)
-                self._share_cache[spec.app_id] = (pids, pop_version, shares)
+                self._share_cache[spec.app_id] = (
+                    layout, pop_version, shares
+                )
             counts = self._rng.multinomial(count, shares)
             if per_partition is None:
-                slots = self._slot_cache.get(spec.app_id)
-                if slots is None or slots[0] is not pids:
-                    slots = (pids, pindex.slots_of(pids))
-                    self._slot_cache[spec.app_id] = slots
-                drawn.append((slots[1], counts))
+                drawn.append((layout.app_slots[spec.app_id], counts))
             else:
                 for pid, c in zip(pids, counts.tolist()):
                     if c:

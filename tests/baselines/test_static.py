@@ -55,7 +55,7 @@ class TestStaticDecider:
         def min_avail(sim):
             return min(
                 availability(sim.cloud, sim.catalog.servers_of(p.pid))
-                for p in sim.rings.all_partitions()
+                for p in sim.rings.layout().partitions
             )
 
         assert min_avail(static_sim) <= min_avail(econ_sim)

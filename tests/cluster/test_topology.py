@@ -285,11 +285,6 @@ class TestScale:
 
 
 class TestVectors:
-    def test_rent_vector_order(self):
-        cloud = small_cloud(3)
-        prices = {0: 1.0, 1: 2.0, 2: 3.0}
-        assert np.allclose(cloud.rent_vector(prices), [1.0, 2.0, 3.0])
-
     def test_confidence_vector(self):
         cloud = small_cloud(2)
         assert np.allclose(cloud.confidence_vector(), [1.0, 1.0])

@@ -306,10 +306,7 @@ class TestSettle:
         assert agent.last_balance is not None
 
     def test_utility_floor_applies(self):
-        policy = EconomicPolicy(
-            hysteresis=2, revenue_per_query=0.01,
-            utility_floor_to_min_rent=True,
-        )
+        policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
             policy=policy
         )
@@ -321,17 +318,3 @@ class TestSettle:
         # Floored utility == min rent; rent on server 0 == min rent
         # (all same price) -> balance exactly 0.
         assert agent.last_balance == pytest.approx(0.0)
-
-    def test_no_floor_gives_negative_balance(self):
-        policy = EconomicPolicy(
-            hysteresis=2, revenue_per_query=0.01,
-            utility_floor_to_min_rent=False,
-        )
-        cloud, rings, ring, catalog, registry, __, engine, board = harness(
-            policy=policy
-        )
-        p = ring.partitions()[0]
-        catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
-        engine.settle(load_for(ring, queries=0), board)
-        assert registry.get(p.pid, 0).last_balance < 0

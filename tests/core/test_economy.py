@@ -122,13 +122,6 @@ class TestUsageTracker:
         tracker.observe(server)
         assert tracker.mean_usage(0) <= 0.5  # (0 storage + 1.0 clipped)/2
 
-    def test_forget(self):
-        tracker = UsageTracker()
-        server = make_server(0, LOC)
-        tracker.observe(server)
-        tracker.forget(0)
-        assert tracker.mean_usage(0) is None
-
     def test_invalid_horizon(self):
         with pytest.raises(EconomyError):
             UsageTracker(horizon=0)

@@ -89,9 +89,7 @@ class TestFig4ScaleEquivalence:
         sim = Simulation(fig4_config("vectorized"))
         for __ in range(6):
             sim.step()
-        load = sim.mix.draw(
-            99, sim._partitions_of_apps(), sim.popularity
-        )
+        load = sim.mix.draw(99, sim.rings.layout(), sim.popularity)
         assert load.counts is not None
         total = 0
         for ring in sim.rings:

@@ -1,10 +1,13 @@
 """Unit tests for virtual rings: tiling, lookup, splits, the ring set."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ring.hashing import RING_SIZE, hash_key
 from repro.ring.keyspace import covers_ring
-from repro.ring.partition import PartitionId
+from repro.ring.partition import PartitionId, PartitionIndex
 from repro.ring.virtualring import (
     AvailabilityLevel,
     RingError,
@@ -161,7 +164,7 @@ class TestRingSet:
         rings.add_ring(0, 1, LEVEL, 2)
         rings.add_ring(1, 0, LEVEL, 3)
         assert len(rings) == 3
-        assert len(rings.all_partitions()) == 9
+        assert len(rings.layout().partitions) == 9
 
     def test_duplicate_ring_rejected(self):
         rings = RingSet()
@@ -184,7 +187,7 @@ class TestRingSet:
         rings = RingSet()
         a = rings.add_ring(0, 0, LEVEL, 4)
         b = rings.add_ring(0, 1, LEVEL, 4)
-        pids = [p.pid for p in rings.all_partitions()]
+        pids = [p.pid for p in rings.layout().partitions]
         assert len(set(pids)) == len(pids)
 
     def test_total_size(self):
@@ -192,3 +195,124 @@ class TestRingSet:
         rings.add_ring(0, 0, LEVEL, 4, initial_size=10)
         rings.add_ring(1, 0, LEVEL, 6, initial_size=5)
         assert rings.total_size == 70
+
+
+def fresh_walk(rings, index):
+    """Every layout field, recomputed by walking the rings directly."""
+    walk = [(ring, p) for ring in rings for p in ring]
+    app_pids, app_slots = {}, {}
+    for ring in rings:
+        pids = [p.pid for p in ring]
+        app_pids.setdefault(ring.app_id, []).extend(pids)
+        app_slots.setdefault(ring.app_id, []).extend(
+            index.get(pid) for pid in pids
+        )
+    thr = np.full(len(index), np.inf)
+    for ring, p in walk:
+        thr[index.get(p.pid)] = ring.level.threshold
+    return {
+        "partitions": [p for __, p in walk],
+        "pids": [p.pid for __, p in walk],
+        "slots": [index.get(p.pid) for __, p in walk],
+        "rings": [
+            ((r.app_id, r.ring_id), [p.pid for p in r],
+             [index.get(p.pid) for p in r])
+            for r in rings
+        ],
+        "apps": app_pids,
+        "app_slots": app_slots,
+        "work": [(p, ring.level.threshold) for ring, p in walk],
+        "threshold_by_slot": thr.tolist(),
+    }
+
+
+def layout_fields(layout):
+    return {
+        "partitions": list(layout.partitions),
+        "pids": layout.pids,
+        "slots": layout.slots.tolist(),
+        "rings": [
+            (key, pids, slots.tolist()) for key, pids, slots in layout.rings
+        ],
+        "apps": layout.apps,
+        "app_slots": {a: s.tolist() for a, s in layout.app_slots.items()},
+        "work": layout.work,
+        "threshold_by_slot": layout.threshold_by_slot.tolist(),
+    }
+
+
+def indexed_ring_set():
+    """Three rings over two apps, every partition already slotted (the
+    engine's seeding does this before any layout read)."""
+    rings = RingSet()
+    rings.add_ring(0, 0, AvailabilityLevel(20.0, 2), 3)
+    rings.add_ring(1, 0, AvailabilityLevel(60.0, 3), 2)
+    rings.add_ring(0, 1, AvailabilityLevel(90.0, 4), 2)
+    index = PartitionIndex()
+    index.slots_of(p.pid for p in rings.layout().partitions)
+    rings.use_partition_index(index)
+    return rings, index
+
+
+class TestRingLayout:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)),
+                 max_size=10),
+        st.integers(0, 10),
+    )
+    def test_layout_is_a_fresh_walk_after_every_change(self, splits,
+                                                       swap_at):
+        rings, index = indexed_ring_set()
+        ring_list = list(rings)
+        for step in range(len(splits) + 1):
+            if step == swap_at:
+                ring_list[1].level = AvailabilityLevel(45.0, 3)
+            elif step < len(splits):
+                which, pick = splits[step]
+                ring = ring_list[which]
+                victim = ring.partitions()[pick % len(ring)]
+                # The catalog's split event slots the children first.
+                index.slots_of(p.pid for p in ring.split_partition(
+                    victim.pid
+                ))
+            before = len(index)
+            layout = rings.layout()
+            assert layout_fields(layout) == fresh_walk(ring_list, index)
+            assert rings.layout() is layout
+            assert len(index) == before
+
+    def test_level_swap_rebuilds_thresholds(self):
+        rings, index = indexed_ring_set()
+        old = rings.layout()
+        ring = rings.ring(1, 0)
+        ring.level = AvailabilityLevel(45.0, 3)
+        new = rings.layout()
+        assert new is not old and new.partitions == old.partitions
+        slots = [index.get(p.pid) for p in ring]
+        assert new.threshold_by_slot[slots].tolist() == [45.0, 45.0]
+        assert old.threshold_by_slot[slots].tolist() == [60.0, 60.0]
+
+    def test_construction_reads_build_no_slot_table(self):
+        rings = RingSet()
+        rings.add_ring(0, 0, LEVEL, 4)
+        index = PartitionIndex()
+        rings.use_partition_index(index)
+        assert len(rings.layout().partitions) == 4
+        assert "slots" not in vars(rings.layout())
+        assert len(index) == 0
+
+    def test_without_an_index_slot_tables_are_none(self):
+        rings = RingSet()
+        rings.add_ring(0, 0, LEVEL, 2)
+        layout = rings.layout()
+        assert layout.slots is None and layout.app_slots is None
+        assert layout.threshold_by_slot is None
+        assert [s for __, __, s in layout.rings] == [None]
+        assert layout.work == [(p, 20.0) for p in layout.partitions]
+
+    def test_a_second_partition_index_is_refused(self):
+        rings, index = indexed_ring_set()
+        rings.use_partition_index(index)
+        with pytest.raises(RingError):
+            rings.use_partition_index(PartitionIndex())

@@ -203,7 +203,7 @@ class TestEngineIntegration:
             data_plane=DataPlaneConfig(read_fraction=0.5),
         ))
         sim.run(1)
-        for partition in sim.rings.all_partitions():
+        for partition in sim.rings.layout().partitions:
             for sid in list(sim.catalog.servers_of(partition.pid)):
                 sim.catalog.drop(partition, sid)
         sim.data_plane.step(1)

@@ -1,5 +1,7 @@
 """Integration tests for the epoch simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.cluster.events import AddServers, EventSchedule, RemoveServers
 from repro.cluster.topology import CloudLayout
 from repro.core.economy import RentModel
 from repro.core.policy import EconomicPolicy
+from repro.ring import virtualring
 from repro.sim.config import (
     AppConfig,
     InsertConfig,
@@ -79,7 +82,7 @@ def small_config(*, epochs=10, seed=0, inserts=None, partitions=6,
 
 def consistency_check(sim):
     """The cross-module invariant: catalog, registry and servers agree."""
-    partitions = {p.pid: p for p in sim.rings.all_partitions()}
+    partitions = {p.pid: p for p in sim.rings.layout().partitions}
     sim.catalog.check_consistency(partitions)
     sim.registry.check_mirror(sim.catalog.servers_of)
 
@@ -256,6 +259,46 @@ class TestSplits:
         for p in sim.rings.ring(0, 0):
             assert sim.catalog.replica_count(p.pid) >= 2
 
+    @pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
+    def test_one_layout_build_per_ring_state(self, kernel, monkeypatch):
+        """Every reader shares one ring layout: it is built once per
+        distinct ring state the run reaches, never twice for one, and
+        the slot space holds exactly the partitions ever created."""
+        built = []
+
+        class CountingLayout(virtualring.RingLayout):
+            def __init__(self, key, rings, index):
+                built.append(key)
+                super().__init__(key, rings, index)
+
+        monkeypatch.setattr(virtualring, "RingLayout", CountingLayout)
+        cfg = dataclasses.replace(small_config(
+            epochs=12,
+            partitions=2,
+            initial_size=9000,
+            inserts=InsertConfig(rate=30, object_size=100, start_epoch=0),
+        ), kernel=kernel)
+        sim = Simulation(cfg)
+
+        def state():
+            return (
+                tuple(ring.version for ring in sim.rings),
+                tuple(ring.level for ring in sim.rings),
+            )
+
+        states = [state()]
+        for __ in range(cfg.epochs):
+            sim.step()
+            states.append(state())
+        # The scalar kernel's metrics walk the rings, not the layout, so
+        # its final state is first read by the next epoch; read it here.
+        sim.rings.layout()
+        assert len(set(states)) > 2  # the run did split
+        assert built == list(dict.fromkeys(states))
+        splits = sum(len(ring) for ring in sim.rings) - 4
+        if kernel == "vectorized":
+            assert len(sim.partition_index) == 4 + 2 * splits
+
 
 @pytest.mark.parametrize("factory", [
     economic_decider, static_decider, random_placement_decider,
@@ -288,7 +331,7 @@ class TestRetryResurrection:
             small_config(epochs=2), net=NetConfig(),
         ))
         sim.step()
-        partition = sim.rings.all_partitions()[0]
+        partition = sim.rings.layout().partitions[0]
         pid = partition.pid
         for sid in list(sim.catalog.servers_of(pid)):
             sim.catalog.drop(partition, sid)
@@ -324,7 +367,7 @@ class TestMoveRetry:
             small_config(epochs=3), net=NetConfig(),
         ))
         sim.step()
-        partition = sim.rings.all_partitions()[0]
+        partition = sim.rings.layout().partitions[0]
         pid = partition.pid
         src = sim.catalog.servers_of(pid)[0]
         dst = next(

@@ -175,6 +175,23 @@ class TestStoreAccessors:
         # not the ~5 KB/epoch a stored {sid: count} dict would take.
         assert log.nbytes - base < 7 * 2000
 
+    def test_equal_id_tuples_are_stored_once(self):
+        # The engine hands every epoch a fresh server-id tuple; the
+        # store keeps the previous epoch's equal one, so ``nbytes``
+        # counts it once, exactly as for a reused tuple.
+        counts = np.arange(50, dtype=np.int64)
+        first = tuple(range(50))
+        second = tuple(list(first))
+        assert second == first and second is not first
+        reused, fresh, moved = MetricsLog(), MetricsLog(), MetricsLog()
+        for log, ids in ((reused, first), (fresh, second),
+                         (moved, tuple(range(1, 51)))):
+            log.append(_hist_frame(counts, ids=first))
+            log.append(_hist_frame(counts, ids=ids, epoch=1))
+        assert fresh.nbytes == reused.nbytes
+        assert fresh[1].vnodes_per_server.server_ids is first
+        assert moved.nbytes > reused.nbytes
+
     def test_plain_dict_histograms_are_columnarized(self):
         # MetricsLog accepts hand-built frames (tests, tools) and still
         # stores their histogram as a count vector.

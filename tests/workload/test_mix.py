@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ring.partition import PartitionId
+from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.workload.arrivals import ConstantRate
 from repro.workload.mix import (
     ApplicationSpec,
@@ -14,8 +15,13 @@ from repro.workload.mix import (
 from repro.workload.popularity import PopularityMap
 
 
-def pids(app, n):
-    return [PartitionId(app, 0, i) for i in range(n)]
+def layout_of(sizes):
+    """A ring layout with one ring of ``sizes[app]`` partitions per app
+    (pids ``PartitionId(app, 0, 0..n-1)``)."""
+    rings = RingSet()
+    for app, n in sizes.items():
+        rings.add_ring(app, 0, AvailabilityLevel(1.0, 1), n)
+    return rings.layout()
 
 
 def make_mix(rate=7000.0, seed=0):
@@ -66,16 +72,16 @@ class TestSpecs:
 class TestDraw:
     def test_totals_conserved(self):
         mix = make_mix()
-        parts = {a: pids(a, 10) for a in range(3)}
-        pop = uniform_pop([p for ps in parts.values() for p in ps])
+        parts = layout_of({a: 10 for a in range(3)})
+        pop = uniform_pop(parts.pids)
         load = mix.draw(0, parts, pop)
         assert sum(load.per_app.values()) == load.total_queries
         assert sum(load.per_partition.values()) == load.total_queries
 
     def test_app_shares_respected(self):
         mix = make_mix(rate=70_000)
-        parts = {a: pids(a, 10) for a in range(3)}
-        pop = uniform_pop([p for ps in parts.values() for p in ps])
+        parts = layout_of({a: 10 for a in range(3)})
+        pop = uniform_pop(parts.pids)
         totals = np.zeros(3)
         for epoch in range(20):
             load = mix.draw(epoch, parts, pop)
@@ -88,28 +94,29 @@ class TestDraw:
         specs = [ApplicationSpec(app_id=0, name="a", query_share=1.0)]
         mix = WorkloadMix(specs, ConstantRate(10_000),
                           np.random.default_rng(0))
-        parts = {0: pids(0, 2)}
-        pop = PopularityMap({parts[0][0]: 9.0, parts[0][1]: 1.0})
+        parts = layout_of({0: 2})
+        hot, cold = parts.apps[0]
+        pop = PopularityMap({hot: 9.0, cold: 1.0})
         load = mix.draw(0, parts, pop)
-        assert load.queries_for(parts[0][0]) > 8000
+        assert load.queries_for(hot) > 8000
 
     def test_queries_for_missing_partition_is_zero(self):
         mix = make_mix()
-        parts = {a: pids(a, 2) for a in range(3)}
-        pop = uniform_pop([p for ps in parts.values() for p in ps])
+        parts = layout_of({a: 2 for a in range(3)})
+        pop = uniform_pop(parts.pids)
         load = mix.draw(0, parts, pop)
         assert load.queries_for(PartitionId(9, 9, 9)) == 0
 
     def test_app_with_queries_but_no_partitions_rejected(self):
         mix = make_mix()
-        parts = {0: pids(0, 2)}  # apps 1, 2 missing
-        pop = uniform_pop(parts[0])
+        parts = layout_of({0: 2})  # apps 1, 2 missing
+        pop = uniform_pop(parts.pids)
         with pytest.raises(WorkloadError):
             mix.draw(0, parts, pop)
 
     def test_deterministic_with_seed(self):
-        parts = {a: pids(a, 5) for a in range(3)}
-        pop = uniform_pop([p for ps in parts.values() for p in ps])
+        parts = layout_of({a: 5 for a in range(3)})
+        pop = uniform_pop(parts.pids)
         a = make_mix(seed=3).draw(0, parts, pop)
         b = make_mix(seed=3).draw(0, parts, pop)
         assert a.per_partition == b.per_partition
