@@ -104,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--net-delay", type=int, default=0,
                      help="max gossip delivery delay in rounds "
                           "(implies --net)")
-    run.add_argument("--net-fabric", choices=("full", "counting"),
-                     default="full",
-                     help="message fabric: exact per-message 'full' or "
-                          "sampled-count 'counting' for large clouds")
     run.add_argument("--net-partition", action="append", default=None,
                      metavar="START:HEAL[:DEPTH[:asym]]",
                      help="cut one location subtree off for epochs "
@@ -325,7 +321,6 @@ def lower_run_flags(args, data: Dict) -> None:
         failure["net"] = {
             "loss": args.net_loss,
             "delay_max": args.net_delay,
-            "fabric": args.net_fabric,
             "partitions": partitions,
             "flaps": flaps,
         }

@@ -8,7 +8,7 @@ and price columns through the :class:`MembershipService` seam instead
 of reading physical liveness directly.
 """
 
-from repro.net.fabric import CountingFabric, GossipFabric, UNKNOWN_AGE
+from repro.net.fabric import GossipFabric, UNKNOWN_AGE
 from repro.net.membership import (
     EffectivePriceBoard,
     MembershipError,
@@ -31,7 +31,6 @@ from repro.net.model import (
 )
 
 __all__ = [
-    "CountingFabric",
     "EffectivePriceBoard",
     "ELECTION",
     "GossipFabric",

@@ -1,34 +1,24 @@
-"""Message-count-accurate gossip fabrics over the faulty network.
+"""Message-count-accurate gossip fabric over the faulty network.
 
-Two implementations of the same surface:
+:class:`GossipFabric` keeps a per-observer age matrix (observer ×
+subject, int32 rounds-since-heard).  Heartbeat and price rounds run
+through one round kernel that still models every push as a message —
+drawn targets, liveness and reachability, loss roll, delayed
+unknown-aware min-merge — but pays for what a round shares (link
+state, candidate lists, counters) once per round.  Membership verdicts
+(believed dead, staleness) are read from the *board observer's* row —
+the lowest physically-live registered id, i.e. the election winner,
+which costs zero extra messages because every node derives it from its
+own view.  O(N²) state, capped at
+:data:`~repro.net.model.FULL_FABRIC_MAX_NODES` nodes.
 
-* :class:`GossipFabric` ("full") — a per-observer age matrix
-  (observer × subject, int32 rounds-since-heard).  Heartbeat and price
-  rounds run through one round kernel that still models every push as
-  a message — drawn targets, liveness and reachability, loss roll,
-  delayed unknown-aware min-merge — but pays for what a round shares
-  (link state, candidate lists, counters) once per round.  Membership
-  verdicts (believed dead, false suspects, staleness) are read from
-  the *board observer's* row — the lowest physically-live registered
-  id, i.e. the election winner, which costs zero extra messages
-  because every node derives it from its own view.  O(N²) state,
-  capped at :data:`~repro.net.model.FULL_FABRIC_MAX_NODES` nodes.
+Every random choice is drawn from the ``gossip`` seed stream, so
+faulty-network runs reproduce from one ``SimConfig.seed``.
 
-* :class:`CountingFabric` ("counting") — no per-pair state.  Message
-  counts are sampled push-for-push (binomial draws over the same
-  target distribution), so totals match the full fabric in
-  distribution, but membership and price verdicts are *oracle*
-  (detection after ``ceil(dead_rounds / rounds_per_epoch)`` epochs,
-  prices current).  This is what makes the 100× control-plane
-  overhead row measurable at all; PERFORMANCE.md says so explicitly.
-
-Both fabrics draw every random choice from the ``gossip`` seed
-stream, so faulty-network runs reproduce from one ``SimConfig.seed``.
-
-**The full fabric's draw-order contract.**  Every golden, named digest
-and benchmark counter of a faulty-net run depends on the kernel
-replaying these three clauses draw for draw; they are why its sender
-loop is sequential and must not be batched across senders
+**The draw-order contract.**  Every golden, named digest and
+benchmark counter of a faulty-net run depends on the kernel replaying
+these three clauses draw for draw; they are why its sender loop is
+sequential and must not be batched across senders
 (``tests/net/test_fabric_differential.py`` holds the per-message loop
 it replaced as the oracle, generator states included):
 
@@ -122,8 +112,8 @@ class GossipFabric:
     def _check_capacity(self, n: int) -> None:
         if n > FULL_FABRIC_MAX_NODES:
             raise NetError(
-                f"full fabric capped at {FULL_FABRIC_MAX_NODES} nodes "
-                f"(requested {n}); use NetConfig(fabric='counting')"
+                f"gossip fabric capped at {FULL_FABRIC_MAX_NODES} nodes "
+                f"(requested {n})"
             )
 
     def _rows_changed(self) -> None:
@@ -380,15 +370,6 @@ class GossipFabric:
         dead = ages >= self._config.dead_rounds
         return [self._ids[i] for i in np.flatnonzero(dead)]
 
-    def suspected(self) -> List[int]:
-        """Subjects at suspect age (inclusive) in the board's view."""
-        row = self._board_row()
-        if row is None:
-            return []
-        ages = self._age[row]
-        sus = ages >= self._config.suspect_rounds
-        return [self._ids[i] for i in np.flatnonzero(sus)]
-
     def staleness(self) -> Tuple[float, int]:
         """(mean, max) board-view age over physically-live subjects."""
         alive = self._alive_rows()
@@ -421,123 +402,3 @@ class GossipFabric:
         n = max(0, believed_live_count - 1)
         self._net.stats.record(LOST_LIVE_NODE, sent=n, delivered=n)
 
-
-class CountingFabric:
-    """Stateless-per-pair fabric: exact sampled counts, oracle verdicts."""
-
-    def __init__(self, config: NetConfig, net: NetworkModel,
-                 cloud: Cloud, rng: np.random.Generator) -> None:
-        self._config = config
-        self._net = net
-        self._cloud = cloud
-        self._rng = rng
-        self._ids: List[int] = []
-        self._known = set()
-
-    # -- registration (id bookkeeping only) --------------------------------
-
-    def register_initial(self, server_ids: List[int]) -> None:
-        self._ids = list(server_ids)
-        self._known = set(server_ids)
-
-    def register_join(self, sid: int) -> None:
-        if sid in self._known:
-            return
-        self._ids.append(sid)
-        self._known.add(sid)
-        self._net.stats.record(NEW_NODE, sent=2, delivered=2)
-
-    def unregister(self, sid: int) -> None:
-        if sid in self._known:
-            self._known.remove(sid)
-            self._ids.remove(sid)
-
-    def _phys_alive(self, sid: int) -> bool:
-        cloud = self._cloud
-        return sid in cloud and cloud.server(sid).alive
-
-    def board_observer(self) -> Optional[int]:
-        live = [sid for sid in self._ids if self._phys_alive(sid)]
-        return min(live) if live else None
-
-    # -- rounds ------------------------------------------------------------
-
-    def _round_counts(self, code: str) -> None:
-        """Sample one round's pushes without per-pair state.
-
-        Each live node pushes to ``min(fanout, live−1)`` uniform
-        targets; cut-crossing and lost pushes are binomial draws over
-        the same distribution the full fabric samples push-by-push.
-        """
-        live = [sid for sid in self._ids if self._phys_alive(sid)]
-        n = len(live)
-        if n < 2:
-            return
-        per_node = min(self._config.fanout, n - 1)
-        sent = n * per_node
-        stats = self._net.stats
-        stats.record(code, sent=sent)
-        dropped_cut = 0
-        flapped, cuts = self._net.link_state(live) or ((), ())
-        for in_a, asymmetric in cuts:
-            a = int(np.count_nonzero(in_a))
-            b = n - a
-            if a == 0 or b == 0:
-                continue
-            # B→A pushes always drop across the cut; A→B only when the
-            # cut is symmetric.
-            p_hit_a = a / (n - 1)
-            dropped_cut += int(self._rng.binomial(b * per_node, p_hit_a))
-            if not asymmetric:
-                p_hit_b = b / (n - 1)
-                dropped_cut += int(
-                    self._rng.binomial(a * per_node, p_hit_b)
-                )
-        for _ in range(int(np.count_nonzero(flapped))):
-            # All of the flapped node's own pushes drop, plus every
-            # push that drew it as a target.
-            dropped_cut += per_node
-            dropped_cut += int(
-                self._rng.binomial((n - 1) * per_node, 1.0 / (n - 1))
-            )
-        dropped_cut = min(dropped_cut, sent)
-        remaining = sent - dropped_cut
-        dropped_loss = 0
-        if self._config.loss and remaining:
-            dropped_loss = int(
-                self._rng.binomial(remaining, self._config.loss)
-            )
-        stats.record(
-            code,
-            delivered=sent - dropped_cut - dropped_loss,
-            dropped_loss=dropped_loss,
-            dropped_partition=dropped_cut,
-        )
-
-    def membership_round(self) -> None:
-        self._round_counts(HEARTBEAT)
-
-    def price_round(self) -> None:
-        self._round_counts(PRICE)
-
-    def publish_version(self, version: int) -> None:
-        """Oracle prices: the counting fabric never lags the board."""
-
-    # -- verdicts: oracle --------------------------------------------------
-
-    def believed_dead(self) -> List[int]:
-        """Detection is handled by the membership service's age rule."""
-        return []
-
-    def suspected(self) -> List[int]:
-        return []
-
-    def staleness(self) -> Tuple[float, int]:
-        return 0.0, 0
-
-    def effective_version(self, believed_live: List[int]) -> int:
-        return -2  # sentinel: "current" — the service uses the real board
-
-    def record_tombstones(self, believed_live_count: int) -> None:
-        n = max(0, believed_live_count - 1)
-        self._net.stats.record(LOST_LIVE_NODE, sent=n, delivered=n)

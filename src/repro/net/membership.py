@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.cluster.topology import Cloud
-from repro.net.fabric import CountingFabric, GossipFabric
+from repro.net.fabric import GossipFabric
 from repro.net.model import NetConfig, NetworkModel
 
 if TYPE_CHECKING:  # circular at runtime: repro.sim imports repro.core
@@ -154,13 +154,9 @@ class MembershipService:
         self._avail_index = avail_index
         self._catalog = catalog
         self.net = NetworkModel(config, cloud, streams.net)
-        fabric_cls = (
-            GossipFabric if config.fabric == "full" else CountingFabric
-        )
-        self.fabric = fabric_cls(config, self.net, cloud, streams.gossip)
+        self.fabric = GossipFabric(config, self.net, cloud, streams.gossip)
         self.fabric.register_initial(cloud.server_ids)
         self._zero = config.is_zero_fault
-        self._counting = config.fabric == "counting"
         # Ghosts: killed in place, pending detection.  Kill order is
         # the completion order (matches the instant-removal path).
         self._ghost_epoch: Dict[int, int] = {}
@@ -290,15 +286,6 @@ class MembershipService:
             detected = list(self._ghost_order)
             self.last_detections = len(detected)
             return detected
-        if self._counting:
-            rounds = self.config.rounds_per_epoch
-            detected = [
-                sid for sid in self._ghost_order
-                if (epoch - self._ghost_epoch[sid] + 1) * rounds
-                >= self.config.dead_rounds
-            ]
-            self.last_detections = len(detected)
-            return detected
         dead_view = set(self.fabric.believed_dead())
         detected = [sid for sid in self._ghost_order if sid in dead_view]
         # False suspicion: physically-alive servers the board believes
@@ -349,11 +336,6 @@ class MembershipService:
             self.price_version_lag = 0
             return
         version = self.fabric.effective_version(self.believed_ids())
-        if version == -2:
-            # Counting fabric: prices are oracle-current.
-            self._effective = None
-            self.price_version_lag = 0
-            return
         if version < 0 or version not in self._history:
             known = [v for v in self._history if v <= epoch]
             version = min(known) if known else epoch
@@ -383,9 +365,6 @@ class MembershipService:
     @property
     def false_suspect_count(self) -> int:
         return len(self._suspected)
-
-    def false_suspect_ids(self) -> List[int]:
-        return sorted(self._suspected)
 
     def actual_live_count(self) -> int:
         return int(np.count_nonzero(self._cloud.alive_vector()))

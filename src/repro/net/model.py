@@ -60,10 +60,10 @@ MESSAGE_CODES: Tuple[str, ...] = (
     HEARTBEAT, PRICE, NEW_NODE, LOST_LIVE_NODE, ELECTION,
 )
 
-#: Hard cap for the full (per-observer age matrix) fabric: beyond this
-#: the O(N²) state is no longer a sane simulation artifact — use the
-#: ``"counting"`` fabric, which keeps exact message counts with oracle
-#: membership verdicts (the 100× PERFORMANCE row runs in that mode).
+#: Hard cap for the gossip fabric's per-observer age matrix: beyond
+#: this the O(N²) state is no longer a sane simulation artifact.  Specs
+#: with a ``net`` section are refused above it at load time
+#: (:class:`repro.sim.scenario.ScenarioSpec`).
 FULL_FABRIC_MAX_NODES = 4096
 
 
@@ -136,7 +136,6 @@ class NetConfig:
     dead_rounds: int = 10
     partitions: Tuple[NetPartition, ...] = ()
     flaps: Tuple[LinkFlap, ...] = ()
-    fabric: str = "full"
 
     def __post_init__(self) -> None:
         if self.fanout < 1:
@@ -160,11 +159,6 @@ class NetConfig:
             raise NetError(
                 f"dead_rounds must be > suspect_rounds, got "
                 f"{self.dead_rounds} <= {self.suspect_rounds}"
-            )
-        if self.fabric not in ("full", "counting"):
-            raise NetError(
-                f"fabric must be 'full' or 'counting', got "
-                f"{self.fabric!r}"
             )
 
     @property
@@ -222,12 +216,6 @@ class MessageStats:
             )
             for code in MESSAGE_CODES
         }
-
-    def total_sent(self) -> int:
-        return sum(row[0] for row in self._totals.values())
-
-    def total_dropped(self) -> int:
-        return sum(row[2] + row[3] for row in self._totals.values())
 
 
 class _ActiveCut:
@@ -369,12 +357,6 @@ class NetworkModel:
     @property
     def has_active_cut(self) -> bool:
         return bool(self._cuts) or bool(self._flapped)
-
-    def active_cuts(self) -> List[_ActiveCut]:
-        return list(self._cuts)
-
-    def flapped_ids(self) -> List[int]:
-        return sorted(self._flapped)
 
     def reachable(self, src: int, dst: int) -> bool:
         """Can a message from ``src`` currently reach ``dst``?"""

@@ -61,7 +61,12 @@ from repro.cluster.topology import CloudLayout
 from repro.core.availability import paper_thresholds
 from repro.core.economy import RentModel
 from repro.core.policy import KERNELS, EconomicPolicy
-from repro.net.model import LinkFlap, NetConfig, NetPartition
+from repro.net.model import (
+    FULL_FABRIC_MAX_NODES,
+    LinkFlap,
+    NetConfig,
+    NetPartition,
+)
 from repro.sim.config import (
     AppConfig,
     DataPlaneConfig,
@@ -696,6 +701,8 @@ class NetSpec:
     rounds_per_epoch: int = 3
     suspect_rounds: int = 4
     dead_rounds: int = 10
+    #: Only ``"full"``, the one gossip fabric; kept because frozen spec
+    #: files name it.
     fabric: str = "full"
     partitions: Tuple[PartitionWindow, ...] = ()
     flaps: Tuple[FlapWindow, ...] = ()
@@ -710,10 +717,15 @@ class NetSpec:
             dead_rounds=self.dead_rounds,
             partitions=tuple(p.compile() for p in self.partitions),
             flaps=tuple(f.compile() for f in self.flaps),
-            fabric=self.fabric,
         )
 
     def __post_init__(self) -> None:
+        if self.fabric != "full":
+            raise SpecError(
+                f"net: fabric must be 'full' (the gossip fabric, capped "
+                f"at FULL_FABRIC_MAX_NODES = {FULL_FABRIC_MAX_NODES} "
+                f"nodes), got {self.fabric!r}"
+            )
         try:
             self.compile()
         except ValueError as exc:
@@ -831,6 +843,17 @@ class ScenarioSpec:
                 f"{self.name}: a consistency audit needs client traffic "
                 f"(flows.traffic)"
             )
+        failure = self.failure
+        if failure.net is not None or failure.chaos is not None:
+            nodes = self.structure.compile_layout().total_servers + sum(
+                e.count for e in failure.events if isinstance(e, JoinWave)
+            )
+            if nodes > FULL_FABRIC_MAX_NODES:
+                raise SpecError(
+                    f"{self.name}: {nodes} servers (initial plus joins) "
+                    f"exceed the gossip fabric's FULL_FABRIC_MAX_NODES = "
+                    f"{FULL_FABRIC_MAX_NODES}"
+                )
 
     # -- serialization -----------------------------------------------------
 

@@ -227,13 +227,6 @@ class ReferenceGossipFabric:
         dead = self._age[row] >= self._config.dead_rounds
         return [self._ids[i] for i in np.flatnonzero(dead)]
 
-    def suspected(self) -> List[int]:
-        row = self._board_row()
-        if row is None:
-            return []
-        sus = self._age[row] >= self._config.suspect_rounds
-        return [self._ids[i] for i in np.flatnonzero(sus)]
-
     def staleness(self):
         row = self._board_row()
         if row is None:

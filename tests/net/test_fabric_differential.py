@@ -121,7 +121,6 @@ class World:
             "stats": self.net.stats.snapshot(),
             "board": fabric.board_observer(),
             "dead": fabric.believed_dead(),
-            "suspected": fabric.suspected(),
             "staleness": fabric.staleness(),
             "gossip_rng": self.gossip_rng.bit_generator.state,
             "net_rng": self.net_rng.bit_generator.state,

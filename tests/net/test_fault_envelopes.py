@@ -148,15 +148,12 @@ class TestPartitionEnvelope:
             service.begin_epoch(epoch)
             service.run_membership_phase(epoch)
         net = service.net
-        (active,) = net.active_cuts()
         board = service.fabric.board_observer()
-        board_in_a = active.in_a(cloud, board)
-        suspects = set(service.false_suspect_ids())
         # Only servers on the side the board cannot hear may be
         # suspected; every same-side server stays trusted.
         for sid in cloud.server_ids:
-            if active.in_a(cloud, sid) == board_in_a:
-                assert sid not in suspects
+            if net.reachable(sid, board) and net.reachable(board, sid):
+                assert service.believed(sid)  # same side as the board
 
 
 class TestHealedPartitionReconvergence:

@@ -9,7 +9,7 @@ from repro.net.membership import (
     MembershipService,
     OracleMembership,
 )
-from repro.net.model import NetConfig, NetPartition
+from repro.net.model import HEARTBEAT, NetConfig, NetPartition
 from repro.sim.seeds import RngStreams
 
 
@@ -79,7 +79,7 @@ class TestZeroFaultPassthrough:
         service, _ = make_service(NetConfig())
         service.begin_epoch(0)
         service.run_membership_phase(0)
-        assert service.net.stats.total_sent() > 0
+        assert service.net.stats.snapshot()[HEARTBEAT][0] > 0
 
 
 class TestGhostLifecycle:
@@ -114,7 +114,10 @@ class TestGhostLifecycle:
             detected = service.run_membership_phase(epoch)
             assert detected == []  # nothing actually died
         assert service.false_suspect_count > 0
-        suspects = service.false_suspect_ids()
+        suspects = [
+            s for s in cloud.server_ids if not service.believed(s)
+        ]
+        assert len(suspects) == service.false_suspect_count
         assert all(cloud.server(s).alive for s in suspects)
         assert all(not service.believed(s) for s in suspects)
         # Heal: heartbeats land again and suspects rehabilitate.
@@ -167,34 +170,3 @@ class TestStalePrices:
         assert stale.min_price() == 4.0
         assert list(stale.price_vector([1, 2])) == [4.0, 5.0]
 
-
-class TestCountingMode:
-    def test_detection_by_age_rule(self):
-        config = NetConfig(
-            loss=0.2, rounds_per_epoch=3, suspect_rounds=4,
-            dead_rounds=10, fabric="counting",
-        )
-        service, cloud = make_service(config)
-        victim = cloud.server_ids[0]
-        cloud.server(victim).fail()
-        service.record_kills([victim], epoch=0)
-        hits = {}
-        for epoch in range(6):
-            service.begin_epoch(epoch)
-            for sid in service.run_membership_phase(epoch):
-                cloud.remove_server(sid)
-                service.on_removed(sid)
-                hits[sid] = epoch
-        # ceil(10 / 3) = 4 epochs after the kill (0-indexed epoch 3).
-        assert hits == {victim: 3}
-
-    def test_prices_stay_current(self):
-        config = NetConfig(loss=0.3, fabric="counting")
-        service, cloud = make_service(config)
-        board = PriceBoard()
-        board.post(0, {sid: 1.5 for sid in cloud.server_ids})
-        service.begin_epoch(0)
-        service.run_membership_phase(0)
-        service.publish_prices(0, board)
-        assert service.effective_board(board) is board
-        assert service.price_version_lag == 0

@@ -35,7 +35,7 @@ from repro.cluster.events import (
     ScopedOutage,
     fig3_schedule,
 )
-from repro.net.model import NetConfig
+from repro.net.model import FULL_FABRIC_MAX_NODES, NetConfig
 from repro.sim import specs
 from repro.sim.chaos import random_fault_schedule
 from repro.sim.config import DataPlaneConfig
@@ -44,9 +44,12 @@ from repro.sim.scenario import (
     ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
+    FailureSpec,
     FlashCrowd,
     FlowsSpec,
     GeoSpec,
+    JoinWave,
+    NetSpec,
     OperationsSpec,
     ScenarioEntry,
     ScenarioSpec,
@@ -190,6 +193,31 @@ class TestValidation:
     def test_tenant_needs_tiers(self):
         with pytest.raises(SpecError, match="tier"):
             TenantSpec(name="t", share=1.0, tiers=())
+
+    def test_net_fabric_is_only_full(self):
+        NetSpec(fabric="full")  # the frozen benchmark workloads name it
+        with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
+            NetSpec(fabric="counting")
+
+    def test_net_refused_above_the_fabric_cap(self):
+        big = StructureSpec(scale=100)  # 20 000 servers
+        assert big.compile_layout().total_servers > FULL_FABRIC_MAX_NODES
+        ScenarioSpec(name="x", structure=big)  # no net, no fabric
+        for failure in (FailureSpec(net=NetSpec()),
+                        FailureSpec(chaos=ChaosSpec())):
+            with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
+                ScenarioSpec(name="x", structure=big, failure=failure)
+
+    def test_join_waves_count_toward_the_fabric_cap(self):
+        room = FULL_FABRIC_MAX_NODES - CloudLayout().total_servers
+        waves = (JoinWave(epoch=1, count=room - 1),
+                 JoinWave(epoch=2, count=1))
+        ScenarioSpec(name="x", failure=FailureSpec(events=waves,
+                                                   net=NetSpec()))
+        over = waves + (JoinWave(epoch=3, count=1),)
+        with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
+            ScenarioSpec(name="x", failure=FailureSpec(events=over,
+                                                       net=NetSpec()))
 
     def test_entry_pin_epochs(self):
         with pytest.raises(SpecError, match="pin_epochs"):

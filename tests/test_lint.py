@@ -749,7 +749,7 @@ def test_fabric_gate_detects_planted_per_message_loops(tmp_path):
         "            for j in self._targets(i):\n"
         "                dropped += lost()\n"
         "        self._net.stats.record(code, dropped_loss=dropped)\n"
-        "class CountingFabric:\n"
+        "class OtherClass:\n"
         "    def _round_counts(self, code):\n"
         "        for cut in self._cuts():\n"
         "            self._net.stats.record(code, sent=1)\n"
