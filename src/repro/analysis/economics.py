@@ -38,10 +38,6 @@ class AgentEconomics:
     wealth_gini: float
     total_moves: int
 
-    @property
-    def mean_wealth(self) -> float:
-        return self.wealth["mean"]
-
 
 @dataclass(frozen=True)
 class RingEconomics:
@@ -160,23 +156,6 @@ def ring_convergence_epochs(log: MetricsLog, *,
             series, tolerance=tolerance, window=window
         )
     return out
-
-
-def wealth_histogram(registry: AgentRegistry, bins: int = 10
-                     ) -> List[Tuple[float, float, int]]:
-    """Wealth distribution as (low, high, agents) buckets."""
-    if bins < 1:
-        raise EconomicsError(f"bins must be >= 1, got {bins}")
-    wealth, __, __ = ledger_arrays(registry)
-    lo = float(wealth.min())
-    hi = float(wealth.max())
-    if lo == hi:
-        return [(lo, hi, int(wealth.size))]
-    counts, edges = np.histogram(wealth, bins=bins, range=(lo, hi))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-        for i in range(bins)
-    ]
 
 
 def summarize_economics(registry: AgentRegistry,

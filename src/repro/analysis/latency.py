@@ -218,11 +218,3 @@ class OverheadLedger:
     def total_bytes(self) -> int:
         return self.replication_bytes + self.migration_bytes
 
-    def per_epoch(self) -> float:
-        return self.total_bytes / self.epochs if self.epochs else 0.0
-
-    def overhead_ratio(self, stored_bytes: int) -> float:
-        """Maintenance traffic per stored byte (cumulative)."""
-        if stored_bytes <= 0:
-            return 0.0
-        return self.total_bytes / stored_bytes

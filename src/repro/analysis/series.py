@@ -1,4 +1,4 @@
-"""Epoch-series utilities: smoothing, convergence and change detection.
+"""Epoch-series utilities: spread, convergence and change detection.
 
 The paper's claims are about series *shapes* — "soon reaches
 equilibrium" (Fig. 2), "remains constant after adding resources"
@@ -23,19 +23,6 @@ def _as_array(series: Sequence[float]) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise SeriesError("series must be a non-empty 1-D sequence")
     return arr
-
-
-def moving_average(series: Sequence[float], window: int) -> np.ndarray:
-    """Centered-start moving average (first values average what exists)."""
-    arr = _as_array(series)
-    if window < 1:
-        raise SeriesError(f"window must be >= 1, got {window}")
-    out = np.empty_like(arr)
-    csum = np.concatenate(([0.0], np.cumsum(arr)))
-    for i in range(arr.size):
-        lo = max(0, i - window + 1)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
 
 
 def relative_spread(series: Sequence[float]) -> float:
@@ -70,11 +57,6 @@ def convergence_epoch(series: Sequence[float], *,
         if np.all(np.abs(tail - mean) <= bound):
             return start
     return None
-
-
-def is_flat(series: Sequence[float], *, tolerance: float = 0.05) -> bool:
-    """True when the whole series stays within ±tolerance of its mean."""
-    return convergence_epoch(series, tolerance=tolerance, window=1) == 0
 
 
 def step_change(series: Sequence[float], at: int, *,

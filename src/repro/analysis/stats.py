@@ -44,15 +44,6 @@ def jain_index(values: Sequence[float]) -> float:
     return float(total * total / (arr.size * np.square(arr).sum()))
 
 
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """std / mean; 0 for a constant series."""
-    arr = _as_array(values)
-    mean = arr.mean()
-    if mean == 0:
-        return 0.0 if arr.std() == 0 else float("inf")
-    return float(arr.std() / abs(mean))
-
-
 def describe(values: Sequence[float]) -> Dict[str, float]:
     """Five-number summary plus fairness measures."""
     arr = _as_array(values)
@@ -68,9 +59,3 @@ def describe(values: Sequence[float]) -> Dict[str, float]:
         "jain": jain_index(arr),
         "gini": gini(arr) if np.all(arr >= 0) else float("nan"),
     }
-
-
-def ratio_with_bounds(numerator: float, denominator: float,
-                      *, floor: float = 1e-12) -> float:
-    """Safe ratio for comparing measured vs expected magnitudes."""
-    return float(numerator / max(abs(denominator), floor))

@@ -54,15 +54,3 @@ class ClaimTable:
                 for c in self.claims
             ],
         )
-
-    def markdown(self) -> str:
-        """GitHub-flavoured markdown rendering for EXPERIMENTS.md."""
-        lines = [
-            "| experiment | paper claim | measured | verdict |",
-            "|---|---|---|---|",
-        ]
-        for c in self.claims:
-            lines.append(
-                f"| {c.experiment} | {c.claim} | {c.measured} | {c.verdict} |"
-            )
-        return "\n".join(lines)

@@ -10,7 +10,6 @@ from repro.analysis.economics import (
     ring_economics,
     summarize_economics,
     vnode_spread_series,
-    wealth_histogram,
 )
 from repro.core.agent import AgentRegistry
 from repro.ring.partition import PartitionId
@@ -63,7 +62,7 @@ class TestAgentEconomics:
     def test_summary_fields(self):
         econ = agent_economics(build_registry())
         assert econ.agents == 4
-        assert econ.mean_wealth == pytest.approx((4.0 - 0.5 + 1.0) / 4)
+        assert econ.wealth["mean"] == pytest.approx((4.0 - 0.5 + 1.0) / 4)
         assert econ.total_moves == 1
         assert econ.wealth["max"] == 4.0
         assert econ.epochs_alive["max"] == 2.0
@@ -78,14 +77,6 @@ class TestAgentEconomics:
         assert ring0.moves_total == 1
         assert rings[1].agents == 1
         assert rings[1].wealth_total == pytest.approx(0.0)
-
-    def test_wealth_histogram_buckets(self):
-        buckets = wealth_histogram(build_registry(), bins=3)
-        assert sum(count for __, __, count in buckets) == 4
-        assert buckets[0][0] == pytest.approx(-0.5)
-        assert buckets[-1][1] == pytest.approx(4.0)
-        with pytest.raises(EconomicsError):
-            wealth_histogram(build_registry(), bins=0)
 
 
 class TestSimulationIntegration:

@@ -231,13 +231,7 @@ class TestOverheadLedger:
         assert ledger.replication_bytes == 110
         assert ledger.migration_bytes == 50
         assert ledger.total_bytes == 160
-        assert ledger.per_epoch() == pytest.approx(80.0)
-
-    def test_overhead_ratio(self):
-        ledger = OverheadLedger()
-        ledger.record(300, 100)
-        assert ledger.overhead_ratio(1000) == pytest.approx(0.4)
-        assert ledger.overhead_ratio(0) == 0.0
+        assert ledger.epochs == 2
 
     def test_negative_rejected(self):
         with pytest.raises(LatencyError):

@@ -7,33 +7,17 @@ from repro.analysis.series import (
     SeriesError,
     convergence_epoch,
     first_nonzero_epoch,
-    is_flat,
-    moving_average,
     peak_epoch,
     relative_spread,
     step_change,
 )
 
 
-class TestMovingAverage:
-    def test_smooths(self):
-        out = moving_average([0, 10, 0, 10], window=2)
-        assert list(out) == [0.0, 5.0, 5.0, 5.0]
-
-    def test_window_one_is_identity(self):
-        data = [3.0, 1.0, 4.0]
-        assert list(moving_average(data, 1)) == data
-
-    def test_invalid_window(self):
-        with pytest.raises(SeriesError):
-            moving_average([1.0], 0)
-
+class TestRelativeSpread:
     def test_empty_rejected(self):
         with pytest.raises(SeriesError):
-            moving_average([], 2)
+            relative_spread([])
 
-
-class TestRelativeSpread:
     def test_flat_is_zero(self):
         assert relative_spread([5, 5, 5]) == 0.0
 
@@ -58,9 +42,11 @@ class TestConvergence:
     def test_flat_converges_at_zero(self):
         assert convergence_epoch([7.0] * 20) == 0
 
-    def test_is_flat(self):
-        assert is_flat([100, 101, 99, 100], tolerance=0.05)
-        assert not is_flat([100, 200, 100], tolerance=0.05)
+    def test_whole_series_within_tolerance(self):
+        assert convergence_epoch([100, 101, 99, 100], tolerance=0.05,
+                                 window=1) == 0
+        assert convergence_epoch([100, 200, 100], tolerance=0.05,
+                                 window=1) != 0
 
     def test_invalid_params(self):
         with pytest.raises(SeriesError):

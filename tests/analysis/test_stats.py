@@ -5,11 +5,9 @@ import pytest
 
 from repro.analysis.stats import (
     StatsError,
-    coefficient_of_variation,
     describe,
     gini,
     jain_index,
-    ratio_with_bounds,
 )
 
 
@@ -45,17 +43,6 @@ class TestJain:
         assert jain_index([0, 0]) == 1.0
 
 
-class TestCoV:
-    def test_constant(self):
-        assert coefficient_of_variation([4, 4, 4]) == 0.0
-
-    def test_known_value(self):
-        assert coefficient_of_variation([2, 4]) == pytest.approx(1 / 3)
-
-    def test_zero_mean(self):
-        assert coefficient_of_variation([-1, 1]) == float("inf")
-
-
 class TestDescribe:
     def test_keys_and_values(self):
         summary = describe([1, 2, 3, 4])
@@ -69,11 +56,3 @@ class TestDescribe:
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
             describe([])
-
-
-class TestRatio:
-    def test_simple(self):
-        assert ratio_with_bounds(6, 3) == 2.0
-
-    def test_zero_denominator_bounded(self):
-        assert ratio_with_bounds(1, 0) == pytest.approx(1e12)

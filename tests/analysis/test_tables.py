@@ -36,9 +36,12 @@ class TestClaimTable:
     def test_render_empty(self):
         assert ClaimTable().render() == "(no claims)"
 
-    def test_markdown(self):
+    def test_render_header_and_both_verdicts(self):
         table = ClaimTable()
         table.add("fig5", "no losses", "0 failures", True)
-        md = table.markdown()
-        assert md.startswith("| experiment |")
-        assert "| fig5 |" in md
+        table.add("fig3", "flat totals", "spread 9%", False)
+        out = table.render()
+        header = out.splitlines()[0]
+        for column in ("experiment", "paper claim", "measured", "verdict"):
+            assert column in header
+        assert "REPRODUCED" in out and "DIVERGED" in out

@@ -29,23 +29,17 @@ class TestTrafficAccounting:
         # >migration-budget partitions), but at 1000 bytes none occur.
         assert np.all(rep_bytes == reps * 1000)
 
-    def test_total_bytes_moved_helper(self):
-        sim = Simulation(small_config(epochs=6))
-        log = sim.run()
-        assert log.total_bytes_moved() == int(
-            log.series("replication_bytes").sum()
-            + log.series("migration_bytes").sum()
-        )
-
     def test_overhead_ledger_integration(self):
         sim = Simulation(small_config(epochs=6))
         log = sim.run()
         ledger = OverheadLedger()
         for frame in log:
             ledger.record(frame.replication_bytes, frame.migration_bytes)
-        assert ledger.total_bytes == log.total_bytes_moved()
+        assert ledger.total_bytes == int(
+            log.series("replication_bytes").sum()
+            + log.series("migration_bytes").sum()
+        )
         assert ledger.epochs == len(log)
-        assert ledger.overhead_ratio(log.last.storage_used) >= 0
 
 
 class TestFrameSanity:
