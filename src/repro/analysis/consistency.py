@@ -1,9 +1,8 @@
 """Linearizability-lite consistency audit over a client history.
 
 Each serving overlay folds every request into a
-:class:`ConsistencyFrontier` as it completes (:func:`audit_history`
-folds a recorded history), checking it against the committed ground
-truth — per key, the highest version any *successful strong-level
+:class:`ConsistencyFrontier` as it completes, checking it against the
+committed ground truth — per key, the highest version any *successful strong-level
 write* (``quorum`` / ``all``) stamped — and classifying every deviation:
 
 * **stale read** — a strong-level read observed a version older than a
@@ -34,9 +33,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: Levels whose reads must observe every previously committed strong
 #: write (R + W > N) once the system has quiesced.
@@ -226,28 +223,3 @@ class ConsistencyFrontier:
                 ))
         return report
 
-
-def audit_history(
-    history: Sequence,
-    final_versions: Optional[Mapping[KeyIdent, int]] = None,
-) -> ConsistencyReport:
-    """Fold a recorded client history and classify every anomaly.
-
-    ``history`` is any sequence of records with ``seq``, ``epoch``,
-    ``kind``, ``level``, ``app_id``, ``ring_id``, ``key``, ``ok`` and
-    ``version`` attributes (and optionally ``ghost_served``), in issue
-    order; failed operations carry version -1.  ``final_versions`` maps
-    each key identity to the freshest version any surviving copy holds
-    at audit time (missing keys read as 0); when provided, committed
-    writes are checked for durability (lost-write detection).
-    """
-    frontier = ConsistencyFrontier()
-    for op in history:
-        frontier.fold(
-            op.seq, op.epoch, op.kind, op.level,
-            (op.app_id, op.ring_id, op.key), op.version if op.ok else -1,
-            getattr(op, "ghost_served", False),
-        )
-    if final_versions is None:
-        return frontier.report()
-    return frontier.report(lambda *ident: final_versions.get(ident, 0))

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.metrics import DataPlaneFrame, MetricsLog
+from repro.sim.metrics import MetricsLog
 
 
 class DivergenceError(ValueError):
@@ -141,25 +141,6 @@ def oracle_twin_config(config):
     if getattr(config, "net", None) is None:
         raise DivergenceError("config has no net: it IS the oracle")
     return dataclasses.replace(config, net=None)
-
-
-def data_plane_deltas(oracle, faulty) -> Dict[str, int]:
-    """Faulty-minus-oracle totals over the data-plane frame streams.
-
-    Both arguments are :class:`repro.sim.metrics.RobustnessLog`
-    instances collected from data-plane-enabled runs (the oracle twin
-    keeps its data plane — it simply never times out or parks hints).
-    The delta per summed :class:`repro.sim.metrics.DataPlaneFrame`
-    field reads as "extra serving degradation the faults caused":
-    replica timeouts, diverted writes, repair traffic.
-    """
-    a = oracle.data_plane_summary()
-    b = faulty.data_plane_summary()
-    return {
-        f.name: b[f.name] - a[f.name]
-        for f in dataclasses.fields(DataPlaneFrame)
-        if isinstance(a.get(f.name), int)
-    }
 
 
 def _first_mismatch(

@@ -65,23 +65,6 @@ class FailureModel:
         return getattr(self, level)
 
 
-def survival_probability(cloud: Cloud, replicas: Sequence[int],
-                         model: FailureModel, *, trials: int = 20000,
-                         rng: Optional[np.random.Generator] = None) -> float:
-    """Per-epoch survival probability of a replica set.
-
-    A replica survives the epoch iff none of its six enclosing failure
-    domains fail; the partition survives iff at least one replica does.
-    Domains shared by colocated replicas are sampled once, so their
-    correlated death — the reason eq. 2 rewards dispersion — is exact.
-    (A closed form would require inclusion-exclusion over domain
-    subsets; Monte Carlo with shared draws is simpler and unbiased.)
-    """
-    return 1.0 - monte_carlo_loss(
-        cloud, replicas, model, trials=trials, rng=rng
-    )
-
-
 def monte_carlo_loss(cloud: Cloud, replicas: Sequence[int],
                      model: FailureModel, *, trials: int = 10000,
                      rng: Optional[np.random.Generator] = None) -> float:

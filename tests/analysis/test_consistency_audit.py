@@ -2,11 +2,7 @@
 
 from typing import NamedTuple
 
-from repro.analysis.consistency import (
-    AnomalyKind,
-    ConsistencyFrontier,
-    audit_history,
-)
+from repro.analysis.consistency import AnomalyKind, ConsistencyFrontier
 
 
 class ClientOp(NamedTuple):
@@ -22,6 +18,24 @@ class ClientOp(NamedTuple):
     ok: bool
     version: int
     ghost_served: bool = False
+
+
+def audit_history(history, final_versions=None):
+    """Fold ``history`` in issue order, as the serving overlays do.
+
+    ``final_versions`` maps a key identity to the freshest surviving
+    version (missing keys read as 0) and arms the lost-write check.
+    """
+    frontier = ConsistencyFrontier()
+    for o in history:
+        frontier.fold(
+            o.seq, o.epoch, o.kind, o.level,
+            (o.app_id, o.ring_id, o.key), o.version if o.ok else -1,
+            o.ghost_served,
+        )
+    if final_versions is None:
+        return frontier.report()
+    return frontier.report(lambda *ident: final_versions.get(ident, 0))
 
 
 def op(seq, kind, *, version, ok=True, level="quorum", key=b"k",

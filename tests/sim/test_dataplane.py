@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.divergence import data_plane_deltas
 from repro.cluster.topology import CloudLayout
 from repro.core.economy import RentModel
 from repro.core.policy import EconomicPolicy
@@ -163,14 +162,13 @@ class TestEngineIntegration:
         faulty.run()
         oracle = Simulation(small_config(data_plane=DataPlaneConfig()))
         oracle.run()
-        deltas = data_plane_deltas(
-            oracle.robustness, faulty.robustness
-        )
-        assert "epoch" not in deltas and "hint_queue_depth" not in deltas
+        a = oracle.robustness.data_plane_summary()
+        b = faulty.robustness.data_plane_summary()
         # The partition forces at least some serving degradation.
-        degradation = (
-            deltas["replica_timeouts"] + deltas["replica_unreachable"]
-            + deltas["suspects_skipped"] + deltas["hints_parked"]
+        degradation = sum(
+            b[name] - a[name]
+            for name in ("replica_timeouts", "replica_unreachable",
+                         "suspects_skipped", "hints_parked")
         )
         assert degradation > 0
 
