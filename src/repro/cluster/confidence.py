@@ -11,7 +11,7 @@ composable model so differentiated-confidence scenarios can be expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.cluster.location import Location
 
@@ -65,39 +65,11 @@ class ConfidenceModel:
         factor = self.country_factors.get(location.country, 1.0)
         return self.base * factor
 
-    def with_country(self, country: int, factor: float) -> "ConfidenceModel":
-        """Return a copy with one country factor added/replaced."""
-        factors = dict(self.country_factors)
-        factors[country] = factor
-        return ConfidenceModel(
-            base=self.base,
-            country_factors=factors,
-            server_overrides=dict(self.server_overrides),
-        )
-
-    def with_server(self, server_id: int, value: float) -> "ConfidenceModel":
-        """Return a copy with one per-server override added/replaced."""
-        overrides = dict(self.server_overrides)
-        overrides[server_id] = validate_confidence(value)
-        return ConfidenceModel(
-            base=self.base,
-            country_factors=dict(self.country_factors),
-            server_overrides=overrides,
-        )
 
 
 def uniform_confidence(value: float = 1.0) -> ConfidenceModel:
     """The paper's experimental setting: every server equally trusted."""
     return ConfidenceModel(base=validate_confidence(value))
-
-
-def from_mapping(mapping: Mapping[int, float],
-                 default: float = 1.0) -> ConfidenceModel:
-    """Build a model from an explicit ``server_id -> confidence`` mapping."""
-    model = ConfidenceModel(base=validate_confidence(default))
-    for server_id, value in mapping.items():
-        model.server_overrides[server_id] = validate_confidence(value)
-    return model
 
 
 def blended(technical: float, stability: float,

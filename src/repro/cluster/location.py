@@ -19,7 +19,7 @@ like distance on the location tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 #: Names of the six location levels, most significant first.
 LEVELS: Tuple[str, ...] = (
@@ -57,7 +57,7 @@ class Location:
     Components are small integers naming the entity *within its parent*
     (country 2 means "the third country of that continent").  Equality of
     a level is therefore only meaningful when all shallower levels match,
-    which is exactly what :func:`similarity` implements.
+    which is exactly what :func:`shared_depth` implements.
     """
 
     continent: int
@@ -94,15 +94,6 @@ class Location:
         if not 0 <= depth <= NUM_LEVELS:
             raise LocationError(f"depth must be in [0, {NUM_LEVELS}], got {depth}")
         return self.parts()[:depth]
-
-    def same_prefix(self, other: "Location", depth: int) -> bool:
-        """True when both locations agree on the first ``depth`` levels."""
-        return self.prefix(depth) == other.prefix(depth)
-
-    def ancestors(self) -> Iterator[Tuple[int, ...]]:
-        """Yield every non-empty prefix, shallowest first."""
-        for depth in range(1, NUM_LEVELS + 1):
-            yield self.prefix(depth)
 
     def __str__(self) -> str:
         return "/".join(
@@ -143,30 +134,14 @@ _DIVERSITY_AT_DEPTH: Tuple[int, ...] = tuple(
 )
 
 
-def similarity(a: Location, b: Location) -> int:
-    """6-bit prefix similarity of two locations (paper §II-B).
-
-    Bit 5 (MSB) is the continent, bit 0 the server.  A bit is 1 only when
-    the corresponding level *and every shallower level* match.
-    """
-    return FULL_MASK ^ _DIVERSITY_AT_DEPTH[shared_depth(a, b)]
-
-
 def diversity(a: Location, b: Location) -> int:
-    """Geographic diversity: bitwise NOT of :func:`similarity` over 6 bits.
+    """Geographic diversity: bitwise NOT of the 6-bit prefix similarity.
+
+    Similarity bit 5 (MSB) is the continent, bit 0 the server; a bit is
+    1 only when that level *and every shallower level* match.
 
     Ranges from 0 (identical server) to :data:`MAX_DIVERSITY` (different
     continents).  Symmetric, and ``diversity(a, a) == 0``.
     """
     return _DIVERSITY_AT_DEPTH[shared_depth(a, b)]
 
-
-def diversity_from_depth(depth: int) -> int:
-    """Diversity value implied by a shared-prefix depth.
-
-    ``depth=6`` (same server) gives 0; ``depth=0`` gives 63.  Useful for
-    reasoning about thresholds without concrete locations.
-    """
-    if not 0 <= depth <= NUM_LEVELS:
-        raise LocationError(f"depth must be in [0, {NUM_LEVELS}], got {depth}")
-    return _DIVERSITY_AT_DEPTH[depth]

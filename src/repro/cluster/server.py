@@ -268,7 +268,7 @@ class Server:
     budget counters) is maintained by the store and the simulator; the
     server object itself only enforces capacity invariants.  A directly
     constructed server owns a private single-row table;
-    ``Cloud.add_server`` adopts the row into the cloud's shared table
+    ``Cloud.add_servers`` adopts the row into the cloud's shared table
     (and removal detaches it back), so the same handle stays valid
     across registration.
     """

@@ -282,11 +282,6 @@ class Cloud:
 
     # -- mutation -----------------------------------------------------------
 
-    def add_server(self, server: Server) -> Server:
-        """Register one server (see :meth:`add_servers`)."""
-        self.add_servers([server])
-        return server
-
     def add_servers(self, servers: Iterable[Server]) -> None:
         """Register a wave of servers and recode the cloud once.
 
@@ -312,10 +307,6 @@ class Cloud:
             self._locations.append(server.location)
             self._next_id = max(self._next_id, server.server_id + 1)
         self._recode()
-
-    def spawn_server(self, location: Location, **kwargs) -> Server:
-        """Create and register a server with the next free id."""
-        return self.spawn_servers([location], **kwargs)[0]
 
     def spawn_servers(
         self, locations: Sequence[Location], **kwargs

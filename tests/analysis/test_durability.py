@@ -22,8 +22,8 @@ RNG = np.random.default_rng(1)
 def cloud_with(*locations):
     cloud = Cloud()
     for i, loc in enumerate(locations):
-        cloud.add_server(make_server(i, Location(*loc),
-                                     storage_capacity=10**9))
+        cloud.add_servers([make_server(i, Location(*loc),
+                                     storage_capacity=10**9)])
     return cloud
 
 

@@ -27,10 +27,10 @@ LAYOUT = CloudLayout(
 
 def setup():
     cloud = Cloud()
-    cloud.add_server(make_server(0, Location(0, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9))
-    cloud.add_server(make_server(1, Location(1, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9))
+    cloud.add_servers([make_server(0, Location(0, 0, 0, 0, 0, 0),
+                                 storage_capacity=10**9)])
+    cloud.add_servers([make_server(1, Location(1, 0, 0, 0, 0, 0),
+                                 storage_capacity=10**9)])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 2), 2,
                           initial_size=10)
@@ -132,10 +132,10 @@ class TestExpectedResponseTime:
 def split_setup():
     """Half the partitions near the hotspot, half across the ocean."""
     cloud = Cloud()
-    cloud.add_server(make_server(0, Location(0, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9))
-    cloud.add_server(make_server(1, Location(1, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9))
+    cloud.add_servers([make_server(0, Location(0, 0, 0, 0, 0, 0),
+                                 storage_capacity=10**9)])
+    cloud.add_servers([make_server(1, Location(1, 0, 0, 0, 0, 0),
+                                 storage_capacity=10**9)])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 2), 2,
                           initial_size=10)

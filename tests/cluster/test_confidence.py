@@ -6,7 +6,6 @@ from repro.cluster.confidence import (
     ConfidenceError,
     ConfidenceModel,
     blended,
-    from_mapping,
     uniform_confidence,
 )
 from repro.cluster.location import Location
@@ -30,36 +29,32 @@ class TestUniform:
 
 class TestFactors:
     def test_country_factor_multiplies(self):
-        model = uniform_confidence(0.8).with_country(3, 0.5)
+        model = ConfidenceModel(base=0.8, country_factors={3: 0.5})
         assert model.for_server(0, LOC) == pytest.approx(0.4)
 
     def test_other_country_unaffected(self):
-        model = uniform_confidence().with_country(9, 0.5)
+        model = ConfidenceModel(country_factors={9: 0.5})
         assert model.for_server(0, LOC) == 1.0
 
     def test_server_override_wins(self):
-        model = uniform_confidence().with_country(3, 0.5).with_server(0, 0.99)
+        model = ConfidenceModel(country_factors={3: 0.5},
+                                server_overrides={0: 0.99})
         assert model.for_server(0, LOC) == pytest.approx(0.99)
-
-    def test_with_methods_do_not_mutate(self):
-        base = uniform_confidence()
-        base.with_country(3, 0.5)
-        assert base.for_server(0, LOC) == 1.0
 
     def test_invalid_country_factor(self):
         with pytest.raises(ConfidenceError):
             ConfidenceModel(country_factors={1: 2.0})
 
 
-class TestFromMapping:
+class TestServerOverrides:
     def test_mapping_overrides(self):
-        model = from_mapping({1: 0.3}, default=0.7)
+        model = ConfidenceModel(base=0.7, server_overrides={1: 0.3})
         assert model.for_server(1, LOC) == pytest.approx(0.3)
         assert model.for_server(2, LOC) == pytest.approx(0.7)
 
     def test_invalid_value(self):
         with pytest.raises(ConfidenceError):
-            from_mapping({1: -0.1})
+            ConfidenceModel(server_overrides={1: -0.1})
 
 
 class TestBlended:

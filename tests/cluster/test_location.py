@@ -10,9 +10,7 @@ from repro.cluster.location import (
     Location,
     LocationError,
     diversity,
-    diversity_from_depth,
     shared_depth,
-    similarity,
 )
 
 
@@ -60,27 +58,24 @@ class TestPrefix:
         with pytest.raises(LocationError):
             loc(0, 0, 0, 0, 0, 0).prefix(7)
 
-    def test_same_prefix(self):
+    def test_shared_prefix(self):
         a = loc(1, 2, 3, 0, 0, 0)
         b = loc(1, 2, 9, 0, 0, 0)
-        assert a.same_prefix(b, 2)
-        assert not a.same_prefix(b, 3)
-
-    def test_ancestors_count(self):
-        assert len(list(loc(0, 0, 0, 0, 0, 0).ancestors())) == NUM_LEVELS
+        assert a.prefix(2) == b.prefix(2)
+        assert a.prefix(3) != b.prefix(3)
+        assert shared_depth(a, b) == 2
 
 
 class TestSimilarityDiversity:
     def test_identical_servers(self):
         a = loc(1, 1, 1, 1, 1, 1)
-        assert similarity(a, a) == FULL_MASK
         assert diversity(a, a) == 0
 
     def test_paper_example_same_through_datacenter(self):
         """The paper's worked example: similarity 111000 -> diversity 7."""
         a = loc(1, 2, 3, 0, 0, 0)
         b = loc(1, 2, 3, 1, 0, 0)
-        assert similarity(a, b) == 0b111000
+        assert FULL_MASK ^ diversity(a, b) == 0b111000
         assert diversity(a, b) == 7
 
     def test_different_continent_is_max(self):
@@ -103,7 +98,7 @@ class TestSimilarityDiversity:
         a = loc(1, 1, 0, 7, 7, 7)
         b = loc(1, 1, 1, 7, 7, 7)
         # Datacenter differs, so room/rack/server equality must not count.
-        assert similarity(a, b) == 0b110000
+        assert FULL_MASK ^ diversity(a, b) == 0b110000
         assert diversity(a, b) == 0b001111 == 15
 
     def test_symmetry(self):
@@ -120,19 +115,16 @@ class TestSimilarityDiversity:
             a = loc(*base)
             b = loc(*parts)
             assert shared_depth(a, b) == depth
-            assert diversity(a, b) == diversity_from_depth(depth)
-
-    def test_diversity_from_depth_bounds(self):
-        assert diversity_from_depth(0) == 63
-        assert diversity_from_depth(6) == 0
-        with pytest.raises(LocationError):
-            diversity_from_depth(7)
+            assert diversity(a, b) == FULL_MASK >> depth
 
     def test_diversity_values_are_2k_minus_1(self):
         """Diversity is always of the form 2^k - 1 (trailing ones)."""
+        base = (1, 1, 1, 1, 1, 1)
         seen = {
-            diversity_from_depth(depth) for depth in range(NUM_LEVELS + 1)
-        }
+            diversity(loc(*base),
+                      loc(*base[:depth], 9, *base[depth + 1:]))
+            for depth in range(NUM_LEVELS)
+        } | {0}
         assert seen == {0, 1, 3, 7, 15, 31, 63}
 
 
@@ -171,6 +163,4 @@ class TestExhaustiveAgainstPartsZip:
                 depth = self.reference_depth(a, b)
                 assert shared_depth(a, b) == depth
                 ones = ((1 << depth) - 1) << (NUM_LEVELS - depth)
-                assert similarity(a, b) == ones
                 assert diversity(a, b) == FULL_MASK ^ ones
-                assert diversity(a, b) == diversity_from_depth(depth)

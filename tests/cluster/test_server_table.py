@@ -20,10 +20,10 @@ from repro.cluster.topology import Cloud
 def small_cloud(n=4, **kwargs):
     cloud = Cloud()
     for i in range(n):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i % 2, 0, 0, 0, 0, i // 2),
                         storage_capacity=1000, **kwargs)
-        )
+        ])
     return cloud
 
 
@@ -42,7 +42,7 @@ class TestAdoption:
         server.allocate_storage(100)
         server.replication_budget.reserve(7)
         cloud = Cloud()
-        cloud.add_server(server)
+        cloud.add_servers([server])
         assert cloud.server(0) is server
         assert cloud.storage_used_vector().tolist() == [100]
         assert cloud.monthly_rent_vector().tolist() == [42.0]
@@ -122,11 +122,11 @@ class TestFailureAndRentColumns:
     def test_rent_and_capacity_columns_match_views(self):
         cloud = Cloud()
         for i, rent in enumerate((100.0, 125.0, 80.0)):
-            cloud.add_server(
+            cloud.add_servers([
                 make_server(i, Location(0, 0, 0, 0, 0, i),
                             storage_capacity=1000 * (i + 1),
                             monthly_rent=rent)
-            )
+            ])
         assert cloud.monthly_rent_vector().tolist() == [100.0, 125.0, 80.0]
         assert cloud.capacity_vector().tolist() == [1000, 2000, 3000]
         assert cloud.query_capacity_vector().tolist() == [1_000_000] * 3

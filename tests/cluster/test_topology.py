@@ -67,10 +67,10 @@ class TestCloudLayout:
 def small_cloud(n=4):
     cloud = Cloud()
     for i in range(n):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i % 2, 0, 0, 0, 0, i // 2),
                         storage_capacity=1000)
-        )
+        ])
     return cloud
 
 
@@ -83,7 +83,7 @@ class TestCloudMutation:
     def test_duplicate_id_rejected(self):
         cloud = small_cloud(1)
         with pytest.raises(TopologyError):
-            cloud.add_server(make_server(0, Location(0, 0, 0, 0, 0, 9)))
+            cloud.add_servers([make_server(0, Location(0, 0, 0, 0, 0, 9))])
 
     def test_unknown_server(self):
         cloud = small_cloud(1)
@@ -112,7 +112,7 @@ class TestCloudMutation:
     def test_spawn_server_gets_fresh_id(self):
         cloud = small_cloud(3)
         cloud.remove_server(2)
-        spawned = cloud.spawn_server(Location(1, 1, 0, 0, 0, 0))
+        spawned = cloud.spawn_servers([Location(1, 1, 0, 0, 0, 0)])[0]
         assert spawned.server_id == 3  # id 2 is never reused
 
     def test_diversity_matches_location_diversity(self):

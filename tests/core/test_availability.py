@@ -21,9 +21,9 @@ from repro.core.availability import (
 def cloud_with(*locations, confidence=1.0):
     cloud = Cloud()
     for i, loc in enumerate(locations):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(*loc), confidence=confidence)
-        )
+        ])
     return cloud
 
 
@@ -165,10 +165,10 @@ class TestColumnReadsAreBitIdentical:
     def build(self):
         cloud = Cloud()
         for i, conf in enumerate(self.CONF):
-            cloud.add_server(make_server(
+            cloud.add_servers([make_server(
                 i, Location(i % 4, i % 3, i % 2, 0, i % 2, i),
                 confidence=conf,
-            ))
+            )])
         cloud.server(3).fail()  # dead but still registered
         cloud.remove_server(6)  # gone: slots above it shifted left
         return cloud

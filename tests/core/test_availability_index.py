@@ -25,13 +25,13 @@ from repro.ring.hashing import RING_SIZE
 def build_cloud(n=12):
     cloud = Cloud()
     for i in range(n):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(
                 i,
                 Location(i % 4, i % 2, 0, 0, i % 3, i),
                 storage_capacity=10_000_000,
             )
-        )
+        ])
     return cloud
 
 

@@ -75,12 +75,12 @@ class TestAggregates:
 class TestUpdateBoard:
     def test_update_board_posts_eq1_prices(self):
         cloud = Cloud()
-        cloud.add_server(
+        cloud.add_servers([
             make_server(0, Location(0, 0, 0, 0, 0, 0), monthly_rent=100.0)
-        )
-        cloud.add_server(
+        ])
+        cloud.add_servers([
             make_server(1, Location(1, 0, 0, 0, 0, 0), monthly_rent=125.0)
-        )
+        ])
         board = PriceBoard()
         model = RentModel(epochs_per_month=100)
         prices = update_board(board, 7, cloud, model)

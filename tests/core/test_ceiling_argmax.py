@@ -39,12 +39,12 @@ def build(continents, confs, rents, removed=(), rent_weight=1.0):
     dropped from the cloud again before the scorer is built."""
     cloud = Cloud()
     for i, (cont, conf) in enumerate(zip(continents, confs)):
-        cloud.add_server(make_server(
+        cloud.add_servers([make_server(
             i, Location(cont, i % 2, 0, 0, i % 3, i), confidence=conf,
             storage_capacity=(4_000, 6_500, 9_000)[i % 3],
             replication_budget=(900, 2_400)[i % 2],
             migration_budget=(600, 1_500)[(i // 2) % 2],
-        ))
+        )])
     for sid in removed:
         cloud.remove_server(sid)
     board = PriceBoard()

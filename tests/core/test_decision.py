@@ -35,7 +35,7 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
             storage=10_000, initial_size=100):
     cloud = Cloud()
     for i, loc in enumerate(LOCS):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(
                 i, Location(*loc),
                 monthly_rent=(rents or {}).get(i, 100.0),
@@ -43,7 +43,7 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
                 replication_budget=10_000,
                 migration_budget=10_000,
             )
-        )
+        ])
     rings = RingSet()
     ring = rings.add_ring(
         0, 0, AvailabilityLevel(threshold, 2), partitions,

@@ -77,10 +77,10 @@ class TestRentModel:
     def test_price_cloud(self):
         model = RentModel()
         cloud = Cloud()
-        cloud.add_server(make_server(0, LOC, monthly_rent=100.0))
-        cloud.add_server(
+        cloud.add_servers([make_server(0, LOC, monthly_rent=100.0)])
+        cloud.add_servers([
             make_server(1, Location(1, 0, 0, 0, 0, 0), monthly_rent=125.0)
-        )
+        ])
         prices = model.price_cloud(cloud)
         assert set(prices) == {0, 1}
         assert prices[1] > prices[0]
@@ -130,14 +130,14 @@ class TestUsageTracker:
 def _cost_harness(n=4, model=None):
     cloud = Cloud()
     for i in range(n):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(
                 i, Location(i, 0, 0, 0, 0, 0),
                 monthly_rent=100.0 + 25.0 * (i % 2),
                 storage_capacity=10_000,
                 query_capacity=100,
             )
-        )
+        ])
     catalog = ReplicaCatalog(cloud)
     rent_model = model or RentModel(alpha=2.0, beta=3.0,
                                     epochs_per_month=100)
@@ -190,8 +190,8 @@ class TestCloudCostIndex:
         cloud, catalog, model, index = _cost_harness()
         catalog.place(_partition(1), 0)
         _assert_prices_match(index, model, cloud)
-        cloud.spawn_server(Location(9, 0, 0, 0, 0, 0),
-                           storage_capacity=10_000, query_capacity=100)
+        cloud.spawn_servers([Location(9, 0, 0, 0, 0, 0)],
+                           storage_capacity=10_000, query_capacity=100)[0]
         _assert_prices_match(index, model, cloud)
         cloud.remove_server(0)
         catalog.drop_server(0)

@@ -20,9 +20,9 @@ from repro.workload.clients import ClientGeography, uniform_geography
 def build(locations, rents=None, storage=1000):
     cloud = Cloud()
     for i, loc in enumerate(locations):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(*loc), storage_capacity=storage)
-        )
+        ])
     board = PriceBoard()
     prices = rents or {i: 1.0 for i in range(len(locations))}
     board.post(0, prices)
@@ -231,9 +231,9 @@ class TestShortlist:
                 int(rng.integers(2)), int(rng.integers(2)),
                 int(rng.integers(2)), int(rng.integers(4)),
             )
-            cloud.add_server(
+            cloud.add_servers([
                 make_server(i, loc, storage_capacity=1000)
-            )
+            ])
         board = PriceBoard()
         board.post(
             0, {i: float(rng.uniform(0.05, 0.4)) for i in range(n)}
@@ -382,13 +382,13 @@ def floor_cloud():
     cloud = Cloud()
     prices = {}
     for i in range(12):
-        cloud.add_server(make_server(
+        cloud.add_servers([make_server(
             i, Location(i % 4, i % 2, 0, 0, i % 3, i),
             monthly_rent=100.0 + 25.0 * (i % 2),
             storage_capacity=(4_000, 6_500, 9_000)[i % 3],
             replication_budget=(900, 2_400)[i % 2],
             migration_budget=(600, 1_500)[(i // 2) % 2],
-        ))
+        )])
         prices[i] = 0.05 + 0.013 * ((i * 7) % 12)
     board = PriceBoard()
     board.post(0, prices)
@@ -543,11 +543,11 @@ class TestInternedClassKeys:
         rng = np.random.default_rng(5)
         for i in range(60):
             # Few distinct locations, so many servers share one.
-            cloud.add_server(make_server(
+            cloud.add_servers([make_server(
                 i, Location(int(rng.integers(3)), int(rng.integers(2)),
                             0, 0, int(rng.integers(2)), 0),
                 storage_capacity=1000,
-            ))
+            )])
         board = PriceBoard()
         board.post(0, {i: 1.0 for i in range(60)})
         scorer = PlacementScorer(cloud, board)
@@ -581,9 +581,9 @@ class TestInternedClassKeys:
             return ids
 
         assert len(set(same_id_iff_same_location())) == 4
-        cloud.add_server(make_server(
+        cloud.add_servers([make_server(
             9, Location(*FOUR[2]), storage_capacity=1000
-        ))
+        )])
         grown = same_id_iff_same_location()
         assert grown[-1] == grown[2] and len(set(grown)) == 4
         cloud.remove_server(0)

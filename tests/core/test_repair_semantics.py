@@ -43,7 +43,7 @@ def build(threshold=20.0, *, partitions=1, policy=None, budgets=None,
     """A 6-server harness with per-server budget/storage overrides."""
     cloud = Cloud()
     for i, loc in enumerate(LOCS):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(
                 i, Location(*loc),
                 monthly_rent=100.0,
@@ -51,7 +51,7 @@ def build(threshold=20.0, *, partitions=1, policy=None, budgets=None,
                 replication_budget=(budgets or {}).get(i, 10_000),
                 migration_budget=10_000,
             )
-        )
+        ])
     rings = RingSet()
     ring = rings.add_ring(
         0, 0, AvailabilityLevel(threshold, 2), partitions,

@@ -9,7 +9,6 @@ from repro.cluster.location import (
     Location,
     diversity,
     shared_depth,
-    similarity,
 )
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
@@ -41,15 +40,10 @@ class TestDiversityProperties:
     @given(locations)
     def test_identity(self, a):
         assert diversity(a, a) == 0
-        assert similarity(a, a) == FULL_MASK
 
     @given(locations, locations)
     def test_bounds(self, a, b):
         assert 0 <= diversity(a, b) <= FULL_MASK
-
-    @given(locations, locations)
-    def test_similarity_diversity_complement(self, a, b):
-        assert similarity(a, b) ^ diversity(a, b) == FULL_MASK
 
     @given(locations, locations)
     def test_diversity_is_all_trailing_ones(self, a, b):
@@ -136,8 +130,8 @@ class TestAvailabilityProperties:
     def test_adding_replica_monotone(self, locs, extra):
         cloud = Cloud()
         for i, loc in enumerate(locs):
-            cloud.add_server(make_server(i, loc))
-        cloud.add_server(make_server(len(locs), extra))
+            cloud.add_servers([make_server(i, loc)])
+        cloud.add_servers([make_server(len(locs), extra)])
         base = list(range(len(locs)))
         before = availability(cloud, base)
         after = availability(cloud, base + [len(locs)])
@@ -149,7 +143,7 @@ class TestAvailabilityProperties:
     def test_availability_invariant_to_order(self, locs):
         cloud = Cloud()
         for i, loc in enumerate(locs):
-            cloud.add_server(make_server(i, loc))
+            cloud.add_servers([make_server(i, loc)])
         ids = list(range(len(locs)))
         forward = availability(cloud, ids)
         backward = availability(cloud, list(reversed(ids)))

@@ -28,10 +28,10 @@ from repro.store.replica import ReplicaCatalog
 def build_store(n_replicas=3):
     cloud = Cloud()
     for i in range(n_replicas):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i, 0, 0, 0, 0, 0),
                         storage_capacity=10**9)
-        )
+        ])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, n_replicas), 2,
                           initial_size=0)
@@ -141,10 +141,10 @@ def build_overlay_store(n_replicas=3, spares=2):
     """Replicas 0..n-1 hold every partition; the spares can hold hints."""
     cloud = Cloud()
     for i in range(n_replicas + spares):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i, 0, 0, 0, 0, 0),
                         storage_capacity=10**9)
-        )
+        ])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, n_replicas), 2,
                           initial_size=0)
@@ -252,9 +252,9 @@ class TestCopyMirrorKeepsAckedCopies:
         ghost's crash is detected."""
         cloud = Cloud()
         for i in range(3):
-            cloud.add_server(make_server(
+            cloud.add_servers([make_server(
                 i, Location(i, 0, 0, 0, 0, 0), storage_capacity=10**9,
-            ))
+            )])
         rings = RingSet()
         ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 3), 1,
                               initial_size=0)

@@ -118,10 +118,10 @@ class TestJoinsAndRemovals:
     def test_join_bootstraps_via_board(self):
         fabric, net, cloud = make_fabric(NetConfig())
         template = cloud.server(cloud.server_ids[0])
-        joiner = cloud.spawn_server(
-            template.location, monthly_rent=template.monthly_rent,
+        joiner = cloud.spawn_servers(
+            [template.location], monthly_rent=template.monthly_rent,
             storage_capacity=template.storage_capacity,
-        )
+        )[0]
         fabric.register_join(joiner.server_id)
         assert net.stats.snapshot()[NEW_NODE] == (2, 2, 0, 0)
         fabric.membership_round()

@@ -77,7 +77,7 @@ class World:
         index = 0
         while Location.from_parts(rack + (index,)) in taken:
             index += 1
-        joiner = cloud.spawn_server(Location.from_parts(rack + (index,)))
+        joiner = cloud.spawn_servers([Location.from_parts(rack + (index,))])[0]
         self.fabric.register_join(joiner.server_id)
 
     def remove(self, k: int) -> None:

@@ -54,10 +54,10 @@ def build(*, replicas=3, config=None, ghosts=None, suspects=(), cuts=(),
           seed=0):
     cloud = Cloud()
     for i in range(3):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i, 0, 0, 0, 0, 0),
                         storage_capacity=10**9)
-        )
+        ])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, replicas), 4,
                           initial_size=0)
@@ -259,9 +259,9 @@ class TestCoordinatorTie:
         # client sits in a third, so both are at diversity 63.
         cloud = Cloud()
         for i in range(2):
-            cloud.add_server(make_server(
+            cloud.add_servers([make_server(
                 i, Location(i, 0, 0, 0, 0, 0), storage_capacity=10**9
-            ))
+            )])
         rings = RingSet()
         ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 2), 4,
                               initial_size=0)

@@ -149,7 +149,7 @@ class World:
         index = 0
         while Location.from_parts(rack + (index,)) in taken:
             index += 1
-        joiner = cloud.spawn_server(Location.from_parts(rack + (index,)))
+        joiner = cloud.spawn_servers([Location.from_parts(rack + (index,))])[0]
         if self.service is not None:
             self.service.register_added([joiner.server_id])
 

@@ -24,10 +24,10 @@ def setup(replicas=3, read_repair=True):
 def setup_with_catalog(replicas=3, read_repair=True, **store_kw):
     cloud = Cloud()
     for i in range(4):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i, 0, 0, 0, 0, 0),
                         storage_capacity=10**9)
-        )
+        ])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, replicas), 4,
                           initial_size=0)

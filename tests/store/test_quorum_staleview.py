@@ -53,10 +53,10 @@ def setup(*, replicas=3, servers=5, hints=False, ghosts=(),
           suspects=(), cut=(), read_repair=True):
     cloud = Cloud()
     for i in range(servers):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i, 0, 0, 0, 0, 0),
                         storage_capacity=10**9)
-        )
+        ])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, replicas), 4,
                           initial_size=0)
@@ -266,10 +266,10 @@ class TestCatalogMirror:
     def setup_tracked(self, **kwargs):
         cloud = Cloud()
         for i in range(5):
-            cloud.add_server(
+            cloud.add_servers([
                 make_server(i, Location(i, 0, 0, 0, 0, 0),
                             storage_capacity=10**9)
-            )
+            ])
         rings = RingSet()
         ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 3), 4,
                               initial_size=0)

@@ -13,10 +13,10 @@ from repro.store.replica import CatalogListener, ReplicaCatalog, ReplicaError
 def cloud_of(n=4, storage=1000):
     cloud = Cloud()
     for i in range(n):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(i, Location(i, 0, 0, 0, 0, 0),
                         storage_capacity=storage)
-        )
+        ])
     return cloud
 
 

@@ -18,14 +18,14 @@ from repro.store.transfer import (
 def setup(storage=1000, repl_budget=300, migr_budget=100):
     cloud = Cloud()
     for i in range(3):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(
                 i, Location(i, 0, 0, 0, 0, 0),
                 storage_capacity=storage,
                 replication_budget=repl_budget,
                 migration_budget=migr_budget,
             )
-        )
+        ])
     catalog = ReplicaCatalog(cloud)
     engine = TransferEngine(cloud, catalog)
     return cloud, catalog, engine

@@ -36,14 +36,14 @@ def make_partition(index=0, size=100):
 def harness(n_servers=4, *, storage=1000, replication=300, migration=100):
     cloud = Cloud()
     for i in range(n_servers):
-        cloud.add_server(
+        cloud.add_servers([
             make_server(
                 i, Location(i, 0, 0, 0, 0, 0),
                 storage_capacity=storage,
                 replication_budget=replication,
                 migration_budget=migration,
             )
-        )
+        ])
     catalog = ReplicaCatalog(cloud)
     return cloud, catalog, TransferEngine(cloud, catalog)
 
