@@ -5,12 +5,9 @@ from repro.core.availability import (
     AvailabilityError,
     availability,
     availability_without,
-    dispersed_threshold,
-    diversity_histogram,
     max_availability,
     pair_gain,
     paper_thresholds,
-    strict_threshold,
 )
 from repro.core.board import BoardError, PriceBoard, update_board
 from repro.core.decision import DecisionEngine
@@ -51,12 +48,9 @@ __all__ = [
     "VNodeAgent",
     "availability",
     "availability_without",
-    "dispersed_threshold",
-    "diversity_histogram",
     "max_availability",
     "pair_gain",
     "paper_thresholds",
     "proximity_weights",
-    "strict_threshold",
     "update_board",
 ]

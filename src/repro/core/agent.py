@@ -453,11 +453,6 @@ class VNodeAgent:
         return self._ledger.record(self._row, utility, rent)
 
     @property
-    def last_balance(self) -> Optional[float]:
-        values = self._ledger.window_values(self._row)
-        return values[-1] if values else None
-
-    @property
     def negative_streak(self) -> bool:
         """True when the last ``window`` balances are all negative."""
         return self._ledger.neg_streak(self._row)

@@ -19,11 +19,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.location import (
-    CROSS_COUNTRY_DIVERSITY,
-    MAX_DIVERSITY,
-    diversity,
-)
+from repro.cluster.location import MAX_DIVERSITY, diversity
 from repro.cluster.topology import Cloud
 from repro.ring.partition import (
     PartitionIndex,
@@ -139,33 +135,6 @@ def max_availability(replicas: int,
     if replicas < 0:
         raise AvailabilityError(f"replicas must be >= 0, got {replicas}")
     return comb(replicas, 2) * pair_diversity * confidence * confidence
-
-
-def strict_threshold(replicas: int, confidence: float = 1.0) -> float:
-    """Smallest threshold that *cannot* be met by ``replicas - 1`` copies.
-
-    Any placement of ``replicas - 1`` replicas — even one per continent —
-    stays strictly below this value, so an agent must hold at least
-    ``replicas`` copies to satisfy it.
-    """
-    if replicas < 1:
-        raise AvailabilityError(f"replicas must be >= 1, got {replicas}")
-    return max_availability(replicas - 1, MAX_DIVERSITY, confidence) + 1.0
-
-
-def dispersed_threshold(replicas: int,
-                        pair_diversity: int = CROSS_COUNTRY_DIVERSITY
-                        ) -> float:
-    """Threshold asking for ``replicas`` copies in distinct countries.
-
-    ``C(replicas, 2) · pair_diversity`` — reachable by ``replicas``
-    cross-country copies, generally *not* by fewer unless they are far
-    more dispersed.  This is the natural reading of the paper's "one
-    availability level satisfied by 2, 3, 4 replicas".
-    """
-    if replicas < 1:
-        raise AvailabilityError(f"replicas must be >= 1, got {replicas}")
-    return float(comb(replicas, 2) * pair_diversity)
 
 
 def paper_thresholds() -> Dict[int, float]:
@@ -482,14 +451,3 @@ class AvailabilityIndex:
         self._avail[high_slot] = inherited
         self._counts[high_slot] = n
 
-
-def diversity_histogram(cloud: Cloud, server_ids: Sequence[int]
-                        ) -> Dict[int, int]:
-    """Count replica pairs per diversity value — dispersion diagnostics."""
-    live = [sid for sid in server_ids if sid in cloud]
-    hist: Dict[int, int] = {}
-    for i, a in enumerate(live):
-        for b in live[i + 1:]:
-            d = cloud.diversity(a, b)
-            hist[d] = hist.get(d, 0) + 1
-    return hist

@@ -942,6 +942,3 @@ class PlacementScorer:
             return self._slot_of[server_id]
         except KeyError:
             raise PlacementError(f"unknown server {server_id}") from None
-
-    def rent_of(self, server_id: int) -> float:
-        return float(self._rents[self._slot(server_id)])

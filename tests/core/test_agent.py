@@ -54,7 +54,7 @@ class TestVNodeAgent:
         assert agent.positive_streak
         agent.reset_history()
         assert not agent.positive_streak
-        assert agent.last_balance is None
+        assert agent.balances == ()
 
     def test_moved_to(self):
         agent = VNodeAgent(pid=PID, server_id=0, window=1)

@@ -214,7 +214,7 @@ class TestRowRecycling:
         reg.retire(PID, 0)
         # Readable after retirement, and isolated from the registry.
         assert agent.wealth == wealth
-        assert agent.last_balance == 2.0
+        assert agent.balances[-1] == 2.0
         replacement = reg.spawn(PID, 0)
         assert replacement.wealth == 0.0
 
@@ -233,7 +233,7 @@ class TestRowRecycling:
         row = agent.row
         want = (
             agent.server_id, agent.wealth, agent.balances, agent.moves,
-            agent.epochs_alive, agent.last_balance,
+            agent.epochs_alive, agent.balances[-1],
             agent.negative_streak, agent.positive_streak,
         )
         assert want[0] == 9 and want[3] == 1 and want[6] is True
@@ -245,13 +245,13 @@ class TestRowRecycling:
             replacement.record(9.0, 1.0)
         assert (
             agent.server_id, agent.wealth, agent.balances, agent.moves,
-            agent.epochs_alive, agent.last_balance,
+            agent.epochs_alive, agent.balances[-1],
             agent.negative_streak, agent.positive_streak,
         ) == want
         assert replacement.balances == (8.0, 8.0, 8.0)
         # Still a working ledger row of its own.
         agent.record(5.0, 1.0)
-        assert agent.last_balance == 4.0
+        assert agent.balances[-1] == 4.0
         assert agent.negative_streak is False
 
 
@@ -285,7 +285,7 @@ class TestCompaction:
         neg, pos = reg.streak_flags()
         assert len(neg) == ledger.capacity
         survivors[0].record(0.0, 1.0)
-        assert survivors[0].last_balance == -1.0
+        assert survivors[0].balances[-1] == -1.0
 
     def test_compact_preserves_streak_flags(self):
         reg = AgentRegistry(2)

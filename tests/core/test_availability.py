@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.cluster.location import Location, MAX_DIVERSITY
+from repro.cluster.location import CROSS_COUNTRY_DIVERSITY, Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core.availability import (
     AvailabilityError,
     availability,
     availability_without,
-    dispersed_threshold,
-    diversity_histogram,
     max_availability,
     pair_gain,
     paper_thresholds,
-    strict_threshold,
 )
 
 
@@ -231,23 +228,12 @@ class TestThresholds:
         assert max_availability(4) == 6 * 63
         assert max_availability(1) == 0
 
-    def test_strict_threshold_unreachable_by_fewer(self):
-        for n in (2, 3, 4):
-            th = strict_threshold(n)
-            assert max_availability(n - 1) < th
-            assert max_availability(n) >= th
-
-    def test_dispersed_threshold_values(self):
-        assert dispersed_threshold(2) == 31.0
-        assert dispersed_threshold(3) == 93.0
-        assert dispersed_threshold(4) == 186.0
-
     def test_paper_thresholds_sit_in_the_right_bands(self):
         th = paper_thresholds()
         # Ring 1 (3 replicas): unreachable with 2, reachable with 3
         # cross-country replicas.
         assert th[3] > max_availability(2)
-        assert th[3] <= dispersed_threshold(3)
+        assert th[3] <= max_availability(3, CROSS_COUNTRY_DIVERSITY)
         # Ring 2 (4 replicas): unreachable with 3 even at max dispersion.
         assert th[4] > max_availability(3)
 
@@ -255,13 +241,3 @@ class TestThresholds:
         th = paper_thresholds()
         assert th[2] < th[3] < th[4]
 
-
-class TestHistogram:
-    def test_histogram_counts_pairs(self):
-        cloud = cloud_with(
-            (0, 0, 0, 0, 0, 0),
-            (0, 0, 0, 0, 0, 1),
-            (1, 0, 0, 0, 0, 0),
-        )
-        hist = diversity_histogram(cloud, [0, 1, 2])
-        assert hist == {1: 1, 63: 2}

@@ -303,7 +303,7 @@ class TestSettle:
         assert cloud.server(2).queries_this_epoch == pytest.approx(50.0)
         agent = registry.get(p.pid, 0)
         assert agent.epochs_alive == 1
-        assert agent.last_balance is not None
+        assert agent.balances != ()
 
     def test_utility_floor_applies(self):
         policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
@@ -317,4 +317,4 @@ class TestSettle:
         agent = registry.get(p.pid, 0)
         # Floored utility == min rent; rent on server 0 == min rent
         # (all same price) -> balance exactly 0.
-        assert agent.last_balance == pytest.approx(0.0)
+        assert agent.balances[-1] == pytest.approx(0.0)

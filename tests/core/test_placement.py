@@ -199,12 +199,12 @@ class TestIncrementalCaches:
         scorer.release_storage(3, 100)
         assert scorer.best([0], need_bytes=50).server_id == 3
 
-    def test_rent_of(self):
+    def test_rent_column_follows_the_board(self):
         cloud, board = build(FOUR, rents={0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4})
         scorer = PlacementScorer(cloud, board)
-        assert scorer.rent_of(2) == pytest.approx(0.3)
+        assert rent_of(scorer, 2) == pytest.approx(0.3)
         with pytest.raises(PlacementError):
-            scorer.rent_of(99)
+            scorer._slot(99)
 
 
 #: ``FOUR`` with its continents demoted to countries: every replica set occupies every
@@ -404,12 +404,17 @@ FLOOR_KEYS = (
 )
 
 
+def rent_of(scorer, server_id):
+    """One server's entry in the scorer's rent column."""
+    return float(scorer._rents[scorer._slot(server_id)])
+
+
 def reference_min(scorer, key, bump_bytes):
     """min over the key's cached mask of rent (+ scalar eq. 1 bump)."""
     need, budget, headroom = key
     mask = scorer.feasible_mask(need, budget, headroom)
     values = [
-        scorer.rent_of(sid) + (
+        rent_of(scorer, sid) + (
             scorer.anticipated_rent_bump(sid, bump_bytes)
             if bump_bytes else 0.0
         )
@@ -487,7 +492,7 @@ class TestRentFloor:
             mask = scorer.feasible_mask(*key)
             for sid, ok in zip(scorer.server_ids, mask.tolist()):
                 if ok:
-                    predicted = scorer.rent_of(sid) + (
+                    predicted = rent_of(scorer, sid) + (
                         scorer.anticipated_rent_bump(sid, size)
                     )
                     assert predicted >= floor
@@ -501,9 +506,10 @@ class TestRentFloor:
         # α = 0: no eq. 1 bump, so the filled server stays the cheapest.
         scorer = PlacementScorer(cloud, board, storage_alpha=0.0)
         key = (500, "replication", 0.0)
-        cheapest = min(scorer.server_ids, key=scorer.rent_of)
+        cheapest = min(scorer.server_ids,
+                       key=lambda sid: rent_of(scorer, sid))
         low = scorer.rent_floor(*key)
-        assert low == scorer.rent_of(cheapest)
+        assert low == rent_of(scorer, cheapest)
         room = int(scorer._storage[scorer._slot(cheapest)])
         scorer.consume_budget(cheapest, room - 100, "migration")
         high = scorer.rent_floor(*key, fresh=True)
@@ -511,7 +517,7 @@ class TestRentFloor:
         cap = (low + high) / 2
         assert scorer.no_cheaper_host(cap, *key)
         scorer.release_storage(cheapest, room - 100)
-        assert scorer.rent_floor(*key) == scorer.rent_of(cheapest)
+        assert scorer.rent_floor(*key) == rent_of(scorer, cheapest)
         assert not scorer.no_cheaper_host(cap, *key)
         assert scorer.best(
             [], need_bytes=500, max_rent=cap, budget="replication",
