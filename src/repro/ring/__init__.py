@@ -5,19 +5,15 @@ from repro.ring.hashing import (
     RING_SIZE,
     HashError,
     Key,
-    evenly_spaced_tokens,
     hash_key,
-    hash_token,
     in_range,
     midpoint,
     ring_distance,
-    sorted_unique_tokens,
 )
 from repro.ring.keyspace import (
     KeyRange,
     KeyRangeError,
     covers_ring,
-    full_ring,
     ranges_from_tokens,
 )
 from repro.ring.partition import (
@@ -57,13 +53,9 @@ __all__ = [
     "VirtualRing",
     "build_ring",
     "covers_ring",
-    "evenly_spaced_tokens",
-    "full_ring",
     "hash_key",
-    "hash_token",
     "in_range",
     "midpoint",
     "ranges_from_tokens",
     "ring_distance",
-    "sorted_unique_tokens",
 ]

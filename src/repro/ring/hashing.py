@@ -10,7 +10,7 @@ so keys are digested with BLAKE2b truncated to 64 bits.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Union
+from typing import Union
 
 #: Size of the hash ring: positions live in [0, RING_SIZE).
 RING_BITS: int = 64
@@ -39,15 +39,6 @@ def hash_key(key: Key) -> int:
     """Position of ``key`` on the ring, a stable 64-bit integer."""
     digest = hashlib.blake2b(key_bytes(key), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def hash_token(namespace: str, index: int) -> int:
-    """Derive the ``index``-th token of a named ring.
-
-    Used to scatter the initial partition boundaries of each virtual
-    ring pseudo-randomly but reproducibly.
-    """
-    return hash_key(f"{namespace}#{index}")
 
 
 def ring_distance(start: int, end: int) -> int:
@@ -82,21 +73,3 @@ def midpoint(start: int, end: int) -> int:
     if span == 0:
         span = RING_SIZE
     return (start + span // 2) % RING_SIZE
-
-
-def evenly_spaced_tokens(count: int, offset: int = 0) -> List[int]:
-    """``count`` tokens splitting the ring into equal arcs.
-
-    The paper splits the key space of each ring into M partitions at
-    startup; equal arcs give every partition an equal share of a
-    uniformly hashed key population.
-    """
-    if count <= 0:
-        raise ValueError(f"count must be > 0, got {count}")
-    step = RING_SIZE // count
-    return [(offset + (i + 1) * step) % RING_SIZE for i in range(count)]
-
-
-def sorted_unique_tokens(tokens: Iterable[int]) -> List[int]:
-    """Normalise a token set: wrap into range, dedupe, sort ascending."""
-    return sorted({t % RING_SIZE for t in tokens})

@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.ring.hashing import (
-    RING_SIZE,
-    Key,
-    hash_key,
-    in_range,
-    midpoint,
-    ring_distance,
-)
+from repro.ring.hashing import RING_SIZE, in_range, midpoint, ring_distance
 
 
 class KeyRangeError(ValueError):
@@ -56,9 +49,6 @@ class KeyRange:
     def contains_position(self, position: int) -> bool:
         return in_range(position, self.start, self.end)
 
-    def contains_key(self, key: Key) -> bool:
-        return self.contains_position(hash_key(key))
-
     def split(self) -> Tuple["KeyRange", "KeyRange"]:
         """Split at the arc midpoint into two adjacent half-arcs.
 
@@ -72,11 +62,6 @@ class KeyRange:
 
     def __str__(self) -> str:
         return f"({self.start:#x}, {self.end:#x}]"
-
-
-def full_ring() -> KeyRange:
-    """The degenerate arc covering every position."""
-    return KeyRange(0, 0)
 
 
 def ranges_from_tokens(tokens: List[int]) -> List[KeyRange]:

@@ -92,10 +92,6 @@ class Partition:
         """True when the partition must split before absorbing more data."""
         return self.size > self.capacity
 
-    @property
-    def fill_fraction(self) -> float:
-        return self.size / self.capacity
-
     def grow(self, nbytes: int) -> None:
         """Add inserted bytes to the partition."""
         if nbytes < 0:

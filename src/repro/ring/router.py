@@ -176,11 +176,6 @@ class Router:
         finally:
             self._window_open = False
 
-    @property
-    def routes_alive(self) -> int:
-        """Remembered routes — at most partitions × client sites."""
-        return sum(len(routes) for routes in self._route_memo.values())
-
     def partition_of(self, app_id: int, ring_id: int, key: Key) -> Partition:
         return self._rings.ring(app_id, ring_id).lookup(key)
 

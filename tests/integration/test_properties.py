@@ -14,7 +14,7 @@ from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core.availability import availability, pair_gain
 from repro.ring.hashing import RING_SIZE, hash_key, in_range, ring_distance
-from repro.ring.keyspace import KeyRange, covers_ring, full_ring
+from repro.ring.keyspace import KeyRange, covers_ring
 from repro.ring.partition import Partition, PartitionId
 from repro.ring.virtualring import AvailabilityLevel, build_ring
 from repro.workload.popularity import PopularityMap

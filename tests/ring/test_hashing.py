@@ -5,13 +5,10 @@ import pytest
 from repro.ring.hashing import (
     RING_SIZE,
     HashError,
-    evenly_spaced_tokens,
     hash_key,
-    hash_token,
     in_range,
     midpoint,
     ring_distance,
-    sorted_unique_tokens,
 )
 
 
@@ -49,10 +46,6 @@ class TestHashKey:
         lows = sum(1 for p in positions if p < RING_SIZE // 2)
         assert 400 < lows < 600
 
-    def test_hash_token_namespacing(self):
-        assert hash_token("ring-a", 0) != hash_token("ring-b", 0)
-        assert hash_token("ring-a", 0) != hash_token("ring-a", 1)
-
 
 class TestRingGeometry:
     def test_distance_simple(self):
@@ -89,21 +82,3 @@ class TestRingGeometry:
     def test_midpoint_full_ring(self):
         assert midpoint(0, 0) == RING_SIZE // 2
 
-
-class TestTokens:
-    def test_evenly_spaced(self):
-        tokens = evenly_spaced_tokens(4)
-        assert len(tokens) == 4
-        arcs = [
-            ring_distance(tokens[i - 1], tokens[i])
-            for i in range(1, 4)
-        ]
-        assert len(set(arcs)) == 1
-
-    def test_evenly_spaced_invalid(self):
-        with pytest.raises(ValueError):
-            evenly_spaced_tokens(0)
-
-    def test_sorted_unique(self):
-        tokens = sorted_unique_tokens([5, 3, 5, RING_SIZE + 1])
-        assert tokens == [1, 3, 5]

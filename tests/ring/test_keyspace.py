@@ -7,7 +7,6 @@ from repro.ring.keyspace import (
     KeyRange,
     KeyRangeError,
     covers_ring,
-    full_ring,
     ranges_from_tokens,
 )
 
@@ -19,8 +18,8 @@ class TestKeyRange:
         assert r.fraction == pytest.approx(0.25)
 
     def test_full_ring_span(self):
-        assert full_ring().span == RING_SIZE
-        assert full_ring().fraction == 1.0
+        assert KeyRange(0, 0).span == RING_SIZE
+        assert KeyRange(0, 0).fraction == 1.0
 
     def test_out_of_range_bounds(self):
         with pytest.raises(KeyRangeError):
@@ -32,10 +31,12 @@ class TestKeyRange:
         assert r.contains_position(200)
         assert r.contains_position(150)
 
-    def test_contains_key_consistent_with_hash(self):
+    def test_hashed_key_lands_in_its_half(self):
         r = KeyRange(0, RING_SIZE // 2)
-        key = "some-key"
-        assert r.contains_key(key) == (0 < hash_key(key) <= RING_SIZE // 2)
+        position = hash_key("some-key")
+        assert r.contains_position(position) == (
+            0 < position <= RING_SIZE // 2
+        )
 
     def test_wrap_contains(self):
         r = KeyRange(RING_SIZE - 100, 100)
@@ -59,7 +60,7 @@ class TestSplitMerge:
         assert low.end == high.start
 
     def test_split_full_ring(self):
-        low, high = full_ring().split()
+        low, high = KeyRange(0, 0).split()
         assert low.span + high.span == RING_SIZE
 
     def test_split_too_small(self):
@@ -73,7 +74,7 @@ class TestSplitMerge:
         assert low.end == high.start
 
     def test_split_full_ring_children_close_the_circle(self):
-        low, high = full_ring().split()
+        low, high = KeyRange(0, 0).split()
         assert high.end == low.start
         assert covers_ring([low, high])
 
@@ -119,7 +120,7 @@ class TestTiling:
         assert not covers_ring([])
 
     def test_covers_after_repeated_splits(self):
-        ranges = [full_ring()]
+        ranges = [KeyRange(0, 0)]
         for __ in range(6):
             ranges = [half for r in ranges for half in r.split()]
         assert covers_ring(ranges)

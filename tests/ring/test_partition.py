@@ -45,9 +45,6 @@ class TestPartitionBasics:
         p.grow(1)
         assert p.overfull
 
-    def test_fill_fraction(self):
-        assert part(size=25, capacity=100).fill_fraction == pytest.approx(0.25)
-
     def test_invalid_construction(self):
         with pytest.raises(PartitionError):
             part(size=-1)

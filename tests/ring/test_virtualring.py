@@ -62,7 +62,7 @@ class TestLookup:
             key = f"key-{i}"
             owner = ring.lookup(key)
             hits = [
-                p for p in ring if p.key_range.contains_key(key)
+                p for p in ring if p.key_range.contains_position(hash_key(key))
             ]
             assert hits == [owner]
 

@@ -23,6 +23,11 @@ from repro.store.quorum import Level, QuorumError
 from repro.store.replica import ReplicaCatalog
 
 
+def routes_alive(router):
+    """Remembered routes — bounded by partitions × client sites."""
+    return sum(len(routes) for routes in router._route_memo.values())
+
+
 class StaleMembership:
     """A stale view: ``ghosts`` are believed live but never answer,
     ``suspects`` answer but are believed dead, ``cuts`` are one-way
@@ -346,7 +351,7 @@ class TestServingWindow:
         assert served(front,2).read_failures == 0
         # One window each: nothing compiled in epoch 0 was handed out
         # again in epoch 2.
-        assert front.router.routes_alive <= 4
+        assert routes_alive(front.router) <= 4
 
     def test_memo_is_bounded_by_partitions_times_sites(self):
         sites = tuple(Location(i, 0, 0, 0, 0, 3) for i in range(3))
@@ -363,7 +368,7 @@ class TestServingWindow:
             elif epoch % 9 == 7:
                 cloud.server((epoch - 3) % 3).restore()
         router = front.router
-        assert 0 < router.routes_alive <= 4 * len(sites)
+        assert 0 < routes_alive(router) <= 4 * len(sites)
         assert router.route_compiles + router.route_reuses == 40 * 32
         assert router.route_reuses > router.route_compiles
 

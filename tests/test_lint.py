@@ -1186,7 +1186,7 @@ def find_route_memo_accesses(path: Path):
     return [
         f"{path}:{node.lineno}: .{node.attr} belongs to "
         f"{ROUTE_MEMO_OWNER.name} — go through serving_window / "
-        f"route_partition / routes_alive"
+        f"route_partition"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in ROUTE_MEMO_ATTRS
     ]
