@@ -114,14 +114,6 @@ class ServingFrontEnd:
         #: Counters at the last :meth:`collect_frame` (its deltas' base).
         self._prev_counts = ({}, {})
 
-    @property
-    def total_requests(self) -> int:
-        return self.frontier.tally.operations
-
-    @property
-    def total_failures(self) -> int:
-        return self.frontier.tally.failed_ops
-
     # -- epoch loop ------------------------------------------------------------
 
     def step(self, epoch: int) -> None:

@@ -114,12 +114,12 @@ def run_streams(name: str, kernel: str) -> dict:
             for key, value in front.store.stats.as_dict().items() if value
         },
         "lost_writes": len(front.lost_writes()),
-        "requests": front.total_requests,
-        "failures": front.total_failures,
+        "requests": front.frontier.tally.operations,
+        "failures": front.frontier.tally.failed_ops,
     }
     plane = sim.data_plane
     if plane is not None:
-        out["history_ops"] = plane.total_requests
+        out["history_ops"] = plane.frontier.tally.operations
         out["plane"] = {
             "frames": _digest([
                 dataclasses.astuple(frame)
@@ -127,7 +127,7 @@ def run_streams(name: str, kernel: str) -> dict:
             ]),
             "store": _digest(_store_rows(plane.store)),
             "report": _digest(plane.consistency_report()),
-            "failures": plane.total_failures,
+            "failures": plane.frontier.tally.failed_ops,
             "lost_writes": len(plane.lost_writes()),
         }
     return out

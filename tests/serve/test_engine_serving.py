@@ -68,7 +68,7 @@ class TestGoldenInvariance:
         for a, b in zip(bare.metrics, overlaid.metrics):
             assert a == b
         # ... while the overlay itself actually served traffic.
-        assert overlaid.serving.total_requests == 48 * 8
+        assert overlaid.serving.frontier.tally.operations == 48 * 8
 
     def test_named_serving_scenario_matches_its_baseline_twin(self):
         """serving-steady is multi-tenant-sla plus the overlay; their

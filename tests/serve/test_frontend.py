@@ -165,7 +165,7 @@ class TestStep:
         frame = served(front,0)
         assert frame.requests == 0
         assert frame.read_p999_ms == 0.0
-        assert front.total_requests == 0
+        assert front.frontier.tally.operations == 0
 
     def test_zero_rate_builds_no_loadgen(self):
         config = ServingConfig(requests_per_epoch=0)
@@ -177,7 +177,7 @@ class TestStep:
         __, front = build()
         for epoch in range(3):
             front.step(epoch)
-        assert front.total_requests == 96
+        assert front.frontier.tally.operations == 96
         assert front.lost_writes() == []
 
 

@@ -237,7 +237,8 @@ class World:
             "hints": front.hints._hints,
             "frontier": vars(front.frontier),
             "sla": front.sla.tenant_view(),
-            "totals": (front.total_requests, front.total_failures),
+            "totals": (front.frontier.tally.operations,
+                       front.frontier.tally.failed_ops),
             "rng": front.loadgen._rng.bit_generator.state,
             "catalog": {pid: self.catalog.servers_of(pid)
                         for pid in self.catalog.partitions()},

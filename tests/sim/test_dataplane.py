@@ -190,7 +190,7 @@ class TestEngineIntegration:
         ))
         sim.run()
         assert sim.data_plane.loadgen is None
-        assert sim.data_plane.total_requests == 0
+        assert sim.data_plane.frontier.tally.operations == 0
         assert sim.robustness.data_plane_summary()["reads"] == 0
 
     def test_unroutable_request_counts_as_a_failed_operation(self):
