@@ -59,7 +59,6 @@ from repro.sim import (
     SimConfig,
     Simulation,
     compile_spec,
-    load_balance_index,
     paper_spec,
     saturation_spec,
     slashdot_spec,
@@ -112,7 +111,6 @@ __all__ = [
     "diversity",
     "fig3_schedule",
     "hash_key",
-    "load_balance_index",
     "paper_spec",
     "paper_thresholds",
     "saturation_spec",

@@ -376,15 +376,6 @@ class SimConfig:
             self.base_rate
         )
 
-    @property
-    def total_initial_bytes(self) -> int:
-        """Primary-copy bytes seeded at startup (before replication)."""
-        return sum(
-            ring.partitions * ring.initial_partition_size
-            for app in self.apps
-            for ring in app.rings
-        )
-
     def app(self, app_id: int) -> AppConfig:
         for app in self.apps:
             if app.app_id == app_id:

@@ -40,7 +40,7 @@ import dataclasses
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -153,12 +153,6 @@ class EpochFrame:
         if self.storage_capacity == 0:
             return 0.0
         return self.storage_used / self.storage_capacity
-
-    def query_load_per_server(self, ring: Tuple[int, int]) -> float:
-        """Fig. 4 observable: a ring's queries averaged over live servers."""
-        if self.live_servers == 0:
-            return 0.0
-        return self.queries_per_ring.get(ring, 0.0) / self.live_servers
 
 
 #: Column dtype of each scalar value type a frame field can declare.
@@ -532,20 +526,6 @@ class MetricsLog(FrameStore):
     def cumulative_insert_failures(self) -> np.ndarray:
         return np.cumsum(self.series("insert_failures"))
 
-    def total_rent_paid(self) -> float:
-        """Sum over epochs of mean price × vnodes — total cost proxy."""
-        return float(
-            (self.series("mean_price") * self.series("vnodes_total")).sum()
-        )
-
-    def total_bytes_moved(self) -> int:
-        """Cumulative maintenance traffic (replication + migration).
-
-        Summed over exact integers — byte totals outgrow float64's
-        53-bit mantissa on long 100×-scale runs.
-        """
-        return self.total("replication_bytes") + self.total("migration_bytes")
-
     def action_totals(self) -> Dict[str, int]:
         return {
             name: self.total(name)
@@ -846,18 +826,3 @@ class ServingLog(FrameStore):
             1.0 - violations / requests if requests else 1.0
         )
         return out
-
-
-def load_balance_index(loads: Sequence[float]) -> float:
-    """Jain's fairness index of per-server loads: 1.0 = perfectly even.
-
-    Used to quantify the Fig. 4 claim that "the query load per server
-    remains quite balanced despite the variations in the total load".
-    """
-    arr = np.asarray(list(loads), dtype=np.float64)
-    if arr.size == 0:
-        return 1.0
-    total = arr.sum()
-    if total == 0:
-        return 1.0
-    return float(total * total / (arr.size * np.square(arr).sum()))

@@ -42,6 +42,15 @@ class TestJain:
     def test_zero_total(self):
         assert jain_index([0, 0]) == 1.0
 
+    def test_fig4_per_server_loads(self):
+        """The Fig. 4 balance reading: one hot server of four is 1/4."""
+        assert jain_index([10, 0, 0, 0]) == pytest.approx(0.25)
+        assert jain_index([8, 5, 4, 3]) < jain_index([5, 5, 5, 5])
+
+    def test_empty_rejected(self):
+        with pytest.raises(StatsError):
+            jain_index([])
+
 
 class TestDescribe:
     def test_keys_and_values(self):

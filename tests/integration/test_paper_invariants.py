@@ -15,7 +15,6 @@ from repro.cluster.events import AddServers, EventSchedule, RemoveServers
 from repro.core.availability import availability
 from repro.sim.config import InsertConfig
 from repro.sim.engine import Simulation
-from repro.sim.metrics import load_balance_index
 from repro.sim.scenario import LeaveWave, OutageEvent, compile_spec
 from repro.workload.slashdot import slashdot_profile
 from tests.sim.test_engine import consistency_check, small_config, small_layout

@@ -129,12 +129,18 @@ class TestPaperTemplates:
 
 
 class TestSimConfig:
-    def test_total_initial_bytes(self):
+    def test_partitions_and_initial_size_lower_onto_every_ring(self):
         spec = dataclasses.replace(
             paper_spec(),
             constraints=ConstraintsSpec(partitions=10, initial_size=1000),
         )
-        assert compile_spec(spec).config.total_initial_bytes == 3 * 10 * 1000
+        rings = [
+            ring for app in compile_spec(spec).config.apps
+            for ring in app.rings
+        ]
+        assert len(rings) == 3
+        assert {(r.partitions, r.initial_partition_size)
+                for r in rings} == {(10, 1000)}
 
     def test_app_lookup(self):
         cfg = compile_spec(paper_spec()).config

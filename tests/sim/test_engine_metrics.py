@@ -14,7 +14,11 @@ class TestTrafficAccounting:
         log = sim.run()
         rep = log.series("replication_bytes")
         # Startup repair copies every partition at least once.
-        assert rep.sum() >= sim.config.total_initial_bytes
+        seeded = sum(
+            ring.partitions * ring.initial_partition_size
+            for app in sim.config.apps for ring in app.rings
+        )
+        assert rep.sum() >= seeded
 
     def test_bytes_match_action_counts(self):
         """Every replication moves exactly one partition's bytes."""

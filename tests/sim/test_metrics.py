@@ -9,7 +9,6 @@ from repro.sim.metrics import (
     MetricsLog,
     RobustnessLog,
     ServingLog,
-    load_balance_index,
 )
 
 
@@ -52,11 +51,6 @@ class TestEpochFrame:
     def test_storage_fraction_zero_capacity(self):
         f = frame(0, storage_used=0, storage_capacity=0)
         assert f.storage_fraction == 0.0
-
-    def test_query_load_per_server(self):
-        assert frame(0).query_load_per_server((0, 0)) == pytest.approx(20.0)
-        assert frame(0).query_load_per_server((9, 9)) == 0.0
-
 
 class TestMetricsLog:
     def test_append_and_series(self):
@@ -122,12 +116,6 @@ class TestMetricsLog:
         assert totals["migrations"] == 4
         assert totals["repairs"] == 2
 
-    def test_total_rent_paid(self):
-        log = MetricsLog()
-        log.append(frame(0))
-        assert log.total_rent_paid() == pytest.approx(0.2 * 10)
-
-
 @pytest.mark.parametrize("series, scalar, derived", [
     (lambda: MetricsLog().series, "vnodes_total", "bytes_moved"),
     (lambda: RobustnessLog().series, "detections", "messages_sent"),
@@ -146,19 +134,3 @@ def test_empty_and_unknown_series_contract(series, scalar, derived):
         with pytest.raises(MetricsError):
             series(name)
 
-
-class TestLoadBalanceIndex:
-    def test_perfectly_even(self):
-        assert load_balance_index([5, 5, 5, 5]) == pytest.approx(1.0)
-
-    def test_fully_concentrated(self):
-        assert load_balance_index([10, 0, 0, 0]) == pytest.approx(0.25)
-
-    def test_empty_and_zero(self):
-        assert load_balance_index([]) == 1.0
-        assert load_balance_index([0, 0]) == 1.0
-
-    def test_mild_imbalance(self):
-        even = load_balance_index([5, 5, 5, 5])
-        skew = load_balance_index([8, 5, 4, 3])
-        assert skew < even

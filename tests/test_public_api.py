@@ -27,7 +27,6 @@ class TestTopLevelApi:
             "paper_thresholds",
             "diversity",
             "fig3_schedule",
-            "load_balance_index",
         ):
             assert hasattr(repro, name), name
             assert name in repro.__all__, name
