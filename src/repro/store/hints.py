@@ -131,17 +131,6 @@ class HintStore:
         self.parked += 1
         return True
 
-    def for_target(self, target: int) -> List[Hint]:
-        """Outstanding hints addressed to one server (insertion order)."""
-        return [h for h in self._hints.values() if h.target == target]
-
-    def hinted_targets(self) -> Tuple[int, ...]:
-        """Distinct servers with at least one outstanding hint."""
-        seen: Dict[int, None] = {}
-        for hint in self._hints.values():
-            seen.setdefault(hint.target, None)
-        return tuple(seen)
-
     def drain(
         self,
         epoch: int,

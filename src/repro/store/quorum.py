@@ -615,13 +615,6 @@ class QuorumKVStore:
 
     # -- introspection -----------------------------------------------------------
 
-    def replica_version(self, app_id: int, ring_id: int, key: Key,
-                        server_id: int) -> int:
-        """The version one replica holds (-1 when it has no copy)."""
-        pid = self._route(app_id, ring_id, key)
-        copy = self._copy(server_id, pid).get(key_bytes(key))
-        return copy.version if copy is not None else -1
-
     def divergence(self, app_id: int, ring_id: int, key: Key) -> int:
         """Version gap between the freshest and stalest replica copy."""
         pid = self._route(app_id, ring_id, key)

@@ -10,6 +10,16 @@ PID = PartitionId(0, 0, 0)
 PID2 = PartitionId(0, 0, 1)
 
 
+def for_target(store, target):
+    """Outstanding hints addressed to one server (insertion order)."""
+    return [h for h in store._hints.values() if h.target == target]
+
+
+def hinted_targets(store):
+    """Distinct servers with at least one outstanding hint, in order."""
+    return tuple(dict.fromkeys(h.target for h in store._hints.values()))
+
+
 def park(store, *, target=1, holder=9, pid=PID, key=b"k",
          version=1, epoch=0, value=b"v"):
     return store.park(
@@ -59,7 +69,7 @@ class TestParkAndDedup:
         assert park(store, version=5, epoch=4, holder=7, value=b"new")
         assert store.depth == 1
         assert store.refreshed == 1
-        (hint,) = store.for_target(1)
+        (hint,) = for_target(store, 1)
         assert hint.version == 5
         assert hint.holder == 7
         assert hint.value == b"new"
@@ -73,15 +83,15 @@ class TestParkAndDedup:
         assert not park(store, version=3)
         assert not park(store, version=2)
         assert store.depth == 1
-        assert store.for_target(1)[0].version == 3
+        assert for_target(store, 1)[0].version == 3
 
     def test_targets_and_for_target(self):
         store = HintStore()
         park(store, target=4, key=b"a")
         park(store, target=4, key=b"b")
         park(store, target=6, key=b"a")
-        assert store.hinted_targets() == (4, 6)
-        assert len(store.for_target(4)) == 2
+        assert hinted_targets(store) == (4, 6)
+        assert len(for_target(store, 4)) == 2
 
 
 class TestDrain:
@@ -118,7 +128,7 @@ class TestDrain:
             store.drain(epoch, ready=ready, deliver=lambda h: True)
         # Probed at epochs 1, 2, 4, 8, 16 — doubling gaps, capped at 8.
         assert len(probes) == 5
-        (hint,) = store.for_target(1)
+        (hint,) = for_target(store, 1)
         assert hint.attempts == 5
         assert hint.next_epoch == 16 + 8
 
@@ -210,7 +220,7 @@ class TestRekeyAndDrop:
         park(store, key=b"b")
         moved = store.rekey_partition(PID, lambda kb: PID2)
         assert moved == 2
-        assert all(h.pid == PID2 for h in store.for_target(1))
+        assert all(h.pid == PID2 for h in for_target(store, 1))
 
     def test_rekey_collision_keeps_fresher(self):
         store = HintStore()
@@ -219,7 +229,7 @@ class TestRekeyAndDrop:
         moved = store.rekey_partition(PID, lambda kb: PID2)
         assert moved == 0
         assert store.depth == 1
-        assert store.for_target(1)[0].version == 7
+        assert for_target(store, 1)[0].version == 7
         assert store.dropped == 1
 
     def test_drop_target_discards_all_its_hints(self):
@@ -228,7 +238,7 @@ class TestRekeyAndDrop:
         park(store, target=1, key=b"b")
         park(store, target=2, key=b"a")
         assert store.drop_target(1) == 2
-        assert store.hinted_targets() == (2,)
+        assert hinted_targets(store) == (2,)
         assert store.dropped == 2
 
 

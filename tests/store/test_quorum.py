@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.location import Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
+from repro.ring.hashing import key_bytes
 from repro.ring.router import Router
 from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.store.quorum import (
@@ -14,6 +15,13 @@ from repro.store.quorum import (
     Versioned,
 )
 from repro.store.replica import ReplicaCatalog
+
+
+def replica_version(store, app_id, ring_id, key, server_id):
+    """The version one replica holds (-1 when it has no copy)."""
+    pid = store._route(app_id, ring_id, key)
+    copy = store._copy(server_id, pid).get(key_bytes(key))
+    return copy.version if copy is not None else -1
 
 
 def setup(replicas=3, read_repair=True):
@@ -238,7 +246,7 @@ class TestCatalogSplit:
         store.put(0, 0, "k", b"v")
         self.split_all(rings, catalog)
         for sid in (0, 1, 2):
-            assert store.replica_version(0, 0, "k", sid) == 1
+            assert replica_version(store, 0, 0, "k", sid) == 1
         assert store.divergence(0, 0, "k") == 0
 
     def test_versions_continue_across_a_split(self):
@@ -264,7 +272,7 @@ class TestDelete:
         store.put(0, 0, "k", b"v")
         tombstone = store.delete(0, 0, "k", level=Level.ALL)
         for sid in (0, 1, 2):
-            assert store.replica_version(0, 0, "k", sid) == tombstone.version
+            assert replica_version(store, 0, 0, "k", sid) == tombstone.version
         assert not store.get(0, 0, "k", level=Level.ONE).found
 
     def test_write_after_delete_resurrects(self):
@@ -276,11 +284,11 @@ class TestDelete:
 
 
 class TestIntrospection:
-    def test_replica_version(self):
+    def test_put_lands_only_on_replicas(self):
         cloud, store = setup()
         store.put(0, 0, "k", b"v")
-        assert store.replica_version(0, 0, "k", 0) == 1
-        assert store.replica_version(0, 0, "k", 3) == -1  # not a replica
+        assert replica_version(store, 0, 0, "k", 0) == 1
+        assert replica_version(store, 0, 0, "k", 3) == -1  # not a replica
 
     def test_versioned_tombstone_flag(self):
         assert Versioned(value=None, version=1).is_tombstone

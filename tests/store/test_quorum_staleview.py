@@ -20,6 +20,8 @@ from repro.store.quorum import (
     ReplicaOutcome,
 )
 from repro.store.replica import ReplicaCatalog
+from tests.store.test_hints import for_target
+from tests.store.test_quorum import replica_version
 
 
 class ViewMembership:
@@ -172,7 +174,7 @@ class TestSloppyQuorumAndHintDrain:
         assert store.stats.handoff_writes == 1
         assert store.stats.hints_parked == 2
         # Hints land on a non-replica holder (3 or 4).
-        holders = {h.holder for h in store.hints.for_target(1)}
+        holders = {h.holder for h in for_target(store.hints, 1)}
         assert holders <= {3, 4}
 
     def test_never_stale_after_hints_drain(self):
@@ -209,7 +211,7 @@ class TestSloppyQuorumAndHintDrain:
         view.ghosts.clear()
         # Back off before re-probing: next attempt not due at epoch 2.
         assert store.drain_hints(4) == (1, 0)
-        assert store.replica_version(0, 0, "k", 1) == 1
+        assert replica_version(store, 0, 0, "k", 1) == 1
         assert store.stats.hints_drained == 1
 
     def test_obsolete_hint_dropped_when_target_left_replica_set(self):
@@ -290,7 +292,7 @@ class TestCatalogMirror:
         store.put(0, 0, "k", b"v", level=Level.ALL)
         part = store._rings.ring(0, 0).lookup("k")
         catalog.place(part, 4)
-        assert store.replica_version(0, 0, "k", 4) == 1
+        assert replica_version(store, 0, 0, "k", 4) == 1
 
     def test_dropped_server_loses_copies_and_hints(self):
         store, view, catalog = self.setup_tracked(ghosts={1})
@@ -299,7 +301,7 @@ class TestCatalogMirror:
         catalog.drop_server(1)
         view.ghosts.clear()
         assert store.hints.depth == 0  # hint to a gone server dropped
-        assert store.replica_version(0, 0, "k", 1) == -1
+        assert replica_version(store, 0, 0, "k", 1) == -1
 
     def test_decommission_drains_into_survivor(self):
         store, __, catalog = self.setup_tracked(ghosts={0})
@@ -310,6 +312,6 @@ class TestCatalogMirror:
         survivors = catalog.servers_of(part.pid)
         assert 1 not in survivors
         assert any(
-            store.replica_version(0, 0, "k", sid) == 1
+            replica_version(store, 0, 0, "k", sid) == 1
             for sid in survivors
         )
