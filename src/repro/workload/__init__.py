@@ -32,12 +32,10 @@ from repro.workload.mix import (
     EpochLoad,
     WorkloadError,
     WorkloadMix,
-    paper_apps,
 )
 from repro.workload.popularity import (
     PopularityError,
     PopularityMap,
-    normalized,
     pareto_weights,
 )
 from repro.workload.slashdot import PAPER_SPIKE_FACTOR, slashdot_profile
@@ -67,8 +65,6 @@ __all__ = [
     "country_site",
     "hotspot",
     "mixture",
-    "normalized",
-    "paper_apps",
     "pareto_weights",
     "scaled",
     "slashdot_profile",

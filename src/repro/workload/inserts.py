@@ -54,10 +54,6 @@ class InsertBatch:
     def total_bytes(self) -> int:
         return self.total_inserts * self.object_size
 
-    def bytes_for(self, pid: PartitionId) -> int:
-        return self.counts.get(pid, 0) * self.object_size
-
-
 #: Valid values for :class:`InsertWorkload`'s routing mode.
 ROUTING_MODES = ("keyspace", "popularity")
 
@@ -129,7 +125,3 @@ class InsertOutcome:
     succeeded: int = 0
     failed: int = 0
     bytes_written: int = 0
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failed / self.attempted if self.attempted else 0.0

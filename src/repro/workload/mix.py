@@ -217,12 +217,3 @@ class WorkloadMix:
             counts=dense,
             index=pindex,
         )
-
-
-def paper_apps() -> List[ApplicationSpec]:
-    """The three applications of the evaluation with 4/7, 2/7, 1/7 shares."""
-    return [
-        ApplicationSpec(app_id=0, name="app-1", query_share=4.0 / 7.0),
-        ApplicationSpec(app_id=1, name="app-2", query_share=2.0 / 7.0),
-        ApplicationSpec(app_id=2, name="app-3", query_share=1.0 / 7.0),
-    ]

@@ -39,19 +39,6 @@ def pareto_weights(count: int, *, shape: float = 1.0, scale: float = 50.0,
     return scale * (1.0 + rng.pareto(shape, size=count))
 
 
-def normalized(weights: Sequence[float]) -> np.ndarray:
-    """Normalise weights to a probability vector."""
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise PopularityError("weights must be a non-empty 1-D sequence")
-    if np.any(arr < 0):
-        raise PopularityError("weights must be non-negative")
-    total = arr.sum()
-    if total <= 0:
-        raise PopularityError("weights must not sum to zero")
-    return arr / total
-
-
 class PopularityMap:
     """Mutable popularity weights per partition.
 

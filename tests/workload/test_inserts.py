@@ -10,7 +10,6 @@ from repro.workload.inserts import (
     DEFAULT_OBJECT_SIZE,
     InsertBatch,
     InsertError,
-    InsertOutcome,
     InsertWorkload,
     keyspace_shares,
 )
@@ -69,15 +68,14 @@ class TestBatch:
         shares = keyspace_shares(ps)
         assert list(shares) == pytest.approx([0.5, 0.5])
 
-    def test_bytes_for(self):
+    def test_total_bytes(self):
         ps = parts(2)
         pm = PopularityMap({p.pid: 1.0 for p in ps})
         workload = InsertWorkload(rate=10, object_size=7,
                                   rng=np.random.default_rng(0))
         batch = workload.batch(0, ps, pm)
-        assert batch.bytes_for(ps[0].pid) == (
-            batch.counts.get(ps[0].pid, 0) * 7
-        )
+        assert batch.total_inserts > 0
+        assert batch.total_bytes == batch.total_inserts * 7
 
     def test_zero_rate(self):
         ps = parts(2)
@@ -99,12 +97,3 @@ class TestBatch:
         with pytest.raises(InsertError):
             InsertWorkload(routing="sideways", rng=np.random.default_rng(0))
 
-
-class TestOutcome:
-    def test_failure_rate(self):
-        outcome = InsertOutcome(epoch=0, attempted=100, succeeded=90,
-                                failed=10)
-        assert outcome.failure_rate == pytest.approx(0.1)
-
-    def test_failure_rate_no_attempts(self):
-        assert InsertOutcome(epoch=0).failure_rate == 0.0

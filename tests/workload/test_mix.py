@@ -5,12 +5,13 @@ import pytest
 
 from repro.ring.partition import PartitionId
 from repro.ring.virtualring import AvailabilityLevel, RingSet
+from repro.sim.scenario import compile_spec
+from repro.sim.specs import paper_spec
 from repro.workload.arrivals import ConstantRate
 from repro.workload.mix import (
     ApplicationSpec,
     WorkloadError,
     WorkloadMix,
-    paper_apps,
 )
 from repro.workload.popularity import PopularityMap
 
@@ -24,9 +25,17 @@ def layout_of(sizes):
     return rings.layout()
 
 
+#: The evaluation's three applications, with 4/7, 2/7, 1/7 shares.
+PAPER_APPS = (
+    ApplicationSpec(app_id=0, name="app-1", query_share=4.0 / 7.0),
+    ApplicationSpec(app_id=1, name="app-2", query_share=2.0 / 7.0),
+    ApplicationSpec(app_id=2, name="app-3", query_share=1.0 / 7.0),
+)
+
+
 def make_mix(rate=7000.0, seed=0):
     return WorkloadMix(
-        paper_apps(), ConstantRate(rate), np.random.default_rng(seed)
+        list(PAPER_APPS), ConstantRate(rate), np.random.default_rng(seed)
     )
 
 
@@ -35,10 +44,10 @@ def uniform_pop(all_pids):
 
 
 class TestSpecs:
-    def test_paper_apps_shares(self):
-        apps = paper_apps()
+    def test_paper_spec_shares(self):
+        apps = compile_spec(paper_spec()).config.apps
         assert [a.query_share for a in apps] == pytest.approx(
-            [4 / 7, 2 / 7, 1 / 7]
+            [a.query_share for a in PAPER_APPS]
         )
 
     def test_duplicate_ids_rejected(self):

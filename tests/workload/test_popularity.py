@@ -7,7 +7,6 @@ from repro.ring.partition import PartitionId
 from repro.workload.popularity import (
     PopularityError,
     PopularityMap,
-    normalized,
     pareto_weights,
 )
 
@@ -44,25 +43,6 @@ class TestParetoWeights:
             pareto_weights(10, shape=0, rng=RNG)
         with pytest.raises(PopularityError):
             pareto_weights(10, scale=0, rng=RNG)
-
-
-class TestNormalized:
-    def test_sums_to_one(self):
-        probs = normalized([1.0, 2.0, 3.0])
-        assert probs.sum() == pytest.approx(1.0)
-        assert probs[2] == pytest.approx(0.5)
-
-    def test_rejects_negative(self):
-        with pytest.raises(PopularityError):
-            normalized([1.0, -1.0])
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(PopularityError):
-            normalized([0.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(PopularityError):
-            normalized([])
 
 
 class TestPopularityMap:
