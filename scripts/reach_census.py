@@ -15,17 +15,19 @@ A function none of these enters is then searched for by name: in
 as a name or attribute that some code reads (an import or an
 ``__all__`` entry is not a use).  What is left — never executed, called
 nowhere outside ``tests/`` — is printed, each with the reason it is
-kept or as ``UNEXPLAINED``.  A reason is an entry of ``KEPT`` below, a
-public export (the name is in a package's ``__all__``), or a Python
-data-model method (``__len__``, ``__str__``, …: called implicitly, so
-the name search cannot see its callers).  Unexplained code is a
-deletion candidate: it duplicates a path the engine runs, or nothing
-needs it at all.  Protocol and abstract stubs are not counted.
+kept or as ``UNEXPLAINED``.  A reason is an entry of ``KEPT`` below or
+a Python data-model method (``__len__``, ``__str__``, …: called
+implicitly, so the name search cannot see its callers); being exported
+from a package is not one.  Unexplained code is a deletion candidate:
+it duplicates a path the engine runs, or nothing needs it at all.
+Protocol and abstract stubs are not counted.
 
 Usage:  python scripts/reach_census.py
 
-Takes about a minute on a laptop-class core.  Exits 0 whatever it
-finds: the census reports, it does not gate.
+Takes about a minute on a laptop-class core.  Exits 1 when anything is
+``UNEXPLAINED`` (each such function is printed with its file and
+line), 0 otherwise: delete the function, or give it a ``KEPT`` row that
+says why a test needs it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ SEARCHED = ("benchmarks", "examples", "scripts")
 
 #: Code the census leaves unreached on purpose: ``(category, module,
 #: qualified-name prefix)``.  An empty prefix keeps the whole module.
+#: A "reference implementation" is the oracle a test holds a path the
+#: engine runs to; a "frame series" is a derived frame property that
+#: ``series(name)`` reads by name and the telemetry golden pins.
 KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("invariant check", "repro/store/replica.py",
      "ReplicaCatalog.check_consistency"),
@@ -57,8 +62,19 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
      "VirtualRing.check_invariants"),
     ("reference implementation", "repro/core/economy.py",
      "UsageTracker.observe"),
+    ("reference implementation", "repro/core/availability.py",
+     "availability_without"),
+    ("reference implementation", "repro/cluster/events.py",
+     "fig3_schedule"),
+    ("frame series", "repro/sim/metrics.py",
+     "ControlPlaneFrame.messages_sent"),
+    ("frame series", "repro/sim/metrics.py",
+     "ControlPlaneFrame.messages_dropped"),
+    ("frame series", "repro/sim/metrics.py",
+     "ControlPlaneFrame.membership_error"),
+    ("frame series", "repro/sim/metrics.py",
+     "DataPlaneFrame.failure_rate"),
     ("framedump comparator", "repro/sim/framedump.py", ""),
-    ("counting fabric", "repro/net/fabric.py", "CountingFabric"),
 )
 
 
@@ -259,31 +275,22 @@ def named_outside_tests() -> str:
     )
 
 
-def src_uses() -> Tuple[Set[str], Set[str]]:
-    """Names ``src/`` reads (as names or attributes), and its exports."""
+def src_uses() -> Set[str]:
+    """Names ``src/`` reads, as names or attributes."""
     used: Set[str] = set()
-    exported: Set[str] = set()
     for path in (SRC / "repro").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif (
-                isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__"
-                        for t in node.targets)
-            ):
-                exported.update(ast.literal_eval(node.value))
-    return used, exported
+    return used
 
 
-def kept_reason(fn: Function, exported: Set[str]) -> str:
+def kept_reason(fn: Function) -> str:
     for category, module, prefix in KEPT:
         if fn.module == module and fn.qualname.startswith(prefix):
             return category
-    if fn.name in exported:
-        return "public export"
     if fn.name.startswith("__") and fn.name.endswith("__"):
         return "data-model method"
     return ""
@@ -299,7 +306,7 @@ def main() -> int:
         run_examples()
 
     text = named_outside_tests()
-    used, exported = src_uses()
+    used = src_uses()
     functions = src_functions()
     unreached: List[Function] = []
     reached = 0
@@ -317,7 +324,7 @@ def main() -> int:
     ]
     by_reason: Dict[str, List[Function]] = {}
     for fn in unnamed:
-        reason = kept_reason(fn, exported) or "UNEXPLAINED"
+        reason = kept_reason(fn) or "UNEXPLAINED"
         by_reason.setdefault(reason, []).append(fn)
 
     print(f"reach census: {len(functions)} src functions, {reached} "
@@ -330,7 +337,7 @@ def main() -> int:
     unexplained = len(by_reason.get("UNEXPLAINED", ()))
     print(f"\nsummary: {len(unnamed) - unexplained} kept, "
           f"{unexplained} unexplained")
-    return 0
+    return 1 if unexplained else 0
 
 
 if __name__ == "__main__":

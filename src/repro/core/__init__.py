@@ -5,7 +5,6 @@ from repro.core.availability import (
     AvailabilityError,
     availability,
     availability_without,
-    max_availability,
     pair_gain,
     paper_thresholds,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "VNodeAgent",
     "availability",
     "availability_without",
-    "max_availability",
     "pair_gain",
     "paper_thresholds",
     "proximity_weights",

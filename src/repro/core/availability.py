@@ -14,12 +14,11 @@ colocated machines together.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.location import MAX_DIVERSITY, diversity
+from repro.cluster.location import diversity
 from repro.cluster.topology import Cloud
 from repro.ring.partition import (
     PartitionIndex,
@@ -126,15 +125,6 @@ def pair_gain(cloud: Cloud, server_ids: Sequence[int],
                 cand_loc, locs[slot]
             )
     return gain
-
-
-def max_availability(replicas: int,
-                     pair_diversity: int = MAX_DIVERSITY,
-                     confidence: float = 1.0) -> float:
-    """Upper bound of eq. 2 for ``replicas`` copies at given dispersion."""
-    if replicas < 0:
-        raise AvailabilityError(f"replicas must be >= 0, got {replicas}")
-    return comb(replicas, 2) * pair_diversity * confidence * confidence
 
 
 def paper_thresholds() -> Dict[int, float]:

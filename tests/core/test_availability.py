@@ -1,15 +1,20 @@
-"""Unit tests for eq. 2 availability and the threshold helpers."""
+"""Unit tests for eq. 2 availability and the paper's thresholds."""
+
+from math import comb
 
 import pytest
 
-from repro.cluster.location import CROSS_COUNTRY_DIVERSITY, Location
+from repro.cluster.location import (
+    CROSS_COUNTRY_DIVERSITY,
+    MAX_DIVERSITY,
+    Location,
+)
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core.availability import (
     AvailabilityError,
     availability,
     availability_without,
-    max_availability,
     pair_gain,
     paper_thresholds,
 )
@@ -222,20 +227,26 @@ class TestColumnReadsAreBitIdentical:
 
 
 class TestThresholds:
-    def test_max_availability(self):
-        assert max_availability(2) == 63
-        assert max_availability(3) == 3 * 63
-        assert max_availability(4) == 6 * 63
-        assert max_availability(1) == 0
+    def test_one_continent_each_is_the_upper_bound(self):
+        """n replicas on n continents score C(n, 2) · 63, eq. 2's max."""
+        cloud = cloud_with(*[(c, 0, 0, 0, 0, 0) for c in range(4)])
+        for n in range(1, 5):
+            assert availability(cloud, list(range(n))) == (
+                comb(n, 2) * MAX_DIVERSITY
+            )
 
     def test_paper_thresholds_sit_in_the_right_bands(self):
         th = paper_thresholds()
+        continents = cloud_with(*[(c, 0, 0, 0, 0, 0) for c in range(3)])
+        countries = cloud_with(*[(0, c, 0, 0, 0, 0) for c in range(3)])
         # Ring 1 (3 replicas): unreachable with 2, reachable with 3
         # cross-country replicas.
-        assert th[3] > max_availability(2)
-        assert th[3] <= max_availability(3, CROSS_COUNTRY_DIVERSITY)
+        assert th[3] > availability(continents, [0, 1])
+        assert th[3] <= availability(countries, [0, 1, 2]) == (
+            3 * CROSS_COUNTRY_DIVERSITY
+        )
         # Ring 2 (4 replicas): unreachable with 3 even at max dispersion.
-        assert th[4] > max_availability(3)
+        assert th[4] > availability(continents, [0, 1, 2])
 
     def test_thresholds_increase_with_level(self):
         th = paper_thresholds()
