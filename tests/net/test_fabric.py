@@ -7,8 +7,10 @@ from repro.cluster.topology import CloudLayout, build_cloud
 from repro.net.fabric import UNKNOWN_AGE, GossipFabric
 from repro.net.model import (
     HEARTBEAT,
+    LOST_LIVE_NODE,
     NEW_NODE,
     PRICE,
+    LinkFlap,
     NetConfig,
     NetError,
     NetPartition,
@@ -46,6 +48,19 @@ class TestBoardObserver:
         cloud.server(first).fail()
         live = sorted(s for s in cloud.server_ids if s != first)
         assert fabric.board_observer() == live[0]
+
+    def test_no_live_server_no_board_no_verdicts(self):
+        fabric, net, cloud = make_fabric(NetConfig())
+        for sid in cloud.server_ids:
+            cloud.server(sid).fail()
+        fabric.membership_round()
+        fabric.publish_version(5)
+        fabric.price_round()
+        assert fabric.board_observer() is None
+        assert fabric.believed_dead() == []
+        assert fabric.staleness() == (0.0, 0)
+        assert fabric.effective_version(cloud.server_ids) == -1
+        assert net.stats.snapshot()[HEARTBEAT] == (0, 0, 0, 0)
 
 
 class TestHeartbeatRounds:
@@ -102,6 +117,33 @@ class TestHeartbeatRounds:
         assert set(far) <= dead
         assert all(cloud.server(s).alive for s in dead)
 
+    def test_zero_loss_never_rolls_the_net_stream(self):
+        """Draw-order clause 2: no loss roll at all when loss == 0."""
+        cloud = build_cloud(tiny_layout())
+        net_rng = np.random.default_rng(11)
+        net = NetworkModel(NetConfig(), cloud, net_rng)
+        fabric = GossipFabric(NetConfig(), net, cloud,
+                              np.random.default_rng(0))
+        fabric.register_initial(cloud.server_ids)
+        for _ in range(5):
+            fabric.membership_round()
+            fabric.publish_version(1)
+            fabric.price_round()
+        untouched = np.random.default_rng(11).bit_generator.state
+        assert net_rng.bit_generator.state == untouched
+
+    def test_flapped_server_loses_every_own_push(self):
+        config = NetConfig(flaps=(LinkFlap(start_epoch=0, heal_epoch=5),))
+        fabric, net, cloud = make_fabric(config, seed=6)
+        net.begin_epoch(0)
+        flapped, _ = net.link_state(cloud.server_ids)
+        assert flapped.sum() == 1
+        fabric.membership_round()
+        sent, delivered, d_loss, d_cut = net.stats.snapshot()[HEARTBEAT]
+        # The victim's own fanout pushes all drop as partition drops.
+        assert d_cut >= config.fanout
+        assert d_loss == 0 and sent == delivered + d_cut
+
     def test_staleness_grows_under_total_silence(self):
         cut = NetPartition(start_epoch=0, heal_epoch=100, depth=2)
         config = NetConfig(partitions=(cut,), dead_rounds=50)
@@ -126,6 +168,31 @@ class TestJoinsAndRemovals:
         assert net.stats.snapshot()[NEW_NODE] == (2, 2, 0, 0)
         fabric.membership_round()
         assert joiner.server_id not in fabric.believed_dead()
+
+    def test_known_server_rejoining_sends_nothing(self):
+        fabric, net, cloud = make_fabric(NetConfig())
+        fabric.register_join(cloud.server_ids[0])
+        assert net.stats.snapshot()[NEW_NODE] == (0, 0, 0, 0)
+
+    def test_unregister_unknown_is_a_noop(self):
+        fabric, _, cloud = make_fabric(NetConfig())
+        fabric.unregister(10_000)
+        assert fabric.believed_dead() == []
+        assert fabric.effective_version(cloud.server_ids) == -1
+
+    def test_initial_registration_over_the_cap_is_refused(self):
+        cloud = build_cloud(tiny_layout())
+        net = NetworkModel(NetConfig(), cloud, np.random.default_rng(0))
+        fabric = GossipFabric(NetConfig(), net, cloud,
+                              np.random.default_rng(0))
+        with pytest.raises(NetError, match="capped at 4096"):
+            fabric.register_initial(list(range(4097)))
+
+    def test_tombstones_go_to_every_other_believed_live_node(self):
+        fabric, net, _ = make_fabric(NetConfig())
+        fabric.record_tombstones(5)
+        fabric.record_tombstones(0)
+        assert net.stats.snapshot()[LOST_LIVE_NODE] == (4, 4, 0, 0)
 
     def test_unregister_forgets_subject(self):
         fabric, _, cloud = make_fabric(
@@ -157,6 +224,27 @@ class TestPriceRounds:
     def test_unheard_node_reports_minus_one(self):
         fabric, _, cloud = make_fabric(NetConfig())
         assert fabric.effective_version(cloud.server_ids) == -1
+
+    def test_board_version_only_moves_forward(self):
+        fabric, _, cloud = make_fabric(NetConfig())
+        fabric.publish_version(3)
+        fabric.publish_version(1)
+        for _ in range(8):
+            fabric.price_round()
+        assert fabric.effective_version(cloud.server_ids) == 3
+
+    def test_unregistered_ids_do_not_hold_the_version_back(self):
+        fabric, _, cloud = make_fabric(NetConfig())
+        fabric.publish_version(7)
+        for _ in range(8):
+            fabric.price_round()
+        assert fabric.effective_version(cloud.server_ids + [10_000]) == 7
+        assert fabric.effective_version([10_000]) == -1
+
+    def test_no_broadcast_no_price_pushes(self):
+        fabric, net, _ = make_fabric(NetConfig())
+        fabric.price_round()
+        assert net.stats.snapshot()[PRICE] == (0, 0, 0, 0)
 
     def test_price_messages_counted(self):
         fabric, net, _ = make_fabric(NetConfig())

@@ -9,7 +9,13 @@ from repro.net.membership import (
     MembershipService,
     OracleMembership,
 )
-from repro.net.model import HEARTBEAT, NetConfig, NetPartition
+from repro.net.model import (
+    HEARTBEAT,
+    LOST_LIVE_NODE,
+    NEW_NODE,
+    NetConfig,
+    NetPartition,
+)
 from repro.sim.seeds import RngStreams
 
 
@@ -136,8 +142,106 @@ class TestGhostLifecycle:
         assert vec[cloud.slot(victim)]  # ghost still believed up
         assert not cloud.alive_vector()[cloud.slot(victim)]
 
+    def test_detection_is_the_boards_age_verdict(self):
+        """A ghost goes once the board's row ages it to ``dead_rounds``:
+        never before ``ceil(dead_rounds / rounds_per_epoch)`` epochs of
+        heartbeats have run since the kill."""
+        config = NetConfig(loss=0.01, rounds_per_epoch=3,
+                           suspect_rounds=4, dead_rounds=10)
+        service, cloud = make_service(config, seed=3)
+        victim = cloud.server_ids[0]  # the board itself dies
+        cloud.server(victim).fail()
+        service.record_kills([victim], epoch=0)
+        detected_at = None
+        for epoch in range(8):
+            service.begin_epoch(epoch)
+            if victim in service.run_membership_phase(epoch):
+                detected_at = epoch
+                break
+        assert detected_at is not None and detected_at >= 3
+
+    def test_predicate_is_installed_only_while_belief_differs(self):
+        config = NetConfig(loss=0.01, dead_rounds=30)
+        service, cloud = make_service(config)
+        assert service.predicate is None  # belief == physical
+        victim = cloud.server_ids[1]
+        cloud.server(victim).fail()
+        service.record_kills([victim], epoch=0)
+        assert service.predicate is not None
+        assert service.predicate(victim)  # the ghost is believed up
+        cloud.remove_server(victim)
+        service.on_removed(victim)
+        assert service.predicate is None
+
+    def test_removal_broadcasts_tombstones_and_bumps_the_version(self):
+        service, cloud = make_service(NetConfig())
+        victim = cloud.server_ids[-1]
+        cloud.server(victim).fail()
+        service.record_kills([victim], epoch=0)
+        service.begin_epoch(0)
+        assert service.run_membership_phase(0) == [victim]
+        cloud.remove_server(victim)
+        before = service.version
+        service.on_removed(victim)
+        sent = service.net.stats.snapshot()[LOST_LIVE_NODE][0]
+        assert sent == len(cloud) - 1  # every other believed-live node
+        assert service.version == before + 1
+        assert service.ghost_count == 0
+
+    def test_joiners_bootstrap_through_the_fabric(self):
+        service, cloud = make_service(NetConfig(loss=0.01))
+        template = cloud.server(cloud.server_ids[0])
+        (joiner,) = cloud.spawn_servers(
+            [template.location], monthly_rent=template.monthly_rent,
+            storage_capacity=template.storage_capacity,
+        )
+        service.register_added([joiner.server_id])
+        assert service.net.stats.snapshot()[NEW_NODE][0] >= 2
+        assert service.believed(joiner.server_id)
+
+    def test_suspicion_flips_bump_the_version(self):
+        cut = NetPartition(start_epoch=0, heal_epoch=3, depth=2)
+        config = NetConfig(
+            partitions=(cut,), suspect_rounds=2, dead_rounds=4
+        )
+        service, _ = make_service(config)
+        versions = []
+        for epoch in range(8):
+            service.begin_epoch(epoch)
+            service.run_membership_phase(epoch)
+            versions.append((service.version,
+                             service.false_suspect_count))
+        suspected = max(count for _, count in versions)
+        assert suspected > 0 and versions[-1][1] == 0
+        # Every suspicion and every rehabilitation is a version step.
+        assert versions[-1][0] >= 2 * suspected
+        for (v0, c0), (v1, c1) in zip(versions, versions[1:]):
+            assert v1 >= v0 and (c0 == c1 or v1 > v0)
+
+    def test_staleness_is_the_boards_view(self):
+        config = NetConfig(loss=0.2)
+        service, _ = make_service(config, seed=4)
+        service.begin_epoch(0)
+        service.run_membership_phase(0)
+        assert service.staleness() == service.fabric.staleness()
+
 
 class TestStalePrices:
+    def test_no_active_fault_no_lag(self):
+        """A faulty config whose only cut lies in the future prices off
+        the real board once every node heard the broadcast."""
+        cut = NetPartition(start_epoch=50, heal_epoch=60, depth=2)
+        config = NetConfig(partitions=(cut,), rounds_per_epoch=6)
+        service, cloud = make_service(config)
+        board = PriceBoard()
+        for epoch in range(3):
+            board.post(epoch, {sid: 1.0 + epoch for sid in cloud.server_ids})
+            service.begin_epoch(epoch)
+            service.run_membership_phase(epoch)
+            service.publish_prices(epoch, board)
+            assert service.price_version_lag == 0
+            assert service.effective_board(board) is board
+
     def test_effective_board_lags_under_silence(self):
         cut = NetPartition(start_epoch=0, heal_epoch=50, depth=2)
         config = NetConfig(partitions=(cut,), dead_rounds=200)

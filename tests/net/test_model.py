@@ -88,6 +88,10 @@ class TestMessageStats:
         assert snap[HEARTBEAT] == (5, 3, 2, 0)
         assert sum(row[0] for row in snap.values()) == 5
 
+    def test_unknown_code_is_refused(self):
+        with pytest.raises(KeyError):
+            MessageStats().record("GOSSIP", sent=1)
+
     def test_epoch_counts_are_deltas(self):
         stats = MessageStats()
         stats.record(PRICE, sent=4, delivered=4)
@@ -96,6 +100,35 @@ class TestMessageStats:
         counts = stats.epoch_counts()
         assert counts[PRICE] == (2, 1, 0, 1)
         assert set(counts) == set(MESSAGE_CODES)
+
+
+class TestScheduleDraws:
+    """``begin_epoch`` draws only to materialize a due cut or flap."""
+
+    def test_no_schedule_no_draw(self):
+        cloud = build_cloud(tiny_layout())
+        rng = np.random.default_rng(3)
+        net = NetworkModel(NetConfig(loss=0.2), cloud, rng)
+        for epoch in range(5):
+            net.begin_epoch(epoch)
+        assert rng.bit_generator.state == (
+            np.random.default_rng(3).bit_generator.state
+        )
+        assert not net.has_active_cut
+
+    def test_window_already_over_is_skipped_without_a_draw(self):
+        cloud = build_cloud(tiny_layout())
+        rng = np.random.default_rng(3)
+        config = NetConfig(
+            partitions=(NetPartition(start_epoch=0, heal_epoch=2, depth=2),),
+            flaps=(LinkFlap(start_epoch=1, heal_epoch=3),),
+        )
+        net = NetworkModel(config, cloud, rng)
+        net.begin_epoch(5)  # both windows closed before the first call
+        assert not net.has_active_cut
+        assert rng.bit_generator.state == (
+            np.random.default_rng(3).bit_generator.state
+        )
 
 
 class TestPartitions:
@@ -168,6 +201,14 @@ class TestFlaps:
         net.begin_epoch(2)
         assert net.reachable(victim, other)
 
+    def test_a_server_always_reaches_itself(self):
+        flap = LinkFlap(start_epoch=0, heal_epoch=2)
+        net, cloud = make_net(NetConfig(flaps=(flap,)))
+        net.begin_epoch(0)
+        flapped, _ = net.link_state(cloud.server_ids)
+        (victim,) = compress(cloud.server_ids, flapped.tolist())
+        assert net.reachable(victim, victim)
+
 
 class TestLinkState:
     """``link_state`` is ``reachable`` for a whole round, as columns."""
@@ -238,3 +279,5 @@ class TestConflictingRepairRisk:
         catalog.place(straddle, b[0])
         catalog.place(onesided, a[0])
         assert net.split_replica_partitions(catalog) == 1
+        net.begin_epoch(5)  # healed: no cut, no risk
+        assert net.split_replica_partitions(catalog) == 0

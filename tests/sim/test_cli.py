@@ -26,6 +26,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scenario", "bogus"])
 
+    def test_no_fabric_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--net-fabric", "full"])
+
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.scenario == "paper"
@@ -308,6 +312,8 @@ class TestScenario:
         '{"name": "x", "failure": {"events": [{"kind": "meteor"}]}}',
         '{"name": "x", "flows": []}',
         '{"name": "x", "structure": {"scale": 2, "layout": {}}}',
+        '{"name": "x", "failure": {"net": {"fabric": "counting"}}}',
+        '{"name": "x", "structure": {"scale": 100}, "failure": {"net": {}}}',
         "not json",
     ])
     def test_bad_spec_file_is_one_line_not_a_traceback(self, tmp_path, body):

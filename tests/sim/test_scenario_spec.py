@@ -199,6 +199,12 @@ class TestValidation:
         with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
             NetSpec(fabric="counting")
 
+    def test_fabric_key_does_not_reach_the_net_config(self):
+        assert "fabric" not in {
+            f.name for f in dataclasses.fields(NetConfig)
+        }
+        assert NetSpec(fabric="full").compile() == NetSpec().compile()
+
     def test_net_refused_above_the_fabric_cap(self):
         big = StructureSpec(scale=100)  # 20 000 servers
         assert big.compile_layout().total_servers > FULL_FABRIC_MAX_NODES
