@@ -157,10 +157,9 @@ class MembershipService:
         self.fabric = GossipFabric(config, self.net, cloud, streams.gossip)
         self.fabric.register_initial(cloud.server_ids)
         self._zero = config.is_zero_fault
-        # Ghosts: killed in place, pending detection.  Kill order is
+        # Ghosts: killed in place, pending detection, in kill order —
         # the completion order (matches the instant-removal path).
-        self._ghost_epoch: Dict[int, int] = {}
-        self._ghost_order: List[int] = []
+        self._ghosts: Dict[int, None] = {}
         # False suspects: physically alive, believed dead.
         self._suspected: set = set()
         self._version = 0
@@ -179,7 +178,7 @@ class MembershipService:
     def believed(self, server_id: int) -> bool:
         if server_id in self._suspected:
             return False
-        if server_id in self._ghost_epoch:
+        if server_id in self._ghosts:
             return True
         cloud = self._cloud
         return server_id in cloud and cloud.server(server_id).alive
@@ -189,7 +188,7 @@ class MembershipService:
         vec = cloud.alive_vector()
         if self._zero:
             return vec
-        for sid in self._ghost_epoch:
+        for sid in self._ghosts:
             if sid in cloud:
                 vec[cloud.slot(sid)] = True
         for sid in self._suspected:
@@ -225,7 +224,7 @@ class MembershipService:
     def predicate(self) -> Optional[Callable[[int], bool]]:
         if self._zero:
             return None
-        if not self._ghost_epoch and not self._suspected:
+        if not self._ghosts and not self._suspected:
             return None
         return self._pred
 
@@ -254,13 +253,12 @@ class MembershipService:
         for sid in server_ids:
             self.fabric.register_join(sid)
 
-    def record_kills(self, server_ids: List[int], epoch: int) -> None:
+    def record_kills(self, server_ids: List[int]) -> None:
         """Event-schedule deaths become ghosts pending detection."""
         for sid in server_ids:
-            if sid in self._ghost_epoch:
+            if sid in self._ghosts:
                 continue
-            self._ghost_epoch[sid] = epoch
-            self._ghost_order.append(sid)
+            self._ghosts[sid] = None
             # A suspected server that now really died keeps its
             # believed-dead status out of the ghost bookkeeping.
             self._suspected.discard(sid)
@@ -273,7 +271,7 @@ class MembershipService:
     def begin_epoch(self, epoch: int) -> None:
         self.net.begin_epoch(epoch)
 
-    def run_membership_phase(self, epoch: int) -> List[int]:
+    def run_membership_phase(self) -> List[int]:
         """Phase A: heartbeat rounds, then the board's detections.
 
         Returns the ghosts whose removal completes this epoch, in kill
@@ -283,17 +281,17 @@ class MembershipService:
         for _ in range(self.config.rounds_per_epoch):
             self.fabric.membership_round()
         if self._zero:
-            detected = list(self._ghost_order)
+            detected = list(self._ghosts)
             self.last_detections = len(detected)
             return detected
         dead_view = set(self.fabric.believed_dead())
-        detected = [sid for sid in self._ghost_order if sid in dead_view]
+        detected = [sid for sid in self._ghosts if sid in dead_view]
         # False suspicion: physically-alive servers the board believes
         # dead.  They are never removed — only excluded from the
         # believed column — and rehabilitate when heartbeats land.
         changed = False
         for sid in dead_view:
-            if sid in self._ghost_epoch or sid in self._suspected:
+            if sid in self._ghosts or sid in self._suspected:
                 continue
             if sid in self._cloud and self._cloud.server(sid).alive:
                 self._suspected.add(sid)
@@ -317,9 +315,7 @@ class MembershipService:
         """A detection's removal completed — tombstone + forget."""
         self.fabric.record_tombstones(len(self.believed_ids()))
         self.fabric.unregister(server_id)
-        self._ghost_epoch.pop(server_id, None)
-        if server_id in self._ghost_order:
-            self._ghost_order.remove(server_id)
+        self._ghosts.pop(server_id, None)
         self._suspected.discard(server_id)
         self._version += 1
         self._sync_liveness()
@@ -360,7 +356,7 @@ class MembershipService:
 
     @property
     def ghost_count(self) -> int:
-        return len(self._ghost_epoch)
+        return len(self._ghosts)
 
     @property
     def false_suspect_count(self) -> int:

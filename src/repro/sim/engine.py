@@ -428,9 +428,9 @@ class Simulation:
             if added:
                 service.register_added(added)
             if removed:
-                service.record_kills(removed, epoch)
+                service.record_kills(removed)
             service.begin_epoch(epoch)
-            removed = service.run_membership_phase(epoch)
+            removed = service.run_membership_phase()
             for sid in removed:
                 self.cloud.remove_server(sid)
                 self.catalog.drop_server(sid)

@@ -24,7 +24,7 @@ per key by construction (see :mod:`repro.store.quorum`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.ring.partition import PartitionId
 from repro.store.transfer import capped_backoff

@@ -50,9 +50,9 @@ def run_detector(config, kill_epoch=None, epochs=12, seed=0):
         if kill_epoch is not None and epoch == kill_epoch:
             victim = cloud.server_ids[-1]
             cloud.server(victim).fail()
-            service.record_kills([victim], epoch)
+            service.record_kills([victim])
         service.begin_epoch(epoch)
-        for sid in service.run_membership_phase(epoch):
+        for sid in service.run_membership_phase():
             cloud.remove_server(sid)
             service.on_removed(sid)
             if sid == victim and detected_at is None:
@@ -127,7 +127,7 @@ class TestPartitionEnvelope:
         saw_fp = False
         for epoch in range(2 + window + 6):
             service.begin_epoch(epoch)
-            removed = service.run_membership_phase(epoch)
+            removed = service.run_membership_phase()
             assert removed == []  # nothing physically died
             saw_fp = saw_fp or service.false_suspect_count > 0
         assert len(cloud) == n_before
@@ -146,7 +146,7 @@ class TestPartitionEnvelope:
         service = MembershipService(config, cloud, RngStreams(5))
         for epoch in range(3):
             service.begin_epoch(epoch)
-            service.run_membership_phase(epoch)
+            service.run_membership_phase()
         net = service.net
         board = service.fabric.board_observer()
         # Only servers on the side the board cannot hear may be
@@ -168,7 +168,7 @@ class TestHealedPartitionReconvergence:
         service = MembershipService(config, cloud, RngStreams(6))
         for epoch in range(4):
             service.begin_epoch(epoch)
-            service.run_membership_phase(epoch)
+            service.run_membership_phase()
         assert service.false_suspect_count > 0  # split brain built up
         # Heal, then count raw gossip rounds until the board's view of
         # every physically-live server is fresh again.
@@ -188,5 +188,5 @@ class TestHealedPartitionReconvergence:
             f"rounds (N={n})"
         )
         # And the service-level belief rehabilitates on the next phase.
-        service.run_membership_phase(5)
+        service.run_membership_phase()
         assert service.false_suspect_count == 0

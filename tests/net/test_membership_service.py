@@ -69,9 +69,9 @@ class TestZeroFaultPassthrough:
         victims = [cloud.server_ids[3], cloud.server_ids[1]]
         for sid in victims:
             cloud.server(sid).fail()
-        service.record_kills(victims, epoch=0)
+        service.record_kills(victims)
         service.begin_epoch(0)
-        detected = service.run_membership_phase(0)
+        detected = service.run_membership_phase()
         assert detected == victims  # kill order, not id order
 
     def test_effective_board_is_real_board(self):
@@ -84,7 +84,7 @@ class TestZeroFaultPassthrough:
     def test_messages_still_counted(self):
         service, _ = make_service(NetConfig())
         service.begin_epoch(0)
-        service.run_membership_phase(0)
+        service.run_membership_phase()
         assert service.net.stats.snapshot()[HEARTBEAT][0] > 0
 
 
@@ -94,13 +94,13 @@ class TestGhostLifecycle:
         service, cloud = make_service(config)
         victim = cloud.server_ids[-1]
         cloud.server(victim).fail()
-        service.record_kills([victim], epoch=0)
+        service.record_kills([victim])
         assert service.believed(victim)
         assert service.ghost_count == 1
         removed = []
         for epoch in range(6):
             service.begin_epoch(epoch)
-            for sid in service.run_membership_phase(epoch):
+            for sid in service.run_membership_phase():
                 cloud.remove_server(sid)
                 service.on_removed(sid)
                 removed.append((epoch, sid))
@@ -117,7 +117,7 @@ class TestGhostLifecycle:
         service, cloud = make_service(config)
         for epoch in range(3):
             service.begin_epoch(epoch)
-            detected = service.run_membership_phase(epoch)
+            detected = service.run_membership_phase()
             assert detected == []  # nothing actually died
         assert service.false_suspect_count > 0
         suspects = [
@@ -129,7 +129,7 @@ class TestGhostLifecycle:
         # Heal: heartbeats land again and suspects rehabilitate.
         for epoch in range(3, 8):
             service.begin_epoch(epoch)
-            service.run_membership_phase(epoch)
+            service.run_membership_phase()
         assert service.false_suspect_count == 0
 
     def test_believed_vector_masks_ghosts_and_suspects(self):
@@ -137,7 +137,7 @@ class TestGhostLifecycle:
         service, cloud = make_service(config)
         victim = cloud.server_ids[2]
         cloud.server(victim).fail()
-        service.record_kills([victim], epoch=0)
+        service.record_kills([victim])
         vec = service.believed_vector()
         assert vec[cloud.slot(victim)]  # ghost still believed up
         assert not cloud.alive_vector()[cloud.slot(victim)]
@@ -151,11 +151,11 @@ class TestGhostLifecycle:
         service, cloud = make_service(config, seed=3)
         victim = cloud.server_ids[0]  # the board itself dies
         cloud.server(victim).fail()
-        service.record_kills([victim], epoch=0)
+        service.record_kills([victim])
         detected_at = None
         for epoch in range(8):
             service.begin_epoch(epoch)
-            if victim in service.run_membership_phase(epoch):
+            if victim in service.run_membership_phase():
                 detected_at = epoch
                 break
         assert detected_at is not None and detected_at >= 3
@@ -166,7 +166,7 @@ class TestGhostLifecycle:
         assert service.predicate is None  # belief == physical
         victim = cloud.server_ids[1]
         cloud.server(victim).fail()
-        service.record_kills([victim], epoch=0)
+        service.record_kills([victim])
         assert service.predicate is not None
         assert service.predicate(victim)  # the ghost is believed up
         cloud.remove_server(victim)
@@ -177,9 +177,9 @@ class TestGhostLifecycle:
         service, cloud = make_service(NetConfig())
         victim = cloud.server_ids[-1]
         cloud.server(victim).fail()
-        service.record_kills([victim], epoch=0)
+        service.record_kills([victim])
         service.begin_epoch(0)
-        assert service.run_membership_phase(0) == [victim]
+        assert service.run_membership_phase() == [victim]
         cloud.remove_server(victim)
         before = service.version
         service.on_removed(victim)
@@ -208,7 +208,7 @@ class TestGhostLifecycle:
         versions = []
         for epoch in range(8):
             service.begin_epoch(epoch)
-            service.run_membership_phase(epoch)
+            service.run_membership_phase()
             versions.append((service.version,
                              service.false_suspect_count))
         suspected = max(count for _, count in versions)
@@ -222,7 +222,7 @@ class TestGhostLifecycle:
         config = NetConfig(loss=0.2)
         service, _ = make_service(config, seed=4)
         service.begin_epoch(0)
-        service.run_membership_phase(0)
+        service.run_membership_phase()
         assert service.staleness() == service.fabric.staleness()
 
 
@@ -237,7 +237,7 @@ class TestStalePrices:
         for epoch in range(3):
             board.post(epoch, {sid: 1.0 + epoch for sid in cloud.server_ids})
             service.begin_epoch(epoch)
-            service.run_membership_phase(epoch)
+            service.run_membership_phase()
             service.publish_prices(epoch, board)
             assert service.price_version_lag == 0
             assert service.effective_board(board) is board
@@ -249,10 +249,10 @@ class TestStalePrices:
         board = PriceBoard()
         board.post(0, {sid: 2.0 for sid in cloud.server_ids})
         service.begin_epoch(0)
-        service.run_membership_phase(0)
+        service.run_membership_phase()
         service.publish_prices(0, board)
         service.begin_epoch(1)
-        service.run_membership_phase(1)
+        service.run_membership_phase()
         board.post(1, {sid: 9.0 for sid in cloud.server_ids})
         service.publish_prices(1, board)
         effective = service.effective_board(board)

@@ -119,7 +119,7 @@ class World:
     # current, so every drawn script is applicable to every state.
 
     def _in_cloud(self, alive: bool):
-        ghosts = self.service._ghost_epoch if self.service else ()
+        ghosts = self.service._ghosts if self.service else ()
         return [s.server_id for s in self.cloud
                 if s.alive == alive and s.server_id not in ghosts]
 
@@ -130,7 +130,7 @@ class World:
         epoch, service = self.epoch, self.service
         if service is not None:
             service.begin_epoch(epoch)
-            for sid in service.run_membership_phase(epoch):
+            for sid in service.run_membership_phase():
                 self.cloud.remove_server(sid)
                 self.catalog.drop_server(sid)
                 service.on_removed(sid)
@@ -162,7 +162,7 @@ class World:
         sid = live[k % len(live)]
         if self.service is not None:
             self.cloud.server(sid).fail()
-            self.service.record_kills([sid], self.epoch)
+            self.service.record_kills([sid])
         else:
             self.cloud.remove_server(sid)
             self.catalog.drop_server(sid)
