@@ -26,10 +26,9 @@ partition-index stores, row-space incidence rebuild, visited-only
 decision pass, top-k shortlists — see PERFORMANCE.md).
 ``fig4-slashdot-100x-bootstrap`` times the *first* epochs after
 single-replica seeding — the §II-C repair storm the grouped repair
-kernel targets (PR 5).  ``fig4-asymmetric-partition`` runs the same
-fig4 shape with the gossip control plane on — loss plus an asymmetric
-country cut — and
-records per-code message counts alongside epochs/s, the control-plane
+kernel targets.  ``fig4-asymmetric-partition`` runs the same fig4 shape
+with the gossip control plane on — loss plus an asymmetric country cut
+— and records per-code message counts alongside epochs/s, the control-plane
 overhead row PERFORMANCE.md tracks (PR 6).
 ``fig4-quorum-under-faults`` routes quorum client traffic through the
 stale-view data plane under loss=10% plus one link-flap window and

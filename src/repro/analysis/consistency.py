@@ -2,8 +2,9 @@
 
 Each serving overlay folds every request into a
 :class:`ConsistencyFrontier` as it completes, checking it against the
-committed ground truth — per key, the highest version any *successful strong-level
-write* (``quorum`` / ``all``) stamped — and classifying every deviation:
+committed ground truth — per key, the highest version any *successful
+strong-level write* (``quorum`` / ``all``) stamped — and classifying
+every deviation:
 
 * **stale read** — a strong-level read observed a version older than a
   strong write committed *before* it.  Transiently possible under

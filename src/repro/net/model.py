@@ -62,8 +62,8 @@ MESSAGE_CODES: Tuple[str, ...] = (
 
 #: Hard cap for the gossip fabric's per-observer age matrix: beyond
 #: this the O(N²) state is no longer a sane simulation artifact.  Specs
-#: with a ``net`` section are refused above it at load time
-#: (:class:`repro.sim.scenario.ScenarioSpec`).
+#: with a ``net`` or ``chaos`` section are refused above it at load
+#: time (:class:`repro.sim.scenario.ScenarioSpec`).
 FULL_FABRIC_MAX_NODES = 4096
 
 
