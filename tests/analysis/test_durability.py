@@ -23,7 +23,7 @@ def cloud_with(*locations):
     cloud = Cloud()
     for i, loc in enumerate(locations):
         cloud.add_servers([make_server(i, Location(*loc),
-                                     storage_capacity=10**9)])
+                                       storage_capacity=10**9)])
     return cloud
 
 

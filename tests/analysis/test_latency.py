@@ -28,9 +28,9 @@ LAYOUT = CloudLayout(
 def setup():
     cloud = Cloud()
     cloud.add_servers([make_server(0, Location(0, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9)])
+                                   storage_capacity=10**9)])
     cloud.add_servers([make_server(1, Location(1, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9)])
+                                   storage_capacity=10**9)])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 2), 2,
                           initial_size=10)
@@ -133,9 +133,9 @@ def split_setup():
     """Half the partitions near the hotspot, half across the ocean."""
     cloud = Cloud()
     cloud.add_servers([make_server(0, Location(0, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9)])
+                                   storage_capacity=10**9)])
     cloud.add_servers([make_server(1, Location(1, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9)])
+                                   storage_capacity=10**9)])
     rings = RingSet()
     ring = rings.add_ring(0, 0, AvailabilityLevel(1.0, 2), 2,
                           initial_size=10)

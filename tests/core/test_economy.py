@@ -191,7 +191,7 @@ class TestCloudCostIndex:
         catalog.place(_partition(1), 0)
         _assert_prices_match(index, model, cloud)
         cloud.spawn_servers([Location(9, 0, 0, 0, 0, 0)],
-                           storage_capacity=10_000, query_capacity=100)[0]
+                            storage_capacity=10_000, query_capacity=100)
         _assert_prices_match(index, model, cloud)
         cloud.remove_server(0)
         catalog.drop_server(0)

@@ -22,11 +22,11 @@ def setup():
     """Two servers in different continents plus one colocated pair."""
     cloud = Cloud()
     cloud.add_servers([make_server(0, Location(0, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9)])
+                                   storage_capacity=10**9)])
     cloud.add_servers([make_server(1, Location(1, 0, 0, 0, 0, 0),
-                                 storage_capacity=10**9)])
+                                   storage_capacity=10**9)])
     cloud.add_servers([make_server(2, Location(0, 0, 0, 0, 0, 1),
-                                 storage_capacity=10**9)])
+                                   storage_capacity=10**9)])
     rings = RingSet()
     ring = rings.add_ring(0, 0, LEVEL, 4, initial_size=100)
     catalog = ReplicaCatalog(cloud)
@@ -83,9 +83,9 @@ class TestTieBreak:
         # third continent sees both at diversity 63 — an exact tie.
         cloud = Cloud()
         cloud.add_servers([make_server(0, Location(0, 0, 0, 0, 0, 0),
-                                     storage_capacity=10**9)])
+                                       storage_capacity=10**9)])
         cloud.add_servers([make_server(1, Location(1, 0, 0, 0, 0, 0),
-                                     storage_capacity=10**9)])
+                                       storage_capacity=10**9)])
         rings = RingSet()
         ring = rings.add_ring(0, 0, LEVEL, 4, initial_size=100)
         catalog = ReplicaCatalog(cloud)
