@@ -50,7 +50,7 @@ def measure(loss: float, seed: int):
     # Suspect/dead timeouts must exceed the epidemic freshness age
     # (~log_fanout N ≈ 5-6 rounds at N=200), as in any production
     # gossip failure detector; otherwise live peers flap to SUSPECT.
-    config = NetConfig(fanout=3, loss=loss, suspect_rounds=8,
+    config = NetConfig(fanout=3, loss=loss,
                        dead_rounds=20)
 
     fabric, cloud = converged_fabric(config, seed)

@@ -62,8 +62,10 @@ MESSAGE_CODES: Tuple[str, ...] = (
 
 #: Hard cap for the gossip fabric's per-observer age matrix: beyond
 #: this the O(N²) state is no longer a sane simulation artifact.  Specs
-#: with a ``net`` or ``chaos`` section are refused above it at load
-#: time (:class:`repro.sim.scenario.ScenarioSpec`).
+#: with a ``net`` or ``chaos`` section are refused at load time
+#: (:class:`repro.sim.scenario.ScenarioSpec`) when initial servers plus
+#: every join exceed it -- a deliberate upper bound that ignores leaves,
+#: where the runtime check counts only servers registered at the time.
 FULL_FABRIC_MAX_NODES = 4096
 
 
@@ -132,7 +134,6 @@ class NetConfig:
     loss: float = 0.0
     delay_max: int = 0
     rounds_per_epoch: int = 3
-    suspect_rounds: int = 4
     dead_rounds: int = 10
     partitions: Tuple[NetPartition, ...] = ()
     flaps: Tuple[LinkFlap, ...] = ()
@@ -151,14 +152,9 @@ class NetConfig:
                 f"rounds_per_epoch must be >= 1, got "
                 f"{self.rounds_per_epoch}"
             )
-        if self.suspect_rounds < 1:
+        if self.dead_rounds < 1:
             raise NetError(
-                f"suspect_rounds must be >= 1, got {self.suspect_rounds}"
-            )
-        if self.dead_rounds <= self.suspect_rounds:
-            raise NetError(
-                f"dead_rounds must be > suspect_rounds, got "
-                f"{self.dead_rounds} <= {self.suspect_rounds}"
+                f"dead_rounds must be >= 1, got {self.dead_rounds}"
             )
 
     @property

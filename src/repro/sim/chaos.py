@@ -83,7 +83,7 @@ def random_fault_schedule(
             continue
         flaps.append(LinkFlap(start_epoch=start, heal_epoch=heal))
     cfg = base if base is not None else NetConfig(
-        rounds_per_epoch=2, suspect_rounds=3, dead_rounds=8
+        rounds_per_epoch=2, dead_rounds=8
     )
     return dataclasses.replace(
         cfg,

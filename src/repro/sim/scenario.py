@@ -699,6 +699,8 @@ class NetSpec:
     delay_max: int = 0
     fanout: int = 3
     rounds_per_epoch: int = 3
+    #: Read by nothing (detection is the ``dead_rounds`` age verdict);
+    #: kept, with its old bound, because frozen spec files name it.
     suspect_rounds: int = 4
     dead_rounds: int = 10
     #: Only ``"full"``, the one gossip fabric; kept because frozen spec
@@ -713,7 +715,6 @@ class NetSpec:
             loss=self.loss,
             delay_max=self.delay_max,
             rounds_per_epoch=self.rounds_per_epoch,
-            suspect_rounds=self.suspect_rounds,
             dead_rounds=self.dead_rounds,
             partitions=tuple(p.compile() for p in self.partitions),
             flaps=tuple(f.compile() for f in self.flaps),
@@ -725,6 +726,11 @@ class NetSpec:
                 f"net: fabric must be 'full' (the gossip fabric, capped "
                 f"at FULL_FABRIC_MAX_NODES = {FULL_FABRIC_MAX_NODES} "
                 f"nodes), got {self.fabric!r}"
+            )
+        if not 1 <= self.suspect_rounds < self.dead_rounds:
+            raise SpecError(
+                f"net: need 1 <= suspect_rounds < dead_rounds, got "
+                f"{self.suspect_rounds}, {self.dead_rounds}"
             )
         try:
             self.compile()

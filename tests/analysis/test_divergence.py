@@ -77,7 +77,6 @@ def run(config):
 FAULTY_NET = NetConfig(
     loss=0.3,
     rounds_per_epoch=2,
-    suspect_rounds=3,
     dead_rounds=6,
     partitions=(NetPartition(start_epoch=4, heal_epoch=9, depth=2),),
 )

@@ -109,7 +109,6 @@ def faulty_net(epochs: int) -> NetConfig:
         loss=0.15,
         delay_max=1,
         rounds_per_epoch=3,
-        suspect_rounds=4,
         dead_rounds=8,
         partitions=(
             NetPartition(

@@ -69,7 +69,7 @@ class TestHeartbeatRounds:
         for _ in range(6):
             fabric.membership_round()
         assert fabric.believed_dead() == []
-        assert fabric.staleness()[1] < NetConfig().suspect_rounds
+        assert fabric.staleness()[1] < 4
         counts = net.stats.snapshot()[HEARTBEAT]
         assert counts[0] > 0
         assert counts[0] == counts[1]  # sent == delivered, nothing drops
@@ -86,7 +86,7 @@ class TestHeartbeatRounds:
         assert sent == 10 * len(cloud) * 3
 
     def test_dead_server_ages_to_detection(self):
-        config = NetConfig(suspect_rounds=2, dead_rounds=4)
+        config = NetConfig(dead_rounds=4)
         fabric, _, cloud = make_fabric(config)
         victim = cloud.server_ids[-1]
         cloud.server(victim).fail()
@@ -102,7 +102,7 @@ class TestHeartbeatRounds:
     def test_partition_starves_cross_side_knowledge(self):
         cut = NetPartition(start_epoch=0, heal_epoch=100, depth=2)
         config = NetConfig(
-            partitions=(cut,), suspect_rounds=2, dead_rounds=4
+            partitions=(cut,), dead_rounds=4
         )
         fabric, net, cloud = make_fabric(config, seed=5)
         net.begin_epoch(0)
@@ -196,7 +196,7 @@ class TestJoinsAndRemovals:
 
     def test_unregister_forgets_subject(self):
         fabric, _, cloud = make_fabric(
-            NetConfig(suspect_rounds=2, dead_rounds=4)
+            NetConfig(dead_rounds=4)
         )
         victim = cloud.server_ids[-1]
         cloud.server(victim).fail()

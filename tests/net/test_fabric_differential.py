@@ -184,13 +184,11 @@ def net_configs(draw):
         LinkFlap(start_epoch=start, heal_epoch=heal)
         for start, heal in draw(st.lists(windows(), max_size=2))
     )
-    suspect = draw(st.integers(1, 4))
     return NetConfig(
         fanout=draw(st.integers(1, 4)),
         loss=draw(st.sampled_from((0.0, 0.1, 0.5))),
         delay_max=draw(st.sampled_from((0, 1, 3))),
-        suspect_rounds=suspect,
-        dead_rounds=suspect + draw(st.integers(1, 5)),
+        dead_rounds=draw(st.integers(2, 9)),
         partitions=cuts,
         flaps=flaps,
     )

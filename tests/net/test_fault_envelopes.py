@@ -66,8 +66,7 @@ class TestLossEnvelope:
     @pytest.mark.parametrize("loss", [0.0, 0.1, 0.3, 0.5])
     def test_no_false_positives_under_pure_loss(self, loss):
         config = NetConfig(
-            loss=loss, rounds_per_epoch=3, suspect_rounds=4,
-            dead_rounds=10,
+            loss=loss, rounds_per_epoch=3, dead_rounds=10,
         )
         _, fp_epochs, service, _ = run_detector(
             config, epochs=10, seed=1
@@ -87,8 +86,7 @@ class TestLossEnvelope:
     @pytest.mark.parametrize("loss", [0.05, 0.2, 0.5])
     def test_kills_always_detected(self, loss):
         config = NetConfig(
-            loss=loss, rounds_per_epoch=3, suspect_rounds=4,
-            dead_rounds=10,
+            loss=loss, rounds_per_epoch=3, dead_rounds=10,
         )
         detected_at, _, service, _ = run_detector(
             config, kill_epoch=2, epochs=12, seed=2
@@ -103,8 +101,7 @@ class TestLossEnvelope:
         floor = math.ceil(10 / 3)  # dead_rounds over rounds_per_epoch
         for loss in (0.05, 0.4):
             config = NetConfig(
-                loss=loss, rounds_per_epoch=3, suspect_rounds=4,
-                dead_rounds=10,
+                loss=loss, rounds_per_epoch=3, dead_rounds=10,
             )
             detected_at, _, _, _ = run_detector(
                 config, kill_epoch=0, epochs=12, seed=3
@@ -118,8 +115,7 @@ class TestPartitionEnvelope:
     def test_partition_produces_false_suspects_not_removals(self, window):
         cut = NetPartition(start_epoch=2, heal_epoch=2 + window, depth=2)
         config = NetConfig(
-            partitions=(cut,), rounds_per_epoch=3, suspect_rounds=4,
-            dead_rounds=6,
+            partitions=(cut,), rounds_per_epoch=3, dead_rounds=6,
         )
         cloud = build_cloud(layout())
         service = MembershipService(config, cloud, RngStreams(4))
@@ -139,8 +135,7 @@ class TestPartitionEnvelope:
             start_epoch=0, heal_epoch=4, depth=2, asymmetric=True
         )
         config = NetConfig(
-            partitions=(cut,), rounds_per_epoch=3, suspect_rounds=4,
-            dead_rounds=6,
+            partitions=(cut,), rounds_per_epoch=3, dead_rounds=6,
         )
         cloud = build_cloud(layout())
         service = MembershipService(config, cloud, RngStreams(5))
@@ -161,8 +156,7 @@ class TestHealedPartitionReconvergence:
         # A cut long enough that both sides declare each other dead.
         cut = NetPartition(start_epoch=0, heal_epoch=4, depth=2)
         config = NetConfig(
-            partitions=(cut,), rounds_per_epoch=3, suspect_rounds=4,
-            dead_rounds=6,
+            partitions=(cut,), rounds_per_epoch=3, dead_rounds=6,
         )
         cloud = build_cloud(layout())
         service = MembershipService(config, cloud, RngStreams(6))

@@ -90,7 +90,7 @@ class TestZeroFaultPassthrough:
 
 class TestGhostLifecycle:
     def test_ghost_believed_alive_until_detection(self):
-        config = NetConfig(loss=0.01, suspect_rounds=2, dead_rounds=5)
+        config = NetConfig(loss=0.01, dead_rounds=5)
         service, cloud = make_service(config)
         victim = cloud.server_ids[-1]
         cloud.server(victim).fail()
@@ -112,7 +112,7 @@ class TestGhostLifecycle:
     def test_false_suspects_never_removed(self):
         cut = NetPartition(start_epoch=0, heal_epoch=3, depth=2)
         config = NetConfig(
-            partitions=(cut,), suspect_rounds=2, dead_rounds=4
+            partitions=(cut,), dead_rounds=4
         )
         service, cloud = make_service(config)
         for epoch in range(3):
@@ -147,7 +147,7 @@ class TestGhostLifecycle:
         never before ``ceil(dead_rounds / rounds_per_epoch)`` epochs of
         heartbeats have run since the kill."""
         config = NetConfig(loss=0.01, rounds_per_epoch=3,
-                           suspect_rounds=4, dead_rounds=10)
+                           dead_rounds=10)
         service, cloud = make_service(config, seed=3)
         victim = cloud.server_ids[0]  # the board itself dies
         cloud.server(victim).fail()
@@ -202,7 +202,7 @@ class TestGhostLifecycle:
     def test_suspicion_flips_bump_the_version(self):
         cut = NetPartition(start_epoch=0, heal_epoch=3, depth=2)
         config = NetConfig(
-            partitions=(cut,), suspect_rounds=2, dead_rounds=4
+            partitions=(cut,), dead_rounds=4
         )
         service, _ = make_service(config)
         versions = []

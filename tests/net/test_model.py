@@ -65,9 +65,9 @@ class TestNetConfigValidation:
         with pytest.raises(NetError):
             NetConfig(loss=-0.1)
 
-    def test_dead_must_exceed_suspect(self):
+    def test_dead_rounds_positive(self):
         with pytest.raises(NetError):
-            NetConfig(suspect_rounds=5, dead_rounds=5)
+            NetConfig(dead_rounds=0)
 
     def test_partition_epochs(self):
         with pytest.raises(NetError):

@@ -131,7 +131,7 @@ class TestFaultWindow:
     def test_flap_raises_tails_and_loses_no_writes(self):
         epochs = 12
         flap = NetConfig(
-            rounds_per_epoch=2, suspect_rounds=2, dead_rounds=6,
+            rounds_per_epoch=2, dead_rounds=6,
             partitions=(NetPartition(
                 start_epoch=3, heal_epoch=7, depth=2,
             ),),

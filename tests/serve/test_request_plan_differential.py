@@ -303,11 +303,9 @@ def net_configs(draw):
         LinkFlap(start_epoch=start, heal_epoch=heal)
         for start, heal in draw(st.lists(windows(), max_size=2))
     )
-    suspect = draw(st.integers(1, 3))
     return NetConfig(
         loss=draw(st.sampled_from((0.0, 0.1, 0.4))),
-        suspect_rounds=suspect,
-        dead_rounds=suspect + draw(st.integers(1, 4)),
+        dead_rounds=draw(st.integers(2, 7)),
         partitions=cuts,
         flaps=flaps,
     )
@@ -375,7 +373,7 @@ EVERYTHING = [
 @pytest.mark.parametrize("level", ["one", "quorum", "all"])
 def test_every_event_kind_between_steps(view, level):
     net = NetConfig(
-        loss=0.1, suspect_rounds=1, dead_rounds=3,
+        loss=0.1, dead_rounds=3,
         partitions=(NetPartition(1, 4, depth=2, asymmetric=True),),
         flaps=(LinkFlap(2, 5),),
     )

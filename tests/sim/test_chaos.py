@@ -75,11 +75,10 @@ class TestRandomFaultSchedule:
 
     def test_base_config_is_preserved(self):
         base = NetConfig(
-            rounds_per_epoch=5, suspect_rounds=4, dead_rounds=12,
+            rounds_per_epoch=5, dead_rounds=12,
         )
         net = random_fault_schedule(3, 40, base=base)
         assert net.rounds_per_epoch == 5
-        assert net.suspect_rounds == 4
         assert net.dead_rounds == 12
 
     def test_bad_parameters_raise(self):

@@ -151,7 +151,7 @@ class TestEngineIntegration:
 
     def test_faulty_run_diverges_from_oracle_twin(self):
         net = NetConfig(
-            rounds_per_epoch=2, suspect_rounds=2, dead_rounds=6,
+            rounds_per_epoch=2, dead_rounds=6,
             partitions=(NetPartition(
                 start_epoch=2, heal_epoch=5, depth=2,
             ),),

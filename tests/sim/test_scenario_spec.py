@@ -49,6 +49,7 @@ from repro.sim.scenario import (
     FlowsSpec,
     GeoSpec,
     JoinWave,
+    LeaveWave,
     NetSpec,
     OperationsSpec,
     ScenarioEntry,
@@ -225,6 +226,25 @@ class TestValidation:
             ScenarioSpec(name="x", failure=FailureSpec(events=over,
                                                        net=NetSpec()))
 
+    def test_leaves_do_not_make_room_under_the_fabric_cap(self):
+        # The load-time count is an upper bound on purpose: leaves are
+        # not subtracted, so leave-then-join near the cap is refused.
+        room = FULL_FABRIC_MAX_NODES - CloudLayout().total_servers
+        events = (LeaveWave(epoch=1, count=10),
+                  JoinWave(epoch=2, count=room + 1))
+        with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
+            ScenarioSpec(name="x", failure=FailureSpec(events=events,
+                                                       net=NetSpec()))
+
+    def test_net_suspect_rounds_keeps_its_bound(self):
+        # Read by no code, but frozen spec files name it.
+        assert NetSpec(suspect_rounds=3, dead_rounds=8).compile() == (
+            NetSpec(dead_rounds=8).compile()
+        )
+        for suspect, dead in ((0, 8), (5, 5)):
+            with pytest.raises(SpecError, match="suspect_rounds"):
+                NetSpec(suspect_rounds=suspect, dead_rounds=dead)
+
     def test_entry_pin_epochs(self):
         with pytest.raises(SpecError, match="pin_epochs"):
             ScenarioEntry(ScenarioSpec(name="x"), pin_epochs=0)
@@ -380,7 +400,7 @@ class TestTierLowering:
         legacy = dataclasses.replace(
             paper_config(epochs=60, partitions=60),
             net=NetConfig(loss=0.25, rounds_per_epoch=2,
-                          suspect_rounds=3, dead_rounds=8),
+                          dead_rounds=8),
             data_plane=DataPlaneConfig(),
         )
         compiled = self.compiled("datacenter-outage")
