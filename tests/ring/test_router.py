@@ -145,7 +145,7 @@ class TestServingWindow:
     def test_unchanged_oracle_state_keeps_routes_across_windows(self):
         *__, router, pid, first = self.windowed()
         assert self.reopened(router, pid) is first
-        assert routes_alive(router) == 1
+        assert (router.route_compiles, router.route_reuses) == (1, 2)
 
     def test_replica_added_drops_the_partitions_routes(self):
         cloud, __, catalog, ring, router, pid, first = self.windowed()

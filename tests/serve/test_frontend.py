@@ -21,11 +21,7 @@ from repro.sim.config import ServingConfig
 from repro.sim.metrics import ServingFrame
 from repro.store.quorum import Level, QuorumError
 from repro.store.replica import ReplicaCatalog
-
-
-def routes_alive(router):
-    """Remembered routes — bounded by partitions × client sites."""
-    return sum(len(routes) for routes in router._route_memo.values())
+from tests.ring.test_router import routes_alive
 
 
 class StaleMembership:

@@ -10,14 +10,10 @@ PID = PartitionId(0, 0, 0)
 PID2 = PartitionId(0, 0, 1)
 
 
-def for_target(store, target):
-    """Outstanding hints addressed to one server (insertion order)."""
-    return [h for h in store._hints.values() if h.target == target]
-
-
-def hinted_targets(store):
-    """Distinct servers with at least one outstanding hint, in order."""
-    return tuple(dict.fromkeys(h.target for h in store._hints.values()))
+def outstanding(store):
+    """Outstanding hints in insertion order (the store publishes only
+    counts, so checks of a hint's fields read its table)."""
+    return list(store._hints.values())
 
 
 def park(store, *, target=1, holder=9, pid=PID, key=b"k",
@@ -69,7 +65,7 @@ class TestParkAndDedup:
         assert park(store, version=5, epoch=4, holder=7, value=b"new")
         assert store.depth == 1
         assert store.refreshed == 1
-        (hint,) = for_target(store, 1)
+        (hint,) = outstanding(store)
         assert hint.version == 5
         assert hint.holder == 7
         assert hint.value == b"new"
@@ -83,15 +79,16 @@ class TestParkAndDedup:
         assert not park(store, version=3)
         assert not park(store, version=2)
         assert store.depth == 1
-        assert for_target(store, 1)[0].version == 3
+        assert outstanding(store)[0].version == 3
 
-    def test_targets_and_for_target(self):
+    def test_dedup_is_per_target(self):
         store = HintStore()
-        park(store, target=4, key=b"a")
-        park(store, target=4, key=b"b")
-        park(store, target=6, key=b"a")
-        assert hinted_targets(store) == (4, 6)
-        assert len(for_target(store, 4)) == 2
+        assert park(store, target=4, key=b"a")
+        assert park(store, target=4, key=b"b")
+        assert park(store, target=6, key=b"a")
+        assert store.depth == 3
+        assert store.drop_target(4) == 2
+        assert store.depth == 1
 
 
 class TestDrain:
@@ -128,7 +125,7 @@ class TestDrain:
             store.drain(epoch, ready=ready, deliver=lambda h: True)
         # Probed at epochs 1, 2, 4, 8, 16 — doubling gaps, capped at 8.
         assert len(probes) == 5
-        (hint,) = for_target(store, 1)
+        (hint,) = outstanding(store)
         assert hint.attempts == 5
         assert hint.next_epoch == 16 + 8
 
@@ -220,7 +217,7 @@ class TestRekeyAndDrop:
         park(store, key=b"b")
         moved = store.rekey_partition(PID, lambda kb: PID2)
         assert moved == 2
-        assert all(h.pid == PID2 for h in for_target(store, 1))
+        assert all(h.pid == PID2 for h in outstanding(store))
 
     def test_rekey_collision_keeps_fresher(self):
         store = HintStore()
@@ -229,7 +226,7 @@ class TestRekeyAndDrop:
         moved = store.rekey_partition(PID, lambda kb: PID2)
         assert moved == 0
         assert store.depth == 1
-        assert for_target(store, 1)[0].version == 7
+        assert outstanding(store)[0].version == 7
         assert store.dropped == 1
 
     def test_drop_target_discards_all_its_hints(self):
@@ -238,8 +235,9 @@ class TestRekeyAndDrop:
         park(store, target=1, key=b"b")
         park(store, target=2, key=b"a")
         assert store.drop_target(1) == 2
-        assert hinted_targets(store) == (2,)
         assert store.dropped == 2
+        assert store.depth == 1
+        assert store.drop_target(1) == 0
 
 
 class TestEpochCounts:

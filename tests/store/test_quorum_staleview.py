@@ -20,7 +20,7 @@ from repro.store.quorum import (
     ReplicaOutcome,
 )
 from repro.store.replica import ReplicaCatalog
-from tests.store.test_hints import for_target
+from tests.store.test_hints import outstanding
 from tests.store.test_quorum import replica_version
 
 
@@ -174,7 +174,8 @@ class TestSloppyQuorumAndHintDrain:
         assert store.stats.handoff_writes == 1
         assert store.stats.hints_parked == 2
         # Hints land on a non-replica holder (3 or 4).
-        holders = {h.holder for h in for_target(store.hints, 1)}
+        holders = {h.holder for h in outstanding(store.hints)
+                   if h.target == 1}
         assert holders <= {3, 4}
 
     def test_never_stale_after_hints_drain(self):
