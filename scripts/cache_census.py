@@ -57,7 +57,7 @@ def sites():
         "contribution"), (lambda index, pid, sid, servers:
                           index._contrib.get(pid, {}).get(sid) is None)
     yield "_ActiveCut._side", _ActiveCut, "in_a", (
-        lambda cut, cloud, sid: sid not in cut._side)
+        lambda cut, cloud, sid: sid in cloud and sid not in cut._side)
     # A draw asks the share memo once per app with queries; a miss
     # costs one ``shares`` call (insert routing calls it outside draws).
     yield SHARES, WorkloadMix, "draw", "scope"

@@ -35,7 +35,7 @@ from repro.core.agent import AgentRegistry, VNodeAgent
 from repro.core.availability import AvailabilityIndex, availability, pair_gain
 from repro.core.board import PriceBoard
 from repro.core.economy import RentModel
-from repro.core.incidence import Incidence, _FlatState
+from repro.core.incidence import Incidence
 from repro.core.placement import PlacementScorer
 from repro.core.policy import (
     KERNELS, DecisionStats, EconomicPolicy, KernelError,
@@ -195,7 +195,7 @@ class DecisionEngine:
         # mask is applied to the permutation as one vector filter, so
         # the Python loop below only ever touches partitions that act
         # (or whose incidence could not be verified).
-        flat, visit, repairing = self.incidence.build_triage(
+        flat, visit = self.incidence.build_triage(
             board, self._policy.migration_margin
         )
         if visit.size:
@@ -204,17 +204,6 @@ class DecisionEngine:
                 seg_of_work >= 0, visit[np.maximum(seg_of_work, 0)], True
             )
             order = order[visit_work[order]]
-        # Grouped repair kernel, wave 0: every SLA-short partition's
-        # first eq. 3 argmax will be asked for inside its repair chain
-        # below; score them all now as grouped array ops and hand the
-        # scorer certified top-k shortlists, so the chains read k slots
-        # instead of each paying a full cloud scan.  Pure precompute —
-        # decisions, order and stats are untouched (the shortlist path
-        # is provably-exact or falls back).
-        if repairing.size:
-            self._preload_repair_shortlists(
-                flat, repairing, scorer, g_of_app
-            )
         # Every §II-C action of the pass queues into one shared transfer
         # batch: its pending-resource mirrors are the pass's shared
         # budget/storage vectors (each intent sees real state minus all
@@ -631,43 +620,6 @@ class DecisionEngine:
         return avail
 
     # -- helpers of the pass --------------------------------------------------
-
-    def _preload_repair_shortlists(self, flat: _FlatState,
-                                   repairing: np.ndarray,
-                                   scorer: PlacementScorer,
-                                   g_of_app: Optional[
-                                       Dict[int, np.ndarray]
-                                   ]) -> None:
-        """Wave 0 of the grouped repair kernel (§II-C maintenance).
-
-        Collects every repairing partition's live replica set — the
-        flat incidence segments are exactly the catalog-order,
-        live-filtered lists :meth:`_decide_partition` will rebuild at
-        visit time — under the same ``(pid, tuple(servers))`` key the
-        chain's first :meth:`PlacementScorer.best` call passes, and
-        asks the scorer to build all their shortlists in one grouped
-        pass.  Skipped when the scorer's shortlist fast path is off
-        (small clouds) or its ``best`` is impure (the random ablation
-        never scores), and for *storm-sized*
-        waves: a wave executing more transfers than a window holds
-        sweeps its anticipated-rent bumps straight past the epoch-start
-        bounds, so nearly every window would come back inconclusive —
-        the ceiling certificate answers the storms' argmaxes instead.
-        Either way the chains score exactly as before.
-        """
-        k = scorer.shortlist_k
-        if not scorer.best_is_pure or not k or len(repairing) > k:
-            return
-        offsets = flat.offsets
-        get_g = g_of_app.get if g_of_app is not None else None
-        entries = []
-        for seg in repairing.tolist():
-            pid = flat.pids[seg]
-            lo, hi = int(offsets[seg]), int(offsets[seg + 1])
-            key = (pid, tuple(flat.rep_sids[lo:hi].tolist()))
-            g = get_g(pid.app_id) if get_g is not None else None
-            entries.append((key, flat.rep_slots[lo:hi], g))
-        scorer.preload_shortlists(entries)
 
     def _make_scorer(self, board: PriceBoard) -> PlacementScorer:
         """Build the epoch's placement scorer; ablations override this."""

@@ -568,7 +568,7 @@ class Incidence:
         return contrib
 
     def build_triage(self, board: PriceBoard, migration_margin: float
-                     ) -> Tuple[_FlatState, np.ndarray, np.ndarray]:
+                     ) -> Tuple[_FlatState, np.ndarray]:
         """Per-partition visit mask for the §II-C pass (one array pass).
 
         Reproduces, vectorized, exactly the checks the inline loop runs
@@ -579,17 +579,10 @@ class Incidence:
         (and whose SLA holds) are skipped without touching their agents.
         Availability and thresholds are gathered from the dense
         partition-index stores — no per-partition Python lookups.
-
-        Also returns the *repair wavefront*: the flat-segment indices
-        of every partition whose eq. 2 availability sits below its
-        ring's threshold — exactly the partitions whose visit will open
-        a §II-C repair chain — so the decision pass can precompute
-        their grouped eq. 3 shortlists before the chain loop runs.
         """
         flat = self.flat_state()
         if not flat.pids:
-            empty = np.zeros(0, dtype=np.intp)
-            return flat, np.zeros(0, dtype=bool), empty
+            return flat, np.zeros(0, dtype=bool)
         index = self._index
         avail = index.availability_at(flat.pid_slots)
         thr = gather_float(
@@ -621,7 +614,5 @@ class Incidence:
         else:
             act_rep = pos_rep
         any_act = np.logical_or.reduceat(act_rep, offsets)
-        short = avail < thr
-        visit = short | any_act | ~flat.aligned
-        repairing = np.flatnonzero(short & np.isfinite(thr))
-        return flat, visit, repairing
+        visit = (avail < thr) | any_act | ~flat.aligned
+        return flat, visit

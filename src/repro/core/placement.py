@@ -84,33 +84,8 @@ class Candidate:
     rent: float
 
 
-@dataclass
-class _Shortlist:
-    """Top-k eq. 3 candidates of one replica set (one epoch's scorer).
-
-    ``slots`` hold the k highest epoch-start scores in (score
-    descending, slot ascending) order — plus the lowest-slot holder of
-    the outside bound, so boundary ties resolve in-window; ``bound`` is
-    the highest epoch-start score of every *other* slot and
-    ``bound_slot`` the lowest slot achieving it.  Anticipated rents
-    only rise within an epoch, so ``score0`` upper-bounds every slot's
-    score for the rest of the epoch — which is what makes the k-slot
-    argmax provably equal to the full scan whenever it clears the
-    outside's best ``(score, slot)`` key (strictly on score, or on the
-    first-index tie-break against ``bound_slot``).
-    """
-
-    slots: np.ndarray
-    gain: np.ndarray
-    gain_g: np.ndarray
-    score0: np.ndarray
-    bound: float
-    bound_slot: int
-    g_id: int
-
-
-#: Sentinel returned by the shortlist fast path when the k-window
-#: cannot prove where the argmax lies (distinct from a proven None).
+#: Sentinel returned by the ceiling certificate when it cannot prove
+#: where the argmax lies (distinct from a proven None).
 _INCONCLUSIVE = object()
 
 
@@ -133,15 +108,19 @@ class PlacementScorer:
     increased virtual rent of the candidate server").  Without this,
     every agent in an epoch sees the same static board and herds onto
     the one argmax server until it is full.
+
+    ``class_div_extends`` is always 0 — the one-server diversity-sum
+    extension it counted is deleted; it is retained only because the
+    frozen benchmark (``benchmarks/e2e``) reads it by name.
     """
 
     best_is_pure: bool = True
+    class_div_extends: int = 0
 
     def __init__(self, cloud: Cloud, board: PriceBoard,
                  rent_weight: float = 1.0,
                  storage_alpha: float = 1.0,
                  epochs_per_month: int = 720,
-                 shortlist_k: Optional[int] = None,
                  alive_override: Optional[np.ndarray] = None) -> None:
         if rent_weight < 0:
             raise PlacementError(
@@ -185,34 +164,18 @@ class PlacementScorer:
         self._gain_cache: Dict[object, np.ndarray] = {}
         # Placement-class canonicalisation: eq. 3's gain depends only
         # on the *locations* of the replica set (diversity is a pure
-        # location function), so every per-set cache below is keyed by
-        # the sorted tuple of the cloud's interned location ids (equal
-        # locations ⇔ equal ids) — the set's placement class — via
+        # location function), so the gain cache is keyed by the sorted
+        # tuple of the cloud's interned location ids (equal locations ⇔
+        # equal ids) — the set's placement class — via
         # :meth:`_class_key`.  Partitions sharing a replica set (or,
         # degenerately, sets whose servers share locations) then share
-        # one gain row sum and one top-k shortlist instead of building
-        # identical copies per ``cache_key``.  ``_class_div`` holds the
-        # pre-confidence diversity sums: exact small-integer float64
-        # vectors, which is what makes both the class sharing and the
-        # prefix extension in :meth:`_class_div_sum` bit-identical to
-        # a fresh per-set scan.
+        # one gain row instead of building identical copies per
+        # ``cache_key``.  Diversity sums are exact small-integer float64
+        # vectors, which is what makes the sharing bit-identical to a
+        # fresh per-set scan.
         self._class_keys: Dict[object, object] = {}
-        self._class_div: Dict[object, np.ndarray] = {}
         self._loc_ids: List[int] = cloud.location_ids().tolist()
         self.class_gain_reuses = 0
-        self.class_div_extends = 0
-        # Epoch-start rents: anticipated rents only *rise* within an
-        # epoch (consume_budget adds eq. 1 bumps), so scores over this
-        # snapshot upper-bound every later score (the shortlist proof).
-        self._rents0 = self._rents.copy()
-        # Default k: a 64-slot window on big clouds, off entirely when
-        # the cloud is small enough that the full scan is already a
-        # handful of tiny array ops and the window bookkeeping would be
-        # pure overhead.  An explicit ``shortlist_k`` always wins
-        # (tests pin both behaviors; 0 disables).
-        if shortlist_k is None:
-            n = len(self._ids)
-            shortlist_k = 64 if n > 4 * 64 else 0
         # Cached feasibility masks: the alive/storage/budget mask of
         # :meth:`best` depends only on (need_bytes, budget kind,
         # headroom) and the scorer's mutable storage/budget state.  It
@@ -224,15 +187,6 @@ class PlacementScorer:
         self._mask_cache: Dict[
             Tuple[int, Optional[str], float], np.ndarray
         ] = {}
-        # Top-k candidate shortlists per placement class: eq. 3's
-        # argmax usually lands in the few dozen best-scored slots, so a
-        # ``best`` call whose class has a window scans ~k slots instead
-        # of the whole cloud — with a full-scan fallback whenever the
-        # k-window cannot *prove* it contains the argmax.  Windows exist
-        # only where the grouped wave-0 :meth:`preload_shortlists` built
-        # them; 0 disables the fast path.
-        self._shortlist_k = shortlist_k
-        self._shortlists: Dict[object, _Shortlist] = {}
         # The monotonicity contract's clocks (docs/ARCHITECTURE.md):
         # anticipated rents only rise and masks only shrink — except
         # through :meth:`release_storage` — so a conclusion drawn at
@@ -302,36 +256,6 @@ class PlacementScorer:
         loc_ids = self._loc_ids
         return tuple(sorted([loc_ids[slot_of[sid]] for sid in servers]))
 
-    def _class_div_sum(self, replica_servers: Sequence[int],
-                       locs: object) -> np.ndarray:
-        """Pre-confidence diversity row sum of one placement class.
-
-        Diversity values are integers at most 63, so the summed float64
-        vectors are exact and *order-independent* — which licenses two
-        reuses a post-confidence cache could never make bit-safe:
-        classes are shared across whatever order each caller lists the
-        set in, and a §II-C repair chain that appended its accepted
-        candidate extends the previous iteration's class with that
-        one server's sum instead of re-summing the whole set.
-        (The confidence multiply stays outside: ``(a + b) · c`` and
-        ``a·c + b·c`` differ in the last ulp for fractional ``c``.)
-        """
-        cached = self._class_div.get(locs)
-        if cached is not None:
-            return cached
-        slot_of = self._cloud.slot_map
-        members = [slot_of[sid] for sid in replica_servers]
-        prev = self._class_div.get(
-            self._location_class(replica_servers[:-1])
-        ) if len(members) > 1 else None
-        if prev is not None:
-            div_sum = prev + self._cloud.diversity_sum(members[-1:])
-            self.class_div_extends += 1
-        else:
-            div_sum = self._cloud.diversity_sum(members)
-        self._class_div[locs] = div_sum
-        return div_sum
-
     def _diversity_gain(self, replica_servers: Sequence[int],
                         cache_key: Optional[object] = None) -> np.ndarray:
         """Σ_k conf · diversity(s_k, ·) over the replica set, per slot.
@@ -352,11 +276,6 @@ class PlacementScorer:
             if cached is not None:
                 self.class_gain_reuses += 1
                 return cached
-            if ckey[0] == "cls":
-                div_sum = self._class_div_sum(replica_servers, ckey[1])
-                gain = div_sum * self._conf
-                self._gain_cache[ckey] = gain
-                return gain
         slot_of = self._cloud.slot_map
         div_sum = self._cloud.diversity_sum(
             [slot_of[sid] for sid in replica_servers if sid in slot_of]
@@ -365,12 +284,6 @@ class PlacementScorer:
         if cache_key is not None:
             self._gain_cache[ckey] = gain
         return gain
-
-    def scores(self, replica_servers: Sequence[int],
-               g: Optional[np.ndarray] = None,
-               cache_key: Optional[object] = None) -> np.ndarray:
-        """Raw eq. 3 score of every server (no feasibility masking)."""
-        return self._gain_and_scores(replica_servers, g, cache_key)[1]
 
     def _gain_and_scores(self, replica_servers: Sequence[int],
                          g: Optional[np.ndarray],
@@ -421,15 +334,6 @@ class PlacementScorer:
             replica_servers, need_bytes, g, max_rent, exclude, budget,
             headroom_fraction,
         )
-        if found is _INCONCLUSIVE and cache_key is not None and (
-            self._shortlists
-        ):
-            found = self._best_from_shortlist(
-                replica_servers,
-                self.feasible_mask(need_bytes, budget, headroom_fraction),
-                g, max_rent, exclude,
-                self._class_key(replica_servers, cache_key),
-            )
         if found is _INCONCLUSIVE:
             found = self.scan(
                 replica_servers, need_bytes, g, max_rent, exclude, budget,
@@ -538,190 +442,14 @@ class PlacementScorer:
         self.ceil_proofs += 1
         return found
 
-    @property
-    def shortlist_k(self) -> int:
-        """Size of the top-k candidate windows (0 = fast path off)."""
-        return self._shortlist_k
+    def preload_shortlists(self, entries: Sequence) -> None:
+        """Retired: the grouped wave-0 top-k shortlists are deleted.
 
-    def preload_shortlists(self, entries: Sequence) -> int:
-        """Grouped wave-0 shortlist build for many replica sets at once.
-
-        ``entries`` are ``(cache_key, replica_slots, g)`` triples — the
-        repair wavefront: every SLA-short partition's live replica set
-        (as cloud slot indices), keyed exactly as the §II-C repair
-        chain's first :meth:`best` call will ask for it.  Instead of
-        each chain paying a full O(S) eq. 3 scoring pass, the sets are
-        grouped by replication degree (and proximity vector) and scored
-        as chunked ``(partitions × servers)`` array expressions; each
-        row is then reduced to a top-k window + outside bound
-        (:meth:`_store_shortlists`), so the chains' argmaxes resolve
-        over k slots with the usual strict-bound certificate (full-scan
-        fallback on any tie with the bound).
-
-        Every float operation matches the full scan's elementwise
-        (diversity sums are exact small integers in float64, so
-        grouping cannot change a single bit), which is what keeps the
-        wavefront byte-identical to per-chain scoring.
-        Returns the number of shortlists built; 0 when the shortlist
-        fast path is disabled.
+        Kept as a name only because the frozen end-to-end benchmark
+        (``benchmarks/e2e/bench_trace.py``) wraps this class attribute
+        as the ``core.placement.preload_shortlists`` span site; nothing
+        in ``src/`` calls it.  ROADMAP item 2(a) retires the name.
         """
-        k = self._shortlist_k
-        n = len(self._ids)
-        if not k or not n:
-            return 0
-        groups: Dict[Tuple[int, int], List] = {}
-        batch_seen: set = set()
-        ids = self._ids
-        for key, slots, g in entries:
-            # Canonicalise to the placement class before grouping:
-            # repairing partitions that share a replica set (bootstrap
-            # siblings, co-located hot partitions) collapse to one row
-            # of the grouped scoring pass and one stored window.
-            skey = self._class_key(
-                [ids[int(s)] for s in slots], key
-            )
-            if skey in self._shortlists or skey in batch_seen:
-                continue
-            batch_seen.add(skey)
-            gid = id(g) if g is not None else 0
-            groups.setdefault((len(slots), gid), []).append(
-                (skey, slots, g)
-            )
-        built = 0
-        every_slot = np.arange(n)
-        for (degree, __), items in groups.items():
-            if not degree:
-                continue
-            g = items[0][2]
-            # Bound the per-chunk temporaries: the largest is the
-            # (rows × degree × servers) gather feeding the gain sum.
-            max_chunk = max(1, (32 << 20) // (degree * n * 8))
-            for start in range(0, len(items), max_chunk):
-                chunk = items[start:start + max_chunk]
-                slot_mat = np.stack(
-                    [slots for __k, slots, __g in chunk]
-                )
-                # Per-member diversity rows summed in float64: exact
-                # integers, so the accumulation order cannot matter.
-                div_sum = self._cloud.diversity_between(
-                    slot_mat[:, :, None], every_slot
-                ).sum(axis=1, dtype=np.float64)
-                gain = div_sum * self._conf[None, :]
-                gain_g = gain * g[None, :] if g is not None else gain
-                score0 = gain_g - self._rent_weight * self._rents0[None, :]
-                self._store_shortlists(chunk, gain, gain_g, score0, g)
-                built += len(chunk)
-        return built
-
-    def _store_shortlists(self, chunk: Sequence, gain: np.ndarray,
-                          gain_g: np.ndarray, score0: np.ndarray,
-                          g: Optional[np.ndarray]) -> None:
-        """Reduce grouped score rows to per-key :class:`_Shortlist`s.
-
-        Each window holds its k best epoch-start scores in (score
-        descending, slot ascending) order — the slot tie-break mirrors
-        np.argmax's first-index rule on the slot-ordered full scan —
-        with ``bound`` the best score outside it.  The window's
-        contents are pure functions of the class gain, ``g`` and the
-        epoch-start rents, so every set of the class can share it;
-        :meth:`_best_from_shortlist` certifies each answer against the
-        full scan regardless of which set built the window.
-        """
-        rows, n = score0.shape
-        k = self._shortlist_k
-        g_id = id(g) if g is not None else 0
-        if n > k:
-            part = np.argpartition(-score0, k, axis=1)
-            top = part[:, :k]
-            rest_scores = np.take_along_axis(score0, part[:, k:], axis=1)
-            bounds = rest_scores.max(axis=1)
-            # Each row's lowest slot scoring exactly its bound (argmax
-            # of the equality mask = first True; ties are the norm on
-            # uniform clouds): keeping it in the window lets a boundary
-            # tie resolve by the first-index rule instead of forcing
-            # the full scan.
-            bound_slots = np.argmax(score0 == bounds[:, None], axis=1)
-            top = np.concatenate([top, bound_slots[:, None]], axis=1)
-        else:
-            top = np.tile(np.arange(n), (rows, 1))
-            bounds = np.full(rows, -np.inf)
-            bound_slots = np.full(rows, n)
-        top_scores = np.take_along_axis(score0, top, axis=1)
-        width = top.shape[1]
-        # One flat lexsort orders every row's window at once: keys are
-        # (row, -score0, slot) — lexsort's last key is primary.
-        row_idx = np.repeat(np.arange(rows), width)
-        order = np.lexsort((top.ravel(), -top_scores.ravel(), row_idx))
-        ordered = top.ravel()[order].reshape(rows, width)
-        take = np.take_along_axis
-        gain_k = take(gain, ordered, axis=1)
-        gain_g_k = take(gain_g, ordered, axis=1)
-        score0_k = take(score0, ordered, axis=1)
-        for r, (key, __slots, __g) in enumerate(chunk):
-            self._shortlists[key] = _Shortlist(
-                slots=ordered[r],
-                gain=gain_k[r],
-                gain_g=gain_g_k[r],
-                score0=score0_k[r],
-                bound=float(bounds[r]),
-                bound_slot=int(bound_slots[r]),
-                g_id=g_id,
-            )
-
-    def _best_from_shortlist(self, replica_servers: Sequence[int],
-                             mask: np.ndarray,
-                             g: Optional[np.ndarray],
-                             max_rent: Optional[float],
-                             exclude: Sequence[int],
-                             skey: object):
-        """Eq. 3 argmax over the top-k window, or the inconclusive
-        sentinel when the window cannot *prove* it holds the argmax.
-
-        Soundness: anticipated rents only rise within an epoch, so
-        every slot outside the window holds a ``(score, slot)`` argmax
-        key of at most ``(bound, bound_slot)`` — its score is capped by
-        its epoch-start value, and every outside slot scoring exactly
-        ``bound`` carries a slot id above ``bound_slot`` (the lowest
-        such slot is kept *inside* the window).  A feasible window
-        winner strictly above ``bound``, or tying it from a slot no
-        higher than ``bound_slot``, therefore beats every outside slot
-        under np.argmax's first-index rule; ties inside the window
-        already resolve to the lowest slot id.  Any other boundary tie
-        falls back to the full scan.  ``None`` is never concluded here:
-        an empty feasible window says nothing about the other S − k
-        slots.  A class without a preloaded window (or with one built
-        for another proximity vector) is inconclusive as well.
-        """
-        sl = self._shortlists.get(skey)
-        if sl is None or sl.g_id != (id(g) if g is not None else 0):
-            return _INCONCLUSIVE
-        slots = sl.slots
-        rents_k = self._rents[slots]
-        scores_k = sl.gain_g - self._rent_weight * rents_k
-        ok = mask[slots]
-        if max_rent is not None:
-            ok = ok & (rents_k < max_rent)
-        slot_of = self._slot_of
-        for sid in (*replica_servers, *exclude):
-            slot = slot_of.get(sid)
-            if slot is not None:
-                ok = ok & (slots != slot)
-        if not ok.any():
-            return _INCONCLUSIVE
-        masked = np.where(ok, scores_k, -np.inf)
-        best = float(masked.max())
-        if best < sl.bound:
-            return _INCONCLUSIVE
-        winners = np.flatnonzero(masked == best)
-        pos = int(winners[np.argmin(slots[winners])])
-        if best == sl.bound and int(slots[pos]) > sl.bound_slot:
-            return _INCONCLUSIVE
-        return Candidate(
-            server_id=self._ids[int(slots[pos])],
-            score=best,
-            diversity_gain=float(sl.gain[pos]),
-            rent=float(rents_k[pos]),
-        )
 
     def feasible_mask(self, need_bytes: int, budget: Optional[str] = None,
                       headroom_fraction: float = 0.0) -> np.ndarray:

@@ -230,6 +230,10 @@ class _ActiveCut:
         self._side: Dict[int, bool] = {}
 
     def in_a(self, cloud: Cloud, sid: int) -> bool:
+        """Whether ``sid`` sits on side A.  An id the cloud no longer
+        holds reads as side B: nothing is delivered to it anyway."""
+        if sid not in cloud:
+            return False
         cached = self._side.get(sid)
         if cached is None:
             cached = (
@@ -240,13 +244,9 @@ class _ActiveCut:
         return cached
 
     def side_column(self, cloud: Cloud, server_ids: List[int]) -> np.ndarray:
-        """``in_a`` for each of ``server_ids`` (ids the cloud no longer
-        holds read as side B: nothing is delivered to them anyway)."""
+        """:meth:`in_a` for each of ``server_ids``."""
         in_a = self.in_a
-        return np.array(
-            [sid in cloud and in_a(cloud, sid) for sid in server_ids],
-            dtype=bool,
-        )
+        return np.array([in_a(cloud, sid) for sid in server_ids], dtype=bool)
 
     def blocks(self, cloud: Cloud, src: int, dst: int) -> bool:
         a_src = self.in_a(cloud, src)

@@ -87,7 +87,7 @@ class TestScoring:
     def test_scores_match_eq3(self):
         cloud, board = build(FOUR, rents={0: 1.0, 1: 0.5, 2: 2.0, 3: 1.5})
         scorer = PlacementScorer(cloud, board)
-        scores = scorer.scores([0, 2])
+        __, scores = scorer._gain_and_scores([0, 2], None, None)
         # For server 3: div(0,3)=63, div(2,3)=63 -> 126 - 1.5
         assert scores[cloud.slot(3)] == pytest.approx(126 - 1.5)
         # For server 1: div(0,1)=1, div(2,1)=63 -> 64 - 0.5
@@ -207,171 +207,177 @@ class TestIncrementalCaches:
             scorer._slot(99)
 
 
-#: ``FOUR`` with its continents demoted to countries: every replica set occupies every
-#: continent, so the ceiling certificate (tests/core/
-#: test_ceiling_argmax.py) cannot answer and ``best`` reaches the
-#: shortlist window these tests are about.
-ONE_CONTINENT = [
-    (0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 1),
-    (0, 1, 0, 0, 0, 0),
-    (0, 2, 0, 0, 0, 0),
-]
-
-
-class TestShortlist:
-    """The top-k fast path must be indistinguishable from the full scan."""
-
-    @staticmethod
-    def _random_cloud(rng, n=24):
-        cloud = Cloud()
-        for i in range(n):
-            loc = Location(
-                int(rng.integers(3)), int(rng.integers(2)),
-                int(rng.integers(2)), int(rng.integers(2)),
-                int(rng.integers(2)), int(rng.integers(4)),
-            )
-            cloud.add_servers([
-                make_server(i, loc, storage_capacity=1000)
-            ])
-        board = PriceBoard()
-        board.post(
-            0, {i: float(rng.uniform(0.05, 0.4)) for i in range(n)}
-        )
-        return cloud, board
-
-    @staticmethod
-    def _preload(scorer, replicas, key):
-        """Build ``key``'s window the only way one is built: grouped
-        wave-0 preload (test clouds add servers 0..n-1, so slot ≡ id)."""
-        assert scorer.preload_shortlists(
-            [(key, np.array(replicas), None)]
-        ) == 1
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 2, 4, 64])
-    def test_fast_path_matches_full_scan(self, seed, k):
-        """Repeated calls against a preloaded window across rent bumps
-        and budget churn return exactly the full scan's pick."""
-        rng = np.random.default_rng(seed)
-        cloud, board = self._random_cloud(rng)
-        fast = PlacementScorer(cloud, board, shortlist_k=k)
-        full = PlacementScorer(cloud, board, shortlist_k=0)
-        # One replica per continent: the window, not the ceiling, answers.
-        continents = cloud.continent_ids().tolist()
-        replicas = [continents.index(c) for c in sorted(set(continents))]
-        self._preload(fast, replicas, "hot")
-        for step in range(12):
-            got = fast.best(
-                replicas, need_bytes=10, budget="replication",
-                cache_key="hot",
-            )
-            want = full.best(
-                replicas, need_bytes=10, budget="replication",
-                cache_key="hot",
-            )
-            assert (got is None) == (want is None), f"step {step}"
-            if got is not None:
-                assert got == want, f"step {step}: {got} vs {want}"
-                fast.consume_budget(got.server_id, 30, "replication")
-                full.consume_budget(got.server_id, 30, "replication")
-
-    def test_exhausted_shortlist_falls_back_to_full_scan(self):
-        """With k=1 the single shortlisted slot is knocked out by
-        exclusion — the window proves nothing and the full scan must
-        still find the runner-up."""
-        cloud, board = build(
-            ONE_CONTINENT, rents={0: 0.1, 1: 0.1, 2: 0.1, 3: 0.1}
-        )
-        fast = PlacementScorer(cloud, board, shortlist_k=1)
-        full = PlacementScorer(cloud, board, shortlist_k=0)
-        key = "p0"
-        self._preload(fast, [0], key)
-        first = fast.best([0], need_bytes=1, cache_key=key)
-        again = fast.best(
-            [0], need_bytes=1, cache_key=key,
-            exclude=(first.server_id,),
-        )
-        want = full.best(
-            [0], need_bytes=1, cache_key=key,
-            exclude=(first.server_id,),
-        )
-        assert again == want
-        assert again.server_id != first.server_id
-
-    def test_shortlists_shared_across_same_class_keys(self, monkeypatch):
-        """Two partitions on the same replica set share one placement
-        class: the second key's ``best`` call rides the window the
-        first key's preload built — and no ``best`` call builds one."""
-        cloud, board = build(ONE_CONTINENT)
-        fast = PlacementScorer(cloud, board, shortlist_k=2)
-        full = PlacementScorer(cloud, board, shortlist_k=0)
-        for __ in range(2):
-            fast.best([1], need_bytes=1, cache_key=("p0", (1,)))
-        assert not fast._shortlists
-        self._preload(fast, [0], ("p1", (0,)))
-        assert len(fast._shortlists) == 1
-        answered = []
-        window = fast._best_from_shortlist
-
-        def spy(*args):
-            answered.append(window(*args))
-            return answered[-1]
-
-        monkeypatch.setattr(fast, "_best_from_shortlist", spy)
-        got = fast.best([0], need_bytes=1, cache_key=("p2", (0,)))
-        want = full.best([0], need_bytes=1)
-        assert got == want and answered == [got]
-        assert len(fast._shortlists) == 1
-
+class TestClassKeyedGainCache:
     def test_gain_cache_shared_across_same_class_keys(self):
         cloud, board = build(FOUR)
         scorer = PlacementScorer(cloud, board)
-        a = scorer.scores([0, 2], cache_key=("p1", (0, 2)))
+        a = scorer._diversity_gain([0, 2], cache_key=("p1", (0, 2)))
         before = scorer.class_gain_reuses
-        b = scorer.scores([2, 0], cache_key=("p2", (2, 0)))
+        b = scorer._diversity_gain([2, 0], cache_key=("p2", (2, 0)))
         assert scorer.class_gain_reuses == before + 1
         assert len(scorer._gain_cache) == 1
         assert a.tolist() == b.tolist()
 
-    def test_class_div_prefix_extension_is_bit_identical(self):
-        """A repair chain appending its accepted candidate extends the
-        previous class's diversity sum by one row — bit-identical to a
-        fresh full sum of the grown set."""
-        cloud, board = build(FOUR)
-        chain = PlacementScorer(cloud, board)
+    def test_orderings_of_one_location_multiset_are_bit_identical(self):
+        """Server 4 shares server 2's location, so ``[0, 2, 3]`` and
+        ``[3, 4, 0]`` are one placement class: the second ordering is
+        served the first one's gain row, and that row is bit-identical
+        to a fresh, uncached sum over the second ordering."""
+        cloud = Cloud()
+        for i, (loc, conf) in enumerate(zip(
+            FOUR + [FOUR[2]], (0.97, 1.0, 0.5, 0.3, 0.7)
+        )):
+            cloud.add_servers([make_server(
+                i, Location(*loc), confidence=conf, storage_capacity=1000
+            )])
+        board = PriceBoard()
+        board.post(0, {i: 1.0 for i in range(5)})
+        cached = PlacementScorer(cloud, board)
         fresh = PlacementScorer(cloud, board)
-        chain.scores([0, 2], cache_key=("p", (0, 2)))
-        got = chain.scores([0, 2, 3], cache_key=("p", (0, 2, 3)))
-        assert chain.class_div_extends == 1
-        want = fresh.scores([0, 2, 3], cache_key=("p", (0, 2, 3)))
-        assert fresh.class_div_extends == 0
-        assert got.tobytes() == want.tobytes()
+        first = cached._diversity_gain([0, 2, 3], cache_key=("p", (0, 2, 3)))
+        second = cached._diversity_gain([3, 4, 0], cache_key=("q", (3, 4, 0)))
+        assert second is first and cached.class_gain_reuses == 1
+        uncached = fresh._diversity_gain([3, 4, 0])
+        assert not fresh._gain_cache
+        assert second.tobytes() == uncached.tobytes()
 
     def test_unknown_server_falls_back_to_raw_key(self):
         cloud, board = build(FOUR)
         scorer = PlacementScorer(cloud, board)
         key = ("p", (0, 99))
-        scorer.scores([0, 99], cache_key=key)
+        scorer._diversity_gain([0, 99], cache_key=key)
         assert scorer._class_key([0, 99], key) == ("raw", key)
         assert ("raw", key) in scorer._gain_cache
 
-    def test_tied_scores_resolve_to_lowest_slot_like_argmax(self):
-        """Equal-rent, equal-gain candidates tie; both paths must pick
-        the first slot exactly as np.argmax would."""
-        locs = [
-            (0, 0, 0, 0, 0, 0),
-            (0, 1, 0, 0, 0, 0),
-            (0, 2, 0, 0, 0, 0),
-        ]
-        cloud, board = build(locs, rents={0: 0.2, 1: 0.2, 2: 0.2})
-        fast = PlacementScorer(cloud, board, shortlist_k=2)
-        full = PlacementScorer(cloud, board, shortlist_k=0)
-        self._preload(fast, [0], "t")
-        for __ in range(3):
-            got = fast.best([0], need_bytes=1, cache_key="t")
-            want = full.best([0], need_bytes=1, cache_key="t")
-            assert got == want
+
+def large_cloud(rng, n=300):
+    """``n`` servers over three continents and few distinct locations
+    (so placement classes are shared), with fractional confidences and
+    sub-dollar rents."""
+    cloud = Cloud()
+    for i in range(n):
+        cloud.add_servers([make_server(
+            i, Location(int(rng.integers(3)), int(rng.integers(2)), 0,
+                        int(rng.integers(2)), 0, int(rng.integers(3))),
+            confidence=float(rng.choice((1.0, 0.97, 0.5))),
+            storage_capacity=int(rng.integers(2_000, 9_000)),
+            replication_budget=int(rng.integers(500, 3_000)),
+            migration_budget=int(rng.integers(500, 3_000)),
+        )])
+    board = PriceBoard()
+    board.post(0, {i: float(rng.uniform(0.05, 0.5)) for i in range(n)})
+    return cloud, board
+
+
+class TestLargeCloudEquivalence:
+    """``best`` against ``scan`` on a cloud past 256 servers.
+
+    ``fast`` answers with everything ``best`` has — the ceiling
+    certificate, its scan fallback and the class-keyed gain cache —
+    while ``ref`` runs the uncached scan on a twin scorer kept in the
+    same state.  Repair chains append each accepted candidate to the
+    replica set; sibling partitions ask for the same set under their
+    own keys; random transfers and releases move the rents and masks.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_best_equals_scan_through_chains_and_transfers(self, seed):
+        rng = np.random.default_rng(seed)
+        cloud, board = large_cloud(rng)
+        n = len(cloud)
+        fast = PlacementScorer(cloud, board)
+        ref = PlacementScorer(cloud, board)
+        g_vec = rng.choice((1.0, 0.6, 0.05), size=n)
+        answered = 0
+        for chain in range(30):
+            servers = [int(rng.integers(n))]
+            g = g_vec if chain % 2 else None
+            for step in range(int(rng.integers(1, 6))):
+                for __ in range(int(rng.integers(3))):
+                    sid = int(rng.integers(n))
+                    nbytes = int(rng.integers(1, 800))
+                    if rng.random() < 0.7:
+                        kind = ("replication", "migration")[
+                            int(rng.integers(2))
+                        ]
+                        for scorer in (fast, ref):
+                            scorer.consume_budget(sid, nbytes, kind)
+                    else:
+                        for scorer in (fast, ref):
+                            scorer.release_storage(sid, nbytes)
+                query = dict(
+                    need_bytes=int(rng.integers(50, 400)), g=g,
+                    budget="replication",
+                    headroom_fraction=float(rng.choice((0.0, 0.1))),
+                )
+                for pid in (chain, ("sibling", chain)):
+                    got = fast.best(
+                        servers, cache_key=(pid, tuple(servers)), **query
+                    )
+                    want = ref.scan(servers, **query)
+                    assert got == want, (chain, step, pid)
+                if got is None:
+                    break
+                answered += 1
+                servers.append(got.server_id)
+                for scorer in (fast, ref):
+                    scorer.consume_budget(
+                        got.server_id, query["need_bytes"], "replication"
+                    )
+        assert answered
+        assert 0 < fast.ceil_proofs < fast.ceil_asks
+        assert fast.class_gain_reuses and not ref._gain_cache
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_migration_hunts_with_exclusions_and_rent_caps(self, seed):
+        """Hunts aim ``exclude`` and ``max_rent`` at the unconstrained
+        winner, so a certified answer is ruled out and ``best`` must
+        fall through to the scan exactly as the scan itself would."""
+        rng = np.random.default_rng(100 + seed)
+        cloud, board = large_cloud(rng)
+        n = len(cloud)
+        fast = PlacementScorer(cloud, board)
+        ref = PlacementScorer(cloud, board)
+        hunts = 0
+        for hunt in range(60):
+            servers = rng.choice(n, size=int(rng.integers(1, 4)),
+                                 replace=False).tolist()
+            query = dict(need_bytes=int(rng.integers(50, 400)),
+                         budget="migration", headroom_fraction=0.1)
+            key = (hunt, tuple(servers))
+            top = ref.scan(servers, **query)
+            if top is None:
+                continue
+            for extra in (
+                dict(exclude=(top.server_id,)),
+                dict(max_rent=top.rent),
+                dict(max_rent=float(np.nextafter(top.rent, np.inf))),
+            ):
+                got = fast.best(servers, cache_key=key, **query, **extra)
+                assert got == ref.scan(servers, **query, **extra), extra
+                hunts += 1
+            fast.consume_budget(top.server_id, query["need_bytes"],
+                                "migration")
+            ref.consume_budget(top.server_id, query["need_bytes"],
+                               "migration")
+        assert hunts and fast.ceil_proofs < fast.ceil_asks
+
+
+class TestFrozenBenchmarkNames:
+    def test_retired_names_still_resolve_and_stay_inert(self):
+        """``benchmarks/e2e`` wraps ``preload_shortlists`` as a span site
+        and reads ``class_div_extends`` off every scorer; both survive as
+        names only, and neither moves while the scorer works."""
+        cloud, board = large_cloud(np.random.default_rng(9))
+        scorer = PlacementScorer(cloud, board)
+        assert scorer.preload_shortlists([((0,), np.array([0]), None)]) is (
+            None
+        )
+        for servers in ([0], [0, 1], [1, 0], [0, 1, 2]):
+            scorer.scan(servers, need_bytes=10,
+                        cache_key=("p", tuple(servers)))
+        assert scorer.class_div_extends == 0
+        assert scorer.class_gain_reuses == 1
 
 
 # -- clocked rent floors (ISSUE 16) ------------------------------------------

@@ -1,13 +1,12 @@
-"""Repair-chain semantics under the grouped (§II-C) repair kernel.
+"""Repair-chain semantics of the §II-C pass.
 
-Pins the contracts the grouped repair kernel must preserve against the
-sequential reference: the ``repair_iterations`` bound, source budget
-exhaustion mid-chain, and grouped-round vs sequential-chain equivalence
-on adversarial small clouds — eq. 3 score ties and capacity-constrained
-rounds — with the certified shortlist window forced on.
+Pins the ``repair_iterations`` bound, source budget exhaustion
+mid-chain, and vectorized-vs-scalar kernel equality on adversarial
+small clouds: eq. 3 score ties and capacity-constrained rounds.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster.location import Location
 from repro.cluster.server import make_server
@@ -16,7 +15,6 @@ from repro.core.agent import AgentRegistry
 from repro.core.board import PriceBoard
 from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
-from repro.core.placement import PlacementScorer
 from repro.core.policy import EconomicPolicy
 from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.store.replica import ReplicaCatalog
@@ -27,7 +25,7 @@ from repro.workload.mix import EpochLoad
 #: continents — from any single replica, the four cross-continent
 #: candidates carry *identical* eq. 3 diversity gain (63 each), so
 #: with equal rents the argmax is decided purely by the first-index
-#: tie-break the grouped kernel must reproduce.
+#: tie-break both epoch kernels must reproduce.
 LOCS = [
     (0, 0, 0, 0, 0, 0),
     (0, 0, 0, 0, 0, 1),
@@ -39,7 +37,7 @@ LOCS = [
 
 
 def build(threshold=20.0, *, partitions=1, policy=None, budgets=None,
-          storage=None, initial_size=100, engine_cls=DecisionEngine):
+          storage=None, initial_size=100, kernel="vectorized"):
     """A 6-server harness with per-server budget/storage overrides."""
     cloud = Cloud()
     for i, loc in enumerate(LOCS):
@@ -61,7 +59,9 @@ def build(threshold=20.0, *, partitions=1, policy=None, budgets=None,
     pol = policy or EconomicPolicy(hysteresis=2)
     registry = AgentRegistry(pol.hysteresis)
     transfers = TransferEngine(cloud, catalog)
-    engine = engine_cls(cloud, rings, catalog, registry, transfers, pol)
+    engine = DecisionEngine(
+        cloud, rings, catalog, registry, transfers, pol, kernel=kernel
+    )
     board = PriceBoard()
     board.post(0, RentModel(epochs_per_month=100).price_cloud(cloud))
     return cloud, rings, ring, catalog, registry, transfers, engine, board
@@ -73,18 +73,6 @@ def empty_load(ring):
         epoch=0, total_queries=0, per_app={0: 0},
         per_partition=per_partition,
     )
-
-
-def forced_k_engine(k):
-    """DecisionEngine whose scorer always builds k-slot shortlists."""
-
-    class ForcedK(DecisionEngine):
-        def _make_scorer(self, board):
-            return PlacementScorer(
-                self._cloud, board, shortlist_k=k, **self._scorer_terms()
-            )
-
-    return ForcedK
 
 
 class TestRepairIterationBound:
@@ -132,13 +120,13 @@ class TestBudgetExhaustionMidChain:
         assert stats.unsatisfied_partitions == 1
 
 
-class TestGroupedVsSequentialChains:
-    def run_with_k(self, k, *, storage=None, partitions=3, threshold=80.0,
-                   budgets=None, seed=3):
+class TestVectorizedVsScalarChains:
+    def run_kernel(self, kernel, *, storage=None, partitions=3,
+                   threshold=80.0, budgets=None, seed=3):
         (cloud, rings, ring, catalog, registry, transfers, engine,
          board) = build(
             threshold=threshold, partitions=partitions, storage=storage,
-            budgets=budgets, engine_cls=forced_k_engine(k),
+            budgets=budgets, kernel=kernel,
         )
         for i, p in enumerate(ring.partitions()):
             catalog.place(p, i % 2)
@@ -152,84 +140,28 @@ class TestGroupedVsSequentialChains:
         }
         return stats, placement
 
-    def test_tied_scores_match_sequential(self):
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_tied_scores_match_across_kernels(self, seed):
         # Four cross-continent candidates tie on eq. 3 gain with equal
-        # rents: the grouped window (k=2 — smaller than the tie class)
-        # must resolve or fall back to exactly the sequential argmax.
-        seq_stats, seq_place = self.run_with_k(0)
-        for k in (2, 3, 5):
-            grp_stats, grp_place = self.run_with_k(k)
-            assert grp_place == seq_place
-            assert grp_stats == seq_stats
+        # rents: the vectorized pass (ceiling certificate, triage) must
+        # resolve every tie to exactly the scalar kernel's argmax.
+        scalar = self.run_kernel("scalar", seed=seed)
+        assert self.run_kernel("vectorized", seed=seed) == scalar
+        assert scalar[0].repairs
 
-    def test_capacity_constrained_rounds_match_sequential(self):
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_capacity_constrained_rounds_match_across_kernels(self, seed):
         # Only two candidate servers can store a copy at all, and
         # budgets admit a single transfer per server: every chain ends
         # capacity-constrained mid-round.
         storage = {2: 150, 3: 150, 4: 50, 5: 50}
         budgets = {i: 150 for i in range(6)}
-        seq = self.run_with_k(
-            0, storage=storage, budgets=budgets, threshold=1000.0
-        )
-        for k in (2, 4):
-            grp = self.run_with_k(
-                k, storage=storage, budgets=budgets, threshold=1000.0
+        runs = [
+            self.run_kernel(
+                kernel, storage=storage, budgets=budgets, threshold=1000.0,
+                seed=seed,
             )
-            assert grp == seq
-
-
-def single_window(scorer, servers, key, k):
-    """One class's top-k window built one set at a time — the reference
-    the grouped build must reproduce: a full eq. 3 scoring pass over
-    the epoch-start rents, the k best slots plus the lowest slot tying
-    the best outside score, in (score descending, slot ascending)
-    order."""
-    score0 = scorer.scores(servers, cache_key=key)
-    n = len(score0)
-    if n > k:
-        part = np.argpartition(-score0, k)
-        bound = float(score0[part[k:]].max())
-        bound_slot = int(np.argmax(score0 == bound))
-        top = np.append(part[:k], bound_slot)
-    else:
-        top, bound, bound_slot = np.arange(n), -np.inf, n
-    order = top[np.lexsort((top, -score0[top]))]
-    return order, score0[order], bound, bound_slot
-
-
-class TestGroupedShortlistPreload:
-    def test_preload_matches_individual_builds(self):
-        (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=20.0)
-        scorer = PlacementScorer(cloud, board, shortlist_k=3)
-        reference = PlacementScorer(cloud, board, shortlist_k=3)
-        entries = [
-            (("key-a",), np.array([0]), None),
-            (("key-b",), np.array([2]), None),
-            (("key-c",), np.array([0, 3]), None),
+            for kernel in ("scalar", "vectorized")
         ]
-        built = scorer.preload_shortlists(entries)
-        assert built == 3
-        for key, slots, __ in entries:
-            servers = [int(s) for s in slots]
-            skey = scorer._class_key(servers, key)
-            grouped = scorer._shortlists[skey]
-            slots, score0, bound, bound_slot = single_window(
-                reference, servers, key, 3
-            )
-            assert grouped.slots.tolist() == slots.tolist()
-            assert grouped.score0.tolist() == score0.tolist()
-            assert grouped.bound == bound
-            assert grouped.bound_slot == bound_slot
-
-    def test_preloaded_best_equals_full_scan(self):
-        (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=20.0)
-        scorer = PlacementScorer(cloud, board, shortlist_k=2)
-        plain = PlacementScorer(cloud, board, shortlist_k=0)
-        key = ("wave", 0)
-        scorer.preload_shortlists([(key, np.array([0]), None)])
-        fast = scorer.best([0], need_bytes=100, budget="replication",
-                           cache_key=key)
-        slow = plain.best([0], need_bytes=100, budget="replication")
-        assert (fast.server_id, fast.score) == (slow.server_id, slow.score)
+        assert runs[0] == runs[1]
+        assert runs[0][0].deferred or runs[0][0].unsatisfied_partitions

@@ -19,9 +19,8 @@ paper-invariant checks all exercise the same declared scenario space
 — a new flow or constraint added to the spec schema is automatically
 sampled here.
 
-On top of the spec, a test-side coin keeps the old forced-shortlist
-decider draw: a tiny top-k shortlist makes the grouped repair kernel's
-certified fast path run on clouds small enough to fall back often.
+On top of the spec, a test-side coin picks the decider: the economic
+one, or an economic one blind to the believed view (physical liveness).
 
 Seeds 0–3 run in tier-1; the remaining sweep (seeds 4–23) carries the
 ``slow`` marker and is opt-in::
@@ -38,7 +37,6 @@ import numpy as np
 import pytest
 
 from repro.core.decision import DecisionEngine
-from repro.core.placement import PlacementScorer
 from repro.sim.engine import Simulation, economic_decider
 from repro.sim.framedump import frame_diff, frames_to_jsonable
 from repro.sim.scenario import compile_spec
@@ -50,30 +48,13 @@ FAST_SEEDS = tuple(range(4))
 SLOW_SEEDS = tuple(range(4, 24))
 
 
-def forced_shortlist_decider(k: int) -> Callable:
-    """An economic decider whose scorer always builds k-slot shortlists.
-
-    Small clouds normally disable the shortlist fast path entirely;
-    forcing a tiny k makes the certified-window/full-scan fallback
-    machinery (and the grouped repair preload) run under the harness's
-    adversarial clouds, where ties and budget exhaustion are common.
-    """
-
-    class ForcedShortlistEngine(DecisionEngine):
-        def _make_scorer(self, board) -> PlacementScorer:
-            return PlacementScorer(
-                self._cloud, board, shortlist_k=k, **self._scorer_terms()
-            )
-
-    def factory(ctx):
-        # Physical liveness on purpose: the faulty-net control-plane
-        # pins (golden/faulty_net_control.json) were taken with this
-        # decider blind to the believed view.
-        return ForcedShortlistEngine.from_context(
-            dataclasses.replace(ctx, membership=None)
-        )
-
-    return factory
+def physical_liveness_decider(ctx) -> DecisionEngine:
+    """An economic decider that reads physical liveness, not the
+    believed view: the faulty-net control-plane pins
+    (golden/faulty_net_control.json) were taken with this decider."""
+    return DecisionEngine.from_context(
+        dataclasses.replace(ctx, membership=None)
+    )
 
 
 def draw_decider(seed: int) -> Callable:
@@ -81,7 +62,11 @@ def draw_decider(seed: int) -> Callable:
     a decider is harness instrumentation, not scenario data)."""
     rng = np.random.default_rng(77_000 + seed)
     if rng.random() < 0.4:
-        return forced_shortlist_decider(int(rng.integers(2, 7)))
+        # The second draw once sized a scorer window.  Nothing reads it
+        # now; it stays so each seed's draw sequence is the one the
+        # pins were taken with.
+        rng.integers(2, 7)
+        return physical_liveness_decider
     return economic_decider
 
 

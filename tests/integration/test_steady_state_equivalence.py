@@ -1,19 +1,14 @@
 """Fig. 4-scale equivalence for the steady-state fast paths (PR 3).
 
-The 100×-scale kernel work — top-k placement shortlists, the dense
-partition index behind the array-backed ``EpochLoad`` / availability
-stores, the row-space incidence rebuild, and the shared per-pass
-transfer batch — must leave the ``EpochFrame`` stream *bit-identical*
-to the scalar reference kernel.  The golden suite pins small scenarios;
-this one runs the full Fig. 4 shape (200 partitions/app on the paper
-cloud, a compressed Slashdot spike) so the surge regime the fast paths
-target — expansion herds, repair waves, decay-time suicides and
-migrations — is exercised at its native scale.
-
-A second vectorized run forces ``shortlist_k=2``, making the k-window
-certificate fail constantly: the fallback full scan must keep the
-stream identical (the shortlist may only ever be a fast path, never a
-behavioral one).
+The 100×-scale kernel work — the dense partition index behind the
+array-backed ``EpochLoad`` / availability stores, the row-space
+incidence rebuild, and the shared per-pass transfer batch — must leave
+the ``EpochFrame`` stream *bit-identical* to the scalar reference
+kernel.  The golden suite pins small scenarios; this one runs the full
+Fig. 4 shape (200 partitions/app on the paper cloud, a compressed
+Slashdot spike) so the surge regime the fast paths target — expansion
+herds, repair waves, decay-time suicides and migrations — is exercised
+at its native scale.
 """
 
 from __future__ import annotations
@@ -21,10 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.board import PriceBoard
-from repro.core.decision import DecisionEngine
-from repro.core.placement import PlacementScorer
-from repro.sim.engine import SimContext, Simulation
+from repro.sim.engine import Simulation
 from repro.sim.framedump import frames_to_jsonable
 from repro.sim.scenario import compile_spec
 from repro.sim.specs import slashdot_spec
@@ -47,19 +39,6 @@ def fig4_config(kernel: str):
     ).with_operations(kernel=kernel)).config
 
 
-class _TinyShortlistEngine(DecisionEngine):
-    """DecisionEngine whose scorer runs an absurdly small k-window."""
-
-    def _make_scorer(self, board: PriceBoard) -> PlacementScorer:
-        return PlacementScorer(
-            self._cloud, board, shortlist_k=2, **self._scorer_terms()
-        )
-
-
-def tiny_shortlist_decider(ctx: SimContext) -> _TinyShortlistEngine:
-    return _TinyShortlistEngine.from_context(ctx)
-
-
 @pytest.fixture(scope="module")
 def scalar_frames():
     sim = Simulation(fig4_config("scalar"))
@@ -72,14 +51,6 @@ class TestFig4ScaleEquivalence:
         self, scalar_frames
     ):
         sim = Simulation(fig4_config("vectorized"))
-        sim.run()
-        assert frames_to_jsonable(sim.metrics) == scalar_frames
-
-    def test_tiny_shortlist_fallback_stays_identical(self, scalar_frames):
-        sim = Simulation(
-            fig4_config("vectorized"),
-            decider_factory=tiny_shortlist_decider,
-        )
         sim.run()
         assert frames_to_jsonable(sim.metrics) == scalar_frames
 

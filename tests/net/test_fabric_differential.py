@@ -288,6 +288,35 @@ def test_flapped_sender_and_target_drop_both_ways():
     assert lost and cut and delivered and sent == delivered + lost + cut
 
 
+def test_bootstrap_retry_to_a_joiner_the_cloud_dropped():
+    """A joiner still pending bootstrap is killed, then dropped from the
+    cloud while registered; the next heartbeat round retries its
+    bootstrap across an active cut.  Both fabrics must read the gone id
+    as side B of the cut (as ``side_column`` always did) instead of
+    asking the cloud for its location."""
+    layout = CloudLayout(
+        countries=2, countries_per_continent=1, datacenters_per_country=1,
+        rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=2,
+    )
+    config = NetConfig(
+        fanout=1, dead_rounds=2,
+        partitions=(NetPartition(1, 6, depth=2),),
+        flaps=(LinkFlap(0, 3),),
+    )
+    script = [
+        ("begin_epoch", 0), ("heartbeat", 0),
+        ("begin_epoch", 1), ("heartbeat", 0),
+        ("begin_epoch", 2), ("kill", 0), ("join", 0),
+        ("begin_epoch", 3), ("kill", 3),
+        ("begin_epoch", 4), ("drop", 1),
+        ("begin_epoch", 5),
+    ]
+    world = run_script(layout, config, 0, script)
+    joiner = world.fabric._pending_bootstrap[0]
+    assert joiner in world.fabric._ids and joiner not in world.cloud
+    run_script(layout, config, 0, script + [("heartbeat", 0)])
+
+
 def test_harness_detects_a_skipped_draw():
     """A kernel that rolls one loss die too few must fail the harness
     on generator state even when the outcome happens to match."""

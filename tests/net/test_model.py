@@ -223,8 +223,11 @@ class TestLinkState:
         net.begin_epoch(2)
         assert net.link_state(cloud.server_ids) is None
 
+    @pytest.mark.parametrize("removed", [0, 3])
     @pytest.mark.parametrize("seed", range(6))
-    def test_columns_agree_with_reachable_pair_by_pair(self, seed):
+    def test_columns_agree_with_reachable_pair_by_pair(self, seed, removed):
+        """Also after ``removed`` servers leave the cloud once every
+        side is cached: gone ids read as side B both ways."""
         config = NetConfig(
             partitions=(
                 NetPartition(0, 5, depth=2, asymmetric=bool(seed % 2)),
@@ -235,6 +238,10 @@ class TestLinkState:
         net, cloud = make_net(config, seed=seed)
         net.begin_epoch(0)
         ids = cloud.server_ids[::-1]  # any order, not just slot order
+        net.link_state(ids)
+        rng = np.random.default_rng(seed)
+        for sid in rng.choice(ids, size=removed, replace=False).tolist():
+            cloud.remove_server(sid)
         flapped, cuts = net.link_state(ids)
         assert len(cuts) == 2 and flapped.sum() == 1
         for i, src in enumerate(ids):
@@ -255,6 +262,38 @@ class TestLinkState:
         cloud.remove_server(gone)
         _, ((in_a, _),) = net.link_state([gone] + cloud.server_ids)
         assert not in_a[0] and in_a[1:].any()
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    @pytest.mark.parametrize("gone_sends", [False, True])
+    def test_reachable_reads_gone_ids_as_side_b(self, asymmetric,
+                                                gone_sends):
+        """``reachable`` shares ``link_state``'s convention: a pair with
+        a gone end is judged as if that end sat on side B."""
+        cut = NetPartition(0, 5, depth=2, asymmetric=asymmetric)
+        net, cloud = make_net(NetConfig(partitions=(cut,)))
+        net.begin_epoch(0)
+        a, b = sides(net, cloud.server_ids)
+        gone = b[0]
+        cloud.remove_server(gone)
+        pairs = {"a": a[0], "b": b[1]}
+        for side, peer in pairs.items():
+            src, dst = (gone, peer) if gone_sends else (peer, gone)
+            crosses = side == "a"
+            # A cut drops every crossing message, except A→B under an
+            # asymmetric one.
+            dropped = crosses and (not asymmetric or gone_sends)
+            assert net.reachable(src, dst) == (not dropped), (side, src, dst)
+
+    def test_side_cached_before_removal_reads_b_after_it(self):
+        cut = NetPartition(start_epoch=0, heal_epoch=5, depth=2)
+        net, cloud = make_net(NetConfig(partitions=(cut,)))
+        net.begin_epoch(0)
+        a, b = sides(net, cloud.server_ids)
+        assert not net.reachable(a[0], b[0])  # a[0]'s side A is cached
+        cloud.remove_server(a[0])
+        assert net.reachable(a[0], b[0])
+        assert not net.reachable(a[0], a[1])
+        assert sides(net, [a[0], a[1]]) == ([a[1]], [a[0]])
 
 
 class TestConflictingRepairRisk:

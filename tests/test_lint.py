@@ -524,13 +524,14 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
 
 
 #: Line ceilings (ROADMAP item 4): no module carved out of
-#: ``core/decision.py`` grows back past 900 lines, and
-#: ``core/placement.py`` stays at its size until the grouped wave-0
-#: shortlists it still carries are deleted; ``cluster/topology.py``
-#: stays at its size without the S×S diversity matrix.
+#: ``core/decision.py`` grows back past 900 lines;
+#: ``core/placement.py`` stays at its size with eq. 3 answered by the
+#: ceiling certificate and the scan alone (no shortlist windows);
+#: ``cluster/topology.py`` stays at its size without the S×S
+#: diversity matrix.
 MODULE_MAX_LINES = {
     **dict.fromkeys(DECISION_MODULES, 900),
-    Path("src/repro/core/placement.py"): 947,
+    Path("src/repro/core/placement.py"): 672,
     Path("src/repro/cluster/topology.py"): 545,
 }
 
@@ -758,9 +759,9 @@ def test_fabric_gate_detects_planted_per_message_loops(tmp_path):
 
 
 #: Scorer capabilities are declared attributes of ``PlacementScorer``
-#: (``best_is_pure``, ``shortlist_k``, ``preload_shortlists``,
-#: ``cheaper_host_exists``, the rent-floor proofs) — every scorer in the tree
-#: subclasses it, so the decide path reads them directly.  A
+#: (``best_is_pure``, ``cheaper_host_exists``, the rent-floor proofs)
+#: — every scorer in the tree subclasses it, so the decide path reads
+#: them directly.  A
 #: ``getattr(scorer, ...)`` probe there is a capability hiding outside
 #: the base class (ISSUE 16; first step of the declared protocol).
 SCORER_PROBE_SEALED = DECISION_MODULES
@@ -823,10 +824,10 @@ def test_scorer_probe_gate_detects_planted_getattr(tmp_path):
     """The probe checker must catch the idiom it bans."""
     planted = tmp_path / "planted.py"
     planted.write_text(
-        "def preload(scorer, entries):\n"
-        "    fn = getattr(scorer, 'preload_shortlists', None)\n"
+        "def hunt(scorer, cap):\n"
+        "    fn = getattr(scorer, 'cheaper_host_exists', None)\n"
         "    if fn is not None and getattr(scorer, 'best_is_pure', False):\n"
-        "        fn(entries)\n"
+        "        fn(cap)\n"
         "def step(self, sim):\n"
         "    totals = getattr(self.decider, 'query_totals', None)\n"
         "    return totals, getattr(sim, 'serving', None)\n"
@@ -836,9 +837,9 @@ def test_scorer_probe_gate_detects_planted_getattr(tmp_path):
     assert len(find_scorer_probes(planted, "sim")) == 1
     benign = tmp_path / "benign.py"
     benign.write_text(
-        "def preload(scorer, decider, entries):\n"
+        "def hunt(scorer, decider, cap):\n"
         "    if scorer.best_is_pure and getattr(decider, 'k', 0):\n"
-        "        scorer.preload_shortlists(entries)\n"
+        "        scorer.cheaper_host_exists(cap)\n"
         "def step(self, sim, args):\n"
         "    return self.decider.query_totals, getattr(args, 'serve', 0)\n"
     )
