@@ -41,12 +41,14 @@ sustained requests/s (wall clock), the steady-state p50/p99/p999
 read & write tails and SLA attainment — the serving cost-model row
 the perf-smoke gate tracks (PR 10).
 
-Under pytest (tier-1 collects this file) the JSON goes to ``tmp_path``
-so a test run leaves the working tree as it found it; the tracked
+Under pytest the full harness is ``-m slow`` (``scripts/verify_slow.sh``
+runs it); tier-1 keeps only a short vectorized == scalar digest pin at
+fig4 shape.  The harness's JSON goes to ``tmp_path`` so a test run
+leaves the working tree as it found it; the tracked
 ``BENCH_epoch_throughput.json`` at the repo root is rewritten only when
 the module is run as a script::
 
-    PYTHONPATH=src python -m pytest benchmarks/perf -q -s
+    PYTHONPATH=src python -m pytest benchmarks/perf -q -s -m slow
     PYTHONPATH=src python benchmarks/perf/test_epoch_throughput.py
 
 (prefix ``REPRO_BENCH_100X=1`` to either for the 100× probes).
@@ -63,6 +65,7 @@ from pathlib import Path
 import dataclasses
 
 import numpy as np
+import pytest
 
 from repro.cluster.events import AddServers, EventSchedule, RemoveServers
 from repro.net.model import LinkFlap, NetConfig, NetPartition
@@ -256,6 +259,19 @@ def _entry(config, results, warmup_epochs: int = 0):
     }
 
 
+#: Tier-1's kernel pin at fig4 shape: both kernels through the first
+#: ten epochs of the Slashdot ramp must emit one ``frames_digest``.
+FIG4_PIN_EPOCHS = 40
+
+
+def test_fig4_kernels_share_a_digest():
+    results = compare_kernels(_fig4_config(200), epochs=FIG4_PIN_EPOCHS)
+    assert results["vectorized"].frames_digest == (
+        results["scalar"].frames_digest
+    )
+
+
+@pytest.mark.slow
 def test_epoch_throughput_fig4(tmp_path):
     payload = run_harness(tmp_path / BENCH_PATH.name)
     for name in ("fig4-slashdot", "fig4-slashdot-10x"):

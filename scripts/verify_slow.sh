@@ -9,8 +9,13 @@
 # its large hypothesis budget (tests/net/test_fabric_differential.py, 4 000
 # freshly drawn scripts; tier-1 runs 150 derandomized ones), the
 # ceiling-certified eq. 3 argmax against the full scan at the same
-# large budget (tests/core/test_ceiling_argmax.py), and the compile-once
-# front door against the frozen per-request path
+# large budget (tests/core/test_ceiling_argmax.py), the slot-column
+# transfer batch against the frozen object walk at 3 000 freshly drawn
+# scripts (tests/store/test_transfer_batch_differential.py; tier-1 runs
+# 150 derandomized ones), the fig4 perf harness with both kernels'
+# digests over every window (benchmarks/perf/test_epoch_throughput.py::
+# test_epoch_throughput_fig4; tier-1 keeps a 40-epoch fig4 digest pin),
+# and the compile-once front door against the frozen per-request path
 # (tests/serve/test_request_plan_differential.py: 2 500 freshly drawn
 # scripts, tier-1 runs 60 derandomized ones), the 20 000-server
 # fig4 bootstrap's memory fence (tests/cluster/test_topology.py: peak

@@ -681,7 +681,8 @@ def cmd_profile(args, out) -> int:
         }
     headers = ["kernel", "epochs", "seconds", "epochs/s", "queries/s",
                "hunts asked / floor-proved / scanned",
-               "argmaxes asked / ceiling-proved / built",
+               "argmaxes asked / ceiling-proved / built "
+               "(first + winner + release)",
                "moves asked / source-refused",
                "routes asked / compiled / read plans compiled"]
     # The front door's column only on a run that has a front door.
@@ -695,7 +696,9 @@ def cmd_profile(args, out) -> int:
             f"{r.total_queries / max(r.seconds, 1e-9):,.0f}",
             f"{r.floor_asks} / {r.floor_proofs} "
             f"/ {r.floor_asks - r.floor_proofs}",
-            f"{r.ceil_asks} / {r.ceil_proofs} / {r.ceil_builds}",
+            f"{r.ceil_asks} / {r.ceil_proofs} / {r.ceil_builds} "
+            f"({r.ceil_builds_first} + {r.ceil_builds_winner} "
+            f"+ {r.ceil_builds_release})",
             f"{r.source_first_asks} / {r.source_first_proofs}",
             f"{r.route_compiles + r.route_reuses} / {r.route_compiles} "
             f"/ {r.read_plan_compiles}",

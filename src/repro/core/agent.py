@@ -391,15 +391,9 @@ class VNodeAgent:
         return self._row
 
     def _rebind(self, ledger: AgentLedger, row: int) -> None:
-        """Point the view at a new row (registry compaction)."""
+        """Point the view at a new row (compaction, retirement)."""
         self._ledger = ledger
         self._row = row
-
-    def _detach(self) -> None:
-        """Move state onto a private ledger (row is being released)."""
-        private = AgentLedger(self._ledger.window, capacity=1)
-        self._row = private.adopt_row(self._ledger, self._row)
-        self._ledger = private
 
     # -- paper-facing API --------------------------------------------------
 
@@ -519,6 +513,8 @@ class AgentRegistry:
         self._mutation_log: List[PartitionId] = []
         self._mutation_base = 0
         self._compactions = 0
+        #: Rows of retired agents (:meth:`retire`), built on first use.
+        self._graveyard: Optional[AgentLedger] = None
 
     @property
     def window(self) -> int:
@@ -609,9 +605,13 @@ class AgentRegistry:
             del self._rows_by_pid[pid]
         # Detach before the row is recycled so callers holding the
         # object (split bookkeeping, failure reporting) still read the
-        # agent's final state.
+        # agent's final state: the row moves into the registry's one
+        # graveyard ledger (doubling growth, never recycled).
         row = agent.row
-        agent._detach()
+        grave = self._graveyard
+        if grave is None:
+            grave = self._graveyard = AgentLedger(self._ledger.window)
+        agent._rebind(grave, grave.adopt_row(self._ledger, row))
         self._ledger.release(row)
         self._log_mutation(pid)
         self._version += 1

@@ -106,9 +106,12 @@ class DecisionEngine:
         #: scan.
         self.floor_asks = 0
         self.floor_proofs = 0
-        #: Run totals of the scorers' ceiling counters, and migration
-        #: hunts put to / refused by :meth:`_refused_at_source`.
-        self.ceil_asks = self.ceil_proofs = self.ceil_builds = 0
+        #: Run totals of the scorers' ceiling counters (builds split by
+        #: cause), and migration hunts put to / refused by
+        #: :meth:`_refused_at_source`.
+        self.ceil_asks = self.ceil_proofs = 0
+        self.ceil_builds_first = self.ceil_builds_winner = 0
+        self.ceil_builds_release = 0
         self.source_first_asks = self.source_first_proofs = 0
         #: Per-slot query totals of the last batched settlement and the
         #: cloud version they were computed under — the eq. 1 query-load
@@ -127,6 +130,12 @@ class DecisionEngine:
             avail_index=ctx.avail_index, membership=ctx.membership,
             **extra,
         )
+
+    @property
+    def ceil_builds(self) -> int:
+        """Run total of the scorers' O(S) certificate builds."""
+        return (self.ceil_builds_first + self.ceil_builds_winner
+                + self.ceil_builds_release)
 
     # The frozen benchmark reads the alignment counters off the decider.
     align_splices = property(lambda self: self.incidence.align_splices)
@@ -225,7 +234,9 @@ class DecisionEngine:
         self.floor_proofs += scorer.floor_proofs
         self.ceil_asks += scorer.ceil_asks
         self.ceil_proofs += scorer.ceil_proofs
-        self.ceil_builds += scorer.ceil_builds
+        self.ceil_builds_first += scorer.ceil_builds_first
+        self.ceil_builds_winner += scorer.ceil_builds_winner
+        self.ceil_builds_release += scorer.ceil_builds_release
         return stats
 
     def _decide_partition(self, partition: Partition, threshold: float,

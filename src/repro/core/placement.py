@@ -99,9 +99,6 @@ class PlacementScorer:
     randomness — the random-placement ablation — must set it to False
     or their draw stream would depend on the skip.
 
-    Instantiate once per epoch (the simulator does); individual calls
-    then reuse the slot-ordered rent/confidence/storage vectors.
-
     Prices are *anticipated*: every transfer routed through
     :meth:`consume_budget` bumps the destination's cached rent by the
     eq. 1 storage term its bytes will add (the paper's "potentially
@@ -142,18 +139,14 @@ class PlacementScorer:
         self._rents = board.price_vector(self._ids)
         self._conf = cloud.confidence_vector()
         self._storage = cloud.storage_available_vector()
-        # Static per-server terms come from the cloud's version-cached
-        # vectors; the division is one array op, bit-identical per
-        # entry to the scalar ``monthly_rent / epochs_per_month``.
         self._capacity = cloud.capacity_vector()
+        # One array op, bit-identical to ``monthly_rent / epochs_per_month``.
         self._usage_price = (
             cloud.monthly_rent_vector() / float(epochs_per_month)
         )
-        # ``alive_override`` is the faulty-network *believed* column;
-        # candidates the board believes dead score as infeasible even
-        # while physically up (and ghosts stay targetable until the
-        # gossip layer detects them — the transfer engine then refuses
-        # the copy with a typed network outcome).
+        # ``alive_override`` is the faulty-network *believed* column:
+        # believed-dead candidates are infeasible, ghosts stay targetable
+        # until detected (the transfer engine then refuses the copy).
         self._alive = (
             alive_override if alive_override is not None
             else cloud.alive_vector()
@@ -162,46 +155,32 @@ class PlacementScorer:
         self._storage_alpha = storage_alpha
         self._headroom: Dict[str, np.ndarray] = {}
         self._gain_cache: Dict[object, np.ndarray] = {}
-        # Placement-class canonicalisation: eq. 3's gain depends only
-        # on the *locations* of the replica set (diversity is a pure
-        # location function), so the gain cache is keyed by the sorted
-        # tuple of the cloud's interned location ids (equal locations ⇔
-        # equal ids) — the set's placement class — via
-        # :meth:`_class_key`.  Partitions sharing a replica set (or,
-        # degenerately, sets whose servers share locations) then share
-        # one gain row instead of building identical copies per
-        # ``cache_key``.  Diversity sums are exact small-integer float64
-        # vectors, which is what makes the sharing bit-identical to a
-        # fresh per-set scan.
+        # The gain cache is keyed by placement class (:meth:`_class_key`):
+        # eq. 3's gain depends only on the replica set's locations, and
+        # diversity sums are exact small-integer float64 vectors, so
+        # sets sharing a location multiset share one row bit-identically.
         self._class_keys: Dict[object, object] = {}
         self._loc_ids: List[int] = cloud.location_ids().tolist()
         self.class_gain_reuses = 0
-        # Cached feasibility masks: the alive/storage/budget mask of
-        # :meth:`best` depends only on (need_bytes, budget kind,
-        # headroom) and the scorer's mutable storage/budget state.  It
-        # is cached per key; when that state moves (consume_budget /
-        # release_storage) only the touched server's slot is re-derived
-        # in each cached mask — a transfer invalidates one slot, not
-        # the cloud.  The pre-PR O(S) mask rebuild per ``best`` call
-        # collapses to a dict hit for the whole epoch.
+        # Feasibility masks per (need_bytes, budget kind, headroom): a
+        # transfer re-derives only its slot in each (:meth:`_refresh_masks`).
         self._mask_cache: Dict[
             Tuple[int, Optional[str], float], np.ndarray
         ] = {}
         # The monotonicity contract's clocks (docs/ARCHITECTURE.md):
-        # anticipated rents only rise and masks only shrink — except
-        # through :meth:`release_storage` — so a conclusion drawn at
-        # tick t stays exact while no storage was released since (and,
-        # for an argmax, its winning slot was not touched).  ``_touch``
-        # records each slot's last mutation tick; ``_enable_clock`` the
-        # last mask-enabling event.
+        # rents only rise and masks only shrink, except through
+        # :meth:`release_storage`.  ``_touch`` is each slot's last
+        # mutation tick, ``_enable_clock`` the last release's, and
+        # ``_released`` every release as ``(tick, slot)``.
         self._touch = np.full(len(self._ids), -1, dtype=np.int64)
         self._touch_clock = 0
         self._enable_clock = -1
-        # Clocked feasibility floors (:meth:`rent_floor`): per
-        # (feasibility key, bump bytes) a ``(tick, lower bound)`` pair,
-        # plus the per-size eq. 1 bump vectors they add.  ``floor_asks``
-        # / ``floor_proofs`` count the engine's skip queries and how
-        # many of them the floor decided without an eq. 3 scan.
+        self._released: List[Tuple[int, int]] = []
+        # ``w · rent`` per slot, kept current through every rent bump:
+        # the scan's and the ceiling build's cost term.
+        self._cost = rent_weight * self._rents
+        # Clocked floors (:meth:`rent_floor`) per (feasibility key, bump
+        # bytes), their eq. 1 bump vectors, and skip queries / proofs.
         self._floors: Dict[
             Tuple[int, Optional[str], float, int], Tuple[int, float]
         ] = {}
@@ -210,12 +189,24 @@ class PlacementScorer:
         self.floor_proofs = 0
         # Ceiling certificates (:meth:`_ceiling`): ``(tick, slot, winner)``
         # per (feasibility key, |B|, B's continents, g), slot -1 refused;
-        # counted as queries / answers / O(S) entry builds.
+        # counted as queries / answers, and O(S) entry builds by cause:
+        # a key's first use, its winner touched, a release threatening it.
         self._cont = cloud.continent_ids()
-        self._cont_bit = [1 << c for c in self._cont.tolist()]
+        self._cont_l = self._cont.tolist()
         self._n_cont = int(self._cont.max(initial=-1)) + 1
+        self._conf_max = float(self._conf.max(initial=0.0))
+        # Per continent c present in some B: the slots off c.
+        self._not_on: Dict[int, np.ndarray] = {}
         self._ceil: Dict[tuple, Tuple[int, int, Optional[Candidate]]] = {}
-        self.ceil_asks = self.ceil_proofs = self.ceil_builds = 0
+        self.ceil_asks = self.ceil_proofs = 0
+        self.ceil_builds_first = self.ceil_builds_winner = 0
+        self.ceil_builds_release = 0
+
+    @property
+    def ceil_builds(self) -> int:
+        """Every O(S) certificate build, whatever caused it."""
+        return (self.ceil_builds_first + self.ceil_builds_winner
+                + self.ceil_builds_release)
 
     @property
     def server_ids(self) -> List[int]:
@@ -223,18 +214,11 @@ class PlacementScorer:
 
     def _class_key(self, replica_servers: Sequence[int],
                    cache_key: object) -> object:
-        """The replica set's placement-class key, memoised per cache_key.
-
-        Diversity is a pure function of server *locations*, so every
-        set with the same location multiset scores identically — the
-        class key ``("cls", sorted location ids)`` lets all of them
-        share one cache entry.  A set containing a server the scorer's
-        cloud no longer knows (raced removal) cannot be classed by
-        location and falls back to the private ``("raw", cache_key)``
-        key, which degrades to exactly the old per-key caching.  The
-        memo is sound because every ``cache_key`` the engine mints
-        embeds the replica tuple itself.
-        """
+        """The replica set's placement-class key, memoised per cache_key:
+        ``("cls", sorted location ids)``, or the private ``("raw",
+        cache_key)`` when the set holds a server the scorer's cloud no
+        longer knows.  Sound because every ``cache_key`` the engine
+        mints embeds the replica tuple itself."""
         key = self._class_keys.get(cache_key)
         if key is None:
             cloud = self._cloud
@@ -246,12 +230,8 @@ class PlacementScorer:
         return key
 
     def _location_class(self, servers: Sequence[int]) -> Tuple[int, ...]:
-        """Sorted interned location ids of ``servers`` (a multiset key).
-
-        The ids are the cloud's level-5 prefix codes — equal locations
-        ⇔ equal ids — so two sets share a tuple exactly when their
-        sorted :class:`Location` tuples would be equal.
-        """
+        """Sorted level-5 prefix codes of ``servers`` (equal ⇔ equal
+        locations): a location-multiset key."""
         slot_of = self._slot_of
         loc_ids = self._loc_ids
         return tuple(sorted([loc_ids[slot_of[sid]] for sid in servers]))
@@ -260,15 +240,9 @@ class PlacementScorer:
                         cache_key: Optional[object] = None) -> np.ndarray:
         """Σ_k conf · diversity(s_k, ·) over the replica set, per slot.
 
-        The expensive half of eq. 3 — an O(S) per-level count pass —
-        depends only on the replica set, not on the scorer's mutable
-        rent state, so callers scoring the same set repeatedly within
-        one epoch (every expanding agent of a hot partition, each
-        iteration of a §II-C repair chain) can pass a ``cache_key``
-        identifying the set and pay for the rows once.  Keys are
-        canonicalised to placement classes (:meth:`_class_key`), so
-        "the same set" means the same location multiset — however many
-        partitions share it.
+        The O(S) half of eq. 3 depends only on the replica set, so a
+        caller scoring one set repeatedly in an epoch passes a
+        ``cache_key`` and pays once per placement class.
         """
         if cache_key is not None:
             ckey = self._class_key(replica_servers, cache_key)
@@ -291,12 +265,12 @@ class PlacementScorer:
                          ) -> Tuple[np.ndarray, np.ndarray]:
         gain = self._diversity_gain(replica_servers, cache_key)
         if g is None:
-            return gain, gain - self._rent_weight * self._rents
+            return gain, gain - self._cost
         if len(g) != len(self._ids):
             raise PlacementError(
                 f"g has {len(g)} entries for {len(self._ids)} servers"
             )
-        return gain, gain * g - self._rent_weight * self._rents
+        return gain, gain * g - self._cost
 
     def best(self, replica_servers: Sequence[int], *,
              need_bytes: int = 0,
@@ -308,22 +282,14 @@ class PlacementScorer:
              cache_key: Optional[object] = None) -> Optional[Candidate]:
         """Feasible argmax of eq. 3, or None when no server qualifies.
 
-        Excluded are: current replica holders (a server holds at most
-        one copy of a partition), dead servers, servers without
-        ``need_bytes`` free storage, servers in ``exclude``, and — when
-        ``max_rent`` is given (migration hunts for *cheaper* hosts) —
-        servers at or above that rent.  With ``budget`` set to
-        ``"replication"`` or ``"migration"``, destinations whose
-        remaining per-epoch bandwidth budget of that class cannot absorb
-        ``need_bytes`` are masked as well — without this, every agent in
-        an epoch converges on the same argmax server and all but the
-        first two transfers bounce off its budget.
-
+        Excluded are: current replica holders, dead servers, servers
+        without ``need_bytes`` free storage, servers in ``exclude``, with
+        ``max_rent`` (migration hunts) servers at or above that rent,
+        and with ``budget`` (``"replication"`` / ``"migration"``)
+        servers whose remaining budget of that class cannot absorb
+        ``need_bytes`` — else every agent herds onto one argmax server.
         ``headroom_fraction`` reserves that share of each candidate's
-        raw capacity on top of ``need_bytes``: cost-motivated moves
-        (migration, economic replication) should not pack a destination
-        to the brim, or the next insert there fails immediately.  SLA
-        repairs pass 0 — protecting data beats placement hygiene.
+        capacity on top (cost-motivated moves; SLA repairs pass 0).
         """
         if not 0.0 <= headroom_fraction < 1.0:
             raise PlacementError(
@@ -350,24 +316,19 @@ class PlacementScorer:
         must equal field for field (and what the tests hold them to)."""
         mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
         if max_rent is not None:
-            # The rent cap varies per caller (migration hunts under the
-            # agent's own rent), so it stays out of the cached mask.
+            # Per-caller rent cap: kept out of the cached mask.
             mask = mask & (self._rents < max_rent)
         if not mask.any():
-            # Budget/storage-exhausted epochs hit this constantly; skip
-            # the eq. 3 gain/score work when no server qualifies.
             return None
         gain, scores = self._gain_and_scores(replica_servers, g, cache_key)
         scores = np.where(mask, scores, -np.inf)
-        # Knock out current holders / exclusions by slot lookup — the
-        # blocked set is a handful of servers, the cloud is hundreds
-        # (and the cached mask must stay unmutated).
+        # Knock out holders / exclusions (the cached mask stays as is).
         slot_of = self._slot_of
         for sid in (*replica_servers, *exclude):
             slot = slot_of.get(sid)
             if slot is not None:
                 scores[slot] = -np.inf
-        idx = int(np.argmax(scores))
+        idx = int(scores.argmax())
         if not np.isfinite(scores[idx]):
             return None
         return Candidate(
@@ -388,53 +349,42 @@ class PlacementScorer:
         every other slot's diversity sum is at most 63n − 32.  So the
         first-index argmax ``c`` of ``V`` over the feasible off-continent
         slots is the scan's answer while ``V(c)`` strictly beats every
-        feasible on-continent slot at that cap, until a release or a
-        touch of ``c``, and under any ``exclude`` / ``max_rent`` that
-        keeps ``c`` (docs/ARCHITECTURE.md, "ceiling certificate").
+        feasible on-continent slot at that cap, until a touch of ``c`` or
+        a release that lets a slot overtake it, and under any ``exclude``
+        / ``max_rent`` that keeps ``c`` (docs/ARCHITECTURE.md, "ceiling
+        certificate").
         """
         self.ceil_asks += 1
-        slot_of, cont_bit = self._slot_of, self._cont_bit
+        slot_of, cont = self._slot_of, self._cont_l
         bits = 0
         for sid in replica_servers:
             slot = slot_of.get(sid)
             if slot is None:
                 return _INCONCLUSIVE
-            bits |= cont_bit[slot]
-        n, n_cont = len(replica_servers), self._n_cont
-        if bits + 1 == 1 << n_cont or (
+            bits |= 1 << cont[slot]
+        n = len(replica_servers)
+        if bits + 1 == 1 << self._n_cont or (
             g is not None and len(g) != len(self._ids)
         ):
             return _INCONCLUSIVE
         key = (need_bytes, budget, headroom_fraction, n, bits,
                id(g) if g is not None else 0)
-        tick, slot, found = self._ceil.get(key, (-2, -1, None))
-        if self._enable_clock > tick or (
-            slot >= 0 and self._touch[slot] > tick
-        ):
-            # One O(S) build, in the scan's own operation order.
-            self.ceil_builds += 1
-            mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
-            off = np.array(
-                [not bits >> c & 1 for c in range(n_cont)]
-            )[self._cont]
-            gain = (63.0 * n) * self._conf
-            capped = (63.0 * n - 32.0) * self._conf
-            cost = self._rent_weight * self._rents
-            if g is None:
-                scores, capped = gain - cost, capped - cost
-            else:
-                scores, capped = gain * g - cost, capped * g - cost
-            scores = np.where(mask & off, scores, -np.inf)
-            slot, found = -1, None
-            best = int(np.argmax(scores))
-            if scores[best] > np.max(
-                capped, where=mask & ~off, initial=-np.inf
-            ):
-                slot, found = best, Candidate(
-                    self._ids[best], float(scores[best]),
-                    float(gain[best]), float(self._rents[best]),
-                )
-            self._ceil[key] = (self._touch_clock, slot, found)
+        entry = self._ceil.get(key)
+        if entry is None:
+            self.ceil_builds_first += 1
+            found = self._build_ceiling(key, g)
+        else:
+            tick, slot, found = entry
+            if slot >= 0 and self._touch[slot] > tick:
+                self.ceil_builds_winner += 1
+                found = self._build_ceiling(key, g)
+            elif self._enable_clock > tick:
+                if self._released_threat(key, g, tick, slot, found):
+                    self.ceil_builds_release += 1
+                    found = self._build_ceiling(key, g)
+                else:
+                    # What a build would find now: restamp the entry.
+                    self._ceil[key] = (self._touch_clock, slot, found)
         if found is None or found.server_id in exclude or (
             max_rent is not None and not found.rent < max_rent
         ):
@@ -442,24 +392,92 @@ class PlacementScorer:
         self.ceil_proofs += 1
         return found
 
-    def preload_shortlists(self, entries: Sequence) -> None:
-        """Retired: the grouped wave-0 top-k shortlists are deleted.
+    def _build_ceiling(self, key: tuple,
+                       g: Optional[np.ndarray]) -> Optional[Candidate]:
+        """One O(S) certificate build, in the scan's own operation order."""
+        need_bytes, budget, headroom_fraction, n, bits = key[:5]
+        mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
+        off = mask  # → the feasible slots on no continent of B
+        for c in range(self._n_cont):
+            if bits >> c & 1:
+                not_c = self._not_on.get(c)
+                if not_c is None:
+                    not_c = self._not_on[c] = self._cont != c
+                off = off & not_c
+        gain = (63.0 * n) * self._conf
+        # Every capped score is at most ``cap − min(cost)``: fp multiply
+        # and subtract are monotone on the non-negative conf and g.
+        cap = (63.0 * n - 32.0) * self._conf_max
+        if g is not None:
+            gain, cap = gain * g, cap * float(g.max(initial=0.0))
+        # Masked reductions as fills: ``where=`` reductions cost more.
+        cost = self._cost
+        scores = np.where(off, gain - cost, -np.inf)
+        slot, found = -1, None
+        best = int(scores.argmax())
+        top = scores[best]
+        if top > cap - cost.min(initial=np.inf) or top > self._capped(
+            n, g, mask & ~off
+        ):
+            slot, found = best, Candidate(
+                self._ids[best], float(top),
+                float((63.0 * n) * self._conf[best]),
+                float(self._rents[best]),
+            )
+        self._ceil[key] = (self._touch_clock, slot, found)
+        return found
 
-        Kept as a name only because the frozen end-to-end benchmark
-        (``benchmarks/e2e/bench_trace.py``) wraps this class attribute
-        as the ``core.placement.preload_shortlists`` span site; nothing
-        in ``src/`` calls it.  ROADMAP item 2(a) retires the name.
+    def _capped(self, n: int, g: Optional[np.ndarray],
+                where: np.ndarray) -> float:
+        """Max over ``where`` of ``((63n − 32)·conf)[·g] − w·rent``."""
+        capped = (63.0 * n - 32.0) * self._conf
+        if g is not None:
+            capped = capped * g
+        return np.where(where, capped - self._cost, -np.inf).max(
+            initial=-np.inf
+        )
+
+    def _released_threat(self, key: tuple, g: Optional[np.ndarray],
+                         tick: int, slot: int,
+                         found: Optional[Candidate]) -> bool:
+        """Whether a release since ``tick`` can change the entry's build.
+
+        A refused entry always rebuilds (a re-enabled slot may certify
+        it).  A certified one is safe from every released slot that is
+        infeasible now, or scores — with the build's own expressions —
+        below ``V(c)`` (off-continent: or ties it at a higher index) or,
+        capped, strictly below ``V(c)`` (on-continent).
         """
+        if slot < 0:
+            return True
+        need_bytes, budget, headroom_fraction, n, bits = key[:5]
+        mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
+        cont, conf, cost = self._cont_l, self._conf, self._cost
+        score = found.score
+        for at, r in reversed(self._released):
+            if at <= tick:
+                return False
+            if not mask[r]:
+                continue
+            off = not bits >> cont[r] & 1
+            v = (63.0 * n if off else 63.0 * n - 32.0) * conf[r]
+            if g is not None:
+                v = v * g[r]
+            v = v - cost[r]
+            if v > score or v == score and (not off or r < slot):
+                return True
+        return False
+
+    def preload_shortlists(self, entries: Sequence) -> None:
+        """Retired: a name only, wrapped as a span site by the frozen
+        ``benchmarks/e2e/bench_trace.py``; nothing in ``src/`` calls it.
+        ROADMAP item 2(a) retires the name."""
 
     def feasible_mask(self, need_bytes: int, budget: Optional[str] = None,
                       headroom_fraction: float = 0.0) -> np.ndarray:
         """Alive ∧ storage ∧ budget feasibility, cached per key — exactly
-        what :meth:`best` applies before scoring.
-
-        Treat the returned array as read-only: it is shared across
-        calls, with single-slot refreshes applied in place as storage
-        or budget state moves (:meth:`_refresh_masks`).
-        """
+        what :meth:`best` applies before scoring.  Read-only: shared,
+        and refreshed in place (:meth:`_refresh_masks`)."""
         key = (need_bytes, budget, headroom_fraction)
         cached = self._mask_cache.get(key)
         if cached is not None:
@@ -476,20 +494,13 @@ class PlacementScorer:
         return mask
 
     def _budget_headroom(self, kind: str) -> np.ndarray:
-        """Remaining per-epoch bandwidth of every server, slot order.
-
-        Built once per scorer (i.e. per epoch) and then maintained
-        incrementally via :meth:`consume_budget` as transfers complete,
-        which is what spreads simultaneous placements over distinct
-        destinations without rescanning the cloud on every call.
-        """
+        """Remaining per-epoch bandwidth per slot: built once per scorer
+        off the cloud's table, then debited by :meth:`consume_budget`."""
         cached = self._headroom.get(kind)
         if cached is not None:
             return cached
         if kind not in ("replication", "migration"):
             raise PlacementError(f"unknown budget kind {kind!r}")
-        # One column-pair subtraction off the cloud's ServerTable —
-        # values identical to the per-server budget walk.
         arr = self._cloud.budget_available_vector(kind)
         self._headroom[kind] = arr
         return arr
@@ -499,25 +510,14 @@ class PlacementScorer:
                    fresh: bool = False) -> float:
         """Lower bound of ``rent + Δc(bump_bytes)`` over feasible slots.
 
-        The bound is over the slots of the cached feasibility mask of
-        ``(need_bytes, budget, headroom_fraction)`` — exactly what
-        :meth:`best` scans — and ``+inf`` when that mask is empty.  It
-        is stored with the touch clock it was computed at and rides the
-        scorer's monotonicity contract (docs/ARCHITECTURE.md): rents
-        only rise and masks only shrink, so the minimum can only grow,
-        *except* through :meth:`release_storage`, which stamps the
-        enable clock.  A stored value therefore stays a valid (possibly
-        slack) bound while no release happened since; ``fresh=True``
-        insists on the exact current minimum.  Nothing is maintained
-        per transfer: a query is a dict hit, a recompute one masked
-        ``min``.
-
-        Float soundness: the vector ``rents + bumps`` is, per slot, the
-        very addition ``candidate.rent + anticipated_rent_bump(...)``
-        performs (the bump vector uses that method's operation order),
-        and fp addition is monotone, so ``floor + c <= (rent_s +
-        bump_s) + c`` for every slot ``s`` the scan could return — the
-        bound never exceeds a true value by an ulp.
+        Over the cached feasibility mask's slots (``+inf`` if none),
+        stored with its touch clock: rents only rise and masks only
+        shrink except through :meth:`release_storage`, so a stored value
+        stays a valid (possibly slack) bound while no release happened
+        since; ``fresh=True`` insists on the exact current minimum.
+        ``rents + bumps`` is per slot the very addition
+        ``candidate.rent + anticipated_rent_bump(...)`` performs, and fp
+        addition is monotone, so the bound is sound to the ulp.
         """
         key = (need_bytes, budget, headroom_fraction, bump_bytes)
         hit = self._floors.get(key)
@@ -538,20 +538,15 @@ class PlacementScorer:
                 )
                 self._bumps[bump_bytes] = bumps
             rents = rents + bumps
-        value = float(np.min(rents, where=mask, initial=np.inf))
+        value = float(np.where(mask, rents, np.inf).min())
         self._floors[key] = (clock, value)
         return value
 
     def no_cheaper_host(self, rent_cap: float, need_bytes: int,
                         budget: Optional[str],
                         headroom_fraction: float) -> bool:
-        """Proof that ``best(max_rent=rent_cap, …)`` would return None.
-
-        ``rent_cap <= floor`` leaves ``mask ∧ (rents < rent_cap)``
-        empty whatever the replica set, exclusions or proximity vector
-        are.  The (possibly stale) stored bound is tried first; only
-        when it fails is the exact minimum consulted.
-        """
+        """Proof that ``best(max_rent=rent_cap, …)`` would return None:
+        ``rent_cap <= floor`` (stale bound first, exact on failure)."""
         self.floor_asks += 1
         for fresh in (False, True):
             if rent_cap <= self.rent_floor(
@@ -567,22 +562,22 @@ class PlacementScorer:
                             holders: Sequence[int]) -> bool:
         """Whether ``best(max_rent=rent_cap, …)`` would find a candidate:
         some feasible slot that is no holder (replicas plus exclusions)
-        is priced under the cap.  One masked ``min``, no scoring."""
-        ok = self.feasible_mask(need_bytes, budget, headroom_fraction).copy()
-        ok[[self._slot(sid) for sid in holders]] = False
-        return bool(np.min(self._rents, where=ok, initial=np.inf) < rent_cap)
+        is priced under the cap.  One masked ``min``, no scoring, and
+        no copy of the cached mask."""
+        rents = np.where(
+            self.feasible_mask(need_bytes, budget, headroom_fraction),
+            self._rents, np.inf,
+        )
+        rents[[self._slot(sid) for sid in holders]] = np.inf
+        return bool(rents.min() < rent_cap)
 
     def no_fundable_host(self, utility: float, extra_cost: float,
                          need_bytes: int, budget: Optional[str],
                          headroom_fraction: float) -> bool:
-        """Proof that no feasible host's predicted rent can be funded.
-
-        ``utility < floor(rent + Δc(need_bytes)) + extra_cost`` means
-        either no slot is feasible (:meth:`best` returns None) or every
-        candidate the eq. 3 argmax could return fails the §II-C funding
-        test ``utility < rent + Δc + extra_cost`` — same outcome,
-        none of the scoring.  Stale bound first, exact on failure.
-        """
+        """Proof that no feasible host's predicted rent can be funded:
+        ``utility < floor(rent + Δc(need_bytes)) + extra_cost`` fails
+        the §II-C funding test for every candidate, or there is none.
+        Stale bound first, exact on failure."""
         self.floor_asks += 1
         for fresh in (False, True):
             if utility < self.rent_floor(
@@ -599,71 +594,60 @@ class PlacementScorer:
         price function evaluated for the incoming replica's bytes.
         """
         idx = self._slot(server_id)
-        return float(
-            self._usage_price[idx]
-            * self._storage_alpha
-            * nbytes
-            / self._capacity[idx]
-        )
+        return float(self._usage_price[idx] * self._storage_alpha * nbytes
+                     / self._capacity[idx])
 
     def consume_budget(self, server_id: int, nbytes: int, kind: str) -> None:
-        """Mirror a completed transfer into the cached headroom/storage.
-
-        The caller (decision engine) invokes this for the destination of
-        every successful transfer so later placements within the same
-        epoch see the reduced budget and storage — and a correspondingly
-        *higher* anticipated rent, which is what disperses simultaneous
-        placements instead of herding them onto one argmax server.
-        """
+        """Mirror a queued transfer's destination into the scorer: less
+        budget and storage, and a higher anticipated rent, which is what
+        disperses simultaneous placements.  One slot, in place."""
         idx = self._slot(server_id)
         headroom = self._headroom.get(kind)
         if headroom is not None:
             headroom[idx] = max(headroom[idx] - nbytes, 0)
-        self._storage[idx] = max(self._storage[idx] - nbytes, 0)
-        self._rents[idx] += self.anticipated_rent_bump(server_id, nbytes)
+        storage = self._storage
+        storage[idx] = max(storage[idx] - nbytes, 0)
+        # anticipated_rent_bump's expression, inlined.
+        self._rents[idx] += float(
+            self._usage_price[idx] * self._storage_alpha * nbytes
+            / self._capacity[idx]
+        )
+        self._cost[idx] = self._rent_weight * self._rents[idx]
         self._refresh_masks(idx)
-        self._touch_clock += 1
-        self._touch[idx] = self._touch_clock
 
     def release_storage(self, server_id: int, nbytes: int) -> None:
-        """Mirror freed bytes (migration source, suicide) into the cache."""
+        """Mirror freed bytes (migration source, suicide) into the cache.
+
+        Freed storage can *re-enable* masked candidates — the one event
+        that breaks the only-gets-worse monotonicity every ceiling
+        certificate and rent floor relies on — so it is logged.
+        """
         idx = self._slot(server_id)
         self._storage[idx] += nbytes
         self._refresh_masks(idx)
-        # Freed storage can *re-enable* masked candidates — the one
-        # event that breaks the only-gets-worse monotonicity every
-        # ceiling certificate and rent floor relies on.
-        self._touch_clock += 1
-        self._touch[idx] = self._touch_clock
         self._enable_clock = self._touch_clock
+        self._released.append((self._touch_clock, idx))
 
     def _refresh_masks(self, idx: int) -> None:
-        """Re-derive slot ``idx`` of every cached feasibility mask.
-
-        A transfer only moves one destination's (or source's) storage
-        and budget state, so the cached masks stay valid everywhere
-        else; each entry is recomputed with exactly the expressions
-        :meth:`feasible_mask` evaluated — O(cached masks) per transfer
-        instead of an O(S) rebuild per later ``best`` call.
-        """
+        """Re-derive slot ``idx`` of every cached mask with
+        :meth:`feasible_mask`'s expressions, and stamp its touch."""
         storage = int(self._storage[idx])
         alive = bool(self._alive[idx])
+        capacity = int(self._capacity[idx])
+        rooms = {kind: int(v[idx]) for kind, v in self._headroom.items()}
         for (need, budget, headroom_fraction), mask in (
             self._mask_cache.items()
         ):
-            ok = alive
-            if ok:
-                if headroom_fraction > 0.0:
-                    reserve = np.int64(
-                        self._capacity[idx] * headroom_fraction
-                    )
-                    ok = storage >= need + reserve
-                else:
-                    ok = storage >= need
-            if ok and budget is not None:
-                # The mask's construction built this headroom vector.
-                ok = bool(self._headroom[budget][idx] >= need)
-            mask[idx] = ok
+            # ``int`` truncates like the mask build's ``astype``.
+            reserve = (
+                int(capacity * headroom_fraction)
+                if headroom_fraction > 0.0 else 0
+            )
+            mask[idx] = alive and storage >= need + reserve and (
+                budget is None or rooms[budget] >= need
+            )
+        self._touch_clock += 1
+        self._touch[idx] = self._touch_clock
 
     def _slot(self, server_id: int) -> int:
         try:

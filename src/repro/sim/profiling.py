@@ -30,7 +30,8 @@ class ProfilingError(ValueError):
 #: Decider run totals a :class:`ThroughputResult` carries as deltas.
 PASS_COUNTERS = (
     "floor_asks", "floor_proofs", "ceil_asks", "ceil_proofs",
-    "ceil_builds", "source_first_asks", "source_first_proofs",
+    "ceil_builds", "ceil_builds_first", "ceil_builds_winner",
+    "ceil_builds_release", "source_first_asks", "source_first_proofs",
 )
 _read_counters = operator.attrgetter(*PASS_COUNTERS)
 #: Front-door run totals carried the same way (zero without serving).
@@ -79,11 +80,15 @@ class ThroughputResult:
     floor_asks: int = 0
     floor_proofs: int = 0
     #: Eq. 3 argmaxes asked (every ``best`` call) / ceiling answers /
-    #: O(S) certificate builds; migration hunts put to the source-first
-    #: refusal / refused.
+    #: O(S) certificate builds, also split by cause (a key's first use
+    #: in the pass, its winner touched, a release threatening it);
+    #: migration hunts put to the source-first refusal / refused.
     ceil_asks: int = 0
     ceil_proofs: int = 0
     ceil_builds: int = 0
+    ceil_builds_first: int = 0
+    ceil_builds_winner: int = 0
+    ceil_builds_release: int = 0
     source_first_asks: int = 0
     source_first_proofs: int = 0
     #: Front-door routes compiled / handed out again inside serving

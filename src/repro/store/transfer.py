@@ -324,22 +324,28 @@ class TransferEngine:
 
         Every request was checked against the batch's real-minus-pending
         mirrors when it was queued, so nothing is re-checked here:
-        budgets are reserved once per touched (kind, server) group and
-        the catalog mutations apply in submission order.  Reached only
-        through :meth:`TransferBatch.commit`, which looks it up on the
-        engine at call time.
+        every touched (kind, server) group's total is reserved in one
+        column write per kind and the catalog mutations apply in
+        submission order.  Reached only through
+        :meth:`TransferBatch.commit`, which looks it up on the engine at
+        call time.
         """
-        # Grouped budget reservation, then in-order apply.
-        grouped: Dict[Tuple[TransferKind, int], int] = {}
+        slot_of = self._cloud.slot_map
+        rep: Dict[int, int] = {}
+        mig: Dict[int, int] = {}
         for r in requests:
+            grouped = rep if r.kind is TransferKind.REPLICATION else mig
             size = r.partition.size
             if r.src is not None:
-                key = (r.kind, r.src)
-                grouped[key] = grouped.get(key, 0) + size
-            key = (r.kind, r.dst)
-            grouped[key] = grouped.get(key, 0) + size
-        for (kind, sid), nbytes in grouped.items():
-            _budget(self._cloud.server(sid), kind).reserve(nbytes)
+                src = slot_of[r.src]
+                grouped[src] = grouped.get(src, 0) + size
+            dst = slot_of[r.dst]
+            grouped[dst] = grouped.get(dst, 0) + size
+        table = self._cloud.table
+        for used, grouped in ((table.rep_used, rep), (table.mig_used, mig)):
+            if grouped:
+                # Distinct slots: a plain fancy-index add is exact.
+                used[list(grouped)] += list(grouped.values())
         results: List[TransferResult] = []
         for r in requests:
             size = r.partition.size
@@ -384,20 +390,27 @@ class TransferBatch:
     intent is guaranteed to succeed at :meth:`commit`, and a blocked one
     reports the identical :class:`TransferOutcome` (and feeds the
     engine's deferred/failure stats) as the one-at-a-time path.
+
+    Every read is by slot: liveness and storage off the cloud's
+    :class:`~repro.cluster.server.ServerTable` columns, budgets off one
+    mirror vector per kind.
     """
 
     def __init__(self, engine: TransferEngine) -> None:
         self._engine = engine
         self._cloud = engine._cloud
+        self._table = engine._cloud.table
         self._slot_of = engine._cloud.slot_map
         self._catalog = engine._catalog
         self._items: List[TransferRequest] = []
+        # Bytes queued onto (+) / vacated from (−) each slot.
         self._pending_storage: Dict[int, int] = {}
         # The one budget read: per kind, a slot-ordered vector of real
-        # budget minus queued reservations, copied off the cloud's
-        # table on first use and decremented per reservation (real
-        # budgets move only at commit, which drops the vectors).
-        self._avail_vectors: Dict[TransferKind, np.ndarray] = {}
+        # budget minus queued reservations, computed off the cloud's
+        # table columns on first use and decremented per reservation
+        # (real budgets move only at commit, which drops the vectors).
+        # Indexed by ``kind is TransferKind.MIGRATION``.
+        self._avail: List[Optional[np.ndarray]] = [None, None]
         # Replica-identity mirror: placements queued (and not since
         # vacated) / sources vacated by queued migrations.  Together
         # with the catalog they answer "would this (pid, server) hold a
@@ -421,97 +434,97 @@ class TransferBatch:
 
     # -- mirrored resource reads -------------------------------------------
 
+    def _budgets(self, kind: TransferKind) -> np.ndarray:
+        """Per-slot remaining budget of ``kind`` as of this batch.
+
+        Within one decision pass the entries only ever *decrease* —
+        blocked intents reserve nothing and nothing un-reserves.
+        """
+        i = kind is TransferKind.MIGRATION
+        vec = self._avail[i]
+        if vec is None:
+            vec = self._avail[i] = self._cloud.budget_available_vector(
+                kind.value
+            )
+        return vec
+
     def budget_available(self, server_id: int,
                          kind: TransferKind = TransferKind.REPLICATION
                          ) -> int:
         """Remaining budget as of this batch: real minus pending."""
-        vec = self.budget_available_vector(kind)
-        return int(vec[self._slot_of[server_id]])
+        return int(self._budgets(kind)[self._slot_of[server_id]])
 
     def storage_available(self, server_id: int) -> int:
-        real = self._cloud.server(server_id).storage_available
-        return real - self._pending_storage.get(server_id, 0)
-
-    def budget_available_vector(self, kind: TransferKind) -> np.ndarray:
-        """Per-slot remaining budget as of this batch (read-only).
-
-        What :meth:`budget_available` reads, kept current through
-        every reservation.  Within one decision pass the entries only
-        ever *decrease* — blocked intents reserve nothing and nothing
-        un-reserves.
-        """
-        vec = self._avail_vectors.get(kind)
-        if vec is None:
-            vec = self._cloud.budget_available_vector(kind.value).astype(
-                np.int64, copy=True
-            )
-            self._avail_vectors[kind] = vec
-        return vec
+        """Free bytes as of this batch: real (table columns, so a
+        mid-pass suicide shows) minus pending."""
+        slot = self._slot_of[server_id]
+        table = self._table
+        return int(
+            table.storage_capacity[slot] - table.storage_used[slot]
+        ) - self._pending_storage.get(slot, 0)
 
     # -- queuing ------------------------------------------------------------
 
-    def _check(self, partition: Partition, src_id: Optional[int],
-               dst_id: int, kind: TransferKind
+    def _check(self, size: int, src_id: Optional[int], dst_id: int,
+               src: int, dst: int, kind: TransferKind
                ) -> Optional[TransferOutcome]:
-        """Mirror of ``TransferEngine._check_endpoints`` (same order)."""
-        dst = self._cloud.server(dst_id)
-        if not dst.alive:
+        """``TransferEngine._check_endpoints``'s order, on the ids'
+        slots ``src`` / ``dst``: dst liveness, src liveness,
+        reachability, dst storage, src budget, dst budget."""
+        alive = self._table.alive
+        if not alive[dst]:
             return TransferOutcome.DEST_DOWN
         if src_id is not None:
-            if not self._cloud.server(src_id).alive:
+            if not alive[src]:
                 return TransferOutcome.SOURCE_DOWN
             reachable = self._engine.reachability
             if reachable is not None and not reachable(src_id, dst_id):
                 return TransferOutcome.DEST_UNREACHABLE
-        size = partition.size
-        if not (0 <= size <= self.storage_available(dst_id)):
+        if not 0 <= size <= self.storage_available(dst_id):
             return TransferOutcome.NO_DEST_STORAGE
-        if src_id is not None:
-            if size > self.budget_available(src_id, kind):
-                return TransferOutcome.NO_SOURCE_BANDWIDTH
-        if size > self.budget_available(dst_id, kind):
+        budgets = self._budgets(kind)
+        if src_id is not None and size > budgets[src]:
+            return TransferOutcome.NO_SOURCE_BANDWIDTH
+        if size > budgets[dst]:
             return TransferOutcome.NO_DEST_BANDWIDTH
         return None
 
-    def _reserve(self, partition: Partition, src_id: Optional[int],
-                 dst_id: int, kind: TransferKind, vacate: bool) -> None:
-        size = partition.size
-        vec = self.budget_available_vector(kind)
-        slot_of = self._slot_of
-        if src_id is not None:
-            vec[slot_of[src_id]] -= size
+    def _reserve(self, size: int, src: int, dst: int, kind: TransferKind,
+                 vacate: bool) -> None:
+        """Charge a queued intent to the mirrors (``src`` −1: none)."""
+        budgets = self._budgets(kind)
+        pending = self._pending_storage
+        if src >= 0:
+            budgets[src] -= size
             if vacate:
                 # A queued move vacates its source bytes, exactly as
                 # the sequential catalog.move would have by the time a
                 # later intent is checked — credit them so mixed
                 # batches see the same storage a one-at-a-time caller
                 # would.
-                self._pending_storage[src_id] = (
-                    self._pending_storage.get(src_id, 0) - size
-                )
-        vec[slot_of[dst_id]] -= size
-        self._pending_storage[dst_id] = (
-            self._pending_storage.get(dst_id, 0) + size
-        )
+                pending[src] = pending.get(src, 0) - size
+        budgets[dst] -= size
+        pending[dst] = pending.get(dst, 0) + size
 
     def _add(self, kind: TransferKind, partition: Partition,
              src_id: Optional[int], dst_id: int, vacate: bool = False
              ) -> Optional[TransferOutcome]:
-        pid = partition.pid
+        pid, size = partition.pid, partition.size
         if self._has_replica_now(pid, dst_id):
             self._engine.stats.record_failure(
-                kind, TransferOutcome.REJECTED, pid,
-                src_id, dst_id, partition.size,
+                kind, TransferOutcome.REJECTED, pid, src_id, dst_id, size,
             )
             return TransferOutcome.REJECTED
-        blocked = self._check(partition, src_id, dst_id, kind)
+        slot_of = self._slot_of
+        dst = slot_of[dst_id]
+        src = -1 if src_id is None else slot_of[src_id]
+        blocked = self._check(size, src_id, dst_id, src, dst, kind)
         if blocked is not None:
-            self._engine.stats.deferred += 1
-            self._engine.stats.record_failure(
-                kind, blocked, pid, src_id, dst_id, partition.size
-            )
+            stats = self._engine.stats
+            stats.deferred += 1
+            stats.record_failure(kind, blocked, pid, src_id, dst_id, size)
             return blocked
-        self._reserve(partition, src_id, dst_id, kind, vacate)
+        self._reserve(size, src, dst, kind, vacate)
         self._pending_replicas.add((pid, dst_id))
         self._vacated.discard((pid, dst_id))
         if vacate:
@@ -579,7 +592,7 @@ class TransferBatch:
         self._pending_storage.clear()
         self._pending_replicas.clear()
         self._vacated.clear()
-        self._avail_vectors.clear()
+        self._avail = [None, None]
         return self._engine.execute_batch(items)
 
 

@@ -192,14 +192,82 @@ def test_certificate_answers_without_a_scan_and_survives_other_touches():
     scorer.consume_budget(5, 100, "replication")
     assert scorer.best([1], need_bytes=100, budget="replication") is first
     assert scorer.ceil_builds == 1 and not scorer._gain_cache
-    # Touching the winner, then releasing storage, each force a rebuild.
+    # Touching the winner forces a rebuild.
     scorer.consume_budget(3, 100, "replication")
     again = scorer.best([1], need_bytes=100, budget="replication")
     assert again == scorer.scan([1], need_bytes=100, budget="replication")
     assert scorer.ceil_builds == 2
-    scorer.release_storage(6, 10)
-    scorer.best([1], need_bytes=100, budget="replication")
+    # Servers 0, 3 and 6 (4 000 bytes) are too small for 5 000; server 2
+    # wins.  A release that re-enables a slot which cannot beat the
+    # winner (6: rent 0.40 against 0.12) keeps the entry...
+    query = dict(need_bytes=5_000)
+    winner = scorer.best([1], **query)
+    assert winner == scorer.scan([1], **query) and winner.server_id == 2
+    scorer.release_storage(6, 1_500)
+    assert scorer.best([1], **query) is winner
     assert scorer.ceil_builds == 3
+    # ...and one that can (3: rent ≈ 0.11) rebuilds it.
+    scorer.release_storage(3, 1_500)
+    got = scorer.best([1], **query)
+    assert got == scorer.scan([1], **query) and got.server_id == 3
+    assert (scorer.ceil_builds_first, scorer.ceil_builds_winner,
+            scorer.ceil_builds_release) == (2, 1, 1)
+
+
+# -- what caused a build: one test per cause ---------------------------------
+
+
+def causes(scorer):
+    return (scorer.ceil_builds_first, scorer.ceil_builds_winner,
+            scorer.ceil_builds_release)
+
+
+def test_first_use_of_a_key_builds_once():
+    cloud, scorer = five()
+    for need in (100, 100, 200, 200):
+        scorer.best([0], need_bytes=need)
+    scorer.best([0, 2], need_bytes=100)  # two servers: another key
+    assert causes(scorer) == (3, 0, 0)
+
+
+def test_winner_touch_is_counted_before_a_release():
+    """A touched winner rebuilds as ``winner`` even when a threatening
+    release happened since: the touch alone forces the build."""
+    cloud, scorer = five()
+    query = dict(need_bytes=5_000)
+    winner = scorer.best([1], **query)
+    assert winner.server_id == 2
+    scorer.release_storage(3, 1_500)   # would overtake 2
+    scorer.consume_budget(2, 10, "migration")
+    assert scorer.best([1], **query) == scorer.scan([1], **query)
+    assert causes(scorer) == (1, 1, 0)
+
+
+def test_release_threat_rebuilds_and_a_harmless_one_does_not():
+    cloud, scorer = five()
+    query = dict(need_bytes=5_000)
+    winner = scorer.best([1], **query)
+    scorer.release_storage(6, 1_500)   # feasible now, rent 0.40 > 0.12
+    scorer.release_storage(0, 1_500)   # on B's continent: capped far below
+    assert scorer.best([1], **query) is winner
+    assert causes(scorer) == (1, 0, 0)
+    scorer.release_storage(3, 1_500)   # rent 0.11 < 0.12: overtakes
+    got = scorer.best([1], **query)
+    assert got == scorer.scan([1], **query) and got.server_id == 3
+    assert causes(scorer) == (1, 0, 1)
+
+
+def test_refused_entry_rebuilds_on_any_release():
+    """A refused entry may become certifiable once any slot is
+    re-enabled, so every release since its stamp rebuilds it."""
+    rents = [50.0, 1.0, 41.0, 41.5, 42.0, 42.5, 43.0, 43.5]
+    cloud, scorer = five(rents)
+    assert scorer.best([0], need_bytes=100) == scorer.scan([0],
+                                                          need_bytes=100)
+    scorer.release_storage(7, 1)
+    assert scorer.best([0], need_bytes=100) == scorer.scan([0],
+                                                          need_bytes=100)
+    assert causes(scorer) == (1, 0, 1) and scorer.ceil_proofs == 0
 
 
 def test_rent_spread_past_the_gap_refuses_and_never_answers():

@@ -25,11 +25,7 @@ from repro.core.decision import DecisionEngine
 from repro.sim import specs
 from repro.sim.framedump import frames_to_jsonable
 from repro.sim.scenario import compile_spec, load_spec
-from repro.store.transfer import (
-    NO_DESTINATION,
-    TransferKind,
-    TransferOutcome,
-)
+from repro.store.transfer import NO_DESTINATION, TransferOutcome
 
 from tests.core.test_repair_semantics import build
 
@@ -132,9 +128,9 @@ def test_precondition_gates_the_refusal(net):
     elif net == "reachability":
         transfers.set_reachability(lambda src, dst: True)
     scorer = engine._make_scorer(board)
+    budget = cloud.server(0).migration_budget
+    budget.reserve(budget.available - (p.size - 1))
     batch = transfers.open_batch()
-    budget = batch.budget_available_vector(TransferKind.MIGRATION)
-    budget[cloud.slot(0)] = p.size - 1
     refused = engine._refused_at_source(
         scorer, batch, p, 0, [0], float("inf"), "migration"
     )
@@ -156,7 +152,8 @@ def test_precondition_gates_the_refusal(net):
         assert not engine._refused_at_source(
             scorer, batch, p, 0, [0], 0.0, "migration"
         )
-        budget[cloud.slot(0)] = p.size
+        budget.release(1)
+        batch = transfers.open_batch()
         assert not engine._refused_at_source(
             scorer, batch, p, 0, [0], float("inf"), "migration"
         )

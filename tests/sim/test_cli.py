@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -401,6 +402,26 @@ class TestProfile:
             "--repeats", "1",
         )
         assert column not in text
+
+    def test_argmax_column_splits_builds_by_cause(self):
+        """The argmax column carries the certificate builds split into
+        first use / winner touched / release threat, summing to the
+        total."""
+        code, text = run_cli(
+            "profile", "--scenario", "paper", "--epochs", "6",
+            "--partitions", "20", "--kernel", "vectorized",
+            "--repeats", "1",
+        )
+        assert code == 0
+        assert "built (first + winner + release)" in text
+        found = re.search(
+            r"(\d+) / (\d+) / (\d+) \((\d+) \+ (\d+) \+ (\d+)\)", text
+        )
+        asks, proofs, builds, first, winner, release = map(
+            int, found.groups()
+        )
+        assert builds == first + winner + release
+        assert 0 < first and proofs <= asks
 
     def test_cprofile_top_limits_table(self):
         code, text = run_cli(

@@ -526,12 +526,13 @@ def test_lexsort_gate_detects_planted_resort(tmp_path):
 #: Line ceilings (ROADMAP item 4): no module carved out of
 #: ``core/decision.py`` grows back past 900 lines;
 #: ``core/placement.py`` stays at its size with eq. 3 answered by the
-#: ceiling certificate and the scan alone (no shortlist windows);
+#: ceiling certificate and the scan alone (no shortlist windows), the
+#: certificate's release rule included;
 #: ``cluster/topology.py`` stays at its size without the S×S
 #: diversity matrix.
 MODULE_MAX_LINES = {
     **dict.fromkeys(DECISION_MODULES, 900),
-    Path("src/repro/core/placement.py"): 672,
+    Path("src/repro/core/placement.py"): 656,
     Path("src/repro/cluster/topology.py"): 545,
 }
 
