@@ -25,8 +25,8 @@ trajectory is ~1.6 epochs/s at PR 2 and ~5.2 at PR 3 (dense
 partition-index stores, row-space incidence rebuild, visited-only
 decision pass, top-k shortlists — see PERFORMANCE.md).
 ``fig4-slashdot-100x-bootstrap`` times the *first* epochs after
-single-replica seeding — the §II-C repair storm the grouped repair
-kernel targets.  ``fig4-asymmetric-partition`` runs the same fig4 shape
+single-replica seeding — the §II-C repair storm, where nearly every
+eq. 3 argmax is answered off the ceiling certificate.  ``fig4-asymmetric-partition`` runs the same fig4 shape
 with the gossip control plane on — loss plus an asymmetric country cut
 — and records per-code message counts alongside epochs/s, the control-plane
 overhead row PERFORMANCE.md tracks (PR 6).
@@ -94,9 +94,9 @@ FIG4_10X_WARMUP = 25
 FIG4_100X_EPOCHS = 5
 FIG4_100X_WARMUP = 25
 #: The 100× *bootstrap* window: the first epochs after single-replica
-#: seeding, where nearly every partition runs a §II-C repair chain —
-#: the regime the grouped repair kernel targets.  Measured from epoch
-#: 0 with no warmup (the storm itself is the workload).
+#: seeding, where nearly every partition runs a §II-C repair chain.
+#: Measured from epoch 0 with no warmup (the storm itself is the
+#: workload).
 FIG4_100X_BOOT_EPOCHS = 4
 #: The 100× *churn* probe (ISSUE 9): post-bootstrap epochs carrying
 #: join/leave waves — every epoch mutates the cloud and catalog, so

@@ -2,9 +2,10 @@
 """Reach census: which ``src/`` functions does nothing but the tests use?
 
 Runs every way the repository is used, under a ``sys.settrace`` call
-collector:
+and line collector:
 
-* the scenario registry, each entry at its golden-pin horizon;
+* the scenario registry, each entry at its golden-pin horizon, then
+  again under the scalar reference kernel at 12 epochs or fewer;
 * the end-to-end benchmark's four workloads, one untraced replay of
   each window (``benchmarks/e2e/run.py``);
 * every ``repro.cli`` subcommand, on small inputs;
@@ -34,9 +35,19 @@ there because the census does not run ``benchmarks/test_*.py``: an
 installed pytest plugin may reset the trace function, and a
 ``pytest.main`` run under ``sys.settrace`` then records nothing.
 
+A reached function can still hold a path no run takes: a branch, a
+fallback, a knob only tests set.  The ``[unreached statements]``
+section lists, per reached function, the statements no run executed.
+A compound statement (``if``, ``for``, ``try`` …) counts as reached
+when any line from its header to the first line of its body ran —
+Python reports a multi-line condition's line events on its operands'
+lines — and a block made only of ``raise`` statements (validation) is
+not counted.  An unreached compound statement is listed once, as its
+whole line range.  That section never fails the run either.
+
 Usage:  python scripts/reach_census.py
 
-Takes about a minute on a laptop-class core.  Exits 1 when anything is
+Takes about three minutes on a laptop-class core.  Exits 1 when anything is
 ``UNEXPLAINED`` (each such function is printed with its file and
 line), 0 otherwise: delete the function, or give it a ``KEPT`` row that
 says why a test needs it.
@@ -72,8 +83,6 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("invariant check", "repro/core/economy.py", "CloudCostIndex.verify"),
     ("invariant check", "repro/ring/virtualring.py",
      "VirtualRing.check_invariants"),
-    ("reference implementation", "repro/core/economy.py",
-     "UsageTracker.observe"),
     ("reference implementation", "repro/core/availability.py",
      "availability_without"),
     ("reference implementation", "repro/cluster/events.py",
@@ -137,10 +146,25 @@ def _walk(module: str, body: List[ast.stmt], prefix: str,
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if in_protocol or _is_stub(node):
                 continue
-            line = min([node.lineno] +
-                       [d.lineno for d in node.decorator_list])
             yield Function(module, prefix + node.name, node.name,
-                           line), node
+                           _first_line(node)), node
+
+
+def _first_line(node: ast.AST) -> int:
+    """A definition's first line, decorators included (its code
+    object's ``co_firstlineno``)."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
+def _nested(fn: Function, node: ast.AST
+            ) -> Iterator[Tuple[Function, ast.AST]]:
+    """The functions nested in ``fn``, at any depth."""
+    for inner in ast.walk(node):
+        if inner is not node and isinstance(
+            inner, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            yield Function(fn.module, f"{fn.qualname}.<locals>.{inner.name}",
+                           inner.name, _first_line(inner)), inner
 
 
 def src_functions(src: Path = SRC
@@ -151,17 +175,7 @@ def src_functions(src: Path = SRC
         module = path.relative_to(src).as_posix()
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn, node in _walk(module, tree.body, "", False):
-            nested = [
-                Function(module, f"{fn.qualname}.<locals>.{inner.name}",
-                         inner.name,
-                         min([inner.lineno] +
-                             [d.lineno for d in inner.decorator_list]))
-                for inner in ast.walk(node)
-                if inner is not node
-                and isinstance(inner, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-            ]
-            out.append((fn, nested))
+            out.append((fn, [inner for inner, __ in _nested(fn, node)]))
     return out
 
 
@@ -171,17 +185,46 @@ def src_functions(src: Path = SRC
 
 
 class Collector:
-    """Records ``(file, first line)`` of every code object entered."""
+    """Records ``(file, first line)`` of every code object entered and
+    every line executed, per file, under ``src/repro``."""
 
-    def __init__(self) -> None:
+    def __init__(self, src: Path = SRC) -> None:
         self.entered: Set[Tuple[str, int]] = set()
-        self._prefix = str(SRC / "repro")
+        self.lines: Dict[str, Set[int]] = {}
+        self._src = src
+        self._prefix = str(src / "repro")
+        # Per code object: its line tracer, or None once every line it
+        # can report (its ``def`` line aside) has been seen.
+        self._local: Dict[object, object] = {}
+        self._pending: Dict[object, Set[int]] = {}
 
     def _trace(self, frame, event, arg):
         code = frame.f_code
-        if code.co_filename.startswith(self._prefix):
-            self.entered.add((code.co_filename, code.co_firstlineno))
-        return None  # no per-line tracing: call events are enough
+        if not code.co_filename.startswith(self._prefix):
+            return None
+        self.entered.add((code.co_filename, code.co_firstlineno))
+        if code not in self._local:
+            self._local[code] = self._line_tracer(code)
+        local = self._local[code]
+        if local is not None and not self._pending[code]:
+            local = self._local[code] = None
+        return local
+
+    def _line_tracer(self, code):
+        seen = self.lines.setdefault(code.co_filename, set())
+        pending = self._pending[code] = {
+            line for __, __, line in code.co_lines()
+            if line is not None and line != code.co_firstlineno
+        } - seen
+
+        def local(frame, event, arg):
+            if event == "line":
+                line = frame.f_lineno
+                seen.add(line)
+                pending.discard(line)
+            return local
+
+        return local
 
     @contextlib.contextmanager
     def active(self) -> Iterator[None]:
@@ -192,7 +235,7 @@ class Collector:
             sys.settrace(None)
 
     def reached(self, fn: Function) -> bool:
-        return (str(SRC / fn.module), fn.line) in self.entered
+        return (str(self._src / fn.module), fn.line) in self.entered
 
 
 def _quietly(label: str, call) -> None:
@@ -215,6 +258,24 @@ def run_registry() -> None:
         _quietly(f"registry {name}",
                  lambda name=name: specs.get(name).pinned()
                  .simulation().run())
+
+
+#: The scalar reference kernel's pass over the registry: no longer than
+#: this many epochs per entry (a statement it reaches is reached).
+SCALAR_EPOCHS = 12
+
+
+def run_registry_scalar() -> None:
+    from repro.sim import specs
+    from repro.sim.scenario import compile_spec
+
+    for name in sorted(specs.REGISTRY):
+        entry = specs.get(name)
+        spec = entry.spec.with_operations(
+            epochs=min(entry.pin_epochs, SCALAR_EPOCHS), kernel="scalar",
+        )
+        _quietly(f"registry {name} (scalar)",
+                 lambda spec=spec: compile_spec(spec).simulation().run())
 
 
 def run_benchmark(out: Path) -> None:
@@ -270,6 +331,89 @@ def run_examples() -> None:
                                                       run_name="__main__"))
         finally:
             sys.argv = saved
+
+
+# ---------------------------------------------------------------------------
+# Statements no run executes
+# ---------------------------------------------------------------------------
+
+
+_SILENT = (ast.Pass, ast.Global, ast.Nonlocal)
+
+
+def _silent(stmt: ast.stmt) -> bool:
+    """A statement that compiles to no line event: a docstring, a bare
+    constant (``...``), ``pass``, ``global``, ``nonlocal``."""
+    return isinstance(stmt, _SILENT) or (
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+    )
+
+
+def _raises_only(block: List[ast.stmt]) -> bool:
+    return all(isinstance(stmt, ast.Raise) for stmt in block)
+
+
+def unreached_statements(body: List[ast.stmt], ran: Set[int]
+                         ) -> List[Tuple[int, int]]:
+    """``(first, last)`` line ranges of the statements in ``body`` no
+    line of which ran.  A compound statement is reached when a line
+    from its header to its body's first line ran; an unreached one is
+    one range, its blocks not entered.  Blocks made only of ``raise``
+    statements are skipped, and nested ``def`` / ``class`` bodies are
+    their own census entries."""
+    out: List[Tuple[int, int]] = []
+
+    def hit(first: int, last: int) -> bool:
+        return any(line in ran for line in range(first, last + 1))
+
+    def walk(block: List[ast.stmt]) -> None:
+        if _raises_only(block):
+            return  # validation (or an empty block)
+        for stmt in block:
+            if _silent(stmt):
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                first, last = _first_line(stmt), stmt.lineno
+            elif hasattr(stmt, "body"):
+                first, last = stmt.lineno, stmt.body[0].lineno
+            else:
+                first, last = stmt.lineno, stmt.end_lineno
+            if not hit(first, last):
+                out.append((first, stmt.end_lineno))
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            for name in ("body", "orelse", "finalbody"):
+                walk(getattr(stmt, name, []))
+            for handler in getattr(stmt, "handlers", ()):
+                if _raises_only(handler.body):
+                    continue
+                if not hit(handler.lineno, handler.body[0].lineno):
+                    out.append((handler.lineno, handler.end_lineno))
+                else:
+                    walk(handler.body)
+
+    walk(body)
+    return out
+
+
+def statement_census(collector: Collector, src: Path = SRC
+                     ) -> List[Tuple[Function, List[Tuple[int, int]]]]:
+    """Per reached function (nested ones included), the line ranges of
+    its statements no run executed."""
+    out = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        ran = collector.lines.get(str(path), set())
+        for fn, node in _walk(module, tree.body, "", False):
+            for entry, inner in [(fn, node), *_nested(fn, node)]:
+                if not collector.reached(entry):
+                    continue
+                missed = unreached_statements(inner.body, ran)
+                if missed:
+                    out.append((entry, missed))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +495,27 @@ def kept_reason(fn: Function) -> str:
     return ""
 
 
+def _show(ranges: List[Tuple[int, int]]) -> str:
+    """``[(3, 4), (5, 5), (9, 9)]`` as ``"3-5, 9"``: adjacent ranges
+    merge."""
+    merged: List[List[int]] = []
+    for first, last in ranges:
+        if merged and first == merged[-1][1] + 1:
+            merged[-1][1] = last
+        else:
+            merged.append([first, last])
+    return ", ".join(
+        str(first) if first == last else f"{first}-{last}"
+        for first, last in merged
+    )
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     collector = Collector()
     with tempfile.TemporaryDirectory() as tmp, collector.active():
         run_registry()
+        run_registry_scalar()
         run_benchmark(Path(tmp))
         run_cli(Path(tmp))
         run_examples()
@@ -386,6 +546,14 @@ def main() -> int:
           f"match excuses (reported, never a failure)")
     for fn, match in named_only:
         print(f"  src/{fn.module}:{fn.line}  {fn.qualname}  <- {match}")
+    missed = statement_census(collector)
+    print(f"\n[unreached statements] "
+          f"{sum(len(ranges) for __, ranges in missed)} statements no run "
+          f"executes, in {len(missed)} reached functions (reported, never "
+          f"a failure)")
+    for fn, ranges in missed:
+        print(f"  src/{fn.module}:{fn.line}  {fn.qualname}  lines "
+              f"{_show(ranges)}")
     unexplained = len(by_reason.get("UNEXPLAINED", ()))
     print(f"\nsummary: {unnamed - unexplained} kept, "
           f"{unexplained} unexplained, {len(named_only)} named only")

@@ -21,8 +21,11 @@
 # fig4 bootstrap's memory fence (tests/cluster/test_topology.py: peak
 # RSS under 400 MiB with the frame digest unchanged), all seven examples
 # (tier-1 runs the four fast ones), the reach census of src/
-# functions only the tests reach (scripts/reach_census.py: fails the
-# script when one is neither reached nor explained by a KEPT row) and
+# functions only the tests reach (scripts/reach_census.py, about two
+# minutes with its line collector and its second registry pass under
+# the scalar kernel: fails the script when a function is neither
+# reached nor explained by a KEPT row; its [unreached statements]
+# section, the statements no run executes, only reports) and
 # the cache census of every surviving memo's asks, builds and ms per
 # build (scripts/cache_census.py: reports, never fails).
 #

@@ -15,7 +15,6 @@ from repro.core.economy import (
     CloudCostIndex,
     EconomyError,
     RentModel,
-    UsageTracker,
 )
 from repro.core.placement import (
     Candidate,
@@ -43,7 +42,6 @@ __all__ = [
     "PolicyError",
     "PriceBoard",
     "RentModel",
-    "UsageTracker",
     "VNodeAgent",
     "availability",
     "availability_without",

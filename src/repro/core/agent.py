@@ -497,9 +497,9 @@ class AgentRegistry:
         # Ledger-row mirror of ``_by_pid`` (same per-partition order),
         # maintained through every membership mutation so the epoch
         # kernel's incidence rebuild reads plain int lists instead of
-        # touching one agent object per replica.  Any drift would be
-        # caught — per replica — by the rebuild's row→server check and
-        # routed to the keyed fallback, so this is a pure fast path.
+        # touching one agent object per replica.  Any drift is caught —
+        # per replica — by the incidence's row→server check, which
+        # raises :class:`~repro.core.policy.KernelError`.
         self._rows_by_pid: Dict[PartitionId, List[int]] = {}
         self._version = 0
         # Mutation journal: the pid of every spawn/retire/rehome, in

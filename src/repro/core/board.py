@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.topology import Cloud
-from repro.core.economy import RentModel, UsageTracker
+from repro.core.economy import RentModel
 
 
 class BoardError(LookupError):
@@ -149,7 +149,6 @@ class PriceBoard:
 
 def update_board(board: PriceBoard, epoch: int, cloud: Cloud,
                  model: RentModel,
-                 tracker: Optional[UsageTracker] = None,
                  cost_index: Optional["CloudCostIndex"] = None
                  ) -> Dict[int, float]:
     """Reprice the cloud (eq. 1) and post the table; returns the prices.
@@ -157,20 +156,14 @@ def update_board(board: PriceBoard, epoch: int, cloud: Cloud,
     With a :class:`~repro.core.economy.CloudCostIndex` supplied (the
     vectorized kernel) the whole cloud is priced in one slot-ordered
     array pass over the index's maintained storage/query-load vectors;
-    without one (the scalar reference, or usage-normalised pricing,
-    which needs the tracker's per-server means) every server is priced
-    through one :meth:`RentModel.price` call, as pre-refactor.
+    without one (the scalar reference) every server is priced through
+    one :meth:`RentModel.price` call.
     """
-    if (
-        cost_index is not None
-        and tracker is None
-        and not model.normalize_by_usage
-    ):
+    if cost_index is not None:
         ids, prices = cost_index.price_vector()
         # Copy: callers own the returned mapping on both paths (the
         # scalar branch returns a fresh dict too).
         return dict(board.post_vector(epoch, ids, prices))
-    means = tracker.means() if tracker is not None else None
-    prices = model.price_cloud(cloud, means)
+    prices = model.price_cloud(cloud)
     board.post(epoch, prices)
     return prices

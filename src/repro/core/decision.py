@@ -202,8 +202,7 @@ class DecisionEngine:
         # own membership and the epoch-static price board, so actions on
         # earlier-visited partitions cannot invalidate the mask.  The
         # mask is applied to the permutation as one vector filter, so
-        # the Python loop below only ever touches partitions that act
-        # (or whose incidence could not be verified).
+        # the Python loop below only ever touches partitions that act.
         flat, visit = self.incidence.build_triage(
             board, self._policy.migration_margin
         )
@@ -563,8 +562,6 @@ class DecisionEngine:
             # Reference kernel: per-agent rebuild, as pre-refactor.
             servers = self._live_replicas(pid)
         n = len(servers)
-        if self._policy.max_replicas is not None and n >= self._policy.max_replicas:
-            return avail
         queries = load.queries_for(pid)
         predicted_utility = (
             self._policy.revenue_per_query * queries / (n + 1)
@@ -642,7 +639,6 @@ class DecisionEngine:
         """The believed column and rent-model terms every scorer of this
         decider is built with, the ablations' included."""
         return dict(
-            rent_weight=self._policy.rent_weight,
             storage_alpha=self._rent_model.alpha,
             epochs_per_month=self._rent_model.epochs_per_month,
             alive_override=self._membership.believed_vector(),

@@ -16,14 +16,13 @@ which is the stabilising feedback loop of the whole economy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.cluster.server import Server
 from repro.cluster.topology import Cloud
 from repro.store.replica import CatalogListener
-from repro.util.columns import ColumnSet, ColumnSpec
 
 #: Epochs per month used to spread the real rent.  The evaluation's
 #: epoch is best read as ~1 hour (bandwidth budgets of 300 MB/epoch),
@@ -42,15 +41,15 @@ class RentModel:
     ``alpha`` weights storage pressure, ``beta`` query pressure; both
     are the paper's normalising factors.  ``epochs_per_month`` converts
     the real monthly rent into the per-epoch marginal usage price
-    ``up``.  ``mean_usage_floor`` keeps ``up`` finite on idle servers
-    when usage-normalised pricing is enabled.
+    ``up = monthly_rent / epochs_per_month``.  §II-A derives ``up``
+    from the server's mean usage over the previous month as well; that
+    trailing mean is not modelled, and the evaluation's equal-usage
+    startup makes the two the same.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     epochs_per_month: int = DEFAULT_EPOCHS_PER_MONTH
-    normalize_by_usage: bool = False
-    mean_usage_floor: float = 0.05
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -61,51 +60,19 @@ class RentModel:
             raise EconomyError(
                 f"epochs_per_month must be > 0, got {self.epochs_per_month}"
             )
-        if not 0 < self.mean_usage_floor <= 1:
-            raise EconomyError(
-                f"mean_usage_floor must be in (0, 1], got "
-                f"{self.mean_usage_floor}"
-            )
 
-    def usage_price(self, server: Server,
-                    mean_usage: Optional[float] = None) -> float:
-        """Marginal usage price ``up`` of one server.
-
-        The paper derives ``up`` from the total monthly real rent and
-        the server's mean usage over the previous month; with
-        ``normalize_by_usage`` off (default) the rent is simply spread
-        over the month's epochs, which the evaluation's equal-usage
-        startup makes equivalent.
-        """
-        base = server.monthly_rent / self.epochs_per_month
-        if not self.normalize_by_usage:
-            return base
-        usage = self.mean_usage_floor if mean_usage is None else max(
-            mean_usage, self.mean_usage_floor
-        )
-        return base / usage
-
-    def price(self, server: Server,
-              mean_usage: Optional[float] = None) -> float:
+    def price(self, server: Server) -> float:
         """Eq. 1: the virtual rent of ``server`` for the next epoch."""
-        up = self.usage_price(server, mean_usage)
+        up = server.monthly_rent / self.epochs_per_month
         return up * (
             1.0
             + self.alpha * server.storage_usage
             + self.beta * server.query_load
         )
 
-    def price_cloud(self, cloud: Cloud,
-                    mean_usages: Optional[Dict[int, float]] = None
-                    ) -> Dict[int, float]:
+    def price_cloud(self, cloud: Cloud) -> Dict[int, float]:
         """Price every live server of the cloud for the next epoch."""
-        usages = mean_usages or {}
-        return {
-            server.server_id: self.price(
-                server, usages.get(server.server_id)
-            )
-            for server in cloud
-        }
+        return {server.server_id: self.price(server) for server in cloud}
 
     def price_array(self, up: np.ndarray, storage_used: np.ndarray,
                     storage_capacity: np.ndarray, queries: np.ndarray,
@@ -116,91 +83,13 @@ class RentModel:
         evaluation order, onto the scalar :meth:`price` arithmetic
         (``up · (1 + α·storage_usage + β·query_load)``), so each entry
         is bit-identical to pricing that server through the scalar
-        call.  Only the non-usage-normalised mode is vectorised; the
-        normalised mode needs per-server trailing means and stays on
-        :meth:`price_cloud`.
+        call.
         """
-        if self.normalize_by_usage:
-            raise EconomyError(
-                "price_array does not support usage-normalised pricing"
-            )
         storage_usage = storage_used / storage_capacity
         query_load = queries / query_capacity
         return up * (
             1.0 + self.alpha * storage_usage + self.beta * query_load
         )
-
-
-class UsageTracker:
-    """Trailing mean usage per server, for usage-normalised pricing.
-
-    Tracks an exponentially weighted mean of the combined storage/query
-    usage so that ``up`` can reflect "the mean usage of the server in
-    the previous month" (§II-A) without storing a month of history.
-
-    Storage is a ServerTable-style column: one float64 mean per server
-    id (ids are assigned densely and never reused), NaN where no
-    observation has landed yet.  :meth:`observe_cloud` folds a whole
-    epoch as one column pass over the cloud's server table — the same
-    elementwise float operations, per entry, as the scalar
-    :meth:`observe` — instead of one Python call per server.
-    """
-
-    def __init__(self, horizon: int = DEFAULT_EPOCHS_PER_MONTH) -> None:
-        if horizon <= 0:
-            raise EconomyError(f"horizon must be > 0, got {horizon}")
-        self._decay = 1.0 - 1.0 / horizon
-        self._cols = ColumnSet(
-            self, (ColumnSpec("_mean", np.float64, fill=np.nan),)
-        )
-
-    def _ensure(self, max_id: int) -> None:
-        if max_id >= self._cols.capacity:
-            self._cols.grow(max_id + 1)
-
-    def observe(self, server: Server) -> None:
-        usage = 0.5 * (server.storage_usage + min(server.query_load, 1.0))
-        sid = server.server_id
-        self._ensure(sid)
-        prev = self._mean[sid]
-        if np.isnan(prev):
-            self._mean[sid] = usage
-        else:
-            self._mean[sid] = (
-                self._decay * prev + (1.0 - self._decay) * usage
-            )
-
-    def observe_cloud(self, cloud: Cloud) -> None:
-        """Fold one epoch's usage for every live server (column pass).
-
-        Bit-identical to calling :meth:`observe` per server: the usage
-        expression and the blend are the same float64 operations
-        applied elementwise, and each server id is visited once.
-        """
-        ids = np.asarray(cloud.server_ids, dtype=np.int64)
-        if not len(ids):
-            return
-        self._ensure(int(ids.max()))
-        table = cloud.table
-        n = len(table)
-        storage_usage = table.storage_used[:n] / table.storage_capacity[:n]
-        query_load = table.queries[:n] / table.query_capacity[:n]
-        usage = 0.5 * (storage_usage + np.minimum(query_load, 1.0))
-        prev = self._mean[ids]
-        blended = self._decay * prev + (1.0 - self._decay) * usage
-        self._mean[ids] = np.where(np.isnan(prev), usage, blended)
-
-    def mean_usage(self, server_id: int) -> Optional[float]:
-        if not 0 <= server_id < self._cols.capacity:
-            return None
-        value = self._mean[server_id]
-        return None if np.isnan(value) else float(value)
-
-    def means(self) -> Dict[int, float]:
-        """Observed means as ``{server_id: mean}`` (ascending id)."""
-        observed = np.flatnonzero(~np.isnan(self._mean))
-        values = self._mean[observed]
-        return dict(zip(observed.tolist(), values.tolist()))
 
 
 class CloudCostIndex(CatalogListener):
@@ -233,11 +122,6 @@ class CloudCostIndex(CatalogListener):
 
     def __init__(self, cloud: Cloud, model: RentModel,
                  catalog=None) -> None:
-        if model.normalize_by_usage:
-            raise EconomyError(
-                "CloudCostIndex does not support usage-normalised "
-                "pricing (per-server trailing means are dict-shaped)"
-            )
         self._cloud = cloud
         self._model = model
         self._cloud_version = -1
@@ -247,16 +131,8 @@ class CloudCostIndex(CatalogListener):
         self._query_capacity = np.zeros(0, dtype=np.int64)
         self._storage = np.zeros(0, dtype=np.int64)
         self._queries = np.zeros(0, dtype=np.float64)
-        self._catalog = catalog
         if catalog is not None:
             catalog.add_listener(self)
-
-    def detach(self) -> None:
-        """Unsubscribe from the catalog (when vectorized pricing is
-        disabled mid-run, so mutations stop paying for a dead cache)."""
-        if self._catalog is not None:
-            self._catalog.remove_listener(self)
-            self._catalog = None
 
     def _sync(self) -> None:
         cloud = self._cloud

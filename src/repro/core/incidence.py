@@ -35,9 +35,7 @@ class _FlatState:
 
     ``pids[p]`` owns replicas ``offsets[p]:offsets[p+1]`` of the
     parallel per-replica arrays, in catalog placement order, restricted
-    to live servers.  ``rep_rows`` are the owning agents' ledger rows
-    (−1 where the registry rows could not be aligned with the catalog's
-    member order; ``aligned[p]`` aggregates that per partition).
+    to live servers.  ``rep_rows`` are the owning agents' ledger rows.
     ``pid_slots[p]`` is segment ``p``'s dense
     :class:`~repro.ring.partition.PartitionIndex` slot and
     ``seg_by_slot`` the inverse scatter (−1 for unrepresented slots), so
@@ -54,10 +52,7 @@ class _FlatState:
     offsets: np.ndarray
     counts: np.ndarray
     rep_slots: np.ndarray
-    rep_sids: np.ndarray
     rep_rows: np.ndarray
-    aligned: np.ndarray
-    all_aligned: bool
     n_slots: int
 
 
@@ -122,7 +117,7 @@ class _IncidenceJournal(CatalogListener):
 
 @dataclass
 class _AlignCache:
-    """One catalog↔ledger alignment snapshot (shared-index path).
+    """One catalog↔ledger alignment snapshot.
 
     ``key`` is ``(catalog.version, registry.version, registry
     compactions)`` — deliberately *excluding* the cloud and membership
@@ -147,7 +142,8 @@ class Incidence:
     """The live replica/agent incidence and the triage arrays over it.
 
     One per decider.  ``index`` is the incremental eq. 2 store (None
-    under the scalar kernel, which reads none of this).
+    under the scalar kernel, which reads none of this); the registry's
+    ledger rows must carry slots of its partition index.
     ``align_splices`` / ``align_rebuilds`` / ``align_reuses`` count how
     each alignment request was served; ``align_check = True`` verifies
     every splice against a full rebuild in-line (tests; far too slow
@@ -158,6 +154,13 @@ class Incidence:
     def __init__(self, cloud: Cloud, rings: RingSet,
                  catalog: ReplicaCatalog, registry: AgentRegistry,
                  membership, index: Optional[AvailabilityIndex]) -> None:
+        if index is not None and (
+            registry.partition_index is not index.partition_index
+        ):
+            raise KernelError(
+                "the vectorized kernel needs the agent registry built on "
+                "the availability index's partition index"
+            )
         self._cloud = cloud
         self._rings = rings
         self._catalog = catalog
@@ -210,10 +213,8 @@ class Incidence:
                 offsets=np.zeros(1, dtype=np.intp),
                 counts=np.zeros(0, dtype=np.intp),
                 rep_slots=np.zeros(0, dtype=np.intp),
-                rep_sids=np.zeros(0, dtype=np.int64),
                 rep_rows=np.zeros(0, dtype=np.intp),
-                aligned=np.zeros(0, dtype=bool),
-                all_aligned=True, n_slots=n_slots,
+                n_slots=n_slots,
             )
             self._flat_cache = flat
             return flat
@@ -230,9 +231,10 @@ class Incidence:
         # Rows carry their partition's dense index slot and a
         # spawn/rehome sequence, so the alignment is reconstructed in
         # row space — one lexsort plus block gathers, no Python
-        # iteration per partition.  Any segment whose row block cannot
-        # be matched 1:1 (and, below, any row whose server disagrees
-        # with the catalog) is routed to the keyed fallback.
+        # iteration per partition.  Every live replica's row must own
+        # it: a segment whose row block cannot be matched 1:1, or a row
+        # whose server disagrees with the catalog, is a ledger the
+        # catalog no longer mirrors.
         rows_all, aligned_all, cat_slots = self._aligned_rows(
             view, offsets_all, counts_all, n_all
         )
@@ -242,10 +244,15 @@ class Incidence:
             valid, sid_of_row[np.where(valid, rows_all, 0)], -1
         )
         rep_ok = valid & (row_sid == sids_all)
-        part_ok = aligned_all & np.logical_and.reduceat(
-            rep_ok | ~live_rep, offsets_all[:-1]
-        )
         live_part = kept > 0
+        bad = live_part & ~(aligned_all & np.logical_and.reduceat(
+            rep_ok | ~live_rep, offsets_all[:-1]
+        ))
+        if bad.any():
+            raise KernelError(
+                f"partition {view.pids[int(np.argmax(bad))]}: its catalog "
+                f"replicas and agent ledger rows disagree"
+            )
         pids = [
             pid
             for pid, keep in zip(view.pids, live_part.tolist())
@@ -254,20 +261,11 @@ class Incidence:
         counts = kept[live_part]
         offsets = np.zeros(len(pids) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
-        aligned = part_ok[live_part]
-        rows = np.where(rep_ok, rows_all, -1)
-        if self._index is not None:
-            pindex = self._index.partition_index
-            pid_slots = (
-                cat_slots[live_part].astype(np.intp)
-                if cat_slots is not None
-                else pindex.slots_of(pids)
-            )
-            seg_by_slot = np.full(len(pindex), -1, dtype=np.intp)
-            seg_by_slot[pid_slots] = np.arange(len(pids), dtype=np.intp)
-        else:
-            pid_slots = np.zeros(0, dtype=np.intp)
-            seg_by_slot = np.zeros(0, dtype=np.intp)
+        pid_slots = cat_slots[live_part].astype(np.intp)
+        seg_by_slot = np.full(
+            len(self._index.partition_index), -1, dtype=np.intp
+        )
+        seg_by_slot[pid_slots] = np.arange(len(pids), dtype=np.intp)
         flat = _FlatState(
             key=key,
             pids=pids,
@@ -276,10 +274,7 @@ class Incidence:
             offsets=offsets,
             counts=counts,
             rep_slots=slots_all[live_rep],
-            rep_sids=sids_all[live_rep],
-            rep_rows=rows[live_rep],
-            aligned=aligned,
-            all_aligned=bool(aligned.all()),
+            rep_rows=rows_all[live_rep],
             n_slots=n_slots,
         )
         self._flat_cache = flat
@@ -289,82 +284,60 @@ class Incidence:
 
     def _aligned_rows(self, view, offsets_all: np.ndarray,
                       counts_all: np.ndarray, n_all: int
-                      ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Ledger rows in catalog replica order, plus per-segment flags
-        (and, on the vectorized path, every catalog pid's index slot).
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ledger rows in catalog replica order, per-segment match
+        flags, and every catalog pid's index slot.
 
-        Vectorized path, incrementally maintained: the alignment is
-        cached against (catalog version, registry version, ledger
-        compactions) — notably *not* the cloud/membership versions, so
-        pure churn epochs reuse it untouched.  When the versions moved
-        but the catalog/registry journals prove the delta was a small
-        set of touched partitions, only those segments are rebuilt
-        (from the registry's maintained row mirror) and the untouched
-        regions are spliced across as contiguous block copies.  The
-        full (slot, spawn-sequence) lexsort — whose per-partition block
-        order mirrors the catalog's placement order because spawn
-        appends and rehome re-sequences to the end, the same mutations
-        in the same order the catalog's member lists saw — survives in
-        :meth:`_rebuild_alignment` as the structural/fallback path, and
-        is what splices are cross-checked against in the tests.  A
-        segment whose row block cannot be matched 1:1 with the catalog
-        is flagged misaligned (−1 rows) on every path alike.  The slow
-        keyed path — one Python lookup per partition — serves
-        registries without a shared partition index.
+        Incrementally maintained: the alignment is cached against
+        (catalog version, registry version, ledger compactions) —
+        notably *not* the cloud/membership versions, so pure churn
+        epochs reuse it untouched.  When the versions moved but the
+        catalog/registry journals prove the delta was a small set of
+        touched partitions, only those segments are rebuilt (from the
+        registry's maintained row mirror) and the untouched regions are
+        spliced across as contiguous block copies.  The full (slot,
+        spawn-sequence) lexsort — whose per-partition block order
+        mirrors the catalog's placement order because spawn appends and
+        rehome re-sequences to the end, the same mutations in the same
+        order the catalog's member lists saw — survives in
+        :meth:`_rebuild_alignment` as the structural path, and is what
+        splices are cross-checked against in the tests.  A segment whose
+        row block cannot be matched 1:1 with the catalog is flagged
+        (−1 rows) on every path alike.
         """
         registry = self._registry
-        pindex = (
-            self._index.partition_index if self._index is not None else None
+        cache = self._align_cache
+        key = (
+            self._catalog.version, registry.version, registry.compactions,
         )
-        if pindex is not None and registry.partition_index is pindex:
-            cache = self._align_cache
-            key = (
-                self._catalog.version, registry.version,
-                registry.compactions,
-            )
-            if cache is not None and cache.key == key:
-                # Pure cloud/membership movement: the alignment depends
-                # on neither, so churn epochs reuse the arrays whole.
-                self.align_reuses += 1
-                return cache.rows_all, cache.aligned_all, cache.cat_slots
-            spliced = None
-            if cache is not None:
-                touched = self._splice_touched(cache)
-                if touched is not None:
-                    spliced = self._splice_alignment(
-                        cache, touched, view, offsets_all, counts_all,
-                        n_all, key,
-                    )
-            if spliced is not None:
-                self.align_splices += 1
-                if self.align_check:
-                    self._verify_alignment(
-                        spliced, view, offsets_all, counts_all, n_all, key
-                    )
-                cache = spliced
-            else:
-                cache = self._rebuild_alignment(
-                    view, offsets_all, counts_all, n_all, key
-                )
-                self.align_rebuilds += 1
-            self._align_cache = cache
-            self._cat_journal.rebase()
+        if cache is not None and cache.key == key:
+            # Pure cloud/membership movement: the alignment depends on
+            # neither, so churn epochs reuse the arrays whole.
+            self.align_reuses += 1
             return cache.rows_all, cache.aligned_all, cache.cat_slots
-        rows_all = np.empty(n_all, dtype=np.intp)
-        aligned_all = np.ones(len(counts_all), dtype=bool)
-        rows_of = registry.rows_of
-        counts_list = counts_all.tolist()
-        pos = 0
-        for i, pid in enumerate(view.pids):
-            n = counts_list[i]
-            rows = rows_of(pid)
-            if rows is not None and len(rows) == n:
-                rows_all[pos:pos + n] = rows
-            else:
-                rows_all[pos:pos + n] = -1
-                aligned_all[i] = False
-            pos += n
-        return rows_all, aligned_all, None
+        spliced = None
+        if cache is not None:
+            touched = self._splice_touched(cache)
+            if touched is not None:
+                spliced = self._splice_alignment(
+                    cache, touched, view, offsets_all, counts_all, n_all,
+                    key,
+                )
+        if spliced is not None:
+            self.align_splices += 1
+            if self.align_check:
+                self._verify_alignment(
+                    spliced, view, offsets_all, counts_all, n_all, key
+                )
+            cache = spliced
+        else:
+            cache = self._rebuild_alignment(
+                view, offsets_all, counts_all, n_all, key
+            )
+            self.align_rebuilds += 1
+        self._align_cache = cache
+        self._cat_journal.rebase()
+        return cache.rows_all, cache.aligned_all, cache.cat_slots
 
     def _splice_touched(self, cache: _AlignCache) -> Optional[set]:
         """The touched-partition set, when the journals prove the delta.
@@ -403,8 +376,8 @@ class Incidence:
         therefore the segment layout — is unchanged, so every untouched
         region is one contiguous slice in both the old and new
         per-replica arrays.  Touched segments re-read the registry's
-        row mirror, with exactly the slow path's length check deciding
-        the per-segment aligned flag.  Any inconsistency (unknown pid,
+        row mirror, with a length check deciding the per-segment match
+        flag.  Any inconsistency (unknown pid,
         shifted gap length) returns None — rebuild instead.
         """
         registry = self._registry
@@ -465,7 +438,7 @@ class Incidence:
         Live rows sorted by (partition slot, spawn sequence) form
         contiguous per-partition blocks; each catalog segment gathers
         its block by slot.  This is the splice's ground truth and the
-        structural-event fallback; the lint gate pins the module's only
+        structural-event path; the lint gate pins the module's only
         ``np.lexsort`` here.
         """
         registry = self._registry
@@ -592,10 +565,8 @@ class Incidence:
         window = self._registry.window
         neg_run, pos_run = self._registry.ledger.streak_run_vectors()
         rows = flat.rep_rows
-        valid = rows >= 0
-        safe = np.where(valid, rows, 0)
-        neg_rep = valid & (neg_run[safe] >= window)
-        pos_rep = valid & (pos_run[safe] >= window)
+        neg_rep = neg_run[rows] >= window
+        pos_rep = pos_run[rows] >= window
         offsets = flat.offsets[:-1]
         if neg_rep.any():
             contrib = self._batched_contributions(flat)
@@ -614,5 +585,5 @@ class Incidence:
         else:
             act_rep = pos_rep
         any_act = np.logical_or.reduceat(act_rep, offsets)
-        visit = (avail < thr) | any_act | ~flat.aligned
+        visit = (avail < thr) | any_act
         return flat, visit

@@ -115,14 +115,9 @@ class PlacementScorer:
     class_div_extends: int = 0
 
     def __init__(self, cloud: Cloud, board: PriceBoard,
-                 rent_weight: float = 1.0,
                  storage_alpha: float = 1.0,
                  epochs_per_month: int = 720,
                  alive_override: Optional[np.ndarray] = None) -> None:
-        if rent_weight < 0:
-            raise PlacementError(
-                f"rent_weight must be >= 0, got {rent_weight}"
-            )
         if storage_alpha < 0:
             raise PlacementError(
                 f"storage_alpha must be >= 0, got {storage_alpha}"
@@ -136,6 +131,8 @@ class PlacementScorer:
         self._slot_of: Dict[int, int] = {
             sid: i for i, sid in enumerate(self._ids)
         }
+        # Posted rents, bumped in place by every queued transfer: eq. 3's
+        # cost term for the scan and the ceiling build.
         self._rents = board.price_vector(self._ids)
         self._conf = cloud.confidence_vector()
         self._storage = cloud.storage_available_vector()
@@ -151,7 +148,6 @@ class PlacementScorer:
             alive_override if alive_override is not None
             else cloud.alive_vector()
         )
-        self._rent_weight = rent_weight
         self._storage_alpha = storage_alpha
         self._headroom: Dict[str, np.ndarray] = {}
         self._gain_cache: Dict[object, np.ndarray] = {}
@@ -176,9 +172,6 @@ class PlacementScorer:
         self._touch_clock = 0
         self._enable_clock = -1
         self._released: List[Tuple[int, int]] = []
-        # ``w · rent`` per slot, kept current through every rent bump:
-        # the scan's and the ceiling build's cost term.
-        self._cost = rent_weight * self._rents
         # Clocked floors (:meth:`rent_floor`) per (feasibility key, bump
         # bytes), their eq. 1 bump vectors, and skip queries / proofs.
         self._floors: Dict[
@@ -265,12 +258,12 @@ class PlacementScorer:
                          ) -> Tuple[np.ndarray, np.ndarray]:
         gain = self._diversity_gain(replica_servers, cache_key)
         if g is None:
-            return gain, gain - self._cost
+            return gain, gain - self._rents
         if len(g) != len(self._ids):
             raise PlacementError(
                 f"g has {len(g)} entries for {len(self._ids)} servers"
             )
-        return gain, gain * g - self._cost
+        return gain, gain * g - self._rents
 
     def best(self, replica_servers: Sequence[int], *,
              need_bytes: int = 0,
@@ -345,7 +338,7 @@ class PlacementScorer:
         """The eq. 3 argmax read off the maximum-diversity ceiling.
 
         A slot on a continent no member of the n-server set B sits on
-        scores ``V(j) = ((63n)·conf_j)[·g_j] − w·rent_j`` whatever B is;
+        scores ``V(j) = ((63n)·conf_j)[·g_j] − rent_j`` whatever B is;
         every other slot's diversity sum is at most 63n − 32.  So the
         first-index argmax ``c`` of ``V`` over the feasible off-continent
         slots is the scan's answer while ``V(c)`` strictly beats every
@@ -405,35 +398,35 @@ class PlacementScorer:
                     not_c = self._not_on[c] = self._cont != c
                 off = off & not_c
         gain = (63.0 * n) * self._conf
-        # Every capped score is at most ``cap − min(cost)``: fp multiply
+        # Every capped score is at most ``cap − min(rent)``: fp multiply
         # and subtract are monotone on the non-negative conf and g.
         cap = (63.0 * n - 32.0) * self._conf_max
         if g is not None:
             gain, cap = gain * g, cap * float(g.max(initial=0.0))
         # Masked reductions as fills: ``where=`` reductions cost more.
-        cost = self._cost
-        scores = np.where(off, gain - cost, -np.inf)
+        rents = self._rents
+        scores = np.where(off, gain - rents, -np.inf)
         slot, found = -1, None
         best = int(scores.argmax())
         top = scores[best]
-        if top > cap - cost.min(initial=np.inf) or top > self._capped(
+        if top > cap - rents.min(initial=np.inf) or top > self._capped(
             n, g, mask & ~off
         ):
             slot, found = best, Candidate(
                 self._ids[best], float(top),
                 float((63.0 * n) * self._conf[best]),
-                float(self._rents[best]),
+                float(rents[best]),
             )
         self._ceil[key] = (self._touch_clock, slot, found)
         return found
 
     def _capped(self, n: int, g: Optional[np.ndarray],
                 where: np.ndarray) -> float:
-        """Max over ``where`` of ``((63n − 32)·conf)[·g] − w·rent``."""
+        """Max over ``where`` of ``((63n − 32)·conf)[·g] − rent``."""
         capped = (63.0 * n - 32.0) * self._conf
         if g is not None:
             capped = capped * g
-        return np.where(where, capped - self._cost, -np.inf).max(
+        return np.where(where, capped - self._rents, -np.inf).max(
             initial=-np.inf
         )
 
@@ -452,7 +445,7 @@ class PlacementScorer:
             return True
         need_bytes, budget, headroom_fraction, n, bits = key[:5]
         mask = self.feasible_mask(need_bytes, budget, headroom_fraction)
-        cont, conf, cost = self._cont_l, self._conf, self._cost
+        cont, conf, rents = self._cont_l, self._conf, self._rents
         score = found.score
         for at, r in reversed(self._released):
             if at <= tick:
@@ -463,7 +456,7 @@ class PlacementScorer:
             v = (63.0 * n if off else 63.0 * n - 32.0) * conf[r]
             if g is not None:
                 v = v * g[r]
-            v = v - cost[r]
+            v = v - rents[r]
             if v > score or v == score and (not off or r < slot):
                 return True
         return False
@@ -612,7 +605,6 @@ class PlacementScorer:
             self._usage_price[idx] * self._storage_alpha * nbytes
             / self._capacity[idx]
         )
-        self._cost[idx] = self._rent_weight * self._rents[idx]
         self._refresh_masks(idx)
 
     def release_storage(self, server_id: int, nbytes: int) -> None:

@@ -4,7 +4,6 @@ epoch-kernel names every decider accepts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.store.consistency import DEFAULT_CONSISTENCY, ConsistencyModel
 
@@ -22,7 +21,8 @@ class PolicyError(ValueError):
 
 
 class KernelError(ValueError):
-    """Raised for unknown epoch-kernel names, and when an incremental
+    """Raised for unknown epoch-kernel names, for a catalog replica
+    whose ledger row the incidence cannot match, and when an incremental
     incidence splice diverges from the full rebuild it is checked
     against (:attr:`~repro.core.incidence.Incidence.align_check`)."""
 
@@ -36,20 +36,18 @@ class EconomicPolicy:
     normalises query utility to monetary units (eq. 5's u); every
     agent's utility is floored at the epoch's lowest rent (the §II-C
     anti-thrashing rule, not a knob).  ``repair_iterations`` bounds how
-    many replicas an SLA repair may add in a single epoch;
-    ``max_replicas`` is an optional hard cap on the economically chosen
-    replication degree (SLA repairs ignore it).  A move of a partition
-    larger than its source's migration budget always rides the
-    replication budget.
+    many replicas an SLA repair may add in a single epoch.  Eq. 3
+    weighs a candidate's rent at 1 against its diversity gain, and the
+    economically chosen replication degree has no cap beyond what
+    popularity funds.  A move of a partition larger than its source's
+    migration budget always rides the replication budget.
     """
 
     hysteresis: int = 3
     revenue_per_query: float = 0.01
     repair_iterations: int = 8
-    rent_weight: float = 1.0
     migration_margin: float = 0.05
     storage_headroom: float = 0.1
-    max_replicas: Optional[int] = None
     consistency: ConsistencyModel = DEFAULT_CONSISTENCY
 
     def __post_init__(self) -> None:
@@ -65,10 +63,6 @@ class EconomicPolicy:
             raise PolicyError(
                 f"repair_iterations must be >= 1, got {self.repair_iterations}"
             )
-        if self.rent_weight < 0:
-            raise PolicyError(
-                f"rent_weight must be >= 0, got {self.rent_weight}"
-            )
         if not 0.0 <= self.migration_margin < 1.0:
             raise PolicyError(
                 f"migration_margin must be in [0, 1), got "
@@ -78,10 +72,6 @@ class EconomicPolicy:
             raise PolicyError(
                 f"storage_headroom must be in [0, 1), got "
                 f"{self.storage_headroom}"
-            )
-        if self.max_replicas is not None and self.max_replicas < 1:
-            raise PolicyError(
-                f"max_replicas must be >= 1, got {self.max_replicas}"
             )
 
 

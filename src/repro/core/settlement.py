@@ -24,7 +24,7 @@ from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex
 from repro.core.board import PriceBoard
 from repro.core.incidence import Incidence
-from repro.core.policy import EconomicPolicy
+from repro.core.policy import EconomicPolicy, KernelError
 from repro.ring.partition import PartitionId
 from repro.store.replica import ReplicaCatalog
 from repro.workload.mix import EpochLoad
@@ -92,21 +92,17 @@ def settle_batched(cloud: Cloud, registry: AgentRegistry,
     """
     floor = board.min_price()
     flat = incidence.flat_state()
-    n_parts = len(flat.pids)
     n_rep = len(flat.rep_slots)
     if not n_rep:
         return np.zeros(flat.n_slots, dtype=np.float64)
 
-    if load.index is index.partition_index:
-        # Dense path: the load's counts live in the same slot space
-        # as the flat state — one gather replaces P dict lookups.
-        q_part = load.counts_at(flat.pid_slots).astype(np.float64)
-    else:
-        queries_for = load.queries_for
-        q_part = np.fromiter(
-            (queries_for(pid) for pid in flat.pids), dtype=np.float64,
-            count=n_parts,
+    if load.index is not index.partition_index:
+        raise KernelError(
+            "batched settlement needs the epoch load drawn in the "
+            "availability index's partition slot space"
         )
+    # The load's counts live in the flat state's slot space: one gather.
+    q_part = load.counts_at(flat.pid_slots).astype(np.float64)
     counts = flat.counts
     q_rep = np.repeat(q_part, counts)
     count_rep = np.repeat(counts.astype(np.float64), counts)
@@ -157,20 +153,6 @@ def settle_batched(cloud: Cloud, registry: AgentRegistry,
     if touched.size:
         cloud.record_queries_at(touched, totals[touched])
 
-    # Agent ledger: one vectorized column write for the aligned
-    # rows; keyed fallback for any misaligned partition.
-    if flat.all_aligned:
-        registry.record_batch(flat.rep_rows, utilities, rents)
-    else:
-        ok = np.repeat(flat.aligned, counts)
-        registry.record_batch(
-            flat.rep_rows[ok], utilities[ok], rents[ok]
-        )
-        get_agent = registry.get
-        offsets = flat.offsets
-        for p in np.flatnonzero(~flat.aligned).tolist():
-            pid = flat.pids[p]
-            for j in range(int(offsets[p]), int(offsets[p + 1])):
-                agent = get_agent(pid, int(flat.rep_sids[j]))
-                agent.record(float(utilities[j]), float(rents[j]))
+    # Agent ledger: one vectorized column write.
+    registry.record_batch(flat.rep_rows, utilities, rents)
     return totals

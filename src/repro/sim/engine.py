@@ -36,7 +36,7 @@ from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex, availability
 from repro.core.board import PriceBoard, update_board
 from repro.core.decision import DecisionEngine
-from repro.core.economy import CloudCostIndex, UsageTracker
+from repro.core.economy import CloudCostIndex
 from repro.core.placement import proximity_weights
 from repro.core.policy import DecisionStats, EconomicPolicy
 from repro.net.membership import MembershipService, OracleMembership
@@ -90,8 +90,8 @@ class SimContext:
 class Decider(Protocol):
     """What :class:`Simulation` asks of a policy each epoch: settle
     eq. 5, run one decision pass, and hand the cost index settlement's
-    per-slot query totals (``None`` turns vectorized eq. 1 pricing off)
-    with the cloud version they were computed under."""
+    per-slot query totals with the cloud version they were computed
+    under (the vectorized kernel refuses a ``None``)."""
 
     query_totals: Optional[np.ndarray]
     query_totals_version: int
@@ -158,8 +158,6 @@ class Simulation:
         self.partition_index: Optional[PartitionIndex] = None
         # Vectorized eq. 1: slot-ordered cost vectors maintained by the
         # catalog listener replace the per-server Python pricing loop.
-        # (Usage-normalised pricing needs per-server trailing means and
-        # stays on the scalar path.)
         self.cost_index: Optional[CloudCostIndex] = None
         if config.kernel == "vectorized":
             self.partition_index = PartitionIndex()
@@ -167,10 +165,9 @@ class Simulation:
             self.avail_index = AvailabilityIndex(
                 self.cloud, self.catalog, partitions=self.partition_index
             )
-            if not config.rent_model.normalize_by_usage:
-                self.cost_index = CloudCostIndex(
-                    self.cloud, config.rent_model, self.catalog
-                )
+            self.cost_index = CloudCostIndex(
+                self.cloud, config.rent_model, self.catalog
+            )
         self.registry = AgentRegistry(
             config.policy.hysteresis,
             partition_index=self.partition_index,
@@ -242,14 +239,6 @@ class Simulation:
         overlays = config.net is not None or config.data_plane is not None
         self.robustness = RobustnessLog() if overlays else None
         self.serving_log = ServingLog() if config.serving is not None else None
-        # Usage-normalised pricing (§II-A: up derived from "the mean
-        # usage of the server in the previous month") tracks a trailing
-        # usage mean only when the rent model asks for it.
-        self.usage_tracker: Optional[UsageTracker] = None
-        if config.rent_model.normalize_by_usage:
-            self.usage_tracker = UsageTracker(
-                horizon=config.rent_model.epochs_per_month
-            )
         self._g_of_app: Dict[int, Optional[np.ndarray]] = {}
         self._g_dirty = True
         self._epoch = 0
@@ -438,26 +427,23 @@ class Simulation:
                 service.on_removed(sid)
         if added or removed:
             self._g_dirty = True
-        if self.usage_tracker is not None and epoch > 0:
-            # Observe last epoch's usage before counters reset.
-            self.usage_tracker.observe_cloud(self.cloud)
         cost_index = self.cost_index
         if cost_index is not None and epoch > 0:
             # Hand the previous settlement's per-slot query totals to
-            # the cost index (eq. 1's query-load term).  A decider that
-            # leaves them ``None`` (custom settle) disables the
-            # vectorized pricing path for the rest of the run.
+            # the cost index (eq. 1's query-load term).
             totals = self.decider.query_totals
             if totals is None:
-                cost_index.detach()
-                self.cost_index = cost_index = None
-            else:
-                cost_index.set_query_totals(
-                    totals, self.decider.query_totals_version
+                raise SimulationError(
+                    f"epoch {epoch}: the decider's settle left "
+                    f"query_totals as None; the vectorized kernel prices "
+                    f"eq. 1 from settlement's per-slot query totals"
                 )
+            cost_index.set_query_totals(
+                totals, self.decider.query_totals_version
+            )
         update_board(
             self.board, epoch, self.cloud, self.config.rent_model,
-            self.usage_tracker, cost_index,
+            cost_index,
         )
         board = self.board
         if service is not None:

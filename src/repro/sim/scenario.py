@@ -532,15 +532,36 @@ class PolicySpec:
     hysteresis: int = 3
     revenue_per_query: float = 0.01
     repair_iterations: int = 8
+    #: Only 1.0 (eq. 3 weighs rent at 1); kept because frozen spec
+    #: files name it.
     rent_weight: float = 1.0
     migration_margin: float = 0.05
     storage_headroom: float = 0.1
+    #: Only None (no cap on the economic replication degree); kept
+    #: because frozen spec files name it.
     max_replicas: Optional[int] = None
 
     def compile(self) -> EconomicPolicy:
-        return EconomicPolicy(**dataclasses.asdict(self))
+        return EconomicPolicy(
+            hysteresis=self.hysteresis,
+            revenue_per_query=self.revenue_per_query,
+            repair_iterations=self.repair_iterations,
+            migration_margin=self.migration_margin,
+            storage_headroom=self.storage_headroom,
+        )
 
     def __post_init__(self) -> None:
+        if self.rent_weight != 1.0:
+            raise SpecError(
+                f"policy: rent_weight must be 1.0 (eq. 3 weighs rent at "
+                f"1), got {self.rent_weight!r}"
+            )
+        if self.max_replicas is not None:
+            raise SpecError(
+                f"policy: max_replicas must be null (the economic "
+                f"replication degree is uncapped), got "
+                f"{self.max_replicas!r}"
+            )
         self.compile()  # delegate validation to EconomicPolicy
 
 
@@ -550,15 +571,19 @@ class EconomySpec:
 
     alpha: float = 1.0
     beta: float = 1.0
+    #: Only false (``up`` is the monthly rent spread over the month's
+    #: epochs); kept because frozen spec files name it.
     normalize_by_usage: bool = False
 
     def compile(self) -> RentModel:
-        return RentModel(
-            alpha=self.alpha, beta=self.beta,
-            normalize_by_usage=self.normalize_by_usage,
-        )
+        return RentModel(alpha=self.alpha, beta=self.beta)
 
     def __post_init__(self) -> None:
+        if self.normalize_by_usage:
+            raise SpecError(
+                "economy: normalize_by_usage must be false (usage-"
+                "normalised eq. 1 pricing is not modelled)"
+            )
         self.compile()  # delegate validation to RentModel
 
 

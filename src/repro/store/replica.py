@@ -120,9 +120,6 @@ class ReplicaCatalog:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener: CatalogListener) -> None:
-        self._listeners = [l for l in self._listeners if l is not listener]
-
     def _touch(self) -> None:
         self._version += 1
 

@@ -34,7 +34,7 @@ from repro.core.placement import PlacementScorer
 KINDS = ("replication", "migration")
 
 
-def build(continents, confs, rents, removed=(), rent_weight=1.0):
+def build(continents, confs, rents, removed=()):
     """One server per entry of ``continents``; ids in ``removed`` are
     dropped from the cloud again before the scorer is built."""
     cloud = Cloud()
@@ -49,7 +49,7 @@ def build(continents, confs, rents, removed=(), rent_weight=1.0):
         cloud.remove_server(sid)
     board = PriceBoard()
     board.post(0, {sid: rents[sid] for sid in cloud.server_ids})
-    return cloud, PlacementScorer(cloud, board, rent_weight=rent_weight)
+    return cloud, PlacementScorer(cloud, board)
 
 
 @st.composite
@@ -79,8 +79,7 @@ def clouds(draw):
         )))
         for __ in range(draw(st.integers(0, 2)))
     ]
-    weight = draw(st.sampled_from((1.0, 0.25)))
-    return continents, confs, rents, removed, gs, weight
+    return continents, confs, rents, removed, gs
 
 
 @st.composite
@@ -107,8 +106,8 @@ def scripts(draw):
 
 
 def run_script(cloud_args, script):
-    continents, confs, rents, removed, gs, weight = cloud_args
-    cloud, scorer = build(continents, confs, rents, removed, weight)
+    continents, confs, rents, removed, gs = cloud_args
+    cloud, scorer = build(continents, confs, rents, removed)
     live = cloud.server_ids
     for step in script:
         if step[0] == "consume":

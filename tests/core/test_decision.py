@@ -7,7 +7,7 @@ from repro.cluster.location import Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core.agent import AgentRegistry
-from repro.core.availability import availability
+from repro.core.availability import AvailabilityIndex, availability
 from repro.core.board import PriceBoard
 from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
@@ -51,21 +51,37 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
     )
     catalog = ReplicaCatalog(cloud)
     pol = policy or EconomicPolicy(hysteresis=2)
-    registry = AgentRegistry(pol.hysteresis)
+    # The registry shares the decider's partition index, as in a
+    # Simulation: the vectorized kernel's alignment reads its slots.
+    index = AvailabilityIndex(cloud, catalog)
+    registry = AgentRegistry(
+        pol.hysteresis, partition_index=index.partition_index
+    )
     transfers = TransferEngine(cloud, catalog)
-    engine = DecisionEngine(cloud, rings, catalog, registry, transfers, pol)
+    engine = DecisionEngine(
+        cloud, rings, catalog, registry, transfers, pol, avail_index=index
+    )
     board = PriceBoard()
     board.post(0, RentModel(epochs_per_month=100).price_cloud(cloud))
     return cloud, rings, ring, catalog, registry, transfers, engine, board
 
 
-def load_for(ring, queries=0):
-    per_partition = {p.pid: queries for p in ring}
+def load_for(ring, queries=0, registry=None):
+    """``queries`` per partition of ``ring``; dense in the registry's
+    partition slot space when one is given (what settlement reads)."""
+    total = queries * len(ring)
+    if registry is None:
+        return EpochLoad(
+            epoch=0, total_queries=total, per_app={0: total},
+            per_partition={p.pid: queries for p in ring},
+        )
+    index = registry.partition_index
+    slots = [index.slot_of(p.pid) for p in ring]
+    counts = np.zeros(len(index), dtype=np.int64)
+    counts[slots] = queries
     return EpochLoad(
-        epoch=0,
-        total_queries=queries * len(per_partition),
-        per_app={0: queries * len(per_partition)},
-        per_partition=per_partition,
+        epoch=0, total_queries=total, per_app={0: total},
+        counts=counts, index=index,
     )
 
 
@@ -259,22 +275,6 @@ class TestEconomicReplication:
         stats = engine.decide(board, load_for(ring, queries=10), RNG)
         assert stats.economic_replications == 0
 
-    def test_max_replicas_cap(self):
-        policy = EconomicPolicy(
-            hysteresis=2, revenue_per_query=0.01, max_replicas=2
-        )
-        cloud, rings, ring, catalog, registry, __, engine, board = harness(
-            threshold=20.0, policy=policy
-        )
-        p = ring.partitions()[0]
-        for sid in (0, 2):
-            catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
-        force_streak(registry, p.pid, +1.0)
-        stats = engine.decide(board, load_for(ring, queries=10_000), RNG)
-        assert stats.economic_replications == 0
-        assert len(catalog.servers_of(p.pid)) == 2
-
     def test_replication_resets_initiator_history(self):
         policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
@@ -298,7 +298,7 @@ class TestSettle:
         for sid in (0, 2):
             catalog.place(p, sid)
             registry.spawn(p.pid, sid)
-        engine.settle(load_for(ring, queries=100), board)
+        engine.settle(load_for(ring, queries=100, registry=registry), board)
         assert cloud.server(0).queries_this_epoch == pytest.approx(50.0)
         assert cloud.server(2).queries_this_epoch == pytest.approx(50.0)
         agent = registry.get(p.pid, 0)
@@ -313,7 +313,7 @@ class TestSettle:
         p = ring.partitions()[0]
         catalog.place(p, 0)
         registry.spawn(p.pid, 0)
-        engine.settle(load_for(ring, queries=0), board)
+        engine.settle(load_for(ring, queries=0, registry=registry), board)
         agent = registry.get(p.pid, 0)
         # Floored utility == min rent; rent on server 0 == min rent
         # (all same price) -> balance exactly 0.

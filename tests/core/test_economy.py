@@ -11,7 +11,6 @@ from repro.core.economy import (
     CloudCostIndex,
     EconomyError,
     RentModel,
-    UsageTracker,
 )
 from repro.ring.keyspace import KeyRange
 from repro.ring.partition import Partition, PartitionId
@@ -59,21 +58,6 @@ class TestRentModel:
         server.allocate_storage(50)
         assert model.price(server) > p0
 
-    def test_usage_normalized_pricing(self):
-        model = RentModel(normalize_by_usage=True, epochs_per_month=100)
-        server = make_server(0, LOC, monthly_rent=100.0)
-        # Busy server: up is spread over more usage -> lower marginal price.
-        busy = model.usage_price(server, mean_usage=0.5)
-        idle = model.usage_price(server, mean_usage=0.1)
-        assert busy < idle
-
-    def test_usage_floor_prevents_divide_blowup(self):
-        model = RentModel(normalize_by_usage=True, mean_usage_floor=0.05)
-        server = make_server(0, LOC, monthly_rent=100.0)
-        assert model.usage_price(server, mean_usage=0.0) == (
-            model.usage_price(server, mean_usage=0.05)
-        )
-
     def test_price_cloud(self):
         model = RentModel()
         cloud = Cloud()
@@ -90,41 +74,9 @@ class TestRentModel:
             RentModel(alpha=-1)
         with pytest.raises(EconomyError):
             RentModel(epochs_per_month=0)
-        with pytest.raises(EconomyError):
-            RentModel(mean_usage_floor=0.0)
 
     def test_default_epoch_count_is_a_month_of_hours(self):
         assert DEFAULT_EPOCHS_PER_MONTH == 720
-
-
-class TestUsageTracker:
-    def test_first_observation_sets_mean(self):
-        tracker = UsageTracker(horizon=10)
-        server = make_server(0, LOC, storage_capacity=100, query_capacity=10)
-        server.allocate_storage(50)
-        tracker.observe(server)
-        assert tracker.mean_usage(0) == pytest.approx(0.25)
-
-    def test_ewma_moves_toward_new_usage(self):
-        tracker = UsageTracker(horizon=2)
-        server = make_server(0, LOC, storage_capacity=100, query_capacity=10)
-        tracker.observe(server)  # usage 0
-        server.allocate_storage(100)
-        server.record_queries(10)
-        tracker.observe(server)  # usage 1.0
-        mean = tracker.mean_usage(0)
-        assert 0.0 < mean < 1.0
-
-    def test_query_load_clipped_at_one(self):
-        tracker = UsageTracker()
-        server = make_server(0, LOC, query_capacity=10)
-        server.record_queries(100)  # load 10x
-        tracker.observe(server)
-        assert tracker.mean_usage(0) <= 0.5  # (0 storage + 1.0 clipped)/2
-
-    def test_invalid_horizon(self):
-        with pytest.raises(EconomyError):
-            UsageTracker(horizon=0)
 
 
 def _cost_harness(n=4, model=None):
@@ -213,28 +165,3 @@ class TestCloudCostIndex:
             np.full(len(cloud), 1e9), cloud.version - 1
         )
         _assert_prices_match(index, model, cloud)
-
-    def test_detach_stops_consuming_catalog_events(self):
-        cloud, catalog, model, index = _cost_harness()
-        index.price_vector()  # prime the maintained vectors
-        index.detach()
-        catalog.place(_partition(1), 0)
-        # No listener fired: the maintained storage vector drifted from
-        # the server objects, which verify() must now report.
-        with pytest.raises(EconomyError):
-            index.verify()
-        index.detach()  # idempotent
-
-    def test_rejects_usage_normalized_model(self):
-        cloud = Cloud([make_server(0, LOC)])
-        with pytest.raises(EconomyError):
-            CloudCostIndex(cloud, RentModel(normalize_by_usage=True))
-
-    def test_price_array_rejects_normalized_model(self):
-        model = RentModel(normalize_by_usage=True)
-        with pytest.raises(EconomyError):
-            model.price_array(
-                np.ones(1), np.zeros(1, dtype=np.int64),
-                np.ones(1, dtype=np.int64), np.zeros(1),
-                np.ones(1, dtype=np.int64),
-            )

@@ -12,6 +12,7 @@ from repro.cluster.location import Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core.agent import AgentRegistry
+from repro.core.availability import AvailabilityIndex
 from repro.core.board import PriceBoard
 from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
@@ -57,10 +58,17 @@ def build(threshold=20.0, *, partitions=1, policy=None, budgets=None,
     )
     catalog = ReplicaCatalog(cloud)
     pol = policy or EconomicPolicy(hysteresis=2)
-    registry = AgentRegistry(pol.hysteresis)
+    # The vectorized registry shares the decider's partition index, as
+    # in a Simulation: the kernel's alignment reads its slots.
+    index = AvailabilityIndex(cloud, catalog) if kernel == "vectorized" else None
+    registry = AgentRegistry(
+        pol.hysteresis,
+        partition_index=index.partition_index if index is not None else None,
+    )
     transfers = TransferEngine(cloud, catalog)
     engine = DecisionEngine(
-        cloud, rings, catalog, registry, transfers, pol, kernel=kernel
+        cloud, rings, catalog, registry, transfers, pol, kernel=kernel,
+        avail_index=index,
     )
     board = PriceBoard()
     board.post(0, RentModel(epochs_per_month=100).price_cloud(cloud))

@@ -1,6 +1,7 @@
 """Integration tests for the epoch simulator."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from repro.baselines.random_placement import random_placement_decider
 from repro.baselines.static import static_decider
 from repro.cluster.events import AddServers, EventSchedule, RemoveServers
 from repro.cluster.topology import CloudLayout
+from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
-from repro.core.policy import EconomicPolicy
+from repro.core.policy import EconomicPolicy, KernelError
 from repro.ring import virtualring
 from repro.sim.config import (
     AppConfig,
@@ -306,6 +308,29 @@ class TestSplits:
 def test_shipped_deciders_satisfy_the_decider_protocol(factory):
     sim = Simulation(small_config(epochs=1), decider_factory=factory)
     assert isinstance(sim.decider, Decider)
+
+
+class TestVectorizedContracts:
+    """What the vectorized kernel refuses rather than recovers from."""
+
+    def test_a_ledger_row_retired_behind_the_catalog_is_refused(self):
+        sim = Simulation(small_config(epochs=2))
+        sim.step()
+        pid = sim.rings.layout().pids[0]
+        sim.registry.retire(pid, sim.catalog.servers_of(pid)[0])
+        with pytest.raises(KernelError, match=re.escape(f"partition {pid}:")):
+            sim.decider.incidence.flat_state()
+
+    def test_a_settle_without_query_totals_is_refused(self):
+        class NoTotals(DecisionEngine):
+            def settle(self, load, board, g_of_app=None):
+                """Charges nothing and hands eq. 1 no query totals."""
+
+        sim = Simulation(small_config(epochs=2),
+                         decider_factory=NoTotals.from_context)
+        sim.step()  # epoch 0 prices the seeded cloud without totals
+        with pytest.raises(SimulationError, match="query_totals"):
+            sim.step()
 
 
 class TestRetryResurrection:

@@ -75,57 +75,3 @@ class TestFrameSanity:
         log = Simulation(small_config(epochs=5)).run()
         for frame in log:
             assert frame.min_price <= frame.mean_price <= frame.max_price
-
-
-class TestUsageNormalizedPricing:
-    def test_tracker_wired_when_enabled(self):
-        from dataclasses import replace
-
-        from repro.core.economy import RentModel
-
-        cfg = small_config(epochs=6)
-        cfg = replace(
-            cfg, rent_model=RentModel(normalize_by_usage=True,
-                                      epochs_per_month=50)
-        )
-        sim = Simulation(cfg)
-        assert sim.usage_tracker is not None
-        log = sim.run()
-        # After a few epochs every server has an observed mean usage.
-        for server in sim.cloud:
-            assert sim.usage_tracker.mean_usage(server.server_id) is not None
-        assert log.last.unsatisfied_partitions == 0
-
-    def test_tracker_absent_by_default(self):
-        sim = Simulation(small_config(epochs=2))
-        assert sim.usage_tracker is None
-
-    def test_busy_servers_priced_lower_per_usage_unit(self):
-        """Usage normalisation spreads the monthly rent over observed
-        usage: a busier server has a lower marginal price."""
-        from dataclasses import replace
-
-        from repro.core.economy import RentModel
-
-        cfg = small_config(epochs=10)
-        cfg = replace(
-            cfg, rent_model=RentModel(normalize_by_usage=True,
-                                      epochs_per_month=50)
-        )
-        sim = Simulation(cfg)
-        sim.run()
-        tracker = sim.usage_tracker
-        model = cfg.rent_model
-        servers = sorted(
-            sim.cloud,
-            key=lambda s: tracker.mean_usage(s.server_id) or 0.0,
-        )
-        idle, busy = servers[0], servers[-1]
-        if (tracker.mean_usage(busy.server_id) or 0) > (
-            tracker.mean_usage(idle.server_id) or 0
-        ) and idle.monthly_rent == busy.monthly_rent:
-            assert model.usage_price(
-                busy, tracker.mean_usage(busy.server_id)
-            ) <= model.usage_price(
-                idle, tracker.mean_usage(idle.server_id)
-            )

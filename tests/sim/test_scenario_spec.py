@@ -206,6 +206,26 @@ class TestValidation:
         }
         assert NetSpec(fabric="full").compile() == NetSpec().compile()
 
+    @pytest.mark.parametrize("section, key, value, default", [
+        ("policy", "rent_weight", 0.5, 1.0),
+        ("policy", "max_replicas", 2, None),
+        ("economy", "normalize_by_usage", True, False),
+    ])
+    def test_name_only_economy_fields_take_only_their_default(
+            self, tmp_path, section, key, value, default):
+        """Frozen spec files name these fields; only the value every
+        run uses loads, and it changes nothing."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"name": "x", "constraints": {section: {key: value}}}
+        ))
+        with pytest.raises(SpecError, match=f"^{section}: {key} must be"):
+            load_spec(path)
+        path.write_text(json.dumps(
+            {"name": "x", "constraints": {section: {key: default}}}
+        ))
+        assert load_spec(path) == ScenarioSpec(name="x")
+
     def test_net_refused_above_the_fabric_cap(self):
         big = StructureSpec(scale=100)  # 20 000 servers
         assert big.compile_layout().total_servers > FULL_FABRIC_MAX_NODES

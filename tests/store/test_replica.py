@@ -150,16 +150,6 @@ class TestListeners:
         catalog.place(p, 0)
         assert rec.events == [("storage", 0, 10), ("added", p.pid, 0)]
 
-    def test_remove_listener_stops_events(self):
-        catalog = ReplicaCatalog(cloud_of())
-        rec = _Recorder()
-        catalog.add_listener(rec)
-        p = part(size=10)
-        catalog.place(p, 0)
-        catalog.remove_listener(rec)
-        catalog.drop(p, 0)
-        assert ("removed", p.pid, 0) not in rec.events
-
     def test_move_reports_place_then_drop(self):
         catalog = ReplicaCatalog(cloud_of())
         p = part(size=10)

@@ -10,6 +10,9 @@ module defines.  The rows are read with ``ast``.
 The ``[named only]`` report is checked on a planted ``src/`` tree: an
 unreached method whose name only collides with a local variable must be
 reported there, with the line that excused it, and not fail the gate.
+So is the ``[unreached statements]`` report's line rule: a planted
+function run under the collector lists only the statements no call
+executed, with ``raise``-only blocks left out.
 """
 
 from __future__ import annotations
@@ -166,3 +169,66 @@ def test_data_model_methods_and_kept_rows_explain_without_a_match():
         census.KEPT[0][0]: [kept],
         "UNEXPLAINED": [bare],
     }
+
+
+BRANCHES = """\
+def pick(x, y):
+    if (
+        x > 0
+        and y > 0
+    ):
+        return 1
+    if x < -100:
+        raise ValueError(x)
+    if x > 100:
+        return 2
+    try:
+        y = 1 // y
+    except ZeroDivisionError:
+        raise
+    except TypeError:
+        y = 0
+    return y
+"""
+
+
+def test_statement_census_lists_what_no_run_executes(tmp_path):
+    """Run a planted function under the collector: only the body no
+    call takes (``return 2``) and the ``except TypeError`` clause are
+    listed.  The multi-line ``if`` reports its line events on its
+    operands' lines, never on its header's first line, and counts as
+    reached through the header-to-body range; the ``raise``-only
+    blocks are validation and not counted."""
+    census = load_census()
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    path = package / "branches.py"
+    path.write_text(BRANCHES)
+    namespace = {}
+    exec(compile(BRANCHES, str(path), "exec"), namespace)
+    collector = census.Collector(tmp_path / "src")
+    with collector.active():
+        namespace["pick"](1, 1)
+        namespace["pick"](1, -1)
+    assert 2 not in collector.lines[str(path)]
+    [(fn, missed)] = census.statement_census(collector, tmp_path / "src")
+    assert fn.qualname == "pick"
+    assert missed == [(10, 10), (15, 16)]
+
+
+def test_statement_ranges():
+    """A compound statement is reached through any line from its header
+    to its body's first line; an unreached one is one range."""
+    census = load_census()
+    body = ast.parse(BRANCHES).body[0].body
+    # Neither ``raise`` (lines 8, 14) ran, and neither is listed.
+    ran = {3, 4, 6, 7, 9, 10, 11, 12, 13, 15, 16, 17}
+    assert census.unreached_statements(body, ran) == []
+    # Only the operand line of the multi-line condition ran.
+    assert census.unreached_statements(body, ran - {3}) == []
+    # Nothing of the first ``if`` ran: it is listed whole, once.
+    assert census.unreached_statements(body, ran - {3, 4, 6}) == [(2, 6)]
+    assert census.unreached_statements(body, {17}) == [
+        (2, 6), (7, 8), (9, 10), (11, 16),
+    ]
+    assert census._show([(2, 6), (7, 8), (11, 16)]) == "2-8, 11-16"
