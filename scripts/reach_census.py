@@ -47,10 +47,10 @@ whole line range.  That section never fails the run either.
 
 Usage:  python scripts/reach_census.py
 
-Takes about three minutes on a laptop-class core.  Exits 1 when anything is
-``UNEXPLAINED`` (each such function is printed with its file and
-line), 0 otherwise: delete the function, or give it a ``KEPT`` row that
-says why a test needs it.
+Takes about two minutes on a laptop-class core.  Exits 1 when
+anything is ``UNEXPLAINED`` (each such function is printed with its
+file and line), 0 otherwise: delete the function, or give it a ``KEPT``
+row that says why a test needs it.
 """
 
 from __future__ import annotations
@@ -193,8 +193,9 @@ class Collector:
         self.lines: Dict[str, Set[int]] = {}
         self._src = src
         self._prefix = str(src / "repro")
-        # Per code object: its line tracer, or None once every line it
-        # can report (its ``def`` line aside) has been seen.
+        # Per code object: its line tracer, and the lines it can report
+        # (its ``def`` line aside) not seen yet; once none are left its
+        # frames run untraced.
         self._local: Dict[object, object] = {}
         self._pending: Dict[object, Set[int]] = {}
 
@@ -205,10 +206,7 @@ class Collector:
         self.entered.add((code.co_filename, code.co_firstlineno))
         if code not in self._local:
             self._local[code] = self._line_tracer(code)
-        local = self._local[code]
-        if local is not None and not self._pending[code]:
-            local = self._local[code] = None
-        return local
+        return self._local[code] if self._pending[code] else None
 
     def _line_tracer(self, code):
         seen = self.lines.setdefault(code.co_filename, set())
@@ -373,15 +371,14 @@ def unreached_statements(body: List[ast.stmt], ran: Set[int]
             if _silent(stmt):
                 continue
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                first, last = _first_line(stmt), stmt.lineno
-            elif hasattr(stmt, "body"):
-                first, last = stmt.lineno, stmt.body[0].lineno
-            else:
-                first, last = stmt.lineno, stmt.end_lineno
-            if not hit(first, last):
-                out.append((first, stmt.end_lineno))
+                first = _first_line(stmt)
+                if not hit(first, stmt.lineno):
+                    out.append((first, stmt.end_lineno))
                 continue
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            compound = hasattr(stmt, "body")
+            if not hit(stmt.lineno, stmt.body[0].lineno if compound
+                       else stmt.end_lineno):
+                out.append((stmt.lineno, stmt.end_lineno))
                 continue
             for name in ("body", "orelse", "finalbody"):
                 walk(getattr(stmt, name, []))

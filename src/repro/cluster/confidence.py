@@ -11,7 +11,7 @@ composable model so differentiated-confidence scenarios can be expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cluster.location import Location
 
@@ -70,21 +70,3 @@ class ConfidenceModel:
 def uniform_confidence(value: float = 1.0) -> ConfidenceModel:
     """The paper's experimental setting: every server equally trusted."""
     return ConfidenceModel(base=validate_confidence(value))
-
-
-def blended(technical: float, stability: float,
-            weight: Optional[float] = None) -> float:
-    """Combine a technical score with a country-stability score.
-
-    With ``weight`` w in [0, 1] the result is ``w·technical +
-    (1-w)·stability``; without a weight the geometric mean is used, which
-    punishes imbalance between the two factors (a top-grade server in an
-    unstable country should not look highly confident).
-    """
-    validate_confidence(technical)
-    validate_confidence(stability)
-    if weight is None:
-        return (technical * stability) ** 0.5
-    if not 0.0 <= weight <= 1.0:
-        raise ConfidenceError(f"weight must be in [0, 1], got {weight}")
-    return weight * technical + (1.0 - weight) * stability

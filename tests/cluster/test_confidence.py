@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.confidence import (
     ConfidenceError,
     ConfidenceModel,
-    blended,
     uniform_confidence,
 )
 from repro.cluster.location import Location
@@ -55,22 +54,3 @@ class TestServerOverrides:
     def test_invalid_value(self):
         with pytest.raises(ConfidenceError):
             ConfidenceModel(server_overrides={1: -0.1})
-
-
-class TestBlended:
-    def test_geometric_mean_default(self):
-        assert blended(0.64, 1.0) == pytest.approx(0.8)
-
-    def test_weighted(self):
-        assert blended(1.0, 0.0, weight=0.25) == pytest.approx(0.25)
-
-    def test_punishes_imbalance(self):
-        assert blended(1.0, 0.01) < blended(0.5, 0.5)
-
-    def test_invalid_weight(self):
-        with pytest.raises(ConfidenceError):
-            blended(0.5, 0.5, weight=1.5)
-
-    def test_invalid_scores(self):
-        with pytest.raises(ConfidenceError):
-            blended(1.1, 0.5)
