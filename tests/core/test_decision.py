@@ -11,7 +11,7 @@ from repro.core.availability import AvailabilityIndex, availability
 from repro.core.board import PriceBoard
 from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
-from repro.core.policy import EconomicPolicy, PolicyError
+from repro.core.policy import EconomicPolicy, KernelError, PolicyError
 from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.store.replica import ReplicaCatalog
 from repro.store.transfer import TransferEngine
@@ -32,7 +32,7 @@ LOCS = [
 
 
 def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
-            storage=10_000, initial_size=100):
+            storage=10_000, initial_size=100, kernel="vectorized"):
     cloud = Cloud()
     for i, loc in enumerate(LOCS):
         cloud.add_servers([
@@ -59,7 +59,8 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
     )
     transfers = TransferEngine(cloud, catalog)
     engine = DecisionEngine(
-        cloud, rings, catalog, registry, transfers, pol, avail_index=index
+        cloud, rings, catalog, registry, transfers, pol, kernel=kernel,
+        avail_index=index,
     )
     board = PriceBoard()
     board.post(0, RentModel(epochs_per_month=100).price_cloud(cloud))
@@ -318,3 +319,29 @@ class TestSettle:
         # Floored utility == min rent; rent on server 0 == min rent
         # (all same price) -> balance exactly 0.
         assert agent.balances[-1] == pytest.approx(0.0)
+
+    def test_vectorized_settle_refuses_a_load_off_the_partition_index(self):
+        """The batched settlement gathers query counts by partition
+        slot; a load keyed by pid alone is refused, not looked up."""
+        cloud, rings, ring, catalog, registry, __, engine, board = harness()
+        p = ring.partitions()[0]
+        catalog.place(p, 0)
+        registry.spawn(p.pid, 0)
+        with pytest.raises(KernelError, match="partition slot space"):
+            engine.settle(load_for(ring, queries=100), board)
+        assert cloud.server(0).queries_this_epoch == 0.0
+
+    def test_scalar_settle_reads_a_load_keyed_by_pid(self):
+        """The reference kernel looks each partition's queries up by
+        pid, and charges them as the batched kernel does."""
+        cloud, rings, ring, catalog, registry, __, engine, board = harness(
+            kernel="scalar"
+        )
+        p = ring.partitions()[0]
+        for sid in (0, 2):
+            catalog.place(p, sid)
+            registry.spawn(p.pid, sid)
+        engine.settle(load_for(ring, queries=100), board)
+        assert cloud.server(0).queries_this_epoch == pytest.approx(50.0)
+        assert cloud.server(2).queries_this_epoch == pytest.approx(50.0)
+        assert registry.get(p.pid, 2).epochs_alive == 1

@@ -58,6 +58,25 @@ class TestRentModel:
         server.allocate_storage(50)
         assert model.price(server) > p0
 
+    def test_price_array_is_bit_identical_to_price(self):
+        model = RentModel(alpha=2.0, beta=3.0, epochs_per_month=720)
+        servers = [
+            make_server(i, LOC, monthly_rent=100.0 + 25.0 * i,
+                        storage_capacity=1000 + 7 * i, query_capacity=10)
+            for i in range(4)
+        ]
+        for i, server in enumerate(servers):
+            server.allocate_storage(113 * i)
+            server.record_queries(2.5 * i)
+        vector = model.price_array(
+            np.array([s.monthly_rent / 720 for s in servers]),
+            np.array([s.storage_used for s in servers], dtype=np.int64),
+            np.array([s.storage_capacity for s in servers], dtype=np.int64),
+            np.array([s.queries_this_epoch for s in servers]),
+            np.array([s.query_capacity for s in servers], dtype=np.int64),
+        )
+        assert vector.tolist() == [model.price(s) for s in servers]
+
     def test_price_cloud(self):
         model = RentModel()
         cloud = Cloud()
@@ -165,3 +184,13 @@ class TestCloudCostIndex:
             np.full(len(cloud), 1e9), cloud.version - 1
         )
         _assert_prices_match(index, model, cloud)
+
+    def test_verify_reports_storage_moved_behind_the_catalog(self):
+        """Storage that changes on a server object without a catalog
+        event is drift the maintained vector cannot see."""
+        cloud, catalog, model, index = _cost_harness()
+        catalog.place(_partition(1), 0)
+        index.verify()
+        cloud.server(1).allocate_storage(77)
+        with pytest.raises(EconomyError, match="storage drift on server 1"):
+            index.verify()

@@ -113,6 +113,23 @@ class TestScoring:
         assert scorer.best([0], need_bytes=1).server_id == 3
 
 
+    def test_a_queued_transfer_bumps_its_targets_rent(self):
+        """Eq. 3 weighs the rent bumped by every queued transfer: the
+        tie between servers 2 and 3 flips to whichever was bumped less,
+        and the candidate carries its bumped rent."""
+        cloud, board = build(FOUR)
+        scorer = PlacementScorer(cloud, board)
+        assert scorer.best([0], need_bytes=10).server_id == 2
+        bump = scorer.anticipated_rent_bump(2, 500)
+        assert bump > 0.0
+        scorer.consume_budget(2, 500, "replication")
+        assert scorer.best([0], need_bytes=10).server_id == 3
+        scorer.consume_budget(3, 600, "replication")
+        candidate = scorer.best([0], need_bytes=10)
+        assert candidate.server_id == 2
+        assert candidate.rent == 1.0 + bump
+        assert candidate.score == 63.0 - (1.0 + bump)
+
 class TestFeasibilityMasks:
     def test_existing_replicas_excluded(self):
         cloud, board = build(FOUR)

@@ -321,6 +321,42 @@ class TestVectorizedContracts:
         with pytest.raises(KernelError, match=re.escape(f"partition {pid}:")):
             sim.decider.incidence.flat_state()
 
+    def test_an_extra_ledger_row_is_refused(self):
+        """A row spawned on a server the catalog does not list for the
+        partition leaves the row block one longer than the segment."""
+        sim = Simulation(small_config(epochs=2))
+        sim.step()
+        pid = sim.rings.layout().pids[0]
+        spare = next(s for s in sim.cloud.server_ids
+                     if s not in sim.catalog.servers_of(pid))
+        sim.registry.spawn(pid, spare)
+        with pytest.raises(KernelError, match=re.escape(f"partition {pid}:")):
+            sim.decider.incidence.flat_state()
+
+    def test_a_ledger_row_rehomed_behind_the_catalog_is_refused(self):
+        """Same row count, but one row's server is not the catalog's."""
+        sim = Simulation(small_config(epochs=2))
+        sim.step()
+        pid = sim.rings.layout().pids[0]
+        src = sim.catalog.servers_of(pid)[0]
+        spare = next(s for s in sim.cloud.server_ids
+                     if s not in sim.catalog.servers_of(pid))
+        sim.registry.rehome(pid, src, spare)
+        with pytest.raises(KernelError, match=re.escape(f"partition {pid}:")):
+            sim.decider.incidence.flat_state()
+
+    def test_the_first_misaligned_partition_is_named(self):
+        sim = Simulation(small_config(epochs=2))
+        sim.step()
+        pids = sim.rings.layout().pids
+        order = sim.catalog.flat_view().pids
+        first, later = sorted(pids[:2], key=order.index)
+        for pid in (later, first):
+            sim.registry.retire(pid, sim.catalog.servers_of(pid)[0])
+        with pytest.raises(KernelError,
+                           match=re.escape(f"partition {first}:")):
+            sim.decider.incidence.flat_state()
+
     def test_a_settle_without_query_totals_is_refused(self):
         class NoTotals(DecisionEngine):
             def settle(self, load, board, g_of_app=None):

@@ -28,6 +28,8 @@ import pytest
 
 from repro.cluster.confidence import ConfidenceModel
 from repro.cluster.topology import CloudLayout
+from repro.core.economy import DEFAULT_EPOCHS_PER_MONTH, RentModel
+from repro.core.policy import EconomicPolicy
 from repro.cluster.events import (
     AddServers,
     EventSchedule,
@@ -44,6 +46,7 @@ from repro.sim.scenario import (
     ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
+    EconomySpec,
     FailureSpec,
     FlashCrowd,
     FlowsSpec,
@@ -52,6 +55,7 @@ from repro.sim.scenario import (
     LeaveWave,
     NetSpec,
     OperationsSpec,
+    PolicySpec,
     ScenarioEntry,
     ScenarioSpec,
     SpecError,
@@ -225,6 +229,27 @@ class TestValidation:
             {"name": "x", "constraints": {section: {key: default}}}
         ))
         assert load_spec(path) == ScenarioSpec(name="x")
+
+    def test_policy_spec_lowers_every_policy_knob(self):
+        """``PolicySpec.compile`` names each ``EconomicPolicy`` field by
+        hand; every one must reach the policy (``consistency`` is left
+        at its default by the spec layer)."""
+        changed = {
+            "hysteresis": 5, "revenue_per_query": 0.02,
+            "repair_iterations": 3, "migration_margin": 0.1,
+            "storage_headroom": 0.2,
+        }
+        knobs = {f.name for f in dataclasses.fields(EconomicPolicy)}
+        assert set(changed) == knobs - {"consistency"}
+        policy = PolicySpec(**changed).compile()
+        assert {key: getattr(policy, key) for key in changed} == changed
+        assert policy.consistency == EconomicPolicy().consistency
+
+    def test_economy_spec_lowers_alpha_and_beta(self):
+        model = EconomySpec(alpha=2.5, beta=0.5).compile()
+        assert model == RentModel(
+            alpha=2.5, beta=0.5, epochs_per_month=DEFAULT_EPOCHS_PER_MONTH
+        )
 
     def test_net_refused_above_the_fabric_cap(self):
         big = StructureSpec(scale=100)  # 20 000 servers

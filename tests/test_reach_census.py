@@ -232,3 +232,140 @@ def test_statement_ranges():
         (2, 6), (7, 8), (9, 10), (11, 16),
     ]
     assert census._show([(2, 6), (7, 8), (11, 16)]) == "2-8, 11-16"
+
+
+def unreached(source: str, ran):
+    """``unreached_statements`` over the body of the one function
+    ``source`` defines, given the line numbers that ran."""
+    census = load_census()
+    [fn] = ast.parse(source).body
+    return census.unreached_statements(fn.body, set(ran))
+
+
+LOOP = """\
+def total(xs):
+    out = 0
+    for x in xs:
+        out += x
+    return out
+"""
+
+
+def test_a_loop_body_never_entered_is_listed():
+    """The ``for`` header ran over an empty iterable; its body did not."""
+    assert unreached(LOOP, {2, 3, 5}) == [(4, 4)]
+    assert unreached(LOOP, {2, 3, 4, 5}) == []
+
+
+ELSE = """\
+def sign(x):
+    if x > 0:
+        return 1
+    else:
+        return -1
+"""
+
+
+def test_an_else_block_no_run_takes_is_listed():
+    """The ``else`` keyword has no statement of its own: the unreached
+    block is its body's range."""
+    assert unreached(ELSE, {2, 3}) == [(5, 5)]
+    assert unreached(ELSE, {2, 5}) == [(3, 3)]
+
+
+CHECK = """\
+def check(x):
+    if x < 0:
+        msg = f"bad {x}"
+        raise ValueError(msg)
+    return x
+"""
+
+
+def test_a_block_that_does_more_than_raise_is_counted():
+    """Only blocks made of ``raise`` statements alone are exempt; one
+    that builds its message first is listed, its ``raise`` included."""
+    census = load_census()
+    assert unreached(CHECK, {2, 5}) == [(3, 3), (4, 4)]
+    assert census._show(unreached(CHECK, {2, 5})) == "3-4"
+
+
+SILENT = '''\
+def noop(x):
+    """Docstring."""
+    ...
+    pass
+    return x
+'''
+
+
+def test_statements_without_line_events_are_not_listed():
+    """A docstring, ``...`` and ``pass`` compile to no line event, so
+    no run can reach them and none is listed."""
+    assert unreached(SILENT, {5}) == []
+    assert unreached(SILENT, set()) == [(5, 5)]
+
+
+NESTED = """\
+def outer(flag):
+    @staticmethod
+    def inner():
+        return 1
+    if flag:
+        return inner()
+    return 0
+"""
+
+
+def test_a_nested_def_is_reached_through_its_decorator_line():
+    """A nested ``def`` is one statement of the outer body, reached
+    from its first decorator line on; its body is its own census
+    entry and never listed in the outer one."""
+    assert unreached(NESTED, {2, 5, 7}) == [(6, 6)]
+    assert unreached(NESTED, {5, 7}) == [(2, 4), (6, 6)]
+
+
+FINALLY = """\
+def close(x):
+    try:
+        x = 1
+    finally:
+        x = 2
+    return x
+"""
+
+
+def test_a_finally_block_is_walked():
+    assert unreached(FINALLY, {2, 3, 5, 6}) == []
+    assert unreached(FINALLY, {2, 3, 6}) == [(5, 5)]
+
+
+TWO = """\
+def called(flag):
+    if flag:
+        return 1
+    return 0
+
+
+def never_called():
+    if True:
+        return 2
+"""
+
+
+def test_statement_census_skips_functions_no_run_reached(tmp_path):
+    """A function no run entered is the function census's business:
+    the statement census lists only the reached one's missed line."""
+    census = load_census()
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    path = package / "two.py"
+    path.write_text(TWO)
+    namespace = {}
+    exec(compile(TWO, str(path), "exec"), namespace)
+    collector = census.Collector(tmp_path / "src")
+    with collector.active():
+        namespace["called"](True)
+    [(fn, missed)] = census.statement_census(collector, tmp_path / "src")
+    assert fn.qualname == "called"
+    assert missed == [(4, 4)]
