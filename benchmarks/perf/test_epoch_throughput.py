@@ -143,7 +143,7 @@ def _asymmetric_net(start: int) -> NetConfig:
         rounds_per_epoch=2,
         partitions=(
             NetPartition(
-                start_epoch=start, heal_epoch=start + 10, depth=2,
+                start=start, heal=start + 10, depth=2,
                 asymmetric=True,
             ),
         ),
@@ -342,7 +342,7 @@ def run_harness(out_path: Path) -> dict:
             loss=0.1,
             rounds_per_epoch=2,
             flaps=(LinkFlap(
-                start_epoch=FIG4_DP_FLAP[0], heal_epoch=FIG4_DP_FLAP[1],
+                start=FIG4_DP_FLAP[0], heal=FIG4_DP_FLAP[1],
             ),),
         ),
         data_plane=DataPlaneConfig(ops_per_epoch=32),

@@ -84,10 +84,10 @@ def main(argv=None) -> None:
         for cut in net.partitions:
             kind = "asymmetric" if cut.asymmetric else "symmetric"
             print(f"  partition depth {cut.depth} ({kind}) over epochs "
-                  f"[{cut.start_epoch}, {cut.heal_epoch})")
+                  f"[{cut.start}, {cut.heal})")
         for flap in net.flaps:
             print(f"  link flap over epochs "
-                  f"[{flap.start_epoch}, {flap.heal_epoch})")
+                  f"[{flap.start}, {flap.heal})")
 
         audit = compiled.run_audit()
 

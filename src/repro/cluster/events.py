@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.server import GB
+from repro.cluster.server import GB, check_server_terms
 from repro.cluster.topology import Cloud, CloudLayout, fresh_locations
 
 
@@ -38,6 +38,9 @@ class AddServers:
             raise EventError(f"epoch must be >= 0, got {self.epoch}")
         if self.count <= 0:
             raise EventError(f"count must be > 0, got {self.count}")
+        check_server_terms(
+            self.monthly_rent, self.storage_capacity, self.query_capacity
+        )
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,21 @@ class CapacityError(ValueError):
     """Raised when a reservation would exceed a server capacity."""
 
 
+def check_server_terms(monthly_rent: float, storage_capacity: int,
+                       query_capacity: int) -> None:
+    """Refuse a rent or capacity no :class:`Server` can be built with."""
+    if monthly_rent < 0:
+        raise ValueError(f"monthly_rent must be >= 0, got {monthly_rent}")
+    if storage_capacity <= 0:
+        raise CapacityError(
+            f"storage_capacity must be > 0, got {storage_capacity}"
+        )
+    if query_capacity <= 0:
+        raise CapacityError(
+            f"query_capacity must be > 0, got {query_capacity}"
+        )
+
+
 class ServerTable:
     """Columnar store of every registered server's state.
 
@@ -289,16 +304,7 @@ class Server:
                  alive: bool = True) -> None:
         if server_id < 0:
             raise ValueError(f"server_id must be >= 0, got {server_id}")
-        if monthly_rent < 0:
-            raise ValueError(f"monthly_rent must be >= 0, got {monthly_rent}")
-        if storage_capacity <= 0:
-            raise CapacityError(
-                f"storage_capacity must be > 0, got {storage_capacity}"
-            )
-        if query_capacity <= 0:
-            raise CapacityError(
-                f"query_capacity must be > 0, got {query_capacity}"
-            )
+        check_server_terms(monthly_rent, storage_capacity, query_capacity)
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(
                 f"confidence must be in [0, 1], got {confidence}"

@@ -44,6 +44,7 @@ from repro.core.settlement import settle_batched, settle_scalar
 from repro.net.membership import OracleMembership
 from repro.ring.partition import Partition, PartitionId, gather_int
 from repro.ring.virtualring import RingSet
+from repro.store.consistency import DEFAULT_CONSISTENCY
 from repro.store.replica import ReplicaCatalog
 from repro.store.transfer import TransferEngine, TransferKind
 from repro.workload.mix import EpochLoad
@@ -566,7 +567,7 @@ class DecisionEngine:
         predicted_utility = (
             self._policy.revenue_per_query * queries / (n + 1)
         )
-        sync_cost = self._policy.consistency.marginal_cost(queries, n)
+        sync_cost = DEFAULT_CONSISTENCY.marginal_cost(queries, n)
         if (
             self._index is not None
             and scorer.best_is_pure
@@ -640,7 +641,6 @@ class DecisionEngine:
         decider is built with, the ablations' included."""
         return dict(
             storage_alpha=self._rent_model.alpha,
-            epochs_per_month=self._rent_model.epochs_per_month,
             alive_override=self._membership.believed_vector(),
         )
 

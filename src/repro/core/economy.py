@@ -39,31 +39,26 @@ class RentModel:
     """Parameters of the eq. 1 price function.
 
     ``alpha`` weights storage pressure, ``beta`` query pressure; both
-    are the paper's normalising factors.  ``epochs_per_month`` converts
-    the real monthly rent into the per-epoch marginal usage price
-    ``up = monthly_rent / epochs_per_month``.  §II-A derives ``up``
-    from the server's mean usage over the previous month as well; that
-    trailing mean is not modelled, and the evaluation's equal-usage
+    are the paper's normalising factors.  The real monthly rent becomes
+    the per-epoch marginal usage price
+    ``up = monthly_rent / DEFAULT_EPOCHS_PER_MONTH``.  §II-A derives
+    ``up`` from the server's mean usage over the previous month as well;
+    that trailing mean is not modelled, and the evaluation's equal-usage
     startup makes the two the same.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
-    epochs_per_month: int = DEFAULT_EPOCHS_PER_MONTH
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise EconomyError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta < 0:
             raise EconomyError(f"beta must be >= 0, got {self.beta}")
-        if self.epochs_per_month <= 0:
-            raise EconomyError(
-                f"epochs_per_month must be > 0, got {self.epochs_per_month}"
-            )
 
     def price(self, server: Server) -> float:
         """Eq. 1: the virtual rent of ``server`` for the next epoch."""
-        up = server.monthly_rent / self.epochs_per_month
+        up = server.monthly_rent / DEFAULT_EPOCHS_PER_MONTH
         return up * (
             1.0
             + self.alpha * server.storage_usage
@@ -143,8 +138,7 @@ class CloudCostIndex(CatalogListener):
         # int64 values the per-server attribute walk produced, gathered
         # as single array copies.
         self._up = (
-            cloud.monthly_rent_vector()
-            / float(self._model.epochs_per_month)
+            cloud.monthly_rent_vector() / float(DEFAULT_EPOCHS_PER_MONTH)
         )
         self._capacity = cloud.capacity_vector()
         self._query_capacity = cloud.query_capacity_vector()

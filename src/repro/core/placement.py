@@ -29,6 +29,7 @@ import numpy as np
 from repro.cluster.location import Location, diversity
 from repro.cluster.topology import Cloud
 from repro.core.board import PriceBoard
+from repro.core.economy import DEFAULT_EPOCHS_PER_MONTH
 from repro.workload.clients import ClientGeography
 
 
@@ -116,15 +117,10 @@ class PlacementScorer:
 
     def __init__(self, cloud: Cloud, board: PriceBoard,
                  storage_alpha: float = 1.0,
-                 epochs_per_month: int = 720,
                  alive_override: Optional[np.ndarray] = None) -> None:
         if storage_alpha < 0:
             raise PlacementError(
                 f"storage_alpha must be >= 0, got {storage_alpha}"
-            )
-        if epochs_per_month <= 0:
-            raise PlacementError(
-                f"epochs_per_month must be > 0, got {epochs_per_month}"
             )
         self._cloud = cloud
         self._ids: List[int] = cloud.server_ids
@@ -137,9 +133,9 @@ class PlacementScorer:
         self._conf = cloud.confidence_vector()
         self._storage = cloud.storage_available_vector()
         self._capacity = cloud.capacity_vector()
-        # One array op, bit-identical to ``monthly_rent / epochs_per_month``.
+        # One array op, bit-identical to eq. 1's per-server ``up``.
         self._usage_price = (
-            cloud.monthly_rent_vector() / float(epochs_per_month)
+            cloud.monthly_rent_vector() / float(DEFAULT_EPOCHS_PER_MONTH)
         )
         # ``alive_override`` is the faulty-network *believed* column:
         # believed-dead candidates are infeasible, ghosts stay targetable

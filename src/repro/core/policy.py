@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.store.consistency import DEFAULT_CONSISTENCY, ConsistencyModel
-
 #: Epoch-kernel implementations accepted by
 #: :class:`~repro.core.decision.DecisionEngine` and
 #: :class:`repro.sim.config.SimConfig`.  ``"vectorized"`` is the default
@@ -48,7 +46,6 @@ class EconomicPolicy:
     repair_iterations: int = 8
     migration_margin: float = 0.05
     storage_headroom: float = 0.1
-    consistency: ConsistencyModel = DEFAULT_CONSISTENCY
 
     def __post_init__(self) -> None:
         if self.hysteresis < 1:

@@ -14,9 +14,9 @@ Fault vocabulary:
 * **delay** — each delivered push carries information aged by an extra
   ``U{0..delay_max}`` gossip rounds (per-link delay distribution);
 * **partition** — a location-prefix cut (:class:`NetPartition`): at
-  ``start_epoch`` a live pivot server is drawn and every server under
+  ``start`` a live pivot server is drawn and every server under
   its ``depth``-prefix forms side A; cross-side messages drop until
-  ``heal_epoch`` (``asymmetric`` drops only B→A, so side A keeps
+  ``heal`` (``asymmetric`` drops only B→A, so side A keeps
   hearing nothing while side B still learns about A);
 * **flap** — a single drawn server's links go down both ways for the
   window (:class:`LinkFlap`); the process stays up and its data is
@@ -69,6 +69,13 @@ MESSAGE_CODES: Tuple[str, ...] = (
 FULL_FABRIC_MAX_NODES = 4096
 
 
+def _check_window(start: int, heal: int) -> None:
+    if start < 0:
+        raise NetError(f"start must be >= 0, got {start}")
+    if heal <= start:
+        raise NetError(f"heal must be > start, got {heal} <= {start}")
+
+
 @dataclass(frozen=True)
 class NetPartition:
     """A scheduled network cut along one location-prefix boundary.
@@ -76,28 +83,20 @@ class NetPartition:
     ``depth`` selects the boundary exactly as
     :class:`repro.cluster.events.ScopedOutage` does (2 = country,
     3 = datacenter, 4 = room, 5 = rack); the pivot server defining the
-    prefix is drawn from the live cloud at ``start_epoch`` so schedules
+    prefix is drawn from the live cloud at ``start`` so schedules
     stay layout-independent.  ``asymmetric`` cuts only B→A traffic:
     the minority side goes silent to the majority while still hearing
     it — both sides then believe different worlds, the regime the paper
     could not measure.
     """
 
-    start_epoch: int
-    heal_epoch: int
-    depth: int
+    start: int
+    heal: int
+    depth: int = 2
     asymmetric: bool = False
 
     def __post_init__(self) -> None:
-        if self.start_epoch < 0:
-            raise NetError(
-                f"start_epoch must be >= 0, got {self.start_epoch}"
-            )
-        if self.heal_epoch <= self.start_epoch:
-            raise NetError(
-                f"heal_epoch must be > start_epoch, got "
-                f"{self.heal_epoch} <= {self.start_epoch}"
-            )
+        _check_window(self.start, self.heal)
         if not 1 <= self.depth <= 5:
             raise NetError(f"depth must be in [1, 5], got {self.depth}")
 
@@ -111,19 +110,11 @@ class LinkFlap:
     the cloud falsely suspects it and it falsely suspects everyone.
     """
 
-    start_epoch: int
-    heal_epoch: int
+    start: int
+    heal: int
 
     def __post_init__(self) -> None:
-        if self.start_epoch < 0:
-            raise NetError(
-                f"start_epoch must be >= 0, got {self.start_epoch}"
-            )
-        if self.heal_epoch <= self.start_epoch:
-            raise NetError(
-                f"heal_epoch must be > start_epoch, got "
-                f"{self.heal_epoch} <= {self.start_epoch}"
-            )
+        _check_window(self.start, self.heal)
 
 
 @dataclass(frozen=True)
@@ -297,12 +288,12 @@ class NetworkModel:
         self._rng = rng
         self.stats = MessageStats()
         self._pending_cuts = sorted(
-            config.partitions, key=lambda p: p.start_epoch
+            config.partitions, key=lambda p: p.start
         )
         self._cuts: List[_ActiveCut] = []
         self._pending_flaps = [
             _PendingFlap(f)
-            for f in sorted(config.flaps, key=lambda f: f.start_epoch)
+            for f in sorted(config.flaps, key=lambda f: f.start)
         ]
         self._flapped: Dict[int, int] = {}
 
@@ -320,10 +311,10 @@ class NetworkModel:
         }
         while (
             self._pending_cuts
-            and self._pending_cuts[0].start_epoch <= epoch
+            and self._pending_cuts[0].start <= epoch
         ):
             cut = self._pending_cuts.pop(0)
-            if cut.heal_epoch <= epoch:
+            if cut.heal <= epoch:
                 continue
             ids = self._live_ids()
             if not ids:
@@ -331,22 +322,21 @@ class NetworkModel:
             pivot = ids[int(self._rng.integers(len(ids)))]
             prefix = self._cloud.server(pivot).location.prefix(cut.depth)
             self._cuts.append(
-                _ActiveCut(prefix, cut.depth, cut.asymmetric,
-                           cut.heal_epoch)
+                _ActiveCut(prefix, cut.depth, cut.asymmetric, cut.heal)
             )
         while (
             self._pending_flaps
-            and self._pending_flaps[0].event.start_epoch <= epoch
+            and self._pending_flaps[0].event.start <= epoch
         ):
             flap = self._pending_flaps.pop(0)
-            if flap.event.heal_epoch <= epoch:
+            if flap.event.heal <= epoch:
                 continue
             ids = self._live_ids()
             if not ids:
                 continue
             victim = ids[int(self._rng.integers(len(ids)))]
             flap.server_id = victim
-            self._flapped[victim] = flap.event.heal_epoch
+            self._flapped[victim] = flap.event.heal
 
     # -- queries -----------------------------------------------------------
 

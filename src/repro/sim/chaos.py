@@ -70,7 +70,7 @@ def random_fault_schedule(
         if heal <= start:
             continue
         partitions.append(NetPartition(
-            start_epoch=start, heal_epoch=heal,
+            start=start, heal=heal,
             depth=int(rng.integers(2, 5)),
             asymmetric=bool(rng.integers(0, 2)),
         ))
@@ -81,7 +81,7 @@ def random_fault_schedule(
         heal = min(start + length, horizon)
         if heal <= start:
             continue
-        flaps.append(LinkFlap(start_epoch=start, heal_epoch=heal))
+        flaps.append(LinkFlap(start=start, heal=heal))
     cfg = base if base is not None else NetConfig(
         rounds_per_epoch=2, dead_rounds=8
     )

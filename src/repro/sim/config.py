@@ -29,6 +29,7 @@ from repro.core.policy import KERNELS, EconomicPolicy
 from repro.net.model import NetConfig
 from repro.workload.arrivals import ConstantRate, RateProfile
 from repro.workload.clients import ClientGeography, uniform_geography
+from repro.workload.popularity import check_pareto
 
 
 class ConfigError(ValueError):
@@ -369,6 +370,7 @@ class SimConfig:
             raise ConfigError("server_query_capacity must be > 0")
         if self.base_rate < 0:
             raise ConfigError(f"base_rate must be >= 0, got {self.base_rate}")
+        check_pareto(self.popularity_shape, self.popularity_scale)
 
     @property
     def rate_profile(self) -> RateProfile:

@@ -27,9 +27,12 @@ yields equal configs and byte-identical frame streams.
 ``SimConfig`` — the paper's own parameter sets are the spec templates in
 :mod:`repro.sim.specs.paper`, and the CLI lowers its flags onto a spec
 before compiling.  Where a tier's section *is* a runtime dataclass
-(``structure.layout``, ``flows.inserts/traffic/serving``) the spec holds
-that class directly; a spec class exists only where the JSON format
-hides or renames runtime fields.
+(``structure.layout``, ``flows.inserts/traffic/serving``,
+``constraints.policy/economy``, ``failure.net``) the spec holds that
+class directly; a spec class exists only where the JSON format hides or
+renames runtime fields.  Keys the format no longer has are read
+through one :data:`RETIRED` table: each loads only at the value that
+changes nothing, and is dropped.
 
 Specs round-trip losslessly through plain dicts/JSON
 (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`), which
@@ -61,12 +64,7 @@ from repro.cluster.topology import CloudLayout
 from repro.core.availability import paper_thresholds
 from repro.core.economy import RentModel
 from repro.core.policy import KERNELS, EconomicPolicy
-from repro.net.model import (
-    FULL_FABRIC_MAX_NODES,
-    LinkFlap,
-    NetConfig,
-    NetPartition,
-)
+from repro.net.model import FULL_FABRIC_MAX_NODES, NetConfig
 from repro.sim.config import (
     AppConfig,
     DataPlaneConfig,
@@ -164,11 +162,44 @@ def _parse_tagged(kinds: Dict[str, Callable], raw: Any):
     return kinds[kind]({k: v for k, v in raw.items() if k != "kind"})
 
 
+#: Keys the JSON format once had, per class: each key's test of the one
+#: value that changes nothing (given the value and its section) and the
+#: rule a refusal quotes.  An accepted retired key is dropped, so
+#: :meth:`ScenarioSpec.to_dict` never writes it back.
+RETIRED: Dict[type, Dict[str, Tuple[Callable[[Any, Mapping], bool], str]]] = {
+    EconomicPolicy: {
+        "rent_weight": (
+            lambda value, _: value == 1.0,
+            "policy: rent_weight must be 1.0 (eq. 3 weighs rent at 1)"),
+        "max_replicas": (
+            lambda value, _: value is None,
+            "policy: max_replicas must be null (the economic replication "
+            "degree is uncapped)"),
+    },
+    RentModel: {"normalize_by_usage": (
+        lambda value, _: not value,
+        "economy: normalize_by_usage must be false (usage-normalised eq. 1 "
+        "pricing is not modelled)")},
+    NetConfig: {
+        "fabric": (
+            lambda value, _: value == "full",
+            f"net: fabric must be 'full' (the gossip fabric, capped at "
+            f"FULL_FABRIC_MAX_NODES = {FULL_FABRIC_MAX_NODES} nodes)"),
+        "suspect_rounds": (
+            lambda value, net: value in range(
+                1, net.get("dead_rounds", NetConfig.dead_rounds)
+            ),
+            "net: need 1 <= suspect_rounds < dead_rounds"),
+    },
+}
+
+
 def _build(cls, data: Any):
     """Construct spec class ``cls`` from its JSON form, strictly.
 
-    Unknown keys, a non-mapping section and any value the class (or a
-    class nested in it) rejects raise :class:`SpecError` naming ``cls``.
+    :data:`RETIRED` keys are checked and dropped first.  Unknown keys,
+    a non-mapping section and any value the class (or a class nested in
+    it) rejects raise :class:`SpecError` naming ``cls``.
     """
     if not isinstance(data, Mapping):
         raise SpecError(
@@ -176,10 +207,15 @@ def _build(cls, data: Any):
             f"{type(data).__name__}"
         )
     parsers = _field_parsers(cls)
-    unknown = sorted(set(data) - set(parsers))
-    if unknown:
-        raise SpecError(f"{cls.__name__}: unknown keys {unknown}")
+    retired = RETIRED.get(cls, {})
     try:
+        for key, (accepts, rule) in retired.items():
+            if key in data and not accepts(data[key], data):
+                raise SpecError(f"{rule}, got {data[key]!r}")
+        data = {k: v for k, v in data.items() if k not in retired}
+        unknown = sorted(set(data) - set(parsers))
+        if unknown:
+            raise SpecError(f"{cls.__name__}: unknown keys {unknown}")
         return cls(**{
             name: parsers[name](raw) for name, raw in data.items()
         })
@@ -526,68 +562,6 @@ class TenantSpec:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """Economic-policy knobs (mirrors :class:`EconomicPolicy` defaults)."""
-
-    hysteresis: int = 3
-    revenue_per_query: float = 0.01
-    repair_iterations: int = 8
-    #: Only 1.0 (eq. 3 weighs rent at 1); kept because frozen spec
-    #: files name it.
-    rent_weight: float = 1.0
-    migration_margin: float = 0.05
-    storage_headroom: float = 0.1
-    #: Only None (no cap on the economic replication degree); kept
-    #: because frozen spec files name it.
-    max_replicas: Optional[int] = None
-
-    def compile(self) -> EconomicPolicy:
-        return EconomicPolicy(
-            hysteresis=self.hysteresis,
-            revenue_per_query=self.revenue_per_query,
-            repair_iterations=self.repair_iterations,
-            migration_margin=self.migration_margin,
-            storage_headroom=self.storage_headroom,
-        )
-
-    def __post_init__(self) -> None:
-        if self.rent_weight != 1.0:
-            raise SpecError(
-                f"policy: rent_weight must be 1.0 (eq. 3 weighs rent at "
-                f"1), got {self.rent_weight!r}"
-            )
-        if self.max_replicas is not None:
-            raise SpecError(
-                f"policy: max_replicas must be null (the economic "
-                f"replication degree is uncapped), got "
-                f"{self.max_replicas!r}"
-            )
-        self.compile()  # delegate validation to EconomicPolicy
-
-
-@dataclass(frozen=True)
-class EconomySpec:
-    """Rent-model knobs (mirrors :class:`RentModel` defaults)."""
-
-    alpha: float = 1.0
-    beta: float = 1.0
-    #: Only false (``up`` is the monthly rent spread over the month's
-    #: epochs); kept because frozen spec files name it.
-    normalize_by_usage: bool = False
-
-    def compile(self) -> RentModel:
-        return RentModel(alpha=self.alpha, beta=self.beta)
-
-    def __post_init__(self) -> None:
-        if self.normalize_by_usage:
-            raise SpecError(
-                "economy: normalize_by_usage must be false (usage-"
-                "normalised eq. 1 pricing is not modelled)"
-            )
-        self.compile()  # delegate validation to RentModel
-
-
-@dataclass(frozen=True)
 class ConstraintsSpec:
     """Tier 3: tenants/SLAs, bandwidth budgets, economic policy."""
 
@@ -597,8 +571,8 @@ class ConstraintsSpec:
     initial_size: int = 96 * MB
     replication_budget: int = 300 * MB
     migration_budget: int = 100 * MB
-    policy: PolicySpec = field(default_factory=PolicySpec)
-    economy: EconomySpec = field(default_factory=EconomySpec)
+    policy: EconomicPolicy = field(default_factory=EconomicPolicy)
+    economy: RentModel = field(default_factory=RentModel)
 
     def __post_init__(self) -> None:
         if self.partitions < 1:
@@ -677,91 +651,6 @@ class OutageEvent:
 
 _EVENT_KINDS = {JoinWave: "join", LeaveWave: "leave", OutageEvent: "outage"}
 
-@dataclass(frozen=True)
-class PartitionWindow:
-    """A scheduled network cut (mirrors :class:`NetPartition`)."""
-
-    start: int
-    heal: int
-    depth: int = 2
-    asymmetric: bool = False
-
-    def compile(self) -> NetPartition:
-        return NetPartition(
-            start_epoch=self.start, heal_epoch=self.heal,
-            depth=self.depth, asymmetric=self.asymmetric,
-        )
-
-    def __post_init__(self) -> None:
-        try:
-            self.compile()
-        except ValueError as exc:
-            raise SpecError(f"partition window: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class FlapWindow:
-    """One drawn server's links flap (mirrors :class:`LinkFlap`)."""
-
-    start: int
-    heal: int
-
-    def compile(self) -> LinkFlap:
-        return LinkFlap(start_epoch=self.start, heal_epoch=self.heal)
-
-    def __post_init__(self) -> None:
-        try:
-            self.compile()
-        except ValueError as exc:
-            raise SpecError(f"flap window: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """Control-plane fault knobs (mirrors :class:`NetConfig`)."""
-
-    loss: float = 0.0
-    delay_max: int = 0
-    fanout: int = 3
-    rounds_per_epoch: int = 3
-    #: Read by nothing (detection is the ``dead_rounds`` age verdict);
-    #: kept, with its old bound, because frozen spec files name it.
-    suspect_rounds: int = 4
-    dead_rounds: int = 10
-    #: Only ``"full"``, the one gossip fabric; kept because frozen spec
-    #: files name it.
-    fabric: str = "full"
-    partitions: Tuple[PartitionWindow, ...] = ()
-    flaps: Tuple[FlapWindow, ...] = ()
-
-    def compile(self) -> NetConfig:
-        return NetConfig(
-            fanout=self.fanout,
-            loss=self.loss,
-            delay_max=self.delay_max,
-            rounds_per_epoch=self.rounds_per_epoch,
-            dead_rounds=self.dead_rounds,
-            partitions=tuple(p.compile() for p in self.partitions),
-            flaps=tuple(f.compile() for f in self.flaps),
-        )
-
-    def __post_init__(self) -> None:
-        if self.fabric != "full":
-            raise SpecError(
-                f"net: fabric must be 'full' (the gossip fabric, capped "
-                f"at FULL_FABRIC_MAX_NODES = {FULL_FABRIC_MAX_NODES} "
-                f"nodes), got {self.fabric!r}"
-            )
-        if not 1 <= self.suspect_rounds < self.dead_rounds:
-            raise SpecError(
-                f"net: need 1 <= suspect_rounds < dead_rounds, got "
-                f"{self.suspect_rounds}, {self.dead_rounds}"
-            )
-        try:
-            self.compile()
-        except ValueError as exc:
-            raise SpecError(f"net: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class ChaosSpec:
@@ -791,7 +680,7 @@ class FailureSpec:
     """Tier 4: membership events and the control-plane fault schedule."""
 
     events: Tuple[Union[JoinWave, LeaveWave, OutageEvent], ...] = ()
-    net: Optional[NetSpec] = None
+    net: Optional[NetConfig] = None
     chaos: Optional[ChaosSpec] = None
 
     def __post_init__(self) -> None:
@@ -802,9 +691,8 @@ class FailureSpec:
                 )
 
     def compile_net(self, epochs: int) -> Optional[NetConfig]:
-        base = self.net.compile() if self.net is not None else None
         if self.chaos is None:
-            return base
+            return self.net
         from repro.sim.chaos import random_fault_schedule
 
         return random_fault_schedule(
@@ -814,7 +702,7 @@ class FailureSpec:
             max_partitions=self.chaos.max_partitions,
             max_flaps=self.chaos.max_flaps,
             quiet_tail=self.chaos.quiet_tail,
-            base=base,
+            base=self.net,
         )
 
 
@@ -934,7 +822,7 @@ def compile_config(spec: ScenarioSpec) -> SimConfig:
     layout = structure.compile_layout()
     classes = structure.classes
     try:
-        return SimConfig(
+        config = SimConfig(
             layout=layout,
             apps=constraints.compile_apps(layout),
             epochs=ops.epochs,
@@ -946,8 +834,8 @@ def compile_config(spec: ScenarioSpec) -> SimConfig:
             expensive_fraction=classes.expensive_fraction,
             cheap_rent=classes.cheap_rent,
             expensive_rent=classes.expensive_rent,
-            rent_model=constraints.economy.compile(),
-            policy=constraints.policy.compile(),
+            rent_model=constraints.economy,
+            policy=constraints.policy,
             base_rate=flows.base_rate,
             profile=flows.compile_profile(),
             inserts=flows.inserts,
@@ -962,17 +850,16 @@ def compile_config(spec: ScenarioSpec) -> SimConfig:
             data_plane=flows.traffic,
             serving=flows.serving,
         )
+        _cluster_events(spec, config)  # refuses a join no server takes
+        return config
     except SpecError:
         raise
     except ValueError as exc:
         raise SpecError(f"{spec.name}: {exc}") from exc
 
 
-def compile_events(spec: ScenarioSpec,
-                   config: SimConfig) -> Optional[EventSchedule]:
-    """A *fresh* event schedule for one run (schedules are stateful)."""
-    if not spec.failure.events:
-        return None
+def _cluster_events(spec: ScenarioSpec, config: SimConfig) -> List[object]:
+    """The failure tier's events as (immutable) cluster events."""
     events: List[object] = []
     for event in spec.failure.events:
         if isinstance(event, JoinWave):
@@ -1000,8 +887,17 @@ def compile_events(spec: ScenarioSpec,
             events.append(ScopedOutage(
                 epoch=event.epoch, depth=event.depth
             ))
+    return events
+
+
+def compile_events(spec: ScenarioSpec,
+                   config: SimConfig) -> Optional[EventSchedule]:
+    """A *fresh* event schedule for one run (schedules are stateful)."""
+    if not spec.failure.events:
+        return None
     return EventSchedule(
-        events, layout=config.layout, rng=RngStreams(config.seed).events
+        _cluster_events(spec, config), layout=config.layout,
+        rng=RngStreams(config.seed).events,
     )
 
 

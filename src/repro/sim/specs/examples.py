@@ -7,13 +7,13 @@ twin; the examples derive their oracle twin by stripping
 
 from __future__ import annotations
 
+from repro.net.model import NetConfig
 from repro.sim.config import DataPlaneConfig, ServingConfig
 from repro.sim.scenario import (
     ChaosSpec,
     ConstraintsSpec,
     FailureSpec,
     FlowsSpec,
-    NetSpec,
     OperationsSpec,
     OutageEvent,
     ScenarioEntry,
@@ -40,8 +40,7 @@ SPECS = (
         constraints=ConstraintsSpec(partitions=60),
         failure=FailureSpec(
             events=(OutageEvent(epoch=30, depth=3),),
-            net=NetSpec(loss=0.25, rounds_per_epoch=2, suspect_rounds=3,
-                        dead_rounds=8),
+            net=NetConfig(loss=0.25, rounds_per_epoch=2, dead_rounds=8),
         ),
         operations=OperationsSpec(epochs=60),
     ), pin_epochs=8),

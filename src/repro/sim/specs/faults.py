@@ -7,18 +7,16 @@ stale-view data plane riding on top.
 
 from __future__ import annotations
 
+from repro.net.model import LinkFlap, NetConfig, NetPartition
 from repro.sim.config import DataPlaneConfig
 from repro.sim.scenario import (
     ChaosSpec,
     ConstraintsSpec,
     FailureSpec,
-    FlapWindow,
     FlowsSpec,
     JoinWave,
-    NetSpec,
     OperationsSpec,
     OutageEvent,
-    PartitionWindow,
     ScenarioEntry,
     ScenarioSpec,
 )
@@ -28,8 +26,8 @@ SPECS = (
         name="lossy-gossip",
         summary="10% heartbeat loss, no cuts: false-suspicion economics",
         constraints=ConstraintsSpec(partitions=24),
-        failure=FailureSpec(net=NetSpec(
-            loss=0.1, rounds_per_epoch=2, suspect_rounds=3, dead_rounds=8,
+        failure=FailureSpec(net=NetConfig(
+            loss=0.1, rounds_per_epoch=2, dead_rounds=8,
         )),
         operations=OperationsSpec(epochs=30, seed=41),
     ), pin_epochs=8),
@@ -38,10 +36,10 @@ SPECS = (
         summary="asymmetric country cut while quorum traffic keeps flowing",
         flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=32)),
         constraints=ConstraintsSpec(partitions=24),
-        failure=FailureSpec(net=NetSpec(
-            loss=0.05, rounds_per_epoch=2, suspect_rounds=3, dead_rounds=8,
-            partitions=(PartitionWindow(start=6, heal=14, depth=2,
-                                        asymmetric=True),),
+        failure=FailureSpec(net=NetConfig(
+            loss=0.05, rounds_per_epoch=2, dead_rounds=8,
+            partitions=(NetPartition(start=6, heal=14, depth=2,
+                                     asymmetric=True),),
         )),
         operations=OperationsSpec(epochs=28, seed=42),
     ), pin_epochs=10),
@@ -50,11 +48,11 @@ SPECS = (
         summary="three overlapping link-flap windows under light loss",
         flows=FlowsSpec(traffic=DataPlaneConfig(ops_per_epoch=24)),
         constraints=ConstraintsSpec(partitions=24),
-        failure=FailureSpec(net=NetSpec(
-            loss=0.03, rounds_per_epoch=2, suspect_rounds=3, dead_rounds=8,
-            flaps=(FlapWindow(start=4, heal=9),
-                   FlapWindow(start=7, heal=13),
-                   FlapWindow(start=11, heal=16)),
+        failure=FailureSpec(net=NetConfig(
+            loss=0.03, rounds_per_epoch=2, dead_rounds=8,
+            flaps=(LinkFlap(start=4, heal=9),
+                   LinkFlap(start=7, heal=13),
+                   LinkFlap(start=11, heal=16)),
         )),
         operations=OperationsSpec(epochs=28, seed=43),
     ), pin_epochs=10),
@@ -65,8 +63,7 @@ SPECS = (
         failure=FailureSpec(
             events=(OutageEvent(epoch=8, depth=4),
                     JoinWave(epoch=12, count=10)),
-            net=NetSpec(loss=0.08, rounds_per_epoch=2, suspect_rounds=3,
-                        dead_rounds=8),
+            net=NetConfig(loss=0.08, rounds_per_epoch=2, dead_rounds=8),
         ),
         operations=OperationsSpec(epochs=30, seed=44),
     ), pin_epochs=10),

@@ -8,12 +8,12 @@ economy under insert-driven growth.
 from __future__ import annotations
 
 from repro.cluster.server import GB, MB
+from repro.core.economy import RentModel
 from repro.sim.config import InsertConfig
 from repro.sim.scenario import (
     ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
-    EconomySpec,
     FlowsSpec,
     OperationsSpec,
     ScenarioEntry,
@@ -42,7 +42,7 @@ SPECS = (
         constraints=ConstraintsSpec(
             partitions=24,
             initial_size=48 * MB,
-            economy=EconomySpec(alpha=4.0),
+            economy=RentModel(alpha=4.0),
         ),
         operations=OperationsSpec(epochs=30, seed=32),
     ), pin_epochs=8),

@@ -14,11 +14,12 @@ from __future__ import annotations
 import dataclasses
 
 from repro.cluster.server import GB, MB
+from repro.core.economy import RentModel
+from repro.core.policy import EconomicPolicy
 from repro.sim.config import InsertConfig
 from repro.sim.scenario import (
     ConfidenceSpec,
     ConstraintsSpec,
-    EconomySpec,
     FailureSpec,
     FlashCrowd,
     FlowsSpec,
@@ -26,7 +27,6 @@ from repro.sim.scenario import (
     JoinWave,
     LeaveWave,
     OperationsSpec,
-    PolicySpec,
     ScenarioEntry,
     ScenarioSpec,
     ServerClassesSpec,
@@ -94,9 +94,9 @@ def saturation_spec(name: str = "saturation", summary: str = "", *,
         constraints=ConstraintsSpec(
             partitions=partitions,
             initial_size=32 * MB,
-            policy=PolicySpec(hysteresis=2, migration_margin=0.02,
-                              storage_headroom=0.05),
-            economy=EconomySpec(alpha=8.0),
+            policy=EconomicPolicy(hysteresis=2, migration_margin=0.02,
+                                  storage_headroom=0.05),
+            economy=RentModel(alpha=8.0),
         ),
         operations=OperationsSpec(epochs=epochs, seed=seed),
     )

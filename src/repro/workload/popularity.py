@@ -23,6 +23,14 @@ class PopularityError(ValueError):
     """Raised for invalid popularity parameters."""
 
 
+def check_pareto(shape: float, scale: float) -> None:
+    """Refuse Pareto parameters :func:`pareto_weights` cannot draw with."""
+    if shape <= 0:
+        raise PopularityError(f"popularity shape must be > 0, got {shape}")
+    if scale <= 0:
+        raise PopularityError(f"popularity scale must be > 0, got {scale}")
+
+
 def pareto_weights(count: int, *, shape: float = 1.0, scale: float = 50.0,
                    rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` raw Pareto(shape, scale) popularity weights.
@@ -32,10 +40,7 @@ def pareto_weights(count: int, *, shape: float = 1.0, scale: float = 50.0,
     """
     if count <= 0:
         raise PopularityError(f"count must be > 0, got {count}")
-    if shape <= 0:
-        raise PopularityError(f"shape must be > 0, got {shape}")
-    if scale <= 0:
-        raise PopularityError(f"scale must be > 0, got {scale}")
+    check_pareto(shape, scale)
     return scale * (1.0 + rng.pareto(shape, size=count))
 
 

@@ -78,7 +78,7 @@ FAULTY_NET = NetConfig(
     loss=0.3,
     rounds_per_epoch=2,
     dead_rounds=6,
-    partitions=(NetPartition(start_epoch=4, heal_epoch=9, depth=2),),
+    partitions=(NetPartition(start=4, heal=9, depth=2),),
 )
 
 

@@ -15,7 +15,8 @@ import pytest
 
 from repro.baselines.random_placement import random_placement_decider
 from repro.baselines.static import static_decider
-from repro.sim.scenario import FailureSpec, LeaveWave, NetSpec, compile_spec
+from repro.net.model import NetConfig
+from repro.sim.scenario import FailureSpec, LeaveWave, compile_spec
 from repro.sim.specs import paper_spec
 
 KILL_EPOCH = 2
@@ -28,7 +29,7 @@ def ghost_spec():
     spec = paper_spec(epochs=5, partitions=20)
     return dataclasses.replace(spec, failure=FailureSpec(
         events=(LeaveWave(epoch=KILL_EPOCH, count=2),),
-        net=NetSpec(loss=0.05, rounds_per_epoch=3, dead_rounds=10),
+        net=NetConfig(loss=0.05, rounds_per_epoch=3, dead_rounds=10),
     ))
 
 

@@ -7,7 +7,7 @@ from repro.cluster.location import Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core.board import BoardError, PriceBoard, update_board
-from repro.core.economy import RentModel
+from repro.core.economy import DEFAULT_EPOCHS_PER_MONTH, RentModel
 
 
 class TestPosting:
@@ -82,9 +82,9 @@ class TestUpdateBoard:
             make_server(1, Location(1, 0, 0, 0, 0, 0), monthly_rent=125.0)
         ])
         board = PriceBoard()
-        model = RentModel(epochs_per_month=100)
-        prices = update_board(board, 7, cloud, model)
+        prices = update_board(board, 7, cloud, RentModel())
+        up = 100.0 / DEFAULT_EPOCHS_PER_MONTH
         assert board.epoch == 7
-        assert prices[0] == pytest.approx(1.0)
-        assert prices[1] == pytest.approx(1.25)
-        assert board.min_price() == pytest.approx(1.0)
+        assert prices[0] == pytest.approx(up)
+        assert prices[1] == pytest.approx(1.25 * up)
+        assert board.min_price() == pytest.approx(up)

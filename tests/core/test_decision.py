@@ -63,7 +63,7 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
         avail_index=index,
     )
     board = PriceBoard()
-    board.post(0, RentModel(epochs_per_month=100).price_cloud(cloud))
+    board.post(0, RentModel().price_cloud(cloud))
     return cloud, rings, ring, catalog, registry, transfers, engine, board
 
 

@@ -21,20 +21,24 @@ LOC = Location(0, 0, 0, 0, 0, 0)
 
 class TestRentModel:
     def test_idle_server_price_is_usage_price(self):
-        model = RentModel(alpha=1.0, beta=1.0, epochs_per_month=100)
+        model = RentModel(alpha=1.0, beta=1.0)
         server = make_server(0, LOC, monthly_rent=100.0)
-        assert model.price(server) == pytest.approx(1.0)
+        assert model.price(server) == pytest.approx(
+            100.0 / DEFAULT_EPOCHS_PER_MONTH
+        )
 
     def test_eq1_formula(self):
-        model = RentModel(alpha=2.0, beta=3.0, epochs_per_month=100)
+        model = RentModel(alpha=2.0, beta=3.0)
         server = make_server(
             0, LOC, monthly_rent=100.0,
             storage_capacity=1000, query_capacity=10,
         )
         server.allocate_storage(500)   # usage 0.5
         server.record_queries(5)       # load 0.5
-        # up * (1 + 2*0.5 + 3*0.5) = 1.0 * 3.5
-        assert model.price(server) == pytest.approx(3.5)
+        # up * (1 + 2*0.5 + 3*0.5) = up * 3.5
+        assert model.price(server) == pytest.approx(
+            100.0 / DEFAULT_EPOCHS_PER_MONTH * 3.5
+        )
 
     def test_expensive_server_prices_higher(self):
         model = RentModel()
@@ -59,7 +63,7 @@ class TestRentModel:
         assert model.price(server) > p0
 
     def test_price_array_is_bit_identical_to_price(self):
-        model = RentModel(alpha=2.0, beta=3.0, epochs_per_month=720)
+        model = RentModel(alpha=2.0, beta=3.0)
         servers = [
             make_server(i, LOC, monthly_rent=100.0 + 25.0 * i,
                         storage_capacity=1000 + 7 * i, query_capacity=10)
@@ -92,7 +96,7 @@ class TestRentModel:
         with pytest.raises(EconomyError):
             RentModel(alpha=-1)
         with pytest.raises(EconomyError):
-            RentModel(epochs_per_month=0)
+            RentModel(beta=-1)
 
     def test_default_epoch_count_is_a_month_of_hours(self):
         assert DEFAULT_EPOCHS_PER_MONTH == 720
@@ -110,8 +114,7 @@ def _cost_harness(n=4, model=None):
             )
         ])
     catalog = ReplicaCatalog(cloud)
-    rent_model = model or RentModel(alpha=2.0, beta=3.0,
-                                    epochs_per_month=100)
+    rent_model = model or RentModel(alpha=2.0, beta=3.0)
     index = CloudCostIndex(cloud, rent_model, catalog)
     return cloud, catalog, rent_model, index
 

@@ -112,11 +112,11 @@ def faulty_net(epochs: int) -> NetConfig:
         dead_rounds=8,
         partitions=(
             NetPartition(
-                start_epoch=mid, heal_epoch=mid + 2, depth=2,
+                start=mid, heal=mid + 2, depth=2,
                 asymmetric=True,
             ),
         ),
-        flaps=(LinkFlap(start_epoch=mid + 1, heal_epoch=mid + 3),),
+        flaps=(LinkFlap(start=mid + 1, heal=mid + 3),),
     )
 
 

@@ -100,7 +100,7 @@ class TestHeartbeatRounds:
         assert victim in fabric.believed_dead()
 
     def test_partition_starves_cross_side_knowledge(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=100, depth=2)
+        cut = NetPartition(start=0, heal=100, depth=2)
         config = NetConfig(
             partitions=(cut,), dead_rounds=4
         )
@@ -133,7 +133,7 @@ class TestHeartbeatRounds:
         assert net_rng.bit_generator.state == untouched
 
     def test_flapped_server_loses_every_own_push(self):
-        config = NetConfig(flaps=(LinkFlap(start_epoch=0, heal_epoch=5),))
+        config = NetConfig(flaps=(LinkFlap(start=0, heal=5),))
         fabric, net, cloud = make_fabric(config, seed=6)
         net.begin_epoch(0)
         flapped, _ = net.link_state(cloud.server_ids)
@@ -145,7 +145,7 @@ class TestHeartbeatRounds:
         assert d_loss == 0 and sent == delivered + d_cut
 
     def test_staleness_grows_under_total_silence(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=100, depth=2)
+        cut = NetPartition(start=0, heal=100, depth=2)
         config = NetConfig(partitions=(cut,), dead_rounds=50)
         fabric, net, _ = make_fabric(config, seed=5)
         net.begin_epoch(0)

@@ -174,14 +174,14 @@ def windows(draw):
 def net_configs(draw):
     cuts = tuple(
         NetPartition(
-            start_epoch=start, heal_epoch=heal,
+            start=start, heal=heal,
             depth=draw(st.integers(2, 5)),
             asymmetric=draw(st.booleans()),
         )
         for start, heal in draw(st.lists(windows(), max_size=2))
     )
     flaps = tuple(
-        LinkFlap(start_epoch=start, heal_epoch=heal)
+        LinkFlap(start=start, heal=heal)
         for start, heal in draw(st.lists(windows(), max_size=2))
     )
     return NetConfig(

@@ -113,7 +113,7 @@ class TestLossEnvelope:
 class TestPartitionEnvelope:
     @pytest.mark.parametrize("window", [2, 4, 6])
     def test_partition_produces_false_suspects_not_removals(self, window):
-        cut = NetPartition(start_epoch=2, heal_epoch=2 + window, depth=2)
+        cut = NetPartition(start=2, heal=2 + window, depth=2)
         config = NetConfig(
             partitions=(cut,), rounds_per_epoch=3, dead_rounds=6,
         )
@@ -132,7 +132,7 @@ class TestPartitionEnvelope:
 
     def test_asymmetric_cut_starves_only_one_direction(self):
         cut = NetPartition(
-            start_epoch=0, heal_epoch=4, depth=2, asymmetric=True
+            start=0, heal=4, depth=2, asymmetric=True
         )
         config = NetConfig(
             partitions=(cut,), rounds_per_epoch=3, dead_rounds=6,
@@ -154,7 +154,7 @@ class TestPartitionEnvelope:
 class TestHealedPartitionReconvergence:
     def test_reconverges_within_o_log_n_rounds(self):
         # A cut long enough that both sides declare each other dead.
-        cut = NetPartition(start_epoch=0, heal_epoch=4, depth=2)
+        cut = NetPartition(start=0, heal=4, depth=2)
         config = NetConfig(
             partitions=(cut,), rounds_per_epoch=3, dead_rounds=6,
         )

@@ -110,7 +110,7 @@ class TestGhostLifecycle:
         assert not service.believed(victim)
 
     def test_false_suspects_never_removed(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=3, depth=2)
+        cut = NetPartition(start=0, heal=3, depth=2)
         config = NetConfig(
             partitions=(cut,), dead_rounds=4
         )
@@ -200,7 +200,7 @@ class TestGhostLifecycle:
         assert service.believed(joiner.server_id)
 
     def test_suspicion_flips_bump_the_version(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=3, depth=2)
+        cut = NetPartition(start=0, heal=3, depth=2)
         config = NetConfig(
             partitions=(cut,), dead_rounds=4
         )
@@ -230,7 +230,7 @@ class TestStalePrices:
     def test_no_active_fault_no_lag(self):
         """A faulty config whose only cut lies in the future prices off
         the real board once every node heard the broadcast."""
-        cut = NetPartition(start_epoch=50, heal_epoch=60, depth=2)
+        cut = NetPartition(start=50, heal=60, depth=2)
         config = NetConfig(partitions=(cut,), rounds_per_epoch=6)
         service, cloud = make_service(config)
         board = PriceBoard()
@@ -243,7 +243,7 @@ class TestStalePrices:
             assert service.effective_board(board) is board
 
     def test_effective_board_lags_under_silence(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=50, depth=2)
+        cut = NetPartition(start=0, heal=50, depth=2)
         config = NetConfig(partitions=(cut,), dead_rounds=200)
         service, cloud = make_service(config)
         board = PriceBoard()

@@ -54,9 +54,9 @@ class TestNetConfigValidation:
         assert not NetConfig(delay_max=2).is_zero_fault
 
     def test_schedules_make_faulty(self):
-        cut = NetPartition(start_epoch=1, heal_epoch=3, depth=2)
+        cut = NetPartition(start=1, heal=3, depth=2)
         assert not NetConfig(partitions=(cut,)).is_zero_fault
-        flap = LinkFlap(start_epoch=1, heal_epoch=3)
+        flap = LinkFlap(start=1, heal=3)
         assert not NetConfig(flaps=(flap,)).is_zero_fault
 
     def test_loss_bounds(self):
@@ -71,13 +71,13 @@ class TestNetConfigValidation:
 
     def test_partition_epochs(self):
         with pytest.raises(NetError):
-            NetPartition(start_epoch=5, heal_epoch=5, depth=2)
+            NetPartition(start=5, heal=5, depth=2)
         with pytest.raises(NetError):
-            NetPartition(start_epoch=0, heal_epoch=2, depth=0)
+            NetPartition(start=0, heal=2, depth=0)
 
     def test_flap_epochs(self):
         with pytest.raises(NetError):
-            LinkFlap(start_epoch=3, heal_epoch=3)
+            LinkFlap(start=3, heal=3)
 
 
 class TestMessageStats:
@@ -120,8 +120,8 @@ class TestScheduleDraws:
         cloud = build_cloud(tiny_layout())
         rng = np.random.default_rng(3)
         config = NetConfig(
-            partitions=(NetPartition(start_epoch=0, heal_epoch=2, depth=2),),
-            flaps=(LinkFlap(start_epoch=1, heal_epoch=3),),
+            partitions=(NetPartition(start=0, heal=2, depth=2),),
+            flaps=(LinkFlap(start=1, heal=3),),
         )
         net = NetworkModel(config, cloud, rng)
         net.begin_epoch(5)  # both windows closed before the first call
@@ -133,7 +133,7 @@ class TestScheduleDraws:
 
 class TestPartitions:
     def test_cut_blocks_cross_country_both_ways(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=5, depth=2)
+        cut = NetPartition(start=0, heal=5, depth=2)
         net, cloud = make_net(NetConfig(partitions=(cut,)))
         net.begin_epoch(0)
         assert net.has_active_cut
@@ -151,7 +151,7 @@ class TestPartitions:
 
     def test_asymmetric_cut_blocks_only_into_side_a(self):
         cut = NetPartition(
-            start_epoch=0, heal_epoch=5, depth=2, asymmetric=True
+            start=0, heal=5, depth=2, asymmetric=True
         )
         net, cloud = make_net(NetConfig(partitions=(cut,)))
         net.begin_epoch(0)
@@ -163,7 +163,7 @@ class TestPartitions:
         assert not net.reachable(b[0], a[0])
 
     def test_cut_heals_at_heal_epoch(self):
-        cut = NetPartition(start_epoch=1, heal_epoch=3, depth=2)
+        cut = NetPartition(start=1, heal=3, depth=2)
         net, cloud = make_net(NetConfig(partitions=(cut,)))
         net.begin_epoch(0)
         assert not net.has_active_cut
@@ -177,7 +177,7 @@ class TestPartitions:
         assert net.reachable(ids[0], ids[-1])
 
     def test_pivot_draw_is_seeded(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=4, depth=2)
+        cut = NetPartition(start=0, heal=4, depth=2)
         drawn = []
         for _ in range(2):
             net, cloud = make_net(NetConfig(partitions=(cut,)), seed=7)
@@ -188,7 +188,7 @@ class TestPartitions:
 
 class TestFlaps:
     def test_flap_cuts_both_directions(self):
-        flap = LinkFlap(start_epoch=0, heal_epoch=2)
+        flap = LinkFlap(start=0, heal=2)
         net, cloud = make_net(NetConfig(flaps=(flap,)))
         net.begin_epoch(0)
         flapped, _ = net.link_state(cloud.server_ids)
@@ -202,7 +202,7 @@ class TestFlaps:
         assert net.reachable(victim, other)
 
     def test_a_server_always_reaches_itself(self):
-        flap = LinkFlap(start_epoch=0, heal_epoch=2)
+        flap = LinkFlap(start=0, heal=2)
         net, cloud = make_net(NetConfig(flaps=(flap,)))
         net.begin_epoch(0)
         flapped, _ = net.link_state(cloud.server_ids)
@@ -214,7 +214,7 @@ class TestLinkState:
     """``link_state`` is ``reachable`` for a whole round, as columns."""
 
     def test_none_while_healthy(self):
-        cut = NetPartition(start_epoch=1, heal_epoch=2, depth=2)
+        cut = NetPartition(start=1, heal=2, depth=2)
         net, cloud = make_net(NetConfig(partitions=(cut,)))
         net.begin_epoch(0)
         assert net.link_state(cloud.server_ids) is None
@@ -255,7 +255,7 @@ class TestLinkState:
                 assert dropped == (not net.reachable(src, dst)), (src, dst)
 
     def test_ids_gone_from_the_cloud_read_as_side_b(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=5, depth=2)
+        cut = NetPartition(start=0, heal=5, depth=2)
         net, cloud = make_net(NetConfig(partitions=(cut,)))
         net.begin_epoch(0)
         gone = cloud.server_ids[0]
@@ -285,7 +285,7 @@ class TestLinkState:
             assert net.reachable(src, dst) == (not dropped), (side, src, dst)
 
     def test_side_cached_before_removal_reads_b_after_it(self):
-        cut = NetPartition(start_epoch=0, heal_epoch=5, depth=2)
+        cut = NetPartition(start=0, heal=5, depth=2)
         net, cloud = make_net(NetConfig(partitions=(cut,)))
         net.begin_epoch(0)
         a, b = sides(net, cloud.server_ids)
@@ -306,7 +306,7 @@ class TestConflictingRepairRisk:
                 self.pid = pid
                 self.size = size
 
-        cut = NetPartition(start_epoch=0, heal_epoch=5, depth=2)
+        cut = NetPartition(start=0, heal=5, depth=2)
         net, cloud = make_net(NetConfig(partitions=(cut,)))
         net.begin_epoch(0)
         ids = cloud.server_ids

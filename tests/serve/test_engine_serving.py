@@ -133,7 +133,7 @@ class TestFaultWindow:
         flap = NetConfig(
             rounds_per_epoch=2, dead_rounds=6,
             partitions=(NetPartition(
-                start_epoch=3, heal_epoch=7, depth=2,
+                start=3, heal=7, depth=2,
             ),),
         )
         clean = Simulation(small_config(

@@ -69,9 +69,9 @@ class TestRandomFaultSchedule:
             net = random_fault_schedule(seed, 40, quiet_tail=10)
             horizon = 30
             for cut in net.partitions:
-                assert cut.heal_epoch <= horizon
+                assert cut.heal <= horizon
             for flap in net.flaps:
-                assert flap.heal_epoch <= horizon
+                assert flap.heal <= horizon
 
     def test_base_config_is_preserved(self):
         base = NetConfig(

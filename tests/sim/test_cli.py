@@ -315,6 +315,9 @@ class TestScenario:
         '{"name": "x", "structure": {"scale": 2, "layout": {}}}',
         '{"name": "x", "failure": {"net": {"fabric": "counting"}}}',
         '{"name": "x", "structure": {"scale": 100}, "failure": {"net": {}}}',
+        '{"name": "x", "failure": {"events": '
+        '[{"kind": "join", "epoch": 1, "count": 2, "storage": 0}]}}',
+        '{"name": "x", "flows": {"popularity_shape": 0}}',
         "not json",
     ])
     def test_bad_spec_file_is_one_line_not_a_traceback(self, tmp_path, body):

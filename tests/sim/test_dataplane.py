@@ -153,7 +153,7 @@ class TestEngineIntegration:
         net = NetConfig(
             rounds_per_epoch=2, dead_rounds=6,
             partitions=(NetPartition(
-                start_epoch=2, heal_epoch=5, depth=2,
+                start=2, heal=5, depth=2,
             ),),
         )
         faulty = Simulation(small_config(

@@ -7,14 +7,14 @@ Three layers of guarantees:
   surge phases, negative budgets, impossible tiers);
 * **compilation** — ``compile_spec`` is deterministic, and every tier
   that hides or renames runtime fields (confidence, geography, events,
-  net, chaos) lowers onto exactly the runtime objects a hand-built run
+  chaos) lowers onto exactly the runtime objects a hand-built run
   would use (inlined here as ground truth — config equality implies
   byte-identical frame streams without re-running them);
 * **serialization** — every registry spec and sampled spec round-trips
   losslessly through ``to_dict``/``from_dict`` and JSON, and the JSON
   text itself is fenced: ``to_json()`` of every registry spec and
-  benchmark workload hashes to what the commit before the spec layer
-  stopped mirroring the config layer produced.
+  benchmark workload hashes to a pinned digest, and each frozen
+  workload file reads back as itself minus its ``RETIRED`` keys.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 
 from repro.cluster.confidence import ConfidenceModel
 from repro.cluster.topology import CloudLayout
-from repro.core.economy import DEFAULT_EPOCHS_PER_MONTH, RentModel
+from repro.core.economy import RentModel
 from repro.core.policy import EconomicPolicy
 from repro.cluster.events import (
     AddServers,
@@ -46,16 +46,14 @@ from repro.sim.scenario import (
     ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
-    EconomySpec,
     FailureSpec,
     FlashCrowd,
     FlowsSpec,
     GeoSpec,
     JoinWave,
     LeaveWave,
-    NetSpec,
     OperationsSpec,
-    PolicySpec,
+    RETIRED,
     ScenarioEntry,
     ScenarioSpec,
     SpecError,
@@ -77,8 +75,36 @@ JSON_FENCE = json.loads(
 )
 
 
+#: Where each class with retired keys sits in the JSON tree.
+SECTION_OF = {
+    EconomicPolicy: ("constraints", "policy"),
+    RentModel: ("constraints", "economy"),
+    NetConfig: ("failure", "net"),
+}
+
+#: Per ``RETIRED`` row: the value it loads at, a value it refuses (with
+#: the message it has always had) and a wrong-typed value.
+RETIRED_ROWS = {
+    (EconomicPolicy, "rent_weight"): (
+        1.0, 0.5, "^policy: rent_weight must be", "1.0"),
+    (EconomicPolicy, "max_replicas"): (
+        None, 2, "^policy: max_replicas must be", "null"),
+    (RentModel, "normalize_by_usage"): (
+        False, True, "^economy: normalize_by_usage must be", "false"),
+    (NetConfig, "fabric"): ("full", "counting", "FULL_FABRIC_MAX_NODES", 1),
+    (NetConfig, "suspect_rounds"): (
+        4, 10, "^net: need 1 <= suspect_rounds < dead_rounds", "4"),
+}
+
+
 def paper_config(**kwargs):
     return compile_spec(paper_spec(**kwargs)).config
+
+
+def with_section(cls, section):
+    """A bare spec's JSON form with ``cls``'s section set to ``section``."""
+    tier, name = SECTION_OF[cls]
+    return {"name": "x", tier: {name: section}}
 
 
 class TestValidation:
@@ -99,7 +125,7 @@ class TestValidation:
         }]}}, "GeoSpec"),
         ({"failure": {"net": {"partitions": [
             {"start": 1, "heal": 2, "width": 3},
-        ]}}}, "PartitionWindow"),
+        ]}}}, "NetPartition"),
         ({"failure": {"events": [
             {"kind": "join", "epoch": 1, "count": 1, "colour": "red"},
         ]}}, "JoinWave"),
@@ -119,6 +145,9 @@ class TestValidation:
         ({"flows": {"traffic": {"hint_ttl": 0}}}, "DataPlaneConfig"),
         ({"flows": {"serving": {"hint_ttl": 0}}}, "ServingConfig"),
         ({"flows": {"serving": {"level": "most"}}}, "ServingConfig"),
+        ({"constraints": {"policy": {"hysteresis": 0}}}, "EconomicPolicy"),
+        ({"constraints": {"economy": {"alpha": -1}}}, "RentModel"),
+        ({"failure": {"net": {"loss": 1.5}}}, "NetConfig"),
     ])
     def test_from_dict_rejects_naming_the_class(self, data, names):
         with pytest.raises(SpecError) as caught:
@@ -199,63 +228,11 @@ class TestValidation:
         with pytest.raises(SpecError, match="tier"):
             TenantSpec(name="t", share=1.0, tiers=())
 
-    def test_net_fabric_is_only_full(self):
-        NetSpec(fabric="full")  # the frozen benchmark workloads name it
-        with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
-            NetSpec(fabric="counting")
-
-    def test_fabric_key_does_not_reach_the_net_config(self):
-        assert "fabric" not in {
-            f.name for f in dataclasses.fields(NetConfig)
-        }
-        assert NetSpec(fabric="full").compile() == NetSpec().compile()
-
-    @pytest.mark.parametrize("section, key, value, default", [
-        ("policy", "rent_weight", 0.5, 1.0),
-        ("policy", "max_replicas", 2, None),
-        ("economy", "normalize_by_usage", True, False),
-    ])
-    def test_name_only_economy_fields_take_only_their_default(
-            self, tmp_path, section, key, value, default):
-        """Frozen spec files name these fields; only the value every
-        run uses loads, and it changes nothing."""
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(
-            {"name": "x", "constraints": {section: {key: value}}}
-        ))
-        with pytest.raises(SpecError, match=f"^{section}: {key} must be"):
-            load_spec(path)
-        path.write_text(json.dumps(
-            {"name": "x", "constraints": {section: {key: default}}}
-        ))
-        assert load_spec(path) == ScenarioSpec(name="x")
-
-    def test_policy_spec_lowers_every_policy_knob(self):
-        """``PolicySpec.compile`` names each ``EconomicPolicy`` field by
-        hand; every one must reach the policy (``consistency`` is left
-        at its default by the spec layer)."""
-        changed = {
-            "hysteresis": 5, "revenue_per_query": 0.02,
-            "repair_iterations": 3, "migration_margin": 0.1,
-            "storage_headroom": 0.2,
-        }
-        knobs = {f.name for f in dataclasses.fields(EconomicPolicy)}
-        assert set(changed) == knobs - {"consistency"}
-        policy = PolicySpec(**changed).compile()
-        assert {key: getattr(policy, key) for key in changed} == changed
-        assert policy.consistency == EconomicPolicy().consistency
-
-    def test_economy_spec_lowers_alpha_and_beta(self):
-        model = EconomySpec(alpha=2.5, beta=0.5).compile()
-        assert model == RentModel(
-            alpha=2.5, beta=0.5, epochs_per_month=DEFAULT_EPOCHS_PER_MONTH
-        )
-
     def test_net_refused_above_the_fabric_cap(self):
         big = StructureSpec(scale=100)  # 20 000 servers
         assert big.compile_layout().total_servers > FULL_FABRIC_MAX_NODES
         ScenarioSpec(name="x", structure=big)  # no net, no fabric
-        for failure in (FailureSpec(net=NetSpec()),
+        for failure in (FailureSpec(net=NetConfig()),
                         FailureSpec(chaos=ChaosSpec())):
             with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
                 ScenarioSpec(name="x", structure=big, failure=failure)
@@ -265,11 +242,11 @@ class TestValidation:
         waves = (JoinWave(epoch=1, count=room - 1),
                  JoinWave(epoch=2, count=1))
         ScenarioSpec(name="x", failure=FailureSpec(events=waves,
-                                                   net=NetSpec()))
+                                                   net=NetConfig()))
         over = waves + (JoinWave(epoch=3, count=1),)
         with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
             ScenarioSpec(name="x", failure=FailureSpec(events=over,
-                                                       net=NetSpec()))
+                                                       net=NetConfig()))
 
     def test_leaves_do_not_make_room_under_the_fabric_cap(self):
         # The load-time count is an upper bound on purpose: leaves are
@@ -279,16 +256,37 @@ class TestValidation:
                   JoinWave(epoch=2, count=room + 1))
         with pytest.raises(SpecError, match="FULL_FABRIC_MAX_NODES"):
             ScenarioSpec(name="x", failure=FailureSpec(events=events,
-                                                       net=NetSpec()))
+                                                       net=NetConfig()))
 
-    def test_net_suspect_rounds_keeps_its_bound(self):
-        # Read by no code, but frozen spec files name it.
-        assert NetSpec(suspect_rounds=3, dead_rounds=8).compile() == (
-            NetSpec(dead_rounds=8).compile()
-        )
+    def test_every_retired_row_has_a_case(self):
+        assert set(RETIRED_ROWS) == {
+            (cls, key) for cls, rows in RETIRED.items() for key in rows
+        }
+
+    @pytest.mark.parametrize(
+        "cls, key", list(RETIRED_ROWS), ids=[k for _, k in RETIRED_ROWS]
+    )
+    def test_retired_key_loads_only_at_its_neutral_value(self, cls, key):
+        accepted, refused, message, wrong_type = RETIRED_ROWS[cls, key]
+        loaded = ScenarioSpec.from_dict(with_section(cls, {key: accepted}))
+        assert loaded == ScenarioSpec.from_dict(with_section(cls, {}))
+        tier, name = SECTION_OF[cls]
+        assert key not in loaded.to_dict()[tier][name]
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(with_section(cls, {key: refused}))
+        with pytest.raises(SpecError, match=key) as caught:
+            ScenarioSpec.from_dict(with_section(cls, {key: wrong_type}))
+        assert "\n" not in str(caught.value)
+
+    def test_suspect_rounds_is_bounded_by_its_sections_dead_rounds(self):
+        ScenarioSpec.from_dict(with_section(
+            NetConfig, {"suspect_rounds": 3, "dead_rounds": 8}
+        ))
         for suspect, dead in ((0, 8), (5, 5)):
             with pytest.raises(SpecError, match="suspect_rounds"):
-                NetSpec(suspect_rounds=suspect, dead_rounds=dead)
+                ScenarioSpec.from_dict(with_section(
+                    NetConfig, {"suspect_rounds": suspect, "dead_rounds": dead}
+                ))
 
     def test_entry_pin_epochs(self):
         with pytest.raises(SpecError, match="pin_epochs"):
@@ -310,9 +308,19 @@ class TestCompile:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
         text = spec.to_json()
         assert ScenarioSpec.from_json(text) == spec
-        # sha256 of to_json() as generated on the commit before this
-        # layer stopped mirroring the config classes (PR 14's tree).
+        # sha256 of to_json(), pinned when the retired keys left the
+        # format (every other byte as the spec layer always wrote it).
         assert hashlib.sha256(text.encode()).hexdigest() == JSON_FENCE[key]
+
+    @pytest.mark.parametrize("path", WORKLOADS, ids=lambda path: path.name)
+    def test_frozen_workload_loads_unchanged(self, path):
+        """A frozen file reads as itself, minus its retired keys."""
+        data = json.loads(path.read_text())
+        for cls, (tier, name) in SECTION_OF.items():
+            if data[tier][name] is not None:
+                for key in RETIRED[cls]:
+                    del data[tier][name][key]
+        assert load_spec(path).to_dict() == data
 
     def test_json_fence_covers_registry_and_workloads(self):
         assert set(JSON_FENCE) == set(specs.REGISTRY) | {

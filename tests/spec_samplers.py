@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.cluster.server import GB
 from repro.cluster.topology import CloudLayout
+from repro.core.policy import EconomicPolicy
 from repro.sim.config import DataPlaneConfig, InsertConfig
 from repro.sim.scenario import (
     ChaosSpec,
@@ -26,7 +27,6 @@ from repro.sim.scenario import (
     JoinWave,
     LeaveWave,
     OperationsSpec,
-    PolicySpec,
     ScenarioSpec,
     ServerClassesSpec,
     StructureSpec,
@@ -117,7 +117,7 @@ def sample_spec(seed: int) -> ScenarioSpec:
         )
     constraints = ConstraintsSpec(
         partitions=int(rng.integers(4, 13)),
-        policy=PolicySpec(
+        policy=EconomicPolicy(
             hysteresis=int(rng.integers(2, 4)),
             repair_iterations=int(rng.integers(1, 5)),
             migration_margin=float(rng.uniform(0.0, 0.1)),
