@@ -45,6 +45,14 @@ lines — and a block made only of ``raise`` statements (validation) is
 not counted.  An unreached compound statement is listed once, as its
 whole line range.  That section never fails the run either.
 
+A knob can also be settable yet never set.  The ``[single-valued
+fields]`` section walks every ``SimConfig`` the runs above built a
+``Simulation`` from, leaf field by leaf field (nested config classes
+and tuples of them included), and lists each field that held one value
+in all of them, with that value.  The figure benches are not among
+those runs, so a field only a bench varies is listed too.  The
+section never fails the run.
+
 Usage:  python scripts/reach_census.py
 
 Takes about two minutes on a laptop-class core.  Exits 1 when
@@ -57,6 +65,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import io
 import re
 import runpy
@@ -414,6 +423,64 @@ def statement_census(collector: Collector, src: Path = SRC
 
 
 # ---------------------------------------------------------------------------
+# Config fields no run varies
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def compiled_configs(configs: List[object]) -> Iterator[None]:
+    """Append to ``configs`` every config a ``Simulation`` is built from."""
+    from repro.sim.engine import Simulation
+
+    init = Simulation.__init__
+
+    def recording(self, config, *args, **kwargs):
+        configs.append(config)
+        init(self, config, *args, **kwargs)
+
+    Simulation.__init__ = recording
+    try:
+        yield
+    finally:
+        Simulation.__init__ = init
+
+
+def leaf_values(config: object, path: str = ""
+                ) -> Iterator[Tuple[str, str]]:
+    """``(field path, repr of its value)`` for every leaf field of a
+    config dataclass.  A nested dataclass is walked (``serving.workers``)
+    and so is each item of a tuple of them (``apps[].name``); a present
+    section also yields its class name, so a section that is sometimes
+    ``None`` does not read as single-valued."""
+    for f in dataclasses.fields(config):
+        value, name = getattr(config, f.name), path + f.name
+        if dataclasses.is_dataclass(value):
+            yield name, type(value).__name__
+            yield from leaf_values(value, name + ".")
+        elif (isinstance(value, tuple) and value
+              and all(dataclasses.is_dataclass(v) for v in value)):
+            yield name, f"{len(value)} items"
+            for item in value:
+                yield from leaf_values(item, name + "[].")
+        else:
+            yield name, repr(value)
+
+
+def single_valued(configs: List[object]
+                  ) -> Tuple[int, List[Tuple[str, str]]]:
+    """The number of leaf field paths ``configs`` have, and the
+    ``(path, value)`` of each that held one value in all of them."""
+    seen: Dict[str, Set[str]] = {}
+    for config in configs:
+        for name, value in leaf_values(config):
+            seen.setdefault(name, set()).add(value)
+    return len(seen), [
+        (name, next(iter(values)))
+        for name, values in sorted(seen.items()) if len(values) == 1
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
 
@@ -510,7 +577,10 @@ def _show(ranges: List[Tuple[int, int]]) -> str:
 def main() -> int:
     sys.path.insert(0, str(SRC))
     collector = Collector()
-    with tempfile.TemporaryDirectory() as tmp, collector.active():
+    configs: List[object] = []
+    # Traced from the first import on: some src/ code runs only then.
+    with tempfile.TemporaryDirectory() as tmp, collector.active(), \
+            compiled_configs(configs):
         run_registry()
         run_registry_scalar()
         run_benchmark(Path(tmp))
@@ -551,6 +621,13 @@ def main() -> int:
     for fn, ranges in missed:
         print(f"  src/{fn.module}:{fn.line}  {fn.qualname}  lines "
               f"{_show(ranges)}")
+    leaves, fixed = single_valued(configs)
+    print(f"\n[single-valued fields] {len(fixed)} of {leaves} SimConfig "
+          f"leaf fields held one value in the {len(configs)} configs "
+          f"these runs built (the figure benches are not among them; "
+          f"reported, never a failure)")
+    for name, value in fixed:
+        print(f"  {name} = {value}")
     unexplained = len(by_reason.get("UNEXPLAINED", ()))
     print(f"\nsummary: {unnamed - unexplained} kept, "
           f"{unexplained} unexplained, {len(named_only)} named only")

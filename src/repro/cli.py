@@ -246,14 +246,13 @@ def parse_partition(token: str) -> Dict:
             f"got {token!r}"
         )
     try:
-        return {
-            "start": int(parts[0]),
-            "heal": int(parts[1]),
-            "depth": int(parts[2]) if len(parts) == 3 else 2,
-            "asymmetric": asymmetric,
-        }
+        # No DEPTH: the key is left out and NetPartition's default holds.
+        row = {key: int(part)
+               for key, part in zip(("start", "heal", "depth"), parts)}
     except ValueError as exc:
         raise CliError(f"bad --net-partition {token!r}: {exc}")
+    row["asymmetric"] = asymmetric
+    return row
 
 
 def parse_flap(token: str) -> List[Dict]:
@@ -274,6 +273,8 @@ def parse_flap(token: str) -> List[Dict]:
         period = int(parts[2]) if len(parts) == 3 else 0
         if period < 0:
             raise ValueError(f"PERIOD must be >= 0, got {period}")
+        if end <= start:
+            raise ValueError(f"END must be > START, got {end} <= {start}")
     except ValueError as exc:
         raise CliError(f"bad --net-flap {token!r}: {exc}")
     if period == 0:

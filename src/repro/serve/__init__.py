@@ -10,7 +10,7 @@ costs every get/put with RTTs along its quorum path
 
 from repro.serve.frontend import ServingFrontEnd
 from repro.serve.loadgen import Arrival, LoadGenerator, ServeError
-from repro.serve.sla import SlaLedger, SlaPolicy
+from repro.serve.sla import SlaLedger
 
 __all__ = [
     "Arrival",
@@ -18,5 +18,4 @@ __all__ = [
     "ServeError",
     "ServingFrontEnd",
     "SlaLedger",
-    "SlaPolicy",
 ]

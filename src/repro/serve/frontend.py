@@ -46,14 +46,22 @@ from repro.analysis.latency import LatencyModel
 from repro.cluster.location import Location, diversity
 from repro.ring.router import Router, RoutingError
 from repro.ring.virtualring import RingSet
-from repro.serve.loadgen import Arrival, LoadGenerator
-from repro.serve.sla import SlaLedger, SlaPolicy
+from repro.serve.loadgen import EPOCH_MS, Arrival, LoadGenerator
+from repro.serve.sla import SlaLedger
 from repro.store.hints import HintStore
 from repro.store.quorum import Level, QuorumError, QuorumKVStore
 from repro.store.replica import ReplicaCatalog
 
 # NOTE: repro.sim.metrics is imported lazily inside the frame builders
 # so this module can be imported from either package side.
+
+#: Partitions the anti-entropy pass walks per epoch, and the patch
+#: bytes after which it stops (the partition in flight finishes).
+ANTI_ENTROPY_PARTITIONS = 8
+ANTI_ENTROPY_BYTES = 1 << 20
+#: Coordinator-side cost (ms) of waiting out a replica that times out or
+#: cannot be reached (also the floor cost of a failed quorum).
+TIMEOUT_PENALTY_MS = 250.0
 
 
 class ServingFrontEnd:
@@ -73,22 +81,15 @@ class ServingFrontEnd:
         )
         self._cloud = cloud
         self.router = Router(cloud, rings, catalog, membership=membership)
-        self.hints = HintStore(
-            ttl=config.hint_ttl,
-            base_delay=config.hint_base_delay,
-            cap=config.hint_backoff_cap,
-        )
+        self.hints = HintStore()
         self.store = QuorumKVStore(
             cloud, rings, catalog,
-            read_repair=config.read_repair,
             membership=membership,
             hints=self.hints,
             track_catalog=True,
             router=self.router,
         )
-        self.sla = SlaLedger(SlaPolicy(
-            read_ms=config.sla_read_ms, write_ms=config.sla_write_ms,
-        ))
+        self.sla = SlaLedger()
         self.loadgen: Optional[LoadGenerator] = None
         if config.requests_per_epoch > 0:
             self.loadgen = LoadGenerator(
@@ -96,8 +97,6 @@ class ServingFrontEnd:
                 requests_per_epoch=config.requests_per_epoch,
                 read_fraction=config.read_fraction,
                 keyspace=config.keyspace,
-                value_size=config.value_size,
-                epoch_ms=config.epoch_ms,
                 rng=rng,
                 sites=sites,
                 prefix=prefix,
@@ -133,13 +132,11 @@ class ServingFrontEnd:
             with self.router.serving_window():
                 queue_wait = self._serve(epoch, arrivals, read_lat, write_lat)
         self.store.drain_hints(epoch)
-        cfg = self.config
-        if cfg.anti_entropy_partitions > 0:
-            self.store.anti_entropy(
-                epoch,
-                max_partitions=cfg.anti_entropy_partitions,
-                max_bytes=cfg.anti_entropy_bytes,
-            )
+        self.store.anti_entropy(
+            epoch,
+            max_partitions=ANTI_ENTROPY_PARTITIONS,
+            max_bytes=ANTI_ENTROPY_BYTES,
+        )
         self._served = (
             epoch, read_lat, write_lat, queue_wait,
             tally.read_failures - failed_before[0],
@@ -187,11 +184,10 @@ class ServingFrontEnd:
         client→coordinator hop resolved by the Router, plus the
         slowest leg of the coordinator's replica fan-out.  A replica
         that times out (ghost) or is unreachable (cut link) costs the
-        configured timeout penalty — the coordinator waits it out —
+        :data:`TIMEOUT_PENALTY_MS` — the coordinator waits it out —
         and a failed quorum costs at least that penalty on top of the
         hop, since the coordinator gave up only after waiting.
         """
-        cfg = self.config
         model = self.model
         pid = self.router.partition_at(
             arrival.app_id, arrival.ring_id, arrival.position
@@ -203,7 +199,7 @@ class ServingFrontEnd:
         except RoutingError:
             # No believed-live replica at all: the client burns a full
             # timeout against a dead partition.
-            return cfg.timeout_penalty_ms, -1
+            return TIMEOUT_PENALTY_MS, -1
         try:
             if arrival.kind == "get":
                 result = self.store.get(
@@ -217,7 +213,7 @@ class ServingFrontEnd:
                     client=arrival.client, route=route,
                 )
         except QuorumError:
-            return model.rtt(route.distance) + cfg.timeout_penalty_ms, -1
+            return model.rtt(route.distance) + TIMEOUT_PENALTY_MS, -1
         attempts = result.attempts
         if attempts is route.costed:
             # A read replayed from the route's compiled plan: same
@@ -231,7 +227,7 @@ class ServingFrontEnd:
                     coord_loc, self._cloud.server(sid).location
                 ))
             elif outcome in ("timeout", "unreachable"):
-                leg = cfg.timeout_penalty_ms
+                leg = TIMEOUT_PENALTY_MS
             else:  # skipped: believed dead, never contacted
                 continue
             if leg > fan_out:
@@ -270,7 +266,7 @@ class ServingFrontEnd:
             write_failures=write_failures,
             sla_read_violations=sla_reads,
             sla_write_violations=sla_writes,
-            requests_per_sec=requests / (self.config.epoch_ms / 1000.0),
+            requests_per_sec=requests / (EPOCH_MS / 1000.0),
             read_p50_ms=read_p50,
             read_p99_ms=read_p99,
             read_p999_ms=read_p999,

@@ -5,7 +5,7 @@ next one arrives: load is *open-loop* — arrivals come from an external
 client population at their own pace, and a slow backend shows up as
 queueing delay, not as a slower arrival rate.  :class:`LoadGenerator`
 models that with exponential inter-arrival gaps (a Poisson process)
-over the epoch's ``epoch_ms`` window, drawn from the dedicated
+over the epoch's :data:`EPOCH_MS` window, drawn from the dedicated
 ``serving`` RNG stream so enabling the front door perturbs no other
 stochastic component.
 
@@ -30,6 +30,13 @@ from repro.cluster.location import Location
 from repro.workload.keys import ZipfKeys
 
 
+#: Bytes in every put's value (its ``prefix-eE-iI-`` stamp, padded).
+VALUE_SIZE = 64
+#: Simulated wall-clock milliseconds one epoch represents: the window
+#: the arrivals spread over and the denominator of ``requests_per_sec``.
+EPOCH_MS = 1000.0
+
+
 class ServeError(ValueError):
     """Raised for invalid serving front-door parameters."""
 
@@ -52,8 +59,7 @@ class LoadGenerator:
 
     def __init__(self, *, apps: Sequence[Tuple[int, int]],
                  requests_per_epoch: int, read_fraction: float,
-                 keyspace: int, value_size: int, epoch_ms: float,
-                 rng: np.random.Generator,
+                 keyspace: int, rng: np.random.Generator,
                  sites: Sequence[Location] = (),
                  prefix: str = "sv") -> None:
         if not apps:
@@ -69,22 +75,16 @@ class LoadGenerator:
             )
         if keyspace < 1:
             raise ServeError(f"keyspace must be >= 1, got {keyspace}")
-        if value_size < 1:
-            raise ServeError(f"value_size must be >= 1, got {value_size}")
-        if epoch_ms <= 0:
-            raise ServeError(f"epoch_ms must be > 0, got {epoch_ms}")
         self._apps = tuple(apps)
         self._requests = requests_per_epoch
         self._read_fraction = read_fraction
-        self._value_size = value_size
-        self._epoch_ms = epoch_ms
         self._rng = rng
         self._sites = tuple(sites)
         self._prefix = prefix
         self._universe = ZipfKeys(prefix, keyspace)
         # Open loop: the mean gap keeps the configured rate regardless
         # of how fast the backend drains.
-        self._mean_gap_ms = epoch_ms / max(requests_per_epoch, 1)
+        self._mean_gap_ms = EPOCH_MS / max(requests_per_epoch, 1)
 
     @property
     def keys(self) -> Tuple[bytes, ...]:
@@ -92,9 +92,9 @@ class LoadGenerator:
 
     def _value(self, epoch: int, index: int) -> bytes:
         stamp = f"{self._prefix}-e{epoch}-i{index}-".encode("ascii")
-        pad = self._value_size - len(stamp)
+        pad = VALUE_SIZE - len(stamp)
         if pad <= 0:
-            return stamp[: self._value_size]
+            return stamp[:VALUE_SIZE]
         return stamp + b"x" * pad
 
     def draw(self, epoch: int) -> List[Arrival]:

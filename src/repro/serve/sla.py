@@ -3,43 +3,29 @@
 The paper's economics are availability economics — replicas are bought
 to keep availability above per-ring thresholds.  The SLA view closes
 the loop to what users actually see: each ring (one tenant's
-availability tier) gets a latency target per operation kind, every
-request is judged against it, and the ledger reports attainment per
-tenant.  A failed request (no quorum) always violates — unavailability
-is the worst latency.
+availability tier) is held to one latency target per operation kind
+(:data:`SLA_READ_MS`, :data:`SLA_WRITE_MS`), every request is judged
+against it, and the ledger reports attainment per tenant.  A failed
+request (no quorum) always violates — unavailability is the worst
+latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.serve.loadgen import ServeError
-
-
-@dataclass(frozen=True)
-class SlaPolicy:
-    """Latency targets (milliseconds) per operation kind."""
-
-    read_ms: float = 60.0
-    write_ms: float = 150.0
-
-    def __post_init__(self) -> None:
-        if self.read_ms <= 0 or self.write_ms <= 0:
-            raise ServeError(
-                f"SLA targets must be > 0, got read {self.read_ms} / "
-                f"write {self.write_ms}"
-            )
-
-    def target(self, kind: str) -> float:
-        return self.read_ms if kind == "get" else self.write_ms
+#: Latency targets (milliseconds) per operation kind.  A worst-case
+#: healthy quorum op costs two cross-continent round trips (~240 ms),
+#: so 250 / 400 ms classify timeout waits and queueing excursions as
+#: violations without penalizing clean geography.
+SLA_READ_MS = 250.0
+SLA_WRITE_MS = 400.0
 
 
 class SlaLedger:
     """Counts requests and SLA violations per (app_id, ring_id) tenant."""
 
-    def __init__(self, policy: SlaPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         # (app_id, ring_id) -> [requests, read_violations, write_violations]
         self._tenants: Dict[Tuple[int, int], list] = {}
         self.read_violations = 0
@@ -51,7 +37,9 @@ class SlaLedger:
         """Judge one request; returns True when it violated its SLA."""
         row = self._tenants.setdefault((app_id, ring_id), [0, 0, 0])
         row[0] += 1
-        violated = (not ok) or latency_ms > self.policy.target(kind)
+        violated = (not ok) or latency_ms > (
+            SLA_READ_MS if kind == "get" else SLA_WRITE_MS
+        )
         if violated:
             if kind == "get":
                 row[1] += 1

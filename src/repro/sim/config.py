@@ -18,7 +18,7 @@ constraints tier exposes the knobs to run the full-size variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.cluster.confidence import ConfidenceModel
@@ -139,37 +139,9 @@ class InsertConfig:
             )
 
 
-def _check_store_knobs(cfg) -> None:
-    """Validate the quorum-store knobs both overlay configs declare.
-
-    :class:`DataPlaneConfig` and :class:`ServingConfig` share these
-    fields (``level``, ``read_fraction``, ``keyspace``, ``value_size``,
-    ``hint_*``, ``anti_entropy_*``, ``read_repair``), so the bounds
-    live here once.
-    """
-    if cfg.level not in ("one", "quorum", "all"):
-        raise ConfigError(
-            f"level must be 'one', 'quorum' or 'all', got {cfg.level!r}"
-        )
-    if not 0.0 <= cfg.read_fraction <= 1.0:
-        raise ConfigError(
-            f"read_fraction must be in [0, 1], got {cfg.read_fraction}"
-        )
-    for name in ("keyspace", "value_size", "hint_ttl", "hint_base_delay"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(
-                f"{name} must be >= 1, got {getattr(cfg, name)}"
-            )
-    if cfg.hint_backoff_cap < cfg.hint_base_delay:
-        raise ConfigError(
-            f"hint_backoff_cap must be >= hint_base_delay, got "
-            f"{cfg.hint_backoff_cap} < {cfg.hint_base_delay}"
-        )
-    for name in ("anti_entropy_partitions", "anti_entropy_bytes"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(
-                f"{name} must be >= 0, got {getattr(cfg, name)}"
-            )
+#: The data plane's consistency level and read share of its requests.
+DATA_PLANE_LEVEL = "quorum"
+DATA_PLANE_READ_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
@@ -188,34 +160,30 @@ class DataPlaneConfig:
     copies and its own RNG stream (``dataplane``), touches no
     economic state, and therefore leaves the golden EpochFrame
     streams byte-identical whether enabled or not.
+
+    Its level and read share are :data:`DATA_PLANE_LEVEL` and
+    :data:`DATA_PLANE_READ_FRACTION`; the store and latency knobs are
+    the overlay's module constants, as for :class:`ServingConfig`.
     """
 
-    level: str = "quorum"
     ops_per_epoch: int = 48
-    read_fraction: float = 0.6
     keyspace: int = 96
-    value_size: int = 64
-    hint_ttl: int = 32
-    hint_base_delay: int = 1
-    hint_backoff_cap: int = 8
-    anti_entropy_partitions: int = 8
-    anti_entropy_bytes: int = 1 << 20
-    read_repair: bool = True
 
     def __post_init__(self) -> None:
         if self.ops_per_epoch < 0:
             raise ConfigError(
                 f"ops_per_epoch must be >= 0, got {self.ops_per_epoch}"
             )
-        _check_store_knobs(self)
+        if self.keyspace < 1:
+            raise ConfigError(f"keyspace must be >= 1, got {self.keyspace}")
 
     def serving_config(self) -> "ServingConfig":
         """The overlay config this data plane runs as: ``ops_per_epoch``
-        becomes ``requests_per_epoch``, the store knobs carry over and
-        the latency fields keep their defaults."""
-        knobs = {f.name: getattr(self, f.name) for f in fields(self)}
+        becomes ``requests_per_epoch``, at the data plane's fixed
+        consistency level and read/write mix."""
         return ServingConfig(
-            requests_per_epoch=knobs.pop("ops_per_epoch"), **knobs
+            level=DATA_PLANE_LEVEL, requests_per_epoch=self.ops_per_epoch,
+            read_fraction=DATA_PLANE_READ_FRACTION, keyspace=self.keyspace,
         )
 
 
@@ -240,38 +208,25 @@ class ServingConfig:
     observer: it owns its own versioned copies, hints and RNG stream
     and touches no economic state, so enabling it leaves the golden
     EpochFrame streams byte-identical.
+
+    Only what runs vary is a field.  The rest are module constants
+    beside their one reader: the hint TTL and backoff
+    (:mod:`repro.store.hints`), the anti-entropy budget and the timeout
+    penalty (:mod:`repro.serve.frontend`), the value size and the epoch
+    length (:mod:`repro.serve.loadgen`) and the SLA targets
+    (:mod:`repro.serve.sla`).  Read repair is always on.
     """
 
     level: str = "quorum"
     requests_per_epoch: int = 512
     read_fraction: float = 0.9
     keyspace: int = 256
-    value_size: int = 64
     #: Virtual executors of the front end's event loop: requests queue
     #: when every worker is busy, so queueing delay shows in the tails.
     #: A cross-continent round trip is ~120 ms and a quorum op pays
     #: two of them, so 512 req/s of ~200 ms ops needs ~100 executors
     #: to sit below saturation; 128 leaves headroom for fault windows.
     workers: int = 128
-    #: Simulated wall-clock milliseconds one epoch represents — the
-    #: arrival window the open-loop generator spreads requests over and
-    #: the denominator of ``requests_per_sec``.
-    epoch_ms: float = 1000.0
-    #: Coordinator-side cost of waiting out a replica that times out or
-    #: cannot be reached (also the floor cost of a failed quorum).
-    timeout_penalty_ms: float = 250.0
-    #: Latency targets: a worst-case healthy quorum op costs two
-    #: cross-continent round trips (~240 ms), so 250/400 ms classify
-    #: timeout waits and queueing excursions as violations without
-    #: penalizing clean geography.
-    sla_read_ms: float = 250.0
-    sla_write_ms: float = 400.0
-    hint_ttl: int = 32
-    hint_base_delay: int = 1
-    hint_backoff_cap: int = 8
-    anti_entropy_partitions: int = 8
-    anti_entropy_bytes: int = 1 << 20
-    read_repair: bool = True
 
     def __post_init__(self) -> None:
         if self.requests_per_epoch < 0:
@@ -279,23 +234,18 @@ class ServingConfig:
                 f"requests_per_epoch must be >= 0, got "
                 f"{self.requests_per_epoch}"
             )
-        _check_store_knobs(self)
+        if self.level not in ("one", "quorum", "all"):
+            raise ConfigError(
+                f"level must be 'one', 'quorum' or 'all', got {self.level!r}"
+            )
+        if not 0.0 <= self.read_fraction <= 1.0:
+            raise ConfigError(
+                f"read_fraction must be in [0, 1], got {self.read_fraction}"
+            )
+        if self.keyspace < 1:
+            raise ConfigError(f"keyspace must be >= 1, got {self.keyspace}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.epoch_ms <= 0:
-            raise ConfigError(
-                f"epoch_ms must be > 0, got {self.epoch_ms}"
-            )
-        if self.timeout_penalty_ms < 0:
-            raise ConfigError(
-                f"timeout_penalty_ms must be >= 0, got "
-                f"{self.timeout_penalty_ms}"
-            )
-        if self.sla_read_ms <= 0 or self.sla_write_ms <= 0:
-            raise ConfigError(
-                f"SLA targets must be > 0, got read {self.sla_read_ms} "
-                f"/ write {self.sla_write_ms}"
-            )
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,13 @@
 """Declarative scenario specs: tiered, validated, compiled to configs.
 
-ROADMAP item 3 (the SNIPPETS.md snippet 3 decomposition): a scenario is
-*data* — five tiered sections instead of a hand-built factory —
-
-* **structure** — cloud shape (explicit layout or paper scale) and the
-  server classes (rent split, storage/query capacity, confidence
-  distribution);
-* **flows** — composable workload phases: the base Poisson rate,
-  flash-crowd surges, diurnal cycles, the Fig. 5 insert stream, and
-  zipf data-plane client traffic;
-* **constraints** — tenants with per-tier SLAs (replicas, thresholds,
-  partition geometry), bandwidth budgets, and the economic policy /
-  rent-model knobs;
-* **failure** — membership events (join/leave waves, scoped outages)
-  plus the control-plane fault schedule (loss, delay, partitions,
-  flaps) or a seeded chaos draw;
-* **operations** — horizon, master seed, epoch kernel, equivalence
-  tolerance and the consistency-audit toggle.
+A scenario is *data*: five tiered sections instead of a hand-built
+factory — **structure** (cloud shape, server classes), **flows** (base
+rate, surges, diurnal cycle, inserts, the two serving overlays),
+**constraints** (tenants and their SLA tiers, budgets, policy, rent
+model), **failure** (membership events, the control-plane fault
+schedule or a seeded chaos draw) and **operations** (horizon, seed,
+kernel, tolerance, audit).  ``docs/ARCHITECTURE.md`` tabulates what
+each tier compiles to.
 
 :func:`compile_spec` lowers a spec *deterministically* onto the
 runtime objects (:class:`repro.sim.config.SimConfig`,
@@ -65,7 +56,13 @@ from repro.core.availability import paper_thresholds
 from repro.core.economy import RentModel
 from repro.core.policy import KERNELS, EconomicPolicy
 from repro.net.model import FULL_FABRIC_MAX_NODES, NetConfig
+from repro.serve.frontend import (
+    ANTI_ENTROPY_BYTES, ANTI_ENTROPY_PARTITIONS, TIMEOUT_PENALTY_MS)
+from repro.serve.loadgen import EPOCH_MS, VALUE_SIZE
+from repro.serve.sla import SLA_READ_MS, SLA_WRITE_MS
 from repro.sim.config import (
+    DATA_PLANE_LEVEL,
+    DATA_PLANE_READ_FRACTION,
     AppConfig,
     DataPlaneConfig,
     InsertConfig,
@@ -75,6 +72,7 @@ from repro.sim.config import (
     scaled_paper_layout,
 )
 from repro.sim.seeds import RngStreams
+from repro.store.hints import HINT_BACKOFF_CAP, HINT_BASE_DELAY, HINT_TTL
 from repro.workload.arrivals import RateProfile
 from repro.workload.clients import ClientGeography, hotspot, mixture
 from repro.workload.slashdot import slashdot_profile
@@ -162,6 +160,19 @@ def _parse_tagged(kinds: Dict[str, Callable], raw: Any):
     return kinds[kind]({k: v for k, v in raw.items() if k != "kind"})
 
 
+def _fixed(section: str, **values):
+    """Rows for keys whose one value became a constant of the code."""
+    return {key: (lambda value, _, want=want: value == want,
+                  f"{section}: {key} must be {json.dumps(want)} (a constant)")
+            for key, want in values.items()}
+
+
+#: The quorum-store knobs both overlay configs had, at their constants.
+_STORE_KNOBS = dict(
+    value_size=VALUE_SIZE, hint_ttl=HINT_TTL, hint_base_delay=HINT_BASE_DELAY,
+    hint_backoff_cap=HINT_BACKOFF_CAP, anti_entropy_bytes=ANTI_ENTROPY_BYTES,
+    anti_entropy_partitions=ANTI_ENTROPY_PARTITIONS, read_repair=True)
+
 #: Keys the JSON format once had, per class: each key's test of the one
 #: value that changes nothing (given the value and its section) and the
 #: rule a refusal quotes.  An accepted retired key is dropped, so
@@ -191,6 +202,11 @@ RETIRED: Dict[type, Dict[str, Tuple[Callable[[Any, Mapping], bool], str]]] = {
             ),
             "net: need 1 <= suspect_rounds < dead_rounds"),
     },
+    DataPlaneConfig: _fixed("traffic", **_STORE_KNOBS, level=DATA_PLANE_LEVEL,
+                            read_fraction=DATA_PLANE_READ_FRACTION),
+    ServingConfig: _fixed(
+        "serving", **_STORE_KNOBS, epoch_ms=EPOCH_MS, sla_read_ms=SLA_READ_MS,
+        sla_write_ms=SLA_WRITE_MS, timeout_penalty_ms=TIMEOUT_PENALTY_MS),
 }
 
 
@@ -340,14 +356,6 @@ class FlashCrowd:
                 f"peak_factor must be >= 1, got {self.peak_factor}"
             )
 
-    @property
-    def window(self) -> Tuple[int, int]:
-        """The [start, end) epoch span the surge shapes."""
-        return (
-            self.spike_epoch,
-            self.spike_epoch + self.ramp_epochs + self.decay_epochs,
-        )
-
 
 @dataclass(frozen=True)
 class Diurnal:
@@ -420,7 +428,9 @@ class FlowsSpec:
     def __post_init__(self) -> None:
         if self.base_rate < 0:
             raise SpecError(f"base_rate must be >= 0, got {self.base_rate}")
-        windows = sorted(s.window for s in self.surges)
+        windows = sorted(  # each surge's [start, end) epoch span
+            (s.spike_epoch, s.spike_epoch + s.ramp_epochs + s.decay_epochs)
+            for s in self.surges)
         for (_, end), (start, _) in zip(windows, windows[1:]):
             if start < end:
                 raise SpecError(
@@ -884,9 +894,7 @@ def _cluster_events(spec: ScenarioSpec, config: SimConfig) -> List[object]:
                 exclude_recent=event.exclude_recent,
             ))
         else:
-            events.append(ScopedOutage(
-                epoch=event.epoch, depth=event.depth
-            ))
+            events.append(ScopedOutage(epoch=event.epoch, depth=event.depth))
     return events
 
 
@@ -912,27 +920,20 @@ class CompiledScenario:
         """A fresh event schedule (one per run — schedules are stateful)."""
         return compile_events(self.spec, self.config)
 
-    @property
-    def rtol(self) -> float:
-        """The spec's opted-in kernel-equivalence tolerance."""
-        return self.spec.operations.rtol
-
     def simulation(self, *, decider_factory=None):
         """Build a :class:`repro.sim.engine.Simulation` for this scenario."""
         from repro.sim.engine import Simulation
 
-        kwargs = {}
-        if decider_factory is not None:
-            kwargs["decider_factory"] = decider_factory
+        kwargs = {} if decider_factory is None else {
+            "decider_factory": decider_factory}
         return Simulation(self.config, events=self.events(), **kwargs)
 
     def run_audit(self, *, decider_factory=None):
         """Run the scenario through the consistency-audit harness."""
         from repro.sim.chaos import run_consistency_audit
 
-        kwargs = {}
-        if decider_factory is not None:
-            kwargs["decider_factory"] = decider_factory
+        kwargs = {} if decider_factory is None else {
+            "decider_factory": decider_factory}
         return run_consistency_audit(
             self.config,
             events=self.events(),
@@ -981,9 +982,8 @@ class ScenarioEntry:
 
 def load_spec(path) -> ScenarioSpec:
     """Read a spec from a JSON file (the CLI's ``scenario run <path>``)."""
-    from pathlib import Path
-
-    return ScenarioSpec.from_json(Path(path).read_text())
+    with open(path) as handle:
+        return ScenarioSpec.from_json(handle.read())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from repro.store.consistency import (
     ConsistencyError,
     ConsistencyModel,
 )
-from repro.store.hints import Hint, HintError, HintStore
+from repro.store.hints import Hint, HintStore
 from repro.store.quorum import (
     DataPlaneStats,
     Level,
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_CONSISTENCY",
     "DataPlaneStats",
     "Hint",
-    "HintError",
     "HintStore",
     "Level",
     "ReplicaOutcome",

@@ -12,8 +12,9 @@ pin storage forever.
 Drain attempts reuse the capped-backoff discipline of
 :class:`repro.store.transfer.RetryQueue` via
 :func:`repro.store.transfer.capped_backoff`: a hint whose target is
-not yet ready backs off ``base_delay`` epochs, doubling per further
-failed probe up to ``cap``, instead of being re-probed every epoch.
+not yet ready backs off :data:`HINT_BASE_DELAY` epochs, doubling per
+further failed probe up to :data:`HINT_BACKOFF_CAP`, instead of being
+re-probed every epoch.
 
 Hints deduplicate per ``(target, partition, key)`` keeping only the
 freshest version — delivering an older parked write after a newer one
@@ -30,8 +31,12 @@ from repro.ring.partition import PartitionId
 from repro.store.transfer import capped_backoff
 
 
-class HintError(ValueError):
-    """Raised for malformed hint-store configurations."""
+#: Epochs a parked hint lives before it expires (see :meth:`HintStore.drain`).
+HINT_TTL = 32
+#: Epochs a hint waits after parking or its first failed probe; each
+#: further failed probe doubles the wait, up to :data:`HINT_BACKOFF_CAP`.
+HINT_BASE_DELAY = 1
+HINT_BACKOFF_CAP = 8
 
 
 @dataclass
@@ -57,24 +62,7 @@ class Hint:
 class HintStore:
     """TTL-bounded, backoff-paced parking lot for diverted writes."""
 
-    def __init__(
-        self,
-        *,
-        ttl: int = 32,
-        base_delay: int = 1,
-        cap: int = 8,
-    ) -> None:
-        if ttl < 1:
-            raise HintError(f"ttl must be >= 1, got {ttl}")
-        if base_delay < 1:
-            raise HintError(f"base_delay must be >= 1, got {base_delay}")
-        if cap < base_delay:
-            raise HintError(
-                f"cap must be >= base_delay, got {cap} < {base_delay}"
-            )
-        self.ttl = ttl
-        self.base_delay = base_delay
-        self.cap = cap
+    def __init__(self) -> None:
         self._hints: Dict[Tuple[int, PartitionId, bytes], Hint] = {}
         # Lifetime counters (monotonic; per-epoch deltas via epoch_counts).
         self.parked = 0
@@ -120,13 +108,13 @@ class HintStore:
             existing.version = version
             existing.born_epoch = epoch
             existing.attempts = 0
-            existing.next_epoch = epoch + self.base_delay
+            existing.next_epoch = epoch + HINT_BASE_DELAY
             self.refreshed += 1
             return True
         self._hints[key3] = Hint(
             target=target, holder=holder, pid=pid, key=key,
             value=value, version=version, born_epoch=epoch,
-            attempts=0, next_epoch=epoch + self.base_delay,
+            attempts=0, next_epoch=epoch + HINT_BASE_DELAY,
         )
         self.parked += 1
         return True
@@ -148,9 +136,9 @@ class HintStore:
         replica, partition gone) and is dropped rather than retried.
 
         TTL boundary (pinned by tests): a hint parked at epoch ``e``
-        lives through epochs ``e .. e+ttl`` inclusive and expires at
-        exactly ``e+ttl`` — its *expiry epoch* — not an epoch before or
-        after.  On the expiry epoch the hint gets one last-gasp
+        lives through epochs ``e .. e+HINT_TTL`` inclusive and expires
+        at exactly ``e+HINT_TTL`` — its *expiry epoch* — not an epoch
+        before or after.  On the expiry epoch the hint gets one last-gasp
         delivery attempt that overrides backoff pacing; if it lands it
         counts as drained, never expired.  Only a hint still undeliverable
         on its expiry epoch is expired.
@@ -158,14 +146,14 @@ class HintStore:
         delivered = expired = 0
         for key3, hint in list(self._hints.items()):
             age = epoch - hint.born_epoch
-            if age > self.ttl:
+            if age > HINT_TTL:
                 # Past the expiry epoch (a drain pass was skipped):
                 # the window is gone, no delivery attempt.
                 del self._hints[key3]
                 self.expired += 1
                 expired += 1
                 continue
-            expiring = age == self.ttl
+            expiring = age == HINT_TTL
             if hint.next_epoch > epoch and not expiring:
                 continue
             if not ready(hint):
@@ -176,7 +164,7 @@ class HintStore:
                     continue
                 hint.attempts += 1
                 hint.next_epoch = epoch + capped_backoff(
-                    hint.attempts, self.base_delay, self.cap
+                    hint.attempts, HINT_BASE_DELAY, HINT_BACKOFF_CAP
                 )
                 continue
             del self._hints[key3]

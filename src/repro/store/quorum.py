@@ -4,8 +4,8 @@ The economy prices the network cost of keeping replicas consistent
 (§II-C); this module supplies the consistency substrate itself, in the
 Dynamo tradition the paper builds on [5]: every replica holds its own
 versioned copy, writes succeed once ``W`` replicas acknowledge, reads
-consult ``R`` replicas and return the freshest version (optionally
-repairing stale copies), and ``R + W > N`` yields read-your-writes.
+consult ``R`` replicas and return the freshest version (repairing
+stale copies), and ``R + W > N`` yields read-your-writes.
 
 It is the repo's one key-value store: both instances of the serving
 overlay (the front door and the data plane) run on it, and it keeps
@@ -177,7 +177,6 @@ class QuorumKVStore:
 
     def __init__(self, cloud: Cloud, rings: RingSet,
                  catalog: ReplicaCatalog, *,
-                 read_repair: bool = True,
                  membership=None,
                  hints: Optional[HintStore] = None,
                  track_catalog: bool = False,
@@ -185,7 +184,6 @@ class QuorumKVStore:
         self._cloud = cloud
         self._rings = rings
         self._catalog = catalog
-        self._read_repair = read_repair
         self._membership = (
             membership if membership is not None else OracleMembership(cloud)
         )
@@ -400,8 +398,8 @@ class QuorumKVStore:
             route: Optional[Route] = None) -> QuorumReadResult:
         """Read ``key`` from ``level`` many replicas; freshest wins.
 
-        With ``read_repair`` enabled (default), contacted replicas
-        holding older versions are updated in place, Dynamo-style.
+        Contacted replicas holding older versions are updated in place
+        (read repair, Dynamo-style).
         Believed-live replicas that fail to answer (ghosts) or cannot
         be reached push the coordinator further down the preference
         list; the quorum fails only when fewer than ``level`` replicas
@@ -454,7 +452,7 @@ class QuorumKVStore:
         ])
         stats.stale_observed += len(stale)
         stats.bump_level(level, ok=1, stale=len(stale))
-        if self._read_repair and stale:
+        if stale:
             for sid in stale:
                 self._copy(sid, pid)[kb] = freshest
             stats.read_repairs += len(stale)

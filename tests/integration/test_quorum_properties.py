@@ -152,8 +152,9 @@ def build_overlay_store(n_replicas=3, spares=2):
     for p in ring:
         for sid in range(n_replicas):
             catalog.place(p, sid)
+    # A script drains at most 30 epochs, inside HINT_TTL: no hint expires.
     store = QuorumKVStore(
-        cloud, rings, catalog, hints=HintStore(ttl=64), track_catalog=True,
+        cloud, rings, catalog, hints=HintStore(), track_catalog=True,
     )
     return cloud, catalog, store
 

@@ -22,7 +22,7 @@ from repro.cluster.location import diversity
 from repro.ring.hashing import key_bytes
 from repro.ring.partition import PartitionId
 from repro.ring.router import Router, RoutingError
-from repro.serve.frontend import ServingFrontEnd
+from repro.serve.frontend import TIMEOUT_PENALTY_MS, ServingFrontEnd
 from repro.serve.loadgen import Arrival, LoadGenerator
 from repro.store.quorum import (
     QuorumError,
@@ -140,7 +140,7 @@ class ReferenceStore(QuorumKVStore):
         )
         stats.stale_observed += len(stale)
         stats.bump_level(level, ok=1, stale=len(stale))
-        if self._read_repair and stale:
+        if stale:
             for sid in stale:
                 self._copy(sid, pid)[kb] = freshest
             stats.read_repairs += len(stale)
@@ -197,7 +197,6 @@ class ReferenceFrontEnd(ServingFrontEnd):
         self.loadgen.__class__ = ReferenceLoadGenerator
 
     def _execute(self, arrival):
-        cfg = self.config
         model = self.model
         pid = self.router.partition_at(
             arrival.app_id, arrival.ring_id, arrival.position
@@ -207,7 +206,7 @@ class ReferenceFrontEnd(ServingFrontEnd):
                 pid, client=arrival.client
             )
         except RoutingError:
-            return cfg.timeout_penalty_ms, -1
+            return TIMEOUT_PENALTY_MS, -1
         coordinator_ms = model.rtt(route.distance)
         coord_loc = self._cloud.server(route.server_id).location
         try:
@@ -223,7 +222,7 @@ class ReferenceFrontEnd(ServingFrontEnd):
                     client=arrival.client, route=route,
                 )
         except QuorumError:
-            return coordinator_ms + cfg.timeout_penalty_ms, -1
+            return coordinator_ms + TIMEOUT_PENALTY_MS, -1
         fan_out = 0.0
         for sid, outcome in result.attempts:
             if outcome == "ok":
@@ -231,7 +230,7 @@ class ReferenceFrontEnd(ServingFrontEnd):
                     coord_loc, self._cloud.server(sid).location
                 ))
             elif outcome in ("timeout", "unreachable"):
-                leg = cfg.timeout_penalty_ms
+                leg = TIMEOUT_PENALTY_MS
             else:  # skipped: believed dead, never contacted
                 continue
             if leg > fan_out:

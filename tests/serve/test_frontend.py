@@ -73,7 +73,7 @@ def build(*, replicas=3, config=None, ghosts=None, suspects=(), cuts=(),
     if config is None:
         config = ServingConfig(
             level="all", requests_per_epoch=32, read_fraction=0.5,
-            keyspace=8, workers=64, timeout_penalty_ms=250.0,
+            keyspace=8, workers=64,
         )
     front = ServingFrontEnd(
         config, cloud, rings, catalog, membership,
@@ -109,7 +109,7 @@ class TestCosting:
         healthy replicas and never touch the ghost."""
         config = ServingConfig(
             level="quorum", requests_per_epoch=32, read_fraction=0.5,
-            keyspace=8, workers=64, timeout_penalty_ms=250.0,
+            keyspace=8, workers=64,
         )
         __, front = build(config=config, ghosts=(2,))
         frame = served(front,0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.location import Location
-from repro.serve.loadgen import LoadGenerator, ServeError
+from repro.serve.loadgen import VALUE_SIZE, LoadGenerator, ServeError
 
 
 def make_gen(*, seed=0, **kwargs):
@@ -13,8 +13,6 @@ def make_gen(*, seed=0, **kwargs):
         requests_per_epoch=32,
         read_fraction=0.75,
         keyspace=16,
-        value_size=32,
-        epoch_ms=1000.0,
         rng=np.random.default_rng(seed),
     )
     params.update(kwargs)
@@ -36,15 +34,9 @@ class TestValidation:
         with pytest.raises(ServeError):
             make_gen(read_fraction=-0.1)
 
-    def test_keyspace_and_value_size(self):
+    def test_keyspace(self):
         with pytest.raises(ServeError):
             make_gen(keyspace=0)
-        with pytest.raises(ServeError):
-            make_gen(value_size=0)
-
-    def test_epoch_ms_positive(self):
-        with pytest.raises(ServeError):
-            make_gen(epoch_ms=0.0)
 
 
 class TestArrivals:
@@ -83,7 +75,7 @@ class TestArrivals:
 
     def test_values_padded_to_size(self):
         for arrival in make_gen(read_fraction=0.0).draw(0):
-            assert len(arrival.value) == 32
+            assert len(arrival.value) == VALUE_SIZE
             assert arrival.value.startswith(b"sv-e0-")
 
     def test_apps_drawn_from_given_set(self):

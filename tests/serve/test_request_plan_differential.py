@@ -34,10 +34,12 @@ from repro.cluster.topology import CloudLayout, build_cloud
 from repro.net.membership import MembershipService, OracleMembership
 from repro.net.model import LinkFlap, NetConfig, NetPartition
 from repro.ring.virtualring import AvailabilityLevel, RingSet
+from repro.serve import frontend
 from repro.serve.frontend import ServingFrontEnd
 from repro.sim.config import ServingConfig
 from repro.sim.scenario import ScenarioSpec, compile_spec
 from repro.sim.seeds import RngStreams
+from repro.store import hints
 from repro.store.replica import ReplicaCatalog
 
 MAX_SERVERS = 24
@@ -105,7 +107,6 @@ class World:
         config = ServingConfig(
             level=level, requests_per_epoch=40,
             read_fraction=read_fraction, keyspace=12, workers=4,
-            hint_ttl=3, anti_entropy_partitions=1,
         )
         self.front = front_cls(
             config, cloud, self.rings, self.catalog, membership,
@@ -254,17 +255,23 @@ def assert_same_state(oracle: World, shipped: World, where: str) -> None:
 def run_script(layout, view, net_config, level, read_fraction, seed,
                script, front_cls=ServingFrontEnd) -> World:
     """Drive oracle and shipped front door through ``script``; compare
-    after every serving epoch.  Returns the shipped world."""
+    after every serving epoch.  Returns the shipped world.
+
+    Hints expire after 3 epochs and anti-entropy walks one partition
+    per epoch, so a six-epoch script reaches both paths mid-run."""
     build = (layout, view, net_config, level, read_fraction, seed)
-    oracle = World(ReferenceFrontEnd, *build)
-    shipped = World(front_cls, *build)
-    for step, (action, arg) in enumerate(script):
-        getattr(oracle, action)(arg)
-        getattr(shipped, action)(arg)
-        if action == "step":
-            assert_same_state(
-                oracle, shipped, f"step {step} epoch {shipped.epoch - 1}"
-            )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hints, "HINT_TTL", 3)
+        patch.setattr(frontend, "ANTI_ENTROPY_PARTITIONS", 1)
+        oracle = World(ReferenceFrontEnd, *build)
+        shipped = World(front_cls, *build)
+        for step, (action, arg) in enumerate(script):
+            getattr(oracle, action)(arg)
+            getattr(shipped, action)(arg)
+            if action == "step":
+                assert_same_state(
+                    oracle, shipped, f"step {step} epoch {shipped.epoch - 1}"
+                )
     return shipped
 
 

@@ -2,35 +2,34 @@
 
 import pytest
 
-from repro.serve.loadgen import ServeError
-from repro.serve.sla import SlaLedger, SlaPolicy
+from repro.serve.sla import SLA_READ_MS, SLA_WRITE_MS, SlaLedger
+
+SLOW_READ = SLA_READ_MS + 1.0
 
 
 class TestPolicy:
     def test_targets_per_kind(self):
-        policy = SlaPolicy(read_ms=50.0, write_ms=120.0)
-        assert policy.target("get") == 50.0
-        assert policy.target("put") == 120.0
-
-    def test_targets_must_be_positive(self):
-        with pytest.raises(ServeError):
-            SlaPolicy(read_ms=0.0)
-        with pytest.raises(ServeError):
-            SlaPolicy(write_ms=-1.0)
+        """Each kind has its own target: a latency past the read target
+        but inside the write target violates only as a read."""
+        assert SLA_READ_MS < SLOW_READ < SLA_WRITE_MS
+        ledger = SlaLedger()
+        assert ledger.record(0, 0, "get", SLOW_READ, ok=True)
+        assert not ledger.record(0, 0, "put", SLOW_READ, ok=True)
+        assert ledger.record(0, 0, "put", SLA_WRITE_MS + 1.0, ok=True)
 
 
 class TestLedger:
     def make(self):
-        return SlaLedger(SlaPolicy(read_ms=50.0, write_ms=120.0))
+        return SlaLedger()
 
     def test_fast_request_meets_sla(self):
         ledger = self.make()
-        assert not ledger.record(0, 0, "get", 49.9, ok=True)
+        assert not ledger.record(0, 0, "get", SLA_READ_MS - 0.1, ok=True)
         assert ledger.read_violations == 0
 
     def test_slow_request_violates(self):
         ledger = self.make()
-        assert ledger.record(0, 0, "get", 50.1, ok=True)
+        assert ledger.record(0, 0, "get", SLA_READ_MS + 0.1, ok=True)
         assert ledger.read_violations == 1
 
     def test_failure_always_violates(self):
@@ -42,11 +41,11 @@ class TestLedger:
 
     def test_epoch_deltas(self):
         ledger = self.make()
-        ledger.record(0, 0, "get", 100.0, ok=True)
+        ledger.record(0, 0, "get", SLOW_READ, ok=True)
         ledger.begin_epoch()
         assert ledger.epoch_counts() == (0, 0)
-        ledger.record(0, 0, "get", 100.0, ok=True)
-        ledger.record(0, 0, "put", 500.0, ok=True)
+        ledger.record(0, 0, "get", SLOW_READ, ok=True)
+        ledger.record(0, 0, "put", SLA_WRITE_MS + 1.0, ok=True)
         assert ledger.epoch_counts() == (1, 1)
         ledger.begin_epoch()
         assert ledger.epoch_counts() == (0, 0)
@@ -55,7 +54,7 @@ class TestLedger:
         ledger = self.make()
         for __ in range(3):
             ledger.record(0, 0, "get", 10.0, ok=True)
-        ledger.record(0, 0, "get", 99.0, ok=True)
+        ledger.record(0, 0, "get", SLOW_READ, ok=True)
         ledger.record(1, 2, "put", 10.0, ok=True)
         view = ledger.tenant_view()
         assert view[(0, 0)]["requests"] == 4

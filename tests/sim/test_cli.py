@@ -62,7 +62,7 @@ class TestParseFlap:
     def test_bad_specs(self):
         from repro.cli import CliError, parse_flap
 
-        for spec in ("6", "a:b", "2:6:-1", "2:6:2:9"):
+        for spec in ("6", "a:b", "2:6:-1", "2:6:2:9", "5:3:1", "2:2:1"):
             with pytest.raises(CliError):
                 parse_flap(spec)
 
@@ -309,7 +309,7 @@ class TestScenario:
             run_cli("scenario", "show", str(path))
 
     @pytest.mark.parametrize("body", [
-        '{"name": "x", "flows": {"serving": {"hint_ttl": 0}}}',
+        '{"name": "x", "flows": {"serving": {"keyspace": 0}}}',
         '{"name": "x", "failure": {"events": [{"kind": "meteor"}]}}',
         '{"name": "x", "flows": []}',
         '{"name": "x", "structure": {"scale": 2, "layout": {}}}',

@@ -198,7 +198,7 @@ class TestEngineIntegration:
         yet its DataPlaneFrame counts it failed — every op is counted
         once, as ok or failed."""
         sim = Simulation(small_config(
-            data_plane=DataPlaneConfig(read_fraction=0.5),
+            data_plane=DataPlaneConfig(),
         ))
         sim.run(1)
         for partition in sim.rings.layout().partitions:

@@ -40,7 +40,7 @@ from repro.cluster.events import (
 from repro.net.model import FULL_FABRIC_MAX_NODES, NetConfig
 from repro.sim import specs
 from repro.sim.chaos import random_fault_schedule
-from repro.sim.config import DataPlaneConfig
+from repro.sim.config import DataPlaneConfig, ServingConfig
 from repro.sim.scenario import (
     ChaosSpec,
     ConfidenceSpec,
@@ -80,6 +80,32 @@ SECTION_OF = {
     EconomicPolicy: ("constraints", "policy"),
     RentModel: ("constraints", "economy"),
     NetConfig: ("failure", "net"),
+    DataPlaneConfig: ("flows", "traffic"),
+    ServingConfig: ("flows", "serving"),
+}
+
+#: The overlay knobs that became constants, at their one value (the old
+#: default) and a value each refuses.
+STORE_KNOBS = {
+    "value_size": (64, 32),
+    "hint_ttl": (32, 0),
+    "hint_base_delay": (1, 2),
+    "hint_backoff_cap": (8, 16),
+    "anti_entropy_partitions": (8, 0),
+    "anti_entropy_bytes": (1 << 20, 1 << 10),
+    "read_repair": (True, False),
+}
+OVERLAY_KNOBS = {
+    DataPlaneConfig: dict(
+        STORE_KNOBS, level=("quorum", "all"), read_fraction=(0.6, 0.5),
+    ),
+    ServingConfig: dict(
+        STORE_KNOBS,
+        epoch_ms=(1000.0, 500.0),
+        timeout_penalty_ms=(250.0, 100.0),
+        sla_read_ms=(250.0, 60.0),
+        sla_write_ms=(400.0, 150.0),
+    ),
 }
 
 #: Per ``RETIRED`` row: the value it loads at, a value it refuses (with
@@ -94,6 +120,14 @@ RETIRED_ROWS = {
     (NetConfig, "fabric"): ("full", "counting", "FULL_FABRIC_MAX_NODES", 1),
     (NetConfig, "suspect_rounds"): (
         4, 10, "^net: need 1 <= suspect_rounds < dead_rounds", "4"),
+    **{
+        (cls, key): (accepted, refused,
+                     f"^{SECTION_OF[cls][1]}: {key} must be "
+                     f"{json.dumps(accepted)} ",
+                     1 if isinstance(accepted, str) else str(accepted))
+        for cls, knobs in OVERLAY_KNOBS.items()
+        for key, (accepted, refused) in knobs.items()
+    },
 }
 
 
@@ -142,8 +176,8 @@ class TestValidation:
         # out-of-range values in runtime classes the tiers hold directly
         ({"structure": {"layout": {"countries": 0}}}, "CloudLayout"),
         ({"flows": {"inserts": {"rate": -1}}}, "InsertConfig"),
-        ({"flows": {"traffic": {"hint_ttl": 0}}}, "DataPlaneConfig"),
-        ({"flows": {"serving": {"hint_ttl": 0}}}, "ServingConfig"),
+        ({"flows": {"traffic": {"keyspace": 0}}}, "DataPlaneConfig"),
+        ({"flows": {"serving": {"keyspace": 0}}}, "ServingConfig"),
         ({"flows": {"serving": {"level": "most"}}}, "ServingConfig"),
         ({"constraints": {"policy": {"hysteresis": 0}}}, "EconomicPolicy"),
         ({"constraints": {"economy": {"alpha": -1}}}, "RentModel"),
@@ -424,7 +458,7 @@ class TestTierLowering:
         )
         compiled = self.compiled("confidence-tiers")
         assert compiled.config == legacy
-        assert compiled.rtol == 1e-9
+        assert compiled.spec.operations.rtol == 1e-9
 
     def test_churn_confidence(self):
         config = dataclasses.replace(

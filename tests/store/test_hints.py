@@ -1,9 +1,15 @@
-"""Tests for hinted handoff: TTL, backoff pacing, dedup, rekeying."""
+"""Tests for hinted handoff: TTL, backoff pacing, dedup, rekeying.
+
+The TTL and the backoff are module constants of
+:mod:`repro.store.hints`; a test that needs other values sets them with
+``monkeypatch``.
+"""
 
 import pytest
 
 from repro.ring.partition import PartitionId
-from repro.store.hints import Hint, HintError, HintStore
+from repro.store import hints
+from repro.store.hints import Hint, HintStore
 from repro.store.transfer import capped_backoff
 
 PID = PartitionId(0, 0, 0)
@@ -14,6 +20,14 @@ def outstanding(store):
     """Outstanding hints in insertion order (the store publishes only
     counts, so checks of a hint's fields read its table)."""
     return list(store._hints.values())
+
+
+def hint_store(monkeypatch, **constants):
+    """A fresh store after setting ``HINT_*`` constants (``ttl=4`` sets
+    ``HINT_TTL``) for the test's duration."""
+    for name, value in constants.items():
+        monkeypatch.setattr(hints, f"HINT_{name.upper()}", value)
+    return HintStore()
 
 
 def park(store, *, target=1, holder=9, pid=PID, key=b"k",
@@ -36,20 +50,6 @@ class TestCappedBackoff:
         assert capped_backoff(9, 3, 12) == 12
 
 
-class TestConstruction:
-    def test_rejects_bad_ttl(self):
-        with pytest.raises(HintError):
-            HintStore(ttl=0)
-
-    def test_rejects_bad_base_delay(self):
-        with pytest.raises(HintError):
-            HintStore(base_delay=0)
-
-    def test_rejects_cap_below_base(self):
-        with pytest.raises(HintError):
-            HintStore(base_delay=4, cap=2)
-
-
 class TestParkAndDedup:
     def test_park_counts_and_depth(self):
         store = HintStore()
@@ -59,8 +59,8 @@ class TestParkAndDedup:
         assert len(store) == 2
         assert store.parked == 2
 
-    def test_fresher_version_refreshes_in_place(self):
-        store = HintStore(base_delay=2)
+    def test_fresher_version_refreshes_in_place(self, monkeypatch):
+        store = hint_store(monkeypatch, base_delay=2)
         park(store, version=1, epoch=0, holder=9)
         assert park(store, version=5, epoch=4, holder=7, value=b"new")
         assert store.depth == 1
@@ -102,8 +102,8 @@ class TestDrain:
         assert store.depth == 0
         assert store.drained == 1
 
-    def test_ttl_expires_old_hints(self):
-        store = HintStore(ttl=4)
+    def test_ttl_expires_old_hints(self, monkeypatch):
+        store = hint_store(monkeypatch, ttl=4)
         park(store, epoch=0)
         delivered, expired = store.drain(
             5, ready=lambda h: True, deliver=lambda h: True
@@ -112,8 +112,8 @@ class TestDrain:
         assert store.expired == 1
         assert store.depth == 0
 
-    def test_backoff_paces_probes(self):
-        store = HintStore(base_delay=1, cap=8, ttl=100)
+    def test_backoff_paces_probes(self, monkeypatch):
+        store = hint_store(monkeypatch, ttl=100)  # backoff 1, cap 8
         park(store, epoch=0)  # next_epoch = 1
         probes = []
 
@@ -129,8 +129,8 @@ class TestDrain:
         assert hint.attempts == 5
         assert hint.next_epoch == 16 + 8
 
-    def test_not_due_hints_are_skipped_silently(self):
-        store = HintStore(base_delay=4)
+    def test_not_due_hints_are_skipped_silently(self, monkeypatch):
+        store = hint_store(monkeypatch, base_delay=4)
         park(store, epoch=0)  # next_epoch = 4
         delivered, expired = store.drain(
             2, ready=lambda h: pytest.fail("probed early"),
@@ -139,10 +139,10 @@ class TestDrain:
         assert (delivered, expired) == (0, 0)
         assert store.depth == 1
 
-    def test_ttl_one_expires_on_epoch_one(self):
+    def test_ttl_one_expires_on_epoch_one(self, monkeypatch):
         # ISSUE 10 pin: parked at e with ttl=k the hint expires at
         # exactly e+k — for ttl=1, epoch 1, not epoch 2.
-        store = HintStore(ttl=1)
+        store = hint_store(monkeypatch, ttl=1)
         park(store, epoch=0)
         delivered, expired = store.drain(
             1, ready=lambda h: False, deliver=lambda h: True
@@ -151,9 +151,9 @@ class TestDrain:
         assert store.depth == 0
         assert store.expired == 1
 
-    def test_hint_survives_until_expiry_epoch(self):
+    def test_hint_survives_until_expiry_epoch(self, monkeypatch):
         # One epoch before e+ttl the hint must still be parked.
-        store = HintStore(ttl=2)
+        store = hint_store(monkeypatch, ttl=2)
         park(store, epoch=0)
         delivered, expired = store.drain(
             1, ready=lambda h: False, deliver=lambda h: True
@@ -166,10 +166,10 @@ class TestDrain:
         assert (delivered, expired) == (0, 1)
         assert store.depth == 0
 
-    def test_delivery_on_expiry_epoch_counts_as_drained(self):
+    def test_delivery_on_expiry_epoch_counts_as_drained(self, monkeypatch):
         # ISSUE 10 pin: a hint whose target comes back exactly on the
         # expiry epoch is drained, never expired.
-        store = HintStore(ttl=1)
+        store = hint_store(monkeypatch, ttl=1)
         park(store, epoch=0)
         delivered, expired = store.drain(
             1, ready=lambda h: True, deliver=lambda h: True
@@ -178,20 +178,20 @@ class TestDrain:
         assert store.drained == 1
         assert store.expired == 0
 
-    def test_expiry_epoch_overrides_backoff_pacing(self):
+    def test_expiry_epoch_overrides_backoff_pacing(self, monkeypatch):
         # next_epoch says "not due yet" but the TTL window closes this
         # epoch: the last-gasp attempt runs anyway.
-        store = HintStore(ttl=2, base_delay=8, cap=8)
+        store = hint_store(monkeypatch, ttl=2, base_delay=8, backoff_cap=8)
         park(store, epoch=0)  # next_epoch = 8, far past expiry
         delivered, expired = store.drain(
             2, ready=lambda h: True, deliver=lambda h: True
         )
         assert (delivered, expired) == (1, 0)
 
-    def test_past_expiry_hint_expires_without_attempt(self):
+    def test_past_expiry_hint_expires_without_attempt(self, monkeypatch):
         # A drain pass skipped past the expiry epoch: the window is
         # gone, ready() must not even be probed.
-        store = HintStore(ttl=1)
+        store = hint_store(monkeypatch, ttl=1)
         park(store, epoch=0)
         delivered, expired = store.drain(
             3, ready=lambda h: pytest.fail("probed past expiry"),

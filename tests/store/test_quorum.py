@@ -24,12 +24,12 @@ def replica_version(store, app_id, ring_id, key, server_id):
     return copy.version if copy is not None else -1
 
 
-def setup(replicas=3, read_repair=True):
-    cloud, __, __, store = setup_with_catalog(replicas, read_repair)
+def setup(replicas=3):
+    cloud, __, __, store = setup_with_catalog(replicas)
     return cloud, store
 
 
-def setup_with_catalog(replicas=3, read_repair=True, **store_kw):
+def setup_with_catalog(replicas=3, **store_kw):
     cloud = Cloud()
     for i in range(4):
         cloud.add_servers([
@@ -43,8 +43,7 @@ def setup_with_catalog(replicas=3, read_repair=True, **store_kw):
     for p in ring:
         for sid in range(replicas):
             catalog.place(p, sid)
-    store = QuorumKVStore(cloud, rings, catalog, read_repair=read_repair,
-                          **store_kw)
+    store = QuorumKVStore(cloud, rings, catalog, **store_kw)
     return cloud, rings, catalog, store
 
 
@@ -144,7 +143,7 @@ class TestStalenessAndRepair:
         assert read.value == b"new"
 
     def test_one_read_may_be_stale(self):
-        cloud, store = setup(read_repair=False)
+        cloud, store = setup()
         store.put(0, 0, "k", b"old", level=Level.ALL)
         cloud.server(0).fail()
         cloud.server(1).fail()
@@ -157,7 +156,7 @@ class TestStalenessAndRepair:
         assert read.value == b"old"
 
     def test_read_repair_fixes_stale_copies(self):
-        cloud, store = setup(read_repair=True)
+        cloud, store = setup()
         store.put(0, 0, "k", b"old", level=Level.ALL)
         cloud.server(2).fail()
         store.put(0, 0, "k", b"new")
@@ -166,15 +165,6 @@ class TestStalenessAndRepair:
         assert read.value == b"new"
         assert 2 in read.stale_replicas
         assert store.divergence(0, 0, "k") == 0  # repaired
-
-    def test_no_read_repair_preserves_divergence(self):
-        cloud, store = setup(read_repair=False)
-        store.put(0, 0, "k", b"old", level=Level.ALL)
-        cloud.server(2).fail()
-        store.put(0, 0, "k", b"new")
-        cloud.server(2).restore()
-        store.get(0, 0, "k", level=Level.ALL)
-        assert store.divergence(0, 0, "k") > 0
 
 
 class TestQuorumFailures:

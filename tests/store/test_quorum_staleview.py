@@ -52,7 +52,7 @@ class ViewMembership:
 
 
 def setup(*, replicas=3, servers=5, hints=False, ghosts=(),
-          suspects=(), cut=(), read_repair=True):
+          suspects=(), cut=()):
     cloud = Cloud()
     for i in range(servers):
         cloud.add_servers([
@@ -71,7 +71,6 @@ def setup(*, replicas=3, servers=5, hints=False, ghosts=(),
     )
     store = QuorumKVStore(
         cloud, rings, catalog,
-        read_repair=read_repair,
         membership=view,
         hints=HintStore() if hints else None,
     )

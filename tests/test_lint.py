@@ -1347,7 +1347,7 @@ def test_overlay_gate_detects_planted_twin(tmp_path):
         "from repro.store.quorum import QuorumKVStore\n\n\n"
         "class DataPlane:\n"
         "    def __init__(self, cloud, rings, catalog):\n"
-        "        self.hints = hints.HintStore(ttl=4)\n"
+        "        self.hints = hints.HintStore()\n"
         "        self.store = QuorumKVStore(cloud, rings, catalog)\n"
     )
     assert len(find_overlay_constructions(planted)) == 2

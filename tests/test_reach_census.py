@@ -12,15 +12,18 @@ unreached method whose name only collides with a local variable must be
 reported there, with the line that excused it, and not fail the gate.
 So is the ``[unreached statements]`` report's line rule: a planted
 function run under the collector lists only the statements no call
-executed, with ``raise``-only blocks left out.
+executed, with ``raise``-only blocks left out.  The ``[single-valued
+fields]`` report is checked on planted configs: only the leaf fields
+that held one value in all of them are listed.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import pytest
 
@@ -369,3 +372,51 @@ def test_statement_census_skips_functions_no_run_reached(tmp_path):
     [(fn, missed)] = census.statement_census(collector, tmp_path / "src")
     assert fn.qualname == "called"
     assert missed == [(4, 4)]
+
+
+@dataclass(frozen=True)
+class PlantedTier:
+    replicas: int
+    name: str = "tier"
+
+
+@dataclass(frozen=True)
+class PlantedOverlay:
+    workers: int = 128
+    keyspace: int = 96
+
+
+@dataclass(frozen=True)
+class PlantedConfig:
+    tiers: Tuple[PlantedTier, ...]
+    epochs: int = 100
+    seed: int = 0
+    serving: Optional[PlantedOverlay] = None
+
+
+def test_single_valued_fields_lists_what_no_config_varies():
+    """``seed``, every tier's ``name`` and the overlay's ``workers``
+    held one value; ``serving`` is absent from one config, so it is not
+    single-valued although its one present value never changed."""
+    census = load_census()
+    configs = [
+        PlantedConfig((PlantedTier(2), PlantedTier(3)), epochs=10,
+                      serving=PlantedOverlay(keyspace=8)),
+        PlantedConfig((PlantedTier(2),), epochs=20,
+                      serving=PlantedOverlay()),
+        PlantedConfig((PlantedTier(4), PlantedTier(2))),
+    ]
+    leaves, fixed = census.single_valued(configs)
+    assert leaves == 8
+    assert fixed == [
+        ("seed", "0"),
+        ("serving.workers", "128"),
+        ("tiers[].name", "'tier'"),
+    ]
+    assert list(census.leaf_values(configs[1])) == [
+        ("tiers", "1 items"), ("tiers[].replicas", "2"),
+        ("tiers[].name", "'tier'"), ("epochs", "20"), ("seed", "0"),
+        ("serving", "PlantedOverlay"), ("serving.workers", "128"),
+        ("serving.keyspace", "96"),
+    ]
+
