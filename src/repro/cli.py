@@ -681,7 +681,7 @@ def cmd_profile(args, out) -> int:
             )
         }
     headers = ["kernel", "epochs", "seconds", "epochs/s", "queries/s",
-               "hunts asked / floor-proved / scanned",
+               "hunts asked / floor-proved / scanned / partitions skipped",
                "argmaxes asked / ceiling-proved / built "
                "(first + winner + release)",
                "moves asked / source-refused",
@@ -696,7 +696,7 @@ def cmd_profile(args, out) -> int:
             f"{r.epochs_per_sec:.2f}",
             f"{r.total_queries / max(r.seconds, 1e-9):,.0f}",
             f"{r.floor_asks} / {r.floor_proofs} "
-            f"/ {r.floor_asks - r.floor_proofs}",
+            f"/ {r.floor_asks - r.floor_proofs} / {r.floor_skips}",
             f"{r.ceil_asks} / {r.ceil_proofs} / {r.ceil_builds} "
             f"({r.ceil_builds_first} + {r.ceil_builds_winner} "
             f"+ {r.ceil_builds_release})",

@@ -415,6 +415,11 @@ class Cloud:
             return table.mig_cap[:n] - table.mig_used[:n]
         raise TopologyError(f"unknown budget kind {kind!r}")
 
+    def migration_capacity_vector(self) -> np.ndarray:
+        """Per-slot migration budget capacities: a partition larger
+        than its source's moves on the replication budget (§II-C)."""
+        return self._table.mig_cap[:len(self._table)].copy()
+
     def record_queries_at(self, slots: np.ndarray,
                           counts: np.ndarray) -> None:
         """Charge per-slot query totals (batched settlement handoff)."""

@@ -35,7 +35,7 @@ from repro.core.agent import AgentRegistry, VNodeAgent
 from repro.core.availability import AvailabilityIndex, availability, pair_gain
 from repro.core.board import PriceBoard
 from repro.core.economy import RentModel
-from repro.core.incidence import Incidence
+from repro.core.incidence import Incidence, Triage
 from repro.core.placement import PlacementScorer
 from repro.core.policy import (
     KERNELS, DecisionStats, EconomicPolicy, KernelError,
@@ -107,6 +107,8 @@ class DecisionEngine:
         #: scan.
         self.floor_asks = 0
         self.floor_proofs = 0
+        #: Visited partitions :meth:`_fruitless` proved whole, unwalked.
+        self.floor_skips = 0
         #: Run totals of the scorers' ceiling counters (builds split by
         #: cause), and migration hunts put to / refused by
         #: :meth:`_refused_at_source`.
@@ -204,15 +206,22 @@ class DecisionEngine:
         # earlier-visited partitions cannot invalidate the mask.  The
         # mask is applied to the permutation as one vector filter, so
         # the Python loop below only ever touches partitions that act.
-        flat, visit = self.incidence.build_triage(
+        triage = self.incidence.build_triage(
             board, self._policy.migration_margin
         )
-        if visit.size:
-            seg_of_work = gather_int(flat.seg_by_slot, layout.slots, fill=-1)
-            visit_work = np.where(
-                seg_of_work >= 0, visit[np.maximum(seg_of_work, 0)], True
+        # Per work entry, the segment a partition proof may skip; else -1.
+        provable = [-1] * len(work)
+        if triage.visit.size:
+            seg_of_work = gather_int(
+                triage.flat.seg_by_slot, layout.slots, fill=-1
             )
+            segs = np.maximum(seg_of_work, 0)
+            visit_work = np.where(seg_of_work >= 0, triage.visit[segs], True)
             order = order[visit_work[order]]
+            if scorer.best_is_pure:
+                provable = np.where(
+                    (seg_of_work >= 0) & ~triage.walk[segs], seg_of_work, -1
+                ).tolist()
         # Every §II-C action of the pass queues into one shared transfer
         # batch: its pending-resource mirrors are the pass's shared
         # budget/storage vectors (each intent sees real state minus all
@@ -222,6 +231,11 @@ class DecisionEngine:
         batch = self._transfers.open_batch()
         for idx in order.tolist():
             partition, threshold = work[idx]
+            seg = provable[idx]
+            if seg >= 0 and self._fruitless(
+                partition, triage, seg, scorer, load
+            ):
+                continue
             g_vec = None
             if g_of_app is not None:
                 g_vec = g_of_app.get(partition.pid.app_id)
@@ -562,12 +576,7 @@ class DecisionEngine:
         if self._index is None:
             # Reference kernel: per-agent rebuild, as pre-refactor.
             servers = self._live_replicas(pid)
-        n = len(servers)
-        queries = load.queries_for(pid)
-        predicted_utility = (
-            self._policy.revenue_per_query * queries / (n + 1)
-        )
-        sync_cost = DEFAULT_CONSISTENCY.marginal_cost(queries, n)
+        predicted_utility, sync_cost = self._funding(pid, len(servers), load)
         if (
             self._index is not None
             and scorer.best_is_pure
@@ -629,6 +638,48 @@ class DecisionEngine:
         return avail
 
     # -- helpers of the pass --------------------------------------------------
+
+    def _fruitless(self, partition: Partition, triage: Triage, seg: int,
+                   scorer: PlacementScorer, load: EpochLoad) -> bool:
+        """Whether every agent walk of a visited partition would end in
+        a rent-floor proof (docs/ARCHITECTURE.md, "clocked rent
+        floors"): nothing acts in between, so one proof answers every
+        hunt and one every expansion.  Asked uncounted; on proof the
+        scorer counts every ask the walk would have made."""
+        size, headroom = partition.size, self._policy.storage_headroom
+        hunters = int(triage.hunters[seg])
+        if hunters:
+            mig_min = triage.mig_min[seg]
+            if mig_min < size <= triage.mig_max[seg]:
+                return False  # two budget kinds ask two floors
+            kind = "migration" if size <= mig_min else "replication"
+            if not scorer.no_cheaper_host(
+                triage.cap_max[seg], size, kind, headroom, asks=0
+            ):
+                return False
+        expanders = int(triage.expanders[seg])
+        if expanders:
+            utility, sync = self._funding(
+                partition.pid, int(triage.flat.counts[seg]), load
+            )
+            if not scorer.no_fundable_host(
+                utility, sync, size, "replication", headroom, asks=0
+            ):
+                return False
+        scorer.floor_asks += hunters + expanders
+        scorer.floor_proofs += hunters + expanders
+        self.floor_skips += 1
+        return True
+
+    def _funding(self, pid: PartitionId, n: int,
+                 load: EpochLoad) -> Tuple[float, float]:
+        """An expansion's predicted per-replica utility and marginal
+        sync cost, with ``n`` live replicas before it (§II-C)."""
+        queries = load.queries_for(pid)
+        return (
+            self._policy.revenue_per_query * queries / (n + 1),
+            DEFAULT_CONSISTENCY.marginal_cost(queries, n),
+        )
 
     def _make_scorer(self, board: PriceBoard) -> PlacementScorer:
         """Build the epoch's placement scorer; ablations override this."""

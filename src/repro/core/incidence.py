@@ -56,6 +56,25 @@ class _FlatState:
     n_slots: int
 
 
+@dataclass
+class Triage:
+    """:meth:`Incidence.build_triage`'s result, per segment of ``flat``:
+    the visit mask and the partition proof's terms.  ``walk``: the SLA
+    is short or an agent can suicide.  A *hunter* has a negative streak,
+    cannot suicide and caps ``price · (1 − margin)`` above the minimum
+    price; ``mig_min`` / ``mig_max`` bound its server's migration-budget
+    capacity.  An *expander* has a positive streak, no negative one."""
+
+    flat: _FlatState
+    visit: np.ndarray
+    walk: np.ndarray
+    hunters: np.ndarray
+    cap_max: np.ndarray
+    mig_min: np.ndarray
+    mig_max: np.ndarray
+    expanders: np.ndarray
+
+
 class _IncidenceJournal(CatalogListener):
     """Catalog-delta journal feeding the incremental incidence splice.
 
@@ -541,8 +560,8 @@ class Incidence:
         return contrib
 
     def build_triage(self, board: PriceBoard, migration_margin: float
-                     ) -> Tuple[_FlatState, np.ndarray]:
-        """Per-partition visit mask for the §II-C pass (one array pass).
+                     ) -> Triage:
+        """Per-partition visit mask and proof terms (one array pass).
 
         Reproduces, vectorized, exactly the checks the inline loop runs
         for the no-action case: full-window streak flags from the agent
@@ -554,8 +573,6 @@ class Incidence:
         partition-index stores — no per-partition Python lookups.
         """
         flat = self.flat_state()
-        if not flat.pids:
-            return flat, np.zeros(0, dtype=bool)
         index = self._index
         avail = index.availability_at(flat.pid_slots)
         thr = gather_float(
@@ -575,15 +592,35 @@ class Incidence:
             prices = board.price_vector(self._cloud.server_ids)[
                 flat.rep_slots
             ]
-            one_minus_margin = 1.0 - migration_margin
-            min_price = board.min_price()
-            act_neg = neg_rep & (
-                (avail_rep - contrib >= thr_rep)
-                | (prices * one_minus_margin > min_price)
-            )
-            act_rep = pos_rep | act_neg
+            caps = prices * (1.0 - migration_margin)
+            suicidal = neg_rep & (avail_rep - contrib >= thr_rep)
+            hunter = neg_rep & ~suicidal & (caps > board.min_price())
         else:
-            act_rep = pos_rep
-        any_act = np.logical_or.reduceat(act_rep, offsets)
-        visit = (avail < thr) | any_act
-        return flat, visit
+            caps = 0.0
+            suicidal = hunter = neg_rep
+        # Expanders are counted over every ledger row: the walk offers
+        # an agent on a believed-dead server an expansion too.
+        slot_rows = self._registry.ledger.pid_slot_vector()
+        expanders = np.bincount(
+            slot_rows[(slot_rows >= 0) & (pos_run >= window)
+                      & (neg_run < window)],
+            minlength=len(index.partition_index),
+        )[flat.pid_slots]
+        short = avail < thr
+        visit = short | np.logical_or.reduceat(
+            pos_rep | suicidal | hunter, offsets
+        )
+        mig = self._cloud.migration_capacity_vector()[flat.rep_slots]
+        big = np.iinfo(mig.dtype).max
+        return Triage(
+            flat=flat,
+            visit=visit,
+            walk=short | np.logical_or.reduceat(suicidal, offsets),
+            hunters=np.add.reduceat(hunter.astype(np.intp), offsets),
+            cap_max=np.maximum.reduceat(
+                np.where(hunter, caps, -np.inf), offsets
+            ),
+            mig_min=np.minimum.reduceat(np.where(hunter, mig, big), offsets),
+            mig_max=np.maximum.reduceat(np.where(hunter, mig, -1), offsets),
+            expanders=expanders,
+        )

@@ -533,15 +533,16 @@ class PlacementScorer:
 
     def no_cheaper_host(self, rent_cap: float, need_bytes: int,
                         budget: Optional[str],
-                        headroom_fraction: float) -> bool:
+                        headroom_fraction: float, asks: int = 1) -> bool:
         """Proof that ``best(max_rent=rent_cap, …)`` would return None:
-        ``rent_cap <= floor`` (stale bound first, exact on failure)."""
-        self.floor_asks += 1
+        ``rent_cap <= floor`` (stale bound first, exact on failure).
+        Counts ``asks`` skip queries, and as many proofs on success."""
+        self.floor_asks += asks
         for fresh in (False, True):
             if rent_cap <= self.rent_floor(
                 need_bytes, budget, headroom_fraction, fresh=fresh
             ):
-                self.floor_proofs += 1
+                self.floor_proofs += asks
                 return True
         return False
 
@@ -562,17 +563,17 @@ class PlacementScorer:
 
     def no_fundable_host(self, utility: float, extra_cost: float,
                          need_bytes: int, budget: Optional[str],
-                         headroom_fraction: float) -> bool:
+                         headroom_fraction: float, asks: int = 1) -> bool:
         """Proof that no feasible host's predicted rent can be funded:
         ``utility < floor(rent + Δc(need_bytes)) + extra_cost`` fails
         the §II-C funding test for every candidate, or there is none.
-        Stale bound first, exact on failure."""
-        self.floor_asks += 1
+        Stale bound first, exact on failure; ``asks`` as above."""
+        self.floor_asks += asks
         for fresh in (False, True):
             if utility < self.rent_floor(
                 need_bytes, budget, headroom_fraction, need_bytes, fresh
             ) + extra_cost:
-                self.floor_proofs += 1
+                self.floor_proofs += asks
                 return True
         return False
 

@@ -133,7 +133,6 @@ class ServingFrontEnd:
                 queue_wait = self._serve(epoch, arrivals, read_lat, write_lat)
         self.store.drain_hints(epoch)
         self.store.anti_entropy(
-            epoch,
             max_partitions=ANTI_ENTROPY_PARTITIONS,
             max_bytes=ANTI_ENTROPY_BYTES,
         )

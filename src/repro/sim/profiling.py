@@ -29,7 +29,7 @@ class ProfilingError(ValueError):
 
 #: Decider run totals a :class:`ThroughputResult` carries as deltas.
 PASS_COUNTERS = (
-    "floor_asks", "floor_proofs", "ceil_asks", "ceil_proofs",
+    "floor_asks", "floor_proofs", "floor_skips", "ceil_asks", "ceil_proofs",
     "ceil_builds", "ceil_builds_first", "ceil_builds_winner",
     "ceil_builds_release", "source_first_asks", "source_first_proofs",
 )
@@ -75,10 +75,13 @@ class ThroughputResult:
     frames_digest: str = ""
     #: §II-C skip queries put to the scorer's rent floor in the timed
     #: window (migration hunts + expansions) and how many it proved
-    #: fruitless; the rest went on to an eq. 3 scan.  Zero under the
-    #: scalar kernel, which never asks.
+    #: fruitless; the rest went on to an eq. 3 scan.  ``floor_skips``
+    #: counts the partitions whose every ask one proof answered, so
+    #: their agents were never walked.  Zero under the scalar kernel,
+    #: which never asks.
     floor_asks: int = 0
     floor_proofs: int = 0
+    floor_skips: int = 0
     #: Eq. 3 argmaxes asked (every ``best`` call) / ceiling answers /
     #: O(S) certificate builds, also split by cause (a key's first use
     #: in the pass, its winner touched, a release threatening it);

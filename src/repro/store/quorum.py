@@ -550,10 +550,8 @@ class QuorumKVStore:
         self.stats.hints_expired += expired
         return delivered, expired
 
-    def anti_entropy(self, epoch: int = 0, *,
-                     max_partitions: Optional[int] = None,
-                     max_bytes: Optional[int] = None
-                     ) -> Tuple[int, int, int]:
+    def anti_entropy(self, *, max_partitions: int,
+                     max_bytes: int) -> Tuple[int, int, int]:
         """One budget-capped digest-exchange pass over the catalog.
 
         Walks partitions round-robin from a persistent cursor; for
@@ -570,17 +568,15 @@ class QuorumKVStore:
         if n == 0:
             return (0, 0, 0)
         membership = self._membership
-        limit = n if max_partitions is None else min(n, max_partitions)
+        limit = min(n, max_partitions)
         scanned = patched = sent = 0
         start = self._ae_cursor % n
-        examined = 0
         for i in range(n):
             if scanned >= limit:
                 break
-            if max_bytes is not None and sent >= max_bytes:
+            if sent >= max_bytes:
                 break
             pid = pids[(start + i) % n]
-            examined += 1
             scanned += 1
             online = [
                 sid for sid in self._catalog.servers_of(pid)
@@ -605,7 +601,7 @@ class QuorumKVStore:
                         patched += 1
                         payload = len(best.value) if best.value else 0
                         sent += payload + DIGEST_OVERHEAD_BYTES
-        self._ae_cursor = (start + examined) % n
+        self._ae_cursor = (start + scanned) % n
         self.stats.anti_entropy_partitions += scanned
         self.stats.anti_entropy_keys += patched
         self.stats.anti_entropy_bytes += sent

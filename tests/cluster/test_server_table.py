@@ -72,6 +72,22 @@ class TestBudgetColumns:
             assert rep[slot] == server.replication_budget.available
             assert mig[slot] == server.migration_budget.available
 
+    def test_migration_capacity_vector_reads_capacities_in_slot_order(self):
+        cloud = small_cloud(3)
+        cloud.server(1).migration_budget = BandwidthBudget(300)
+        cloud.server(2).migration_budget.reserve(500)
+        caps = cloud.migration_capacity_vector()
+        for slot, sid in enumerate(cloud.server_ids):
+            assert caps[slot] == cloud.server(sid).migration_budget.capacity
+        assert caps[1] == 300
+        # Usage is not capacity, and the vector is a copy.
+        caps[0] = 0
+        assert cloud.migration_capacity_vector()[0] == (
+            cloud.server(0).migration_budget.capacity
+        )
+        cloud.remove_servers([0])
+        assert cloud.migration_capacity_vector()[0] == 300
+
     def test_budget_reassignment_rebinds_to_columns(self):
         # The engine's _apply_budgets path: assign a fresh budget, then
         # both the assigned handle and the column must track reserves.

@@ -12,6 +12,7 @@ from repro.core.board import PriceBoard
 from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
 from repro.core.policy import EconomicPolicy, KernelError, PolicyError
+from repro.net.membership import OracleMembership
 from repro.ring.virtualring import AvailabilityLevel, RingSet
 from repro.store.replica import ReplicaCatalog
 from repro.store.transfer import TransferEngine
@@ -32,16 +33,21 @@ LOCS = [
 
 
 def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
-            storage=10_000, initial_size=100, kernel="vectorized"):
+            storage=10_000, initial_size=100, kernel="vectorized",
+            budgets=None, membership=None):
+    """``budgets`` maps a server to its (replication, migration)
+    budget capacities, 10 000 bytes each by default; ``membership``
+    builds the decider's membership view from the cloud."""
     cloud = Cloud()
     for i, loc in enumerate(LOCS):
+        replication, migration = (budgets or {}).get(i, (10_000, 10_000))
         cloud.add_servers([
             make_server(
                 i, Location(*loc),
                 monthly_rent=(rents or {}).get(i, 100.0),
                 storage_capacity=storage,
-                replication_budget=10_000,
-                migration_budget=10_000,
+                replication_budget=replication,
+                migration_budget=migration,
             )
         ])
     rings = RingSet()
@@ -61,6 +67,7 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
     engine = DecisionEngine(
         cloud, rings, catalog, registry, transfers, pol, kernel=kernel,
         avail_index=index,
+        membership=membership(cloud) if membership is not None else None,
     )
     board = PriceBoard()
     board.post(0, RentModel().price_cloud(cloud))
@@ -345,3 +352,172 @@ class TestSettle:
         assert cloud.server(0).queries_this_epoch == pytest.approx(50.0)
         assert cloud.server(2).queries_this_epoch == pytest.approx(50.0)
         assert registry.get(p.pid, 2).epochs_alive == 1
+
+
+class ImpureScorerEngine(DecisionEngine):
+    """A decider whose scorer declares ``best`` impure, as the random
+    placement ablation does: no skip may depend on a proof."""
+
+    def _make_scorer(self, board):
+        scorer = super()._make_scorer(board)
+        scorer.best_is_pure = False
+        return scorer
+
+
+class BelievedDead(OracleMembership):
+    """The oracle view, except that one live server is believed down."""
+
+    __slots__ = ("_dead",)
+
+    def __init__(self, cloud, dead):
+        super().__init__(cloud)
+        self._dead = dead
+
+    def believed_vector(self):
+        alive = super().believed_vector().copy()
+        alive[self._cloud.slot(self._dead)] = False
+        return alive
+
+    def believed(self, server_id):
+        return server_id != self._dead and super().believed(server_id)
+
+    @property
+    def predicate(self):
+        return self.believed
+
+
+def walks(engine):
+    """Count the agent walks ``engine.decide`` makes."""
+    calls = []
+    walk = engine._decide_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].pid)
+        return walk(*args, **kwargs)
+
+    engine._decide_partition = counted
+    return calls
+
+
+class TestPartitionProof:
+    """A visited partition whose every agent would end in a rent-floor
+    proof is proved once and not walked; these are walked."""
+
+    def hunters(self, server0_migration, engine_cls=DecisionEngine):
+        """Two load-bearing replicas (0 and 2, 63 >= 60) with negative
+        streaks on 100-rent servers.  Server 5 is the cheapest but
+        carries no budget, so each hunt's cap (5 % under its own price)
+        clears the epoch's minimum price and misses every feasible
+        host's rent: both hunts are floor-proved."""
+        cloud, rings, ring, catalog, registry, __, engine, board = harness(
+            threshold=60.0, rents={5: 50.0},
+            budgets={0: (10_000, server0_migration), 5: (0, 0)},
+        )
+        if engine_cls is not DecisionEngine:
+            engine.__class__ = engine_cls
+        p = ring.partitions()[0]
+        for sid in (0, 2):
+            catalog.place(p, sid)
+            registry.spawn(p.pid, sid)
+        force_streak(registry, p.pid, -1.0)
+        return engine, board, ring, p
+
+    def test_floor_proved_hunters_skip_the_walk(self):
+        engine, board, ring, p = self.hunters(10_000)
+        walked = walks(engine)
+        stats = engine.decide(board, load_for(ring), RNG)
+        assert walked == []
+        assert engine.floor_skips == 1
+        assert (engine.floor_asks, engine.floor_proofs) == (2, 2)
+        assert stats.migrations == 0
+
+    def test_hunters_straddling_the_migration_capacity_are_walked(self):
+        # Partition size 100: server 0's hunt rides the replication
+        # budget, server 2's the migration budget — two floors.
+        engine, board, ring, p = self.hunters(50)
+        walked = walks(engine)
+        engine.decide(board, load_for(ring), RNG)
+        assert walked == [p.pid]
+        assert engine.floor_skips == 0
+        assert (engine.floor_asks, engine.floor_proofs) == (2, 2)
+
+    def test_impure_scorer_walks_every_partition(self):
+        engine, board, ring, p = self.hunters(
+            10_000, engine_cls=ImpureScorerEngine
+        )
+        walked = walks(engine)
+        engine.decide(board, load_for(ring), RNG)
+        assert walked == [p.pid]
+        assert engine.floor_skips == 0
+        assert engine.floor_asks == 0
+
+    def test_sla_short_partition_is_walked(self):
+        # One replica with a negative streak on a minimum-price server:
+        # no agent hunts or expands, but the SLA needs a repair.
+        cloud, rings, ring, catalog, registry, __, engine, board = harness(
+            threshold=20.0
+        )
+        p = ring.partitions()[0]
+        catalog.place(p, 0)
+        registry.spawn(p.pid, 0)
+        force_streak(registry, p.pid, -1.0)
+        walked = walks(engine)
+        stats = engine.decide(board, load_for(ring), RNG)
+        assert walked == [p.pid]
+        assert engine.floor_skips == 0
+        assert stats.repairs >= 1
+
+    def test_partition_with_a_suicidal_agent_is_walked(self):
+        cloud, rings, ring, catalog, registry, __, engine, board = harness(
+            threshold=20.0
+        )
+        p = ring.partitions()[0]
+        for sid in (0, 2, 3):
+            catalog.place(p, sid)
+            registry.spawn(p.pid, sid)
+        force_streak(registry, p.pid, -1.0)
+        walked = walks(engine)
+        stats = engine.decide(board, load_for(ring), RNG)
+        assert walked == [p.pid]
+        assert engine.floor_skips == 0
+        assert stats.suicides >= 1
+
+    def test_unfunded_expanders_skip_the_walk(self):
+        policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
+        cloud, rings, ring, catalog, registry, __, engine, board = harness(
+            threshold=20.0, policy=policy
+        )
+        p = ring.partitions()[0]
+        for sid in (0, 2):
+            catalog.place(p, sid)
+            registry.spawn(p.pid, sid)
+        force_streak(registry, p.pid, +1.0)
+        walked = walks(engine)
+        stats = engine.decide(board, load_for(ring, queries=10), RNG)
+        assert walked == []
+        assert engine.floor_skips == 1
+        assert (engine.floor_asks, engine.floor_proofs) == (2, 2)
+        assert stats.economic_replications == 0
+
+    def test_expanders_on_believed_dead_servers_are_counted(self):
+        """The walk offers every agent with a positive streak an
+        expansion, the one on a believed-dead server included; the
+        proof counts that ask too."""
+        asks = []
+        for proof in (True, False):
+            policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
+            cloud, rings, ring, catalog, registry, __, engine, board = (
+                harness(threshold=20.0, policy=policy,
+                        membership=lambda cloud: BelievedDead(cloud, 3))
+            )
+            if not proof:
+                engine._fruitless = lambda *args: False
+            p = ring.partitions()[0]
+            for sid in (0, 2, 3):
+                catalog.place(p, sid)
+                registry.spawn(p.pid, sid)
+            force_streak(registry, p.pid, +1.0)
+            engine.decide(board, load_for(ring, queries=10), RNG)
+            assert engine.floor_skips == int(proof)
+            asks.append((engine.floor_asks, engine.floor_proofs))
+        assert asks == [(3, 3), (3, 3)]

@@ -426,6 +426,24 @@ class TestProfile:
         assert builds == first + winner + release
         assert 0 < first and proofs <= asks
 
+    def test_floor_column_counts_partitions_skipped(self):
+        """The rent-floor column ends with the partitions the partition
+        proof skipped whole."""
+        code, text = run_cli(
+            "profile", "--scenario", "slashdot", "--epochs", "12",
+            "--partitions", "20", "--kernel", "vectorized",
+            "--repeats", "1",
+        )
+        assert code == 0
+        assert "hunts asked / floor-proved / scanned / partitions skipped" in (
+            text
+        )
+        asks, proofs, scanned, skipped = map(int, re.search(
+            r"(\d+) / (\d+) / (\d+) / (\d+)", text
+        ).groups())
+        assert proofs + scanned == asks
+        assert skipped > 0
+
     def test_cprofile_top_limits_table(self):
         code, text = run_cli(
             "profile", "--scenario", "paper", "--epochs", "2",

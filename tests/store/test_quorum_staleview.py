@@ -232,13 +232,19 @@ class TestSloppyQuorumAndHintDrain:
 
 
 class TestAntiEntropy:
+    #: A byte budget no test here reaches: each patches a few one-byte
+    #: values, so only the partition budget ever stops a pass.
+    BYTES = 1 << 20
+
     def test_repairs_diverged_copies(self):
         store, view, __ = setup(ghosts={2})
         store.put(0, 0, "k", b"v", level=Level.QUORUM)
         # Replica 2 has no copy at all: gap = 1 - (-1).
         assert store.divergence(0, 0, "k") == 2
         view.ghosts.clear()
-        scanned, patched, sent = store.anti_entropy(0)
+        scanned, patched, sent = store.anti_entropy(
+            max_partitions=4, max_bytes=self.BYTES
+        )
         assert patched == 1
         assert sent > 0
         assert store.divergence(0, 0, "k") == 0
@@ -249,18 +255,20 @@ class TestAntiEntropy:
         for i in range(8):
             store.put(0, 0, f"k{i}", b"v", level=Level.QUORUM)
         view.ghosts.clear()
-        first = store.anti_entropy(0, max_partitions=2)
-        second = store.anti_entropy(1, max_partitions=2)
+        first = store.anti_entropy(max_partitions=2, max_bytes=self.BYTES)
+        second = store.anti_entropy(max_partitions=2, max_bytes=self.BYTES)
         assert first[0] == 2 and second[0] == 2
         # Round-robin cursor: four partitions, two 2-partition passes
         # plus a final 4-partition pass repair every key exactly once.
         total_patched = first[1] + second[1]
-        third = store.anti_entropy(2, max_partitions=4)
+        third = store.anti_entropy(max_partitions=4, max_bytes=self.BYTES)
         assert total_patched + third[1] == 8
 
     def test_skips_partitions_without_two_online_replicas(self):
         store, __, __ = setup(ghosts={1, 2}, replicas=3)
-        scanned, patched, sent = store.anti_entropy(0)
+        scanned, patched, sent = store.anti_entropy(
+            max_partitions=4, max_bytes=self.BYTES
+        )
         assert patched == 0 and sent == 0
 
 
