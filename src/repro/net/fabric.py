@@ -36,6 +36,12 @@ it replaced as the oracle, generator states included):
 3. Merges and version bumps apply in that same push order, in place:
    a row updated by one push is what the next push from that row
    carries, because in-round multi-hop propagation is behaviour.
+
+Clauses 1 and 2 fix values, order and ``bit_generator.state``, not how
+they are read: a round reads each stream from one prefetched block
+(PCG64 ``random_raw`` halves for ``gossip``, one ``random(m) < loss``
+for ``net``) and rewinds it at round end to exactly the words it used,
+buffered half included — so both streams must be PCG64.
 """
 
 from __future__ import annotations
@@ -88,11 +94,91 @@ def _unreachable_from(row: int, down: np.ndarray,
     return out
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _replay(bg: np.random.BitGenerator, start: dict, words: int) -> None:
+    """Put ``bg`` where ``words`` raw draws from ``start`` leave it."""
+    bg.state = start
+    if words:
+        bg.random_raw(words)
+
+
+class _GossipDraws:
+    """One round's ``gossip`` draws, re-derived from ``random_raw`` blocks.
+
+    numpy's ``choice`` (Floyd, then a swap shuffle) and ``integers`` are
+    Lemire bounded draws on ``next_uint32``: for PCG64 a word's low half,
+    then its buffered high half (``has_uint32`` / ``uinteger``).
+    """
+
+    def __init__(self, rng: np.random.Generator, words: int) -> None:
+        self._bg = rng.bit_generator
+        self._start = start = self._bg.state
+        # A buffered high half is the next one numpy hands out.
+        self._halves = [start["uinteger"]] if start["has_uint32"] else []
+        self._head = len(self._halves)
+        self._pos = 0
+        self._words = words
+        self._fetch()
+
+    def _fetch(self) -> None:
+        raw = self._bg.random_raw(self._words).astype("<u8", copy=False)
+        self._halves += raw.view("<u4").tolist()  # low half first
+
+    def bounded(self, r: int) -> int:
+        """``int(integers(r + 1))`` for ``r < 2**32``; 0 draws nothing."""
+        if not r:
+            return 0
+        r1 = r + 1
+        floor = (_MASK32 - r) % r1  # Lemire: redraw while m mod 2³² < this
+        halves = self._halves
+        pos = self._pos
+        while True:
+            if pos == len(halves):
+                self._fetch()
+            m = halves[pos] * r1
+            pos += 1
+            if m & _MASK32 >= floor:
+                self._pos = pos
+                return m >> 32
+
+    def choice(self, n: int, k: int) -> List[int]:
+        """``choice(n, size=k, replace=False).tolist()``, draw for draw."""
+        bounded = self.bounded
+        picks: List[int] = []
+        for j in range(n - k, n):
+            v = bounded(j)
+            picks.append(j if v in picks else v)
+        for i in range(k - 1, 0, -1):
+            v = bounded(i)
+            picks[i], picks[v] = picks[v], picks[i]
+        return picks
+
+    def rewind(self) -> None:
+        """Leave the generator where the scalar calls would have."""
+        head, pos = self._head, self._pos
+        fresh = max(pos - head, 0)
+        words = (fresh + 1) // 2
+        _replay(self._bg, self._start, words)
+        if pos:
+            state = self._bg.state
+            state["has_uint32"] = fresh & 1
+            if words:  # the last high half, stale once read, as numpy has it
+                state["uinteger"] = self._halves[head + 2 * words - 1]
+            self._bg.state = state
+
+
 class GossipFabric:
     """Full-state push gossip: one age row per registered server."""
 
     def __init__(self, config: NetConfig, net: NetworkModel,
                  cloud: Cloud, rng: np.random.Generator) -> None:
+        for stream, gen in (("gossip", rng), ("net", net.rng)):
+            kind = type(gen.bit_generator)
+            if not issubclass(kind, np.random.PCG64):
+                raise NetError(f"the {stream} stream must be PCG64 (read "
+                               f"in blocks), not {kind.__name__}")
         self._config = config
         self._net = net
         self._cloud = cloud
@@ -279,20 +365,31 @@ class GossipFabric:
 
         Everything that is the same for every push of the round is
         built once — liveness and link columns, row views, bound
-        methods — and the outcome counters are local, so a push costs
-        one list lookup, at most one loss roll and, when delivered, one
-        ufunc.  The loop itself stays sequential and in (sender row,
-        target row) order: see the draw-order contract in the module
-        docstring.
+        methods, one draw block per stream — and the outcome counters
+        are local, so a push costs one list lookup, at most one loss
+        roll read off the block and, when delivered, one ufunc.  The
+        loop itself stays sequential and in (sender row, target row)
+        order: see the draw-order contract in the module docstring.
         """
         heartbeat = code == HEARTBEAT
         config = self._config
         fanout = config.fanout
         loss = config.loss
         delay_max = config.delay_max if heartbeat else 0
-        choice = self._rng.choice
-        integers = self._rng.integers
-        lost = self._net.lost
+        live = np.flatnonzero(alive).tolist()
+        # Enough halves unless Lemire rejects: 2k - 1 per sender turn
+        # (Floyd, then the shuffle), plus one per push under a delay.
+        halves = len(live) * (2 * fanout - 1 + (fanout if delay_max else 0))
+        draws = _GossipDraws(self._rng, halves // 2 + 1)
+        choice = draws.choice
+        bounded = draws.bounded
+        if loss:
+            # One block bounds the round's rolls (one per push at most);
+            # random(m) reads the words m random() calls would.
+            net_rng = self._net.rng
+            net_start = net_rng.bit_generator.state
+            block = net_rng.random(len(live) * fanout) < loss
+            lost = iter(block.tolist()).__next__
         candidates = self._cand
         learned_by = self._learned
         unknown = self._unknown
@@ -301,10 +398,15 @@ class GossipFabric:
         # With no cut or flap active a push can only fail to connect
         # because its target is down: every sender shares one column.
         blocked = down.tolist()
+        if link is not None:
+            # A column depends on its sender only through these keys.
+            flapped, cuts = link
+            keys = list(zip(flapped.tolist(), *(a.tolist() for a, _ in cuts)))
+            columns: Dict[Tuple[bool, ...], List[bool]] = {}
         views = list(self._age.view(np.uint32))
         ver = self._ver.tolist()
         sent = delivered = dropped_loss = dropped_partition = learned = 0
-        for i in np.flatnonzero(alive).tolist():
+        for i in live:
             if not heartbeat and ver[i] < 0:
                 continue
             cand = candidates[i]
@@ -313,10 +415,13 @@ class GossipFabric:
             if not cand:
                 continue
             k = min(fanout, len(cand))
-            picks = choice(len(cand), size=k, replace=False).tolist()
+            picks = choice(len(cand), k)
             sent += k
             if link is not None:
-                blocked = _unreachable_from(i, down, link).tolist()
+                blocked = columns.get(keys[i])
+                if blocked is None:
+                    blocked = columns[keys[i]] = _unreachable_from(
+                        i, down, link).tolist()
             for j in sorted([cand[p] for p in picks]):
                 if blocked[j]:
                     dropped_partition += 1
@@ -331,7 +436,7 @@ class GossipFabric:
                     continue
                 incoming = views[i]
                 if delay_max:
-                    d = int(integers(delay_max + 1))
+                    d = bounded(delay_max)
                     if d:
                         # Age a copy; the unknown sentinel stays put.
                         incoming = np.where(
@@ -343,6 +448,11 @@ class GossipFabric:
                     # The push may have taught the receiver previously
                     # unknown members (id + believed rent ride along).
                     learned += learned_by(j)
+        draws.rewind()
+        if loss:
+            # Every roll read ended as a loss drop or a delivery.
+            _replay(net_rng.bit_generator, net_start,
+                    delivered + dropped_loss)
         stats = self._net.stats
         stats.record(
             code, sent=sent, delivered=delivered,

@@ -271,14 +271,15 @@ class NetworkModel:
     one pair, :meth:`link_state` for a whole gossip round at once
     (``None`` when healthy), and neither draws.
 
-    The only draw between epoch boundaries is :meth:`lost`: exactly one
-    ``random()`` from the ``net`` stream per message that survived the
-    liveness and reachability checks, in the order the fabric attempts
-    them, and none at all when ``loss == 0``.  Together with the
+    The only draw between epoch boundaries is the loss roll: exactly
+    one ``random()`` from the ``net`` stream per message that survived
+    the liveness and reachability checks, in the order the fabric
+    attempts them (:meth:`lost`, or a gossip round's block over
+    :attr:`rng`), and none at all when ``loss == 0``.  Together with the
     ``begin_epoch`` draws that *is* the ``net`` stream — clause (2) of
-    the fabric's draw-order contract (:mod:`repro.net.fabric`); batching,
-    skipping or re-ordering those rolls changes every later pivot,
-    victim and drop of the run.
+    the fabric's draw-order contract (:mod:`repro.net.fabric`); skipping
+    or re-ordering those rolls changes every later pivot, victim and
+    drop of the run.
     """
 
     def __init__(self, config: NetConfig, cloud: Cloud,
@@ -339,6 +340,11 @@ class NetworkModel:
             self._flapped[victim] = flap.event.heal
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The ``net`` stream, for the gossip fabric's loss-roll blocks."""
+        return self._rng
 
     @property
     def has_active_cut(self) -> bool:

@@ -332,3 +332,22 @@ def test_harness_detects_a_skipped_draw():
             TWO_COUNTRIES, NetConfig(loss=0.1), 0, script,
             kernel_cls=SkipsADraw,
         )
+
+
+def test_pinned_lossy_delayed_rounds_across_a_cut_and_a_flap():
+    """Loss, a bounded delay, an asymmetric cut and a flap at once, so
+    every tier-1 run holds the delay draw and the per-round column memo
+    (one unreachable column per flap-and-side key) to the oracle."""
+    config = NetConfig(
+        fanout=3, loss=0.2, delay_max=3,
+        partitions=(NetPartition(0, 4, depth=2, asymmetric=True),),
+        flaps=(LinkFlap(1, 3),),
+    )
+    script = []
+    for epoch in range(5):
+        script += [("begin_epoch", epoch), ("heartbeat", 0)]
+        script += [("heartbeat", 0), ("price", epoch)]
+    script[6:6] = [("join", 7), ("kill", 2)]
+    world = run_script(TWO_COUNTRIES, config, 5, script)
+    sent, delivered, lost, cut = world.net.stats.snapshot()["HEARTBEAT"]
+    assert lost and cut and delivered and sent == delivered + lost + cut
