@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "unless loss/partition flags are given)")
     run.add_argument("--net-loss", type=float, default=0.0,
                      help="per-message loss probability (implies --net)")
-    run.add_argument("--net-delay", type=int, default=0,
-                     help="max gossip delivery delay in rounds "
-                          "(implies --net)")
     run.add_argument("--net-partition", action="append", default=None,
                      metavar="START:HEAL[:DEPTH[:asym]]",
                      help="cut one location subtree off for epochs "
@@ -316,12 +313,10 @@ def lower_run_flags(args, data: Dict) -> None:
         ]
     partitions = [parse_partition(t) for t in args.net_partition or ()]
     flaps = [f for t in args.net_flap or () for f in parse_flap(t)]
-    if (args.net or args.net_loss > 0.0 or args.net_delay > 0
-            or partitions or flaps or args.divergence
-            or args.consistency_audit):
+    if (args.net or args.net_loss > 0.0 or partitions or flaps
+            or args.divergence or args.consistency_audit):
         failure["net"] = {
             "loss": args.net_loss,
-            "delay_max": args.net_delay,
             "partitions": partitions,
             "flaps": flaps,
         }

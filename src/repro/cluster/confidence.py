@@ -27,23 +27,20 @@ def validate_confidence(value: float) -> float:
     return float(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfidenceModel:
     """Assigns a confidence to every server location.
 
     The effective confidence of a server is the product of:
 
     * ``base`` — cloud-wide default (the paper's experiments use 1.0);
-    * an optional per-country factor (political/economic stability);
-    * an optional per-server override keyed by server id.
+    * an optional per-country factor (political/economic stability).
 
-    Factors multiply so a shaky country can only lower confidence, never
-    raise it above the per-server override.
+    Factors multiply so a shaky country can only lower confidence.
     """
 
     base: float = 1.0
     country_factors: Dict[int, float] = field(default_factory=dict)
-    server_overrides: Dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         validate_confidence(self.base)
@@ -52,19 +49,11 @@ class ConfidenceModel:
                 raise ConfidenceError(
                     f"country {country} factor must be in [0, 1], got {factor}"
                 )
-        for server_id, value in self.server_overrides.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfidenceError(
-                    f"server {server_id} override must be in [0, 1], got {value}"
-                )
 
-    def for_server(self, server_id: int, location: Location) -> float:
-        """Effective confidence of one server."""
-        if server_id in self.server_overrides:
-            return self.server_overrides[server_id]
+    def for_location(self, location: Location) -> float:
+        """Effective confidence of a server at ``location``."""
         factor = self.country_factors.get(location.country, 1.0)
         return self.base * factor
-
 
 
 def uniform_confidence(value: float = 1.0) -> ConfidenceModel:

@@ -488,7 +488,7 @@ def build_cloud(layout: CloudLayout = PAPER_LAYOUT, *,
             ),
             storage_capacity=storage_capacity,
             query_capacity=query_capacity,
-            confidence=model.for_server(server_id, location),
+            confidence=model.for_location(location),
         )
         for server_id, location in enumerate(locations)
     )

@@ -38,7 +38,7 @@ from repro.core.economy import RentModel
 from repro.core.incidence import Incidence, Triage
 from repro.core.placement import PlacementScorer
 from repro.core.policy import (
-    KERNELS, DecisionStats, EconomicPolicy, KernelError,
+    KERNELS, REVENUE_PER_QUERY, DecisionStats, EconomicPolicy, KernelError,
 )
 from repro.core.settlement import settle_batched, settle_scalar
 from repro.net.membership import OracleMembership
@@ -48,6 +48,9 @@ from repro.store.consistency import DEFAULT_CONSISTENCY
 from repro.store.replica import ReplicaCatalog
 from repro.store.transfer import TransferEngine, TransferKind
 from repro.workload.mix import EpochLoad
+
+#: The most replicas one SLA repair may add to a partition in an epoch.
+REPAIR_ITERATIONS = 8
 
 
 class DecisionEngine:
@@ -152,12 +155,12 @@ class DecisionEngine:
         if self._kernel == "vectorized":
             self.query_totals_version = self._cloud.version
             self.query_totals = settle_batched(
-                self._cloud, self._registry, self._policy, self.incidence,
+                self._cloud, self._registry, self.incidence,
                 self._index, load, board, g_of_app,
             )
         else:
             settle_scalar(
-                self._cloud, self._catalog, self._registry, self._policy,
+                self._cloud, self._catalog, self._registry,
                 self._live_replicas, load, board, g_of_app,
             )
 
@@ -352,7 +355,7 @@ class DecisionEngine:
         if self._index is None:
             # Reference kernel: rebuild the live set per iteration and
             # execute transfers immediately, as pre-refactor.
-            for __ in range(self._policy.repair_iterations):
+            for __ in range(REPAIR_ITERATIONS):
                 servers = self._live_replicas(pid)
                 if avail >= threshold:
                     return
@@ -386,7 +389,7 @@ class DecisionEngine:
                 stats.unsatisfied_partitions += 1
             return
         satisfied = False
-        for __ in range(self._policy.repair_iterations):
+        for __ in range(REPAIR_ITERATIONS):
             if avail >= threshold:
                 satisfied = True
                 break
@@ -677,7 +680,7 @@ class DecisionEngine:
         sync cost, with ``n`` live replicas before it (§II-C)."""
         queries = load.queries_for(pid)
         return (
-            self._policy.revenue_per_query * queries / (n + 1),
+            REVENUE_PER_QUERY * queries / (n + 1),
             DEFAULT_CONSISTENCY.marginal_cost(queries, n),
         )
 

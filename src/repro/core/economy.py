@@ -29,6 +29,9 @@ from repro.store.replica import CatalogListener
 #: giving 30 · 24 = 720 epochs per month.
 DEFAULT_EPOCHS_PER_MONTH: int = 720
 
+#: Eq. 1's β, the weight of query pressure; the evaluation fixes it at 1.
+BETA = 1.0
+
 
 class EconomyError(ValueError):
     """Raised for invalid pricing parameters."""
@@ -38,9 +41,9 @@ class EconomyError(ValueError):
 class RentModel:
     """Parameters of the eq. 1 price function.
 
-    ``alpha`` weights storage pressure, ``beta`` query pressure; both
-    are the paper's normalising factors.  The real monthly rent becomes
-    the per-epoch marginal usage price
+    ``alpha`` weights storage pressure and :data:`BETA` query pressure;
+    both are the paper's normalising factors.  The real monthly rent
+    becomes the per-epoch marginal usage price
     ``up = monthly_rent / DEFAULT_EPOCHS_PER_MONTH``.  §II-A derives
     ``up`` from the server's mean usage over the previous month as well;
     that trailing mean is not modelled, and the evaluation's equal-usage
@@ -48,13 +51,10 @@ class RentModel:
     """
 
     alpha: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise EconomyError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise EconomyError(f"beta must be >= 0, got {self.beta}")
 
     def price(self, server: Server) -> float:
         """Eq. 1: the virtual rent of ``server`` for the next epoch."""
@@ -62,7 +62,7 @@ class RentModel:
         return up * (
             1.0
             + self.alpha * server.storage_usage
-            + self.beta * server.query_load
+            + BETA * server.query_load
         )
 
     def price_cloud(self, cloud: Cloud) -> Dict[int, float]:
@@ -83,7 +83,7 @@ class RentModel:
         storage_usage = storage_used / storage_capacity
         query_load = queries / query_capacity
         return up * (
-            1.0 + self.alpha * storage_usage + self.beta * query_load
+            1.0 + self.alpha * storage_usage + BETA * query_load
         )
 
 

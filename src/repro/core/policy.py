@@ -13,6 +13,9 @@ from dataclasses import dataclass
 #: property tests and the perf harness compare against.
 KERNELS = ("vectorized", "scalar")
 
+#: Eq. 5's u: the money one served query earns the replica serving it.
+REVENUE_PER_QUERY = 0.01
+
 
 class PolicyError(ValueError):
     """Raised for invalid policy parameters."""
@@ -30,20 +33,18 @@ class EconomicPolicy:
     """Tunable knobs of the §II-C decision process.
 
     ``hysteresis`` is the paper's ``f``: how many consecutive epochs of
-    one-signed balance trigger an action.  ``revenue_per_query``
-    normalises query utility to monetary units (eq. 5's u); every
-    agent's utility is floored at the epoch's lowest rent (the §II-C
-    anti-thrashing rule, not a knob).  ``repair_iterations`` bounds how
-    many replicas an SLA repair may add in a single epoch.  Eq. 3
-    weighs a candidate's rent at 1 against its diversity gain, and the
-    economically chosen replication degree has no cap beyond what
-    popularity funds.  A move of a partition larger than its source's
-    migration budget always rides the replication budget.
+    one-signed balance trigger an action.  Query utility is
+    :data:`REVENUE_PER_QUERY` per query (eq. 5's u); every agent's
+    utility is floored at the epoch's lowest rent (the §II-C
+    anti-thrashing rule, not a knob).  An SLA repair adds at most
+    :data:`~repro.core.decision.REPAIR_ITERATIONS` replicas in one
+    epoch.  Eq. 3 weighs a candidate's rent at 1 against its diversity
+    gain, and the economically chosen replication degree has no cap
+    beyond what popularity funds.  A move of a partition larger than
+    its source's migration budget always rides the replication budget.
     """
 
     hysteresis: int = 3
-    revenue_per_query: float = 0.01
-    repair_iterations: int = 8
     migration_margin: float = 0.05
     storage_headroom: float = 0.1
 
@@ -51,14 +52,6 @@ class EconomicPolicy:
         if self.hysteresis < 1:
             raise PolicyError(
                 f"hysteresis must be >= 1, got {self.hysteresis}"
-            )
-        if self.revenue_per_query < 0:
-            raise PolicyError(
-                f"revenue_per_query must be >= 0, got {self.revenue_per_query}"
-            )
-        if self.repair_iterations < 1:
-            raise PolicyError(
-                f"repair_iterations must be >= 1, got {self.repair_iterations}"
             )
         if not 0.0 <= self.migration_margin < 1.0:
             raise PolicyError(

@@ -24,14 +24,14 @@ from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex
 from repro.core.board import PriceBoard
 from repro.core.incidence import Incidence
-from repro.core.policy import EconomicPolicy, KernelError
+from repro.core.policy import REVENUE_PER_QUERY, KernelError
 from repro.ring.partition import PartitionId
 from repro.store.replica import ReplicaCatalog
 from repro.workload.mix import EpochLoad
 
 
 def settle_scalar(cloud: Cloud, catalog: ReplicaCatalog,
-                  registry: AgentRegistry, policy: EconomicPolicy,
+                  registry: AgentRegistry,
                   live_replicas: Callable[[PartitionId], List[int]],
                   load: EpochLoad, board: PriceBoard,
                   g_of_app: Optional[Dict[int, np.ndarray]] = None
@@ -62,7 +62,7 @@ def settle_scalar(cloud: Cloud, catalog: ReplicaCatalog,
             server = cloud.server(sid)
             if share:
                 server.record_queries(share)
-            utility = policy.revenue_per_query * share * g
+            utility = REVENUE_PER_QUERY * share * g
             utility = max(utility, floor)
             rent = board.price(sid)
             agent = registry.get(pid, sid)
@@ -70,9 +70,8 @@ def settle_scalar(cloud: Cloud, catalog: ReplicaCatalog,
 
 
 def settle_batched(cloud: Cloud, registry: AgentRegistry,
-                   policy: EconomicPolicy, incidence: Incidence,
-                   index: AvailabilityIndex, load: EpochLoad,
-                   board: PriceBoard,
+                   incidence: Incidence, index: AvailabilityIndex,
+                   load: EpochLoad, board: PriceBoard,
                    g_of_app: Optional[Dict[int, np.ndarray]] = None
                    ) -> np.ndarray:
     """Slot-ordered numpy eq. 5 settlement over the flat incidence.
@@ -137,7 +136,7 @@ def settle_batched(cloud: Cloud, registry: AgentRegistry,
     if prox.any():
         shares[prox] = q_rep[prox] * g_rep[prox] / gtot_rep[prox]
     utilities = np.maximum(
-        policy.revenue_per_query * shares * g_rep, floor
+        REVENUE_PER_QUERY * shares * g_rep, floor
     )
     rents = board.price_vector(cloud.server_ids)[flat.rep_slots]
 

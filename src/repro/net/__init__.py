@@ -1,4 +1,4 @@
-"""Faulty control-plane network: loss/delay/partitions + membership.
+"""Faulty control-plane network: loss/partitions/flaps + membership.
 
 The message-count-accurate gossip control plane (the repo's one gossip
 implementation): every

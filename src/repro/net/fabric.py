@@ -3,9 +3,9 @@
 :class:`GossipFabric` keeps a per-observer age matrix (observer ×
 subject, int32 rounds-since-heard).  Heartbeat and price rounds run
 through one round kernel that still models every push as a message —
-drawn targets, liveness and reachability, loss roll, delayed
-unknown-aware min-merge — but pays for what a round shares (link
-state, candidate lists, counters) once per round.  Membership verdicts
+drawn targets, liveness and reachability, loss roll, unknown-aware
+min-merge — but pays for what a round shares (link state, candidate
+lists, counters) once per round.  Membership verdicts
 (believed dead, staleness) are read from the *board observer's* row —
 the lowest physically-live registered id, i.e. the election winner,
 which costs zero extra messages because every node derives it from its
@@ -26,10 +26,8 @@ it replaced as the oracle, generator states included):
    per live sender turn, senders in ascending row order, where
    ``cand`` is the sender's known subjects minus itself *as of that
    turn* (a push delivered earlier in the same round may have taught
-   it a member) and ``k = min(fanout, len(cand))``; a sender with no
-   candidate draws nothing.  When ``delay_max > 0`` each *delivered*
-   heartbeat also draws one ``integers(delay_max + 1)``, right after
-   its loss roll and before its merge.
+   it a member) and ``k = min(GOSSIP_FANOUT, len(cand))``; a sender
+   with no candidate draws nothing.
 2. ``net`` stream — one ``NetworkModel.lost()`` roll per push that
    survived the liveness and reachability checks, in push order
    (sender row, then target row ascending); none when ``loss == 0``.
@@ -64,15 +62,16 @@ from repro.net.model import (
     NetworkModel,
 )
 
-#: Sentinel age for "observer has never heard of this subject".
+#: Sentinel age for "observer has never heard of this subject".  Read
+#: through an unsigned view of the int32 age matrix it is the largest
+#: value there is, so one ``np.minimum`` over two viewed rows *is* the
+#: unknown-aware merge — learn what the receiver did not know, keep the
+#: fresher of what both know, ignore what the sender does not know.
 UNKNOWN_AGE = -1
 
-#: The same sentinel read through an unsigned view of the int32 age
-#: matrix: the largest value there is, so one ``np.minimum`` over two
-#: viewed rows *is* the unknown-aware merge — learn what the receiver
-#: did not know, keep the fresher of what both know, ignore what the
-#: sender does not know.
-_UNKNOWN_U32 = np.uint32(UNKNOWN_AGE & 0xFFFFFFFF)
+#: Targets each live sender pushes its view to per round (fewer when
+#: it knows fewer other subjects).
+GOSSIP_FANOUT = 3
 
 
 def _unreachable_from(row: int, down: np.ndarray,
@@ -372,17 +371,14 @@ class GossipFabric:
         order: see the draw-order contract in the module docstring.
         """
         heartbeat = code == HEARTBEAT
-        config = self._config
-        fanout = config.fanout
-        loss = config.loss
-        delay_max = config.delay_max if heartbeat else 0
+        fanout = GOSSIP_FANOUT
+        loss = self._config.loss
         live = np.flatnonzero(alive).tolist()
         # Enough halves unless Lemire rejects: 2k - 1 per sender turn
-        # (Floyd, then the shuffle), plus one per push under a delay.
-        halves = len(live) * (2 * fanout - 1 + (fanout if delay_max else 0))
+        # (Floyd, then the shuffle).
+        halves = len(live) * (2 * fanout - 1)
         draws = _GossipDraws(self._rng, halves // 2 + 1)
         choice = draws.choice
-        bounded = draws.bounded
         if loss:
             # One block bounds the round's rolls (one per push at most);
             # random(m) reads the words m random() calls would.
@@ -434,16 +430,7 @@ class GossipFabric:
                     if ver[i] > ver[j]:
                         ver[j] = ver[i]
                     continue
-                incoming = views[i]
-                if delay_max:
-                    d = bounded(delay_max)
-                    if d:
-                        # Age a copy; the unknown sentinel stays put.
-                        incoming = np.where(
-                            incoming == _UNKNOWN_U32,
-                            incoming, incoming + np.uint32(d),
-                        )
-                np.minimum(views[j], incoming, out=views[j])
+                np.minimum(views[j], views[i], out=views[j])
                 if unknown[j]:
                     # The push may have taught the receiver previously
                     # unknown members (id + believed rent ride along).

@@ -1,4 +1,4 @@
-"""The faulty control-plane network: loss, delay, partitions, flaps.
+"""The faulty control-plane network: loss, partitions, flaps.
 
 Every gossip message the simulator models (heartbeats, price
 dissemination, membership events) crosses this layer.  The model is
@@ -11,8 +11,6 @@ Fault vocabulary:
 
 * **loss** — each message is dropped independently with probability
   ``loss`` (drawn from the ``net`` seed stream);
-* **delay** — each delivered push carries information aged by an extra
-  ``U{0..delay_max}`` gossip rounds (per-link delay distribution);
 * **partition** — a location-prefix cut (:class:`NetPartition`): at
   ``start`` a live pivot server is drawn and every server under
   its ``depth``-prefix forms side A; cross-side messages drop until
@@ -22,10 +20,10 @@ Fault vocabulary:
   window (:class:`LinkFlap`); the process stays up and its data is
   intact, so flaps manufacture *false suspicion*, not real loss.
 
-A :class:`NetConfig` with ``loss == 0``, ``delay_max == 0`` and no
-schedules is *zero-fault*: the membership layer then pins its believed
-columns to the physical ones (see :mod:`repro.net.membership`), which
-is what makes the golden byte-identity contract hold by construction.
+A :class:`NetConfig` with ``loss == 0`` and no schedules is
+*zero-fault*: the membership layer then pins its believed columns to
+the physical ones (see :mod:`repro.net.membership`), which is what
+makes the golden byte-identity contract hold by construction.
 """
 
 from __future__ import annotations
@@ -121,23 +119,15 @@ class LinkFlap:
 class NetConfig:
     """Control-plane network parameters for one run."""
 
-    fanout: int = 3
     loss: float = 0.0
-    delay_max: int = 0
     rounds_per_epoch: int = 3
     dead_rounds: int = 10
     partitions: Tuple[NetPartition, ...] = ()
     flaps: Tuple[LinkFlap, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.fanout < 1:
-            raise NetError(f"fanout must be >= 1, got {self.fanout}")
         if not 0.0 <= self.loss < 1.0:
             raise NetError(f"loss must be in [0, 1), got {self.loss}")
-        if self.delay_max < 0:
-            raise NetError(
-                f"delay_max must be >= 0, got {self.delay_max}"
-            )
         if self.rounds_per_epoch < 1:
             raise NetError(
                 f"rounds_per_epoch must be >= 1, got "
@@ -150,10 +140,9 @@ class NetConfig:
 
     @property
     def is_zero_fault(self) -> bool:
-        """No loss, no delay, no schedules: the oracle-equivalent net."""
+        """No loss, no schedules: the oracle-equivalent net."""
         return (
             self.loss == 0.0
-            and self.delay_max == 0
             and not self.partitions
             and not self.flaps
         )

@@ -29,7 +29,6 @@ from repro.core.policy import KERNELS, EconomicPolicy
 from repro.net.model import NetConfig
 from repro.workload.arrivals import ConstantRate, RateProfile
 from repro.workload.clients import ClientGeography, uniform_geography
-from repro.workload.popularity import check_pareto
 
 
 class ConfigError(ValueError):
@@ -268,8 +267,6 @@ class SimConfig:
     base_rate: float = 3000.0
     profile: Optional[RateProfile] = None
     inserts: Optional[InsertConfig] = None
-    popularity_shape: float = 1.0
-    popularity_scale: float = 50.0
     # Epoch-kernel selection: "vectorized" (production — batched eq. 5
     # settlement, incremental eq. 2 availability) or "scalar" (the
     # straight-line reference the equivalence tests and the perf
@@ -286,9 +283,9 @@ class SimConfig:
     # idealized instant-membership engine path byte-for-byte; a
     # NetConfig routes every heartbeat/price/membership message through
     # the repro.net fabric and the engine consumes *believed* (stale)
-    # membership and price columns.  A zero-fault NetConfig (loss=0,
-    # delay_max=0, no partitions/flaps) reproduces the idealized run
-    # exactly while still counting every control-plane message.
+    # membership and price columns.  A zero-fault NetConfig (loss=0, no
+    # partitions/flaps) reproduces the idealized run exactly while
+    # still counting every control-plane message.
     net: Optional[NetConfig] = None
     # Stale-view serving data plane (ISSUE 7).  None skips it; a
     # DataPlaneConfig runs a second serving overlay (quorum requests +
@@ -320,7 +317,6 @@ class SimConfig:
             raise ConfigError("server_query_capacity must be > 0")
         if self.base_rate < 0:
             raise ConfigError(f"base_rate must be >= 0, got {self.base_rate}")
-        check_pareto(self.popularity_shape, self.popularity_scale)
 
     @property
     def rate_profile(self) -> RateProfile:

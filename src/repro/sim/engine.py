@@ -191,10 +191,7 @@ class Simulation:
             self.retry_queue = RetryQueue()
         self.board = PriceBoard()
         self.popularity = PopularityMap.pareto(
-            self.rings.layout().pids,
-            shape=config.popularity_shape,
-            scale=config.popularity_scale,
-            rng=self.streams.popularity,
+            self.rings.layout().pids, rng=self.streams.popularity,
         )
         self.mix = WorkloadMix(
             [

@@ -18,7 +18,7 @@ yields equal configs and byte-identical frame streams.
 ``SimConfig`` — the paper's own parameter sets are the spec templates in
 :mod:`repro.sim.specs.paper`, and the CLI lowers its flags onto a spec
 before compiling.  Where a tier's section *is* a runtime dataclass
-(``structure.layout``, ``flows.inserts/traffic/serving``,
+(``structure.layout/confidence``, ``flows.inserts/traffic/serving``,
 ``constraints.policy/economy``, ``failure.net``) the spec holds that
 class directly; a spec class exists only where the JSON format hides or
 renames runtime fields.  Keys the format no longer has are read
@@ -53,8 +53,10 @@ from repro.cluster.events import (
 from repro.cluster.server import GB, MB
 from repro.cluster.topology import CloudLayout
 from repro.core.availability import paper_thresholds
-from repro.core.economy import RentModel
-from repro.core.policy import KERNELS, EconomicPolicy
+from repro.core.decision import REPAIR_ITERATIONS
+from repro.core.economy import BETA, RentModel
+from repro.core.policy import KERNELS, REVENUE_PER_QUERY, EconomicPolicy
+from repro.net.fabric import GOSSIP_FANOUT
 from repro.net.model import FULL_FABRIC_MAX_NODES, NetConfig
 from repro.serve.frontend import (
     ANTI_ENTROPY_BYTES, ANTI_ENTROPY_PARTITIONS, TIMEOUT_PENALTY_MS)
@@ -75,6 +77,7 @@ from repro.sim.seeds import RngStreams
 from repro.store.hints import HINT_BACKOFF_CAP, HINT_BASE_DELAY, HINT_TTL
 from repro.workload.arrivals import RateProfile
 from repro.workload.clients import ClientGeography, hotspot, mixture
+from repro.workload.popularity import PARETO_SCALE, PARETO_SHAPE
 from repro.workload.slashdot import slashdot_profile
 
 
@@ -160,56 +163,6 @@ def _parse_tagged(kinds: Dict[str, Callable], raw: Any):
     return kinds[kind]({k: v for k, v in raw.items() if k != "kind"})
 
 
-def _fixed(section: str, **values):
-    """Rows for keys whose one value became a constant of the code."""
-    return {key: (lambda value, _, want=want: value == want,
-                  f"{section}: {key} must be {json.dumps(want)} (a constant)")
-            for key, want in values.items()}
-
-
-#: The quorum-store knobs both overlay configs had, at their constants.
-_STORE_KNOBS = dict(
-    value_size=VALUE_SIZE, hint_ttl=HINT_TTL, hint_base_delay=HINT_BASE_DELAY,
-    hint_backoff_cap=HINT_BACKOFF_CAP, anti_entropy_bytes=ANTI_ENTROPY_BYTES,
-    anti_entropy_partitions=ANTI_ENTROPY_PARTITIONS, read_repair=True)
-
-#: Keys the JSON format once had, per class: each key's test of the one
-#: value that changes nothing (given the value and its section) and the
-#: rule a refusal quotes.  An accepted retired key is dropped, so
-#: :meth:`ScenarioSpec.to_dict` never writes it back.
-RETIRED: Dict[type, Dict[str, Tuple[Callable[[Any, Mapping], bool], str]]] = {
-    EconomicPolicy: {
-        "rent_weight": (
-            lambda value, _: value == 1.0,
-            "policy: rent_weight must be 1.0 (eq. 3 weighs rent at 1)"),
-        "max_replicas": (
-            lambda value, _: value is None,
-            "policy: max_replicas must be null (the economic replication "
-            "degree is uncapped)"),
-    },
-    RentModel: {"normalize_by_usage": (
-        lambda value, _: not value,
-        "economy: normalize_by_usage must be false (usage-normalised eq. 1 "
-        "pricing is not modelled)")},
-    NetConfig: {
-        "fabric": (
-            lambda value, _: value == "full",
-            f"net: fabric must be 'full' (the gossip fabric, capped at "
-            f"FULL_FABRIC_MAX_NODES = {FULL_FABRIC_MAX_NODES} nodes)"),
-        "suspect_rounds": (
-            lambda value, net: value in range(
-                1, net.get("dead_rounds", NetConfig.dead_rounds)
-            ),
-            "net: need 1 <= suspect_rounds < dead_rounds"),
-    },
-    DataPlaneConfig: _fixed("traffic", **_STORE_KNOBS, level=DATA_PLANE_LEVEL,
-                            read_fraction=DATA_PLANE_READ_FRACTION),
-    ServingConfig: _fixed(
-        "serving", **_STORE_KNOBS, epoch_ms=EPOCH_MS, sla_read_ms=SLA_READ_MS,
-        sla_write_ms=SLA_WRITE_MS, timeout_penalty_ms=TIMEOUT_PENALTY_MS),
-}
-
-
 def _build(cls, data: Any):
     """Construct spec class ``cls`` from its JSON form, strictly.
 
@@ -289,36 +242,13 @@ class ServerClassesSpec:
 
 
 @dataclass(frozen=True)
-class ConfidenceSpec:
-    """Per-country trust tiers (eq. 2 weights)."""
-
-    base: float = 1.0
-    country_factors: Dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.base <= 1.0:
-            raise SpecError(f"confidence base must be in [0, 1], got {self.base}")
-        for country, factor in self.country_factors.items():
-            if not 0.0 <= factor <= 1.0:
-                raise SpecError(
-                    f"confidence factor for country {country} must be in "
-                    f"[0, 1], got {factor}"
-                )
-
-    def compile(self) -> ConfidenceModel:
-        return ConfidenceModel(
-            base=self.base, country_factors=dict(self.country_factors)
-        )
-
-
-@dataclass(frozen=True)
 class StructureSpec:
     """Tier 1: cloud shape and server classes."""
 
     scale: int = 1
     layout: Optional[CloudLayout] = None
     classes: ServerClassesSpec = field(default_factory=ServerClassesSpec)
-    confidence: Optional[ConfidenceSpec] = None
+    confidence: Optional[ConfidenceModel] = None
 
     def __post_init__(self) -> None:
         if self.scale < 1:
@@ -422,8 +352,6 @@ class FlowsSpec:
     inserts: Optional[InsertConfig] = None
     traffic: Optional[DataPlaneConfig] = None
     serving: Optional[ServingConfig] = None
-    popularity_shape: float = 1.0
-    popularity_scale: float = 50.0
 
     def __post_init__(self) -> None:
         if self.base_rate < 0:
@@ -819,6 +747,69 @@ _field_parsers(ScenarioSpec)  # resolve every field type once, at import
 
 
 # ---------------------------------------------------------------------------
+# Retired keys
+# ---------------------------------------------------------------------------
+
+
+def _fixed(section: str, **values):
+    """Rows for keys whose one value became a constant of the code."""
+    return {key: (lambda value, _, want=want: value == want,
+                  f"{section}: {key} must be {json.dumps(want)} (a constant)")
+            for key, want in values.items()}
+
+
+#: The quorum-store knobs both overlay configs had, at their constants.
+_STORE_KNOBS = dict(
+    value_size=VALUE_SIZE, hint_ttl=HINT_TTL, hint_base_delay=HINT_BASE_DELAY,
+    hint_backoff_cap=HINT_BACKOFF_CAP, anti_entropy_bytes=ANTI_ENTROPY_BYTES,
+    anti_entropy_partitions=ANTI_ENTROPY_PARTITIONS, read_repair=True)
+
+#: Keys the JSON format once had, per class: each key's test of the one
+#: value that changes nothing (given the value and its section) and the
+#: rule a refusal quotes.  An accepted retired key is dropped, so
+#: :meth:`ScenarioSpec.to_dict` never writes it back.
+RETIRED: Dict[type, Dict[str, Tuple[Callable[[Any, Mapping], bool], str]]] = {
+    EconomicPolicy: {
+        **_fixed("policy", revenue_per_query=REVENUE_PER_QUERY,
+                 repair_iterations=REPAIR_ITERATIONS),
+        "rent_weight": (
+            lambda value, _: value == 1.0,
+            "policy: rent_weight must be 1.0 (eq. 3 weighs rent at 1)"),
+        "max_replicas": (
+            lambda value, _: value is None,
+            "policy: max_replicas must be null (the economic replication "
+            "degree is uncapped)"),
+    },
+    RentModel: {
+        **_fixed("economy", beta=BETA),
+        "normalize_by_usage": (
+            lambda value, _: not value,
+            "economy: normalize_by_usage must be false (usage-normalised "
+            "eq. 1 pricing is not modelled)"),
+    },
+    NetConfig: {
+        **_fixed("net", fanout=GOSSIP_FANOUT, delay_max=0),
+        "fabric": (
+            lambda value, _: value == "full",
+            f"net: fabric must be 'full' (the gossip fabric, capped at "
+            f"FULL_FABRIC_MAX_NODES = {FULL_FABRIC_MAX_NODES} nodes)"),
+        "suspect_rounds": (
+            lambda value, net: value in range(
+                1, net.get("dead_rounds", NetConfig.dead_rounds)
+            ),
+            "net: need 1 <= suspect_rounds < dead_rounds"),
+    },
+    DataPlaneConfig: _fixed("traffic", **_STORE_KNOBS, level=DATA_PLANE_LEVEL,
+                            read_fraction=DATA_PLANE_READ_FRACTION),
+    ServingConfig: _fixed(
+        "serving", **_STORE_KNOBS, epoch_ms=EPOCH_MS, sla_read_ms=SLA_READ_MS,
+        sla_write_ms=SLA_WRITE_MS, timeout_penalty_ms=TIMEOUT_PENALTY_MS),
+    FlowsSpec: _fixed("flows", popularity_shape=PARETO_SHAPE,
+                      popularity_scale=PARETO_SCALE),
+}
+
+
+# ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
 
@@ -849,13 +840,8 @@ def compile_config(spec: ScenarioSpec) -> SimConfig:
             base_rate=flows.base_rate,
             profile=flows.compile_profile(),
             inserts=flows.inserts,
-            popularity_shape=flows.popularity_shape,
-            popularity_scale=flows.popularity_scale,
             kernel=ops.kernel,
-            confidence=(
-                None if structure.confidence is None
-                else structure.confidence.compile()
-            ),
+            confidence=structure.confidence,
             net=spec.failure.compile_net(ops.epochs),
             data_plane=flows.traffic,
             serving=flows.serving,

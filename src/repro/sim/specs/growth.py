@@ -7,11 +7,11 @@ economy under insert-driven growth.
 
 from __future__ import annotations
 
+from repro.cluster.confidence import ConfidenceModel
 from repro.cluster.server import GB, MB
 from repro.core.economy import RentModel
 from repro.sim.config import InsertConfig
 from repro.sim.scenario import (
-    ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
     FlowsSpec,
@@ -71,7 +71,7 @@ SPECS = (
                 cheap_rent=80.0, expensive_rent=200.0,
                 expensive_fraction=0.6,
             ),
-            confidence=ConfidenceSpec(
+            confidence=ConfidenceModel(
                 base=0.98, country_factors={2: 0.85, 6: 0.9},
             ),
         ),

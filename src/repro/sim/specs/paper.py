@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.cluster.confidence import ConfidenceModel
 from repro.cluster.server import GB, MB
 from repro.core.economy import RentModel
 from repro.core.policy import EconomicPolicy
 from repro.sim.config import InsertConfig
 from repro.sim.scenario import (
-    ConfidenceSpec,
     ConstraintsSpec,
     FailureSpec,
     FlashCrowd,
@@ -155,7 +155,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="confidence-tiers",
         summary="fractional per-country trust tiers (eq. 2 at rtol 1e-9)",
-        structure=StructureSpec(confidence=ConfidenceSpec(
+        structure=StructureSpec(confidence=ConfidenceModel(
             base=0.97, country_factors={0: 0.9, 3: 0.85, 7: 0.95},
         )),
         constraints=ConstraintsSpec(partitions=24),
@@ -164,7 +164,7 @@ SPECS = (
     ScenarioEntry(ScenarioSpec(
         name="churn-confidence",
         summary="fractional confidences plus join/leave waves mid-run",
-        structure=StructureSpec(confidence=ConfidenceSpec(
+        structure=StructureSpec(confidence=ConfidenceModel(
             base=0.96, country_factors={1: 0.88, 4: 0.92, 8: 0.97},
         )),
         constraints=ConstraintsSpec(partitions=24),

@@ -19,29 +19,24 @@ import numpy as np
 from repro.ring.partition import SPLIT_SHARE, PartitionId
 
 
+#: The evaluation's Pareto(1, 50) popularity: shape and scale (§III-A).
+PARETO_SHAPE = 1.0
+PARETO_SCALE = 50.0
+
+
 class PopularityError(ValueError):
     """Raised for invalid popularity parameters."""
 
 
-def check_pareto(shape: float, scale: float) -> None:
-    """Refuse Pareto parameters :func:`pareto_weights` cannot draw with."""
-    if shape <= 0:
-        raise PopularityError(f"popularity shape must be > 0, got {shape}")
-    if scale <= 0:
-        raise PopularityError(f"popularity scale must be > 0, got {scale}")
-
-
-def pareto_weights(count: int, *, shape: float = 1.0, scale: float = 50.0,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` raw Pareto(shape, scale) popularity weights.
+def pareto_weights(count: int, *, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` raw Pareto(1, 50) popularity weights.
 
     numpy's ``pareto`` samples the Lomax distribution; the classical
     Pareto variate with minimum ``scale`` is ``scale * (1 + lomax)``.
     """
     if count <= 0:
         raise PopularityError(f"count must be > 0, got {count}")
-    check_pareto(shape, scale)
-    return scale * (1.0 + rng.pareto(shape, size=count))
+    return PARETO_SCALE * (1.0 + rng.pareto(PARETO_SHAPE, size=count))
 
 
 class PopularityMap:
@@ -119,11 +114,8 @@ class PopularityMap:
         return raw / total
 
     @classmethod
-    def pareto(cls, pids: Sequence[PartitionId], *, shape: float = 1.0,
-               scale: float = 50.0,
+    def pareto(cls, pids: Sequence[PartitionId], *,
                rng: np.random.Generator) -> "PopularityMap":
         """Paper §III-A initialisation: Pareto(1, 50) weights per partition."""
-        weights = pareto_weights(
-            len(pids), shape=shape, scale=scale, rng=rng
-        )
+        weights = pareto_weights(len(pids), rng=rng)
         return cls(dict(zip(pids, weights.tolist())))

@@ -110,10 +110,6 @@ class TestPolicyValidation:
         with pytest.raises(PolicyError):
             EconomicPolicy(migration_margin=1.0)
 
-    def test_invalid_revenue(self):
-        with pytest.raises(PolicyError):
-            EconomicPolicy(revenue_per_query=-0.1)
-
 
 class TestRepair:
     def test_repairs_until_threshold(self):
@@ -254,9 +250,7 @@ class TestMigration:
 
 class TestEconomicReplication:
     def test_popular_partition_replicates(self):
-        policy = EconomicPolicy(
-            hysteresis=2, revenue_per_query=0.01, migration_margin=0.05
-        )
+        policy = EconomicPolicy(hysteresis=2, migration_margin=0.05)
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
             threshold=20.0, policy=policy
         )
@@ -271,7 +265,7 @@ class TestEconomicReplication:
         assert len(catalog.servers_of(p.pid)) >= 3
 
     def test_unpopular_partition_does_not_replicate(self):
-        policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
+        policy = EconomicPolicy(hysteresis=2)
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
             threshold=20.0, policy=policy
         )
@@ -284,7 +278,7 @@ class TestEconomicReplication:
         assert stats.economic_replications == 0
 
     def test_replication_resets_initiator_history(self):
-        policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
+        policy = EconomicPolicy(hysteresis=2)
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
             threshold=20.0, policy=policy
         )
@@ -314,7 +308,7 @@ class TestSettle:
         assert agent.balances != ()
 
     def test_utility_floor_applies(self):
-        policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
+        policy = EconomicPolicy(hysteresis=2)
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
             policy=policy
         )
@@ -483,7 +477,7 @@ class TestPartitionProof:
         assert stats.suicides >= 1
 
     def test_unfunded_expanders_skip_the_walk(self):
-        policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
+        policy = EconomicPolicy(hysteresis=2)
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
             threshold=20.0, policy=policy
         )
@@ -505,7 +499,7 @@ class TestPartitionProof:
         proof counts that ask too."""
         asks = []
         for proof in (True, False):
-            policy = EconomicPolicy(hysteresis=2, revenue_per_query=0.01)
+            policy = EconomicPolicy(hysteresis=2)
             cloud, rings, ring, catalog, registry, __, engine, board = (
                 harness(threshold=20.0, policy=policy,
                         membership=lambda cloud: BelievedDead(cloud, 3))

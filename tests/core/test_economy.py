@@ -6,7 +6,9 @@ import pytest
 from repro.cluster.location import Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
+from repro.core import economy
 from repro.core.economy import (
+    BETA,
     DEFAULT_EPOCHS_PER_MONTH,
     CloudCostIndex,
     EconomyError,
@@ -21,23 +23,24 @@ LOC = Location(0, 0, 0, 0, 0, 0)
 
 class TestRentModel:
     def test_idle_server_price_is_usage_price(self):
-        model = RentModel(alpha=1.0, beta=1.0)
+        model = RentModel(alpha=1.0)
         server = make_server(0, LOC, monthly_rent=100.0)
         assert model.price(server) == pytest.approx(
             100.0 / DEFAULT_EPOCHS_PER_MONTH
         )
 
     def test_eq1_formula(self):
-        model = RentModel(alpha=2.0, beta=3.0)
+        model = RentModel(alpha=2.0)
         server = make_server(
             0, LOC, monthly_rent=100.0,
             storage_capacity=1000, query_capacity=10,
         )
         server.allocate_storage(500)   # usage 0.5
         server.record_queries(5)       # load 0.5
-        # up * (1 + 2*0.5 + 3*0.5) = up * 3.5
+        # up * (1 + 2*0.5 + β*0.5), β = 1
+        assert BETA == 1.0
         assert model.price(server) == pytest.approx(
-            100.0 / DEFAULT_EPOCHS_PER_MONTH * 3.5
+            100.0 / DEFAULT_EPOCHS_PER_MONTH * 2.5
         )
 
     def test_expensive_server_prices_higher(self):
@@ -62,8 +65,10 @@ class TestRentModel:
         server.allocate_storage(50)
         assert model.price(server) > p0
 
-    def test_price_array_is_bit_identical_to_price(self):
-        model = RentModel(alpha=2.0, beta=3.0)
+    def test_price_array_is_bit_identical_to_price(self, monkeypatch):
+        # A non-unit β, so the query term's multiply is exercised too.
+        monkeypatch.setattr(economy, "BETA", 3.0)
+        model = RentModel(alpha=2.0)
         servers = [
             make_server(i, LOC, monthly_rent=100.0 + 25.0 * i,
                         storage_capacity=1000 + 7 * i, query_capacity=10)
@@ -95,8 +100,6 @@ class TestRentModel:
     def test_invalid_params(self):
         with pytest.raises(EconomyError):
             RentModel(alpha=-1)
-        with pytest.raises(EconomyError):
-            RentModel(beta=-1)
 
     def test_default_epoch_count_is_a_month_of_hours(self):
         assert DEFAULT_EPOCHS_PER_MONTH == 720
@@ -114,7 +117,7 @@ def _cost_harness(n=4, model=None):
             )
         ])
     catalog = ReplicaCatalog(cloud)
-    rent_model = model or RentModel(alpha=2.0, beta=3.0)
+    rent_model = model or RentModel(alpha=2.0)
     index = CloudCostIndex(cloud, rent_model, catalog)
     return cloud, catalog, rent_model, index
 

@@ -1,6 +1,6 @@
 """Repair-chain semantics of the §II-C pass.
 
-Pins the ``repair_iterations`` bound, source budget exhaustion
+Pins the ``REPAIR_ITERATIONS`` bound, source budget exhaustion
 mid-chain, and vectorized-vs-scalar kernel equality on adversarial
 small clouds: eq. 3 score ties and capacity-constrained rounds.
 """
@@ -14,7 +14,7 @@ from repro.cluster.topology import Cloud
 from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex
 from repro.core.board import PriceBoard
-from repro.core.decision import DecisionEngine
+from repro.core.decision import REPAIR_ITERATIONS, DecisionEngine
 from repro.core.economy import RentModel
 from repro.core.policy import EconomicPolicy
 from repro.ring.virtualring import AvailabilityLevel, RingSet
@@ -36,12 +36,19 @@ LOCS = [
     (4, 0, 0, 0, 0, 0),
 ]
 
+#: ``LOCS`` plus rack siblings of server 0, ``REPAIR_ITERATIONS + 2``
+#: servers in all: a chain from one replica still has a candidate left
+#: when the bound stops it.
+CHAIN_LOCS = LOCS + [
+    (0, 0, 0, 0, 0, k) for k in range(2, REPAIR_ITERATIONS + 4 - len(LOCS))
+]
+
 
 def build(threshold=20.0, *, partitions=1, policy=None, budgets=None,
-          storage=None, initial_size=100, kernel="vectorized"):
-    """A 6-server harness with per-server budget/storage overrides."""
+          storage=None, initial_size=100, kernel="vectorized", locs=LOCS):
+    """A small-cloud harness with per-server budget/storage overrides."""
     cloud = Cloud()
-    for i, loc in enumerate(LOCS):
+    for i, loc in enumerate(locs):
         cloud.add_servers([
             make_server(
                 i, Location(*loc),
@@ -84,31 +91,22 @@ def empty_load(ring):
 
 
 class TestRepairIterationBound:
-    def test_chain_stops_at_repair_iterations(self):
-        # Threshold far above what six servers can reach: the chain
-        # must add exactly ``repair_iterations`` replicas, then report
-        # the partition unsatisfied.
-        policy = EconomicPolicy(hysteresis=2, repair_iterations=2)
+    @pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
+    def test_chain_stops_at_repair_iterations(self, kernel):
+        # Threshold far above what the whole cloud can reach (at most
+        # C(10, 2) pairs of diversity 63), more candidates than the
+        # bound: the chain must add exactly ``REPAIR_ITERATIONS``
+        # replicas, then report the partition unsatisfied.
+        assert len(CHAIN_LOCS) == REPAIR_ITERATIONS + 2
         (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=1000.0, policy=policy)
+         board) = build(threshold=10_000.0, kernel=kernel, locs=CHAIN_LOCS)
         p = ring.partitions()[0]
         catalog.place(p, 0)
         registry.spawn(p.pid, 0)
         stats = engine.decide(board, empty_load(ring), np.random.default_rng(0))
-        assert stats.repairs == 2
+        assert stats.repairs == REPAIR_ITERATIONS
         assert stats.unsatisfied_partitions == 1
-        assert catalog.replica_count(p.pid) == 3
-
-    def test_single_iteration_policy(self):
-        policy = EconomicPolicy(hysteresis=2, repair_iterations=1)
-        (cloud, rings, ring, catalog, registry, transfers, engine,
-         board) = build(threshold=1000.0, policy=policy)
-        p = ring.partitions()[0]
-        catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
-        stats = engine.decide(board, empty_load(ring), np.random.default_rng(0))
-        assert stats.repairs == 1
-        assert catalog.replica_count(p.pid) == 2
+        assert catalog.replica_count(p.pid) == REPAIR_ITERATIONS + 1
 
 
 class TestBudgetExhaustionMidChain:

@@ -18,13 +18,12 @@ Since ISSUE 8 the scenarios come from the same sampled-spec space as
 draw), so every dimension added to the spec schema is exercised under
 the net layer automatically.
 
-* **delayed-gossip pins** — ``faulty_net()`` is the only configuration
-  in the tree that sets ``delay_max``, and determinism alone would
-  accept a change that re-ordered its draws consistently.  The
+* **faulty-gossip pins** — determinism alone would accept a change
+  that re-ordered ``faulty_net()``'s draws consistently.  The
   ``ControlPlaneFrame`` stream and the message totals of the fast seeds
-  are therefore pinned in ``golden/faulty_net_control.json``, generated
-  on the parent of the round-kernel commit (the last per-message
-  fabric).  Regenerate
+  are therefore pinned in ``golden/faulty_net_control.json``, last
+  regenerated when gossip delivery lost its delay draw (and the spec
+  sampler its ``repair_iterations`` draw).  Regenerate
   (``PYTHONPATH=src python tests/integration/test_fault_equivalence.py``)
   only for a deliberate behavioral change, and say so in the commit.
 
@@ -58,7 +57,7 @@ KERNELS = ("vectorized", "scalar")
 FAST_SEEDS = tuple(range(4))
 SLOW_SEEDS = tuple(range(4, 24))
 
-ZERO_FAULT = NetConfig(fanout=3, rounds_per_epoch=2)
+ZERO_FAULT = NetConfig(rounds_per_epoch=2)
 
 PIN_PATH = (
     Path(__file__).resolve().parent / "golden" / "faulty_net_control.json"
@@ -107,7 +106,6 @@ def faulty_net(epochs: int) -> NetConfig:
     mid = max(1, epochs // 3)
     return NetConfig(
         loss=0.15,
-        delay_max=1,
         rounds_per_epoch=3,
         dead_rounds=8,
         partitions=(
@@ -166,9 +164,8 @@ class TestDelayedGossipPins:
         assert pin is not None, f"no pin for {seed}/{kernel}"
         assert faulty_control_plane(seed, kernel) == pin
 
-    def test_pins_cover_the_delay_and_fault_branches(self):
+    def test_pins_cover_the_fault_branches(self):
         """The pin is only a fence if the faults actually bit."""
-        assert faulty_net(9).delay_max > 0
         for key, pin in PINS.items():
             beats = pin["message_totals"]["HEARTBEAT"]
             assert beats["dropped_loss"] > 0, key

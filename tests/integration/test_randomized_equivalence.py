@@ -3,8 +3,7 @@
 The hand-picked golden scenarios pin seven behavioral regimes; this
 harness removes the "hand-picked" qualifier.  Each seed draws a small
 random *scenario spec* from :func:`tests.spec_samplers.sample_spec` —
-cloud shape, partition counts, policy knobs (including tight
-``repair_iterations`` bounds), base rate, optional fractional
+cloud shape, partition counts, policy knobs, base rate, optional fractional
 per-country confidences, optional join/leave churn waves, optional
 insert stream, optional flash-crowd/diurnal flow phases, optional
 zipf data-plane traffic — compiles it, and runs it to completion under

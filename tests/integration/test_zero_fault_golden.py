@@ -31,7 +31,7 @@ KERNELS = ("vectorized", "scalar")
 
 #: The fabric still runs under zero faults — every knob that *changes
 #: message counts* is exercised; only the fault knobs are zeroed.
-ZERO_FAULT = NetConfig(fanout=3, rounds_per_epoch=2)
+ZERO_FAULT = NetConfig(rounds_per_epoch=2)
 
 
 def run_with_net(name: str, kernel: str) -> Simulation:

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster.topology import Cloud
+from repro.net.fabric import GOSSIP_FANOUT
 from repro.net.model import (
     HEARTBEAT,
     NEW_NODE,
@@ -139,7 +140,7 @@ class ReferenceGossipFabric:
         cand = cand[cand != observer_row]
         if cand.size == 0:
             return cand
-        k = min(self._config.fanout, cand.size)
+        k = min(GOSSIP_FANOUT, cand.size)
         picks = self._rng.choice(cand.size, size=k, replace=False)
         return cand[np.sort(picks)]
 
@@ -174,11 +175,6 @@ class ReferenceGossipFabric:
 
     def _merge(self, src_row: int, dst_row: int) -> None:
         incoming = self._age[src_row]
-        if self._config.delay_max:
-            d = int(self._rng.integers(self._config.delay_max + 1))
-            if d:
-                incoming = incoming.copy()
-                incoming[incoming >= 0] += d
         recv = self._age[dst_row]
         known_in = incoming >= 0
         newly = known_in & (recv < 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import CloudLayout, build_cloud
-from repro.net.fabric import UNKNOWN_AGE, GossipFabric
+from repro.net.fabric import GOSSIP_FANOUT, UNKNOWN_AGE, GossipFabric
 from repro.net.model import (
     HEARTBEAT,
     LOST_LIVE_NODE,
@@ -141,7 +141,7 @@ class TestHeartbeatRounds:
         fabric.membership_round()
         sent, delivered, d_loss, d_cut = net.stats.snapshot()[HEARTBEAT]
         # The victim's own fanout pushes all drop as partition drops.
-        assert d_cut >= config.fanout
+        assert d_cut >= GOSSIP_FANOUT
         assert d_loss == 0 and sent == delivered + d_cut
 
     def test_staleness_grows_under_total_silence(self):

@@ -5,7 +5,7 @@ per-message loop; ``repro.net.fabric.GossipFabric`` is the shipped
 round kernel.  Both are driven over identically built small clouds by
 the same drawn script (epoch boundaries, heartbeat and price rounds,
 kills, joins, removals, a mid-run ``unregister``) under drawn faults
-(loss, delay, symmetric and asymmetric cuts, flaps), and after every
+(loss, symmetric and asymmetric cuts, flaps), and after every
 round the harness demands equal age matrices, versions, pending
 bootstraps, message counters, verdicts — and equal ``bit_generator``
 state of **both** the gossip and the net generator, which is draw-count
@@ -185,9 +185,7 @@ def net_configs(draw):
         for start, heal in draw(st.lists(windows(), max_size=2))
     )
     return NetConfig(
-        fanout=draw(st.integers(1, 4)),
         loss=draw(st.sampled_from((0.0, 0.1, 0.5))),
-        delay_max=draw(st.sampled_from((0, 1, 3))),
         dead_rounds=draw(st.integers(2, 9)),
         partitions=cuts,
         flaps=flaps,
@@ -243,13 +241,12 @@ TWO_COUNTRIES = CloudLayout(
 
 
 @pytest.mark.parametrize("asymmetric", [False, True])
-@pytest.mark.parametrize("delay_max", [0, 3])
-def test_join_pending_behind_a_cut(asymmetric, delay_max):
+def test_join_pending_behind_a_cut(asymmetric):
     """The joiner sits across an active cut from the board observer, so
     its bootstrap is retried every round until the cut heals; the
     asymmetric cut lets it through one way only (the joiner's side)."""
     config = NetConfig(
-        fanout=2, loss=0.1, delay_max=delay_max,
+        loss=0.1,
         partitions=(NetPartition(0, 2, depth=2, asymmetric=asymmetric),),
     )
     # Whichever country the drawn pivot puts on side A, one of the two
@@ -275,7 +272,7 @@ def test_join_pending_behind_a_cut(asymmetric, delay_max):
 
 def test_flapped_sender_and_target_drop_both_ways():
     config = NetConfig(
-        fanout=4, loss=0.5, delay_max=1,
+        loss=0.5,
         flaps=(LinkFlap(0, 2), LinkFlap(1, 3)),
         partitions=(NetPartition(1, 3, depth=3, asymmetric=True),),
     )
@@ -299,7 +296,7 @@ def test_bootstrap_retry_to_a_joiner_the_cloud_dropped():
         rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=2,
     )
     config = NetConfig(
-        fanout=1, dead_rounds=2,
+        dead_rounds=2,
         partitions=(NetPartition(1, 6, depth=2),),
         flaps=(LinkFlap(0, 3),),
     )
@@ -334,12 +331,12 @@ def test_harness_detects_a_skipped_draw():
         )
 
 
-def test_pinned_lossy_delayed_rounds_across_a_cut_and_a_flap():
-    """Loss, a bounded delay, an asymmetric cut and a flap at once, so
-    every tier-1 run holds the delay draw and the per-round column memo
-    (one unreachable column per flap-and-side key) to the oracle."""
+def test_pinned_lossy_rounds_across_a_cut_and_a_flap():
+    """Loss, an asymmetric cut and a flap at once, so every tier-1 run
+    holds the per-round column memo (one unreachable column per
+    flap-and-side key) to the oracle."""
     config = NetConfig(
-        fanout=3, loss=0.2, delay_max=3,
+        loss=0.2,
         partitions=(NetPartition(0, 4, depth=2, asymmetric=True),),
         flaps=(LinkFlap(1, 3),),
     )

@@ -126,7 +126,7 @@ def test_loss_block_keeps_the_net_streams_buffered_half():
     """A cut pivot's ``integers`` leaves the ``net`` stream a buffered
     half; the rounds' loss blocks must neither read nor drop it."""
     config = NetConfig(
-        fanout=3, loss=0.3,
+        loss=0.3,
         partitions=(NetPartition(0, 3, depth=2, asymmetric=True),),
     )
     seen = []
@@ -197,7 +197,7 @@ def calls_per_round(servers_per_rack: int):
         servers_per_rack=servers_per_rack,
     )
     config = NetConfig(
-        fanout=3, loss=0.2, delay_max=2,
+        loss=0.2,
         partitions=(NetPartition(0, 9, depth=2, asymmetric=True),),
         flaps=(LinkFlap(0, 9),),
     )

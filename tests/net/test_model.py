@@ -50,9 +50,6 @@ class TestNetConfigValidation:
     def test_loss_makes_faulty(self):
         assert not NetConfig(loss=0.1).is_zero_fault
 
-    def test_delay_makes_faulty(self):
-        assert not NetConfig(delay_max=2).is_zero_fault
-
     def test_schedules_make_faulty(self):
         cut = NetPartition(start=1, heal=3, depth=2)
         assert not NetConfig(partitions=(cut,)).is_zero_fault

@@ -179,10 +179,12 @@ class TestRun:
         # Golden text captured on the commit before the CLI lowered its
         # flags onto a ScenarioSpec (hand-built NetConfig/ServingConfig,
         # fig3_schedule): presets, --net*, --serve*, --fig3-events.
+        # Re-captured once, without --net-delay, on the last commit that
+        # still had that flag.
         code, text = run_cli(
             "run", "--scenario", "slashdot", "--epochs", "204",
             "--partitions", "10", "--seed", "3", "--points", "12",
-            "--net", "--net-loss", "0.1", "--net-delay", "1",
+            "--net", "--net-loss", "0.1",
             "--net-partition", "30:40:2:asym", "--net-flap", "50:62:3",
             "--serve", "--serve-rate", "48", "--serve-workers", "16",
             "--fig3-events",

@@ -43,7 +43,6 @@ from repro.sim.chaos import random_fault_schedule
 from repro.sim.config import DataPlaneConfig, ServingConfig
 from repro.sim.scenario import (
     ChaosSpec,
-    ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
     FailureSpec,
@@ -82,6 +81,7 @@ SECTION_OF = {
     NetConfig: ("failure", "net"),
     DataPlaneConfig: ("flows", "traffic"),
     ServingConfig: ("flows", "serving"),
+    FlowsSpec: ("flows",),
 }
 
 #: The overlay knobs that became constants, at their one value (the old
@@ -107,6 +107,15 @@ OVERLAY_KNOBS = {
         sla_write_ms=(400.0, 150.0),
     ),
 }
+#: The core-config fields that became constants (or, ``delay_max``,
+#: went), likewise.
+CORE_KNOBS = {
+    EconomicPolicy: dict(revenue_per_query=(0.01, 0.02),
+                         repair_iterations=(8, 2)),
+    RentModel: dict(beta=(1.0, 3.0)),
+    NetConfig: dict(fanout=(3, 2), delay_max=(0, 1)),
+    FlowsSpec: dict(popularity_shape=(1.0, 0), popularity_scale=(50.0, 25.0)),
+}
 
 #: Per ``RETIRED`` row: the value it loads at, a value it refuses (with
 #: the message it has always had) and a wrong-typed value.
@@ -122,10 +131,10 @@ RETIRED_ROWS = {
         4, 10, "^net: need 1 <= suspect_rounds < dead_rounds", "4"),
     **{
         (cls, key): (accepted, refused,
-                     f"^{SECTION_OF[cls][1]}: {key} must be "
+                     f"^{SECTION_OF[cls][-1]}: {key} must be "
                      f"{json.dumps(accepted)} ",
                      1 if isinstance(accepted, str) else str(accepted))
-        for cls, knobs in OVERLAY_KNOBS.items()
+        for cls, knobs in {**OVERLAY_KNOBS, **CORE_KNOBS}.items()
         for key, (accepted, refused) in knobs.items()
     },
 }
@@ -137,8 +146,16 @@ def paper_config(**kwargs):
 
 def with_section(cls, section):
     """A bare spec's JSON form with ``cls``'s section set to ``section``."""
-    tier, name = SECTION_OF[cls]
-    return {"name": "x", tier: {name: section}}
+    for name in reversed(SECTION_OF[cls]):
+        section = {name: section}
+    return {"name": "x", **section}
+
+
+def section_of(cls, data):
+    """``cls``'s section of a spec's JSON form (None when it is unset)."""
+    for name in SECTION_OF[cls]:
+        data = data[name]
+    return data
 
 
 class TestValidation:
@@ -168,7 +185,7 @@ class TestValidation:
         ({"flows": {"surges": {"spike_epoch": 1}}}, "FlowsSpec"),
         ({"flows": {"surges": [[1, 2]]}}, "FlashCrowd"),
         ({"structure": {"confidence": {"country_factors": 3}}},
-         "ConfidenceSpec"),
+         "ConfidenceModel"),
         # the kind-tagged event union
         ({"failure": {"events": [{"epoch": 1}]}}, "FailureSpec"),
         ({"failure": {"events": [{"kind": "meteor", "epoch": 1}]}},
@@ -248,7 +265,9 @@ class TestValidation:
 
     def test_bad_confidence_factor(self):
         with pytest.raises(SpecError, match="factor"):
-            ConfidenceSpec(base=0.9, country_factors={0: 1.5})
+            ScenarioSpec.from_dict({"name": "x", "structure": {"confidence": {
+                "base": 0.9, "country_factors": [[0, 1.5]],
+            }}})
 
     def test_bad_diurnal_amplitude(self):
         with pytest.raises(SpecError, match="amplitude"):
@@ -304,8 +323,7 @@ class TestValidation:
         accepted, refused, message, wrong_type = RETIRED_ROWS[cls, key]
         loaded = ScenarioSpec.from_dict(with_section(cls, {key: accepted}))
         assert loaded == ScenarioSpec.from_dict(with_section(cls, {}))
-        tier, name = SECTION_OF[cls]
-        assert key not in loaded.to_dict()[tier][name]
+        assert key not in section_of(cls, loaded.to_dict())
         with pytest.raises(SpecError, match=message):
             ScenarioSpec.from_dict(with_section(cls, {key: refused}))
         with pytest.raises(SpecError, match=key) as caught:
@@ -350,10 +368,11 @@ class TestCompile:
     def test_frozen_workload_loads_unchanged(self, path):
         """A frozen file reads as itself, minus its retired keys."""
         data = json.loads(path.read_text())
-        for cls, (tier, name) in SECTION_OF.items():
-            if data[tier][name] is not None:
+        for cls in SECTION_OF:
+            section = section_of(cls, data)
+            if section is not None:
                 for key in RETIRED[cls]:
-                    del data[tier][name][key]
+                    del section[key]
         assert load_spec(path).to_dict() == data
 
     def test_json_fence_covers_registry_and_workloads(self):

@@ -12,13 +12,13 @@ from typing import List
 
 import numpy as np
 
+from repro.cluster.confidence import ConfidenceModel
 from repro.cluster.server import GB
 from repro.cluster.topology import CloudLayout
 from repro.core.policy import EconomicPolicy
 from repro.sim.config import DataPlaneConfig, InsertConfig
 from repro.sim.scenario import (
     ChaosSpec,
-    ConfidenceSpec,
     ConstraintsSpec,
     Diurnal,
     FailureSpec,
@@ -71,7 +71,7 @@ def sample_spec(seed: int) -> ScenarioSpec:
         )
         structure = dataclasses.replace(
             structure,
-            confidence=ConfidenceSpec(
+            confidence=ConfidenceModel(
                 base=float(rng.uniform(0.85, 1.0)),
                 country_factors={
                     int(c): float(rng.uniform(0.8, 1.0)) for c in countries
@@ -119,7 +119,6 @@ def sample_spec(seed: int) -> ScenarioSpec:
         partitions=int(rng.integers(4, 13)),
         policy=EconomicPolicy(
             hysteresis=int(rng.integers(2, 4)),
-            repair_iterations=int(rng.integers(1, 5)),
             migration_margin=float(rng.uniform(0.0, 0.1)),
             storage_headroom=float(rng.uniform(0.0, 0.15)),
         ),

@@ -961,6 +961,7 @@ CLI_BANNED_CONFIGS = ("NetConfig", "ServingConfig", "DataPlaneConfig")
 #: never builds one, so no spec class can mirror one field by field.
 SPEC_HELD_CLASSES = (
     "EconomicPolicy", "RentModel", "NetConfig", "NetPartition", "LinkFlap",
+    "ConfidenceModel",
 )
 
 

@@ -19,30 +19,23 @@ def pids(n):
 
 class TestParetoWeights:
     def test_minimum_is_scale(self):
-        w = pareto_weights(1000, shape=1.0, scale=50.0, rng=RNG)
+        w = pareto_weights(1000, rng=RNG)
         assert w.min() >= 50.0
 
     def test_heavy_tail(self):
-        w = pareto_weights(2000, shape=1.0, scale=50.0,
-                           rng=np.random.default_rng(1))
+        w = pareto_weights(2000, rng=np.random.default_rng(1))
         # Shape-1 Pareto: the max dwarfs the median by orders of magnitude.
         assert w.max() > 20 * np.median(w)
 
-    def test_larger_shape_is_lighter_tailed(self):
-        rng = np.random.default_rng(2)
-        heavy = pareto_weights(5000, shape=1.0, scale=50.0, rng=rng)
-        light = pareto_weights(5000, shape=5.0, scale=50.0, rng=rng)
-        assert (heavy.max() / np.median(heavy)) > (
-            light.max() / np.median(light)
-        )
+    def test_draws_the_evaluations_pareto(self):
+        # §III-A's Pareto(1, 50): 50 · (1 + Lomax(1)), draw for draw.
+        w = pareto_weights(100, rng=np.random.default_rng(3))
+        lomax = np.random.default_rng(3).pareto(1.0, size=100)
+        assert w.tolist() == (50.0 * (1.0 + lomax)).tolist()
 
     def test_invalid_params(self):
         with pytest.raises(PopularityError):
             pareto_weights(0, rng=RNG)
-        with pytest.raises(PopularityError):
-            pareto_weights(10, shape=0, rng=RNG)
-        with pytest.raises(PopularityError):
-            pareto_weights(10, scale=0, rng=RNG)
 
 
 class TestPopularityMap:
