@@ -86,9 +86,6 @@ SEARCHED = ("benchmarks", "examples", "scripts")
 KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("invariant check", "repro/store/replica.py",
      "ReplicaCatalog.check_consistency"),
-    ("invariant check", "repro/core/agent.py", "AgentRegistry.check_mirror"),
-    ("invariant check", "repro/core/incidence.py",
-     "Incidence._verify_alignment"),
     ("invariant check", "repro/core/economy.py", "CloudCostIndex.verify"),
     ("invariant check", "repro/ring/virtualring.py",
      "VirtualRing.check_invariants"),

@@ -90,9 +90,9 @@ def agent_economics(registry: AgentRegistry) -> AgentEconomics:
 def ring_economics(registry: AgentRegistry) -> List[RingEconomics]:
     """Per-ring aggregation of the ledger rows, sorted by ring key.
 
-    Rows are grouped through the registry's maintained per-partition
-    row mirror (one list lookup per partition, array math per ring) —
-    the partition count, not the agent count, bounds the Python work.
+    Rows are grouped through the catalog's per-partition row lists
+    (one list lookup per partition, array math per ring) — the
+    partition count, not the agent count, bounds the Python work.
     """
     ledger = registry.ledger
     wealth = ledger.wealth_vector()

@@ -82,7 +82,6 @@ class StaticDecider(DecisionEngine):
             if not result.ok:
                 stats.deferred += 1
                 return
-            self._registry.spawn(pid, candidate)
             stats.repairs += 1
             servers = self._live_replicas(pid)
         if len(servers) < target:

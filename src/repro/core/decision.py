@@ -14,9 +14,10 @@ At the end of every epoch each virtual node:
 
 Utilities are floored at the epoch's lowest virtual rent so unpopular
 nodes stop migrating once they sit on the cheapest viable server.
-All bookkeeping flows through the transfer engine (bandwidth budgets),
-the replica catalog (storage) and the agent registry (balances), so a
-decision that cannot be executed this epoch is simply retried later.
+All bookkeeping flows through the transfer engine (bandwidth budgets)
+and the replica catalog (storage, and the agents' ledger rows it owns),
+so a decision that cannot be executed this epoch is simply retried
+later.
 
 The engine also fronts eq. 5 settlement (:mod:`repro.core.settlement`)
 and owns the :class:`~repro.core.incidence.Incidence` both passes read;
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.topology import Cloud
-from repro.core.agent import AgentRegistry, VNodeAgent
+from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex, availability, pair_gain
 from repro.core.board import PriceBoard
 from repro.core.economy import RentModel
@@ -98,10 +99,9 @@ class DecisionEngine:
             )
             # The work list's slots must address the eq. 2 store's index.
             rings.use_partition_index(self._index.partition_index)
-        #: The live replica/agent incidence settlement and triage read,
-        #: with its alignment counters and splice cross-check flag.
+        #: The live replica/agent incidence settlement and triage read.
         self.incidence = Incidence(
-            cloud, rings, catalog, registry, self._membership, self._index
+            cloud, rings, catalog, self._membership, self._index
         )
         #: Run totals of the per-epoch scorers' floor counters: skip
         #: queries the §II-C pass put to :meth:`PlacementScorer.
@@ -143,10 +143,10 @@ class DecisionEngine:
         return (self.ceil_builds_first + self.ceil_builds_winner
                 + self.ceil_builds_release)
 
-    # The frozen benchmark reads the alignment counters off the decider.
-    align_splices = property(lambda self: self.incidence.align_splices)
-    align_rebuilds = property(lambda self: self.incidence.align_rebuilds)
-    align_reuses = property(lambda self: self.incidence.align_reuses)
+    # The frozen benchmark reads these counters off the decider.  The
+    # catalog carries each replica's ledger row, so there is no
+    # catalog↔ledger alignment left to splice, rebuild or reuse.
+    align_splices = align_rebuilds = align_reuses = 0
 
     def settle(self, load: EpochLoad, board: PriceBoard,
                g_of_app: Optional[Dict[int, np.ndarray]] = None) -> None:
@@ -155,7 +155,7 @@ class DecisionEngine:
         if self._kernel == "vectorized":
             self.query_totals_version = self._cloud.version
             self.query_totals = settle_batched(
-                self._cloud, self._registry, self.incidence,
+                self._cloud, self._catalog.ledger, self.incidence,
                 self._index, load, board, g_of_app,
             )
         else:
@@ -287,13 +287,13 @@ class DecisionEngine:
             return
         # Availability satisfied: each agent optimises its own cost.
         if self._index is None:
-            for agent in list(self._registry.of_partition(pid)):
+            for agent in self._registry.of_partition(pid):
                 if agent.negative_streak:
-                    self._shed(partition, threshold, agent, board, scorer,
-                               g_vec, stats, servers)
+                    self._shed(partition, threshold, agent.server_id, board,
+                               scorer, g_vec, stats, servers)
                 elif agent.positive_streak:
-                    self._expand(partition, agent, board, scorer, load,
-                                 g_vec, stats, servers)
+                    self._expand(partition, agent.row, agent.server_id,
+                                 board, scorer, load, g_vec, stats, servers)
             return
         # Vectorized kernel: same decisions, with the overwhelmingly
         # common no-action case triaged inline.  At economic equilibrium
@@ -312,15 +312,16 @@ class DecisionEngine:
         price = board.price
         contribution = self._index.contribution
         # O(1) streak reads: the ledger keeps the flag lists current
-        # through every record/reset/spawn/retire, so indexing them is
-        # the same boolean the ``negative_streak``/``positive_streak``
+        # through every record/reset/acquire/release, so indexing them
+        # is the same boolean the ``negative_streak``/``positive_streak``
         # properties would compute from the window.
-        neg_flags, pos_flags = self._registry.streak_flags()
-        # ``of_partition`` already snapshots the agent list.
-        for agent in self._registry.of_partition(pid):
-            row = agent.row
+        neg_flags, pos_flags = self._catalog.ledger.streak_flags()
+        # Snapshot the agents (rows and servers, in catalog order): a
+        # suicide below edits the catalog's lists in place.
+        catalog = self._catalog
+        for row, sid in list(zip(catalog.rows_of(pid),
+                                 catalog.replica_servers(pid))):
             if neg_flags[row]:
-                sid = agent.server_id
                 if sid not in servers:
                     continue
                 if avail - contribution(pid, sid, servers) < threshold:
@@ -328,12 +329,12 @@ class DecisionEngine:
                     # cheaper host to exist at all.
                     if price(sid) * one_minus_margin <= min_price:
                         continue
-                avail = self._shed(partition, threshold, agent, board,
+                avail = self._shed(partition, threshold, sid, board,
                                    scorer, g_vec, stats, servers,
                                    avail=avail, batch=batch)
             elif pos_flags[row]:
-                avail = self._expand(partition, agent, board, scorer, load,
-                                     g_vec, stats, servers,
+                avail = self._expand(partition, row, sid, board, scorer,
+                                     load, g_vec, stats, servers,
                                      avail=avail, batch=batch)
 
     def _repair(self, partition: Partition, threshold: float, avail: float,
@@ -381,7 +382,6 @@ class DecisionEngine:
                 scorer.consume_budget(
                     candidate.server_id, partition.size, "replication"
                 )
-                self._registry.spawn(pid, candidate.server_id)
                 servers.append(candidate.server_id)
                 stats.repairs += 1
                 avail = self._avail_of(pid, servers)
@@ -416,7 +416,6 @@ class DecisionEngine:
             scorer.consume_budget(
                 candidate.server_id, partition.size, "replication"
             )
-            self._registry.spawn(pid, candidate.server_id)
             # Same expression (and operand order) as the availability
             # index's replica_added listener applies at commit, so the
             # chain-local value stays bit-identical to the post-commit
@@ -431,11 +430,12 @@ class DecisionEngine:
             stats.unsatisfied_partitions += 1
 
     def _shed(self, partition: Partition, threshold: float,
-              agent: VNodeAgent, board: PriceBoard,
+              src: int, board: PriceBoard,
               scorer: PlacementScorer, g_vec: Optional[np.ndarray],
               stats: DecisionStats, servers: List[int],
               avail: float = 0.0, batch=None) -> float:
-        """Negative streak: suicide if safe, else migrate somewhere cheaper.
+        """Negative streak: the agent on ``src`` suicides if safe, else
+        migrates somewhere cheaper.
 
         Under the vectorized kernel the caller threads the partition's
         current eq. 2 availability through ``avail`` (the shared batch
@@ -445,9 +445,6 @@ class DecisionEngine:
         batch's commit will apply.  The scalar reference ignores both.
         """
         pid = partition.pid
-        # One read: ``agent.server_id`` is a two-hop ledger property and
-        # stays the *source* id until ``rehome`` at the very end.
-        src = agent.server_id
         if self._index is None:
             # Reference kernel: per-agent rebuild, as pre-refactor.
             servers = self._live_replicas(pid)
@@ -462,7 +459,6 @@ class DecisionEngine:
             )
         if remaining >= threshold:
             self._transfers.suicide(partition, src)
-            self._registry.retire(pid, src)
             scorer.release_storage(src, partition.size)
             servers.remove(src)
             stats.suicides += 1
@@ -524,8 +520,9 @@ class DecisionEngine:
             # Vectorized kernel: queue the move into the pass's shared
             # intent batch as one vacating intent — the mirrors make its
             # checks (and deferred/failure stats) identical to an
-            # immediate call, and the grouped commit applies it (place,
-            # then drop) before the next state read outside the pass.
+            # immediate call, and the grouped commit applies it (the
+            # catalog's move, which carries the agent's ledger row)
+            # before the next state read outside the pass.
             blocked = batch.add_migration(
                 partition, src, candidate.server_id, kind
             )
@@ -556,20 +553,19 @@ class DecisionEngine:
             candidate.server_id, partition.size, budget_kind
         )
         scorer.release_storage(src, partition.size)
-        # Mirror the catalog's list order before ``rehome`` re-points
-        # the agent at its destination: dst was appended, src removed.
+        # Mirror the catalog's list order: dst appended, src removed.
         servers.remove(src)
         servers.append(candidate.server_id)
-        self._registry.rehome(pid, src, candidate.server_id)
         stats.migrations += 1
         return avail
 
-    def _expand(self, partition: Partition, agent: VNodeAgent,
+    def _expand(self, partition: Partition, row: int, src: int,
                 board: PriceBoard, scorer: PlacementScorer,
                 load: EpochLoad, g_vec: Optional[np.ndarray],
                 stats: DecisionStats, servers: List[int],
                 avail: float = 0.0, batch=None) -> float:
-        """Positive streak: replicate when popularity funds the new copy.
+        """Positive streak: the agent on ``src`` (ledger ``row``)
+        replicates when popularity funds the new copy.
 
         Vectorized kernel: the transfer queues into the pass's shared
         batch and the partition's availability is advanced locally (see
@@ -613,7 +609,7 @@ class DecisionEngine:
             return avail
         if self._index is not None:
             blocked = batch.add_replication(
-                partition, agent.server_id, candidate.server_id
+                partition, src, candidate.server_id
             )
             if blocked is not None:
                 stats.deferred += 1
@@ -625,7 +621,7 @@ class DecisionEngine:
             )
         else:
             result = self._transfers.replicate(
-                partition, agent.server_id, candidate.server_id
+                partition, src, candidate.server_id
             )
             if not result.ok:
                 stats.deferred += 1
@@ -633,9 +629,9 @@ class DecisionEngine:
         scorer.consume_budget(
             candidate.server_id, partition.size, "replication"
         )
-        spawned = self._registry.spawn(pid, candidate.server_id)
-        spawned.reset_history()
-        agent.reset_history()
+        # §II-C: the replicating agent restarts its window (the copy's
+        # agent starts with a fresh row when the catalog places it).
+        self._catalog.ledger.reset_window(row)
         servers.append(candidate.server_id)
         stats.economic_replications += 1
         return avail

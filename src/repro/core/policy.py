@@ -22,10 +22,9 @@ class PolicyError(ValueError):
 
 
 class KernelError(ValueError):
-    """Raised for unknown epoch-kernel names, for a catalog replica
-    whose ledger row the incidence cannot match, and when an incremental
-    incidence splice diverges from the full rebuild it is checked
-    against (:attr:`~repro.core.incidence.Incidence.align_check`)."""
+    """Raised for unknown epoch-kernel names and for inputs the
+    vectorized kernel cannot address (a load drawn in another partition
+    slot space)."""
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.cluster.topology import Cloud
-from repro.core.agent import AgentRegistry
+from repro.core.agent import AgentLedger, AgentRegistry
 from repro.core.availability import AvailabilityIndex
 from repro.core.board import PriceBoard
 from repro.core.incidence import Incidence
@@ -69,7 +69,7 @@ def settle_scalar(cloud: Cloud, catalog: ReplicaCatalog,
             agent.record(utility, rent)
 
 
-def settle_batched(cloud: Cloud, registry: AgentRegistry,
+def settle_batched(cloud: Cloud, ledger: AgentLedger,
                    incidence: Incidence, index: AvailabilityIndex,
                    load: EpochLoad, board: PriceBoard,
                    g_of_app: Optional[Dict[int, np.ndarray]] = None
@@ -85,7 +85,7 @@ def settle_batched(cloud: Cloud, registry: AgentRegistry,
     counters start each epoch at exactly 0.0, so adding the folded
     total once is the same float computation).  Agent balances land
     through one vectorized ledger column write
-    (:meth:`AgentRegistry.record_batch`) instead of a per-replica
+    (:meth:`AgentLedger.record_batch`) instead of a per-replica
     Python pass.  Returns the per-slot query totals — the eq. 1
     query-load handoff (all zero when no replica is live).
     """
@@ -153,5 +153,5 @@ def settle_batched(cloud: Cloud, registry: AgentRegistry,
         cloud.record_queries_at(touched, totals[touched])
 
     # Agent ledger: one vectorized column write.
-    registry.record_batch(flat.rep_rows, utilities, rents)
+    ledger.record_batch(flat.rep_rows, utilities, rents)
     return totals

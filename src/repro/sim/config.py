@@ -279,7 +279,7 @@ class SimConfig:
     # streams under a relative tolerance rather than bit-exactly (see
     # PERFORMANCE.md and the golden registry's per-scenario rtol).
     confidence: Optional[ConfidenceModel] = None
-    # Faulty control-plane network (ROADMAP item 3).  None keeps the
+    # Faulty control-plane network.  None keeps the
     # idealized instant-membership engine path byte-for-byte; a
     # NetConfig routes every heartbeat/price/membership message through
     # the repro.net fabric and the engine consumes *believed* (stale)

@@ -147,7 +147,11 @@ class Simulation:
                     partition_capacity=ring_cfg.partition_capacity,
                     initial_size=ring_cfg.initial_partition_size,
                 )
-        self.catalog = ReplicaCatalog(self.cloud)
+        # The one replica table: each replica's agent row lives in the
+        # catalog's ledger, windowed by the policy's hysteresis.
+        self.catalog = ReplicaCatalog(
+            self.cloud, window=config.policy.hysteresis
+        )
         # The incremental eq. 2 cache is shared by the decision engine
         # and metrics collection (scalar kernel: both fall back to the
         # O(R²) recomputation the reference implementation performs).
@@ -168,10 +172,7 @@ class Simulation:
             self.cost_index = CloudCostIndex(
                 self.cloud, config.rent_model, self.catalog
             )
-        self.registry = AgentRegistry(
-            config.policy.hysteresis,
-            partition_index=self.partition_index,
-        )
+        self.registry = AgentRegistry(self.catalog)
         self.transfers = TransferEngine(self.cloud, self.catalog)
         # Faulty-network control plane (ISSUE 6).  ``config.net is
         # None`` leaves every seam below default-off: no membership
@@ -307,7 +308,6 @@ class Simulation:
                 server = self.cloud.server(ids[idx])
                 if server.can_store(partition.size):
                     self.catalog.place(partition, server.server_id)
-                    self.registry.spawn(partition.pid, server.server_id)
                     placed = True
                     break
             if not placed:
@@ -385,9 +385,6 @@ class Simulation:
                 for parent in overfull:
                     low, high = ring.split_partition(parent.pid)
                     self.catalog.split_partition(parent, low, high)
-                    self.registry.split_partition(
-                        parent.pid, low.pid, high.pid
-                    )
                     self.popularity.split(parent.pid, low.pid, high.pid)
                     done.append((parent.pid, low.pid, high.pid))
         return done
@@ -404,7 +401,6 @@ class Simulation:
         if service is None:
             for sid in removed:
                 self.catalog.drop_server(sid)
-                self.registry.drop_server(sid)
         else:
             # Phase A: event-schedule kills become ghosts; heartbeat
             # rounds run over the faulty net; detected deaths complete
@@ -420,7 +416,6 @@ class Simulation:
             for sid in removed:
                 self.cloud.remove_server(sid)
                 self.catalog.drop_server(sid)
-                self.registry.drop_server(sid)
                 service.on_removed(sid)
         if added or removed:
             self._g_dirty = True
@@ -534,7 +529,6 @@ class Simulation:
                     best = headroom
             result = self.transfers.replicate(partition, src, entry.dst)
             if result.ok:
-                self.registry.spawn(entry.pid, entry.dst)
                 queue.resolve(True)
             elif result.outcome in NETWORK_OUTCOMES:
                 queue.requeue(entry, epoch)

@@ -751,9 +751,15 @@ _field_parsers(ScenarioSpec)  # resolve every field type once, at import
 # ---------------------------------------------------------------------------
 
 
+def _is(value: Any, want: Any) -> bool:
+    """``value == want``, with a JSON bool equal to a bool only: Python
+    holds ``True == 1`` and ``False == 0``, a spec must not."""
+    return isinstance(value, bool) == isinstance(want, bool) and value == want
+
+
 def _fixed(section: str, **values):
     """Rows for keys whose one value became a constant of the code."""
-    return {key: (lambda value, _, want=want: value == want,
+    return {key: (lambda value, _, want=want: _is(value, want),
                   f"{section}: {key} must be {json.dumps(want)} (a constant)")
             for key, want in values.items()}
 
@@ -773,7 +779,7 @@ RETIRED: Dict[type, Dict[str, Tuple[Callable[[Any, Mapping], bool], str]]] = {
         **_fixed("policy", revenue_per_query=REVENUE_PER_QUERY,
                  repair_iterations=REPAIR_ITERATIONS),
         "rent_weight": (
-            lambda value, _: value == 1.0,
+            lambda value, _: _is(value, 1.0),
             "policy: rent_weight must be 1.0 (eq. 3 weighs rent at 1)"),
         "max_replicas": (
             lambda value, _: value is None,
@@ -794,7 +800,7 @@ RETIRED: Dict[type, Dict[str, Tuple[Callable[[Any, Mapping], bool], str]]] = {
             f"net: fabric must be 'full' (the gossip fabric, capped at "
             f"FULL_FABRIC_MAX_NODES = {FULL_FABRIC_MAX_NODES} nodes)"),
         "suspect_rounds": (
-            lambda value, net: value in range(
+            lambda value, net: not isinstance(value, bool) and value in range(
                 1, net.get("dead_rounds", NetConfig.dead_rounds)
             ),
             "net: need 1 <= suspect_rounds < dead_rounds"),

@@ -12,30 +12,44 @@ from repro.analysis.economics import (
     vnode_spread_series,
 )
 from repro.core.agent import AgentRegistry
-from repro.ring.partition import PartitionId
+from repro.ring.keyspace import KeyRange
+from repro.ring.partition import Partition, PartitionId
 from repro.sim.scenario import compile_spec
 from repro.sim.specs import paper_spec
+from tests.core.test_agent import catalog_of
 
 
 def pid(app, ring, seq):
     return PartitionId(app_id=app, ring_id=ring, seq=seq)
 
 
-def build_registry():
-    registry = AgentRegistry(window=2)
+def part(p):
+    return Partition(p, KeyRange(0, 500), 100, 10_000)
+
+
+def build():
+    catalog = catalog_of(window=2)
+    registry = AgentRegistry(catalog)
     # Ring (0, 0): two partitions, three agents.
-    a = registry.spawn(pid(0, 0, 0), 1)
-    b = registry.spawn(pid(0, 0, 0), 2)
-    c = registry.spawn(pid(0, 0, 1), 3)
+    catalog.place(part(pid(0, 0, 0)), 1)
+    catalog.place(part(pid(0, 0, 0)), 2)
+    catalog.place(part(pid(0, 0, 1)), 3)
     # Ring (1, 1): one partition, one agent.
-    d = registry.spawn(pid(1, 1, 0), 4)
+    catalog.place(part(pid(1, 1, 0)), 4)
+    a, b = registry.of_partition(pid(0, 0, 0))
+    c = registry.get(pid(0, 0, 1), 3)
+    d = registry.get(pid(1, 1, 0), 4)
     a.record(3.0, 1.0)   # wealth +2, one epoch
     a.record(3.0, 1.0)   # wealth +4 total
     b.record(0.5, 1.0)   # wealth -0.5
     c.record(2.0, 1.0)   # wealth +1
     d.record(1.0, 1.0)   # wealth 0
-    registry.rehome(pid(0, 0, 1), 3, 9)  # one migration for c
-    return registry
+    catalog.move(part(pid(0, 0, 1)), 3, 9)  # one migration for c
+    return catalog, registry
+
+
+def build_registry():
+    return build()[1]
 
 
 class TestLedgerArrays:
@@ -48,11 +62,11 @@ class TestLedgerArrays:
 
     def test_empty_registry_raises(self):
         with pytest.raises(EconomicsError):
-            ledger_arrays(AgentRegistry(window=2))
+            ledger_arrays(AgentRegistry(catalog_of(window=2)))
 
     def test_retired_agents_leave_the_arrays(self):
-        registry = build_registry()
-        registry.retire(pid(0, 0, 0), 1)
+        catalog, registry = build()
+        catalog.drop(part(pid(0, 0, 0)), 1)
         wealth, __, __ = ledger_arrays(registry)
         assert wealth.size == 3
         assert 4.0 not in wealth.tolist()

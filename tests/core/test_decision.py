@@ -55,14 +55,10 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
         0, 0, AvailabilityLevel(threshold, 2), partitions,
         partition_capacity=1_000_000, initial_size=initial_size,
     )
-    catalog = ReplicaCatalog(cloud)
     pol = policy or EconomicPolicy(hysteresis=2)
-    # The registry shares the decider's partition index, as in a
-    # Simulation: the vectorized kernel's alignment reads its slots.
+    catalog = ReplicaCatalog(cloud, window=pol.hysteresis)
     index = AvailabilityIndex(cloud, catalog)
-    registry = AgentRegistry(
-        pol.hysteresis, partition_index=index.partition_index
-    )
+    registry = AgentRegistry(catalog)
     transfers = TransferEngine(cloud, catalog)
     engine = DecisionEngine(
         cloud, rings, catalog, registry, transfers, pol, kernel=kernel,
@@ -74,16 +70,16 @@ def harness(threshold=20.0, *, partitions=1, policy=None, rents=None,
     return cloud, rings, ring, catalog, registry, transfers, engine, board
 
 
-def load_for(ring, queries=0, registry=None):
-    """``queries`` per partition of ``ring``; dense in the registry's
+def load_for(ring, queries=0, rings=None):
+    """``queries`` per partition of ``ring``; dense in the ring set's
     partition slot space when one is given (what settlement reads)."""
     total = queries * len(ring)
-    if registry is None:
+    if rings is None:
         return EpochLoad(
             epoch=0, total_queries=total, per_app={0: total},
             per_partition={p.pid: queries for p in ring},
         )
-    index = registry.partition_index
+    index = rings.layout().index
     slots = [index.slot_of(p.pid) for p in ring]
     counts = np.zeros(len(index), dtype=np.int64)
     counts[slots] = queries
@@ -118,7 +114,6 @@ class TestRepair:
         )
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         stats = engine.decide(board, load_for(ring), RNG)
         servers = catalog.servers_of(p.pid)
         assert availability(cloud, servers) >= 20.0
@@ -126,7 +121,7 @@ class TestRepair:
         assert stats.unsatisfied_partitions == 0
         # Every replica has an agent.
         for sid in servers:
-            assert registry.has(p.pid, sid)
+            assert registry.get(p.pid, sid).server_id == sid
 
     def test_repair_picks_cross_continent(self):
         cloud, rings, ring, catalog, registry, __, engine, board = harness(
@@ -134,7 +129,6 @@ class TestRepair:
         )
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         engine.decide(board, load_for(ring), RNG)
         added = [s for s in catalog.servers_of(p.pid) if s != 0]
         # Max diversity candidates are the other continents (2..5),
@@ -147,7 +141,6 @@ class TestRepair:
         )
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         cloud.server(0).replication_budget.reserve(
             cloud.server(0).replication_budget.capacity
         )
@@ -162,7 +155,6 @@ class TestRepair:
         )
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         engine.decide(board, load_for(ring), RNG)
         assert len(catalog.servers_of(p.pid)) >= 3
 
@@ -180,7 +172,6 @@ class TestSuicide:
         p = ring.partitions()[0]
         for sid in (0, 2, 3):  # three cross-continent replicas
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, -1.0)
         stats = engine.decide(board, load_for(ring), RNG)
         assert stats.suicides >= 1
@@ -194,7 +185,6 @@ class TestSuicide:
         p = ring.partitions()[0]
         for sid in (0, 2):  # exactly enough (63 >= 60)
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, -1.0)
         stats = engine.decide(board, load_for(ring), RNG)
         assert stats.suicides == 0
@@ -213,7 +203,6 @@ class TestMigration:
         p = ring.partitions()[0]
         for sid in (0, 4):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, -1.0)
         stats = engine.decide(board, load_for(ring), RNG)
         assert stats.migrations >= 1
@@ -229,7 +218,6 @@ class TestMigration:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, -1.0)
         stats = engine.decide(board, load_for(ring), RNG)
         assert stats.migrations == 0
@@ -241,7 +229,6 @@ class TestMigration:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, -1.0)
         engine.decide(board, load_for(ring), RNG)
         servers = catalog.servers_of(p.pid)
@@ -257,7 +244,6 @@ class TestEconomicReplication:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, +1.0)
         # 1000 queries/epoch: predicted utility/replica = 3.33 >> rent.
         stats = engine.decide(board, load_for(ring, queries=1000), RNG)
@@ -272,7 +258,6 @@ class TestEconomicReplication:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, +1.0)
         stats = engine.decide(board, load_for(ring, queries=10), RNG)
         assert stats.economic_replications == 0
@@ -285,7 +270,6 @@ class TestEconomicReplication:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, +1.0)
         engine.decide(board, load_for(ring, queries=1000), RNG)
         assert all(
@@ -299,8 +283,7 @@ class TestSettle:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
-        engine.settle(load_for(ring, queries=100, registry=registry), board)
+        engine.settle(load_for(ring, queries=100, rings=rings), board)
         assert cloud.server(0).queries_this_epoch == pytest.approx(50.0)
         assert cloud.server(2).queries_this_epoch == pytest.approx(50.0)
         agent = registry.get(p.pid, 0)
@@ -314,8 +297,7 @@ class TestSettle:
         )
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
-        engine.settle(load_for(ring, queries=0, registry=registry), board)
+        engine.settle(load_for(ring, queries=0, rings=rings), board)
         agent = registry.get(p.pid, 0)
         # Floored utility == min rent; rent on server 0 == min rent
         # (all same price) -> balance exactly 0.
@@ -327,7 +309,6 @@ class TestSettle:
         cloud, rings, ring, catalog, registry, __, engine, board = harness()
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         with pytest.raises(KernelError, match="partition slot space"):
             engine.settle(load_for(ring, queries=100), board)
         assert cloud.server(0).queries_this_epoch == 0.0
@@ -341,7 +322,6 @@ class TestSettle:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         engine.settle(load_for(ring, queries=100), board)
         assert cloud.server(0).queries_this_epoch == pytest.approx(50.0)
         assert cloud.server(2).queries_this_epoch == pytest.approx(50.0)
@@ -412,7 +392,6 @@ class TestPartitionProof:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, -1.0)
         return engine, board, ring, p
 
@@ -453,7 +432,6 @@ class TestPartitionProof:
         )
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         force_streak(registry, p.pid, -1.0)
         walked = walks(engine)
         stats = engine.decide(board, load_for(ring), RNG)
@@ -468,7 +446,6 @@ class TestPartitionProof:
         p = ring.partitions()[0]
         for sid in (0, 2, 3):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, -1.0)
         walked = walks(engine)
         stats = engine.decide(board, load_for(ring), RNG)
@@ -484,7 +461,6 @@ class TestPartitionProof:
         p = ring.partitions()[0]
         for sid in (0, 2):
             catalog.place(p, sid)
-            registry.spawn(p.pid, sid)
         force_streak(registry, p.pid, +1.0)
         walked = walks(engine)
         stats = engine.decide(board, load_for(ring, queries=10), RNG)
@@ -509,7 +485,6 @@ class TestPartitionProof:
             p = ring.partitions()[0]
             for sid in (0, 2, 3):
                 catalog.place(p, sid)
-                registry.spawn(p.pid, sid)
             force_streak(registry, p.pid, +1.0)
             engine.decide(board, load_for(ring, queries=10), RNG)
             assert engine.floor_skips == int(proof)

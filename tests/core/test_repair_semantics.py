@@ -63,15 +63,10 @@ def build(threshold=20.0, *, partitions=1, policy=None, budgets=None,
         0, 0, AvailabilityLevel(threshold, 2), partitions,
         partition_capacity=1_000_000, initial_size=initial_size,
     )
-    catalog = ReplicaCatalog(cloud)
     pol = policy or EconomicPolicy(hysteresis=2)
-    # The vectorized registry shares the decider's partition index, as
-    # in a Simulation: the kernel's alignment reads its slots.
+    catalog = ReplicaCatalog(cloud, window=pol.hysteresis)
     index = AvailabilityIndex(cloud, catalog) if kernel == "vectorized" else None
-    registry = AgentRegistry(
-        pol.hysteresis,
-        partition_index=index.partition_index if index is not None else None,
-    )
+    registry = AgentRegistry(catalog)
     transfers = TransferEngine(cloud, catalog)
     engine = DecisionEngine(
         cloud, rings, catalog, registry, transfers, pol, kernel=kernel,
@@ -102,7 +97,6 @@ class TestRepairIterationBound:
          board) = build(threshold=10_000.0, kernel=kernel, locs=CHAIN_LOCS)
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         stats = engine.decide(board, empty_load(ring), np.random.default_rng(0))
         assert stats.repairs == REPAIR_ITERATIONS
         assert stats.unsatisfied_partitions == 1
@@ -119,7 +113,6 @@ class TestBudgetExhaustionMidChain:
          board) = build(threshold=1000.0, budgets=budgets)
         p = ring.partitions()[0]
         catalog.place(p, 0)
-        registry.spawn(p.pid, 0)
         stats = engine.decide(board, empty_load(ring), np.random.default_rng(0))
         assert stats.repairs == 1
         assert stats.deferred == 1
@@ -136,7 +129,6 @@ class TestVectorizedVsScalarChains:
         )
         for i, p in enumerate(ring.partitions()):
             catalog.place(p, i % 2)
-            registry.spawn(p.pid, i % 2)
         stats = engine.decide(
             board, empty_load(ring), np.random.default_rng(seed)
         )

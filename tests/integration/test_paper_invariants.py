@@ -225,7 +225,7 @@ def check_sampled_invariants(seed: int) -> None:
     compiled = compile_spec(spec)
     sim = compiled.simulation()
     log = sim.run()
-    # Cross-module bookkeeping agrees (catalog <-> registry <-> rings).
+    # Cross-module bookkeeping agrees (catalog <-> agent rows <-> rings).
     consistency_check(sim)
     # Physical capacity is never violated, whatever the economy did.
     for server in sim.cloud:

@@ -122,7 +122,6 @@ def test_precondition_gates_the_refusal(net):
      board) = build()
     p = ring.partitions()[0]
     catalog.place(p, 0)
-    registry.spawn(p.pid, 0)
     if net == "predicate":
         engine._membership = GhostView(engine._membership)
     elif net == "reachability":

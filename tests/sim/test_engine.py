@@ -1,7 +1,6 @@
 """Integration tests for the epoch simulator."""
 
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from repro.cluster.events import AddServers, EventSchedule, RemoveServers
 from repro.cluster.topology import CloudLayout
 from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
-from repro.core.policy import EconomicPolicy, KernelError
+from repro.core.policy import EconomicPolicy
 from repro.ring import virtualring
 from repro.sim.config import (
     AppConfig,
@@ -83,10 +82,10 @@ def small_config(*, epochs=10, seed=0, inserts=None, partitions=6,
 
 
 def consistency_check(sim):
-    """The cross-module invariant: catalog, registry and servers agree."""
+    """The cross-module invariant: the catalog's indexes, its agents'
+    ledger rows and the servers' byte counters agree."""
     partitions = {p.pid: p for p in sim.rings.layout().partitions}
     sim.catalog.check_consistency(partitions)
-    sim.registry.check_mirror(sim.catalog.servers_of)
 
 
 class TestConstruction:
@@ -313,50 +312,6 @@ def test_shipped_deciders_satisfy_the_decider_protocol(factory):
 class TestVectorizedContracts:
     """What the vectorized kernel refuses rather than recovers from."""
 
-    def test_a_ledger_row_retired_behind_the_catalog_is_refused(self):
-        sim = Simulation(small_config(epochs=2))
-        sim.step()
-        pid = sim.rings.layout().pids[0]
-        sim.registry.retire(pid, sim.catalog.servers_of(pid)[0])
-        with pytest.raises(KernelError, match=re.escape(f"partition {pid}:")):
-            sim.decider.incidence.flat_state()
-
-    def test_an_extra_ledger_row_is_refused(self):
-        """A row spawned on a server the catalog does not list for the
-        partition leaves the row block one longer than the segment."""
-        sim = Simulation(small_config(epochs=2))
-        sim.step()
-        pid = sim.rings.layout().pids[0]
-        spare = next(s for s in sim.cloud.server_ids
-                     if s not in sim.catalog.servers_of(pid))
-        sim.registry.spawn(pid, spare)
-        with pytest.raises(KernelError, match=re.escape(f"partition {pid}:")):
-            sim.decider.incidence.flat_state()
-
-    def test_a_ledger_row_rehomed_behind_the_catalog_is_refused(self):
-        """Same row count, but one row's server is not the catalog's."""
-        sim = Simulation(small_config(epochs=2))
-        sim.step()
-        pid = sim.rings.layout().pids[0]
-        src = sim.catalog.servers_of(pid)[0]
-        spare = next(s for s in sim.cloud.server_ids
-                     if s not in sim.catalog.servers_of(pid))
-        sim.registry.rehome(pid, src, spare)
-        with pytest.raises(KernelError, match=re.escape(f"partition {pid}:")):
-            sim.decider.incidence.flat_state()
-
-    def test_the_first_misaligned_partition_is_named(self):
-        sim = Simulation(small_config(epochs=2))
-        sim.step()
-        pids = sim.rings.layout().pids
-        order = sim.catalog.flat_view().pids
-        first, later = sorted(pids[:2], key=order.index)
-        for pid in (later, first):
-            sim.registry.retire(pid, sim.catalog.servers_of(pid)[0])
-        with pytest.raises(KernelError,
-                           match=re.escape(f"partition {first}:")):
-            sim.decider.incidence.flat_state()
-
     def test_a_settle_without_query_totals_is_refused(self):
         class NoTotals(DecisionEngine):
             def settle(self, load, board, g_of_app=None):
@@ -396,7 +351,6 @@ class TestRetryResurrection:
         pid = partition.pid
         for sid in list(sim.catalog.servers_of(pid)):
             sim.catalog.drop(partition, sid)
-            sim.registry.retire(pid, sid)
         dst = sim.cloud.server_ids[0]
         sim.retry_queue.push(TransferResult(
             TransferKind.REPLICATION, TransferOutcome.DEST_DOWN, pid,

@@ -139,6 +139,15 @@ RETIRED_ROWS = {
     },
 }
 
+#: The ``RETIRED_ROWS`` keys whose accepted value is a number (not a
+#: bool): among them rent_weight, beta, suspect_rounds, delay_max,
+#: hint_base_delay and popularity_shape, whose constants equal 1 or 0.
+NUMERIC_RETIRED = [
+    (cls, key)
+    for (cls, key), (accepted, *_rest) in RETIRED_ROWS.items()
+    if isinstance(accepted, (int, float)) and not isinstance(accepted, bool)
+]
+
 
 def paper_config(**kwargs):
     return compile_spec(paper_spec(**kwargs)).config
@@ -329,6 +338,18 @@ class TestValidation:
         with pytest.raises(SpecError, match=key) as caught:
             ScenarioSpec.from_dict(with_section(cls, {key: wrong_type}))
         assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "cls, key", NUMERIC_RETIRED, ids=[k for _, k in NUMERIC_RETIRED]
+    )
+    def test_retired_number_refuses_a_json_bool(self, cls, key):
+        """``True == 1`` and ``False == 0`` hold in Python, so a test of
+        the constant by ``==`` (or ``in range``) let ``true`` load as 1
+        and ``false`` as 0.  Every retired key whose constant is a
+        number refuses both."""
+        for flag in (True, False):
+            with pytest.raises(SpecError, match=key):
+                ScenarioSpec.from_dict(with_section(cls, {key: flag}))
 
     def test_suspect_rounds_is_bounded_by_its_sections_dead_rounds(self):
         ScenarioSpec.from_dict(with_section(

@@ -366,7 +366,7 @@ def test_field_list_gate_detects_planted_tuple_and_dict(tmp_path):
 
 
 #: The four modules ``core/decision.py`` was split into: the §II-C pass,
-#: its knobs, the catalog↔ledger incidence and eq. 5 settlement.  Every
+#: its knobs, the live replica/agent incidence and eq. 5 settlement.  Every
 #: decide-path gate below seals all four.
 DECISION_MODULES = (
     Path("src/repro/core/decision.py"),
@@ -447,83 +447,136 @@ def test_alive_gate_detects_planted_direct_read(tmp_path):
     assert not find_direct_alive_reads(benign)
 
 
-#: The module whose incidence alignment is maintained incrementally
-#: (ISSUE 9 wall (a)), and the one function still sanctioned to pay the
-#: full lexsort rebuild.  Any other ``np.lexsort`` in the decide path is
-#: a per-epoch wall sneaking back in: the splice path exists precisely
-#: so mutation epochs stop re-sorting the whole incidence table.
-LEXSORT_HOME = Path("src/repro/core/incidence.py")
-LEXSORT_SANCTIONED = "_rebuild_alignment"
+def find_lexsorts(path: Path):
+    """Every ``np.lexsort`` call in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    try:
+        shown = path.relative_to(REPO_ROOT)
+    except ValueError:
+        shown = path
+    return [
+        f"{shown}:{node.lineno}: np.lexsort in a decide-path module — "
+        f"the catalog carries each replica's agent row in catalog order, "
+        f"so nothing there needs re-sorting"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "lexsort"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
 
 
-def find_unsanctioned_lexsorts(path: Path, sanctioned=LEXSORT_SANCTIONED):
-    """``np.lexsort`` calls outside the sanctioned rebuild function."""
+def test_decide_path_modules_never_lexsort():
+    """A per-epoch re-sort of the incidence table is a wall sneaking
+    back in: the catalog's flat view already carries every replica's
+    agent row in catalog order."""
+    problems = [
+        problem
+        for rel in DECISION_MODULES
+        for problem in find_lexsorts(REPO_ROOT / rel)
+    ]
+    assert not problems, "re-sorts on the decide path:\n" + "\n".join(
+        problems
+    )
+
+
+def test_lexsort_gate_detects_planted_resort(tmp_path):
+    """The lexsort checker must catch the idiom it bans, in any
+    function, and nothing else."""
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import numpy as np\n\n\ndef _rebuild_alignment(cache):\n"
+        "    order = np.lexsort((cache.slots, cache.pids))\n"
+        "    return order\n"
+    )
+    problems = find_lexsorts(planted)
+    assert len(problems) == 1 and "np.lexsort" in problems[0]
+    benign = tmp_path / "benign.py"
+    benign.write_text(
+        "import numpy as np\n\n\ndef order(cache):\n"
+        "    return np.argsort(cache.slots, kind='stable')\n"
+    )
+    assert not find_lexsorts(benign)
+
+
+#: The catalog owns every replica's agent ledger row: a placement
+#: acquires one, a drop releases it, a move keeps it, a split re-rows
+#: the children.  Outside ``store/replica.py`` nothing may pair a catalog
+#: mutation with an agent mutation by hand again — no ``spawn`` /
+#: ``retire`` / ``rehome`` call at all, and no ``split_partition`` /
+#: ``drop_server`` on a registry (the catalog's and the ring's own are
+#: the mutations themselves).
+ROW_OWNER = Path("src/repro/store/replica.py")
+PAIRED_CALLS = frozenset({"spawn", "retire", "rehome"})
+REGISTRY_PAIRED_CALLS = frozenset({"split_partition", "drop_server"})
+#: (file, receiver) calls of those names that are not agent pairings:
+#: numpy's ``SeedSequence.spawn`` deriving the run's RNG streams.
+NOT_PAIRINGS = frozenset({(Path("src/repro/sim/seeds.py"), "root")})
+
+
+def find_hand_paired_calls(path: Path):
+    """Calls that mirror a catalog mutation onto agents by hand."""
     tree = ast.parse(path.read_text(), filename=str(path))
     try:
         shown = path.relative_to(REPO_ROOT)
     except ValueError:
         shown = path
     problems = []
-
-    def visit(node: ast.AST, func: str | None) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "lexsort"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("np", "numpy")
-            and func != sanctioned
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        receiver = ast.unparse(node.func.value)
+        if (Path(shown), receiver) in NOT_PAIRINGS:
+            continue
+        if name in PAIRED_CALLS or (
+            name in REGISTRY_PAIRED_CALLS and "registry" in receiver.lower()
         ):
             problems.append(
-                f"{shown}:{node.lineno}: np.lexsort outside "
-                f"{sanctioned} — splice the alignment incrementally "
-                f"or route through the sanctioned rebuild"
+                f"{shown}:{node.lineno}: {receiver}.{name}() pairs a "
+                f"catalog mutation by hand — the catalog owns agent rows"
             )
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
     return problems
 
 
-def test_decision_lexsorts_only_in_sanctioned_rebuild():
+def test_only_the_catalog_writes_agent_rows():
     problems = [
         problem
-        for rel in DECISION_MODULES
-        for problem in find_unsanctioned_lexsorts(
-            REPO_ROOT / rel,
-            LEXSORT_SANCTIONED if rel == LEXSORT_HOME else "",
-        )
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if path != REPO_ROOT / ROW_OWNER
+        for problem in find_hand_paired_calls(path)
     ]
-    assert not problems, (
-        "full incidence re-sorts outside the sanctioned rebuild:\n"
-        + "\n".join(problems)
+    assert not problems, "hand-paired agent mutations:\n" + "\n".join(
+        problems
     )
 
 
-def test_lexsort_gate_detects_planted_resort(tmp_path):
-    """The lexsort checker must catch the idiom it bans."""
+def test_pairing_gate_detects_planted_pairs(tmp_path):
     planted = tmp_path / "planted.py"
     planted.write_text(
-        "import numpy as np\n\n\ndef _splice_alignment(cache):\n"
-        "    order = np.lexsort((cache.slots, cache.pids))\n"
-        "    return order\n"
+        "def seed(sim, p, sid):\n"
+        "    sim.catalog.place(p, sid)\n"
+        "    sim.registry.spawn(p.pid, sid)\n"
+        "    self._registry.retire(p.pid, sid)\n"
+        "    registry.rehome(p.pid, sid, 2)\n"
+        "    self.registry.split_partition(a, b, c)\n"
+        "    self._registry.drop_server(sid)\n"
     )
-    problems = find_unsanctioned_lexsorts(planted)
-    assert len(problems) == 1 and "np.lexsort" in problems[0]
+    assert len(find_hand_paired_calls(planted)) == 5
     benign = tmp_path / "benign.py"
     benign.write_text(
-        "import numpy as np\n\n\ndef _rebuild_alignment(cache):\n"
-        "    return np.lexsort((cache.slots, cache.pids))\n"
+        "def split(self, ring, parent, low, high, sid):\n"
+        "    ring.split_partition(parent.pid)\n"
+        "    self.catalog.split_partition(parent, low, high)\n"
+        "    self.catalog.drop_server(sid)\n"
+        "    self.transfers.replicate(parent, None, sid)\n"
     )
-    assert not find_unsanctioned_lexsorts(benign)
-    # Outside the incidence module even the rebuild's name is no licence.
-    assert len(find_unsanctioned_lexsorts(benign, "")) == 1
+    assert not find_hand_paired_calls(benign)
 
 
-#: Line ceilings (ROADMAP item 4): no module carved out of
+#: Line ceilings: no module carved out of
 #: ``core/decision.py`` grows back past 900 lines;
 #: ``core/placement.py`` stays at its size with eq. 3 answered by the
 #: ceiling certificate and the scan alone (no shortlist windows), the
@@ -1360,7 +1413,7 @@ def test_overlay_gate_detects_planted_twin(tmp_path):
     assert not find_overlay_constructions(benign)
 
 
-#: Diversity is six per-level prefix-code columns (ROADMAP item 4): a
+#: Diversity is six per-level prefix-code columns: a
 #: dense pairwise cache — or the ``np.ix_`` block gather that compacts
 #: one — anywhere under ``src/`` is the O(S²) state that retired.
 DENSE_PAIR_NAMES = frozenset(
