@@ -86,7 +86,6 @@ SEARCHED = ("benchmarks", "examples", "scripts")
 KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("invariant check", "repro/store/replica.py",
      "ReplicaCatalog.check_consistency"),
-    ("invariant check", "repro/core/economy.py", "CloudCostIndex.verify"),
     ("invariant check", "repro/ring/virtualring.py",
      "VirtualRing.check_invariants"),
     ("reference implementation", "repro/core/availability.py",

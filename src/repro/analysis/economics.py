@@ -12,6 +12,7 @@ gathers, cheap enough to run after any scenario at any scale.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -53,14 +54,23 @@ class RingEconomics:
 
 def ledger_arrays(registry: AgentRegistry
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(wealth, epochs_alive, moves) of every live agent, row order.
+    """(wealth, epochs_alive, moves) of every live agent, in the
+    catalog's replica order.
 
     Three array gathers off the shared ledger — no per-agent object
-    traffic.  Raises when the registry holds no agents (a scenario that
-    lost every replica has no economy to describe).
+    traffic.  The catalog's order, not the ledger's row numbering, makes
+    the statistics a function of the replicas alone: rows are recycled
+    and repacked as agents come and go.  Raises when the registry holds
+    no agents (a scenario that lost every replica has no economy to
+    describe).
     """
     ledger = registry.ledger
-    rows = ledger.live_row_indices()
+    rows = np.fromiter(
+        itertools.chain.from_iterable(
+            registry.rows_of(pid) for pid in registry.partitions()
+        ),
+        dtype=np.intp,
+    )
     if not rows.size:
         raise EconomicsError("no live agents in the registry")
     return (

@@ -12,7 +12,6 @@ from repro.core.board import BoardError, PriceBoard, update_board
 from repro.core.decision import DecisionEngine
 from repro.core.economy import (
     DEFAULT_EPOCHS_PER_MONTH,
-    CloudCostIndex,
     EconomyError,
     RentModel,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "AvailabilityError",
     "BoardError",
     "Candidate",
-    "CloudCostIndex",
     "DEFAULT_EPOCHS_PER_MONTH",
     "DecisionEngine",
     "DecisionStats",

@@ -416,9 +416,6 @@ class AvailabilityIndex:
             else:
                 self._avail[slot] = 0.0
 
-    def storage_changed(self, server_id: int, delta: int) -> None:
-        """Byte accounting is irrelevant to eq. 2 — no-op."""
-
     def partition_split(self, parent, low, high,
                         servers: Sequence[int]) -> None:
         # Children inherit the parent's replica set verbatim, so both

@@ -148,22 +148,20 @@ class PriceBoard:
 
 
 def update_board(board: PriceBoard, epoch: int, cloud: Cloud,
-                 model: RentModel,
-                 cost_index: Optional["CloudCostIndex"] = None
+                 model: RentModel, vectorized: bool = False
                  ) -> Dict[int, float]:
     """Reprice the cloud (eq. 1) and post the table; returns the prices.
 
-    With a :class:`~repro.core.economy.CloudCostIndex` supplied (the
-    vectorized kernel) the whole cloud is priced in one slot-ordered
-    array pass over the index's maintained storage/query-load vectors;
-    without one (the scalar reference) every server is priced through
-    one :meth:`RentModel.price` call.
+    The vectorized kernel prices the whole cloud in one slot-ordered
+    array pass over the server table's storage and query columns
+    (:meth:`RentModel.price_table`); the scalar reference prices every
+    server through one :meth:`RentModel.price` call.
     """
-    if cost_index is not None:
-        ids, prices = cost_index.price_vector()
+    if vectorized:
+        prices = model.price_table(cloud)
         # Copy: callers own the returned mapping on both paths (the
         # scalar branch returns a fresh dict too).
-        return dict(board.post_vector(epoch, ids, prices))
+        return dict(board.post_vector(epoch, cloud.server_ids, prices))
     prices = model.price_cloud(cloud)
     board.post(epoch, prices)
     return prices

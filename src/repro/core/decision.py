@@ -119,11 +119,6 @@ class DecisionEngine:
         self.ceil_builds_first = self.ceil_builds_winner = 0
         self.ceil_builds_release = 0
         self.source_first_asks = self.source_first_proofs = 0
-        #: Per-slot query totals of the last batched settlement and the
-        #: cloud version they were computed under — the eq. 1 query-load
-        #: handoff consumed by :class:`repro.core.economy.CloudCostIndex`.
-        self.query_totals: Optional[np.ndarray] = None
-        self.query_totals_version: int = -1
 
     @classmethod
     def from_context(cls, ctx, **extra) -> "DecisionEngine":
@@ -151,10 +146,10 @@ class DecisionEngine:
     def settle(self, load: EpochLoad, board: PriceBoard,
                g_of_app: Optional[Dict[int, np.ndarray]] = None) -> None:
         """Charge queries to servers and record every agent's balance
-        (eq. 5, :mod:`repro.core.settlement`)."""
+        (eq. 5, :mod:`repro.core.settlement`); the charged query
+        counters are the next epoch's eq. 1 query load."""
         if self._kernel == "vectorized":
-            self.query_totals_version = self._cloud.version
-            self.query_totals = settle_batched(
+            settle_batched(
                 self._cloud, self._catalog.ledger, self.incidence,
                 self._index, load, board, g_of_app,
             )

@@ -16,13 +16,12 @@ which is the stabilising feedback loop of the whole economy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.cluster.server import Server
 from repro.cluster.topology import Cloud
-from repro.store.replica import CatalogListener
 
 #: Epochs per month used to spread the real rent.  The evaluation's
 #: epoch is best read as ~1 hour (bandwidth budgets of 300 MB/epoch),
@@ -69,6 +68,16 @@ class RentModel:
         """Price every live server of the cloud for the next epoch."""
         return {server.server_id: self.price(server) for server in cloud}
 
+    def price_table(self, cloud: Cloud) -> np.ndarray:
+        """Eq. 1 for every live server, slot-ordered, in one array pass
+        over the cloud's ``ServerTable`` columns; entry ``i`` prices
+        ``cloud.server_ids[i]``, bit-identical to :meth:`price`."""
+        return self.price_array(
+            cloud.monthly_rent_vector() / DEFAULT_EPOCHS_PER_MONTH,
+            cloud.storage_used_vector(), cloud.capacity_vector(),
+            cloud.queries_vector(), cloud.query_capacity_vector(),
+        )
+
     def price_array(self, up: np.ndarray, storage_used: np.ndarray,
                     storage_capacity: np.ndarray, queries: np.ndarray,
                     query_capacity: np.ndarray) -> np.ndarray:
@@ -85,109 +94,3 @@ class RentModel:
         return up * (
             1.0 + self.alpha * storage_usage + BETA * query_load
         )
-
-
-class CloudCostIndex(CatalogListener):
-    """Maintained slot-ordered cost vectors for one-pass eq. 1 pricing.
-
-    The scalar path prices servers one Python call at a time from the
-    live ``Server`` objects — the last O(S) Python loop at epoch start.
-    This index keeps the eq. 1 inputs as slot-ordered numpy vectors
-    instead:
-
-    * **static terms** (marginal usage price ``up``, storage and query
-      capacities) rebuild only when cloud membership changes
-      (:attr:`Cloud.version`);
-    * **storage usage** is folded incrementally from the replica
-      catalog's ``storage_changed`` events (every replicate / migrate /
-      suicide / insert growth / split mutates storage *through* the
-      catalog in the epoch loop);
-    * **query load** is handed over by the epoch kernel: the batched
-      eq. 5 settlement already folds per-server query totals, and those
-      counters are exactly eq. 1's ``query_load`` numerator for the
-      next epoch's repricing.
-
-    Each repriced entry is bit-identical to the scalar
-    :meth:`RentModel.price` call (see :meth:`RentModel.price_array`),
-    which is what keeps the two epoch kernels frame-identical.  The
-    index assumes the engine's discipline — storage moves through the
-    catalog, membership through ``Cloud.add/remove`` — and falls back
-    to a full rebuild whenever the cloud version moved.
-    """
-
-    def __init__(self, cloud: Cloud, model: RentModel,
-                 catalog=None) -> None:
-        self._cloud = cloud
-        self._model = model
-        self._cloud_version = -1
-        self._ids: List[int] = []
-        self._up = np.zeros(0, dtype=np.float64)
-        self._capacity = np.zeros(0, dtype=np.int64)
-        self._query_capacity = np.zeros(0, dtype=np.int64)
-        self._storage = np.zeros(0, dtype=np.int64)
-        self._queries = np.zeros(0, dtype=np.float64)
-        if catalog is not None:
-            catalog.add_listener(self)
-
-    def _sync(self) -> None:
-        cloud = self._cloud
-        if self._cloud_version == cloud.version:
-            return
-        self._ids = cloud.server_ids
-        # Column reads off the cloud's ServerTable: the same float64 /
-        # int64 values the per-server attribute walk produced, gathered
-        # as single array copies.
-        self._up = (
-            cloud.monthly_rent_vector() / float(DEFAULT_EPOCHS_PER_MONTH)
-        )
-        self._capacity = cloud.capacity_vector()
-        self._query_capacity = cloud.query_capacity_vector()
-        self._storage = cloud.storage_used_vector()
-        self._queries = cloud.queries_vector()
-        self._cloud_version = cloud.version
-
-    # -- CatalogListener -----------------------------------------------------
-
-    def storage_changed(self, server_id: int, delta: int) -> None:
-        if self._cloud_version != self._cloud.version:
-            return  # stale; the next sync rebuilds from the objects
-        self._storage[self._cloud.slot(server_id)] += delta
-
-    # -- epoch handoffs ------------------------------------------------------
-
-    def set_query_totals(self, totals: np.ndarray,
-                         cloud_version: int) -> None:
-        """Install the epoch's per-slot query counters (from settlement).
-
-        Ignored when the slot order has since changed (``cloud_version``
-        mismatch) — the next :meth:`_sync` then reads the surviving
-        servers' own counters, which the settlement kept equally
-        up to date.
-        """
-        if cloud_version != self._cloud.version:
-            return
-        self._sync()
-        self._queries = totals
-
-    # -- pricing -------------------------------------------------------------
-
-    def price_vector(self) -> Tuple[List[int], np.ndarray]:
-        """(server ids, eq. 1 prices), slot-ordered, for this epoch."""
-        self._sync()
-        return self._ids, self._model.price_array(
-            self._up, self._storage, self._capacity,
-            self._queries, self._query_capacity,
-        )
-
-    def verify(self) -> None:
-        """Assert the maintained vectors mirror the server objects."""
-        self._sync()
-        cloud = self._cloud
-        for slot, sid in enumerate(self._ids):
-            server = cloud.server(sid)
-            if int(self._storage[slot]) != server.storage_used:
-                raise EconomyError(
-                    f"storage drift on server {sid}: index "
-                    f"{int(self._storage[slot])}, object "
-                    f"{server.storage_used}"
-                )

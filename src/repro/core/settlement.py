@@ -73,7 +73,7 @@ def settle_batched(cloud: Cloud, ledger: AgentLedger,
                    incidence: Incidence, index: AvailabilityIndex,
                    load: EpochLoad, board: PriceBoard,
                    g_of_app: Optional[Dict[int, np.ndarray]] = None
-                   ) -> np.ndarray:
+                   ) -> None:
     """Slot-ordered numpy eq. 5 settlement over the flat incidence.
 
     Bit-identical to :func:`settle_scalar`: every elementwise
@@ -86,14 +86,13 @@ def settle_batched(cloud: Cloud, ledger: AgentLedger,
     total once is the same float computation).  Agent balances land
     through one vectorized ledger column write
     (:meth:`AgentLedger.record_batch`) instead of a per-replica
-    Python pass.  Returns the per-slot query totals — the eq. 1
-    query-load handoff (all zero when no replica is live).
+    Python pass.
     """
     floor = board.min_price()
     flat = incidence.flat_state()
     n_rep = len(flat.rep_slots)
     if not n_rep:
-        return np.zeros(flat.n_slots, dtype=np.float64)
+        return
 
     if load.index is not index.partition_index:
         raise KernelError(
@@ -154,4 +153,3 @@ def settle_batched(cloud: Cloud, ledger: AgentLedger,
 
     # Agent ledger: one vectorized column write.
     ledger.record_batch(flat.rep_rows, utilities, rents)
-    return totals

@@ -117,9 +117,6 @@ class _RouteDropper:
     def partition_split(self, parent, low, high, servers) -> None:
         self._drop(parent, None)
 
-    def storage_changed(self, server_id, delta) -> None:
-        pass
-
 
 class Router:
     """Resolves keys to replicas over the current catalog state."""

@@ -36,7 +36,6 @@ from repro.core.agent import AgentRegistry
 from repro.core.availability import AvailabilityIndex, availability
 from repro.core.board import PriceBoard, update_board
 from repro.core.decision import DecisionEngine
-from repro.core.economy import CloudCostIndex
 from repro.core.placement import proximity_weights
 from repro.core.policy import DecisionStats, EconomicPolicy
 from repro.net.membership import MembershipService, OracleMembership
@@ -89,12 +88,9 @@ class SimContext:
 @runtime_checkable
 class Decider(Protocol):
     """What :class:`Simulation` asks of a policy each epoch: settle
-    eq. 5, run one decision pass, and hand the cost index settlement's
-    per-slot query totals with the cloud version they were computed
-    under (the vectorized kernel refuses a ``None``)."""
-
-    query_totals: Optional[np.ndarray]
-    query_totals_version: int
+    eq. 5 (charging each server its query share, which the next
+    epoch's eq. 1 reprice reads off the server table) and run one
+    decision pass."""
 
     def settle(self, load: EpochLoad, board: PriceBoard,
                g_of_app: Optional[Dict[int, np.ndarray]] = None) -> None:
@@ -160,17 +156,11 @@ class Simulation:
         # counts) is addressed in.
         self.avail_index: Optional[AvailabilityIndex] = None
         self.partition_index: Optional[PartitionIndex] = None
-        # Vectorized eq. 1: slot-ordered cost vectors maintained by the
-        # catalog listener replace the per-server Python pricing loop.
-        self.cost_index: Optional[CloudCostIndex] = None
         if config.kernel == "vectorized":
             self.partition_index = PartitionIndex()
             self.rings.use_partition_index(self.partition_index)
             self.avail_index = AvailabilityIndex(
                 self.cloud, self.catalog, partitions=self.partition_index
-            )
-            self.cost_index = CloudCostIndex(
-                self.cloud, config.rent_model, self.catalog
             )
         self.registry = AgentRegistry(self.catalog)
         self.transfers = TransferEngine(self.cloud, self.catalog)
@@ -419,23 +409,9 @@ class Simulation:
                 service.on_removed(sid)
         if added or removed:
             self._g_dirty = True
-        cost_index = self.cost_index
-        if cost_index is not None and epoch > 0:
-            # Hand the previous settlement's per-slot query totals to
-            # the cost index (eq. 1's query-load term).
-            totals = self.decider.query_totals
-            if totals is None:
-                raise SimulationError(
-                    f"epoch {epoch}: the decider's settle left "
-                    f"query_totals as None; the vectorized kernel prices "
-                    f"eq. 1 from settlement's per-slot query totals"
-                )
-            cost_index.set_query_totals(
-                totals, self.decider.query_totals_version
-            )
         update_board(
             self.board, epoch, self.cloud, self.config.rent_model,
-            cost_index,
+            vectorized=self.config.kernel == "vectorized",
         )
         board = self.board
         if service is not None:

@@ -59,17 +59,6 @@ class CatalogListener:
                         servers: Sequence[int]) -> None:
         """A split re-homed ``parent`` onto two children on ``servers``."""
 
-    def storage_changed(self, server_id: int, delta: int) -> None:
-        """``delta`` bytes were allocated (+) or freed (−) on a server.
-
-        Fired for every catalog-driven storage mutation — replica
-        placement/drop, insert growth, splits — *including* during a
-        split (unlike the membership callbacks, which a split collapses
-        into one structural event).  Not fired when a dead server's
-        bytes vanish with the machine (``drop_server``); consumers
-        tracking storage must rebuild on cloud membership changes.
-        """
-
 
 @dataclass(frozen=True)
 class FlatReplicaView:
@@ -266,10 +255,7 @@ class ReplicaCatalog:
         pid = partition.pid
         if self.has_replica(pid, server_id):
             raise ReplicaError(f"{pid} already has a replica on {server_id}")
-        server = self._cloud.server(server_id)
-        server.allocate_storage(partition.size)
-        for listener in self._listeners:
-            listener.storage_changed(server_id, partition.size)
+        self._cloud.server(server_id).allocate_storage(partition.size)
 
     def _link(self, pid: PartitionId, server_id: int, row: int) -> None:
         """Append one replica (and its agent's row) to both indexes."""
@@ -298,8 +284,6 @@ class ReplicaCatalog:
             raise ReplicaError(f"{partition.pid} has no replica on {server_id}")
         if server_id in self._cloud:
             self._cloud.server(server_id).free_storage(partition.size)
-            for listener in self._listeners:
-                listener.storage_changed(server_id, -partition.size)
 
     def _unlink(self, pid: PartitionId, server_id: int) -> int:
         """Forget one replica in both indexes (no storage accounting);
@@ -357,8 +341,6 @@ class ReplicaCatalog:
             if not self._cloud.server(sid).alive:
                 continue
             self._cloud.server(sid).allocate_storage(nbytes)
-            for listener in self._listeners:
-                listener.storage_changed(sid, nbytes)
 
     def drop_server(self, server_id: int) -> List[PartitionId]:
         """Forget every replica on a failed server (bytes die with it).
@@ -418,8 +400,6 @@ class ReplicaCatalog:
                 ledger.release(row)
                 if server.alive:
                     server.allocate_storage(low.size + high.size)
-                    for listener in self._listeners:
-                        listener.storage_changed(sid, low.size + high.size)
                 for child in (low, high):
                     row = ledger.acquire(sid)
                     ledger.set_wealth(row, inherited)

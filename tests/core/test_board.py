@@ -88,3 +88,21 @@ class TestUpdateBoard:
         assert prices[0] == pytest.approx(up)
         assert prices[1] == pytest.approx(1.25 * up)
         assert board.min_price() == pytest.approx(up)
+
+    def test_vectorized_returns_a_mapping_the_caller_owns(self):
+        cloud = Cloud()
+        for i in range(3):
+            cloud.add_servers([
+                make_server(i, Location(i, 0, 0, 0, 0, 0),
+                            monthly_rent=100.0 + i)
+            ])
+        board = PriceBoard()
+        prices = update_board(board, 2, cloud, RentModel(),
+                              vectorized=True)
+        assert prices == RentModel().price_cloud(cloud)
+        prices[0] = 1e9
+        del prices[1]
+        up = 1.0 / DEFAULT_EPOCHS_PER_MONTH
+        assert board.price(0) == pytest.approx(100.0 * up)
+        assert board.price(1) == pytest.approx(101.0 * up)
+        assert board.max_price() < 1.0

@@ -7,16 +7,18 @@ from repro.cluster.location import Location
 from repro.cluster.server import make_server
 from repro.cluster.topology import Cloud
 from repro.core import economy
+from repro.core.board import PriceBoard, update_board
 from repro.core.economy import (
     BETA,
     DEFAULT_EPOCHS_PER_MONTH,
-    CloudCostIndex,
     EconomyError,
     RentModel,
 )
 from repro.ring.keyspace import KeyRange
 from repro.ring.partition import Partition, PartitionId
+from repro.sim import engine
 from repro.store.replica import ReplicaCatalog
+from tests.sim.test_engine import small_config
 
 LOC = Location(0, 0, 0, 0, 0, 0)
 
@@ -86,6 +88,28 @@ class TestRentModel:
         )
         assert vector.tolist() == [model.price(s) for s in servers]
 
+    def test_price_table_is_slot_ordered_and_bit_identical(
+            self, monkeypatch):
+        monkeypatch.setattr(economy, "BETA", 3.0)
+        model = RentModel(alpha=2.0)
+        cloud = Cloud()
+        for i in (5, 1, 3):  # ids out of order: entries follow slots
+            cloud.add_servers([
+                make_server(i, Location(i, 0, 0, 0, 0, 0),
+                            monthly_rent=100.0 + 25.0 * i,
+                            storage_capacity=1000 + 7 * i,
+                            query_capacity=10)
+            ])
+            cloud.server(i).allocate_storage(113 * i)
+            cloud.server(i).record_queries(2.5 * i)
+        vector = model.price_table(cloud)
+        assert vector.tolist() == [
+            model.price(cloud.server(sid)) for sid in cloud.server_ids
+        ]
+        assert dict(zip(cloud.server_ids, vector.tolist())) == (
+            model.price_cloud(cloud)
+        )
+
     def test_price_cloud(self):
         model = RentModel()
         cloud = Cloud()
@@ -105,7 +129,7 @@ class TestRentModel:
         assert DEFAULT_EPOCHS_PER_MONTH == 720
 
 
-def _cost_harness(n=4, model=None):
+def _table_harness(n=4):
     cloud = Cloud()
     for i in range(n):
         cloud.add_servers([
@@ -116,10 +140,7 @@ def _cost_harness(n=4, model=None):
                 query_capacity=100,
             )
         ])
-    catalog = ReplicaCatalog(cloud)
-    rent_model = model or RentModel(alpha=2.0)
-    index = CloudCostIndex(cloud, rent_model, catalog)
-    return cloud, catalog, rent_model, index
+    return cloud, ReplicaCatalog(cloud), RentModel(alpha=2.0)
 
 
 def _partition(seq=0, size=500):
@@ -131,72 +152,101 @@ def _partition(seq=0, size=500):
     )
 
 
-def _assert_prices_match(index, model, cloud):
-    ids, vector = index.price_vector()
+def _assert_table_prices_match(cloud, model):
+    """The vectorized reprice posts, bit for bit, what the scalar
+    reference prices server by server."""
+    board = PriceBoard()
+    posted = update_board(board, 3, cloud, model, vectorized=True)
     scalar = model.price_cloud(cloud)
-    assert ids == list(scalar)
-    for sid, price in zip(ids, vector.tolist()):
-        assert price == scalar[sid]  # bit-identical, not approx
+    assert list(posted) == list(scalar) == cloud.server_ids
+    assert posted == scalar  # bit-identical, not approx
+    assert board.price_vector(cloud.server_ids).tolist() == list(
+        scalar.values()
+    )
 
 
-class TestCloudCostIndex:
-    def test_matches_scalar_pricing_after_catalog_mutations(self):
-        cloud, catalog, model, index = _cost_harness()
-        _assert_prices_match(index, model, cloud)
+class TestTablePricing:
+    """``update_board(vectorized=True)`` prices from the server table."""
+
+    def test_place_move_drop_and_grow(self):
+        cloud, catalog, model = _table_harness()
+        _assert_table_prices_match(cloud, model)
         p1, p2 = _partition(1), _partition(2)
         catalog.place(p1, 0)
         catalog.place(p1, 2)
         catalog.place(p2, 1)
-        _assert_prices_match(index, model, cloud)
+        _assert_table_prices_match(cloud, model)
+        catalog.move(p2, 1, 3)
+        _assert_table_prices_match(cloud, model)
         catalog.drop(p1, 2)
+        p2.grow(123)
         catalog.grow_replicas(p2.pid, 123)
-        _assert_prices_match(index, model, cloud)
-        index.verify()
+        _assert_table_prices_match(cloud, model)
 
-    def test_split_keeps_storage_vector_in_sync(self):
-        cloud, catalog, model, index = _cost_harness()
-        parent = _partition(1, size=500)
+    def test_split(self):
+        cloud, catalog, model = _table_harness()
+        parent = _partition(1, size=501)
         catalog.place(parent, 0)
         catalog.place(parent, 1)
         low, high = parent.split(7, 8)
         catalog.split_partition(parent, low, high)
-        _assert_prices_match(index, model, cloud)
-        index.verify()
+        _assert_table_prices_match(cloud, model)
 
-    def test_rebuilds_on_cloud_membership_change(self):
-        cloud, catalog, model, index = _cost_harness()
+    def test_ghost_keeps_its_bytes_through_growth_and_split(self):
+        cloud, catalog, model = _table_harness()
+        parent = _partition(1, size=500)
+        catalog.place(parent, 0)
+        catalog.place(parent, 1)
+        cloud.server(1).fail()  # killed, not yet detected
+        parent.grow(40)
+        catalog.grow_replicas(parent.pid, 40)
+        low, high = parent.split(7, 8)
+        catalog.split_partition(parent, low, high)
+        assert cloud.server(1).storage_used == 500
+        assert cloud.server(0).storage_used == 540
+        _assert_table_prices_match(cloud, model)
+
+    def test_server_join_and_removal(self):
+        cloud, catalog, model = _table_harness()
         catalog.place(_partition(1), 0)
-        _assert_prices_match(index, model, cloud)
+        catalog.place(_partition(2), 3)
         cloud.spawn_servers([Location(9, 0, 0, 0, 0, 0)],
                             storage_capacity=10_000, query_capacity=100)
-        _assert_prices_match(index, model, cloud)
+        catalog.place(_partition(3), 4)
+        _assert_table_prices_match(cloud, model)
         cloud.remove_server(0)
         catalog.drop_server(0)
-        _assert_prices_match(index, model, cloud)
+        _assert_table_prices_match(cloud, model)
 
-    def test_query_totals_match_scalar_counters(self):
-        cloud, catalog, model, index = _cost_harness()
-        totals = np.zeros(len(cloud), dtype=np.float64)
+    def test_recorded_queries(self):
+        cloud, catalog, model = _table_harness()
         for slot, sid in enumerate(cloud.server_ids):
-            share = 7.25 * (slot + 1)
-            cloud.server(sid).record_queries(share)
-            totals[slot] = share
-        index.set_query_totals(totals, cloud.version)
-        _assert_prices_match(index, model, cloud)
+            cloud.server(sid).record_queries(7.25 * (slot + 1))
+        cloud.record_queries_at(np.array([0, 2]), np.array([1.5, 0.125]))
+        _assert_table_prices_match(cloud, model)
+        cloud.begin_epoch()
+        _assert_table_prices_match(cloud, model)
 
-    def test_stale_query_totals_ignored(self):
-        cloud, catalog, model, index = _cost_harness()
-        index.set_query_totals(
-            np.full(len(cloud), 1e9), cloud.version - 1
-        )
-        _assert_prices_match(index, model, cloud)
+    def test_storage_allocated_outside_the_catalog_is_priced(
+            self, monkeypatch):
+        """Every board a vectorized simulation posts equals the scalar
+        eq. 1 table of that moment, also after bytes were charged to a
+        server behind the catalog's back: no mirror of the storage
+        column can fall behind it."""
+        real = engine.update_board
+        posted = []
 
-    def test_verify_reports_storage_moved_behind_the_catalog(self):
-        """Storage that changes on a server object without a catalog
-        event is drift the maintained vector cannot see."""
-        cloud, catalog, model, index = _cost_harness()
-        catalog.place(_partition(1), 0)
-        index.verify()
-        cloud.server(1).allocate_storage(77)
-        with pytest.raises(EconomyError, match="storage drift on server 1"):
-            index.verify()
+        def spy(board, epoch, cloud, model, *args, **kwargs):
+            expected = model.price_cloud(cloud)
+            prices = real(board, epoch, cloud, model, *args, **kwargs)
+            posted.append(prices == expected)
+            return prices
+
+        monkeypatch.setattr(engine, "update_board", spy)
+        sim = engine.Simulation(small_config(epochs=4))
+        sim.step()
+        sim.step()
+        sim.cloud.server(sim.cloud.server_ids[0]).allocate_storage(77)
+        sim.step()
+        sim.step()
+        assert posted == [True] * 4

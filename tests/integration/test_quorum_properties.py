@@ -316,9 +316,6 @@ class TestCopyMirrorKeepsAckedCopies:
             def partition_split(self, parent, low, high, servers):
                 pass
 
-            def storage_changed(self, server_id, delta):
-                pass
-
         sim.catalog.add_listener(EmptyWatch())
         sim.run()
         assert sim.metrics.series("migrations").sum() > 0

@@ -9,7 +9,6 @@ from repro.baselines.random_placement import random_placement_decider
 from repro.baselines.static import static_decider
 from repro.cluster.events import AddServers, EventSchedule, RemoveServers
 from repro.cluster.topology import CloudLayout
-from repro.core.decision import DecisionEngine
 from repro.core.economy import RentModel
 from repro.core.policy import EconomicPolicy
 from repro.ring import virtualring
@@ -307,21 +306,6 @@ class TestSplits:
 def test_shipped_deciders_satisfy_the_decider_protocol(factory):
     sim = Simulation(small_config(epochs=1), decider_factory=factory)
     assert isinstance(sim.decider, Decider)
-
-
-class TestVectorizedContracts:
-    """What the vectorized kernel refuses rather than recovers from."""
-
-    def test_a_settle_without_query_totals_is_refused(self):
-        class NoTotals(DecisionEngine):
-            def settle(self, load, board, g_of_app=None):
-                """Charges nothing and hands eq. 1 no query totals."""
-
-        sim = Simulation(small_config(epochs=2),
-                         decider_factory=NoTotals.from_context)
-        sim.step()  # epoch 0 prices the seeded cloud without totals
-        with pytest.raises(SimulationError, match="query_totals"):
-            sim.step()
 
 
 class TestRetryResurrection:

@@ -136,9 +136,6 @@ class _Recorder(CatalogListener):
     def replica_removed(self, pid, server_id, servers):
         self.events.append(("removed", pid, server_id))
 
-    def storage_changed(self, server_id, delta):
-        self.events.append(("storage", server_id, delta))
-
 
 class TestListeners:
     def test_add_listener_is_idempotent(self):
@@ -148,7 +145,7 @@ class TestListeners:
         catalog.add_listener(rec)
         p = part(size=10)
         catalog.place(p, 0)
-        assert rec.events == [("storage", 0, 10), ("added", p.pid, 0)]
+        assert rec.events == [("added", p.pid, 0)]
 
     def test_move_reports_place_then_drop(self):
         catalog = ReplicaCatalog(cloud_of())
@@ -157,7 +154,7 @@ class TestListeners:
         rec = _Recorder()
         catalog.add_listener(rec)
         catalog.move(p, 0, 1)
-        assert [e for e in rec.events if e[0] != "storage"] == [
+        assert rec.events == [
             ("added", p.pid, 1), ("removed", p.pid, 0),
         ]
 

@@ -218,9 +218,6 @@ class TestCommit:
             def replica_removed(self, pid, sid, servers):
                 events.append(("drop", sid, tuple(servers)))
 
-            def storage_changed(self, sid, delta):
-                pass
-
         catalog.add_listener(Recorder())
         batch = engine.open_batch()
         kind = TransferKind.REPLICATION

@@ -825,10 +825,9 @@ def test_fabric_gate_detects_planted_per_message_loops(tmp_path):
 SCORER_PROBE_SEALED = DECISION_MODULES
 
 #: The same rule one layer up (ISSUE 18): sealed module → the owner it
-#: may not probe.  The settle hand-off (``query_totals`` /
-#: ``query_totals_version``) is declared on the ``Decider`` protocol,
-#: which every shipped decider satisfies, and the overlays on
-#: ``Simulation``.
+#: may not probe.  What the engine asks of a decider (``settle``,
+#: ``decide``) is declared on the ``Decider`` protocol, which every
+#: shipped decider satisfies, and the overlays on ``Simulation``.
 SURFACE_PROBE_SEALED = {
     Path("src/repro/sim/engine.py"): "self.decider",
     Path("src/repro/cli.py"): "sim",
@@ -887,8 +886,8 @@ def test_scorer_probe_gate_detects_planted_getattr(tmp_path):
         "    if fn is not None and getattr(scorer, 'best_is_pure', False):\n"
         "        fn(cap)\n"
         "def step(self, sim):\n"
-        "    totals = getattr(self.decider, 'query_totals', None)\n"
-        "    return totals, getattr(sim, 'serving', None)\n"
+        "    settle = getattr(self.decider, 'settle', None)\n"
+        "    return settle, getattr(sim, 'serving', None)\n"
     )
     assert len(find_scorer_probes(planted)) == 2
     assert len(find_scorer_probes(planted, "self.decider")) == 1
@@ -899,7 +898,7 @@ def test_scorer_probe_gate_detects_planted_getattr(tmp_path):
         "    if scorer.best_is_pure and getattr(decider, 'k', 0):\n"
         "        scorer.cheaper_host_exists(cap)\n"
         "def step(self, sim, args):\n"
-        "    return self.decider.query_totals, getattr(args, 'serve', 0)\n"
+        "    return self.decider.settle, getattr(args, 'serve', 0)\n"
     )
     for owner in ("scorer", *SURFACE_PROBE_SEALED.values()):
         assert not find_scorer_probes(benign, owner)
